@@ -24,12 +24,13 @@ All engine work is declared through the existing pairwise plans -- a
 a :class:`~repro.engine.plan.KernelRowPlan` per streaming transform -- so the
 landmark states are encoded once into the engine's
 :class:`~repro.engine.StateStore` and every executor (sequential, tiled,
-multiprocess tiles) applies unchanged.  With the sequential executor the
-``K_nm`` block runs as **one stacked block sweep**
-(``EngineConfig.cross_block_sweep``), and an engine built with a
-``cross_backend`` dispatches that sweep to whichever device's cost model
-predicts the cheaper stacked einsum -- the Fig. 5 crossover decision applied
-to the Nystrom fit, modelled rather than hardcoded.
+multiprocess tiles) applies unchanged.  Outside the multiprocess executor the
+``K_nm`` block runs as **one padded block sweep** over a
+:class:`~repro.engine.StackedStateBlock` of the landmarks, byte-identical to
+the chunked pair sweep, and an engine built with a ``cross_backend``
+dispatches that sweep to whichever device's cost model predicts the cheaper
+stacked sweep -- the Fig. 5 crossover decision applied to the Nystrom fit,
+modelled rather than hardcoded.
 """
 
 from __future__ import annotations

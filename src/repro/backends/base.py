@@ -414,91 +414,57 @@ class Backend(abc.ABC):
     def inner_product_batch(
         self, pairs: Sequence[Tuple[MPS, MPS]]
     ) -> BatchInnerProductResult:
-        """Evaluate a chunk of overlaps through the vectorised einsum path.
+        """Evaluate a chunk of overlaps through the padded BLAS transfer sweep.
 
         Counters advance exactly as if :meth:`inner_product` had been called
         once per pair (same modelled seconds, same ``num_inner_products``),
-        so strategies and benchmarks can switch freely between the paths; the
-        measured wall time is where batching pays off.
-
-        Every pair goes through the stacked sweep (``min_group_size=1``):
-        the per-pair value is then independent of how the chunk was composed,
-        so re-batching, tiling or coalescing a workload differently yields
-        bit-identical kernel entries -- the invariant the serving layer's
-        metamorphic tests assert.
+        so strategies and benchmarks can switch freely between the paths.
+        Each value is within ``1e-12`` of :meth:`inner_product` and does not
+        depend on how the chunk was composed (:mod:`repro.mps.batched`), so
+        re-batching, tiling or coalescing a workload yields byte-identical
+        kernel entries -- the invariant the serving metamorphic tests assert.
         """
-        modelled = 0.0
-        max_chi = 1
-        shape_counts: dict[Tuple[int, int], int] = {}
-        for bra, ket in pairs:
-            chi = max(bra.max_bond_dimension, ket.max_bond_dimension)
-            max_chi = max(max_chi, chi)
-            modelled += self.cost_model.inner_product_time(bra.num_qubits, chi)
-            key = (bra.num_qubits, chi)
-            shape_counts[key] = shape_counts.get(key, 0) + 1
-        # Stacked model: same-(qubits, chi) pairs share one sweep's launches.
-        modelled_batched = sum(
-            self.cost_model.batched_inner_product_time(count, nq, chi)
-            for (nq, chi), count in shape_counts.items()
-        )
+        chis = [max(bra.max_bond_dimension, ket.max_bond_dimension) for bra, ket in pairs]
         start = time.perf_counter()
-        values = batched_overlaps(pairs, min_group_size=1)
+        values = batched_overlaps(pairs)
         wall = time.perf_counter() - start
-
-        self.modelled_inner_product_time_s += modelled
-        self.modelled_batched_inner_product_time_s += modelled_batched
-        self.wall_inner_product_time_s += wall
-        self.num_inner_products += len(pairs)
-        return BatchInnerProductResult(
-            values=values,
-            wall_time_s=wall,
-            modelled_time_s=modelled,
-            num_pairs=len(pairs),
-            max_bond_dimension=max_chi,
-        )
+        num_qubits = pairs[0][0].num_qubits if pairs else 0
+        return self._record_overlaps(values, chis, num_qubits, wall)
 
     def inner_product_block(
         self, bras: Sequence[MPS], block: StackedStateBlock
     ) -> BatchInnerProductResult:
         """Overlaps of a query batch against a pre-stacked state block.
 
-        The serving fast path: the block's tensors were stacked once at fit
-        time, so this evaluates all ``len(bras) x block.num_states`` pairs
-        with no per-pair Python stacking, and every value is bit-identical
-        to :meth:`inner_product_batch` on the same pairs.  ``values`` is the
-        2-D overlap matrix in (query, block state) order; counters advance
-        exactly as if each pair had been evaluated individually.
+        The serving fast path: the block's tensors were padded and stacked
+        once at fit time, so each query costs two BLAS matmuls per site
+        against all ``block.num_states`` states, and every value is
+        byte-identical to :meth:`inner_product_batch` on the same pair.
+        ``values`` is the 2-D overlap matrix in (query, block state) order;
+        counters advance exactly as if each pair had been evaluated
+        individually.
         """
-        num_pairs = len(bras) * block.num_states
-        modelled = 0.0
-        modelled_batched = 0.0
-        max_chi = 1
-        if bras:
-            # The cost model is a pure function of (qubits, chi); summing per
-            # unique chi keeps this O(unique chis) instead of O(pairs).
-            bra_chis = np.array([b.max_bond_dimension for b in bras], dtype=int)
-            chi_matrix = np.maximum.outer(bra_chis, block.max_bond_dimensions)
-            unique_chis, counts = np.unique(chi_matrix, return_counts=True)
-            modelled = float(
-                sum(
-                    int(count)
-                    * self.cost_model.inner_product_time(block.num_qubits, int(chi))
-                    for chi, count in zip(unique_chis, counts)
-                )
-            )
-            modelled_batched = float(
-                sum(
-                    self.cost_model.batched_inner_product_time(
-                        int(count), block.num_qubits, int(chi)
-                    )
-                    for chi, count in zip(unique_chis, counts)
-                )
-            )
-            max_chi = int(unique_chis.max())
+        chis = np.maximum.outer([b.max_bond_dimension for b in bras], block.max_bond_dimensions)
         start = time.perf_counter()
         values = block.overlaps(bras)
         wall = time.perf_counter() - start
+        return self._record_overlaps(values, chis, block.num_qubits, wall)
 
+    def _record_overlaps(
+        self, values: np.ndarray, chis, num_qubits: int, wall: float
+    ) -> BatchInnerProductResult:
+        """Charge one overlap per entry of ``chis`` to the counters.
+
+        Sums per unique chi: the cost model depends only on qubits and chi.
+        """
+        unique_chis, counts = np.unique(np.asarray(chis, dtype=int), return_counts=True)
+        modelled = modelled_batched = 0.0
+        for chi, count in zip(unique_chis.tolist(), counts.tolist()):
+            modelled += count * self.cost_model.inner_product_time(num_qubits, chi)
+            modelled_batched += self.cost_model.batched_inner_product_time(
+                count, num_qubits, chi
+            )
+        num_pairs = int(counts.sum())
         self.modelled_inner_product_time_s += modelled
         self.modelled_batched_inner_product_time_s += modelled_batched
         self.wall_inner_product_time_s += wall
@@ -508,7 +474,7 @@ class Backend(abc.ABC):
             wall_time_s=wall,
             modelled_time_s=modelled,
             num_pairs=num_pairs,
-            max_bond_dimension=max_chi,
+            max_bond_dimension=int(unique_chis.max()) if num_pairs else 1,
         )
 
     # ------------------------------------------------------------------

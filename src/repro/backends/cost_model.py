@@ -204,7 +204,7 @@ class DeviceCostModel:
         """Modelled seconds for one *stacked* overlap sweep of ``batch`` pairs.
 
         The block sweep (:meth:`repro.backends.Backend.inner_product_block`)
-        contracts all pairs sharing a shape in one einsum per site, so the
+        contracts all pairs in one padded stack per site, so the
         per-site launch/transfer overhead is charged once per stack instead of
         once per pair, while the arithmetic still scales with the batch.  At
         ``batch == 1`` this equals :meth:`inner_product_time` exactly.  This

@@ -20,8 +20,8 @@ The same logic routes the Nystrom ``K_nm`` cross block here: a
 :class:`~repro.engine.KernelEngine` constructed with ``cross_backend=
 SimulatedGpuBackend(...)`` compares
 :meth:`DeviceCostModel.batched_inner_product_time` across its two devices and
-dispatches the stacked cross sweep (:meth:`~repro.backends.Backend.
-inner_product_block`, one batched einsum per site) to whichever model
+dispatches the padded cross sweep (:meth:`~repro.backends.Backend.
+inner_product_block`, two BLAS matmuls per site) to whichever model
 predicts the cheaper block -- the modelled, not hardcoded, CPU/GPU crossover
 decision of the extended Fig. 5 study.  Numerics are NumPy either way, so
 the dispatch never moves a bit of any kernel entry.

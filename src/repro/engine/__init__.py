@@ -9,8 +9,8 @@ One compute core for every pairwise-overlap workload in the library:
 * :mod:`~repro.engine.cache` -- a content-addressed :class:`StateStore` for
   encoded MPS keyed by (feature-row bytes, ansatz fingerprint, truncation
   policy), with LRU eviction under a byte budget and hit/miss statistics;
-* :mod:`~repro.engine.batching` -- chunked overlap evaluation that groups
-  same-shape pairs and sweeps them through one vectorised einsum path;
+* :mod:`~repro.engine.batching` -- chunked overlap evaluation that pads
+  every state to one per-site bond dimension and sweeps it with BLAS;
 * :mod:`~repro.engine.engine` -- the :class:`KernelEngine` facade with
   pluggable executors (sequential, tiled, multiprocess) selected by
   :class:`EngineConfig`.
@@ -27,8 +27,6 @@ from .batching import (
     circuit_structure_signature,
     encode_circuits,
     group_circuits_by_structure,
-    group_pairs_by_shape,
-    pair_shape_signature,
     rowwise_matmul,
 )
 from .cache import (
@@ -65,8 +63,6 @@ __all__ = [
     "serialize_states",
     "deserialize_states",
     "batched_overlaps",
-    "group_pairs_by_shape",
-    "pair_shape_signature",
     "StackedStateBlock",
     "GateShapeLog",
     "circuit_structure_signature",

@@ -1,8 +1,8 @@
 """Chunked overlap evaluation for the engine (re-export of the MPS-layer sweep).
 
-The engine's batched-overlap path groups same-bond-dimension pairs and runs
-the transfer-matrix sweeps through a single vectorised einsum per site.  The
-implementation lives in :mod:`repro.mps.batched` -- it depends only on the
+The engine's batched-overlap path zero-pads every state of a chunk to one
+per-site bond dimension and runs the transfer-matrix sweep as two BLAS
+matmuls per site.  The implementation lives in :mod:`repro.mps.batched` -- it depends only on the
 MPS class, and :mod:`repro.backends` uses it directly for
 :meth:`~repro.backends.Backend.inner_product_batch` without importing the
 engine package.  This module re-exports it as part of the engine's public
@@ -20,12 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mps.batched import (
-    StackedStateBlock,
-    batched_overlaps,
-    group_pairs_by_shape,
-    pair_shape_signature,
-)
+from ..mps.batched import StackedStateBlock, batched_overlaps
 from ..mps.encoding import (
     GateShapeLog,
     circuit_prefix_tokens,
@@ -35,9 +30,7 @@ from ..mps.encoding import (
 )
 
 __all__ = [
-    "pair_shape_signature",
     "batched_overlaps",
-    "group_pairs_by_shape",
     "StackedStateBlock",
     "GateShapeLog",
     "circuit_prefix_tokens",

@@ -13,8 +13,10 @@ their optimisations, so consumers describe *what* to compute (a
   cache misses run as stacked gate sweeps
   (:meth:`repro.backends.Backend.simulate_batch`), bit-identical to
   per-point simulation;
-* overlap jobs are chunked and dispatched through the backend's batched
-  einsum path (:meth:`repro.backends.Backend.inner_product_batch`);
+* overlap jobs are chunked and dispatched through the backend's padded
+  BLAS transfer sweep (:meth:`repro.backends.Backend.inner_product_batch`),
+  and cross blocks run the same sweep against one pre-stacked state block
+  (:meth:`repro.backends.Backend.inner_product_block`);
 * the executor -- ``"sequential"``, ``"tiled"`` (cache-friendly tile-ordered
   job stream) or ``"multiprocess"`` (process-pool fan-out) -- is selected by
   :class:`EngineConfig` without touching call sites.
@@ -42,14 +44,7 @@ from ..mps import MPS
 from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock
 from .cache import StateStore, ansatz_fingerprint, simulation_fingerprint, state_key
-from .plan import (
-    CrossGramPlan,
-    FusedEncodeOverlapPlan,
-    KernelRowPlan,
-    PairJob,
-    PairwisePlan,
-    SymmetricGramPlan,
-)
+from .plan import FusedEncodeOverlapPlan, PairJob, PairwisePlan, SymmetricGramPlan
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
@@ -92,12 +87,6 @@ class EngineConfig:
         sweep, and the state store is written only after the kernel block
         exists.  Values, counters and cache statistics are identical to the
         unfused path; disabling only exists for benchmarks and debugging.
-    cross_block_sweep:
-        Evaluate sequential-executor cross plans (:meth:`KernelEngine.cross`)
-        through one pre-stacked block sweep
-        (:meth:`repro.backends.Backend.inner_product_block`) instead of
-        chunked pair batches -- bit-identical values, one batched einsum per
-        site.  The tiled and multiprocess executors keep their job streams.
     """
 
     executor: str = "sequential"
@@ -109,7 +98,6 @@ class EngineConfig:
     batch_encoding: bool = True
     encode_batch_size: int = 32
     fused_pipeline: bool = True
-    cross_block_sweep: bool = True
 
     def __post_init__(self) -> None:
         if self.executor not in _EXECUTORS:
@@ -292,7 +280,7 @@ class KernelEngine:
     # Encoding
     # ------------------------------------------------------------------
     def validate_features(self, X: np.ndarray) -> np.ndarray:
-        """Coerce ``X`` to a 2-D float matrix matching the ansatz width."""
+        """Coerce ``X`` to a finite 2-D float matrix matching the ansatz width."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -304,6 +292,8 @@ class KernelEngine:
             )
         if X.shape[0] == 0:
             raise KernelError("feature matrix has no rows")
+        if not np.isfinite(X).all():
+            raise KernelError("feature matrix has a NaN or infinite value")
         return X
 
     def simulate_row(self, row: np.ndarray) -> BackendResult:
@@ -417,11 +407,8 @@ class KernelEngine:
     # ------------------------------------------------------------------
     def _job_stream(self, plan: PairwisePlan) -> Iterable[PairJob]:
         """The plan's jobs in the executor's preferred order."""
-        if self.config.executor == "tiled":
-            if isinstance(plan, SymmetricGramPlan):
-                return self._tiled_jobs(plan)
-            if isinstance(plan, CrossGramPlan):
-                return self._tiled_cross_jobs(plan)
+        if self.config.executor == "tiled" and isinstance(plan, SymmetricGramPlan):
+            return self._tiled_jobs(plan)
         return plan.jobs()
 
     def _tiled_jobs(self, plan: SymmetricGramPlan) -> Iterable[PairJob]:
@@ -436,26 +423,6 @@ class KernelEngine:
         for tile in square_tiling(n, blocks, symmetric=True):
             for (i, j) in tile.entry_pairs():
                 yield PairJob(left=i, right=j, row=i, col=j, mirror=True)
-
-    def _tiled_cross_jobs(self, plan: CrossGramPlan) -> Iterable[PairJob]:
-        """Cross-plan jobs reordered over rectangular tiles.
-
-        Covers test-versus-train matrices and the Nystrom ``K_nm`` landmark
-        block; the tile grid reuses :func:`repro.parallel.tiling.rect_tiling`
-        so the locality order matches what the distributed strategies ship
-        between processes.
-        """
-        from ..parallel.tiling import rect_tiling
-
-        n_rows, n_cols = plan.shape
-        blocks = self.config.num_blocks
-        if blocks is None:
-            blocks = max(1, int(np.ceil(np.sqrt(max(n_rows, n_cols)))))
-        row_blocks = min(blocks, n_rows)
-        col_blocks = min(blocks, n_cols)
-        for tile in rect_tiling(n_rows, n_cols, row_blocks, col_blocks):
-            for (i, j) in tile.entry_pairs():
-                yield PairJob(left=i, right=j, row=i, col=j, mirror=False)
 
     def execute_plan(
         self,
@@ -535,11 +502,12 @@ class KernelEngine:
         ``K_nm`` fit block and bulk test-versus-train scoring; the serving
         hot path (:meth:`kernel_rows`) stays in-process by design.
 
-        With the default sequential executor and ``config.cross_block_sweep``
-        the whole block runs as one stacked sweep
-        (:meth:`~repro.backends.Backend.inner_product_block`) -- bit-identical
-        values through one batched einsum per site -- dispatched to
+        Otherwise the whole block runs as one padded sweep of the rows against
+        a :class:`StackedStateBlock` of ``train_states``
+        (:meth:`~repro.backends.Backend.inner_product_block`), dispatched to
         ``cross_backend`` when its cost model predicts the cheaper block.
+        Its values are byte-identical to the chunked pair sweep the Gram and
+        the multiprocess tiles run, whatever the executor or batch size.
         """
         if self.config.executor == "multiprocess":
             return self._cross_multiprocess(X_rows, train_states)
@@ -553,11 +521,11 @@ class KernelEngine:
     ) -> EngineResult:
         """Inference-time kernel rows against stored training states.
 
-        Identical accounting to :meth:`cross` but executes a
-        :class:`KernelRowPlan`, marking the serving hot path.  Passing the
-        ``train_states``' pre-stacked :class:`StackedStateBlock` (built once
-        at fit time) routes the overlaps through the backend's block sweep:
-        no per-pair Python stacking, bit-identical values.
+        Identical values and accounting to :meth:`cross`, on the serving hot
+        path: it never fans out or changes device.  Pass the
+        ``train_states``' :class:`StackedStateBlock` (built once at fit time)
+        to skip re-stacking it and to run the fused encode-to-overlap
+        pipeline (``config.fused_pipeline``).
         """
         return self._rectangular(X_rows, train_states, serving=True, block=block)
 
@@ -586,32 +554,16 @@ class KernelEngine:
             row_states = self.encode_rows(X_rows)
             if sp is not None:
                 sp.set_attribute("rows", len(row_states))
-        if serving and block is not None:
-            with TRACER.span("engine.overlap") as sp:
-                result = self.backend.inner_product_block(row_states, block)
-                if sp is not None:
-                    sp.set_attribute("pairs", result.num_pairs)
-            K = np.abs(result.values) ** 2
-            return self._result_from_counters(K, row_states, hits0, misses0)
-        if not serving and self.config.cross_block_sweep:
-            with TRACER.span("engine.overlap") as sp:
-                sweep_block = StackedStateBlock(list(train_states))
-                sweep_backend = self._select_cross_backend(row_states, sweep_block)
-                result = sweep_backend.inner_product_block(row_states, sweep_block)
-                if sp is not None:
-                    sp.set_attribute("pairs", result.num_pairs)
-            K = np.abs(result.values) ** 2
-            return self._result_from_counters(K, row_states, hits0, misses0)
-        if serving:
-            plan: CrossGramPlan = KernelRowPlan(
-                len(train_states), num_rows=len(row_states)
-            )
-        else:
-            plan = CrossGramPlan(len(row_states), len(train_states))
         with TRACER.span("engine.overlap") as sp:
-            K = self.execute_plan(plan, row_states, train_states)
+            backend = self.backend
+            if block is None:
+                block = StackedStateBlock(list(train_states))
+                if not serving:
+                    backend = self._select_cross_backend(row_states, block)
+            result = backend.inner_product_block(row_states, block)
             if sp is not None:
-                sp.set_attribute("pairs", int(K.size))
+                sp.set_attribute("pairs", result.num_pairs)
+        K = np.abs(result.values) ** 2
         return self._result_from_counters(K, row_states, hits0, misses0)
 
     def _execute_fused(
@@ -706,7 +658,7 @@ class KernelEngine:
 
         The Fig. 5 crossover decision, applied to the Nystrom / cross sweep:
         both candidates run identical NumPy numerics, so this only moves
-        *where* the stacked einsum is charged, never what it returns.  With
+        *where* the padded sweep is charged, never what it returns.  With
         no ``cross_backend`` configured the primary backend always wins.
         """
         if self.cross_backend is None:

@@ -32,12 +32,7 @@ from .gates import (
 )
 from .truncation import TruncationPolicy, TruncationRecord, truncate_singular_values
 from .mps import MPS
-from .batched import (
-    StackedStateBlock,
-    batched_overlaps,
-    group_pairs_by_shape,
-    pair_shape_signature,
-)
+from .batched import StackedStateBlock, batched_overlaps
 from .encoding import (
     GateShapeLog,
     circuit_prefix_tokens,
@@ -61,8 +56,6 @@ __all__ = [
     "TruncationRecord",
     "truncate_singular_values",
     "batched_overlaps",
-    "group_pairs_by_shape",
-    "pair_shape_signature",
     "StackedStateBlock",
     "hadamard",
     "identity2",

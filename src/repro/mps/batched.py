@@ -1,108 +1,132 @@
-"""Batched transfer-matrix overlap evaluation.
+"""One padded transfer sweep for every MPS overlap.
 
-The naive pairwise path performs one Python call -- and ``m`` small
-``tensordot`` contractions -- per inner product.  For the quadratic half of
-the kernel computation that Python overhead dominates at small bond
-dimension.  This module evaluates *chunks* of pairs at once: pairs whose bra
-and ket chains have identical per-site tensor shapes (the common case, since
-all states come from the same ansatz) are stacked along a batch axis and the
-whole group is swept with two ``einsum`` contractions per site instead of one
-Python-level sweep per pair.
+The overlap ``<bra|ket>`` is the transfer-matrix sweep of Fig. 2: a left
+environment ``env[b, a]`` (``b`` the open ket bond, ``a`` the open bra bond)
+is pushed through the chain one site at a time.  Here each site is two
+``np.matmul`` calls, so BLAS ``zgemm`` does the arithmetic:
 
-Pairs with unique shape signatures (truncation occasionally produces a
-straggler bond dimension) fall back to the sequential sweep, so the function
-is exact for arbitrary mixtures and matches the reference
-:meth:`repro.mps.MPS.inner_product` to floating-point round-off.
+1. ``tmp = env @ conj(bra)``: ``(b x a) @ (a x 2a')``, read as ``(2b x a')``;
+2. ``env' = ket^T @ tmp``: ``(b' x 2b) @ (2b x a')``.
 
-The module lives in the :mod:`repro.mps` layer (it depends only on the MPS
-class and NumPy) so that :mod:`repro.backends` can use it without depending
-on the engine package; :mod:`repro.engine.batching` re-exports it as part of
-the engine's public surface.
+States swept together need not share bond dimensions: each side of the sweep
+is zero-padded to its largest bond per site.  Zero padding leaves the exact
+sum unchanged, and two rules keep BLAS doing the same floating-point work on
+the real entries whatever the padding:
+
+* interior bonds are rounded up to a multiple of :data:`_BOND_QUANTUM`, so
+  every product dimension but the unit boundaries spans whole micro-kernel
+  tiles (OpenBLAS rounds edge tiles differently) and no product falls back
+  to NumPy's ``gemv``, ``dot`` or plain loop for a unit dimension;
+* contractions are cut into fixed :data:`_K_SLICE`-term slices summed in
+  order, so BLAS never splits one at a size-dependent point.
+
+:class:`StackedStateBlock` pads a fixed set of states (the serving landmarks,
+the Nystrom ``K_nm`` fit, exact-model scoring) once and sweeps each query
+against all of them; :func:`batched_overlaps` sweeps a chunk of unrelated
+pairs (Gram chunks, tiled and multiprocess tiles) as stacked per-pair
+products.  Contract: a value is byte-identical whatever the batch
+composition -- a query alone or in any subset or order, any chunk size,
+either entry point -- and within ``1e-12`` of :meth:`MPS.inner_product`.
+Identity holds for one BLAS build and thread count, as for any BLAS result.
+
+The module depends only on the MPS class and NumPy, so :mod:`repro.backends`
+uses it without the engine package; :mod:`repro.engine.batching` re-exports
+it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import SimulationError
 from .mps import MPS
 
-__all__ = [
-    "pair_shape_signature",
-    "batched_overlaps",
-    "group_pairs_by_shape",
-    "StackedStateBlock",
-]
+__all__ = ["batched_overlaps", "StackedStateBlock"]
+
+#: Interior bonds are padded to a multiple of this (one micro-kernel tile).
+_BOND_QUANTUM = 4
+#: Longest contraction handed to one BLAS call (below OpenBLAS's K blocking).
+_K_SLICE = 128
+
+Chain = List[np.ndarray]
 
 
-def pair_shape_signature(bra: MPS, ket: MPS) -> Tuple[Tuple[int, ...], ...]:
-    """Hashable signature of the per-site tensor shapes of a (bra, ket) pair.
+def _bond_dims(chains: Sequence[Chain]) -> List[int]:
+    """Padded dimension of each of the ``num_qubits + 1`` bonds of ``chains``."""
+    dims = [1] * (len(chains[0]) + 1)
+    for tensors in chains:
+        for site in range(1, len(tensors)):
+            dims[site] = max(dims[site], tensors[site].shape[0])
+    for site in range(1, len(dims) - 1):
+        dims[site] = -(-dims[site] // _BOND_QUANTUM) * _BOND_QUANTUM
+    return dims
 
-    Two pairs with equal signatures can share one stacked einsum sweep.
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with the contraction cut into fixed ``_K_SLICE`` slices."""
+    out = np.matmul(a[..., :_K_SLICE], b[..., :_K_SLICE, :])
+    for start in range(_K_SLICE, a.shape[-1], _K_SLICE):
+        stop = start + _K_SLICE
+        out += np.matmul(a[..., start:stop], b[..., start:stop, :])
+    return out
+
+
+def _padded(chains: Sequence[Chain], dims: List[int], site: int) -> np.ndarray:
+    """Site tensors of ``chains`` zero-padded and stacked to ``(Z, l, 2, r)``."""
+    out = np.zeros((len(chains), dims[site], 2, dims[site + 1]), dtype=np.complex128)
+    for z, tensors in enumerate(chains):
+        tensor = tensors[site]
+        out[z, : tensor.shape[0], :, : tensor.shape[2]] = tensor
+    return out
+
+
+def _bra_operands(chains: Sequence[Chain], dims: List[int], site: int) -> np.ndarray:
+    """Step-1 operands ``conj(bra)`` as ``(Z, a, 2a')``."""
+    out = _padded(chains, dims, site)
+    np.conjugate(out, out=out)
+    return out.reshape(len(chains), dims[site], -1)
+
+
+def _ket_operands(chains: Sequence[Chain], dims: List[int], site: int) -> np.ndarray:
+    """Step-2 operands ``ket^T`` as ``(Z, b', 2b)``, column ``b*2 + p``."""
+    out = _padded(chains, dims, site).transpose(0, 3, 1, 2)
+    return out.reshape(len(chains), dims[site + 1], -1)
+
+
+def _chains(
+    states: Sequence[MPS], num_qubits: int, message: str
+) -> Tuple[List[Chain], np.ndarray | None]:
+    """Tensor chains of the distinct ``states`` and the index expanding them.
+
+    The index is ``None`` when all are distinct; a Gram chunk repeats bras.
     """
-    bra_shapes = tuple(t.shape for t in bra.tensors)
-    ket_shapes = tuple(t.shape for t in ket.tensors)
-    return (bra_shapes, ket_shapes)
+    if any(state.num_qubits != num_qubits for state in states):
+        raise SimulationError(message)
+    distinct = {id(state): state for state in states}
+    slots = {key: slot for slot, key in enumerate(distinct)}
+    chains = [state.tensors for state in distinct.values()]
+    if len(chains) == len(states):
+        return chains, None
+    return chains, np.array([slots[id(state)] for state in states])
 
 
-def group_pairs_by_shape(
-    pairs: Sequence[Tuple[MPS, MPS]]
-) -> Dict[Tuple, List[int]]:
-    """Group pair indices by shape signature (insertion-ordered)."""
-    groups: Dict[Tuple, List[int]] = defaultdict(list)
-    for idx, (bra, ket) in enumerate(pairs):
-        groups[pair_shape_signature(bra, ket)].append(idx)
-    return dict(groups)
-
-
-def _sequential_overlap(bra: MPS, ket: MPS) -> complex:
-    """Reference single-pair sweep (delegates to the MPS implementation)."""
-    return bra.inner_product(ket)
-
-
-def _stacked_group_overlaps(
-    bras: Sequence[MPS], kets: Sequence[MPS]
-) -> np.ndarray:
-    """Vectorised transfer-matrix sweep over a same-shape group of pairs.
-
-    Mirrors :meth:`repro.mps.MPS.inner_product` with one extra batch axis
-    ``z``: ``env[z, a, b]`` carries the left environment of pair ``z`` and is
-    updated site by site with two einsum contractions.
-    """
-    batch = len(bras)
-    num_qubits = bras[0].num_qubits
-    bra_tensors = [b.tensors for b in bras]
-    ket_tensors = [k.tensors for k in kets]
-
-    env = np.ones((batch, 1, 1), dtype=np.complex128)
-    for site in range(num_qubits):
-        bra_stack = np.stack([bra_tensors[z][site] for z in range(batch)])
-        ket_stack = np.stack([ket_tensors[z][site] for z in range(batch)])
-        # env'[z, a', b'] = sum_{a, b, p} env[z, a, b]
-        #                   * conj(bra[z, a, p, a']) * ket[z, b, p, b']
-        tmp = np.einsum("zab,zapc->zbpc", env, np.conj(bra_stack))
-        env = np.einsum("zbpc,zbpd->zcd", tmp, ket_stack)
-    return env[:, 0, 0]
+def _gather(stack: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    return stack if index is None else stack[index]
 
 
 class StackedStateBlock:
-    """A fixed set of MPS pre-stacked by shape group for repeated sweeps.
+    """A fixed set of MPS, padded and stacked once for repeated sweeps.
 
-    The serving hot path evaluates every incoming query against the *same*
-    ``m`` landmark states.  The generic :func:`batched_overlaps` re-stacks
-    the landmark tensors for every chunk -- an ``O(pairs)`` Python cost that
-    dominates at small bond dimension.  This block stacks each shape group of
-    the fixed states **once** at construction; :meth:`overlaps` then sweeps a
-    batch of queries with two einsum contractions per site per (query-group,
-    state-group) pair and no per-pair stacking at all.
-
-    Every overlap value is bit-identical to the stacked sweep of
-    :func:`batched_overlaps` on the same pair: the extra query/state batch
-    axes are outer loops of the same per-slice contraction, so re-batching
-    does not move a single bit (verified by the engine property tests).
+    The serving hot path scores every query against the *same* ``m``
+    landmark states.  Their site tensors are padded to the block's largest
+    bonds and laid out as step-2 operands at construction, so a query costs
+    ``2 * num_qubits`` matmul calls against the whole block, however many
+    states it holds and however their bonds differ.  A query is padded on
+    its own bra side only: one whose bond exceeds the block's needs no
+    re-padding of the block, and its values never depend on the other
+    queries of a flush.
     """
 
     def __init__(self, states: Sequence[MPS]) -> None:
@@ -111,106 +135,56 @@ class StackedStateBlock:
             raise SimulationError("a stacked state block needs at least one state")
         self.num_states = len(states)
         self.num_qubits = states[0].num_qubits
-        for s in states[1:]:
-            if s.num_qubits != self.num_qubits:
-                raise SimulationError(
-                    "all states in a stacked block must share one qubit count"
-                )
-        self.max_bond_dimensions = np.array(
-            [s.max_bond_dimension for s in states], dtype=int
-        )
-        by_shape: Dict[Tuple, List[int]] = defaultdict(list)
-        for j, s in enumerate(states):
-            by_shape[tuple(t.shape for t in s.tensors)].append(j)
-        self._groups: List[Tuple[np.ndarray, List[np.ndarray]]] = []
-        for indices in by_shape.values():
-            stacks = [
-                np.stack([states[j].tensors[site] for j in indices])
-                for site in range(self.num_qubits)
-            ]
-            self._groups.append((np.asarray(indices, dtype=int), stacks))
-
-    @property
-    def num_groups(self) -> int:
-        """Number of distinct per-site shape signatures among the states."""
-        return len(self._groups)
+        if any(s.num_qubits != self.num_qubits for s in states):
+            raise SimulationError("all states in a stacked block must share one qubit count")
+        self.max_bond_dimensions = np.array([s.max_bond_dimension for s in states])
+        chains = [s.tensors for s in states]
+        dims = _bond_dims(chains)
+        self._kets = [_ket_operands(chains, dims, site) for site in range(self.num_qubits)]
 
     def overlaps(self, bras: Sequence[MPS]) -> np.ndarray:
-        """``<bra_q|ket_j>`` for every query ``q`` and block state ``j``.
+        """``<bra_q|ket_j>`` for every query ``q`` and block state ``j``."""
+        chains, index = _chains(
+            list(bras),
+            self.num_qubits,
+            "query state qubit count does not match the stacked block",
+        )
+        out = np.empty((len(chains), self.num_states), dtype=np.complex128)
+        for q, chain in enumerate(chains):
+            out[q] = self._sweep(chain)
+        return _gather(out, index)
 
-        Queries are themselves grouped by shape, so a batch of ``Q`` queries
-        against ``m`` block states costs ``2 * num_qubits`` einsum calls per
-        (query-group, state-group) pair over a ``Q x m`` batch axis -- the
-        per-request Python overhead vanishes as the batch fills.
-        """
-        bras = list(bras)
-        if not bras:
-            return np.empty((0, self.num_states), dtype=np.complex128)
-        for bra in bras:
-            if bra.num_qubits != self.num_qubits:
-                raise SimulationError(
-                    "query state qubit count does not match the stacked block"
-                )
-        out = np.empty((len(bras), self.num_states), dtype=np.complex128)
-        by_shape: Dict[Tuple, List[int]] = defaultdict(list)
-        for q, bra in enumerate(bras):
-            by_shape[tuple(t.shape for t in bra.tensors)].append(q)
-        for q_indices in by_shape.values():
-            bra_stacks = [
-                np.stack([bras[q].tensors[site] for q in q_indices])
-                for site in range(self.num_qubits)
-            ]
-            q_arr = np.asarray(q_indices, dtype=int)
-            for k_arr, ket_stacks in self._groups:
-                env = np.ones(
-                    (len(q_arr), len(k_arr), 1, 1), dtype=np.complex128
-                )
-                for site in range(self.num_qubits):
-                    # env'[q, j, a', b'] = sum_{a, b, p} env[q, j, a, b]
-                    #   * conj(bra[q, a, p, a']) * ket[j, b, p, b']
-                    tmp = np.einsum(
-                        "qjab,qapc->qjbpc", env, np.conj(bra_stacks[site])
-                    )
-                    env = np.einsum("qjbpc,jbpd->qjcd", tmp, ket_stacks[site])
-                out[np.ix_(q_arr, k_arr)] = env[:, :, 0, 0]
-        return out
+    def _sweep(self, chain: Chain) -> np.ndarray:
+        m = self.num_states
+        dims = _bond_dims([chain])
+        env = np.ones((m, 1, 1), dtype=np.complex128)
+        for site, kets in enumerate(self._kets):
+            ket_bond = kets.shape[2] // 2
+            # Step 1 runs as one (m*b x a) product for the whole block.
+            bra = _bra_operands([chain], dims, site)[0]
+            tmp = _matmul(env.reshape(m * ket_bond, -1), bra)
+            env = _matmul(kets, tmp.reshape(m, 2 * ket_bond, -1))
+        return env[:, 0, 0]
 
 
-def batched_overlaps(
-    pairs: Sequence[Tuple[MPS, MPS]], min_group_size: int = 2
-) -> np.ndarray:
-    """Inner products ``<bra_k|ket_k>`` for a chunk of MPS pairs.
+def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
+    """Inner products ``<bra_k|ket_k>`` for a chunk of ``(bra, ket)`` pairs.
 
-    Parameters
-    ----------
-    pairs:
-        Sequence of ``(bra, ket)`` pairs; the bra is conjugated.
-    min_group_size:
-        Shape groups smaller than this run through the sequential sweep (a
-        stacked sweep over one pair only adds overhead).
-
-    Returns
-    -------
-    Complex overlap values in the same order as ``pairs``.
+    The bra is conjugated; values come back in the order of ``pairs``.
     """
     if not pairs:
         return np.empty(0, dtype=np.complex128)
     num_qubits = pairs[0][0].num_qubits
-    for bra, ket in pairs:
-        if bra.num_qubits != ket.num_qubits or bra.num_qubits != num_qubits:
-            raise SimulationError(
-                "all states in a batched overlap chunk must share one qubit count"
-            )
-
-    values = np.empty(len(pairs), dtype=np.complex128)
-    for indices in group_pairs_by_shape(pairs).values():
-        if len(indices) < min_group_size:
-            for idx in indices:
-                values[idx] = _sequential_overlap(*pairs[idx])
-            continue
-        group_vals = _stacked_group_overlaps(
-            [pairs[idx][0] for idx in indices],
-            [pairs[idx][1] for idx in indices],
+    message = "all states in a batched overlap chunk must share one qubit count"
+    bras, bra_index = _chains([bra for bra, _ in pairs], num_qubits, message)
+    kets, ket_index = _chains([ket for _, ket in pairs], num_qubits, message)
+    bra_dims = _bond_dims(bras)
+    ket_dims = _bond_dims(kets)
+    env = np.ones((len(pairs), 1, 1), dtype=np.complex128)
+    for site in range(num_qubits):
+        tmp = _matmul(env, _gather(_bra_operands(bras, bra_dims, site), bra_index))
+        env = _matmul(
+            _gather(_ket_operands(kets, ket_dims, site), ket_index),
+            tmp.reshape(len(pairs), 2 * ket_dims[site], -1),
         )
-        values[indices] = group_vals
-    return values
+    return env[:, 0, 0].copy()

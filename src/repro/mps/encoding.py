@@ -8,8 +8,7 @@ one ansatz share a *structure* (the same ordered sequence of gate targets;
 only the angles differ per data point), so a micro-batch of encodings is the
 same sweep over a stack of tensors:
 
-* circuits are grouped by :func:`circuit_structure_signature` (mirroring the
-  ``pair_shape_signature`` grouping of the overlap path);
+* circuits are grouped by :func:`circuit_structure_signature`;
 * within a group every state starts as the same stacked ``|0...0>`` block and
   each gate is applied to the whole stack at once -- single- and two-qubit
   contractions are broadcast ``matmul`` gufuncs, QR center moves and the

@@ -71,8 +71,8 @@ def compute_tile_entries(
     (the scaled feature matrix and plain keyword dictionaries) and returns
     plain triples.  Each worker simulates every circuit its tile touches --
     the no-messaging trade-off -- and evaluates the tile's overlap jobs
-    through a per-process :class:`~repro.engine.KernelEngine` (batched einsum
-    path, engine-owned symmetry handling).
+    through a per-process :class:`~repro.engine.KernelEngine` (padded overlap
+    sweep, engine-owned symmetry handling).
 
     When ``with_stats`` is true the return value is ``(entries, stats)``
     where ``stats`` carries the worker's timing/bond-dimension accounting.

@@ -28,8 +28,8 @@ restarts and run more than one replica.  This package closes those gaps:
 
 The layer's correctness contract -- byte-identical predictions no matter how
 requests were coalesced, distributed, routed, or whether the process warm- or
-cold-started -- rests on the engine's grouping-invariant batched overlap
-sweep and the row-wise serving projections, and is enforced by
+cold-started -- rests on the engine's batch-composition-invariant padded
+overlap sweep and the row-wise serving projections, and is enforced by
 ``tests/properties/test_metamorphic_serving.py``,
 ``tests/properties/test_router_metamorphic.py`` and the crash-recovery suite
 in ``tests/serving/``.

@@ -19,6 +19,7 @@ under the new surface.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -192,4 +193,10 @@ def serve(
     )
     if config.control_interval_s > 0:
         controller.start(config.control_interval_s)
+    # A full cyclic collection scans every long-lived object (modules, the
+    # model, the fleet) and stalls the serving threads for tens of ms, so
+    # freeze what is alive now.  Process-wide: no object alive now, the
+    # caller's included, is scanned again unless gc.unfreeze() is called.
+    gc.collect()
+    gc.freeze()
     return handle

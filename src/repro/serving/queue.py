@@ -19,7 +19,7 @@ the row encodes fan out.  :class:`AsyncServingQueue` sits between the two:
   circuit simulation each, closing the last per-point cost of cold traffic
   (:mod:`repro.mps.encoding`).
 
-Because every overlap runs the grouping-invariant batched sweep and every
+Because every overlap runs the composition-invariant padded sweep and every
 projection is row-wise, a request's prediction is **byte-identical** however
 it was coalesced -- alone, in a full batch, in-process or on a worker.  That
 is the contract the metamorphic test suite pins down, and it also makes the
@@ -61,7 +61,23 @@ from ..profiling import ServingMetrics
 from ..telemetry.tracing import TRACER, Span
 from .store import attach_shared_store, shared_store_kernel_rows
 
-__all__ = ["ServedPrediction", "QueueTuning", "AsyncServingQueue"]
+__all__ = ["ServedPrediction", "QueueTuning", "AsyncServingQueue", "admit_row"]
+
+
+def admit_row(row: np.ndarray, expected_features: int) -> np.ndarray:
+    """Flatten one raw row; a wrong width or a NaN/inf raises :class:`ServingError`.
+
+    Rejecting at admission keeps a bad row out of -- and from failing -- a
+    coalesced batch of valid rows.
+    """
+    row = np.asarray(row, dtype=float).ravel()
+    if row.size != expected_features:
+        raise ServingError(
+            f"row has {row.size} features but the service expects {expected_features}"
+        )
+    if not np.isfinite(row).all():
+        raise ServingError("row has a NaN or infinite feature value")
+    return row
 
 
 @dataclass(frozen=True)
@@ -472,15 +488,10 @@ class AsyncServingQueue:
     def submit(self, row: np.ndarray) -> "Future[ServedPrediction]":
         """Enqueue one raw feature row; returns a future with the result.
 
-        The row's width is validated here so malformed traffic is rejected
-        at ingestion and never poisons a coalesced batch.
+        The row is validated here (:func:`admit_row`) so malformed traffic
+        is rejected at ingestion and never poisons a coalesced batch.
         """
-        row = np.asarray(row, dtype=float).ravel()
-        if row.size != self._expected_features:
-            raise ServingError(
-                f"row has {row.size} features but the service expects "
-                f"{self._expected_features}"
-            )
+        row = admit_row(row, self._expected_features)
         future: "Future[ServedPrediction]" = Future()
         # Mint the request's trace root here (None when tracing is off):
         # the coalescer thread later hangs the wait span and the flush's

@@ -50,7 +50,7 @@ from ..exceptions import LoadShedError, ServingError
 from ..profiling import RouterMetrics, ServingMetrics
 from ..telemetry.tracing import TRACER
 from .persistence import PersistentStateStore, WarmUpReport
-from .queue import AsyncServingQueue, QueueTuning, ServedPrediction
+from .queue import AsyncServingQueue, QueueTuning, ServedPrediction, admit_row
 
 #: Sentinel distinguishing "knob not passed" from an explicit ``None``
 #: (which, for the high-water mark, means "disable shedding").
@@ -378,12 +378,7 @@ class ReplicaRouter:
         selection and hand-off is marked dead and the request retries over
         the survivors, so single-replica death never fails a request.
         """
-        row = np.asarray(row, dtype=float).ravel()
-        if row.size != self._expected_features:
-            raise ServingError(
-                f"row has {row.size} features but the service expects "
-                f"{self._expected_features}"
-            )
+        row = admit_row(row, self._expected_features)
         key = row.tobytes()
         while True:
             chosen = self._place(key)

@@ -6,7 +6,7 @@ import pytest
 from repro.backends import CpuBackend
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
-from repro.engine import batched_overlaps, group_pairs_by_shape, pair_shape_signature
+from repro.engine import batched_overlaps
 from repro.exceptions import SimulationError
 from repro.mps import MPS
 
@@ -29,34 +29,6 @@ def test_batched_overlaps_match_sequential_reference(encoded_states):
     reference = np.array([bra.inner_product(ket) for bra, ket in pairs])
     assert batched.shape == (len(pairs),)
     assert np.allclose(batched, reference, atol=1e-13)
-
-
-def test_mixed_shape_pairs_fall_back_correctly(encoded_states):
-    # A product state has different per-site shapes than the encoded states,
-    # so its pairs form singleton groups that use the sequential fallback.
-    plus = MPS.plus_state(4)
-    pairs = [
-        (encoded_states[0], encoded_states[1]),
-        (plus, encoded_states[2]),
-        (encoded_states[3], encoded_states[4]),
-        (encoded_states[2], plus),
-    ]
-    batched = batched_overlaps(pairs)
-    reference = np.array([bra.inner_product(ket) for bra, ket in pairs])
-    assert np.allclose(batched, reference, atol=1e-13)
-
-
-def test_grouping_by_shape_signature(encoded_states):
-    plus_pair = (MPS.plus_state(4), MPS.plus_state(4))
-    pairs = [
-        (encoded_states[0], encoded_states[1]),
-        plus_pair,
-        (encoded_states[2], encoded_states[3]),
-    ]
-    groups = group_pairs_by_shape(pairs)
-    same_sig = pair_shape_signature(*pairs[0])
-    assert groups[same_sig] == [0, 2]
-    assert groups[pair_shape_signature(*plus_pair)] == [1]
 
 
 def test_empty_input_returns_empty_array():

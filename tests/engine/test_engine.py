@@ -82,6 +82,14 @@ def test_execute_plan_validates_state_counts(ansatz, X):
         engine.cross(X[:1], [])
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, -np.inf])
+def test_validate_features_rejects_non_finite_values(ansatz, X, bad_value):
+    rows = np.array(X[:2], dtype=float)
+    rows[1, 0] = bad_value
+    with pytest.raises(KernelError, match="NaN or infinite"):
+        KernelEngine(ansatz).validate_features(rows)
+
+
 def test_engine_config_validation():
     with pytest.raises(EngineError):
         EngineConfig(executor="quantum-teleport")
@@ -162,7 +170,7 @@ def test_train_then_infer_reuses_cached_states(small_dataset):
 
 
 def test_tiled_executor_covers_cross_plans(ansatz, X, rng):
-    """The tiled job stream over a rectangular plan matches sequential."""
+    """A tiled engine's cross and kernel rows match the sequential engine."""
     X_rows = rng.uniform(0.1, 1.9, size=(5, 4))
     seq = KernelEngine(ansatz)
     train_states = seq.encode_rows(X)
@@ -172,6 +180,6 @@ def test_tiled_executor_covers_cross_plans(ansatz, X, rng):
     K_tiled = tiled.cross(X_rows, train_states).matrix
     assert np.allclose(K_tiled, K_seq, atol=1e-12)
 
-    # kernel-row (serving) plans take the same tiled path
+    # kernel rows run the same padded block sweep as cross
     K_rows = tiled.kernel_rows(X_rows, train_states).matrix
     assert np.allclose(K_rows, K_seq, atol=1e-12)

@@ -26,6 +26,7 @@ from repro.engine import (
     KernelRowPlan,
     StackedStateBlock,
     StateStore,
+    batched_overlaps,
 )
 
 ANSATZ = AnsatzConfig(num_features=5, interaction_distance=2, layers=1, gamma=0.8)
@@ -225,20 +226,16 @@ def test_fused_plan_jobs_match_the_row_plan():
 # Cross block sweep + modelled dispatch
 # ----------------------------------------------------------------------
 def test_cross_block_sweep_byte_identical_to_pair_path(train_parts):
-    states, _ = train_parts
+    states, block = train_parts
     X = np.random.default_rng(47).uniform(0.05, 1.95, size=(6, 5))
-    pairs = _engine(fused=False, cross_block_sweep=False).cross(X, states)
-    sweep = _engine(fused=False, cross_block_sweep=True).cross(X, states)
-    assert sweep.matrix.tobytes() == pairs.matrix.tobytes()
-    assert sweep.num_inner_products == pairs.num_inner_products
-    assert sweep.modelled_batched_inner_product_time_s == pytest.approx(
-        pairs.modelled_batched_inner_product_time_s
-    )
+    rows = _engine(fused=False, use_cache=False).encode_rows(X)
+    sweep = block.overlaps(rows)
+    pairs = batched_overlaps([(row, state) for row in rows for state in states])
+    assert sweep.tobytes() == pairs.tobytes()
 
 
 def test_tiled_executor_keeps_its_job_stream(train_parts):
-    """cross_block_sweep only applies to the sequential executor; tiled stays
-    on the chunked pair path and agrees bit for bit."""
+    """The tiled executor's cross agrees with the sequential one bit for bit."""
     states, _ = train_parts
     X = np.random.default_rng(53).uniform(0.05, 1.95, size=(4, 5))
     sequential = _engine(fused=False).cross(X, states)

@@ -1,0 +1,112 @@
+"""Metamorphic relations of the padded overlap sweep (``repro.mps.batched``).
+
+Every overlap is within 1e-12 of ``MPS.inner_product`` and byte-identical
+however the sweep is composed: a query alone or in any subset or order,
+against a block or as pair chunks of any size.  Blocks mix per-site bonds
+(two ansatze, a product state, random bonds off the padding tile), include a
+one-state block, and meet queries whose bonds exceed the block's.
+"""
+
+import numpy as np
+import pytest
+
+from repro.backends import CpuBackend
+from repro.circuits import build_feature_map_circuit
+from repro.config import AnsatzConfig
+from repro.mps import MPS, StackedStateBlock, batched_overlaps
+
+NARROW = AnsatzConfig(num_features=6, interaction_distance=1, layers=1, gamma=0.5)
+WIDE = AnsatzConfig(num_features=6, interaction_distance=3, layers=2, gamma=0.9)
+
+
+def _encode(ansatz, num_rows, seed):
+    X = np.random.default_rng(seed).uniform(0.05, 1.95, size=(num_rows, 6))
+    return [CpuBackend().simulate(build_feature_map_circuit(r, ansatz)).state for r in X]
+
+
+def _random_states(seed, num_qubits, cap, count):
+    """Unit-norm states (random left isometries) with bonds varying per site."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        state_cap = int(rng.integers(cap - cap // 8, cap + 1))
+        dims = [1]
+        for k in range(1, num_qubits):
+            limit = min(2**k, 2 ** (num_qubits - k), state_cap, 2 * dims[-1])
+            dims.append(int(rng.integers(max(1, limit - limit // 8), limit + 1)))
+        tensors = []
+        for left, right in zip(dims, dims[1:] + [1]):
+            g = rng.normal(size=(2 * left, right, 2)) @ np.array([1, 1j])
+            site = np.linalg.qr(g)[0] if right > 1 else g / np.linalg.norm(g)
+            tensors.append(site.reshape(left, 2, right))
+        states.append(MPS(tensors))
+    return states
+
+
+QUERIES = (
+    _encode(WIDE, 3, 11)
+    + _encode(NARROW, 2, 12)
+    + [MPS.plus_state(6)]
+    + _random_states(13, 6, cap=6, count=3)
+)
+BLOCKS = {
+    "mixed": _encode(NARROW, 3, 21)
+    + [MPS.plus_state(6)]
+    + _encode(WIDE, 2, 23)
+    + _random_states(24, 6, cap=7, count=3),
+    "narrow": _encode(NARROW, 3, 21),
+    "one-state": _encode(WIDE, 1, 22),
+}
+
+
+def _assert_contract(block_states, queries, seed):
+    oracle = np.array([[q.inner_product(s) for s in block_states] for q in queries])
+    block = StackedStateBlock(block_states)
+    full = block.overlaps(queries)
+    assert np.max(np.abs(full - oracle)) < 1e-12
+    # A query alone, or in any subset and order, against the block.
+    for q, query in enumerate(queries):
+        assert block.overlaps([query]).tobytes() == full[q : q + 1].tobytes()
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        subset = rng.permutation(len(queries))[: rng.integers(1, len(queries) + 1)]
+        swept = block.overlaps([queries[q] for q in subset])
+        assert swept.tobytes() == full[subset].tobytes()
+    # A state alone in a block of one.
+    for j, state in enumerate(block_states):
+        alone = StackedStateBlock([state]).overlaps(queries)
+        assert alone.tobytes() == np.ascontiguousarray(full[:, j : j + 1]).tobytes()
+    # Shuffled pair chunks of 1, 7 and 64 pairs, checked against the oracle too.
+    pairs = [(q, s) for q in queries for s in block_states]
+    for chunk in (1, 7, 64):
+        order = rng.permutation(len(pairs))
+        shuffled = [pairs[k] for k in order]
+        values = np.concatenate(
+            [batched_overlaps(shuffled[i : i + chunk]) for i in range(0, len(pairs), chunk)]
+        )
+        assert values.tobytes() == full.ravel()[order].tobytes()
+        assert np.max(np.abs(values - oracle.ravel()[order])) < 1e-12
+
+
+def test_fixtures_cover_mixed_bonds_and_an_oversized_query():
+    assert len({tuple(t.shape for t in q.tensors) for q in QUERIES}) > 3
+    narrow_max = max(s.max_bond_dimension for s in BLOCKS["narrow"])
+    assert any(q.max_bond_dimension > narrow_max for q in QUERIES)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_sweep_contract(name):
+    _assert_contract(BLOCKS[name], QUERIES, seed=len(name))
+
+
+def test_sweep_contract_at_bond_100():
+    """Bonds near 100 on 16 qubits, the size of a d=4 feature-map encoding.
+
+    Simulating such encodings takes seconds per state, so random states with
+    that bond profile stand in; the sweep only sees the tensors.  The step-2
+    contraction (twice the bond) then spans two BLAS slices.
+    """
+    landmarks = _random_states(41, 16, cap=100, count=4)
+    queries = _random_states(42, 16, cap=104, count=3)
+    assert max(s.max_bond_dimension for s in landmarks + queries) > 90
+    _assert_contract(landmarks, queries, seed=43)

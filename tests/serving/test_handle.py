@@ -78,6 +78,28 @@ def test_serve_round_trips_predictions(served_engine, payload, queries):
     assert single.decision_value == reference.decision_values[0]
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_non_finite_row_is_rejected_at_admission(payload, queries, bad_value):
+    """One poisoned row raises at submit; the rows sent with it are unharmed."""
+    poisoned = queries[1].copy()
+    poisoned[2] = bad_value
+    valid = [queries[0], queries[2], queries[3]]
+    # A long deadline holds the valid rows in one pending batch until flush.
+    config = ServingConfig(tuning=TuningConfig(max_batch=8, max_wait_ms=10_000.0))
+    with serve(payload, config, memoize=False) as handle:
+        futures = [handle.submit(valid[0])]
+        with pytest.raises(ServingError, match="NaN or infinite"):
+            handle.submit(poisoned)
+        futures += handle.submit_many(valid[1:])
+        handle.flush()
+        served = np.array([f.result(timeout=60).decision_value for f in futures])
+    with serve(payload, config, memoize=False) as handle:
+        futures = handle.submit_many(valid)
+        handle.flush()
+        clean = np.array([f.result(timeout=60).decision_value for f in futures])
+    assert served.tobytes() == clean.tobytes()
+
+
 def test_serve_accepts_a_model_object_directly(served_engine, queries):
     with serve(served_engine) as handle:
         assert handle.predict(queries[0]).prediction in (0, 1)

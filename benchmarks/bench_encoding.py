@@ -12,36 +12,22 @@ the stacked sweep (:meth:`repro.backends.Backend.simulate_batch`) buys:
   on both the CPU and simulated-GPU models (the A100's launch overhead is
   what stacking amortises, extending the Fig. 5 crossover picture);
 * **cold-query serving latency**: a stream of entirely-unseen rows pushed
-  through :class:`repro.serving.AsyncServingQueue` with batch encoding on
-  and off -- throughput and p50/p99 latency per mode, byte-identical
-  decision values required.
+  through :class:`repro.serving.AsyncServingQueue` -- throughput and p50/p99
+  latency, with every decision value required to be byte-identical to
+  point-at-a-time classification;
+* **modelled cross dispatch**: the Nystrom-scale ``K_nm`` block swept
+  through an engine with a GPU cross backend -- the stacked cost models of
+  both devices, which one the engine chose, and proof the block actually
+  ran on it (with byte-identical values).
 
 The script writes ``BENCH_encoding.json`` and exits non-zero when the
 acceptance contract breaks:
 
 * batch-32 encode throughput must reach at least ``--min-speedup`` (2x) the
   per-point path;
-* every mode must produce byte-identical states / predictions.
-
-``--scenario fused`` benchmarks the fused encode-to-overlap pipeline
-instead, writing ``BENCH_fused.json``:
-
-* **cold flush as one pipeline**: a cold kernel-row block executed unfused
-  (encode -> store writes -> block sweep) versus fused
-  (:class:`repro.engine.plan.FusedEncodeOverlapPlan`; store written after
-  the sweep).  A probe store counts the store writes sitting on the
-  critical path -- the fused pipeline must show **zero** -- with
-  byte-identical kernels and identical hit/miss accounting required;
-* **prefix-sharing encode tree**: a mixed-ansatz batch encoded with and
-  without prefix sharing; stacked launches, fork count and wall time per
-  mode, bit-identical states required;
-* **modelled cross dispatch**: the Nystrom-scale ``K_nm`` block swept
-  through an engine with a GPU cross backend -- the stacked cost models of
-  both devices, which one the engine chose, and proof the block actually
-  ran on it (with byte-identical values).
+* every mode must produce byte-identical states / predictions / kernels.
 
 Run with:  python benchmarks/bench_encoding.py [--out BENCH_encoding.json]
-           python benchmarks/bench_encoding.py --scenario fused [--out BENCH_fused.json]
 """
 
 from __future__ import annotations
@@ -63,7 +49,7 @@ from repro.approx.streaming import StreamingNystroemClassifier
 from repro.backends import CpuBackend, SimulatedGpuBackend
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
-from repro.engine import EngineConfig, KernelEngine, StackedStateBlock, StateStore
+from repro.engine import EngineConfig, KernelEngine
 from repro.serving import AsyncServingQueue
 from repro.telemetry import (
     MetricsRegistry,
@@ -174,7 +160,7 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
     return records + modelled, failures
 
 
-def build_classifier(args, batch_encoding: bool) -> StreamingNystroemClassifier:
+def build_classifier(args) -> StreamingNystroemClassifier:
     """A freshly fitted Nystrom serving stack (deterministic given the seed)."""
     rng = np.random.default_rng(args.seed)
     ansatz = AnsatzConfig(
@@ -182,9 +168,7 @@ def build_classifier(args, batch_encoding: bool) -> StreamingNystroemClassifier:
     )
     engine = KernelEngine(
         ansatz,
-        config=EngineConfig(
-            use_cache=True, batch_encoding=batch_encoding, encode_batch_size=args.batch
-        ),
+        config=EngineConfig(use_cache=True, encode_batch_size=args.batch),
     )
     X = rng.uniform(0.05, 1.95, size=(args.train_size, args.features))
     y = (X.mean(axis=1) > 1.0).astype(int)
@@ -197,238 +181,52 @@ def build_classifier(args, batch_encoding: bool) -> StreamingNystroemClassifier:
 
 
 def run_cold_serving(args, mode_rng_seed: int = 11) -> tuple[list[dict], list[str]]:
-    """Cold-traffic queue latency with batch encoding on vs off."""
+    """Cold-traffic queue latency, checked against per-point classification."""
     rng = np.random.default_rng(mode_rng_seed + args.seed)
     stream = rng.uniform(0.05, 1.95, size=(args.queries, args.features))
 
-    records = []
-    failures: list[str] = []
-    decisions_by_mode = {}
-    for batch_encoding in (False, True):
-        classifier = build_classifier(args, batch_encoding)
-        queue = AsyncServingQueue(
-            classifier,
-            max_batch=args.batch,
-            max_wait_ms=args.max_wait_ms,
-            memoize=False,
-            seed=0,
-        )
-        if args.metrics_registry is not None:
-            bind_queue(
-                args.metrics_registry, queue, replica=f"be{int(batch_encoding)}"
-            )
-        start = time.perf_counter()
-        futures = queue.submit_many(stream)
-        results = [f.result(timeout=600) for f in futures]
-        elapsed = time.perf_counter() - start
-        queue.close()
-        snapshot = queue.metrics.to_dict()
-        decisions_by_mode[batch_encoding] = np.array(
-            [r.decision_value for r in results]
-        )
-        record = {
-            "mode": "cold-queue",
-            "batch_encoding": batch_encoding,
-            "queries": args.queries,
-            "wall_s": elapsed,
-            "throughput_rps": args.queries / elapsed,
-            "p50_latency_ms": snapshot["p50_latency_s"] * 1e3,
-            "p99_latency_ms": snapshot["p99_latency_s"] * 1e3,
-            "mean_batch_size": snapshot["mean_batch_size"],
-        }
-        records.append(record)
-        print(
-            f"cold queue batch_encoding={batch_encoding}: {elapsed:.3f} s "
-            f"({record['throughput_rps']:.0f} req/s, "
-            f"p50={record['p50_latency_ms']:.2f} ms, "
-            f"p99={record['p99_latency_ms']:.2f} ms)"
-        )
-    if not np.array_equal(decisions_by_mode[False], decisions_by_mode[True]):
-        failures.append("cold-path predictions differ with batch encoding enabled")
-    records[-1]["speedup_vs_unbatched"] = (
-        records[1]["throughput_rps"] / records[0]["throughput_rps"]
+    # The oracle: every row classified alone, so each is encoded per point.
+    # It runs first so the timed queue run below starts in a warmed-up
+    # process; run cold, the same queue measures ~30% lower throughput.
+    oracle = build_classifier(args)
+    expected = np.array(
+        [oracle.classify(row[None, :]).decision_values[0] for row in stream]
     )
-    records[-1]["byte_identical"] = not failures
-    return records, failures
-
-
-class _ProbeStore(StateStore):
-    """State store recording every get/put into an event list."""
-
-    def __init__(self, events: list):
-        super().__init__()
-        self.events = events
-
-    def get(self, key):
-        state = super().get(key)
-        self.events.append(("get", state is not None))
-        return state
-
-    def put(self, key, state):
-        self.events.append(("put",))
-        super().put(key, state)
-
-
-def _fused_flush_once(args, X_cold, train_states, block, fused: bool) -> dict:
-    """One cold flush through a fresh engine, instrumented end to end."""
-    ansatz = AnsatzConfig(
-        num_features=args.features,
-        interaction_distance=args.distance,
-        layers=args.layers,
-        gamma=0.8,
+    queue = AsyncServingQueue(
+        build_classifier(args),
+        max_batch=args.batch,
+        max_wait_ms=args.max_wait_ms,
+        memoize=False,
+        seed=0,
     )
-    events: list = []
-    engine = KernelEngine(
-        ansatz,
-        config=EngineConfig(use_cache=True, fused_pipeline=fused),
-        store=_ProbeStore(events),
-    )
-    original = engine.backend.inner_product_block
-
-    def spy(bras, blk):
-        events.append(("block",))
-        return original(bras, blk)
-
-    engine.backend.inner_product_block = spy
+    if args.metrics_registry is not None:
+        bind_queue(args.metrics_registry, queue, replica="cold")
     start = time.perf_counter()
-    result = engine.kernel_rows(X_cold, train_states, block=block)
-    wall = time.perf_counter() - start
-    sweep_at = events.index(("block",))
-    return {
-        "mode": "fused" if fused else "unfused",
-        "wall_s": wall,
-        "matrix_bytes": result.matrix.tobytes(),
-        "critical_path_store_writes": sum(
-            1 for e in events[:sweep_at] if e == ("put",)
-        ),
-        "store_writes_total": sum(1 for e in events if e == ("put",)),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "num_simulations": result.num_simulations,
-        "modelled_total_s": result.modelled_total_time_s,
-        "modelled_batched_total_s": result.modelled_batched_total_time_s,
+    futures = queue.submit_many(stream)
+    results = [f.result(timeout=600) for f in futures]
+    elapsed = time.perf_counter() - start
+    queue.close()
+    snapshot = queue.metrics.to_dict()
+    served = np.array([r.decision_value for r in results])
+    identical = served.tobytes() == expected.tobytes()
+    record = {
+        "mode": "cold-queue",
+        "queries": args.queries,
+        "wall_s": elapsed,
+        "throughput_rps": args.queries / elapsed,
+        "p50_latency_ms": snapshot["p50_latency_s"] * 1e3,
+        "p99_latency_ms": snapshot["p99_latency_s"] * 1e3,
+        "mean_batch_size": snapshot["mean_batch_size"],
+        "byte_identical": identical,
     }
-
-
-def run_fused_flush(args, rng) -> tuple[list[dict], list[str]]:
-    """Cold kernel-row flush: unfused schedule vs the fused pipeline."""
-    ansatz = AnsatzConfig(
-        num_features=args.features,
-        interaction_distance=args.distance,
-        layers=args.layers,
-        gamma=0.8,
+    print(
+        f"cold queue: {elapsed:.3f} s "
+        f"({record['throughput_rps']:.0f} req/s, "
+        f"p50={record['p50_latency_ms']:.2f} ms, "
+        f"p99={record['p99_latency_ms']:.2f} ms, identical={identical})"
     )
-    setup = KernelEngine(ansatz)
-    train_states = setup.encode_rows(
-        rng.uniform(0.05, 1.95, size=(args.landmarks, args.features))
-    )
-    block = StackedStateBlock(train_states)
-    X_cold = rng.uniform(0.05, 1.95, size=(args.batch, args.features))
-
-    best: dict[str, dict] = {}
-    for _ in range(args.repeats):
-        for fused in (False, True):
-            record = _fused_flush_once(args, X_cold, train_states, block, fused)
-            mode = record["mode"]
-            if mode not in best or record["wall_s"] < best[mode]["wall_s"]:
-                best[mode] = record
-
-    failures: list[str] = []
-    identical = best["fused"]["matrix_bytes"] == best["unfused"]["matrix_bytes"]
-    if not identical:
-        failures.append("fused cold flush is not byte-identical to unfused")
-    if best["fused"]["critical_path_store_writes"] != 0:
-        failures.append(
-            f"fused pipeline has {best['fused']['critical_path_store_writes']} "
-            "store writes on the critical path, expected 0"
-        )
-    if best["unfused"]["critical_path_store_writes"] == 0:
-        failures.append("unfused schedule shows no critical-path writes (probe broken)")
-    if (best["fused"]["cache_hits"], best["fused"]["cache_misses"]) != (
-        best["unfused"]["cache_hits"],
-        best["unfused"]["cache_misses"],
-    ):
-        failures.append("fused pipeline changed the cache hit/miss accounting")
-
-    records = []
-    for mode in ("unfused", "fused"):
-        record = dict(best[mode])
-        record.pop("matrix_bytes")
-        record["byte_identical"] = identical
-        records.append(record)
-    records[1]["speedup_vs_unfused"] = (
-        best["unfused"]["wall_s"] / best["fused"]["wall_s"]
-    )
-    for record in records:
-        print(
-            f"cold flush {record['mode']}: {record['wall_s'] * 1e3:.2f} ms, "
-            f"{record['critical_path_store_writes']} critical-path store writes, "
-            f"hits/misses={record['cache_hits']}/{record['cache_misses']}"
-        )
-    return records, failures
-
-
-def run_prefix_tree(args, rng) -> tuple[list[dict], list[str]]:
-    """Mixed-ansatz encode with and without the prefix-sharing tree."""
-    from repro.mps.encoding import GateShapeLog, encode_circuits
-
-    base = dict(num_features=args.features, gamma=0.8)
-    ansatze = [
-        AnsatzConfig(interaction_distance=1, layers=1, **base),
-        AnsatzConfig(interaction_distance=1, layers=2, **base),
-        AnsatzConfig(interaction_distance=2, layers=1, **base),
-    ]
-    per_family = max(2, args.batch // len(ansatze))
-    circuits = [
-        build_feature_map_circuit(row, ansatz)
-        for ansatz in ansatze
-        for row in rng.uniform(0.05, 1.95, size=(per_family, args.features))
-    ]
-    reference = [CpuBackend().simulate(c).state for c in circuits]
-
-    records = []
-    failures: list[str] = []
-    blobs = {}
-    for sharing in (False, True):
-        mode = "tree" if sharing else "flat"
-        best_wall = None
-        log = None
-        states = None
-        for _ in range(args.repeats):
-            log = GateShapeLog()
-            start = time.perf_counter()
-            states = encode_circuits(circuits, log=log, prefix_sharing=sharing)
-            wall = time.perf_counter() - start
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-        blobs[mode] = [
-            tuple(t.tobytes() for t in s.tensors) for s in states
-        ]
-        identical = blobs[mode] == [
-            tuple(t.tobytes() for t in s.tensors) for s in reference
-        ]
-        if not identical:
-            failures.append(f"{mode} encode is not bit-identical to per-point")
-        record = {
-            "mode": mode,
-            "circuits": len(circuits),
-            "structure_groups": log.structure_groups,
-            "stacked_launches": log.stacked_launches,
-            "prefix_forks": log.prefix_forks,
-            "wall_s": best_wall,
-            "byte_identical": identical,
-        }
-        records.append(record)
-        print(
-            f"encode {mode}: {record['stacked_launches']} stacked launches, "
-            f"{record['prefix_forks']} forks, {best_wall * 1e3:.2f} ms"
-        )
-    if records[1]["stacked_launches"] >= records[0]["stacked_launches"]:
-        failures.append("prefix tree did not reduce stacked launches")
-    records[1]["launches_saved"] = (
-        records[0]["stacked_launches"] - records[1]["stacked_launches"]
-    )
-    return records, failures
+    failures = [] if identical else ["cold-path predictions differ from per-point"]
+    return [record], failures
 
 
 def run_cross_dispatch(args, rng) -> tuple[list[dict], list[str]]:
@@ -498,55 +296,9 @@ def run_cross_dispatch(args, rng) -> tuple[list[dict], list[str]]:
     return [record], failures
 
 
-def run_fused_scenario(args) -> tuple[dict, list[str]]:
-    """The fused-pipeline artifact: flush schedule + encode tree + dispatch."""
-    rng = np.random.default_rng(args.seed)
-    print(
-        f"fused workload: {args.batch}-row cold flush against {args.landmarks} "
-        f"landmarks (m={args.features}, d={args.distance}, r={args.layers}), "
-        f"{args.cross_rows} x {args.landmarks} cross block"
-    )
-    flush_records, failures = run_fused_flush(args, rng)
-    tree_records, tree_failures = run_prefix_tree(args, rng)
-    dispatch_records, dispatch_failures = run_cross_dispatch(args, rng)
-    failures.extend(tree_failures)
-    failures.extend(dispatch_failures)
-
-    records = flush_records + tree_records + dispatch_records
-    payload = {
-        "benchmark": "fused-pipeline",
-        "version": __version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "workload": {
-            "batch": args.batch,
-            "features": args.features,
-            "distance": args.distance,
-            "layers": args.layers,
-            "landmarks": args.landmarks,
-            "cross_rows": args.cross_rows,
-            "repeats": args.repeats,
-            "seed": args.seed,
-        },
-        "records": records,
-        "byte_identical": all(
-            r["byte_identical"] for r in records if "byte_identical" in r
-        ),
-        "ok": not failures,
-    }
-    return payload, failures
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--scenario",
-        choices=("encoding", "fused"),
-        default="encoding",
-        help="'encoding' benchmarks stacked encoding; 'fused' benchmarks the "
-        "fused encode-to-overlap pipeline, prefix tree and cross dispatch",
-    )
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--out", type=Path, default=Path("BENCH_encoding.json"))
     parser.add_argument("--rows", type=int, default=96)
     parser.add_argument("--batch", type=int, default=32)
     parser.add_argument("--features", type=int, default=8)
@@ -561,14 +313,8 @@ def main() -> None:
         "--cross-rows",
         type=int,
         default=128,
-        help="fused scenario: rows in the Nystrom K_nm dispatch block "
+        help="rows in the Nystrom K_nm dispatch block "
         "(128 x 16 landmarks = 2048 pairs clears the A100 launch overhead)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="fused scenario: timing repeats, best-of kept",
     )
     parser.add_argument(
         "--seed",
@@ -587,31 +333,6 @@ def main() -> None:
     args.metrics_registry = (
         MetricsRegistry() if args.emit_metrics is not None else None
     )
-    if args.out is None:
-        args.out = Path(
-            "BENCH_fused.json" if args.scenario == "fused" else "BENCH_encoding.json"
-        )
-
-    if args.scenario == "fused":
-        payload, failures = run_fused_scenario(args)
-        maybe_emit_metrics(args, payload)
-        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.out}")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            raise SystemExit(1)
-        fused = next(r for r in payload["records"] if r["mode"] == "fused")
-        dispatch = next(
-            r for r in payload["records"] if r["mode"] == "cross-dispatch"
-        )
-        print(
-            "OK: fused cold flush ran with zero critical-path store writes "
-            f"({fused['speedup_vs_unfused']:.2f}x), byte-identical throughout; "
-            f"{dispatch['pairs']}-pair cross block dispatched to {dispatch['chosen']}"
-        )
-        return
-
     rng = np.random.default_rng(args.seed)
     print(
         f"workload: {args.rows} encodes (m={args.features}, d={args.distance}, "
@@ -620,7 +341,9 @@ def main() -> None:
 
     encode_records, failures = run_encode_throughput(args, rng)
     serving_records, serving_failures = run_cold_serving(args)
+    dispatch_records, dispatch_failures = run_cross_dispatch(args, rng)
     failures.extend(serving_failures)
+    failures.extend(dispatch_failures)
 
     acceptance_speedup = next(
         r["speedup_vs_per_point"]
@@ -647,9 +370,10 @@ def main() -> None:
             "cold_queries": args.queries,
             "train_size": args.train_size,
             "landmarks": args.landmarks,
+            "cross_rows": args.cross_rows,
             "seed": args.seed,
         },
-        "records": encode_records + serving_records,
+        "records": encode_records + serving_records + dispatch_records,
         "min_speedup_required": args.min_speedup,
         "acceptance_speedup": acceptance_speedup,
         "ok": not failures,
@@ -662,9 +386,11 @@ def main() -> None:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         raise SystemExit(1)
+    dispatch = dispatch_records[0]
     print(
         f"OK: batch-{args.batch} stacked encoding reaches {acceptance_speedup:.2f}x "
-        "per-point throughput with byte-identical states and predictions"
+        "per-point throughput with byte-identical states and predictions; "
+        f"{dispatch['pairs']}-pair cross block dispatched to {dispatch['chosen']}"
     )
 
 

@@ -14,17 +14,14 @@ classification (:meth:`classify`) and record-at-a-time ingestion with
 micro-batching (:meth:`submit` / :meth:`flush`), the pattern a traffic-facing
 service uses to amortise the per-plan overhead at high request rates.
 
-Cold traffic -- rows the engine's state store has not seen -- used to pay one
-full circuit simulation *per point* inside the flush.  The engine now encodes
-a flushed batch's cache misses through one stacked gate sweep
-(:meth:`repro.backends.Backend.simulate_batch`), so the per-point hot path of
-a cold flush is gone while every prediction stays byte-identical to
-point-at-a-time classification.  With ``EngineConfig.fused_pipeline`` (the
-default) a cold flush is moreover **one fused pipeline**
-(:class:`~repro.engine.plan.FusedEncodeOverlapPlan`): the freshly encoded
-states flow straight from the stacked sweep into the landmark block overlap,
-and the state store is written only after the kernel rows exist -- same
-writes, same hit/miss accounting, off the critical path.
+Every flush runs the engine's two primitives once
+(:meth:`repro.engine.KernelEngine.kernel_rows`): the batch's state-store
+misses are encoded in one stacked gate sweep
+(:meth:`repro.backends.Backend.simulate_batch`), then all rows are overlapped
+with the pre-stacked landmark block
+(:meth:`repro.backends.Backend.inner_product_block`).  Both are
+bit-identical to their per-point forms, so every prediction is byte-identical
+to point-at-a-time classification however requests were coalesced.
 """
 
 from __future__ import annotations

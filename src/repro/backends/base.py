@@ -167,7 +167,7 @@ class Backend(abc.ABC):
         #: per-point counters advance as if every primitive had run solo (the
         #: batching-invariant contract); the ``batched`` counters charge each
         #: *stacked* launch once, so their gap is the modelled win of the
-        #: fused / batched paths on this device.
+        #: stacked encode and block sweep on this device.
         self.modelled_simulation_time_s = 0.0
         self.modelled_inner_product_time_s = 0.0
         self.modelled_batched_simulation_time_s = 0.0
@@ -177,14 +177,12 @@ class Backend(abc.ABC):
         self.wall_inner_product_time_s = 0.0
         self.num_simulations = 0
         self.num_inner_products = 0
-        #: Stacked-encode accounting: how many batched sweeps ran, how many
-        #: stacked gate launches they issued, and how many prefix-tree forks
-        #: they took.  These are pure functions of the encoded circuits (not
-        #: wall clock), so the telemetry layer exports them as deterministic
-        #: counters (``repro_encode_*_total``).
+        #: Stacked-encode accounting: how many batched sweeps ran and how
+        #: many stacked gate launches they issued.  These are pure functions
+        #: of the encoded circuits (not wall clock), so the telemetry layer
+        #: exports them as deterministic counters (``repro_encode_*_total``).
         self.num_encode_batches = 0
         self.num_encode_stacked_launches = 0
-        self.num_prefix_forks = 0
         #: Lifetime totals: :meth:`reset_counters` folds the live counters in
         #: here instead of dropping them, so the engine's per-call accounting
         #: and the telemetry layer's monotone counters can coexist.
@@ -197,7 +195,6 @@ class Backend(abc.ABC):
         "num_inner_products",
         "num_encode_batches",
         "num_encode_stacked_launches",
-        "num_prefix_forks",
         "modelled_simulation_time_s",
         "modelled_inner_product_time_s",
         "modelled_batched_simulation_time_s",
@@ -278,13 +275,13 @@ class Backend(abc.ABC):
         self,
         circuits: Sequence,
         initial_state: MPS | None = None,
-        prefix_sharing: bool = True,
     ) -> BatchSimulationResult:
         """Encode a micro-batch of routed circuits through stacked gate sweeps.
 
         Circuits are grouped by structure signature (same gate targets in the
         same order -- all feature-map circuits from one ansatz qualify) and
-        each group is swept with one stacked gufunc per gate, regrouping when
+        each group is swept straight through with one stacked gufunc per
+        gate (:func:`repro.mps.encoding.encode_circuits`), regrouping when
         per-slice truncation diverges bond dimensions.  Every resulting state
         is **bit-identical** to :meth:`simulate` on the same circuit, so
         callers may batch, split or reorder encodes freely without moving a
@@ -295,13 +292,6 @@ class Backend(abc.ABC):
         measured wall time is where batching pays off.  The stacked device
         model (one launch per stacked contraction) is additionally reported
         as ``modelled_batched_time_s``.
-
-        ``prefix_sharing`` (default on) lets circuits of *different*
-        structures share the stacked sweep of their common gate prefix,
-        forking at the divergence point (:func:`repro.mps.encoding.
-        encode_circuits`); states, per-point modelled seconds and
-        ``num_simulations`` are identical either way, only the wall time and
-        the stacked device model improve for mixed batches.
 
         ``initial_state`` is not supported (the stacked sweep always starts
         from ``|0...0>``, which is what every feature-map encode uses); a
@@ -345,12 +335,7 @@ class Backend(abc.ABC):
 
         log = GateShapeLog()
         start = time.perf_counter()
-        states = encode_circuits(
-            circuits,
-            policy=self._policy(),
-            log=log,
-            prefix_sharing=prefix_sharing,
-        )
+        states = encode_circuits(circuits, policy=self._policy(), log=log)
         wall = time.perf_counter() - start
 
         modelled = 0.0
@@ -379,15 +364,13 @@ class Backend(abc.ABC):
         self.num_simulations += len(circuits)
         self.num_encode_batches += 1
         self.num_encode_stacked_launches += log.stacked_launches
-        self.num_prefix_forks += log.prefix_forks
-        num_groups = log.structure_groups
         return BatchSimulationResult(
             states=tuple(states),
             wall_time_s=wall,
             modelled_time_s=modelled,
             modelled_batched_time_s=modelled_batched,
             num_circuits=len(circuits),
-            num_structure_groups=num_groups,
+            num_structure_groups=log.structure_groups,
             max_bond_dimension=max(s.max_bond_dimension for s in states),
             total_memory_bytes=sum(s.memory_bytes for s in states),
         )
@@ -497,7 +480,6 @@ class Backend(abc.ABC):
         self.num_inner_products = 0
         self.num_encode_batches = 0
         self.num_encode_stacked_launches = 0
-        self.num_prefix_forks = 0
 
     def lifetime_summary(self) -> dict[str, float]:
         """Counters accumulated since construction, surviving resets."""
@@ -514,7 +496,6 @@ class Backend(abc.ABC):
             "num_inner_products": self.num_inner_products,
             "num_encode_batches": self.num_encode_batches,
             "num_encode_stacked_launches": self.num_encode_stacked_launches,
-            "num_prefix_forks": self.num_prefix_forks,
             "modelled_simulation_time_s": self.modelled_simulation_time_s,
             "modelled_inner_product_time_s": self.modelled_inner_product_time_s,
             "modelled_batched_simulation_time_s": (

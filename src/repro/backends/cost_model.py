@@ -208,8 +208,9 @@ class DeviceCostModel:
         per-site launch/transfer overhead is charged once per stack instead of
         once per pair, while the arithmetic still scales with the batch.  At
         ``batch == 1`` this equals :meth:`inner_product_time` exactly.  This
-        is the entry that keeps the fused serving path's accounting honest and
-        the entry the engine's CPU/GPU cross-sweep dispatch compares.
+        is the entry that keeps the serving path's block-sweep accounting
+        honest and the entry the engine's CPU/GPU cross-sweep dispatch
+        compares.
         """
         flops = self.batched_inner_product_flops(batch, num_qubits, chi)
         return (

@@ -16,7 +16,6 @@ that experiment records can safely hash / compare them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, asdict
 from typing import Any, Mapping
 
@@ -281,17 +280,6 @@ class TuningConfig:
         return asdict(self)
 
 
-#: ServingConfig fields that used to be loose constructor kwargs; they now
-#: live in :class:`TuningConfig` and passing them directly is deprecated.
-_LOOSE_TUNING_FIELDS = (
-    "max_batch",
-    "max_wait_ms",
-    "wait_jitter_ms",
-    "encode_batch_size",
-    "queue_depth_high_water",
-)
-
-
 @dataclass(frozen=True)
 class ServingConfig:
     """Deployment-facing knobs of the durable serving tier.
@@ -303,60 +291,19 @@ class ServingConfig:
     plus the warm-up key budget), and the control plane
     (``control_policy`` / ``control_interval_s``).  Consumed by
     :meth:`repro.serving.ReplicaRouter.from_config` and :func:`repro.serve`.
-
-    The loose knob kwargs (``max_batch``, ``max_wait_ms``,
-    ``wait_jitter_ms``, ``encode_batch_size``, ``queue_depth_high_water``)
-    are **deprecated**: pass ``tuning=TuningConfig(...)`` instead.  They
-    keep working -- a :class:`DeprecationWarning` is emitted and the values
-    are folded into ``tuning`` -- and reading them back always reflects the
-    effective tuning, so legacy call sites see consistent values.
     """
 
-    max_batch: int | None = None
-    max_wait_ms: float | None = None
     num_replicas: int = 1
     routing_policy: str = "round-robin"
-    queue_depth_high_water: int | None = None
     snapshot_root: str | None = None
     warm_max_keys: int | None = None
-    wait_jitter_ms: float | None = None
-    encode_batch_size: int | None = None
-    tuning: TuningConfig | None = None
+    tuning: TuningConfig = field(default_factory=TuningConfig)
     control_policy: str = "static"
     control_interval_s: float = 0.0
     memoize: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        loose = {
-            name: getattr(self, name)
-            for name in _LOOSE_TUNING_FIELDS
-            if getattr(self, name) is not None
-        }
-        if loose and self.tuning is not None:
-            raise ConfigurationError(
-                "pass tuning=TuningConfig(...) or the loose serving knobs "
-                f"({', '.join(sorted(loose))}), not both"
-            )
-        if loose:
-            warnings.warn(
-                f"loose serving knobs ({', '.join(sorted(loose))}) are "
-                "deprecated; pass ServingConfig(tuning=TuningConfig(...)) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            tuning = TuningConfig(**loose)
-        elif self.tuning is not None:
-            tuning = self.tuning
-        else:
-            tuning = TuningConfig()
-        object.__setattr__(self, "tuning", tuning)
-        # Mirror the effective tuning back onto the legacy fields so old
-        # attribute readers (``config.max_batch``) stay consistent with the
-        # nested bundle whichever way the config was built.
-        for name in _LOOSE_TUNING_FIELDS:
-            object.__setattr__(self, name, getattr(tuning, name))
         if self.num_replicas < 1:
             raise ConfigurationError(
                 f"num_replicas must be >= 1, got {self.num_replicas}"

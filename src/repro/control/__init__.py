@@ -7,9 +7,8 @@ for exactly one traffic shape.  This package closes the loop:
 
 * :mod:`~repro.control.policy` -- :class:`ControlPolicy` implementations
   mapping observed :class:`ControlSignals` to knob proposals, behind the
-  ``CONTROL_POLICIES`` registry (``"static"`` -- the old behaviour --,
-  ``"depth-proportional"`` AIMD, and ``"cost-model"`` driven by the device
-  cost model's stacked-sweep predictions);
+  ``CONTROL_POLICIES`` registry (``"static"`` -- the old behaviour -- and
+  ``"depth-proportional"`` AIMD);
 * :mod:`~repro.control.controller` -- :class:`AdaptiveController`, the
   damped loop (bound clamping, per-knob cooldown, dead band) that observes
   a queue or replica fleet and applies surviving proposals through the
@@ -27,8 +26,6 @@ from .policy import (
     CONTROL_POLICIES,
     ControlPolicy,
     ControlSignals,
-    CostContext,
-    CostModelPolicy,
     DepthProportionalPolicy,
     StaticPolicy,
     make_control_policy,
@@ -39,10 +36,8 @@ __all__ = [
     "ControlDecision",
     "ControlPolicy",
     "ControlSignals",
-    "CostContext",
     "StaticPolicy",
     "DepthProportionalPolicy",
-    "CostModelPolicy",
     "CONTROL_POLICIES",
     "make_control_policy",
 ]

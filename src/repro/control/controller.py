@@ -41,12 +41,7 @@ import numpy as np
 from ..config import TuningConfig
 from ..exceptions import ControlError
 from ..telemetry.tracing import TRACER
-from .policy import (
-    ControlPolicy,
-    ControlSignals,
-    CostContext,
-    make_control_policy,
-)
+from .policy import ControlPolicy, ControlSignals, make_control_policy
 
 __all__ = ["ControlDecision", "AdaptiveController"]
 
@@ -93,15 +88,11 @@ class AdaptiveController:
         :class:`~repro.serving.ReplicaRouter` fleet, whose shed threshold
         and replica recommendation the controller also manages.
     policy:
-        Registry name (``"static"``, ``"depth-proportional"``,
-        ``"cost-model"``) or a :class:`~repro.control.ControlPolicy`
-        instance.
+        Registry name (``"static"``, ``"depth-proportional"``) or a
+        :class:`~repro.control.ControlPolicy` instance.
     tuning:
         The :class:`~repro.config.TuningConfig` whose bound fields clamp
         every adjustment.  Defaults to ``TuningConfig()``.
-    cost_model:
-        Cost model for the ``"cost-model"`` policy; defaults to the target
-        engine's backend cost model when reachable.
     cooldown_steps:
         A knob adjusted at step ``s`` may not move again before step
         ``s + cooldown_steps + 1`` (the AIMD damper's refractory period).
@@ -117,7 +108,6 @@ class AdaptiveController:
         target,
         policy: "str | ControlPolicy" = "static",
         tuning: TuningConfig | None = None,
-        cost_model=None,
         cooldown_steps: int = 2,
         deadband: float = 0.1,
         history: int = 256,
@@ -143,7 +133,6 @@ class AdaptiveController:
         self._last_enqueued = 0
         self._last_shed = 0
         self._last_observed_at: Optional[float] = None
-        self._context = self._build_context(cost_model)
         self._loop_thread: Optional[threading.Thread] = None
         self._loop_stop = threading.Event()
 
@@ -155,30 +144,6 @@ class AdaptiveController:
                 q for i, q in enumerate(self.target.queues) if i in alive
             ]
         return [self.target]
-
-    def _build_context(self, cost_model) -> Optional[CostContext]:
-        """Cost context from the served model, or ``None`` when unreachable."""
-        try:
-            queue = self._queues()[0]
-            feature_map = queue.classifier.feature_map
-            engine = feature_map.engine
-            model = (
-                cost_model
-                if cost_model is not None
-                else getattr(engine.backend, "cost_model", None)
-            )
-            if model is None:
-                return None
-            landmarks = feature_map.landmark_states_
-            chi = max((s.max_bond_dimension for s in landmarks), default=2)
-            return CostContext(
-                cost_model=model,
-                num_qubits=engine.ansatz.num_qubits,
-                num_landmarks=len(landmarks),
-                chi=max(2, int(chi)),
-            )
-        except Exception:
-            return None
 
     # ------------------------------------------------------------------
     def observe(self, now: float | None = None) -> ControlSignals:
@@ -312,9 +277,7 @@ class AdaptiveController:
         with TRACER.span("control.step") as span:
             signals = self.observe(now)
             knobs = self.current_knobs()
-            proposed = self.policy.propose(
-                signals, knobs, self.bounds, self._context
-            )
+            proposed = self.policy.propose(signals, knobs, self.bounds)
             applied: Dict[str, float] = {}
             for knob, raw in proposed.items():
                 value = self._clamp(knob, raw)

@@ -8,7 +8,7 @@ touch the serving tier -- the :class:`~repro.control.AdaptiveController`
 owns observation, damping (clamping, cooldown, dead band) and application
 -- so a policy is trivially unit-testable with synthetic signals.
 
-Three registry entries ship:
+Two registry entries ship:
 
 * ``"static"`` -- never proposes anything; exactly the pre-control-plane
   behaviour, and the default.
@@ -19,10 +19,6 @@ Three registry entries ship:
   idle queue flushes near-immediately for tail latency, a saturated one
   waits longer because its batches fill anyway); the shed threshold tracks
   a multiple of the batch size so admission follows service capacity.
-* ``"cost-model"`` -- picks the batch size whose *predicted* per-request
-  latency (arrival-rate fill time plus the device cost model's stacked
-  landmark-sweep time for the next flush) is minimal, then derives wait and
-  shed settings from it.
 
 Whatever the policy, predictions are byte-identical with the controller on
 or off: every knob it may move only re-times or re-chunks work whose values
@@ -33,18 +29,16 @@ pins that.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..config import TuningConfig
 from ..exceptions import ControlError
 
 __all__ = [
     "ControlSignals",
-    "CostContext",
     "ControlPolicy",
     "StaticPolicy",
     "DepthProportionalPolicy",
-    "CostModelPolicy",
     "CONTROL_POLICIES",
     "make_control_policy",
 ]
@@ -77,22 +71,6 @@ class ControlSignals:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class CostContext:
-    """What the cost-model policy needs to price the next flush.
-
-    Built once by the controller from the served model: the device cost
-    model of the replica engines' backend, the circuit width, the landmark
-    count (one flush of ``B`` requests is a ``B x num_landmarks`` overlap
-    block), and the landmarks' maximum bond dimension.
-    """
-
-    cost_model: Any
-    num_qubits: int
-    num_landmarks: int
-    chi: int
-
-
 class ControlPolicy:
     """Maps one observation to a (possibly empty) knob proposal.
 
@@ -110,7 +88,6 @@ class ControlPolicy:
         signals: ControlSignals,
         knobs: Mapping[str, Any],
         bounds: TuningConfig,
-        context: Optional[CostContext] = None,
     ) -> Dict[str, float]:
         """Propose target values for any subset of the tunable knobs."""
         raise NotImplementedError
@@ -126,7 +103,6 @@ class StaticPolicy(ControlPolicy):
         signals: ControlSignals,
         knobs: Mapping[str, Any],
         bounds: TuningConfig,
-        context: Optional[CostContext] = None,
     ) -> Dict[str, float]:
         return {}
 
@@ -186,7 +162,6 @@ class DepthProportionalPolicy(ControlPolicy):
         signals: ControlSignals,
         knobs: Mapping[str, Any],
         bounds: TuningConfig,
-        context: Optional[CostContext] = None,
     ) -> Dict[str, float]:
         current_batch = max(1, int(knobs["max_batch"]))
         pressure = signals.queue_depth / current_batch
@@ -210,104 +185,9 @@ class DepthProportionalPolicy(ControlPolicy):
         return out
 
 
-class CostModelPolicy(ControlPolicy):
-    """Pick the batch size minimising *predicted* per-request latency.
-
-    For each candidate batch size ``B`` (powers of two across the bound
-    interval) the predicted latency is the time to fill the batch at the
-    observed arrival rate -- ``(B - 1) / rate``, capped at the wait ceiling
-    because the deadline flushes a partial batch -- plus the device cost
-    model's stacked-sweep prediction for the flush itself, a
-    ``B x num_landmarks`` batched inner-product block
-    (:meth:`repro.backends.DeviceCostModel.batched_inner_product_time`).
-    This is the Fig. 5 dispatch logic pointed at a different question: not
-    *where* to run a fixed block, but *how large a block to accumulate*.
-
-    Candidates whose service rate ``B / sweep_time(B)`` falls below the
-    arrival rate are discarded first: the stacked sweep pays its per-site
-    launch overhead once per *flush*, so a batch too small cannot keep pace
-    and its queue -- hence its real latency -- grows without bound, however
-    small its one-flush prediction looks.  That stability filter is what
-    pushes the batch up under load; among the stable candidates the
-    smallest predicted latency wins, and when *no* candidate is stable the
-    policy falls back to the highest-throughput one.
-
-    The wait deadline is set to the chosen batch's expected fill time (so
-    the deadline and the flush threshold agree about the traffic), the
-    encode chunk follows the batch, and the shed threshold tracks a multiple
-    of the batch as in the depth policy.  With no observed arrivals yet --
-    or no cost context, e.g. a backend without a cost model -- the policy
-    proposes nothing.
-    """
-
-    name = "cost-model"
-
-    def __init__(self, overhead_ms: float = 0.25, hw_batches: int = 8) -> None:
-        if overhead_ms < 0:
-            raise ControlError(f"overhead_ms must be >= 0, got {overhead_ms}")
-        if hw_batches < 1:
-            raise ControlError(f"hw_batches must be >= 1, got {hw_batches}")
-        self.overhead_ms = float(overhead_ms)
-        self.hw_batches = int(hw_batches)
-
-    def _candidates(self, bounds: TuningConfig):
-        lo, hi = bounds.min_batch, bounds.batch_ceiling
-        sizes = {lo, hi}
-        power = 1
-        while power <= hi:
-            if power >= lo:
-                sizes.add(power)
-            power *= 2
-        return sorted(sizes)
-
-    def propose(
-        self,
-        signals: ControlSignals,
-        knobs: Mapping[str, Any],
-        bounds: TuningConfig,
-        context: Optional[CostContext] = None,
-    ) -> Dict[str, float]:
-        if context is None or signals.arrival_rate_rps <= 0.0:
-            return {}
-        rate = signals.arrival_rate_rps
-        best_batch = None
-        best_latency = None
-        fallback_batch = None
-        fallback_throughput = 0.0
-        for batch in self._candidates(bounds):
-            fill_s = min((batch - 1) / rate, bounds.wait_ceiling_ms / 1000.0)
-            sweep_s = context.cost_model.batched_inner_product_time(
-                batch * context.num_landmarks,
-                context.num_qubits,
-                context.chi,
-            )
-            service_rate = batch / max(sweep_s, 1e-12)
-            if service_rate > fallback_throughput:
-                fallback_throughput = service_rate
-                fallback_batch = batch
-            if service_rate < rate:
-                continue  # unstable: this batch can't keep pace with arrivals
-            predicted = fill_s + sweep_s + self.overhead_ms / 1000.0
-            if best_latency is None or predicted < best_latency:
-                best_latency = predicted
-                best_batch = batch
-        if best_batch is None:
-            best_batch = fallback_batch  # saturated: maximise throughput
-        assert best_batch is not None
-        out: Dict[str, float] = {
-            "max_batch": best_batch,
-            "encode_batch_size": best_batch,
-            "max_wait_ms": 1000.0 * (best_batch - 1) / rate,
-        }
-        if knobs.get("queue_depth_high_water") is not None:
-            out["queue_depth_high_water"] = self.hw_batches * best_batch
-        return out
-
-
 CONTROL_POLICIES = {
     StaticPolicy.name: StaticPolicy,
     DepthProportionalPolicy.name: DepthProportionalPolicy,
-    CostModelPolicy.name: CostModelPolicy,
 }
 
 

@@ -23,7 +23,6 @@ from .batching import (
     GateShapeLog,
     StackedStateBlock,
     batched_overlaps,
-    circuit_prefix_tokens,
     circuit_structure_signature,
     encode_circuits,
     group_circuits_by_structure,
@@ -40,7 +39,6 @@ from .cache import (
 )
 from .plan import (
     CrossGramPlan,
-    FusedEncodeOverlapPlan,
     KernelRowPlan,
     PairJob,
     PairwisePlan,
@@ -54,7 +52,6 @@ __all__ = [
     "SymmetricGramPlan",
     "CrossGramPlan",
     "KernelRowPlan",
-    "FusedEncodeOverlapPlan",
     "CacheStats",
     "StateStore",
     "ansatz_fingerprint",
@@ -66,7 +63,6 @@ __all__ = [
     "StackedStateBlock",
     "GateShapeLog",
     "circuit_structure_signature",
-    "circuit_prefix_tokens",
     "encode_circuits",
     "group_circuits_by_structure",
     "rowwise_matmul",

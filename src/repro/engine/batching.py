@@ -23,7 +23,6 @@ import numpy as np
 from ..mps.batched import StackedStateBlock, batched_overlaps
 from ..mps.encoding import (
     GateShapeLog,
-    circuit_prefix_tokens,
     circuit_structure_signature,
     encode_circuits,
     group_circuits_by_structure,
@@ -33,7 +32,6 @@ __all__ = [
     "batched_overlaps",
     "StackedStateBlock",
     "GateShapeLog",
-    "circuit_prefix_tokens",
     "circuit_structure_signature",
     "encode_circuits",
     "group_circuits_by_structure",

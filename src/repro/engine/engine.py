@@ -3,20 +3,20 @@
 Every kernel-matrix computation in the library -- training Gram matrices,
 test-versus-train cross matrices, inference kernel rows -- is the same two
 primitives composed: encode data points to MPS (linear in ``N``), evaluate
-pairwise overlaps (quadratic in ``N``).  The engine owns both primitives plus
-their optimisations, so consumers describe *what* to compute (a
+pairwise overlaps (quadratic in ``N``).  The engine owns both primitives,
+each with exactly one code path, so consumers describe *what* to compute (a
 :class:`~repro.engine.plan.PairwisePlan`) and never *how*:
 
-* encoding goes through an optional content-addressed
-  :class:`~repro.engine.cache.StateStore`, so a point encoded for training is
-  never re-simulated at inference time; multi-row encodes of the remaining
-  cache misses run as stacked gate sweeps
+* :meth:`KernelEngine.encode_rows` goes through an optional
+  content-addressed :class:`~repro.engine.cache.StateStore`, so a point
+  encoded for training is never re-simulated at inference time; the
+  remaining cache misses of a multi-row encode run as stacked gate sweeps
   (:meth:`repro.backends.Backend.simulate_batch`), bit-identical to
   per-point simulation;
 * overlap jobs are chunked and dispatched through the backend's padded
   BLAS transfer sweep (:meth:`repro.backends.Backend.inner_product_batch`),
-  and cross blocks run the same sweep against one pre-stacked state block
-  (:meth:`repro.backends.Backend.inner_product_block`);
+  and cross blocks / kernel rows run the same sweep against one pre-stacked
+  state block (:meth:`repro.backends.Backend.inner_product_block`);
 * the executor -- ``"sequential"``, ``"tiled"`` (cache-friendly tile-ordered
   job stream) or ``"multiprocess"`` (process-pool fan-out) -- is selected by
   :class:`EngineConfig` without touching call sites.
@@ -44,7 +44,7 @@ from ..mps import MPS
 from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock
 from .cache import StateStore, ansatz_fingerprint, simulation_fingerprint, state_key
-from .plan import FusedEncodeOverlapPlan, PairJob, PairwisePlan, SymmetricGramPlan
+from .plan import PairJob, PairwisePlan, SymmetricGramPlan
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
@@ -73,20 +73,8 @@ class EngineConfig:
         auto).
     max_workers:
         Process count for the multiprocess executor (``None`` = auto).
-    batch_encoding:
-        Route multi-row encodes through the backend's stacked gate sweep
-        (:meth:`repro.backends.Backend.simulate_batch`).  States are
-        bit-identical either way; disabling only exists for benchmarks and
-        debugging.
     encode_batch_size:
         Maximum circuits per stacked encoding sweep.
-    fused_pipeline:
-        Execute block-sweep kernel-row plans as one fused encode-to-overlap
-        pipeline (:class:`~repro.engine.plan.FusedEncodeOverlapPlan`): cold
-        states flow straight from the stacked encode into the block overlap
-        sweep, and the state store is written only after the kernel block
-        exists.  Values, counters and cache statistics are identical to the
-        unfused path; disabling only exists for benchmarks and debugging.
     """
 
     executor: str = "sequential"
@@ -95,9 +83,7 @@ class EngineConfig:
     batch_size: int = 64
     num_blocks: Optional[int] = None
     max_workers: Optional[int] = None
-    batch_encoding: bool = True
     encode_batch_size: int = 32
-    fused_pipeline: bool = True
 
     def __post_init__(self) -> None:
         if self.executor not in _EXECUTORS:
@@ -141,7 +127,7 @@ class EngineResult:
         """Modelled device total, one launch per *point* (batching-invariant).
 
         This is the historical per-point accounting: it never moves when a
-        workload is batched, fused or re-chunked, which is what lets tests
+        workload is batched or re-chunked, which is what lets tests
         pin engine behaviour across execution paths.
         """
         return self.modelled_simulation_time_s + self.modelled_inner_product_time_s
@@ -153,9 +139,9 @@ class EngineResult:
         Charges each stacked sweep's launch/transfer overhead once per stack
         instead of once per point
         (:meth:`repro.backends.DeviceCostModel.batched_inner_product_time`
-        and the ``batched_*_gate_time`` entries) -- the honest device
-        prediction for the fused encode-to-overlap pipeline, and the number
-        the extended Fig. 5 crossover study dispatches on.
+        and the ``batched_*_gate_time`` entries) -- the device prediction
+        for the stacked encode and block sweep, and the number the extended
+        Fig. 5 crossover study dispatches on.
         """
         return (
             self.modelled_batched_simulation_time_s
@@ -320,7 +306,8 @@ class KernelEngine:
     def encode_rows(self, X: np.ndarray) -> List[MPS]:
         """Encode every row of ``X`` (validated) to an MPS.
 
-        Multi-row encodes run through the backend's stacked gate sweep
+        A single row goes through :meth:`encode_row`.  Multi-row encodes run
+        through the backend's stacked gate sweep
         (:meth:`repro.backends.Backend.simulate_batch`), cache-aware: rows
         already in the state store are served from it and **only the misses**
         are simulated, all in one sweep per ``encode_batch_size`` chunk.
@@ -329,8 +316,8 @@ class KernelEngine:
         batch composition.
         """
         X = self.validate_features(X)
-        if X.shape[0] == 1 or not self.config.batch_encoding:
-            return [self.encode_row(row) for row in X]
+        if X.shape[0] == 1:
+            return [self.encode_row(X[0])]
         if self.store is None:
             states: List[MPS | None] = [None] * X.shape[0]
             self._encode_batched(X, range(X.shape[0]), states)
@@ -524,8 +511,7 @@ class KernelEngine:
         Identical values and accounting to :meth:`cross`, on the serving hot
         path: it never fans out or changes device.  Pass the
         ``train_states``' :class:`StackedStateBlock` (built once at fit time)
-        to skip re-stacking it and to run the fused encode-to-overlap
-        pipeline (``config.fused_pipeline``).
+        to skip re-stacking it.
         """
         return self._rectangular(X_rows, train_states, serving=True, block=block)
 
@@ -548,8 +534,6 @@ class KernelEngine:
         if self.cross_backend is not None:
             self.cross_backend.reset_counters()
         hits0, misses0 = self._cache_counts()
-        if serving and block is not None and self.config.fused_pipeline:
-            return self._execute_fused(X_rows, train_states, block, hits0, misses0)
         with TRACER.span("engine.encode") as sp:
             row_states = self.encode_rows(X_rows)
             if sp is not None:
@@ -564,91 +548,6 @@ class KernelEngine:
             if sp is not None:
                 sp.set_attribute("pairs", result.num_pairs)
         K = np.abs(result.values) ** 2
-        return self._result_from_counters(K, row_states, hits0, misses0)
-
-    def _execute_fused(
-        self,
-        X_rows: np.ndarray,
-        train_states: Sequence[MPS],
-        block: StackedStateBlock,
-        hits0: int,
-        misses0: int,
-    ) -> EngineResult:
-        """Run a kernel-row block as one fused encode-to-overlap pipeline.
-
-        Executes a :class:`~repro.engine.plan.FusedEncodeOverlapPlan`: store
-        hits are resolved up front, the remaining cold rows are encoded in
-        stacked sweeps and their states flow **directly** into the block
-        overlap sweep; only after the kernel block exists are the fresh
-        states written back to the store (and intra-batch duplicates
-        re-resolved from it).  Every store operation of the unfused path
-        still happens -- same hit/miss deltas, same occupancy -- it is just
-        scheduled off the critical path, which is what the fused benchmark
-        scenario measures.
-        """
-        n = X_rows.shape[0]
-        plan = FusedEncodeOverlapPlan(len(train_states), num_rows=n)
-        states: List[MPS | None] = [None] * n
-        pending: List[int] = []
-        deferred: List[int] = []
-        keys: List[str] = []
-        with TRACER.span("engine.encode") as sp:
-            if self.store is not None:
-                pending_keys = set()
-                keys = [
-                    state_key(row, self._ansatz_fp, self._simulation_fp)
-                    for row in X_rows
-                ]
-                for i in range(n):
-                    if keys[i] in pending_keys:
-                        deferred.append(i)
-                        continue
-                    cached = self.store.get(keys[i])
-                    if cached is not None:
-                        states[i] = cached
-                    else:
-                        pending.append(i)
-                        pending_keys.add(keys[i])
-            else:
-                pending = list(range(n))
-            # Critical path: stacked encode of the misses feeding straight
-            # into the block sweep.  No store traffic between the two.
-            if pending:
-                if self.config.batch_encoding and len(pending) > 1:
-                    self._encode_batched(X_rows, pending, states)
-                else:
-                    for i in pending:
-                        states[i] = self.simulate_row(X_rows[i]).state
-            if sp is not None:
-                sp.set_attribute("rows", n)
-                sp.set_attribute("cold", len(pending))
-        first_slot = {}
-        for i in pending:
-            first_slot.setdefault(keys[i] if keys else i, i)
-        for i in deferred:
-            states[i] = states[first_slot[keys[i]]]
-        row_states = [s for s in states if s is not None]
-        with TRACER.span("engine.overlap") as sp:
-            result = self.backend.inner_product_block(row_states, block)
-            if sp is not None:
-                sp.set_attribute("pairs", result.num_pairs)
-        K = plan.initial_matrix()
-        K[...] = np.abs(result.values) ** 2
-        # Off the critical path: the same store writes and duplicate
-        # re-resolutions the unfused path performs, in the same
-        # (put-misses, then re-get duplicates) order.
-        if self.store is not None:
-            with TRACER.span("engine.store_write") as sp:
-                for i in pending:
-                    state = states[i]
-                    if state is not None:
-                        self.store.put(keys[i], state)
-                for i in deferred:
-                    cached = self.store.get(keys[i])
-                    if cached is not None:
-                        states[i] = cached
-                if sp is not None:
-                    sp.set_attribute("writes", len(pending))
         return self._result_from_counters(K, row_states, hits0, misses0)
 
     def _select_cross_backend(

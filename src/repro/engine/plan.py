@@ -17,10 +17,10 @@ Three concrete plans cover all call sites:
 * :class:`KernelRowPlan` -- inference-time kernel rows of a (usually small)
   batch of new points against the stored training states; structurally a
   cross plan, kept as its own type so serving paths are greppable.
-* :class:`FusedEncodeOverlapPlan` -- a kernel-row plan whose encode misses
-  and overlap block are executed as **one** stacked pipeline (cold states
-  flow straight from the batched encode into the block sweep; the state
-  store is written off the critical path).
+
+Plans only enumerate overlap jobs; encoding the rows is the engine's other
+primitive (:meth:`repro.engine.KernelEngine.encode_rows`), run before any
+plan executes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "SymmetricGramPlan",
     "CrossGramPlan",
     "KernelRowPlan",
-    "FusedEncodeOverlapPlan",
 ]
 
 
@@ -168,32 +167,3 @@ class KernelRowPlan(CrossGramPlan):
         super().__init__(num_rows, num_train)
         self.num_train = num_train
 
-
-class FusedEncodeOverlapPlan(KernelRowPlan):
-    """Kernel-row plan executed as one fused encode-to-overlap pipeline.
-
-    Job structure (and therefore every kernel value) is identical to
-    :class:`KernelRowPlan`; what the type changes is *scheduling*.  When the
-    engine executes this plan (:meth:`repro.engine.KernelEngine.kernel_rows`
-    with a pre-stacked landmark block and ``EngineConfig.fused_pipeline``
-    on), a cold flush runs as a single stacked pipeline:
-
-    1. every row is looked up in the state store (hits skip simulation);
-    2. the misses are encoded through stacked gate sweeps
-       (:meth:`~repro.backends.Backend.simulate_batch`) and their fresh
-       states flow **directly** into the block overlap sweep
-       (:meth:`~repro.backends.Backend.inner_product_block`) -- no store
-       round-trip sits between the two;
-    3. only after the kernel block exists are the fresh states written back
-       to the store (same writes, same hit/miss accounting as the unfused
-       path -- just off the critical path).
-
-    A plan stays pure bookkeeping: this class carries no state and performs
-    no I/O; the engine keys the fused execution path off its type.
-    """
-
-    def jobs(self) -> Iterator[PairJob]:
-        # Same canonical job stream as the unfused row plan: the fused
-        # pipeline is a scheduling change, not a coverage change, and any
-        # executor that cannot fuse may fall back to these jobs verbatim.
-        return super().jobs()

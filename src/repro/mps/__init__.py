@@ -35,7 +35,6 @@ from .mps import MPS
 from .batched import StackedStateBlock, batched_overlaps
 from .encoding import (
     GateShapeLog,
-    circuit_prefix_tokens,
     circuit_structure_signature,
     encode_circuits,
     group_circuits_by_structure,
@@ -45,7 +44,6 @@ from .instrumented import InstrumentedMPS, MemoryTrace, MemorySample
 __all__ = [
     "MPS",
     "GateShapeLog",
-    "circuit_prefix_tokens",
     "circuit_structure_signature",
     "encode_circuits",
     "group_circuits_by_structure",

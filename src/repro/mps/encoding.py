@@ -1,14 +1,14 @@
-"""Batched circuit encoding: stacked gate sweeps with prefix sharing.
+"""Batched circuit encoding: stacked gate sweeps over same-structure circuits.
 
 Encoding a data point -- simulating its feature-map circuit into an MPS -- is
-the last per-point hot path in the serving story: overlaps are batched
-(:mod:`repro.mps.batched`), but every cold query still sweeps its gates one
-Python call at a time.  This module closes that gap.  All circuits built from
-one ansatz share a *structure* (the same ordered sequence of gate targets;
-only the angles differ per data point), so a micro-batch of encodings is the
-same sweep over a stack of tensors:
+the linear half of the paper's workload.  All circuits built from one ansatz
+share a *structure* (the same ordered sequence of gate targets; only the
+angles differ per data point), so a micro-batch of encodings is one sweep over
+a stack of tensors:
 
-* circuits are grouped by :func:`circuit_structure_signature`;
+* circuits are grouped by :func:`circuit_structure_signature`, and each group
+  runs its own straight sweep (a :class:`~repro.engine.KernelEngine` encodes
+  with one ansatz, so its batches are always a single group);
 * within a group every state starts as the same stacked ``|0...0>`` block and
   each gate is applied to the whole stack at once -- single- and two-qubit
   contractions are broadcast ``matmul`` gufuncs, QR center moves and the
@@ -18,20 +18,6 @@ same sweep over a stack of tensors:
   would run), so members whose kept ranks diverge are split into new shape
   groups and the sweep continues per group.
 
-Prefix-sharing encode tree
---------------------------
-Mixed-ansatz micro-batches used to fragment into one sweep per distinct
-structure, collapsing the batching win exactly when workloads diversify.
-With ``prefix_sharing`` (the default) the sweep is instead a *tree* walk:
-circuits of the same width start in one stacked root, advance together for as
-long as their next gate targets the same qubits -- the shared gate prefix,
-e.g. the common trunk of two routing variants or of depth-1 and depth-2
-ansatz families -- and **fork** at the first divergence point, each branch
-continuing as its own (smaller) stacked sweep.  Per-slice truncation and the
-bond-dimension regrouping work unchanged inside every branch.  Same-structure
-circuits never fork, so the tree degrades gracefully to the per-signature
-grouping; ``prefix_sharing=False`` forces that grouping for benchmarks.
-
 Bit-identicality contract
 -------------------------
 Every per-slice operation of the stacked sweep is the *same gufunc* the
@@ -39,13 +25,12 @@ per-point path in :mod:`repro.mps.tensor_ops` issues (``matmul`` broadcast,
 stacked ``np.linalg.qr`` via :func:`~repro.mps.tensor_ops.stacked_qr_right` /
 :func:`~repro.mps.tensor_ops.stacked_rq_left`, stacked ``np.linalg.svd``
 inner loops, per-slice ``select_rank`` calls), and NumPy evaluates gufunc
-slices independently of how many ride in one call.  Forking only *selects*
-slices out of a stack (a value-preserving copy), so the resulting site
-tensors are **bit-identical** to per-point
+slices independently of how many ride in one call.  The resulting site
+tensors are therefore **bit-identical** to per-point
 :meth:`repro.mps.MPS.apply_circuit` simulation -- however the batch was
-composed, permuted, partitioned, or prefix-shared -- which is the invariant
-the encoding property suites pin down and the serving layer's
-byte-identical-predictions contract extends to cold traffic.
+composed, permuted or partitioned -- which is the invariant the encoding
+property suites pin down and the serving layer's byte-identical-predictions
+contract extends to cold traffic.
 
 The module lives in the :mod:`repro.mps` layer (it depends only on the MPS
 machinery and NumPy); :mod:`repro.backends` wraps it with device cost-model
@@ -56,7 +41,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +52,6 @@ from .truncation import TruncationPolicy, TruncationRecord
 
 __all__ = [
     "circuit_structure_signature",
-    "circuit_prefix_tokens",
     "group_circuits_by_structure",
     "GateShapeLog",
     "encode_circuits",
@@ -84,18 +68,6 @@ def circuit_structure_signature(circuit) -> Tuple:
     construction.
     """
     return (circuit.num_qubits, tuple(op.qubits for op in circuit.operations))
-
-
-def circuit_prefix_tokens(circuit) -> Tuple[Tuple[int, ...], ...]:
-    """Per-gate target tokens, the comparison unit of the prefix tree.
-
-    Two same-width circuits share the stacked sweep of ops ``0..k`` exactly
-    when their first ``k + 1`` tokens agree; the gate *matrices* are free to
-    differ (they are stacked per member anyway), which is what lets e.g. an
-    RZ-layer circuit and an RX-layer circuit on the same qubit schedule share
-    their whole sweep.
-    """
-    return tuple(op.qubits for op in circuit.operations)
 
 
 def group_circuits_by_structure(circuits: Sequence) -> Dict[Tuple, List[int]]:
@@ -116,14 +88,11 @@ class GateShapeLog:
     Backends turn the log into modelled device seconds without the encoding
     layer depending on :mod:`repro.backends`.  ``structure_groups`` records
     how many distinct circuit structures the batch contained (filled by
-    :func:`encode_circuits`, saving consumers a re-grouping pass);
-    ``prefix_forks`` counts the divergence points of the prefix tree --
-    zero means every member rode one sweep end to end.
+    :func:`encode_circuits`, saving consumers a re-grouping pass).
     """
 
     entries: List[Tuple] = field(default_factory=list)
     structure_groups: int = 0
-    prefix_forks: int = 0
 
     def add_single(self, count: int, chi_l: int, chi_r: int) -> None:
         self.entries.append(("1q", count, chi_l, chi_r))
@@ -172,31 +141,6 @@ def _stacked_svd(mats: np.ndarray):
             ss.append(s)
             vhs.append(vh)
         return np.stack(us), np.stack(ss), np.stack(vhs)
-
-
-def _slice_blocks(blocks: List[_ChainBlock], keep: frozenset) -> List[_ChainBlock]:
-    """Restrict shape blocks to the ``keep`` members (a tree fork).
-
-    Selection is plain advanced indexing: each surviving slice is a
-    value-preserving copy of the member's site stack, so a branch's tensors
-    after a fork are bit-identical to what an unshared sweep of just those
-    members would hold at the same op index.
-    """
-    out: List[_ChainBlock] = []
-    for block in blocks:
-        sel = [i for i, m in enumerate(block.members) if m in keep]
-        if not sel:
-            continue
-        if len(sel) == len(block.members):
-            out.append(block)
-            continue
-        arr = np.asarray(sel, dtype=int)
-        out.append(
-            _ChainBlock(
-                [block.members[i] for i in sel], [st[arr] for st in block.stacks]
-            )
-        )
-    return out
 
 
 def _apply_single(
@@ -316,110 +260,60 @@ def _apply_two(
     return new_blocks
 
 
-def _finalize_blocks(
-    blocks: List[_ChainBlock],
-    center: int,
-    num_qubits: int,
+def _sweep_group(
+    circuits: Sequence,
+    member_indices: Sequence[int],
     policy: TruncationPolicy,
-    ops_for: Dict[int, list],
-    discarded: Dict[int, float],
-    records: Dict[int, List[TruncationRecord]],
-    results: List[Tuple[int, MPS]],
-) -> None:
-    """Extract every member of ``blocks`` into its own per-point MPS."""
+    log: GateShapeLog,
+) -> List[Tuple[int, MPS]]:
+    """Simulate one structure group of circuits in a single stacked sweep.
+
+    Every member applies its own gate matrices to the same targets in the
+    same order, so the sweep walks the shared op list once.  Returns
+    ``(original_index, state)`` pairs; see the module docstring for the
+    bit-identicality contract.
+    """
+    num_qubits = circuits[member_indices[0]].num_qubits
+    ops_for: Dict[int, list] = {m: list(circuits[m]) for m in member_indices}
+    shared_ops = ops_for[member_indices[0]]
+
+    # The stacked |0...0> start: every site needs its own stack array
+    # because sites are updated independently during the sweep.
+    zero = np.zeros((len(member_indices), 1, 2, 1), dtype=np.complex128)
+    zero[:, 0, 0, 0] = 1.0
+    blocks = [
+        _ChainBlock(list(member_indices), [zero.copy() for _ in range(num_qubits)])
+    ]
+    discarded: Dict[int, float] = {m: 0.0 for m in member_indices}
+    records: Dict[int, List[TruncationRecord]] = {m: [] for m in member_indices}
+    center = 0
+    for k, op in enumerate(shared_ops):
+        qubits = op.qubits
+        gate_for = {m: ops_for[m][k].matrix() for m in member_indices}
+        if len(qubits) == 1:
+            _apply_single(blocks, qubits[0], gate_for, log)
+            continue
+        if len(qubits) != 2 or qubits[1] != qubits[0] + 1:
+            raise SimulationError(
+                "batched encoding requires a routed circuit "
+                f"(adjacent two-qubit gates); got targets {qubits}"
+            )
+        q = qubits[0]
+        center = _move_center(blocks, center, q)
+        blocks = _apply_two(blocks, q, gate_for, policy, log, discarded, records)
+        center = q + 1
+
+    two_qubit_gates = sum(1 for op in shared_ops if len(op.qubits) == 2)
+    results: List[Tuple[int, MPS]] = []
     for block in blocks:
         for slot, member in enumerate(block.members):
             tensors = [block.stacks[site][slot].copy() for site in range(num_qubits)]
             state = MPS(tensors, truncation=policy, center=center)
             state._cumulative_discarded_weight = discarded[member]
             state._truncation_records = records[member]
-            ops = ops_for[member]
-            state._gates_applied = len(ops)
-            state._two_qubit_gates_applied = sum(
-                1 for op in ops if len(op.qubits) == 2
-            )
+            state._gates_applied = len(shared_ops)
+            state._two_qubit_gates_applied = two_qubit_gates
             results.append((member, state))
-
-
-def _sweep_prefix_tree(
-    circuits: Sequence,
-    member_indices: Sequence[int],
-    policy: TruncationPolicy,
-    log: GateShapeLog,
-) -> List[Tuple[int, MPS]]:
-    """Simulate one width group of circuits through a prefix-sharing tree.
-
-    Returns ``(original_index, state)`` pairs.  Members advance in one
-    stacked sweep while their next gate token agrees, fork when it diverges
-    (or when a member's circuit ends); same-structure members therefore never
-    fork and arbitrary mixtures fragment only where their structures actually
-    differ.  See the module docstring for the bit-identicality contract.
-    """
-    num_qubits = circuits[member_indices[0]].num_qubits
-    ops_for: Dict[int, list] = {m: list(circuits[m]) for m in member_indices}
-    tokens: Dict[int, List[Tuple[int, ...]]] = {
-        m: [op.qubits for op in ops_for[m]] for m in member_indices
-    }
-    discarded: Dict[int, float] = {m: 0.0 for m in member_indices}
-    records: Dict[int, List[TruncationRecord]] = {m: [] for m in member_indices}
-
-    # The stacked |0...0> start: every site needs its own stack array
-    # because sites are updated independently during the sweep.
-    batch = len(member_indices)
-    zero = np.zeros((batch, 1, 2, 1), dtype=np.complex128)
-    zero[:, 0, 0, 0] = 1.0
-    root = _ChainBlock(
-        list(member_indices), [zero.copy() for _ in range(num_qubits)]
-    )
-
-    results: List[Tuple[int, MPS]] = []
-    # Each tree node is (blocks, center, next op index); the walk is
-    # iterative so fork depth never touches the Python recursion limit.
-    nodes: List[Tuple[List[_ChainBlock], int, int]] = [([root], 0, 0)]
-    while nodes:
-        blocks, center, k = nodes.pop()
-        while True:
-            members = [m for b in blocks for m in b.members]
-            groups: Dict[Optional[Tuple[int, ...]], List[int]] = {}
-            for m in members:
-                tok = tokens[m][k] if k < len(tokens[m]) else None
-                groups.setdefault(tok, []).append(m)
-            if len(groups) > 1:
-                # Divergence point: fork one branch per distinct next token.
-                log.prefix_forks += len(groups) - 1
-                for tok, subset in groups.items():
-                    sub_blocks = _slice_blocks(blocks, frozenset(subset))
-                    if tok is None:
-                        _finalize_blocks(
-                            sub_blocks, center, num_qubits, policy,
-                            ops_for, discarded, records, results,
-                        )
-                    else:
-                        nodes.append((sub_blocks, center, k))
-                break
-            qubits = next(iter(groups))
-            if qubits is None:
-                _finalize_blocks(
-                    blocks, center, num_qubits, policy,
-                    ops_for, discarded, records, results,
-                )
-                break
-            gate_for = {m: ops_for[m][k].matrix() for m in members}
-            if len(qubits) == 1:
-                _apply_single(blocks, qubits[0], gate_for, log)
-            else:
-                if len(qubits) != 2 or qubits[1] != qubits[0] + 1:
-                    raise SimulationError(
-                        "batched encoding requires a routed circuit "
-                        f"(adjacent two-qubit gates); got targets {qubits}"
-                    )
-                q = qubits[0]
-                center = _move_center(blocks, center, q)
-                blocks = _apply_two(
-                    blocks, q, gate_for, policy, log, discarded, records
-                )
-                center = q + 1
-            k += 1
     return results
 
 
@@ -427,19 +321,14 @@ def encode_circuits(
     circuits: Sequence,
     policy: TruncationPolicy | None = None,
     log: GateShapeLog | None = None,
-    prefix_sharing: bool = True,
 ) -> List[MPS]:
     """Simulate a batch of routed circuits through stacked gate sweeps.
 
-    With ``prefix_sharing`` (the default) circuits are grouped only by qubit
-    count and swept as a prefix-sharing tree: circuits whose structure
-    signatures share a common gate prefix ride one stacked sweep until the
-    first diverging gate target, then fork.  With ``prefix_sharing=False``
-    circuits are grouped by full :func:`circuit_structure_signature` and each
-    group runs its own sweep (the pre-tree behaviour, kept for benchmarks).
-    Either way, states that diverge in bond dimension regroup on the fly, so
-    arbitrary mixtures are supported and every resulting MPS is bit-identical
-    to simulating its circuit alone.
+    Circuits are grouped by :func:`circuit_structure_signature` and each
+    group runs its own straight sweep; states that diverge in bond dimension
+    regroup on the fly.  Mixed-structure batches are therefore supported,
+    and every resulting MPS is bit-identical to simulating its circuit
+    alone.
 
     Parameters
     ----------
@@ -452,8 +341,6 @@ def encode_circuits(
     log:
         Optional :class:`GateShapeLog` that accumulates per-gate tensor
         shapes for backend cost models.
-    prefix_sharing:
-        Share common gate-prefix sweeps across structure groups.
 
     Returns
     -------
@@ -467,16 +354,9 @@ def encode_circuits(
     if log is None:
         log = GateShapeLog()
     states: List[MPS | None] = [None] * len(circuits)
-    log.structure_groups = len(group_circuits_by_structure(circuits))
-    if prefix_sharing:
-        sweep_groups: Dict[Tuple, List[int]] = defaultdict(list)
-        for idx, circuit in enumerate(circuits):
-            sweep_groups[(circuit.num_qubits,)].append(idx)
-    else:
-        sweep_groups = group_circuits_by_structure(circuits)
-    for indices in sweep_groups.values():
-        for original_idx, state in _sweep_prefix_tree(
-            circuits, indices, policy, log
-        ):
+    groups = group_circuits_by_structure(circuits)
+    log.structure_groups = len(groups)
+    for indices in groups.values():
+        for original_idx, state in _sweep_group(circuits, indices, policy, log):
             states[original_idx] = state
     return [s for s in states if s is not None]

@@ -112,7 +112,7 @@ def stacked_qr_right(stacks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     bit-identical to the single-matrix call, so pushing a whole stack's
     orthogonality centres rightward in one call produces exactly the tensors
     ``g`` per-point :func:`qr_right` calls would -- the invariant the batched
-    encoding sweep (and now the prefix-sharing encode tree) relies on.
+    encoding sweep relies on.
     """
     g, left, phys, right = stacks.shape
     qs, rs = np.linalg.qr(stacks.reshape(g, left * phys, right))

@@ -581,8 +581,12 @@ class AsyncServingQueue:
                 if remaining <= 0:
                     break
                 self._cond.wait(remaining)
-            batch = self._pending[: tuning.max_batch]
+            popped = self._pending[: tuning.max_batch]
             del self._pending[: tuning.max_batch]
+            # A request its caller cancelled while it waited is dropped here:
+            # it is never scored and never waited on.  The survivors' futures
+            # can no longer be cancelled, so resolving them cannot fail.
+            batch = [p for p in popped if p.future.set_running_or_notify_cancel()]
             self._in_flight = [p.future for p in batch]
             if not self._pending:
                 self._flush_requested = False

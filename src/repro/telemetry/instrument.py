@@ -225,11 +225,6 @@ def bind_backend(
         "Stacked gate launches executed by the batched encode sweeps.",
         labelnames,
     )
-    prefix_forks = registry.counter(
-        "repro_encode_prefix_forks_total",
-        "Divergence points of the prefix-sharing encode tree.",
-        labelnames,
-    )
     timing_gauges = {
         key: registry.gauge(
             f"repro_backend_{key}",
@@ -261,7 +256,6 @@ def bind_backend(
                     "num_inner_products",
                     "num_encode_batches",
                     "num_encode_stacked_launches",
-                    "num_prefix_forks",
                 )
             }
         simulations.labels(**labels).set_total(summary["num_simulations"])
@@ -270,7 +264,6 @@ def bind_backend(
         encode_launches.labels(**labels).set_total(
             summary["num_encode_stacked_launches"]
         )
-        prefix_forks.labels(**labels).set_total(summary["num_prefix_forks"])
         for key, gauge in timing_gauges.items():
             attr = key.replace("_seconds", "_s")
             gauge.labels(**labels).set(summary.get(attr, getattr(backend, attr, 0.0)))

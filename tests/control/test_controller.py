@@ -274,7 +274,7 @@ def test_unknown_policy_knobs_never_reach_the_target():
     class RoguePolicy(StaticPolicy):
         name = "rogue"
 
-        def propose(self, signals, knobs, bounds, context=None):
+        def propose(self, signals, knobs, bounds):
             return {"num_replicas": 99, "max_batch": 16}
 
     queue = FakeQueue(max_batch=8)

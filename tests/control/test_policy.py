@@ -6,8 +6,6 @@ from repro.config import TuningConfig
 from repro.control import (
     CONTROL_POLICIES,
     ControlSignals,
-    CostContext,
-    CostModelPolicy,
     DepthProportionalPolicy,
     StaticPolicy,
     make_control_policy,
@@ -37,11 +35,7 @@ def knobs(max_batch=8, high_water=None):
 # Registry
 # ----------------------------------------------------------------------
 def test_registry_resolves_all_shipped_policies():
-    assert sorted(CONTROL_POLICIES) == [
-        "cost-model",
-        "depth-proportional",
-        "static",
-    ]
+    assert sorted(CONTROL_POLICIES) == ["depth-proportional", "static"]
     for name, cls in CONTROL_POLICIES.items():
         policy = make_control_policy(name)
         assert isinstance(policy, cls)
@@ -128,92 +122,3 @@ def test_depth_policy_tracks_high_water_only_when_configured():
     )
     assert configured["queue_depth_high_water"] == 8 * 16
 
-
-# ----------------------------------------------------------------------
-# Cost-model
-# ----------------------------------------------------------------------
-class _LinearCostModel:
-    """sweep(batch) = fixed per-flush overhead + linear per-pair work."""
-
-    def __init__(self, overhead_s=0.010, per_pair_s=0.0001):
-        self.overhead_s = overhead_s
-        self.per_pair_s = per_pair_s
-
-    def batched_inner_product_time(self, batch, num_qubits, chi):
-        return self.overhead_s + batch * self.per_pair_s
-
-
-def _context(**kwargs):
-    return CostContext(
-        cost_model=_LinearCostModel(**kwargs),
-        num_qubits=4,
-        num_landmarks=1,
-        chi=2,
-    )
-
-
-def test_cost_policy_validates_parameters():
-    with pytest.raises(ControlError, match="overhead_ms"):
-        CostModelPolicy(overhead_ms=-1.0)
-    with pytest.raises(ControlError, match="hw_batches"):
-        CostModelPolicy(hw_batches=0)
-
-
-def test_cost_policy_needs_context_and_arrivals():
-    policy = CostModelPolicy()
-    busy = ControlSignals(queue_depth=10, arrival_rate_rps=100.0)
-    assert policy.propose(busy, knobs(), BOUNDS, context=None) == {}
-    idle = ControlSignals(queue_depth=10, arrival_rate_rps=0.0)
-    assert policy.propose(idle, knobs(), BOUNDS, context=_context()) == {}
-
-
-def test_cost_policy_prefers_small_batches_at_low_rate():
-    # At 10 rps a single request is serviced long before the next arrives:
-    # every candidate is stable and B=1 minimises latency (no fill wait).
-    policy = CostModelPolicy()
-    out = policy.propose(
-        ControlSignals(arrival_rate_rps=10.0), knobs(), BOUNDS, _context()
-    )
-    assert out["max_batch"] == BOUNDS.min_batch
-    assert out["encode_batch_size"] == out["max_batch"]
-    assert out["max_wait_ms"] == pytest.approx(0.0)
-
-
-def test_cost_policy_grows_batch_under_load():
-    # At 500 rps, B=1 services only 1/0.0101 ~ 99 rps -- unstable.  The
-    # fixed per-flush overhead amortises with B, so the stability filter
-    # forces the batch up until B / sweep(B) >= 500 (B=8 is the first
-    # stable power of two: 8 / 0.0108 ~ 740 rps).
-    policy = CostModelPolicy()
-    out = policy.propose(
-        ControlSignals(arrival_rate_rps=500.0), knobs(), BOUNDS, _context()
-    )
-    assert out["max_batch"] == 8
-    # The wait deadline agrees with the expected fill time of that batch.
-    assert out["max_wait_ms"] == pytest.approx(1000.0 * 7 / 500.0)
-
-
-def test_cost_policy_falls_back_to_max_throughput_when_saturated():
-    # No candidate keeps pace with 1e6 rps: propose the highest-throughput
-    # batch (the ceiling, since throughput grows monotonically here).
-    policy = CostModelPolicy()
-    out = policy.propose(
-        ControlSignals(arrival_rate_rps=1e6), knobs(), BOUNDS, _context()
-    )
-    assert out["max_batch"] == BOUNDS.batch_ceiling
-
-
-def test_cost_policy_tracks_high_water_only_when_configured():
-    policy = CostModelPolicy(hw_batches=4)
-    signals = ControlSignals(arrival_rate_rps=500.0)
-    assert "queue_depth_high_water" not in policy.propose(
-        signals, knobs(high_water=None), BOUNDS, _context()
-    )
-    out = policy.propose(signals, knobs(high_water=64), BOUNDS, _context())
-    assert out["queue_depth_high_water"] == 4 * out["max_batch"]
-
-
-def test_cost_policy_candidates_span_bounds_with_powers_of_two():
-    policy = CostModelPolicy()
-    bounds = TuningConfig(min_batch=3, batch_ceiling=20)
-    assert policy._candidates(bounds) == [3, 4, 8, 16, 20]

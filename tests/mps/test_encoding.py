@@ -9,6 +9,7 @@ from repro.config import AnsatzConfig, SimulationConfig
 from repro.exceptions import BackendError, SimulationError
 from repro.mps import (
     MPS,
+    GateShapeLog,
     InstrumentedMPS,
     TruncationPolicy,
     circuit_structure_signature,
@@ -101,7 +102,9 @@ def test_mixed_structure_batch(rng):
         build_feature_map_circuit(rows[i], a1 if i % 2 == 0 else a2, )
         for i in range(6)
     ]
-    batched = encode_circuits(circuits)
+    log = GateShapeLog()
+    batched = encode_circuits(circuits, log=log)
+    assert log.structure_groups == 2
     _assert_states_bit_identical(batched, [_reference_state(c) for c in circuits])
 
 

@@ -65,9 +65,7 @@ def _drain(futures):
 # Relation 1: the controller on (any policy, stepped hard) vs off changes
 # no prediction, ever.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "policy", ["static", "depth-proportional", "cost-model"]
-)
+@pytest.mark.parametrize("policy", ["static", "depth-proportional"])
 def test_controller_on_vs_off_is_byte_identical(
     payload, queries, reference, policy
 ):

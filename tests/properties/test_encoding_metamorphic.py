@@ -2,9 +2,11 @@
 
 The batched encoding contract mirrors the overlap path's: *how* a set of
 feature vectors is encoded -- one at a time, in one stacked sweep, chunked,
-reordered, or interleaved with cache hits -- must not move a single bit of
-any state, kernel entry or served prediction.  Every equivalence below is
-exact (``tobytes()`` / ``np.array_equal``), not approximate.
+reordered, split, mixed with circuits of other structures, or interleaved
+with cache hits -- must not move a single bit of any state, kernel entry or
+served prediction.  The per-point oracle is :meth:`KernelEngine.encode_row`
+/ :meth:`MPS.apply_circuit`.  Every equivalence below is exact
+(``tobytes()`` / ``np.array_equal``), not approximate.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ from hypothesis import strategies as st
 
 from repro.approx import LinearSVC, NystroemConfig, NystroemFeatureMap
 from repro.approx.streaming import StreamingNystroemClassifier
+from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
-from repro.engine import EngineConfig, KernelEngine
+from repro.engine import EngineConfig, KernelEngine, SymmetricGramPlan
+from repro.mps import MPS, TruncationPolicy, encode_circuits
 from repro.serving import AsyncServingQueue
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=2, layers=1, gamma=0.7)
@@ -25,15 +29,17 @@ def _states_bytes(states):
     return [tuple(t.tobytes() for t in s.tensors) for s in states]
 
 
-def _engine(batch_encoding=True, encode_batch_size=32, use_cache=False):
+def _engine(encode_batch_size=32, use_cache=False):
     return KernelEngine(
         ANSATZ,
-        config=EngineConfig(
-            use_cache=use_cache,
-            batch_encoding=batch_encoding,
-            encode_batch_size=encode_batch_size,
-        ),
+        config=EngineConfig(use_cache=use_cache, encode_batch_size=encode_batch_size),
     )
+
+
+def _per_point(X):
+    """The oracle: every row encoded alone through ``encode_row``."""
+    engine = _engine()
+    return [engine.encode_row(row) for row in X]
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +54,7 @@ def _engine(batch_encoding=True, encode_batch_size=32, use_cache=False):
 def test_chunk_size_invariance(rows, chunk, seed):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.05, 1.95, size=(rows, 4))
-    sequential = _engine(batch_encoding=False).encode_rows(X)
+    sequential = _per_point(X)
     chunked = _engine(encode_batch_size=chunk).encode_rows(X)
     assert _states_bytes(sequential) == _states_bytes(chunked)
 
@@ -90,9 +96,80 @@ def test_cache_occupancy_does_not_change_states(rng):
 
 def test_gram_invariant_under_batch_encoding(rng):
     X = rng.uniform(0.05, 1.95, size=(7, 4))
-    K_seq = _engine(batch_encoding=False).gram(X).matrix
-    K_bat = _engine(encode_batch_size=3).gram(X).matrix
+    engine = _engine(encode_batch_size=3)
+    K_seq = engine.execute_plan(SymmetricGramPlan(7), _per_point(X))
+    K_bat = engine.gram(X).matrix
     assert np.array_equal(K_seq, K_bat)
+
+
+# ----------------------------------------------------------------------
+# Mixed-structure batches (encode_circuits groups them per structure)
+# ----------------------------------------------------------------------
+# The layers=1 schedule is a strict prefix of the layers=2 one, and the d=2
+# schedule shares the d=1 schedule's opening block before diverging.
+MIXED_ANSATZE = [
+    AnsatzConfig(num_features=5, interaction_distance=1, layers=1, gamma=0.8),
+    AnsatzConfig(num_features=5, interaction_distance=1, layers=2, gamma=0.8),
+    AnsatzConfig(num_features=5, interaction_distance=2, layers=1, gamma=0.8),
+]
+
+
+def _mixed_circuits(rng, counts=(3, 3, 3), ansatze=MIXED_ANSATZE):
+    return [
+        build_feature_map_circuit(row, ansatz)
+        for ansatz, count in zip(ansatze, counts)
+        for row in rng.uniform(0.05, 1.95, size=(count, ansatz.num_features))
+    ]
+
+
+def _apply_circuit(circuit, policy=None):
+    state = MPS.zero_state(circuit.num_qubits, policy or TruncationPolicy())
+    state.apply_circuit(circuit)
+    return state
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_mixed_batch_permutation_invariance(seed):
+    rng = np.random.default_rng(seed)
+    circuits = _mixed_circuits(rng, counts=(2, 3, 2))
+    perm = rng.permutation(len(circuits))
+    direct = _states_bytes(encode_circuits(circuits))
+    permuted = _states_bytes(encode_circuits([circuits[i] for i in perm]))
+    assert [direct[i] for i in perm] == permuted
+    assert direct == _states_bytes([_apply_circuit(c) for c in circuits])
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    split=st.integers(min_value=1, max_value=8),
+)
+def test_mixed_batch_partition_invariance(seed, split):
+    """Splitting a mixed batch anywhere yields the same states as the union."""
+    rng = np.random.default_rng(seed)
+    circuits = _mixed_circuits(rng)
+    together = _states_bytes(encode_circuits(circuits))
+    apart = _states_bytes(encode_circuits(circuits[:split])) + _states_bytes(
+        encode_circuits(circuits[split:])
+    )
+    assert together == apart
+
+
+def test_mixed_batch_under_a_truncating_policy(rng):
+    """A lossy policy's per-slice rank choices stay bit-identical to its
+    per-point application, in a batch of two structures."""
+    policy = TruncationPolicy(max_bond_dim=4, allow_lossy_cap=True)
+    ansatze = [
+        AnsatzConfig(num_features=6, interaction_distance=3, layers=r, gamma=1.0)
+        for r in (2, 1)
+    ]
+    circuits = _mixed_circuits(rng, counts=(3, 3), ansatze=ansatze)
+    batched = encode_circuits(circuits, policy=policy)
+    expected = [_apply_circuit(c, policy) for c in circuits]
+    assert _states_bytes(batched) == _states_bytes(expected)
+    for a, e in zip(batched, expected):
+        assert a.cumulative_discarded_weight == e.cumulative_discarded_weight
 
 
 # ----------------------------------------------------------------------
@@ -107,12 +184,9 @@ def fitted_parts():
     return X, y
 
 
-def _classifier(fitted_parts, batch_encoding):
+def _classifier(fitted_parts):
     X, y = fitted_parts
-    engine = KernelEngine(
-        ANSATZ,
-        config=EngineConfig(use_cache=True, batch_encoding=batch_encoding),
-    )
+    engine = KernelEngine(ANSATZ, config=EngineConfig(use_cache=True))
     feature_map = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=6, seed=0))
     phi = feature_map.fit_transform(X)
     model = LinearSVC(C=1.0).fit(phi, y)
@@ -135,21 +209,24 @@ def _serve(classifier, stream, max_batch):
 
 def test_cold_predictions_invariant_under_coalescing(fitted_parts, cold_stream):
     """Batch size of the queue must not move a bit of any cold prediction."""
-    one = _serve(_classifier(fitted_parts, True), cold_stream, max_batch=1)
-    many = _serve(_classifier(fitted_parts, True), cold_stream, max_batch=16)
+    one = _serve(_classifier(fitted_parts), cold_stream, max_batch=1)
+    many = _serve(_classifier(fitted_parts), cold_stream, max_batch=16)
     assert np.array_equal(one, many)
 
 
 def test_cold_predictions_invariant_under_batch_encoding(fitted_parts, cold_stream):
     """Stacked encoding must reproduce the per-point path bit for bit."""
-    batched = _serve(_classifier(fitted_parts, True), cold_stream, max_batch=8)
-    pointwise = _serve(_classifier(fitted_parts, False), cold_stream, max_batch=8)
+    batched = _serve(_classifier(fitted_parts), cold_stream, max_batch=8)
+    classifier = _classifier(fitted_parts)
+    pointwise = np.array(
+        [classifier.classify(row[None, :]).decision_values[0] for row in cold_stream]
+    )
     assert np.array_equal(batched, pointwise)
 
 
 def test_cold_predictions_invariant_under_request_order(fitted_parts, cold_stream):
-    classifier = _classifier(fitted_parts, True)
+    classifier = _classifier(fitted_parts)
     direct = _serve(classifier, cold_stream, max_batch=8)
     perm = np.random.default_rng(3).permutation(len(cold_stream))
-    permuted = _serve(_classifier(fitted_parts, True), cold_stream[perm], max_batch=8)
+    permuted = _serve(_classifier(fitted_parts), cold_stream[perm], max_batch=8)
     assert np.array_equal(direct[perm], permuted)

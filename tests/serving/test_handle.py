@@ -1,5 +1,6 @@
 """Unit tests for the one-call serving surface: repro.serve() / ServingHandle."""
 
+import threading
 import urllib.request
 
 import numpy as np
@@ -100,6 +101,38 @@ def test_non_finite_row_is_rejected_at_admission(payload, queries, bad_value):
     assert served.tobytes() == clean.tobytes()
 
 
+def _flush_returns(handle, timeout=30.0):
+    """Run ``handle.flush()`` in a helper thread; True if it returned in time."""
+    flusher = threading.Thread(target=handle.flush, daemon=True)
+    flusher.start()
+    flusher.join(timeout)
+    return not flusher.is_alive()
+
+
+def test_cancelled_request_leaves_the_coalescer_serving(
+    served_engine, payload, queries
+):
+    """A request cancelled while it waits is dropped; every other request of
+    its batch, and every later one, still resolves byte-identical to
+    classify(), and flush() returns."""
+    rows = queries[:4]
+    reference = served_engine.streaming_classifier().classify(rows)
+    # A long deadline holds all four rows in one pending batch until flush.
+    config = ServingConfig(tuning=TuningConfig(max_batch=8, max_wait_ms=10_000.0))
+    with serve(payload, config) as handle:
+        futures = handle.submit_many(rows)
+        assert futures[1].cancel()
+        assert _flush_returns(handle)
+        for i in (0, 2, 3):
+            served = futures[i].result(timeout=30)
+            assert served.decision_value == reference.decision_values[i]
+            assert served.prediction == reference.predictions[i]
+        later = handle.submit(rows[1])
+        assert _flush_returns(handle)
+        assert later.result(timeout=30).decision_value == reference.decision_values[1]
+        assert _flush_returns(handle)
+
+
 def test_serve_accepts_a_model_object_directly(served_engine, queries):
     with serve(served_engine) as handle:
         assert handle.predict(queries[0]).prediction in (0, 1)
@@ -173,15 +206,6 @@ def test_control_interval_runs_the_loop_in_the_background(payload):
         assert handle.controller.step_count > 0
     # close() stopped the loop thread.
     assert handle.controller._loop_thread is None
-
-
-def test_cost_model_context_is_reachable_from_a_real_fleet(payload):
-    with serve(payload, ServingConfig(control_policy="cost-model")) as handle:
-        context = handle.controller._context
-        assert context is not None
-        assert context.num_landmarks == 6
-        assert context.num_qubits == 4
-        assert context.chi >= 2
 
 
 # ----------------------------------------------------------------------

@@ -201,16 +201,6 @@ def test_from_config_builds_matching_fleet(payload, tmp_path):
         assert future.result(timeout=60).prediction in (0, 1)
 
 
-def test_from_config_accepts_deprecated_loose_knobs(payload):
-    with pytest.warns(DeprecationWarning, match="loose serving knobs"):
-        config = ServingConfig(max_batch=4, max_wait_ms=2.0)
-    assert config.tuning.max_batch == 4
-    with ReplicaRouter.from_config(payload, config) as router:
-        assert router.queues[0].max_batch == 4
-        future = router.submit(np.zeros(4))
-        assert future.result(timeout=60).prediction in (0, 1)
-
-
 def test_router_apply_tuning_fans_out_and_sets_high_water(payload):
     with ReplicaRouter(
         payload, num_replicas=2, max_batch=4, queue_depth_high_water=16

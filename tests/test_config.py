@@ -157,22 +157,9 @@ def test_serving_config_nested_tuning_is_canonical():
         num_replicas=2,
     )
     assert config.tuning.max_batch == 4
-    # Legacy attribute readers see the effective tuning.
-    assert config.max_batch == 4
-    assert config.max_wait_ms == 2.0
-    assert config.queue_depth_high_water is None
-
-
-def test_serving_config_loose_knobs_deprecated_but_folded():
-    with pytest.warns(DeprecationWarning, match="loose serving knobs"):
-        config = ServingConfig(max_batch=8, wait_jitter_ms=1.0)
-    assert config.tuning == TuningConfig(max_batch=8, wait_jitter_ms=1.0)
-    assert config.max_batch == 8
-
-
-def test_serving_config_rejects_loose_and_nested_together():
-    with pytest.raises(ConfigurationError, match="not both"):
-        ServingConfig(max_batch=8, tuning=TuningConfig())
+    assert config.tuning.max_wait_ms == 2.0
+    assert config.tuning.queue_depth_high_water is None
+    assert ServingConfig().tuning == TuningConfig()
 
 
 def test_serving_config_validates_control_fields():

@@ -1,35 +1,20 @@
-"""Metamorphic relations of the prefix-sharing encode tree.
+"""Metamorphic relations of mixed-structure batched encoding.
 
-The prefix tree lets circuits of *different* structures share the stacked
-sweep of their common gate prefix, forking only where their target schedules
-diverge.  Its contract is the batched-encoding contract unchanged: no matter
-how a batch is composed, permuted, partitioned by structure, or interleaved
-with cache hits -- and whether prefix sharing is on or off -- every returned
-state is bit-identical to per-point :meth:`MPS.apply_circuit` simulation.
-What the tree is *allowed* to change is the launch count: mixed batches with
-a shared prefix must issue strictly fewer stacked gate applications.
+A batch may mix circuits of *different* structures; :func:`encode_circuits`
+runs one stacked sweep per structure group.  However the batch is composed or
+interleaved with cache hits, every returned state is bit-identical to
+per-point :meth:`MPS.apply_circuit` simulation.
 """
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.backends import CpuBackend
 from repro.circuits import build_feature_map_circuit
-from repro.config import AnsatzConfig, SimulationConfig
+from repro.config import AnsatzConfig
 from repro.engine import EngineConfig, KernelEngine
-from repro.mps import (
-    MPS,
-    TruncationPolicy,
-    circuit_prefix_tokens,
-    encode_circuits,
-)
+from repro.mps import MPS, TruncationPolicy, encode_circuits
 from repro.mps.encoding import GateShapeLog
 
-# A prefix family: the layers=1 circuit's gate sequence is a strict prefix of
-# the layers=2 circuit's, and the d=2 schedule shares the d=1 schedule's
-# opening H + RZ + nearest-neighbour block before diverging.
+# A family of related structures: the layers=1 circuit's gate sequence is a
+# strict prefix of the layers=2 circuit's, and the d=2 schedule shares the
+# d=1 schedule's opening H + RZ + nearest-neighbour block before diverging.
 BASE = dict(num_features=5, gamma=0.8)
 ANSATZE = [
     AnsatzConfig(interaction_distance=1, layers=1, **BASE),
@@ -59,135 +44,18 @@ def _blobs(states):
     return [tuple(t.tobytes() for t in s.tensors) for s in states]
 
 
-# ----------------------------------------------------------------------
-# Bit-identicality
-# ----------------------------------------------------------------------
 def test_mixed_structure_batch_bit_identical_to_per_point(rng):
     circuits = _mixed_circuits(rng)
-    tree = encode_circuits(circuits, prefix_sharing=True)
-    assert _blobs(tree) == _blobs(_reference_states(circuits))
-
-
-def test_prefix_sharing_toggle_is_invisible_in_the_states(rng):
-    circuits = _mixed_circuits(rng)
-    with_tree = encode_circuits(circuits, prefix_sharing=True)
-    without = encode_circuits(circuits, prefix_sharing=False)
-    assert _blobs(with_tree) == _blobs(without)
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_batch_permutation_invariance(seed):
-    rng = np.random.default_rng(seed)
-    circuits = _mixed_circuits(rng, counts=(2, 3, 2))
-    perm = rng.permutation(len(circuits))
-    direct = _blobs(encode_circuits(circuits))
-    permuted = _blobs(encode_circuits([circuits[i] for i in perm]))
-    assert [direct[i] for i in perm] == permuted
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    split=st.integers(min_value=1, max_value=8),
-)
-def test_prefix_group_partitioning(seed, split):
-    """Splitting a batch at any point yields the same states as the union:
-    fork scheduling must be value-free."""
-    rng = np.random.default_rng(seed)
-    circuits = _mixed_circuits(rng)
-    together = _blobs(encode_circuits(circuits))
-    apart = _blobs(encode_circuits(circuits[:split])) + _blobs(
-        encode_circuits(circuits[split:])
-    )
-    assert together == apart
-
-
-def test_truncating_policy_rides_the_tree(rng):
-    """Forks slice truncated stacks too: a lossy policy stays bit-identical
-    to its per-point application."""
-    policy = TruncationPolicy(max_bond_dim=4, allow_lossy_cap=True)
-    ansatz = AnsatzConfig(num_features=6, interaction_distance=3, layers=2, gamma=1.0)
-    circuits = [
-        build_feature_map_circuit(row, a)
-        for a in (ansatz, AnsatzConfig(num_features=6, interaction_distance=3, layers=1, gamma=1.0))
-        for row in rng.uniform(0.05, 1.95, size=(3, 6))
-    ]
-    tree = encode_circuits(circuits, policy=policy)
-    expected = []
-    for circuit in circuits:
-        state = MPS.zero_state(circuit.num_qubits, policy)
-        state.apply_circuit(circuit)
-        expected.append(state)
-    assert _blobs(tree) == _blobs(expected)
-    for a, e in zip(tree, expected):
-        assert a.cumulative_discarded_weight == e.cumulative_discarded_weight
-
-
-# ----------------------------------------------------------------------
-# Sharing accounting
-# ----------------------------------------------------------------------
-def test_prefix_family_shares_launches_and_records_forks(rng):
-    circuits = _mixed_circuits(rng)
-    log_tree = GateShapeLog()
-    encode_circuits(circuits, log=log_tree, prefix_sharing=True)
-    log_flat = GateShapeLog()
-    encode_circuits(circuits, log=log_flat, prefix_sharing=False)
-
-    assert log_tree.structure_groups == 3
-    assert log_flat.structure_groups == 3
-    # The three ansatze share the H + RZ + nearest-neighbour prefix, so the
-    # tree issues strictly fewer stacked gate applications ...
-    assert log_tree.stacked_launches < log_flat.stacked_launches
-    # ... and records where the sweeps diverged.
-    assert log_tree.prefix_forks >= 2
-    assert log_flat.prefix_forks == 0
-
-
-def test_uniform_batch_never_forks(rng):
-    X = rng.uniform(0.05, 1.95, size=(6, 5))
-    circuits = [build_feature_map_circuit(row, ANSATZE[0]) for row in X]
     log = GateShapeLog()
-    encode_circuits(circuits, log=log, prefix_sharing=True)
-    assert log.prefix_forks == 0
-    assert log.structure_groups == 1
-
-
-def test_prefix_tokens_agree_exactly_on_the_shared_prefix(rng):
-    rows = rng.uniform(0.05, 1.95, size=(2, 5))
-    short = circuit_prefix_tokens(build_feature_map_circuit(rows[0], ANSATZE[0]))
-    long = circuit_prefix_tokens(build_feature_map_circuit(rows[1], ANSATZE[1]))
-    # layers=1 is a strict gate-schedule prefix of layers=2.
-    assert len(short) < len(long)
-    assert long[: len(short)] == short
-
-
-# ----------------------------------------------------------------------
-# Through the backend and the engine (counters + cache occupancy)
-# ----------------------------------------------------------------------
-def test_backend_counters_invariant_under_prefix_sharing(rng):
-    circuits = _mixed_circuits(rng, counts=(2, 2, 2))
-    with_tree = CpuBackend(SimulationConfig())
-    without = CpuBackend(SimulationConfig())
-    r_tree = with_tree.simulate_batch(circuits, prefix_sharing=True)
-    r_flat = without.simulate_batch(circuits, prefix_sharing=False)
-    assert _blobs(r_tree.states) == _blobs(r_flat.states)
-    # Per-point accounting is batching-invariant: same modelled seconds and
-    # simulation count either way ...
-    assert with_tree.num_simulations == without.num_simulations
-    assert with_tree.modelled_simulation_time_s == pytest.approx(
-        without.modelled_simulation_time_s
-    )
-    # ... while the stacked launch model credits the shared prefix.
-    assert (
-        with_tree.modelled_batched_simulation_time_s
-        < without.modelled_batched_simulation_time_s
-    )
+    batched = encode_circuits(circuits, log=log)
+    assert log.structure_groups == 3
+    assert _blobs(batched) == _blobs(_reference_states(circuits))
 
 
 def test_cache_occupancy_does_not_change_tree_states(rng):
     """Warm store entries only shrink the encoded subset; the remaining cold
-    rows still tree-share and match the cold encode bit for bit."""
+    rows still encode in one stacked sweep and match the cold encode bit for
+    bit."""
     ansatz = ANSATZE[1]
     X = rng.uniform(0.05, 1.95, size=(8, 5))
     cold = KernelEngine(ansatz, config=EngineConfig(use_cache=True))

@@ -127,7 +127,7 @@ def run_benchmark(args) -> tuple[dict, list]:
         compare_cold=True,  # fit both starts so iteration counts are comparable
     )
 
-    queue = engine.serving_queue(max_batch=8, max_wait_ms=2.0)
+    queue = engine.serving_queue(max_batch=8)
     registry = MetricsRegistry()
     bind_queue(registry, queue)
     controller = DriftController(

@@ -195,9 +195,7 @@ def run_cold_serving(args, mode_rng_seed: int = 11) -> tuple[list[dict], list[st
     queue = AsyncServingQueue(
         build_classifier(args),
         max_batch=args.batch,
-        max_wait_ms=args.max_wait_ms,
         memoize=False,
-        seed=0,
     )
     if args.metrics_registry is not None:
         bind_queue(args.metrics_registry, queue, replica="cold")
@@ -307,7 +305,6 @@ def main() -> None:
     parser.add_argument("--queries", type=int, default=192)
     parser.add_argument("--train-size", type=int, default=64)
     parser.add_argument("--landmarks", type=int, default=16)
-    parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument(
         "--cross-rows",

@@ -30,20 +30,8 @@ snapshot before the first request).  The scenario writes
 the cold decisions byte-identically, (b) performs zero circuit simulations,
 and (c) cuts p99 latency to at most ``--max-warm-p99-ratio`` of the cold run.
 
-``--scenario jitter`` benchmarks the anti-thundering-herd knob: the same
-paced request stream is fanned out to **two replica queues** (distinct queue
-seeds, as distinct replicas would have), once with ``wait_jitter_ms=0`` and
-once with the jitter enabled.  Deadline-driven flushes with zero jitter fire
-in lockstep -- every replica hits the shared engine tier at the same instant
--- while the jittered deadlines decorrelate them.  The scenario writes
-``BENCH_jitter.json`` with the lockstep fraction per setting (replica-0
-flushes that have a replica-1 flush within ``--lockstep-window-ms``) and
-fails only if any replica's decisions drift from the unjittered baseline --
-jitter must never change *what* is served, only *when* flushes fire.
-
 Run with:  python benchmarks/bench_serving.py [--out BENCH_serving.json]
            python benchmarks/bench_serving.py --scenario persistence [--out BENCH_persistence.json]
-           python benchmarks/bench_serving.py --scenario jitter [--out BENCH_jitter.json]
 """
 
 from __future__ import annotations
@@ -152,9 +140,7 @@ def run_queue(args, stream: np.ndarray, max_batch: int, memoize: bool) -> tuple[
     queue = AsyncServingQueue(
         engine.streaming_classifier(buffer_size=max_batch),
         max_batch=max_batch,
-        max_wait_ms=args.max_wait_ms,
         memoize=memoize,
-        seed=0,
     )
     maybe_bind_queue(args, queue, replica=f"b{max_batch}-m{int(memoize)}")
     start = time.perf_counter()
@@ -200,9 +186,7 @@ def run_durable_pass(
     queue = AsyncServingQueue(
         classifier,
         max_batch=32,
-        max_wait_ms=args.max_wait_ms,
         memoize=False,
-        seed=0,
     )
     maybe_bind_queue(args, queue, replica="warm" if warm else "cold")
     start = time.perf_counter()
@@ -302,145 +286,21 @@ def run_persistence_scenario(args) -> tuple[dict, list]:
     return payload, failures
 
 
-def run_jitter_pass(
-    args, stream: np.ndarray, wait_jitter_ms: float
-) -> tuple[list[np.ndarray], dict]:
-    """One paced stream fanned out to two replica queues with this jitter.
-
-    Both replicas share the pacing loop, so they see each request at the same
-    wall-clock instant -- exactly the correlated arrival pattern that makes
-    unjittered deadline flushes fire in lockstep.  The replicas get distinct
-    queue seeds, as distinct replica processes would.
-    """
-    replicas = []
-    for replica_seed in (0, 1):
-        engine = build_engine(args)
-        replicas.append(
-            AsyncServingQueue(
-                engine.streaming_classifier(buffer_size=32),
-                max_batch=32,
-                max_wait_ms=args.max_wait_ms,
-                wait_jitter_ms=wait_jitter_ms,
-                memoize=False,
-                seed=replica_seed,
-            )
-        )
-        maybe_bind_queue(
-            args, replicas[-1], replica=f"j{wait_jitter_ms:g}-r{replica_seed}"
-        )
-    pace_s = args.pace_ms / 1e3
-    start = time.perf_counter()
-    futures = [[], []]
-    for row in stream:
-        for replica, sink in zip(replicas, futures):
-            sink.append(replica.submit(row))
-        time.sleep(pace_s)
-    decisions = [
-        np.array([f.result(timeout=600).decision_value for f in sink])
-        for sink in futures
-    ]
-    elapsed = time.perf_counter() - start
-    flush_times = []
-    for replica in replicas:
-        replica.close()
-        flush_times.append(np.asarray(replica.metrics.flush_times))
-
-    # Lockstep fraction: replica-0 flushes with a replica-1 flush within the
-    # window.  Unjittered deadline flushes collide; jittered ones spread out.
-    window_s = args.lockstep_window_ms / 1e3
-    if flush_times[0].size and flush_times[1].size:
-        gaps = np.min(
-            np.abs(flush_times[0][:, None] - flush_times[1][None, :]), axis=1
-        )
-        lockstep_fraction = float(np.mean(gaps <= window_s))
-        median_gap_ms = float(np.median(gaps) * 1e3)
-    else:
-        lockstep_fraction, median_gap_ms = 0.0, 0.0
-    record = {
-        "mode": "replica-pair",
-        "wait_jitter_ms": wait_jitter_ms,
-        "wall_s": elapsed,
-        "flushes_replica0": int(flush_times[0].size),
-        "flushes_replica1": int(flush_times[1].size),
-        "lockstep_fraction": lockstep_fraction,
-        "median_flush_gap_ms": median_gap_ms,
-    }
-    return decisions, record
-
-
-def run_jitter_scenario(args) -> tuple[dict, list]:
-    """Two replica queues on one paced stream, jitter off vs on."""
-    stream = hot_key_stream(args)
-    print(
-        f"workload: {args.queries} paced requests ({args.pace_ms} ms apart) "
-        f"over {args.unique} unique rows, fanned out to 2 replicas"
-    )
-    records = []
-    failures = []
-    reference = None
-    for wait_jitter_ms in (0.0, args.wait_jitter_ms):
-        decisions, record = run_jitter_pass(args, stream, wait_jitter_ms)
-        if reference is None:
-            reference = decisions[0]
-        record["byte_identical"] = all(
-            bool(np.array_equal(d, reference)) for d in decisions
-        )
-        records.append(record)
-        print(
-            f"jitter={wait_jitter_ms} ms: lockstep fraction "
-            f"{record['lockstep_fraction']:.2f} over "
-            f"{record['flushes_replica0']}+{record['flushes_replica1']} flushes "
-            f"(median gap {record['median_flush_gap_ms']:.2f} ms, "
-            f"identical={record['byte_identical']})"
-        )
-        if not record["byte_identical"]:
-            failures.append(
-                f"replica decisions drifted at wait_jitter_ms={wait_jitter_ms}"
-            )
-
-    payload = {
-        "benchmark": "jitter",
-        "version": __version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "workload": {
-            "queries": args.queries,
-            "unique_rows": args.unique,
-            "distribution": "zipf",
-            "pace_ms": args.pace_ms,
-            "train_size": args.train_size,
-            "landmarks": args.landmarks,
-            "features": args.features,
-            "max_wait_ms": args.max_wait_ms,
-            "wait_jitter_ms": args.wait_jitter_ms,
-            "lockstep_window_ms": args.lockstep_window_ms,
-            "seed": args.seed,
-        },
-        "records": records,
-        "byte_identical": all(r["byte_identical"] for r in records),
-        "lockstep_fraction_unjittered": records[0]["lockstep_fraction"],
-        "lockstep_fraction_jittered": records[1]["lockstep_fraction"],
-        "ok": not failures,
-    }
-    return payload, failures
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scenario",
-        choices=("queue", "persistence", "jitter"),
+        choices=("queue", "persistence"),
         default="queue",
         help="'queue' benchmarks batch coalescing; 'persistence' benchmarks "
-        "a cold boot vs a snapshot-warmed restart of the durable tier; "
-        "'jitter' benchmarks flush decorrelation across replica queues",
+        "a cold boot vs a snapshot-warmed restart of the durable tier",
     )
     parser.add_argument(
         "--out",
         type=Path,
         default=None,
-        help="defaults to BENCH_serving.json / BENCH_persistence.json / "
-        "BENCH_jitter.json by scenario",
+        help="defaults to BENCH_serving.json / BENCH_persistence.json by "
+        "scenario",
     )
     parser.add_argument(
         "--snapshot-root",
@@ -460,28 +320,7 @@ def main() -> None:
     parser.add_argument("--train-size", type=int, default=160)
     parser.add_argument("--landmarks", type=int, default=48)
     parser.add_argument("--features", type=int, default=6)
-    parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument(
-        "--wait-jitter-ms",
-        type=float,
-        default=5.0,
-        help="jitter scenario: the enabled setting's deadline jitter",
-    )
-    parser.add_argument(
-        "--pace-ms",
-        type=float,
-        default=7.0,
-        help="jitter scenario: wall-clock gap between paced submissions; "
-        "keeping it above --max-wait-ms makes flushes deadline-driven, the "
-        "regime where unjittered replicas collide",
-    )
-    parser.add_argument(
-        "--lockstep-window-ms",
-        type=float,
-        default=1.0,
-        help="jitter scenario: replica flushes closer than this count as lockstep",
-    )
     parser.add_argument(
         "--seed",
         type=int,
@@ -502,27 +341,10 @@ def main() -> None:
     )
     if args.out is None:
         args.out = Path(
-            {
-                "persistence": "BENCH_persistence.json",
-                "jitter": "BENCH_jitter.json",
-            }.get(args.scenario, "BENCH_serving.json")
+            "BENCH_persistence.json"
+            if args.scenario == "persistence"
+            else "BENCH_serving.json"
         )
-
-    if args.scenario == "jitter":
-        payload, failures = run_jitter_scenario(args)
-        maybe_emit_metrics(args, payload)
-        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.out}")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            raise SystemExit(1)
-        print(
-            "OK: replica decisions byte-identical with and without jitter "
-            f"(lockstep {payload['lockstep_fraction_unjittered']:.2f} -> "
-            f"{payload['lockstep_fraction_jittered']:.2f})"
-        )
-        return
 
     if args.scenario == "persistence":
         payload, failures = run_persistence_scenario(args)

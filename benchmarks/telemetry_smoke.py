@@ -67,7 +67,7 @@ def build_queue(args):
         ansatz, approximation=NystroemConfig(num_landmarks=args.landmarks, seed=0)
     )
     engine.fit(data.features, data.labels)
-    return engine.serving_queue(max_batch=8, max_wait_ms=2.0)
+    return engine.serving_queue(max_batch=8)
 
 
 def main() -> None:

@@ -6,8 +6,9 @@ Builds the full serving stack introduced by the serving layer:
    (training cost ``O(n m)`` engine pairs);
 2. stand the service up with one call -- ``repro.serve(engine, config)``
    returns a :class:`repro.serving.ServingHandle` whose replica queue
-   coalesces requests up to ``max_batch`` / ``max_wait_ms`` and flushes
-   each batch as one kernel-row plan against the cached landmark states;
+   flushes whatever is pending, up to ``max_batch`` requests, as one
+   kernel-row plan against the cached landmark states whenever it is idle
+   (requests that arrive during a flush form the next batch);
 3. push a hot-key request stream through both the handle and the
    one-at-a-time baseline, verify the predictions are byte-identical, and
    print the latency/throughput accounting the queue's
@@ -47,7 +48,6 @@ def main() -> None:
     parser.add_argument("--requests", type=int, default=512)
     parser.add_argument("--unique", type=int, default=48)
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument("--workers", type=int, default=0)
     args = parser.parse_args()
 
@@ -89,11 +89,7 @@ def main() -> None:
     )
     baseline_s = time.perf_counter() - start
 
-    config = ServingConfig(
-        tuning=TuningConfig(
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms
-        )
-    )
+    config = ServingConfig(tuning=TuningConfig(max_batch=args.max_batch))
     handle = repro.serve(engine, config, workers=args.workers)
     queue = handle.router.queues[0]
     start = time.perf_counter()

@@ -76,7 +76,6 @@ def main() -> None:
     )
     parser.add_argument("--high-water", type=int, default=None)
     parser.add_argument("--max-batch", type=int, default=16)
-    parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument(
         "--root",
         type=Path,
@@ -121,7 +120,6 @@ def main() -> None:
         queue_depth_high_water=args.high_water,
         persistence_root=root,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
     )
 
     print(f"cold boot: {args.replicas} replicas over empty tier {root}")

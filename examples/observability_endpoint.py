@@ -94,7 +94,6 @@ def main() -> None:
         num_replicas=args.replicas,
         policy="key-affinity",
         max_batch=args.max_batch,
-        max_wait_ms=5.0,
     )
     TRACER.enable()
     try:

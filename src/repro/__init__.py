@@ -50,7 +50,6 @@ from .config import (
     TuningConfig,
     DEFAULT_C_GRID,
 )
-from .control import AdaptiveController, make_control_policy
 from .engine import EngineConfig, KernelEngine, StateStore
 from .exceptions import ReproError
 from .mps import MPS, InstrumentedMPS, TruncationPolicy
@@ -79,8 +78,6 @@ __all__ = [
     "ServingConfig",
     "TuningConfig",
     "DEFAULT_C_GRID",
-    "AdaptiveController",
-    "make_control_policy",
     "serve",
     "ServingHandle",
     "ReproError",

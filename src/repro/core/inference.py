@@ -251,7 +251,8 @@ class QuantumKernelInferenceEngine:
         """An :class:`~repro.serving.AsyncServingQueue` over this model.
 
         Keyword arguments pass through to the queue constructor
-        (``max_batch``, ``max_wait_ms``, ``workers``, ``seed``, ...).  The
+        (``max_batch``, ``workers``, ``memoize``, ...); its coalescer flushes
+        whatever is pending, up to ``max_batch``, whenever it is idle.  The
         caller owns the returned queue and must ``close()`` it (or use it as
         a context manager).
         """

@@ -206,9 +206,9 @@ class KernelEngine:
         """Effective stacked-encode chunk size (live override, else config).
 
         Chunking is bit-identical by the stacked-sweep contract, so this
-        knob only moves sweep granularity -- the adaptive control plane
-        retunes it at runtime via :meth:`set_encode_batch_size` without
-        rebuilding the engine.
+        knob only moves sweep granularity -- a serving queue applies its own
+        setting via :meth:`set_encode_batch_size` without rebuilding the
+        engine.
         """
         override = self._encode_batch_size_override
         return self.config.encode_batch_size if override is None else override

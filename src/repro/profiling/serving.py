@@ -37,7 +37,6 @@ class ServingMetrics:
         self._latencies_s: List[float] = []
         self._batch_sizes: List[int] = []
         self._batch_wall_s: List[float] = []
-        self._flush_times: List[float] = []
         self._queue_depth_high_water = 0
         self._total_enqueued = 0
         self._first_enqueue_t: Optional[float] = None
@@ -64,7 +63,6 @@ class ServingMetrics:
             self._latencies_s.extend(float(v) for v in latencies_s)
             self._batch_sizes.append(len(latencies_s))
             self._batch_wall_s.append(float(wall_s))
-            self._flush_times.append(float(now))
             self._last_flush_t = now
 
     # ------------------------------------------------------------------
@@ -79,18 +77,6 @@ class ServingMetrics:
         """Number of flushed batches."""
         with self._lock:
             return len(self._batch_sizes)
-
-    @property
-    def flush_times(self) -> List[float]:
-        """Timestamps of every flushed batch, in flush order.
-
-        The anti-thundering-herd benchmark compares these across replicas:
-        with ``wait_jitter_ms = 0`` identically paced replicas flush in
-        lockstep (synchronised load spikes on the shared backend); a small
-        jitter decorrelates the instants without moving any prediction.
-        """
-        with self._lock:
-            return list(self._flush_times)
 
     @property
     def queue_depth_high_water(self) -> int:

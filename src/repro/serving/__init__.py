@@ -6,11 +6,12 @@ restarts and run more than one replica.  This package closes those gaps:
 
 * :mod:`~repro.serving.queue` -- :class:`AsyncServingQueue`, a
   batch-coalescing request queue in front of
-  :class:`~repro.approx.StreamingNystroemClassifier`: requests accumulate up
-  to ``max_batch`` / ``max_wait_ms``, flush as one
-  :class:`~repro.engine.plan.KernelRowPlan`, and resolve futures carrying
-  per-request latency; queue depth / throughput / p50 / p99 land in
-  :class:`repro.profiling.ServingMetrics`.
+  :class:`~repro.approx.StreamingNystroemClassifier`: a work-conserving
+  coalescer flushes up to ``max_batch`` pending requests as one
+  :class:`~repro.engine.plan.KernelRowPlan` whenever it is idle (requests
+  that arrive during a flush form the next batch), and resolves futures
+  carrying per-request latency; queue depth / throughput / p50 / p99 land
+  in :class:`repro.profiling.ServingMetrics`.
 * :mod:`~repro.serving.store` -- :class:`SharedLandmarkStore`, the served
   model serialised once (landmark MPS out of the engine's state store,
   normalisation, linear model, scaler) and attached per worker process, so
@@ -42,7 +43,7 @@ from .persistence import (
     SnapshotManifest,
     WarmUpReport,
 )
-from .queue import AsyncServingQueue, QueueTuning, ServedPrediction
+from .queue import AsyncServingQueue, ServedPrediction
 from .router import (
     ROUTING_POLICIES,
     KeyAffinityPolicy,
@@ -60,7 +61,6 @@ from .store import (
 
 __all__ = [
     "AsyncServingQueue",
-    "QueueTuning",
     "ServedPrediction",
     "ServingHandle",
     "serve",

@@ -7,9 +7,13 @@ the row encodes fan out.  :class:`AsyncServingQueue` sits between the two:
 
 * :meth:`submit` accepts one raw feature row and immediately returns a
   :class:`concurrent.futures.Future`;
-* a background coalescer thread gathers pending requests until either
-  ``max_batch`` of them are waiting or the oldest has waited ``max_wait_ms``,
-  then flushes the whole batch through the classifier as one plan;
+* a background coalescer thread is **work-conserving**: whenever it is idle
+  and something is pending, it pops up to ``max_batch`` requests at once and
+  flushes them through the classifier as one plan.  It never holds a batch
+  back to let it fill.  Requests that arrive while a flush runs form the
+  next batch, so batches grow with load and shrink to one request when the
+  queue is quiet -- the dynamic batching of Clipper and Triton, with no
+  timer to tune;
 * with ``workers >= 2`` the flush fans the batch's row blocks out over a
   persistent process pool whose workers attached the serialised landmark
   store once at start-up (:mod:`repro.serving.store`); the parent assembles
@@ -40,6 +44,13 @@ loop (:mod:`repro.approx.drift`) is the primary caller.
 
 Per-request latency, batch sizes, queue depth and throughput are recorded in
 a :class:`repro.profiling.ServingMetrics`.
+
+The coalescer thread is **supervised**: a raise outside a batch's scoring
+(resolving a future, recording metrics) does not leave callers waiting on a
+dead thread.  The queue fails every outstanding future with a
+:class:`~repro.exceptions.ServingError` chained to the cause and closes
+itself, so :meth:`AsyncServingQueue.submit` raises, a health check reports
+it down and a :class:`~repro.serving.ReplicaRouter` routes around it.
 """
 
 from __future__ import annotations
@@ -47,21 +58,20 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..approx import StreamingNystroemClassifier
-from ..config import make_rng
 from ..exceptions import ServingError
 from ..parallel.tiling import partition_indices
 from ..profiling import ServingMetrics
 from ..telemetry.tracing import TRACER, Span
 from .store import attach_shared_store, shared_store_kernel_rows
 
-__all__ = ["ServedPrediction", "QueueTuning", "AsyncServingQueue", "admit_row"]
+__all__ = ["ServedPrediction", "AsyncServingQueue", "admit_row"]
 
 
 def admit_row(row: np.ndarray, expected_features: int) -> np.ndarray:
@@ -78,38 +88,6 @@ def admit_row(row: np.ndarray, expected_features: int) -> np.ndarray:
     if not np.isfinite(row).all():
         raise ServingError("row has a NaN or infinite feature value")
     return row
-
-
-@dataclass(frozen=True)
-class QueueTuning:
-    """One immutable snapshot of the queue's coalescing knobs.
-
-    The coalescer captures exactly one snapshot per flush decision (the
-    moment it starts collecting a batch), the same discipline a flush uses
-    for its :class:`_ModelSlot`: a knob change installed mid-wait takes
-    effect at the *next* flush decision, never inside the current one, so a
-    batch is always collected under one internally consistent knob set.
-    ``version`` is monotone -- every :meth:`AsyncServingQueue.apply_tuning`
-    bumps it -- which lets callers (and the metamorphic suite) correlate
-    results with the knob generation that coalesced them.
-    """
-
-    max_batch: int
-    max_wait_ms: float
-    wait_jitter_ms: float
-    version: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ServingError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
-        if self.wait_jitter_ms < 0:
-            raise ServingError(
-                f"wait_jitter_ms must be >= 0, got {self.wait_jitter_ms}"
-            )
 
 
 @dataclass(frozen=True)
@@ -179,26 +157,14 @@ class AsyncServingQueue:
     classifier:
         The fitted streaming classifier that scores flushed batches.
     max_batch:
-        Flush as soon as this many requests are pending.
-    max_wait_ms:
-        Flush a partial batch once its oldest request has waited this long.
+        Most requests one flush scores.  The coalescer flushes whatever is
+        pending, up to this many, the moment it is idle; it never waits for
+        a batch to fill.
     workers:
         ``0`` or ``1`` scores batches in-process.  ``>= 2`` starts a
         persistent process pool; each worker attaches the classifier's
         serialised landmark store once, and every flush fans its row blocks
         out over the pool.
-    seed:
-        Seed for the queue's random generator.  The only stochastic knob is
-        ``wait_jitter_ms``; with the default jitter of zero the queue is
-        fully deterministic, and *predictions* are deterministic regardless
-        (coalescing never changes results, only latency).
-    wait_jitter_ms:
-        Optional uniform jitter added to each partial-batch deadline so many
-        replicas started together do not flush in lock-step.  Predictions
-        are unaffected (coalescing never changes results); the flush-time
-        decorrelation it buys is measured by the serving benchmark's
-        anti-thundering-herd workload via
-        :attr:`~repro.profiling.ServingMetrics.flush_times`.
     memoize:
         Memoise decision values by raw row bytes (LRU, ``memo_capacity``
         entries).  Scoring is a pure function of the row, so a repeated hot
@@ -210,21 +176,24 @@ class AsyncServingQueue:
     metrics:
         Externally owned :class:`ServingMetrics` (e.g. shared across queues);
         a fresh one is created by default.
+    encode_batch_size:
+        Circuits per stacked encoding sweep of the served engine; ``None``
+        keeps the engine's own setting.  Re-applied to every model a swap
+        installs.
     """
 
     def __init__(
         self,
         classifier: StreamingNystroemClassifier,
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
         workers: int = 0,
-        seed: int | np.random.Generator | None = 0,
-        wait_jitter_ms: float = 0.0,
         memoize: bool = True,
         memo_capacity: int = 4096,
         metrics: ServingMetrics | None = None,
         encode_batch_size: int | None = None,
     ) -> None:
+        if max_batch < 1:
+            raise ServingError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 0:
             raise ServingError(f"workers must be >= 0, got {workers}")
         if memo_capacity < 1:
@@ -233,20 +202,11 @@ class AsyncServingQueue:
             raise ServingError(
                 f"encode_batch_size must be >= 1, got {encode_batch_size}"
             )
-        # Knobs live in one immutable versioned snapshot (validated there);
-        # apply_tuning() installs replacements at runtime.
-        self._tuning = QueueTuning(
-            max_batch=int(max_batch),
-            max_wait_ms=float(max_wait_ms),
-            wait_jitter_ms=float(wait_jitter_ms),
-            version=0,
-        )
-        self.knob_adjustments = 0
+        self.max_batch = int(max_batch)
         self._encode_batch_size = (
             None if encode_batch_size is None else int(encode_batch_size)
         )
         self.workers = int(workers)
-        self.rng = make_rng(seed)
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.memoize = bool(memoize)
         self.memo_capacity = int(memo_capacity)
@@ -269,7 +229,6 @@ class AsyncServingQueue:
         self._cond = threading.Condition()
         self._pending: List[_Pending] = []
         self._in_flight: List["Future[ServedPrediction]"] = []
-        self._flush_requested = False
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name="serving-queue", daemon=True
@@ -291,7 +250,10 @@ class AsyncServingQueue:
 
     @property
     def closed(self) -> bool:
-        """Whether the queue has stopped accepting requests."""
+        """Whether the queue has stopped accepting requests.
+
+        True after :meth:`close`, and after the coalescer thread failed.
+        """
         with self._cond:
             return self._closed
 
@@ -305,88 +267,10 @@ class AsyncServingQueue:
         """Version of the currently active model slot (0 at construction)."""
         return self._slot.version
 
-    # ------------------------------------------------------------------
-    @property
-    def tuning(self) -> QueueTuning:
-        """The currently installed knob snapshot."""
-        return self._tuning
-
-    @property
-    def max_batch(self) -> int:
-        """Flush threshold of the current knob snapshot."""
-        return self._tuning.max_batch
-
-    @property
-    def max_wait_s(self) -> float:
-        """Partial-batch deadline of the current knob snapshot, in seconds."""
-        return self._tuning.max_wait_ms / 1000.0
-
-    @property
-    def wait_jitter_s(self) -> float:
-        """Deadline jitter of the current knob snapshot, in seconds."""
-        return self._tuning.wait_jitter_ms / 1000.0
-
     @property
     def encode_batch_size(self) -> int:
         """Effective stacked-encode chunk size of the active model's engine."""
         return self._slot.classifier.feature_map.engine.encode_batch_size
-
-    def apply_tuning(
-        self,
-        max_batch: int | None = None,
-        max_wait_ms: float | None = None,
-        wait_jitter_ms: float | None = None,
-        encode_batch_size: int | None = None,
-    ) -> QueueTuning:
-        """Install a new versioned knob snapshot; unset knobs keep their value.
-
-        The replacement is fully validated *before* anything mutates, then
-        installed as a single reference assignment under the queue lock --
-        the same atomicity discipline as a model swap.  The coalescer picks
-        it up at its next flush decision; a batch mid-collection completes
-        under the snapshot it captured.  Predictions are unaffected either
-        way (coalescing and encode chunking are bit-identical by the
-        engine's contract); only latency and throughput move.
-
-        ``encode_batch_size`` applies to the active model's engine and is
-        re-applied to every future model slot a swap installs.  Returns the
-        installed snapshot.
-        """
-        if encode_batch_size is not None and int(encode_batch_size) < 1:
-            raise ServingError(
-                f"encode_batch_size must be >= 1, got {encode_batch_size}"
-            )
-        with self._cond:
-            if self._closed:
-                raise ServingError("serving queue is closed")
-            current = self._tuning
-            replacement = QueueTuning(
-                max_batch=(
-                    current.max_batch if max_batch is None else int(max_batch)
-                ),
-                max_wait_ms=(
-                    current.max_wait_ms
-                    if max_wait_ms is None
-                    else float(max_wait_ms)
-                ),
-                wait_jitter_ms=(
-                    current.wait_jitter_ms
-                    if wait_jitter_ms is None
-                    else float(wait_jitter_ms)
-                ),
-                version=current.version + 1,
-            )
-            self._tuning = replacement
-            if encode_batch_size is not None:
-                self._encode_batch_size = int(encode_batch_size)
-                self._slot.classifier.feature_map.engine.set_encode_batch_size(
-                    self._encode_batch_size
-                )
-            self.knob_adjustments += 1
-            # Wake the coalescer: a shorter deadline or smaller batch may
-            # make the pending buffer due right now.
-            self._cond.notify_all()
-        return replacement
 
     def _build_pool(
         self, classifier: StreamingNystroemClassifier, payload: Optional[Dict]
@@ -516,80 +400,87 @@ class AsyncServingQueue:
         return [self.submit(row) for row in np.asarray(rows, dtype=float)]
 
     def flush(self) -> None:
-        """Force pending requests out now and wait for their results.
+        """Wait until every request submitted before the call has resolved.
 
-        Covers both the still-buffered requests and the batch the coalescer
-        already popped but has not finished scoring, so after ``flush()``
-        returns every request submitted before the call has resolved.
+        The coalescer never holds work back, so there is nothing to force:
+        this waits on the still-pending requests and on the batch being
+        scored.  A result and an exception both count as resolved.
         """
         with self._cond:
-            waiting = [p.future for p in self._pending] + list(self._in_flight)
-            if self._pending:
-                self._flush_requested = True
-                self._cond.notify_all()
-        for future in waiting:
-            # Result or exception -- either way the flush has completed.
-            try:
-                future.result()
-            except Exception:
-                pass
+            waiting = [p.future for p in self._pending] + self._in_flight
+        wait(waiting)
 
     def close(self) -> None:
-        """Flush, stop the coalescer thread and shut down the worker pool."""
+        """Drain pending requests, stop the coalescer and the worker pool.
+
+        Idempotent; returns also when the coalescer thread has failed.
+        """
         with self._cond:
-            if self._closed:
-                return
             self._closed = True
             self._cond.notify_all()
         self._thread.join()
-        if self._slot.pool is not None:
-            self._slot.pool.shutdown(wait=True)
-            self._slot.pool = None
+        with self._cond:
+            pool, self._slot.pool = self._slot.pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            if batch:
-                self._process(batch)
+        try:
+            while True:
+                batch = self._collect_batch()
+                if batch is None:
+                    return
+                if batch:
+                    self._process(batch)
+        except BaseException as exc:
+            # The thread ends either way; first make sure no caller hangs on
+            # it, then let threading.excepthook report the traceback.
+            self._fail_outstanding(exc)
+            raise
+
+    def _fail_outstanding(self, cause: BaseException) -> None:
+        """Close the queue and fail every unresolved future after ``cause``.
+
+        Each in-flight and pending future gets its own :class:`ServingError`
+        chained to ``cause``; a pending request its caller cancelled stays
+        cancelled.
+        """
+        with self._cond:
+            self._closed = True
+            in_flight = [f for f in self._in_flight if not f.done()]
+            pending = [p.future for p in self._pending]
+            self._pending = []
+            self._cond.notify_all()
+        pending = [f for f in pending if f.set_running_or_notify_cancel()]
+        for future in in_flight + pending:
+            error = ServingError(
+                f"the serving queue's coalescer failed ({cause!r}); "
+                "the queue is closed"
+            )
+            error.__cause__ = cause
+            future.set_exception(error)
 
     def _collect_batch(self) -> Optional[List[_Pending]]:
-        """Block until a batch is due; ``None`` means shut down."""
+        """Pop the next batch once anything is pending; ``None`` means shut down.
+
+        Work-conserving: the coalescer only gets here between flushes, and
+        it takes up to ``max_batch`` pending requests at once instead of
+        waiting for more.  Requests that arrive while that batch is scored
+        are popped together as the next one.
+        """
         with self._cond:
             while not self._pending:
                 if self._closed:
                     return None
-                self._flush_requested = False
                 self._cond.wait()
-            # One knob snapshot per flush decision, captured exactly here
-            # (mirroring the model-slot capture in _process): a concurrent
-            # apply_tuning() takes effect at the next decision.
-            tuning = self._tuning
-            max_wait_s = tuning.max_wait_ms / 1000.0
-            wait_jitter_s = tuning.wait_jitter_ms / 1000.0
-            deadline = self._pending[0].enqueued_at + max_wait_s
-            if wait_jitter_s > 0.0:
-                deadline += float(self.rng.uniform(0.0, wait_jitter_s))
-            while (
-                len(self._pending) < tuning.max_batch
-                and not self._flush_requested
-                and not self._closed
-            ):
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            popped = self._pending[: tuning.max_batch]
-            del self._pending[: tuning.max_batch]
+            popped = self._pending[: self.max_batch]
+            del self._pending[: self.max_batch]
             # A request its caller cancelled while it waited is dropped here:
             # it is never scored and never waited on.  The survivors' futures
             # can no longer be cancelled, so resolving them cannot fail.
             batch = [p for p in popped if p.future.set_running_or_notify_cancel()]
             self._in_flight = [p.future for p in batch]
-            if not self._pending:
-                self._flush_requested = False
             return batch
 
     def _process(self, batch: List[_Pending]) -> None:
@@ -601,6 +492,18 @@ class AsyncServingQueue:
         with self._cond:
             slot = self._slot
             slot.active_flushes += 1
+        try:
+            self._flush_batch(batch, slot, start)
+        finally:
+            # Released even if the flush raised, so a swap waiting on this
+            # slot's in-flight flushes never waits forever.
+            with self._cond:
+                slot.active_flushes -= 1
+                self._cond.notify_all()
+
+    def _flush_batch(
+        self, batch: List[_Pending], slot: _ModelSlot, start: float
+    ) -> None:
         flush_span: Optional[Span] = None
         if TRACER.enabled:
             roots = [p.span for p in batch if p.span is not None]
@@ -635,10 +538,6 @@ class AsyncServingQueue:
                     p.span.set_attribute("error", repr(exc))
                     p.span.end()
                 p.future.set_exception(exc)
-            with self._cond:
-                self._in_flight = []
-                slot.active_flushes -= 1
-                self._cond.notify_all()
             return
         now = time.perf_counter()
         latencies = [now - p.enqueued_at for p in batch]
@@ -658,10 +557,6 @@ class AsyncServingQueue:
                     model_version=slot.version,
                 )
             )
-        with self._cond:
-            self._in_flight = []
-            slot.active_flushes -= 1
-            self._cond.notify_all()
         self.metrics.record_batch(latencies, now - start, now)
 
     def _score_batch(

@@ -20,9 +20,9 @@ The router is also the admission controller: with
 first fails over to the shallowest replica, and is **shed** (rejected with
 :class:`~repro.exceptions.LoadShedError`) only when every replica is at or
 above the high-water mark -- bounded queues instead of unbounded latency.
-Dead replicas (crashed, or drained via :meth:`kill_replica`) are routed
-around; predictions stay byte-identical because every survivor serves from
-the same attached payload.
+Dead replicas (crashed, drained via :meth:`kill_replica`, or closed because
+their coalescer failed) are routed around; predictions stay byte-identical
+because every survivor serves from the same attached payload.
 
 Aggregated accounting lands in one :class:`~repro.profiling.RouterMetrics`
 (per-replica p50/p99, routed counts, shed count, fleet warm-hit ratio), and
@@ -50,11 +50,7 @@ from ..exceptions import LoadShedError, ServingError
 from ..profiling import RouterMetrics, ServingMetrics
 from ..telemetry.tracing import TRACER
 from .persistence import PersistentStateStore, WarmUpReport
-from .queue import AsyncServingQueue, QueueTuning, ServedPrediction, admit_row
-
-#: Sentinel distinguishing "knob not passed" from an explicit ``None``
-#: (which, for the high-water mark, means "disable shedding").
-_UNSET = object()
+from .queue import AsyncServingQueue, ServedPrediction, admit_row
 
 __all__ = [
     "RoutingPolicy",
@@ -176,8 +172,10 @@ class ReplicaRouter:
     warm_max_keys / warm_max_bytes:
         Budgets forwarded to :meth:`PersistentStateStore.warm_up`.
     queue_kwargs:
-        Forwarded to every :class:`AsyncServingQueue` (``max_batch``,
-        ``max_wait_ms``, ``memoize``, ...).
+        Forwarded to every :class:`AsyncServingQueue`: ``max_batch``,
+        ``workers``, ``memoize``, ``memo_capacity`` and
+        ``encode_batch_size``.  Each replica's coalescer is work-conserving,
+        so there is no wait knob.
     """
 
     def __init__(
@@ -241,7 +239,6 @@ class ReplicaRouter:
             self._alive.append(True)
         self.metrics = RouterMetrics(replica_metrics)
         self.swap_count = 0
-        self.knob_adjustments = 0
         self._expected_features = self._queues[0].classifier.feature_map.engine.ansatz.num_features
 
     # ------------------------------------------------------------------
@@ -249,10 +246,10 @@ class ReplicaRouter:
     def from_config(cls, payload: Dict, config: ServingConfig, **overrides) -> "ReplicaRouter":
         """Build a router from a declarative :class:`~repro.config.ServingConfig`.
 
-        The performance knobs come from the config's nested
-        :class:`~repro.config.TuningConfig` (``config.tuning``); building a
-        config from the deprecated loose kwargs folds them into the same
-        bundle, so both spellings land here identically.
+        The fleet shape and durability come from the config itself, the
+        performance knobs from its nested :class:`~repro.config.TuningConfig`
+        (``config.tuning``).  ``overrides`` replace or extend the resulting
+        constructor keywords (e.g. ``workers``).
         """
         tuning = config.tuning
         kwargs = dict(
@@ -262,11 +259,8 @@ class ReplicaRouter:
             persistence_root=config.snapshot_root,
             warm_max_keys=config.warm_max_keys,
             max_batch=tuning.max_batch,
-            max_wait_ms=tuning.max_wait_ms,
-            wait_jitter_ms=tuning.wait_jitter_ms,
             encode_batch_size=tuning.encode_batch_size,
             memoize=config.memoize,
-            seed=config.seed,
         )
         kwargs.update(overrides)
         return cls(payload, **kwargs)
@@ -280,9 +274,17 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     @property
     def alive_replicas(self) -> List[int]:
-        """Indices of replicas currently accepting traffic."""
+        """Indices of replicas currently accepting traffic.
+
+        A replica whose queue closed without the router's knowledge (its
+        coalescer failed) is not alive, even before a request finds out.
+        """
         with self._lock:
-            return [i for i, alive in enumerate(self._alive) if alive]
+            return [
+                i
+                for i, alive in enumerate(self._alive)
+                if alive and not self._queues[i].closed
+            ]
 
     @property
     def queues(self) -> List[AsyncServingQueue]:
@@ -302,71 +304,6 @@ class ReplicaRouter:
     def pending(self) -> List[int]:
         """Pending queue depth per replica (dead replicas report 0)."""
         return [q.pending for q in self._queues]
-
-    # ------------------------------------------------------------------
-    def set_high_water(self, value: int | None) -> None:
-        """Move the load-shedding threshold at runtime (``None`` disables).
-
-        Admission decisions read the threshold under the router lock, so a
-        change applies to the very next placement; requests already placed
-        are unaffected.  Shedding only ever changes *which* requests are
-        answered, never any answer's value.
-        """
-        if value is not None and int(value) < 1:
-            raise ServingError(
-                f"queue_depth_high_water must be >= 1 or None, got {value}"
-            )
-        with self._lock:
-            self.high_water = None if value is None else int(value)
-        self.knob_adjustments += 1
-
-    def apply_tuning(
-        self,
-        max_batch: int | None = None,
-        max_wait_ms: float | None = None,
-        wait_jitter_ms: float | None = None,
-        encode_batch_size: int | None = None,
-        queue_depth_high_water=_UNSET,
-    ) -> List[QueueTuning]:
-        """Fan one knob change out across every alive replica.
-
-        Queue-level knobs are installed on each alive replica's queue via
-        :meth:`AsyncServingQueue.apply_tuning` (each replica bumps its own
-        snapshot version); ``queue_depth_high_water`` moves the router's own
-        shed threshold, where an explicit ``None`` disables shedding.
-        Returns the per-replica snapshots installed, in replica-index order.
-        """
-        if queue_depth_high_water is not _UNSET:
-            value = queue_depth_high_water
-            if value is not None and int(value) < 1:
-                raise ServingError(
-                    f"queue_depth_high_water must be >= 1 or None, got {value}"
-                )
-        with self._lock:
-            alive = [i for i, ok in enumerate(self._alive) if ok]
-        installed: List[QueueTuning] = []
-        if any(
-            knob is not None
-            for knob in (max_batch, max_wait_ms, wait_jitter_ms, encode_batch_size)
-        ):
-            for index in alive:
-                installed.append(
-                    self._queues[index].apply_tuning(
-                        max_batch=max_batch,
-                        max_wait_ms=max_wait_ms,
-                        wait_jitter_ms=wait_jitter_ms,
-                        encode_batch_size=encode_batch_size,
-                    )
-                )
-        if queue_depth_high_water is not _UNSET:
-            with self._lock:
-                self.high_water = (
-                    None
-                    if queue_depth_high_water is None
-                    else int(queue_depth_high_water)
-                )
-        self.knob_adjustments += 1
-        return installed
 
     # ------------------------------------------------------------------
     def submit(self, row: np.ndarray) -> "Future[ServedPrediction]":

@@ -255,7 +255,7 @@ def test_coverage_recovers_after_adaptation_and_swap(drifted_stream):
     resolved = 0
     versions = []
 
-    with engine.serving_queue(max_batch=8, max_wait_ms=2.0) as queue:
+    with engine.serving_queue(max_batch=8) as queue:
         controller = DriftController(
             engine.streaming_classifier(),
             conformal,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.approx import StreamingNystroemClassifier
 from repro.config import AnsatzConfig
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 
@@ -111,6 +113,54 @@ def make_drifted_stream(
 def drifted_stream():
     """Factory fixture: ``drifted_stream(kind=..., seed=...)`` scenarios."""
     return make_drifted_stream
+
+
+class CoalescerGate:
+    """Parks serving coalescers inside a flush until :meth:`release`.
+
+    The serving queue's coalescer never waits for a batch to fill, so a test
+    that needs requests to stay pending stalls it instead: :meth:`stall`
+    submits a fresh sentinel row to one queue and returns once that queue's
+    coalescer is blocked inside the flush scoring it.  Every later
+    submission to that queue stays pending until :meth:`release`.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self._entered = threading.Semaphore(0)
+        self._gates: dict = {}  # sentinel row bytes -> its release event
+        classify = StreamingNystroemClassifier.classify
+
+        def gated_classify(classifier, X):
+            for row in np.atleast_2d(np.asarray(X, dtype=float)):
+                gate = self._gates.get(row.tobytes())
+                if gate is not None:
+                    self._entered.release()
+                    gate.wait(timeout=60)
+            return classify(classifier, X)
+
+        monkeypatch.setattr(StreamingNystroemClassifier, "classify", gated_classify)
+
+    def stall(self, queue):
+        """Block ``queue``'s coalescer in a flush; returns the sentinel's future."""
+        width = queue.classifier.feature_map.engine.ansatz.num_features
+        sentinel = np.full(width, 0.25 + 0.01 * len(self._gates))
+        self._gates[sentinel.tobytes()] = threading.Event()
+        future = queue.submit(sentinel)
+        assert self._entered.acquire(timeout=30), "coalescer never reached the gate"
+        return future
+
+    def release(self) -> None:
+        """Let every stalled flush finish."""
+        for gate in self._gates.values():
+            gate.set()
+
+
+@pytest.fixture
+def coalescer_gate(monkeypatch):
+    """A :class:`CoalescerGate`, released at teardown."""
+    gate = CoalescerGate(monkeypatch)
+    yield gate
+    gate.release()
 
 
 @pytest.fixture

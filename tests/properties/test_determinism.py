@@ -1,7 +1,7 @@
 """Nondeterminism audit: seeded components must reproduce exactly.
 
 Every landmark selector takes an explicit ``seed`` (integer or Generator)
-and the serving queue takes ``seed`` / ``wait_jitter_ms``; two identical runs
+and the serving queue draws no random numbers at all; two identical runs
 must produce bit-identical outputs.  These are regression tests for that
 audit -- any future selector or queue change that sneaks in fresh entropy
 (or batch-composition-dependent numerics) fails here.
@@ -80,7 +80,7 @@ def test_serving_queue_double_run_is_identical():
             ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
         )
         engine.fit(data.features, data.labels)
-        with engine.serving_queue(max_batch=5, max_wait_ms=1.0, seed=11) as queue:
+        with engine.serving_queue(max_batch=5) as queue:
             futures = queue.submit_many(queries)
             return [f.result(timeout=60).decision_value for f in futures]
 

@@ -201,7 +201,7 @@ def cold_stream():
 
 def _serve(classifier, stream, max_batch):
     with AsyncServingQueue(
-        classifier, max_batch=max_batch, max_wait_ms=20.0, memoize=False, seed=0
+        classifier, max_batch=max_batch, memoize=False
     ) as queue:
         futures = queue.submit_many(stream)
         return np.array([f.result(timeout=120).decision_value for f in futures])
@@ -230,3 +230,22 @@ def test_cold_predictions_invariant_under_request_order(fitted_parts, cold_strea
     perm = np.random.default_rng(3).permutation(len(cold_stream))
     permuted = _serve(_classifier(fitted_parts), cold_stream[perm], max_batch=8)
     assert np.array_equal(direct[perm], permuted)
+
+
+def test_encode_chunk_change_is_invisible_on_cold_rows(fitted_parts, cold_stream):
+    """The queue's stacked-encode chunk size moves sweep granularity only."""
+
+    def serve_chunked(chunk):
+        with AsyncServingQueue(
+            _classifier(fitted_parts),
+            max_batch=8,
+            memoize=False,  # every row must truly re-encode
+            encode_batch_size=chunk,
+        ) as queue:
+            assert chunk is None or queue.encode_batch_size == chunk
+            futures = queue.submit_many(cold_stream)
+            return np.array([f.result(timeout=120).decision_value for f in futures])
+
+    fixed = serve_chunked(None)
+    for chunk in (1, 2, 7):
+        assert serve_chunked(chunk).tobytes() == fixed.tobytes()

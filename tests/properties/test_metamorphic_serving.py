@@ -7,7 +7,13 @@ that by asserting how outputs must *relate* across transformed inputs
 matter, duplicates must agree, and more spectral rank can only help
 reconstruction.  All equivalences here are exact (``np.array_equal``), which
 is the contract the engine's grouping-invariant batched sweep provides.
+
+Relation 6 pins the work-conserving coalescer.  Following Metamorphic
+Coverage (Ba, Jiang & Rigger), each of its cases names the branch of the
+queue's batch collection it reaches.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -59,11 +65,13 @@ def test_batched_equals_sequential_classify(served_engine, queries):
     assert np.array_equal(batched.kernel_rows, single_rows)
 
 
-def test_queue_equals_sequential_classify(served_engine, queries):
+def test_queue_equals_sequential_classify(served_engine, queries, coalescer_gate):
     clf = served_engine.streaming_classifier()
     reference = clf.classify(queries)
-    with served_engine.serving_queue(max_batch=7, max_wait_ms=2.0) as queue:
+    with served_engine.serving_queue(max_batch=7) as queue:
+        coalescer_gate.stall(queue)
         futures = queue.submit_many(queries)
+        coalescer_gate.release()
         results = [f.result(timeout=60) for f in futures]
     decisions = np.array([r.decision_value for r in results])
     predictions = np.array([r.prediction for r in results])
@@ -77,7 +85,7 @@ def test_queue_memo_returns_byte_identical_repeats(served_engine, queries):
     clf = served_engine.streaming_classifier()
     reference = clf.classify(queries)
     repeated = np.vstack([queries, queries[::-1]])
-    with served_engine.serving_queue(max_batch=16, max_wait_ms=2.0) as queue:
+    with served_engine.serving_queue(max_batch=16) as queue:
         results = [f.result(timeout=60) for f in queue.submit_many(repeated)]
     decisions = np.array([r.decision_value for r in results])
     assert np.array_equal(decisions[: len(queries)], reference.decision_values)
@@ -126,6 +134,87 @@ def test_block_sweep_matches_plan_path(served_engine, queries):
     ).matrix
     without_block = engine.kernel_rows(Xs, states).matrix
     assert np.array_equal(with_block, without_block)
+
+
+# ----------------------------------------------------------------------
+# Relation 6: the coalescer is work-conserving.
+# ----------------------------------------------------------------------
+def test_lone_request_on_idle_queue_is_served_alone(served_engine, queries):
+    """Reaches the pop of an idle queue: nothing else is pending, so the
+    coalescer flushes the request at once instead of waiting for company."""
+    reference = served_engine.streaming_classifier().classify(queries[:5])
+    with served_engine.serving_queue(max_batch=64) as queue:
+        results = [queue.submit(row).result(timeout=30) for row in queries[:5]]
+    assert [r.batch_size for r in results] == [1] * 5
+    decisions = np.array([r.decision_value for r in results])
+    assert decisions.tobytes() == reference.decision_values.tobytes()
+
+
+@pytest.mark.parametrize("k,max_batch", [(1, 4), (3, 8), (8, 8), (10, 4), (5, 1)])
+def test_stalled_submissions_flush_in_max_batch_chunks(
+    served_engine, queries, coalescer_gate, k, max_batch
+):
+    """Reaches the capped pop: k requests that arrived during a flush are
+    served as batches of min(k, max_batch), the rest left for the next pop."""
+    reference = served_engine.streaming_classifier().classify(queries[:k])
+    with served_engine.serving_queue(max_batch=max_batch) as queue:
+        coalescer_gate.stall(queue)
+        futures = queue.submit_many(queries[:k])
+        coalescer_gate.release()
+        results = [f.result(timeout=60) for f in futures]
+    sizes = [r.batch_size for r in results]
+    assert sizes[0] == min(k, max_batch)
+    assert max(sizes) <= max_batch
+    assert sizes == [
+        min(max_batch, k - (i // max_batch) * max_batch) for i in range(k)
+    ]
+    decisions = np.array([r.decision_value for r in results])
+    assert decisions.tobytes() == reference.decision_values.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decisions_invariant_under_arrival_interleaving(
+    served_engine, queries, coalescer_gate, seed
+):
+    """Reaches every pop: requests sent one by one into a free-running
+    coalescer, in bursts behind a stalled flush, and from racing threads,
+    with and without the memo.  Each decision is byte-identical to
+    classify() however the arrivals interleaved with the flushes."""
+    reference = served_engine.streaming_classifier().classify(queries)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(queries))
+    cuts = np.sort(rng.choice(np.arange(1, len(queries)), size=3, replace=False))
+    futures = {}
+
+    def submit(queue, ids):
+        for i in ids:
+            futures[i] = queue.submit(queries[i])
+
+    with served_engine.serving_queue(
+        max_batch=int(rng.integers(1, 9)), memoize=bool(seed % 2)
+    ) as queue:
+        for segment, ids in enumerate(np.split(order, cuts)):
+            mode = (segment + seed) % 3
+            if mode == 0:
+                submit(queue, ids)
+            elif mode == 1:
+                coalescer_gate.stall(queue)
+                submit(queue, ids)
+                coalescer_gate.release()
+            else:
+                threads = [
+                    threading.Thread(target=submit, args=(queue, part))
+                    for part in np.array_split(ids, 3)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        results = [futures[i].result(timeout=60) for i in range(len(queries))]
+    decisions = np.array([r.decision_value for r in results])
+    predictions = np.array([r.prediction for r in results])
+    assert decisions.tobytes() == reference.decision_values.tobytes()
+    assert np.array_equal(predictions, reference.predictions)
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,6 @@ def _serve_router(payload, queries, num_replicas, **router_kwargs):
         num_replicas=num_replicas,
         policy="key-affinity",
         max_batch=4,
-        max_wait_ms=2.0,
         **router_kwargs,
     )
     try:
@@ -92,7 +91,7 @@ def _family_total(snapshot, name):
 # Relation 1: identical streams -> identical deterministic snapshots.
 # ----------------------------------------------------------------------
 def test_identical_streams_identical_snapshots(served_engine, queries):
-    kwargs = dict(max_batch=4, max_wait_ms=2.0)
+    kwargs = dict(max_batch=4)
     snap_a, dec_a = _serve_queue(served_engine, queries, **kwargs)
     snap_b, dec_b = _serve_queue(served_engine, queries, **kwargs)
     assert dec_a.tobytes() == dec_b.tobytes()
@@ -109,7 +108,7 @@ def test_identical_streams_identical_snapshots(served_engine, queries):
 
 
 def test_snapshot_excludes_wall_clock_families(served_engine, queries):
-    snapshot, _ = _serve_queue(served_engine, queries, max_batch=4, max_wait_ms=2.0)
+    snapshot, _ = _serve_queue(served_engine, queries, max_batch=4)
     assert not any(
         name.endswith(("_seconds", "_rps")) for name in snapshot
     ), sorted(snapshot)
@@ -125,10 +124,10 @@ def test_coalescing_invariant_totals(served_engine, queries):
     # response memo; the engine store is shared (module fixture), so we pin
     # the queue-level totals plus the prediction bytes.
     snap_small, dec_small = _serve_queue(
-        served_engine, queries, max_batch=2, max_wait_ms=1.0, memoize=False
+        served_engine, queries, max_batch=2, memoize=False
     )
     snap_large, dec_large = _serve_queue(
-        served_engine, queries, max_batch=16, max_wait_ms=50.0, memoize=False
+        served_engine, queries, max_batch=16, memoize=False
     )
     assert dec_small.tobytes() == dec_large.tobytes()
     for name in ("repro_serving_requests_total", "repro_serving_enqueued_total"):

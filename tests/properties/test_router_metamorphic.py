@@ -73,7 +73,6 @@ def test_predictions_invariant_to_policy_and_replica_count(
         num_replicas=num_replicas,
         policy=policy,
         max_batch=4,
-        max_wait_ms=2.0,
     ) as router:
         decisions, predictions = _serve(router, queries)
         routed = router.metrics_view()["routed_per_replica"]
@@ -96,7 +95,6 @@ def test_predictions_invariant_to_warm_vs_cold_start(
         policy="least-depth",
         persistence_root=root,
         max_batch=4,
-        max_wait_ms=2.0,
     ) as cold:
         assert all(r.available == 0 for r in cold.warm_up_reports)
         cold_decisions, _ = _serve(cold, queries)
@@ -110,7 +108,6 @@ def test_predictions_invariant_to_warm_vs_cold_start(
         policy="least-depth",
         persistence_root=root,
         max_batch=4,
-        max_wait_ms=2.0,
     ) as warm:
         assert all(r.loaded == r.available > 0 for r in warm.warm_up_reports)
         warm_decisions, _ = _serve(warm, queries)
@@ -124,7 +121,7 @@ def test_mid_stream_replica_death_never_changes_survivor_output(
 ):
     ref_decisions, _ = reference
     router = ReplicaRouter(
-        payload, num_replicas=3, policy="round-robin", max_batch=4, max_wait_ms=2.0
+        payload, num_replicas=3, policy="round-robin", max_batch=4
     )
     try:
         half = len(queries) // 2

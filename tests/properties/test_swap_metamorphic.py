@@ -11,6 +11,9 @@ request stream split across a swap equals the concatenation of old-model
 answers and new-model answers at the recorded swap boundary.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -75,7 +78,6 @@ def test_identity_swap_preserves_predictions(payloads, queries, references):
     with AsyncServingQueue(
         StreamingNystroemClassifier.from_serving_payload(payloads[0]),
         max_batch=8,
-        max_wait_ms=2.0,
     ) as queue:
         before = [f.result(timeout=30) for f in queue.submit_many(queries)]
         version = queue.swap_payload(payloads[0])
@@ -91,12 +93,12 @@ def test_identity_swap_preserves_predictions(payloads, queries, references):
 # Relation 2: swap timing relative to the coalescer never tears a batch.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("timing", ["before", "pending", "after"])
-def test_swap_timing_invariance(payloads, queries, references, timing):
+def test_swap_timing_invariance(
+    payloads, queries, references, timing, coalescer_gate
+):
     with AsyncServingQueue(
         StreamingNystroemClassifier.from_serving_payload(payloads[0]),
-        max_batch=64,  # larger than the stream: flushes happen on our schedule
-        max_wait_ms=500.0,
-        seed=1,
+        max_batch=64,  # larger than the stream: one batch once released
     ) as queue:
         if timing == "before":
             queue.swap_payload(payloads[1])
@@ -105,8 +107,21 @@ def test_swap_timing_invariance(payloads, queries, references, timing):
         elif timing == "pending":
             # Requests sit in the pending buffer while the swap lands: they
             # must be scored by the new model, atomically, none dropped.
+            # The swap waits out the stalled in-flight flush, so it runs in
+            # a helper thread and the gate opens once the new slot is in.
+            coalescer_gate.stall(queue)
             futures = queue.submit_many(queries)
-            queue.swap_payload(payloads[1])
+            swapper = threading.Thread(
+                target=queue.swap_payload, args=(payloads[1],)
+            )
+            swapper.start()
+            deadline = time.monotonic() + 30.0
+            while queue.model_version != 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert queue.model_version == 1
+            coalescer_gate.release()
+            swapper.join(timeout=30)
+            assert not swapper.is_alive()
             queue.flush()
         else:
             futures = queue.submit_many(queries)
@@ -129,7 +144,6 @@ def test_memo_does_not_leak_across_swap(payloads, queries, references):
     with AsyncServingQueue(
         StreamingNystroemClassifier.from_serving_payload(payloads[0]),
         max_batch=8,
-        max_wait_ms=2.0,
     ) as queue:
         warm = [f.result(timeout=30) for f in queue.submit_many(repeat)]
         assert queue.memo_hits > 0
@@ -152,7 +166,6 @@ def test_router_swap_across_replica_counts(
         num_replicas=num_replicas,
         policy="round-robin",
         max_batch=4,
-        max_wait_ms=2.0,
     ) as router:
         before = [f.result(timeout=30) for f in router.submit_many(queries)]
         version = router.swap_payload(payloads[1])
@@ -177,13 +190,13 @@ def test_swap_agrees_across_warm_and_cold_starts(
             # Populate the snapshot the warm fleet will restore from.
             with ReplicaRouter(
                 payloads[0], num_replicas=2, persistence_root=root,
-                max_batch=4, max_wait_ms=2.0,
+                max_batch=4,
             ) as seeder:
                 [f.result(timeout=30) for f in seeder.submit_many(queries)]
                 seeder.snapshot()
         with ReplicaRouter(
             payloads[0], num_replicas=2, persistence_root=root,
-            max_batch=4, max_wait_ms=2.0,
+            max_batch=4,
         ) as router:
             router.swap_payload(payloads[1])
             outputs[label] = [
@@ -201,7 +214,6 @@ def test_stream_partitions_at_swap_version(payloads, queries, references):
     with AsyncServingQueue(
         StreamingNystroemClassifier.from_serving_payload(payloads[0]),
         max_batch=8,
-        max_wait_ms=2.0,
     ) as queue:
         futures = list(queue.submit_many(queries[:12]))
         queue.flush()
@@ -231,7 +243,6 @@ def test_swap_rejects_stale_versions_and_closed_queue(payloads, queries):
     with AsyncServingQueue(
         StreamingNystroemClassifier.from_serving_payload(payloads[0]),
         max_batch=4,
-        max_wait_ms=2.0,
     ) as queue:
         queue.swap_payload(payloads[1], version=5)
         with pytest.raises(ServingError, match="version"):

@@ -129,7 +129,6 @@ def test_kill_and_restart_warm_starts_a_router_fleet(crashed_server):
         policy="least-depth",
         persistence_root=root / "tier",
         max_batch=4,
-        max_wait_ms=2.0,
     ) as router:
         assert all(r.loaded == 10 for r in router.warm_up_reports)
         futures = router.submit_many(queries)
@@ -178,7 +177,6 @@ def test_replica_crash_mid_batch_fails_only_its_futures(
         num_replicas=2,
         policy="round-robin",
         max_batch=1000,
-        max_wait_ms=10_000.0,
     )
     try:
         def crash(rows):
@@ -213,7 +211,7 @@ def test_router_routes_around_a_queue_closed_behind_its_back(
 ):
     reference = served_engine.streaming_classifier().classify(queries)
     router = ReplicaRouter(
-        payload, num_replicas=2, policy="round-robin", max_batch=4, max_wait_ms=2.0
+        payload, num_replicas=2, policy="round-robin", max_batch=4
     )
     try:
         router._queues[0].close()  # abrupt death the router was never told about
@@ -236,7 +234,6 @@ def test_kill_replica_folds_access_log_into_survivor(payload, queries, tmp_path)
         policy="key-affinity",
         persistence_root=tmp_path / "tier",
         max_batch=4,
-        max_wait_ms=2.0,
     )
     try:
         futures = router.submit_many(queries)

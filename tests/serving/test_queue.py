@@ -2,6 +2,7 @@
 
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -47,8 +48,6 @@ def test_queue_validates_parameters(served_engine):
     with pytest.raises(ServingError):
         AsyncServingQueue(clf, max_batch=0)
     with pytest.raises(ServingError):
-        AsyncServingQueue(clf, max_wait_ms=-1)
-    with pytest.raises(ServingError):
         AsyncServingQueue(clf, workers=-1)
     with pytest.raises(ServingError):
         AsyncServingQueue(clf, memo_capacity=0)
@@ -68,10 +67,20 @@ def test_queue_rejects_after_close(served_engine, queries):
     queue.close()  # idempotent
 
 
-def test_close_flushes_pending_requests(served_engine, queries):
-    queue = served_engine.serving_queue(max_batch=64, max_wait_ms=10_000.0)
+def test_close_flushes_pending_requests(served_engine, queries, coalescer_gate):
+    queue = served_engine.serving_queue(max_batch=64)
+    coalescer_gate.stall(queue)
     futures = queue.submit_many(queries)
-    queue.close()
+    # close() runs while every query is still pending behind the gate.
+    closer = threading.Thread(target=queue.close)
+    closer.start()
+    deadline = time.monotonic() + 30.0
+    while not queue.closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert queue.closed
+    coalescer_gate.release()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
     results = [f.result(timeout=10) for f in futures]
     assert len(results) == len(queries)
     reference = served_engine.streaming_classifier().classify(queries)
@@ -80,20 +89,14 @@ def test_close_flushes_pending_requests(served_engine, queries):
     )
 
 
-def test_flush_forces_partial_batch(served_engine, queries):
-    with served_engine.serving_queue(max_batch=64, max_wait_ms=10_000.0) as queue:
+def test_flush_forces_partial_batch(served_engine, queries, coalescer_gate):
+    with served_engine.serving_queue(max_batch=64) as queue:
+        coalescer_gate.stall(queue)
         futures = queue.submit_many(queries[:3])
+        coalescer_gate.release()
         queue.flush()
         results = [f.result(timeout=10) for f in futures]
     assert [r.batch_size for r in results] == [3, 3, 3]
-
-
-def test_max_wait_flushes_without_full_batch(served_engine, queries):
-    with served_engine.serving_queue(max_batch=64, max_wait_ms=20.0) as queue:
-        future = queue.submit(queries[0])
-        result = future.result(timeout=10)
-    assert result.batch_size == 1
-    assert result.latency_s >= 0.0
 
 
 def test_queue_propagates_classifier_errors(served_engine, queries):
@@ -108,7 +111,7 @@ def test_queue_propagates_classifier_errors(served_engine, queries):
         def classify(self, rows):
             raise RuntimeError("backend on fire")
 
-    with AsyncServingQueue(Exploding(), max_batch=2, max_wait_ms=1.0) as queue:
+    with AsyncServingQueue(Exploding(), max_batch=2) as queue:
         futures = [queue.submit(queries[0]), queue.submit(queries[1])]
         for future in futures:
             with pytest.raises(RuntimeError, match="backend on fire"):
@@ -117,7 +120,7 @@ def test_queue_propagates_classifier_errors(served_engine, queries):
 
 def test_memo_hits_and_capacity(served_engine, queries):
     with served_engine.serving_queue(
-        max_batch=4, max_wait_ms=1.0, memo_capacity=2
+        max_batch=4, memo_capacity=2
     ) as queue:
         for _ in range(3):
             futures = queue.submit_many(queries[:2])
@@ -128,7 +131,7 @@ def test_memo_hits_and_capacity(served_engine, queries):
 
 def test_memo_can_be_disabled(served_engine, queries):
     with served_engine.serving_queue(
-        max_batch=4, max_wait_ms=1.0, memoize=False
+        max_batch=4, memoize=False
     ) as queue:
         futures = queue.submit_many(np.vstack([queries[:2], queries[:2]]))
         results = [f.result(timeout=10) for f in futures]
@@ -137,7 +140,7 @@ def test_memo_can_be_disabled(served_engine, queries):
 
 
 def test_queue_metrics_accounting(served_engine, queries):
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=1.0) as queue:
+    with served_engine.serving_queue(max_batch=4) as queue:
         futures = queue.submit_many(queries)
         [f.result(timeout=10) for f in futures]
         queue.flush()
@@ -159,7 +162,7 @@ def test_served_prediction_validates():
 def test_concurrent_submitters_all_served(served_engine, queries):
     """Many threads submitting at once: every request resolves correctly."""
     reference = served_engine.streaming_classifier().classify(queries)
-    with served_engine.serving_queue(max_batch=5, max_wait_ms=2.0) as queue:
+    with served_engine.serving_queue(max_batch=5) as queue:
         results = {}
 
         def submit_one(i):
@@ -214,7 +217,7 @@ def test_worker_task_requires_attachment():
 def test_two_worker_queue_matches_in_process(served_engine, queries):
     reference = served_engine.streaming_classifier().classify(queries)
     with served_engine.serving_queue(
-        max_batch=6, max_wait_ms=2.0, workers=2, memoize=False
+        max_batch=6, workers=2, memoize=False
     ) as queue:
         futures = queue.submit_many(queries)
         results = [f.result(timeout=120) for f in futures]

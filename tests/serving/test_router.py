@@ -103,7 +103,7 @@ def test_router_serves_identically_to_direct_classifier(
 ):
     reference = served_engine.streaming_classifier().classify(queries)
     with ReplicaRouter(
-        payload, num_replicas=2, policy="round-robin", max_batch=4, max_wait_ms=2.0
+        payload, num_replicas=2, policy="round-robin", max_batch=4
     ) as router:
         futures = router.submit_many(queries)
         results = [f.result(timeout=60) for f in futures]
@@ -120,7 +120,7 @@ def test_router_serves_identically_to_direct_classifier(
 
 def test_key_affinity_routes_repeats_to_one_replica(payload, queries):
     with ReplicaRouter(
-        payload, num_replicas=3, policy="key-affinity", max_batch=8, max_wait_ms=2.0
+        payload, num_replicas=3, policy="key-affinity", max_batch=8
     ) as router:
         row = queries[0]
         futures = [router.submit(row) for _ in range(6)]
@@ -130,19 +130,20 @@ def test_key_affinity_routes_repeats_to_one_replica(payload, queries):
     assert sorted(view["routed_per_replica"]) == [0, 0, 6]
 
 
-def test_load_shedding_at_high_water(payload, queries):
-    # Stalled coalescers (huge batch + wait) let pending depth build
-    # deterministically: with high-water 2 and 2 replicas, the fifth
-    # submission finds every replica saturated and must be shed.
+def test_load_shedding_at_high_water(payload, queries, coalescer_gate):
+    # Stalled coalescers let pending depth build deterministically: with
+    # high-water 2 and 2 replicas, the fifth submission finds every replica
+    # saturated and must be shed.
     router = ReplicaRouter(
         payload,
         num_replicas=2,
         policy="round-robin",
         queue_depth_high_water=2,
         max_batch=1000,
-        max_wait_ms=10_000.0,
     )
     try:
+        for queue in router.queues:
+            coalescer_gate.stall(queue)
         accepted = [router.submit(queries[i]) for i in range(4)]
         assert router.pending() == [2, 2]
         with pytest.raises(LoadShedError):
@@ -150,14 +151,16 @@ def test_load_shedding_at_high_water(payload, queries):
         view = router.metrics_view()
         assert view["shed_count"] == 1
         assert view["total_routed"] == 4
+        coalescer_gate.release()
         router.flush()
         for f in accepted:
             assert f.result(timeout=60).prediction in (0, 1)
     finally:
+        coalescer_gate.release()
         router.close()
 
 
-def test_saturated_pick_fails_over_to_shallowest(payload, queries):
+def test_saturated_pick_fails_over_to_shallowest(payload, queries, coalescer_gate):
     # Key-affinity pins every copy of one row onto a single replica; once
     # that replica hits high water the router must divert to the idle one
     # instead of shedding.
@@ -167,9 +170,10 @@ def test_saturated_pick_fails_over_to_shallowest(payload, queries):
         policy="key-affinity",
         queue_depth_high_water=2,
         max_batch=1000,
-        max_wait_ms=10_000.0,
     )
     try:
+        for queue in router.queues:
+            coalescer_gate.stall(queue)
         row = queries[0]
         for _ in range(3):
             router.submit(row)
@@ -178,15 +182,17 @@ def test_saturated_pick_fails_over_to_shallowest(payload, queries):
         view = router.metrics_view()
         assert view["failover_count"] == 1
         assert view["shed_count"] == 0
+        coalescer_gate.release()
         router.flush()
     finally:
+        coalescer_gate.release()
         router.close()
 
 
 def test_from_config_builds_matching_fleet(payload, tmp_path):
     config = ServingConfig(
         tuning=TuningConfig(
-            max_batch=4, max_wait_ms=2.0, queue_depth_high_water=16
+            max_batch=4, queue_depth_high_water=16
         ),
         num_replicas=2,
         routing_policy="least-depth",
@@ -199,25 +205,6 @@ def test_from_config_builds_matching_fleet(payload, tmp_path):
         assert all(store is not None for store in router.replica_stores)
         future = router.submit(np.zeros(4))
         assert future.result(timeout=60).prediction in (0, 1)
-
-
-def test_router_apply_tuning_fans_out_and_sets_high_water(payload):
-    with ReplicaRouter(
-        payload, num_replicas=2, max_batch=4, queue_depth_high_water=16
-    ) as router:
-        tunings = router.apply_tuning(
-            max_batch=8, max_wait_ms=3.0, queue_depth_high_water=32
-        )
-        assert len(tunings) == 2
-        assert all(t.max_batch == 8 for t in tunings)
-        assert all(q.max_batch == 8 for q in router.queues)
-        assert router.high_water == 32
-        assert router.knob_adjustments == 1
-        # Explicit None disables shedding entirely.
-        router.apply_tuning(queue_depth_high_water=None)
-        assert router.high_water is None
-        with pytest.raises(ServingError):
-            router.set_high_water(0)
 
 
 def test_router_metrics_view_shapes():

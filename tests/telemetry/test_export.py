@@ -75,7 +75,7 @@ def _get_text(url):
 # /metrics against a live queue
 # ----------------------------------------------------------------------
 def test_queue_endpoint_serves_parseable_metrics(served_engine, queries):
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+    with served_engine.serving_queue(max_batch=4) as queue:
         with attach_endpoint(queue) as server:
             futures = [queue.submit(row) for row in queries]
             queue.flush()
@@ -134,7 +134,7 @@ def test_unknown_path_is_404(served_engine):
 # Router fleet: /health liveness + router families
 # ----------------------------------------------------------------------
 def test_router_endpoint_reflects_replica_liveness(payload, queries):
-    router = ReplicaRouter(payload, num_replicas=2, max_batch=4, max_wait_ms=2.0)
+    router = ReplicaRouter(payload, num_replicas=2, max_batch=4)
     try:
         with attach_endpoint(router) as server:
             futures = [router.submit(row) for row in queries]
@@ -184,7 +184,7 @@ def test_attach_endpoint_rejects_unknown_targets():
 # Tracing through the serving stack
 # ----------------------------------------------------------------------
 def test_traced_request_yields_linked_span_tree(served_engine, queries, tracing):
-    with served_engine.serving_queue(max_batch=len(queries), max_wait_ms=5000.0) as queue:
+    with served_engine.serving_queue(max_batch=len(queries)) as queue:
         futures = [queue.submit(row) for row in queries]
         queue.flush()
         [f.result(timeout=10) for f in futures]
@@ -219,7 +219,7 @@ def test_traced_request_yields_linked_span_tree(served_engine, queries, tracing)
 
 
 def test_traces_endpoint_serves_json_and_text(served_engine, queries, tracing):
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+    with served_engine.serving_queue(max_batch=4) as queue:
         with attach_endpoint(queue) as server:
             futures = [queue.submit(row) for row in queries[:4]]
             queue.flush()
@@ -258,7 +258,7 @@ def test_disabled_telemetry_leaves_predictions_byte_identical(
     assert TRACER.enabled is False  # the module default
 
     def serve():
-        with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+        with served_engine.serving_queue(max_batch=4) as queue:
             futures = [queue.submit(row) for row in queries]
             queue.flush()
             return [f.result(timeout=10) for f in futures]
@@ -281,7 +281,7 @@ def test_disabled_telemetry_leaves_predictions_byte_identical(
 
 def test_disabled_tracer_records_nothing(served_engine, queries):
     TRACER.reset()
-    with served_engine.serving_queue(max_batch=4, max_wait_ms=2.0) as queue:
+    with served_engine.serving_queue(max_batch=4) as queue:
         futures = [queue.submit(row) for row in queries[:4]]
         queue.flush()
         [f.result(timeout=10) for f in futures]

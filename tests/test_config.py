@@ -110,64 +110,32 @@ def test_tuning_config_defaults_and_roundtrip():
     assert tuning.max_batch == 32
     assert tuning.encode_batch_size is None
     assert tuning.queue_depth_high_water is None
-    assert tuning.min_batch <= tuning.batch_ceiling
     d = tuning.to_dict()
     assert TuningConfig(**d) == tuning
 
 
 def test_tuning_config_validates_knobs():
     # Regression: these used to slip through to the serving layer unvalidated.
-    with pytest.raises(ConfigurationError, match="wait_jitter_ms"):
-        TuningConfig(wait_jitter_ms=-0.5)
     with pytest.raises(ConfigurationError, match="queue_depth_high_water"):
         TuningConfig(queue_depth_high_water=0)
     with pytest.raises(ConfigurationError, match="max_batch"):
         TuningConfig(max_batch=0)
-    with pytest.raises(ConfigurationError, match="max_wait_ms"):
-        TuningConfig(max_wait_ms=-1.0)
     with pytest.raises(ConfigurationError, match="encode_batch_size"):
         TuningConfig(encode_batch_size=0)
 
 
-def test_tuning_config_validates_bounds():
-    with pytest.raises(ConfigurationError, match="min_batch"):
-        TuningConfig(min_batch=0)
-    with pytest.raises(ConfigurationError, match="batch_ceiling"):
-        TuningConfig(min_batch=8, batch_ceiling=4)
-    with pytest.raises(ConfigurationError, match="min_wait_ms"):
-        TuningConfig(min_wait_ms=-1.0)
-    with pytest.raises(ConfigurationError, match="wait_ceiling_ms"):
-        TuningConfig(min_wait_ms=10.0, wait_ceiling_ms=5.0)
-    with pytest.raises(ConfigurationError, match="min_high_water"):
-        TuningConfig(min_high_water=0)
-    with pytest.raises(ConfigurationError, match="high_water_ceiling"):
-        TuningConfig(min_high_water=16, high_water_ceiling=8)
-
-
-def test_tuning_config_initial_knob_may_sit_outside_bounds():
-    # Compatibility: a fixed knob outside the adaptation interval stays
-    # legal -- the static policy never moves it.
-    tuning = TuningConfig(max_wait_ms=0.0, min_wait_ms=0.5)
-    assert tuning.max_wait_ms == 0.0
-
-
 def test_serving_config_nested_tuning_is_canonical():
     config = ServingConfig(
-        tuning=TuningConfig(max_batch=4, max_wait_ms=2.0),
+        tuning=TuningConfig(max_batch=4),
         num_replicas=2,
     )
     assert config.tuning.max_batch == 4
-    assert config.tuning.max_wait_ms == 2.0
     assert config.tuning.queue_depth_high_water is None
     assert ServingConfig().tuning == TuningConfig()
 
 
-def test_serving_config_validates_control_fields():
+def test_serving_config_validates_fields():
     with pytest.raises(ConfigurationError, match="num_replicas"):
         ServingConfig(num_replicas=0)
-    with pytest.raises(ConfigurationError, match="control_policy"):
-        ServingConfig(control_policy="")
-    with pytest.raises(ConfigurationError, match="control_interval_s"):
-        ServingConfig(control_interval_s=-1.0)
     with pytest.raises(ConfigurationError, match="warm_max_keys"):
         ServingConfig(warm_max_keys=-1)

@@ -50,6 +50,7 @@ from .config import (
     TuningConfig,
     DEFAULT_C_GRID,
 )
+from .control import AdaptiveController, make_control_policy
 from .engine import EngineConfig, KernelEngine, StateStore
 from .exceptions import ReproError
 from .mps import MPS, InstrumentedMPS, TruncationPolicy
@@ -78,6 +79,8 @@ __all__ = [
     "ServingConfig",
     "TuningConfig",
     "DEFAULT_C_GRID",
+    "AdaptiveController",
+    "make_control_policy",
     "serve",
     "ServingHandle",
     "ReproError",

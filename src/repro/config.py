@@ -175,7 +175,16 @@ class SVMConfig:
 
 @dataclass(frozen=True)
 class TuningConfig:
-    """The performance knobs of the serving tier, in one validated bundle.
+    """The performance knobs of the serving tier, plus their bounds.
+
+    The first group is the knobs themselves -- the values a fleet starts
+    with.  The second group is the **adaptation bounds**: the closed
+    interval each knob may move in when an
+    :class:`repro.control.AdaptiveController` is driving it.  The controller
+    clamps every proposal into these bounds, so a misbehaving policy can
+    never push the fleet outside the envelope the operator configured.  A
+    starting knob is allowed to sit outside its bound interval (the static
+    policy never moves it); the first adaptive adjustment pulls it inside.
 
     Parameters
     ----------
@@ -188,12 +197,20 @@ class TuningConfig:
         :attr:`repro.engine.EngineConfig.encode_batch_size`.
     queue_depth_high_water:
         Load-shedding threshold of the replica router; ``None`` disables
-        shedding.
+        shedding (and the controller then never touches it).
+    min_batch / batch_ceiling:
+        Bounds for ``max_batch`` and ``encode_batch_size`` adjustments.
+    min_high_water / high_water_ceiling:
+        Bounds for shed-threshold adjustments.
     """
 
     max_batch: int = 32
     encode_batch_size: int | None = None
     queue_depth_high_water: int | None = None
+    min_batch: int = 1
+    batch_ceiling: int = 128
+    min_high_water: int = 4
+    high_water_ceiling: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -213,6 +230,24 @@ class TuningConfig:
                 "queue_depth_high_water must be >= 1 or None, got "
                 f"{self.queue_depth_high_water}"
             )
+        if self.min_batch < 1:
+            raise ConfigurationError(
+                f"min_batch must be >= 1, got {self.min_batch}"
+            )
+        if self.batch_ceiling < self.min_batch:
+            raise ConfigurationError(
+                f"batch_ceiling ({self.batch_ceiling}) must be >= "
+                f"min_batch ({self.min_batch})"
+            )
+        if self.min_high_water < 1:
+            raise ConfigurationError(
+                f"min_high_water must be >= 1, got {self.min_high_water}"
+            )
+        if self.high_water_ceiling < self.min_high_water:
+            raise ConfigurationError(
+                f"high_water_ceiling ({self.high_water_ceiling}) must be >= "
+                f"min_high_water ({self.min_high_water})"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -223,10 +258,11 @@ class ServingConfig:
     """Deployment-facing knobs of the durable serving tier.
 
     One declarative bundle for everything between a fitted model and a
-    traffic-ready fleet: the performance knobs (``tuning``, a nested
-    :class:`TuningConfig`), the replica fleet (``num_replicas`` /
-    ``routing_policy``), durability (``snapshot_root`` plus the warm-up key
-    budget) and the response memo.  Consumed by
+    traffic-ready fleet: the performance knobs and their adaptation bounds
+    (``tuning``, a nested :class:`TuningConfig`), the replica fleet
+    (``num_replicas`` / ``routing_policy``), durability (``snapshot_root``
+    plus the warm-up key budget), the response memo, and the control plane
+    (``control_policy`` / ``control_interval_s``).  Consumed by
     :meth:`repro.serving.ReplicaRouter.from_config` and :func:`repro.serve`.
     """
 
@@ -235,6 +271,8 @@ class ServingConfig:
     snapshot_root: str | None = None
     warm_max_keys: int | None = None
     tuning: TuningConfig = field(default_factory=TuningConfig)
+    control_policy: str = "static"
+    control_interval_s: float = 0.0
     memoize: bool = True
 
     def __post_init__(self) -> None:
@@ -245,6 +283,15 @@ class ServingConfig:
         if self.warm_max_keys is not None and self.warm_max_keys < 0:
             raise ConfigurationError(
                 f"warm_max_keys must be >= 0 or None, got {self.warm_max_keys}"
+            )
+        if not self.control_policy or not isinstance(self.control_policy, str):
+            raise ConfigurationError(
+                f"control_policy must be a registry name, got "
+                f"{self.control_policy!r}"
+            )
+        if self.control_interval_s < 0:
+            raise ConfigurationError(
+                f"control_interval_s must be >= 0, got {self.control_interval_s}"
             )
 
     def to_dict(self) -> dict[str, Any]:

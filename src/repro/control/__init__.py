@@ -1,9 +1,9 @@
 """Adaptive control plane: closed-loop tuning of the serving tier's knobs.
 
-Every performance knob of the serving tier used to be frozen at
-construction time (``max_batch``, ``max_wait_ms``, ``encode_batch_size``,
-the shed high-water mark), so the latency/throughput trade-off was tuned
-for exactly one traffic shape.  This package closes the loop:
+Every performance knob of the serving tier is otherwise frozen at
+construction time (``max_batch``, ``encode_batch_size``, the shed
+high-water mark), so the throughput/admission trade-off is tuned for
+exactly one traffic shape.  This package closes the loop:
 
 * :mod:`~repro.control.policy` -- :class:`ControlPolicy` implementations
   mapping observed :class:`ControlSignals` to knob proposals, behind the

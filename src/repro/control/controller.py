@@ -15,8 +15,8 @@
    ``apply_tuning`` / ``set_high_water`` surface and records one
    :class:`ControlDecision` (also emitted as a ``control.step`` trace span).
 
-The loop is driven either explicitly -- the benchmark calls :meth:`step`
-at deterministic points in its submission schedule -- or by the optional
+The loop is driven either explicitly -- a caller invokes :meth:`step` at
+deterministic points in its submission schedule -- or by the optional
 :meth:`start` background thread.  For a fleet target the controller also
 publishes a **replica-count recommendation** (scale out when the queue runs
 multiple ceiling-sized batches deep, scale in when the fleet idles); it
@@ -46,7 +46,7 @@ from .policy import ControlPolicy, ControlSignals, make_control_policy
 __all__ = ["ControlDecision", "AdaptiveController"]
 
 #: Knobs applied through the queues' ``apply_tuning`` surface.
-_QUEUE_KNOBS = ("max_batch", "max_wait_ms", "wait_jitter_ms", "encode_batch_size")
+_QUEUE_KNOBS = ("max_batch", "encode_batch_size")
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,6 @@ class AdaptiveController:
         tuning = queue.tuning
         return {
             "max_batch": tuning.max_batch,
-            "max_wait_ms": tuning.max_wait_ms,
-            "wait_jitter_ms": tuning.wait_jitter_ms,
             "encode_batch_size": queue.encode_batch_size,
             "queue_depth_high_water": (
                 self.target.high_water if self._is_fleet else None
@@ -218,10 +216,6 @@ class AdaptiveController:
         if knob in ("max_batch", "encode_batch_size"):
             return int(
                 min(bounds.batch_ceiling, max(bounds.min_batch, round(value)))
-            )
-        if knob in ("max_wait_ms", "wait_jitter_ms"):
-            return float(
-                min(bounds.wait_ceiling_ms, max(bounds.min_wait_ms, value))
             )
         if knob == "queue_depth_high_water":
             return int(
@@ -269,8 +263,8 @@ class AdaptiveController:
     def step(self, now: float | None = None) -> ControlDecision:
         """Run one observe -> propose -> damp -> apply cycle.
 
-        Deterministically driven loops (the benchmark, the metamorphic
-        suite) call this at fixed points in their submission schedule; the
+        Deterministically driven loops (the metamorphic suite) call this at
+        fixed points in their submission schedule; the
         background thread calls it on a wall-clock interval.  Returns the
         recorded decision.
         """

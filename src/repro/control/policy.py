@@ -15,10 +15,11 @@ Two registry entries ship:
 * ``"depth-proportional"`` -- AIMD on the batch size driven by queue
   *pressure* (pending depth over batch size): additive growth under
   sustained pressure or shedding, multiplicative shrink when the queue runs
-  shallow; the partial-batch wait scales proportionally with pressure (an
-  idle queue flushes near-immediately for tail latency, a saturated one
-  waits longer because its batches fill anyway); the shed threshold tracks
-  a multiple of the batch size so admission follows service capacity.
+  shallow; the shed threshold tracks a multiple of the batch size so
+  admission follows service capacity.
+
+The coalescer is work-conserving, so there is no wait to tune: the batch
+cap only bounds how much of a backlog one flush takes.
 
 Whatever the policy, predictions are byte-identical with the controller on
 or off: every knob it may move only re-times or re-chunks work whose values
@@ -75,7 +76,7 @@ class ControlPolicy:
     """Maps one observation to a (possibly empty) knob proposal.
 
     ``propose`` returns a dict keyed by knob name (``max_batch``,
-    ``max_wait_ms``, ``encode_batch_size``, ``queue_depth_high_water``);
+    ``encode_batch_size``, ``queue_depth_high_water``);
     values are *targets*, which the controller clamps into the configured
     bounds and damps before applying.  Policies must be deterministic
     functions of their arguments.
@@ -108,7 +109,7 @@ class StaticPolicy(ControlPolicy):
 
 
 class DepthProportionalPolicy(ControlPolicy):
-    """AIMD batch sizing and pressure-proportional waits.
+    """AIMD batch sizing with a capacity-tracking shed threshold.
 
     *Pressure* is the pending depth over the current batch size -- how many
     full flushes are already queued.  At or above ``high_pressure`` (or
@@ -119,10 +120,7 @@ class DepthProportionalPolicy(ControlPolicy):
     thresholds the batch size holds: that dead band is the hysteresis that
     keeps the knob from thrashing around a noisy operating point.
 
-    The partial-batch wait interpolates across its bound interval with
-    pressure: an idle queue flushes almost immediately (waiting can only add
-    latency when batches never fill), a saturated one tolerates the ceiling
-    (its batches fill long before any deadline).  The encode chunk follows
+    The encode chunk follows
     the batch size so one flush is one stacked sweep, and the shed threshold
     -- when shedding is configured at all -- tracks ``hw_batches`` flushes'
     worth of requests, tying admission to service capacity.
@@ -174,10 +172,6 @@ class DepthProportionalPolicy(ControlPolicy):
         if target_batch != current_batch:
             out["max_batch"] = target_batch
             out["encode_batch_size"] = target_batch
-        saturation = min(1.0, pressure)
-        out["max_wait_ms"] = bounds.min_wait_ms + saturation * (
-            bounds.wait_ceiling_ms - bounds.min_wait_ms
-        )
         if knobs.get("queue_depth_high_water") is not None:
             out["queue_depth_high_water"] = self.hw_batches * max(
                 bounds.min_batch, target_batch

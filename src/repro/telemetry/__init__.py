@@ -26,6 +26,7 @@ from .export import TelemetryServer, attach_endpoint
 from .instrument import (
     bind_backend,
     bind_classifier_coverage,
+    bind_controller,
     bind_drift_controller,
     bind_engine,
     bind_queue,
@@ -63,4 +64,5 @@ __all__ = [
     "bind_engine",
     "bind_classifier_coverage",
     "bind_drift_controller",
+    "bind_controller",
 ]

@@ -31,6 +31,7 @@ __all__ = [
     "bind_engine",
     "bind_classifier_coverage",
     "bind_drift_controller",
+    "bind_controller",
 ]
 
 #: Batch sizes are small integers; powers of two up to a generous max batch.
@@ -412,3 +413,50 @@ def bind_drift_controller(
         buffered.set(getattr(controller, "buffered_samples", 0))
 
     return [registry.register_collector(collect, name="drift-controller")]
+
+
+def bind_controller(registry: MetricsRegistry, controller) -> List[str]:
+    """Publish the adaptive control plane's knobs, counters and policy.
+
+    ``controller`` is anything with the
+    :class:`repro.control.AdaptiveController` surface:
+    ``current_knobs()``, ``step_count``, ``adjustment_count``,
+    ``recommended_replicas`` and a ``policy`` with a ``name``.  The knob
+    gauges are labelled by knob name, so one family tells the whole tuning
+    story on a dashboard: which values the loop is holding, how often it
+    has moved them, and what fleet size it would recommend.
+    """
+    knob = registry.gauge(
+        "repro_control_knob",
+        "Current value of one adaptively tunable serving knob.",
+        ("knob",),
+    )
+    steps = registry.counter(
+        "repro_control_steps_total",
+        "Observe/propose/apply cycles run by the adaptive controller.",
+    )
+    adjustments = registry.counter(
+        "repro_control_adjustments_total",
+        "Individual knob changes applied by the adaptive controller.",
+    )
+    recommended = registry.gauge(
+        "repro_control_recommended_replicas",
+        "The controller's advisory replica count for the fleet.",
+    )
+    policy_info = registry.gauge(
+        "repro_control_policy",
+        "Active control policy (value fixed at 1; the label carries it).",
+        ("policy",),
+    )
+
+    def collect() -> None:
+        for name, value in controller.current_knobs().items():
+            knob.labels(knob=name).set(
+                0.0 if value is None else float(value)
+            )
+        steps.set_total(getattr(controller, "step_count", 0))
+        adjustments.set_total(getattr(controller, "adjustment_count", 0))
+        recommended.set(getattr(controller, "recommended_replicas", 1))
+        policy_info.labels(policy=controller.policy.name).set(1.0)
+
+    return [registry.register_collector(collect, name="adaptive-controller")]

@@ -4,8 +4,7 @@ The controller duck-types its target, so these tests drive it with fake
 queues/fleets whose signals are set directly -- every damping behaviour
 (bound clamping, cooldown, dead band, the never-enable-shedding rule) is
 pinned without spinning up a real serving stack.  End-to-end behaviour over
-real fleets lives in ``tests/properties/test_control_metamorphic.py`` and
-``benchmarks/bench_control.py``.
+real fleets lives in ``tests/properties/test_control_metamorphic.py``.
 """
 
 import time
@@ -46,12 +45,8 @@ class FakeMetrics:
 class FakeQueue:
     """The AsyncServingQueue surface the controller reads and writes."""
 
-    def __init__(self, max_batch=8, max_wait_ms=5.0, wait_jitter_ms=0.0):
-        self._tuning = QueueTuning(
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            wait_jitter_ms=wait_jitter_ms,
-        )
+    def __init__(self, max_batch=8):
+        self._tuning = QueueTuning(max_batch=max_batch)
         self.pending = 0
         self.metrics = FakeMetrics()
         self.encode_batch_size = None
@@ -69,16 +64,6 @@ class FakeQueue:
             self.encode_batch_size = int(encode)
         self._tuning = QueueTuning(
             max_batch=int(kwargs.get("max_batch") or current.max_batch),
-            max_wait_ms=float(
-                current.max_wait_ms
-                if kwargs.get("max_wait_ms") is None
-                else kwargs["max_wait_ms"]
-            ),
-            wait_jitter_ms=float(
-                current.wait_jitter_ms
-                if kwargs.get("wait_jitter_ms") is None
-                else kwargs["wait_jitter_ms"]
-            ),
             version=current.version + 1,
         )
         return self._tuning
@@ -107,8 +92,6 @@ class FakeFleet:
 BOUNDS = TuningConfig(
     min_batch=1,
     batch_ceiling=64,
-    min_wait_ms=1.0,
-    wait_ceiling_ms=20.0,
     min_high_water=4,
     high_water_ceiling=256,
 )
@@ -172,12 +155,10 @@ def test_observe_pools_fleet_signals_and_tracks_rates():
 
 
 def test_current_knobs_reads_the_live_objects():
-    fleet = FakeFleet(high_water=64, max_batch=4, max_wait_ms=2.0)
+    fleet = FakeFleet(high_water=64, max_batch=4)
     ctl = controller(fleet, policy="static")
     assert ctl.current_knobs() == {
         "max_batch": 4,
-        "max_wait_ms": 2.0,
-        "wait_jitter_ms": 0.0,
         "encode_batch_size": None,
         "queue_depth_high_water": 64,
     }
@@ -239,15 +220,17 @@ def test_cooldown_refuses_to_move_a_knob_twice_in_a_row():
 
 
 def test_deadband_suppresses_subthreshold_nudges():
-    queue = FakeQueue(max_batch=8, max_wait_ms=10.0)
-    queue.pending = 4  # hysteresis band: only max_wait_ms is proposed
-    ctl = controller(queue, deadband=0.2)
-    # Proposal: 1.0 + 0.5 * 19.0 = 10.5ms -- a 5% nudge from 10.0, under
-    # the 20% dead band.
+    fleet = FakeFleet(high_water=60, max_batch=8)
+    # Hysteresis band: only the shed threshold is proposed.
+    fleet.queues[0].pending = 4
+    ctl = controller(fleet, deadband=0.2)
+    # Proposal: 8 batches of 8 = 64 -- a 6.7% nudge from 60, under the 20%
+    # dead band.
     decision = ctl.step(now=0.0)
-    assert decision.proposed["max_wait_ms"] == pytest.approx(10.5)
-    assert "max_wait_ms" not in decision.applied
-    assert queue.tuning.version == 0
+    assert decision.proposed == {"queue_depth_high_water": 64}
+    assert "queue_depth_high_water" not in decision.applied
+    assert fleet.high_water == 60
+    assert all(q.tuning.version == 0 for q in fleet.queues)
 
 
 def test_high_water_is_never_enabled_when_unconfigured():

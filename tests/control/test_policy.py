@@ -12,20 +12,12 @@ from repro.control import (
 )
 from repro.exceptions import ControlError
 
-BOUNDS = TuningConfig(
-    max_batch=8,
-    min_batch=1,
-    batch_ceiling=64,
-    min_wait_ms=1.0,
-    wait_ceiling_ms=20.0,
-)
+BOUNDS = TuningConfig(max_batch=8, min_batch=1, batch_ceiling=64)
 
 
 def knobs(max_batch=8, high_water=None):
     return {
         "max_batch": max_batch,
-        "max_wait_ms": 5.0,
-        "wait_jitter_ms": 0.0,
         "encode_batch_size": None,
         "queue_depth_high_water": high_water,
     }
@@ -78,8 +70,8 @@ def test_depth_policy_grows_additively_under_pressure():
     out = policy.propose(ControlSignals(queue_depth=16), knobs(8), BOUNDS)
     assert out["max_batch"] == 16
     assert out["encode_batch_size"] == 16
-    # Saturated queue tolerates the wait ceiling.
-    assert out["max_wait_ms"] == BOUNDS.wait_ceiling_ms
+    # The coalescer is work-conserving: there is no wait knob to propose.
+    assert set(out) == {"max_batch", "encode_batch_size"}
 
 
 def test_depth_policy_grows_on_shedding_even_when_shallow():
@@ -94,8 +86,7 @@ def test_depth_policy_shrinks_multiplicatively_when_idle():
     policy = DepthProportionalPolicy(shrink_factor=0.5)
     out = policy.propose(ControlSignals(queue_depth=0), knobs(32), BOUNDS)
     assert out["max_batch"] == 16
-    # An idle queue flushes near-immediately.
-    assert out["max_wait_ms"] == BOUNDS.min_wait_ms
+    assert out["encode_batch_size"] == 16
 
 
 def test_depth_policy_holds_in_the_hysteresis_band():
@@ -104,11 +95,12 @@ def test_depth_policy_holds_in_the_hysteresis_band():
     out = policy.propose(ControlSignals(queue_depth=4), knobs(8), BOUNDS)
     assert "max_batch" not in out
     assert "encode_batch_size" not in out
-    # The wait still interpolates with pressure.
-    expected = BOUNDS.min_wait_ms + 0.5 * (
-        BOUNDS.wait_ceiling_ms - BOUNDS.min_wait_ms
+    # Only the configured shed threshold still tracks the held batch size.
+    assert out == {}
+    held = policy.propose(
+        ControlSignals(queue_depth=4), knobs(8, high_water=32), BOUNDS
     )
-    assert out["max_wait_ms"] == pytest.approx(expected)
+    assert held == {"queue_depth_high_water": 8 * 8}
 
 
 def test_depth_policy_tracks_high_water_only_when_configured():

@@ -1,10 +1,10 @@
 """Metamorphic relations of the adaptive control plane.
 
-The control loop's whole contract is that it moves *when* work happens,
+The control loop's whole contract is that it moves *how* work is batched,
 never *what* any request computes: every knob it may touch (``max_batch``,
-``max_wait_ms``, ``wait_jitter_ms``, ``encode_batch_size``, the shed
-high-water mark) only re-times or re-chunks work whose values are
-batching-invariant by the engine's contract.  The relations below pin that
+``encode_batch_size``, the shed high-water mark) only re-slices or
+re-chunks work whose values are batching-invariant by the engine's
+contract.  The relations below pin that
 -- predictions byte-identical with the controller off vs driving hard under
 every shipped policy, knob changes applied before / with requests pending /
 after a stream, a mid-stream knob change partitioning the stream exactly at
@@ -69,16 +69,11 @@ def _drain(futures):
 def test_controller_on_vs_off_is_byte_identical(
     payload, queries, reference, policy
 ):
-    with AsyncServingQueue(
-        _classifier(payload), max_batch=4, max_wait_ms=2.0
-    ) as queue:
+    with AsyncServingQueue(_classifier(payload), max_batch=4) as queue:
         controller = AdaptiveController(
             queue,
             policy=policy,
-            tuning=TuningConfig(
-                min_batch=1, batch_ceiling=16, min_wait_ms=0.5,
-                wait_ceiling_ms=10.0,
-            ),
+            tuning=TuningConfig(min_batch=1, batch_ceiling=16),
             cooldown_steps=0,
             deadband=0.0,
         )
@@ -98,25 +93,29 @@ def test_controller_on_vs_off_is_byte_identical(
 # in values.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("timing", ["before", "pending", "after"])
-def test_knob_timing_invariance(payload, queries, reference, timing):
+def test_knob_timing_invariance(
+    payload, queries, reference, timing, coalescer_gate
+):
     with AsyncServingQueue(
         _classifier(payload),
-        max_batch=64,  # larger than the stream: flushes happen on our schedule
-        max_wait_ms=500.0,
-        seed=1,
+        max_batch=64,  # larger than the stream
     ) as queue:
-        new_knobs = dict(max_batch=3, max_wait_ms=1.0, wait_jitter_ms=0.5)
+        new_knobs = dict(max_batch=3)
         if timing == "before":
             queue.apply_tuning(**new_knobs)
             futures = queue.submit_many(queries)
             queue.flush()
         elif timing == "pending":
-            # The whole stream sits in the pending buffer when the knobs
-            # land: the next flush decision re-slices it into batches of 3,
-            # none dropped, none reordered, none recomputed differently.
+            # The whole stream sits in the pending buffer, behind a stalled
+            # flush, when the knobs land: the next flush decisions re-slice
+            # it into batches of 3, none dropped, none reordered, none
+            # recomputed differently.
+            coalescer_gate.stall(queue)
             futures = queue.submit_many(queries)
             queue.apply_tuning(**new_knobs)
+            coalescer_gate.release()
             queue.flush()
+            assert {f.result(timeout=30).batch_size for f in futures} == {3}
         else:
             futures = queue.submit_many(queries)
             queue.flush()
@@ -132,13 +131,11 @@ def test_knob_timing_invariance(payload, queries, reference, timing):
 # both halves answer identically to the unsplit reference.
 # ----------------------------------------------------------------------
 def test_stream_partitions_at_tuning_version(payload, queries, reference):
-    with AsyncServingQueue(
-        _classifier(payload), max_batch=8, max_wait_ms=2.0
-    ) as queue:
+    with AsyncServingQueue(_classifier(payload), max_batch=8) as queue:
         assert queue.tuning.version == 0
         head = queue.submit_many(queries[:12])
         queue.flush()
-        installed = queue.apply_tuning(max_batch=2, max_wait_ms=0.5)
+        installed = queue.apply_tuning(max_batch=2)
         assert installed.version == 1
         assert queue.tuning is installed
         tail = queue.submit_many(queries[12:])
@@ -158,7 +155,6 @@ def test_encode_chunk_change_is_invisible_on_cold_rows(payload, queries, referen
         with AsyncServingQueue(
             _classifier(payload),
             max_batch=4,
-            max_wait_ms=2.0,
             memoize=False,  # every row must truly re-encode
         ) as queue:
             collected = []
@@ -184,15 +180,13 @@ def test_fleet_controller_is_byte_identical(
         num_replicas=num_replicas,
         policy="round-robin",
         max_batch=4,
-        max_wait_ms=2.0,
         queue_depth_high_water=4096,  # configured, so the loop may move it
     ) as router:
         controller = AdaptiveController(
             router,
             policy="depth-proportional",
             tuning=TuningConfig(
-                min_batch=1, batch_ceiling=16, min_wait_ms=0.5,
-                wait_ceiling_ms=10.0, min_high_water=4,
+                min_batch=1, batch_ceiling=16, min_high_water=4,
                 high_water_ceiling=4096,
             ),
             cooldown_steps=0,
@@ -214,21 +208,20 @@ def test_fleet_controller_is_byte_identical(
 # with the queue.
 # ----------------------------------------------------------------------
 def test_apply_tuning_validates_atomically(payload, queries, reference):
-    with AsyncServingQueue(
-        _classifier(payload), max_batch=4, max_wait_ms=2.0
-    ) as queue:
+    with AsyncServingQueue(_classifier(payload), max_batch=4) as queue:
         before = queue.tuning
+        engine_chunk = queue.encode_batch_size
         for bad in (
             dict(max_batch=0),
-            dict(max_wait_ms=-1.0),
-            dict(wait_jitter_ms=-0.5),
             dict(encode_batch_size=0),
             # One good knob + one bad knob: nothing may be installed.
-            dict(max_batch=8, max_wait_ms=-1.0),
+            dict(max_batch=8, encode_batch_size=0),
+            dict(max_batch=0, encode_batch_size=8),
         ):
             with pytest.raises(ServingError):
                 queue.apply_tuning(**bad)
         assert queue.tuning is before  # no partial installs
+        assert queue.encode_batch_size == engine_chunk
         assert queue.knob_adjustments == 0
         outputs = _drain(queue.submit_many(queries))
     assert outputs == reference

@@ -232,7 +232,9 @@ def test_cold_predictions_invariant_under_request_order(fitted_parts, cold_strea
     assert np.array_equal(direct[perm], permuted)
 
 
-def test_encode_chunk_change_is_invisible_on_cold_rows(fitted_parts, cold_stream):
+def test_encode_batch_size_argument_is_invisible_on_cold_rows(
+    fitted_parts, cold_stream
+):
     """The queue's stacked-encode chunk size moves sweep granularity only."""
 
     def serve_chunked(chunk):

@@ -99,6 +99,16 @@ def test_flush_forces_partial_batch(served_engine, queries, coalescer_gate):
     assert [r.batch_size for r in results] == [3, 3, 3]
 
 
+def test_max_wait_flushes_without_full_batch(served_engine, queries):
+    # Work-conserving: a lone request on an idle queue is flushed at once,
+    # never held back waiting for its batch to fill.
+    with served_engine.serving_queue(max_batch=64) as queue:
+        future = queue.submit(queries[0])
+        result = future.result(timeout=10)
+    assert result.batch_size == 1
+    assert result.latency_s >= 0.0
+
+
 def test_queue_propagates_classifier_errors(served_engine, queries):
     clf = served_engine.streaming_classifier()
 

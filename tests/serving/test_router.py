@@ -207,6 +207,23 @@ def test_from_config_builds_matching_fleet(payload, tmp_path):
         assert future.result(timeout=60).prediction in (0, 1)
 
 
+def test_router_apply_tuning_fans_out_and_sets_high_water(payload):
+    with ReplicaRouter(
+        payload, num_replicas=2, max_batch=4, queue_depth_high_water=16
+    ) as router:
+        tunings = router.apply_tuning(max_batch=8, queue_depth_high_water=32)
+        assert len(tunings) == 2
+        assert all(t.max_batch == 8 for t in tunings)
+        assert all(q.max_batch == 8 for q in router.queues)
+        assert router.high_water == 32
+        assert router.knob_adjustments == 1
+        # Explicit None disables shedding entirely.
+        router.apply_tuning(queue_depth_high_water=None)
+        assert router.high_water is None
+        with pytest.raises(ServingError):
+            router.set_high_water(0)
+
+
 def test_router_metrics_view_shapes():
     metrics = RouterMetrics([ServingMetrics(), ServingMetrics()])
     metrics.record_route(0)

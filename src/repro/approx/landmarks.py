@@ -168,7 +168,6 @@ class GreedyLandmarkSelector(LandmarkSelector):
     def select(
         self, X: np.ndarray, num_landmarks: int, rng: np.random.Generator
     ) -> np.ndarray:
-        n = X.shape[0]
         mean = X.mean(axis=0, keepdims=True)
         first = int(np.argmin(_sq_distances(X, mean)[:, 0]))
         chosen = [first]

@@ -30,7 +30,7 @@ can verify them independently of circuit construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 import numpy as np

@@ -175,16 +175,11 @@ class SVMConfig:
 
 @dataclass(frozen=True)
 class TuningConfig:
-    """The performance knobs of the serving tier, plus their bounds.
+    """The three performance knobs of the serving tier.
 
-    The first group is the knobs themselves -- the values a fleet starts
-    with.  The second group is the **adaptation bounds**: the closed
-    interval each knob may move in when an
-    :class:`repro.control.AdaptiveController` is driving it.  The controller
-    clamps every proposal into these bounds, so a misbehaving policy can
-    never push the fleet outside the envelope the operator configured.  A
-    starting knob is allowed to sit outside its bound interval (the static
-    policy never moves it); the first adaptive adjustment pulls it inside.
+    A fleet reads them once, when it is built, and they stay fixed while it
+    runs: nothing retunes a live fleet.  Predictions never depend on them --
+    only latency, throughput and which requests are shed do.
 
     Parameters
     ----------
@@ -197,20 +192,12 @@ class TuningConfig:
         :attr:`repro.engine.EngineConfig.encode_batch_size`.
     queue_depth_high_water:
         Load-shedding threshold of the replica router; ``None`` disables
-        shedding (and the controller then never touches it).
-    min_batch / batch_ceiling:
-        Bounds for ``max_batch`` and ``encode_batch_size`` adjustments.
-    min_high_water / high_water_ceiling:
-        Bounds for shed-threshold adjustments.
+        shedding.
     """
 
     max_batch: int = 32
     encode_batch_size: int | None = None
     queue_depth_high_water: int | None = None
-    min_batch: int = 1
-    batch_ceiling: int = 128
-    min_high_water: int = 4
-    high_water_ceiling: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -230,24 +217,6 @@ class TuningConfig:
                 "queue_depth_high_water must be >= 1 or None, got "
                 f"{self.queue_depth_high_water}"
             )
-        if self.min_batch < 1:
-            raise ConfigurationError(
-                f"min_batch must be >= 1, got {self.min_batch}"
-            )
-        if self.batch_ceiling < self.min_batch:
-            raise ConfigurationError(
-                f"batch_ceiling ({self.batch_ceiling}) must be >= "
-                f"min_batch ({self.min_batch})"
-            )
-        if self.min_high_water < 1:
-            raise ConfigurationError(
-                f"min_high_water must be >= 1, got {self.min_high_water}"
-            )
-        if self.high_water_ceiling < self.min_high_water:
-            raise ConfigurationError(
-                f"high_water_ceiling ({self.high_water_ceiling}) must be >= "
-                f"min_high_water ({self.min_high_water})"
-            )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -258,12 +227,12 @@ class ServingConfig:
     """Deployment-facing knobs of the durable serving tier.
 
     One declarative bundle for everything between a fitted model and a
-    traffic-ready fleet: the performance knobs and their adaptation bounds
-    (``tuning``, a nested :class:`TuningConfig`), the replica fleet
-    (``num_replicas`` / ``routing_policy``), durability (``snapshot_root``
-    plus the warm-up key budget), the response memo, and the control plane
-    (``control_policy`` / ``control_interval_s``).  Consumed by
-    :meth:`repro.serving.ReplicaRouter.from_config` and :func:`repro.serve`.
+    traffic-ready fleet: the performance knobs (``tuning``, a nested
+    :class:`TuningConfig`, fixed for the fleet's lifetime), the replica
+    fleet (``num_replicas`` / ``routing_policy``), durability
+    (``snapshot_root`` plus the warm-up key budget) and the response memo.
+    Consumed by :meth:`repro.serving.ReplicaRouter.from_config` and
+    :func:`repro.serve`.
     """
 
     num_replicas: int = 1
@@ -271,8 +240,6 @@ class ServingConfig:
     snapshot_root: str | None = None
     warm_max_keys: int | None = None
     tuning: TuningConfig = field(default_factory=TuningConfig)
-    control_policy: str = "static"
-    control_interval_s: float = 0.0
     memoize: bool = True
 
     def __post_init__(self) -> None:
@@ -283,15 +250,6 @@ class ServingConfig:
         if self.warm_max_keys is not None and self.warm_max_keys < 0:
             raise ConfigurationError(
                 f"warm_max_keys must be >= 0 or None, got {self.warm_max_keys}"
-            )
-        if not self.control_policy or not isinstance(self.control_policy, str):
-            raise ConfigurationError(
-                f"control_policy must be a registry name, got "
-                f"{self.control_policy!r}"
-            )
-        if self.control_interval_s < 0:
-            raise ConfigurationError(
-                f"control_interval_s must be >= 0, got {self.control_interval_s}"
             )
 
     def to_dict(self) -> dict[str, Any]:

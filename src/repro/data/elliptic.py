@@ -28,7 +28,6 @@ The generator is fully deterministic given a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 import numpy as np
 

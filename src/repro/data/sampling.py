@@ -9,8 +9,6 @@ that protocol deterministically.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..config import make_rng

@@ -214,7 +214,7 @@ class KernelEngine:
         return self.config.encode_batch_size if override is None else override
 
     def set_encode_batch_size(self, size: int | None) -> int:
-        """Override the stacked-encode chunk size at runtime.
+        """Override the stacked-encode chunk size without rebuilding the engine.
 
         ``None`` clears the override and restores the config default.
         Returns the effective chunk size after the change.

@@ -92,7 +92,3 @@ class LoadShedError(ServingError):
 class DriftError(ReproError):
     """Raised by the online drift-adaptation controller (bad config, a
     shadow fit without enough fresh labelled traffic, invalid swap)."""
-
-
-class ControlError(ReproError):
-    """Raised by the adaptive control plane (unknown policy, bad bounds)."""

@@ -43,7 +43,7 @@ from .persistence import (
     SnapshotManifest,
     WarmUpReport,
 )
-from .queue import AsyncServingQueue, QueueTuning, ServedPrediction
+from .queue import AsyncServingQueue, ServedPrediction
 from .router import (
     ROUTING_POLICIES,
     KeyAffinityPolicy,
@@ -61,7 +61,6 @@ from .store import (
 
 __all__ = [
     "AsyncServingQueue",
-    "QueueTuning",
     "ServedPrediction",
     "ServingHandle",
     "serve",

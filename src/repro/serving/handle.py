@@ -1,18 +1,20 @@
 """One-call serving: ``repro.serve(model, config)`` -> :class:`ServingHandle`.
 
-Standing a fleet up is otherwise a four-step dance -- extract a
+Standing a fleet up is otherwise a three-step dance -- extract a
 ``serving_payload()``, build an :class:`AsyncServingQueue` or
-:class:`ReplicaRouter`, wire the telemetry endpoint, and attach an
-:class:`~repro.control.AdaptiveController`.  :func:`serve` collapses that
-into one call over one declarative :class:`~repro.config.ServingConfig`,
-and :class:`ServingHandle` is the single object a deployment talks to
-afterwards: ``submit`` traffic, ``swap`` models, read ``metrics``, steer
-through ``controller``, ``close`` cleanly.
+:class:`ReplicaRouter`, and wire the telemetry endpoint.  :func:`serve`
+collapses that into one call over one declarative
+:class:`~repro.config.ServingConfig`, and :class:`ServingHandle` is the
+single object a deployment talks to afterwards: ``submit`` traffic, ``swap``
+models, read ``metrics``, ``close`` cleanly.
 
-The handle is composition, not replacement: it builds exactly the
-router/controller/endpoint objects a manual caller would, so everything the
-test suites pin about those layers (byte-identical predictions, atomic
-swaps, shed semantics) holds verbatim under the one-call surface.
+The serving knobs (``max_batch``, ``encode_batch_size`` and the shed
+threshold) are read from ``config.tuning`` once, when the fleet is built,
+and stay fixed while it runs.  The handle is composition, not replacement:
+it builds exactly the router/endpoint objects a manual caller would, so
+everything the test suites pin about those layers (byte-identical
+predictions, atomic swaps, shed semantics) holds verbatim under the
+one-call surface.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..config import ServingConfig
-from ..control import AdaptiveController
 from ..exceptions import ServingError
 from .queue import ServedPrediction
 from .router import ReplicaRouter
@@ -54,21 +55,19 @@ def resolve_serving_payload(model_or_payload) -> Dict:
 class ServingHandle:
     """The one object a deployment holds onto after :func:`serve`.
 
-    Wraps the replica fleet, its adaptive controller and (optionally) the
-    telemetry endpoint behind a small stable surface; the underlying
-    :attr:`router` / :attr:`controller` / :attr:`endpoint` stay reachable
-    for anything the surface doesn't cover.  Usable as a context manager.
+    Wraps the replica fleet and (optionally) the telemetry endpoint behind
+    a small stable surface; the underlying :attr:`router` / :attr:`endpoint`
+    stay reachable for anything the surface doesn't cover.  Usable as a
+    context manager.
     """
 
     def __init__(
         self,
         router: ReplicaRouter,
-        controller: AdaptiveController,
         config: ServingConfig,
         endpoint=None,
     ) -> None:
         self.router = router
-        self.controller = controller
         self.config = config
         self.endpoint = endpoint
         self._closed = False
@@ -116,10 +115,8 @@ class ServingHandle:
 
     # ------------------------------------------------------------------
     def metrics(self) -> Dict:
-        """The fleet dashboard plus a ``control`` section for the loop."""
-        view = self.router.metrics_view()
-        view["control"] = self.controller.summary()
-        return view
+        """The fleet dashboard (see :meth:`ReplicaRouter.metrics_view`)."""
+        return self.router.metrics_view()
 
     @property
     def url(self) -> Optional[str]:
@@ -128,7 +125,7 @@ class ServingHandle:
 
     # ------------------------------------------------------------------
     def close(self, snapshot: bool = False) -> None:
-        """Stop the control loop, the endpoint and the fleet (idempotent).
+        """Stop the endpoint and the fleet (idempotent).
 
         ``snapshot=True`` persists the fleet's caches to the durable tier
         before shutdown (requires a config with ``snapshot_root``).
@@ -136,7 +133,6 @@ class ServingHandle:
         if self._closed:
             return
         self._closed = True
-        self.controller.stop()
         if self.endpoint is not None:
             self.endpoint.close()
         self.router.close(snapshot=snapshot)
@@ -158,39 +154,26 @@ def serve(
         (a fitted streaming classifier, an inference engine, ...).
     config:
         Declarative :class:`~repro.config.ServingConfig`; defaults to one
-        replica with default tuning and the ``"static"`` control policy
-        (fixed knobs).
+        replica with default tuning.  Its knobs are fixed for the fleet's
+        lifetime.
     telemetry:
         Start an HTTP endpoint (``/metrics``, ``/health``,
-        ``/traces/recent``) bound to the fleet *and* the controller --
-        knob gauges and adjustment counters appear next to the serving
-        families.  Reachable via ``handle.endpoint`` / ``handle.url``.
+        ``/traces/recent``) bound to the fleet.  Reachable via
+        ``handle.endpoint`` / ``handle.url``.
     overrides:
         Keyword overrides forwarded to
         :meth:`~repro.serving.ReplicaRouter.from_config` (e.g. ``workers``).
-
-    With ``config.control_interval_s > 0`` the controller steps itself from
-    a background thread; otherwise drive it explicitly via
-    ``handle.controller.step()`` (deterministic, as the test suites do).
     """
     if config is None:
         config = ServingConfig()
     payload = resolve_serving_payload(model_or_payload)
     router = ReplicaRouter.from_config(payload, config, **overrides)
-    controller = AdaptiveController(
-        router, policy=config.control_policy, tuning=config.tuning
-    )
     endpoint = None
     if telemetry:
-        from ..telemetry import attach_endpoint, bind_controller
+        from ..telemetry import attach_endpoint
 
         endpoint = attach_endpoint(router)
-        bind_controller(endpoint.registry, controller)
-    handle = ServingHandle(
-        router=router, controller=controller, config=config, endpoint=endpoint
-    )
-    if config.control_interval_s > 0:
-        controller.start(config.control_interval_s)
+    handle = ServingHandle(router=router, config=config, endpoint=endpoint)
     # A full cyclic collection scans every long-lived object (modules, the
     # model, the fleet) and stalls the serving threads for tens of ms, so
     # freeze what is alive now.  Process-wide: no object alive now, the

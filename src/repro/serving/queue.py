@@ -71,7 +71,7 @@ from ..profiling import ServingMetrics
 from ..telemetry.tracing import TRACER, Span
 from .store import attach_shared_store, shared_store_kernel_rows
 
-__all__ = ["ServedPrediction", "QueueTuning", "AsyncServingQueue", "admit_row"]
+__all__ = ["ServedPrediction", "AsyncServingQueue", "admit_row"]
 
 
 def admit_row(row: np.ndarray, expected_features: int) -> np.ndarray:
@@ -88,27 +88,6 @@ def admit_row(row: np.ndarray, expected_features: int) -> np.ndarray:
     if not np.isfinite(row).all():
         raise ServingError("row has a NaN or infinite feature value")
     return row
-
-
-@dataclass(frozen=True)
-class QueueTuning:
-    """One immutable snapshot of the queue's coalescing knob.
-
-    The coalescer reads exactly one snapshot per flush decision (the moment
-    it pops a batch), the same discipline a flush uses for its
-    :class:`_ModelSlot`: a knob change installed while a batch is scored
-    takes effect at the *next* flush decision, never inside the current one.
-    ``version`` is monotone -- every :meth:`AsyncServingQueue.apply_tuning`
-    bumps it -- which lets callers (and the metamorphic suite) correlate
-    results with the knob generation that coalesced them.
-    """
-
-    max_batch: int
-    version: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServingError(f"max_batch must be >= 1, got {self.max_batch}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +192,8 @@ class AsyncServingQueue:
         metrics: ServingMetrics | None = None,
         encode_batch_size: int | None = None,
     ) -> None:
+        if max_batch < 1:
+            raise ServingError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 0:
             raise ServingError(f"workers must be >= 0, got {workers}")
         if memo_capacity < 1:
@@ -221,10 +202,7 @@ class AsyncServingQueue:
             raise ServingError(
                 f"encode_batch_size must be >= 1, got {encode_batch_size}"
             )
-        # The knob lives in one immutable versioned snapshot (validated
-        # there); apply_tuning() installs replacements at runtime.
-        self._tuning = QueueTuning(max_batch=int(max_batch), version=0)
-        self.knob_adjustments = 0
+        self.max_batch = int(max_batch)
         self._encode_batch_size = (
             None if encode_batch_size is None else int(encode_batch_size)
         )
@@ -289,63 +267,10 @@ class AsyncServingQueue:
         """Version of the currently active model slot (0 at construction)."""
         return self._slot.version
 
-    # ------------------------------------------------------------------
-    @property
-    def tuning(self) -> QueueTuning:
-        """The currently installed knob snapshot."""
-        return self._tuning
-
-    @property
-    def max_batch(self) -> int:
-        """Batch cap of the current knob snapshot."""
-        return self._tuning.max_batch
-
     @property
     def encode_batch_size(self) -> int:
         """Effective stacked-encode chunk size of the active model's engine."""
         return self._slot.classifier.feature_map.engine.encode_batch_size
-
-    def apply_tuning(
-        self,
-        max_batch: int | None = None,
-        encode_batch_size: int | None = None,
-    ) -> QueueTuning:
-        """Install a new versioned knob snapshot; unset knobs keep their value.
-
-        The replacement is fully validated *before* anything mutates, then
-        installed as a single reference assignment under the queue lock --
-        the same atomicity discipline as a model swap.  The coalescer picks
-        it up at its next flush decision; a batch already popped completes
-        as it was popped.  Predictions are unaffected either way (coalescing
-        and encode chunking are bit-identical by the engine's contract);
-        only latency and throughput move.
-
-        ``encode_batch_size`` applies to the active model's engine and is
-        re-applied to every future model slot a swap installs.  Returns the
-        installed snapshot.
-        """
-        if encode_batch_size is not None and int(encode_batch_size) < 1:
-            raise ServingError(
-                f"encode_batch_size must be >= 1, got {encode_batch_size}"
-            )
-        with self._cond:
-            if self._closed:
-                raise ServingError("serving queue is closed")
-            current = self._tuning
-            replacement = QueueTuning(
-                max_batch=(
-                    current.max_batch if max_batch is None else int(max_batch)
-                ),
-                version=current.version + 1,
-            )
-            self._tuning = replacement
-            if encode_batch_size is not None:
-                self._encode_batch_size = int(encode_batch_size)
-                self._slot.classifier.feature_map.engine.set_encode_batch_size(
-                    self._encode_batch_size
-                )
-            self.knob_adjustments += 1
-        return replacement
 
     def _build_pool(
         self, classifier: StreamingNystroemClassifier, payload: Optional[Dict]
@@ -408,8 +333,8 @@ class AsyncServingQueue:
                 f"queue serves {self._expected_features}"
             )
         if self._encode_batch_size is not None:
-            # A live encode-chunk override survives model swaps: the fresh
-            # slot's engine inherits it before serving its first flush.
+            # The queue's encode-chunk setting survives model swaps: the
+            # fresh slot's engine inherits it before serving its first flush.
             classifier.feature_map.engine.set_encode_batch_size(
                 self._encode_batch_size
             )
@@ -549,11 +474,8 @@ class AsyncServingQueue:
                 if self._closed:
                     return None
                 self._cond.wait()
-            # One knob snapshot per flush decision, read exactly here: a
-            # concurrent apply_tuning() takes effect at the next decision.
-            max_batch = self._tuning.max_batch
-            popped = self._pending[:max_batch]
-            del self._pending[:max_batch]
+            popped = self._pending[: self.max_batch]
+            del self._pending[: self.max_batch]
             # A request its caller cancelled while it waited is dropped here:
             # it is never scored and never waited on.  The survivors' futures
             # can no longer be cancelled, so resolving them cannot fail.

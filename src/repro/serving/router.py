@@ -50,11 +50,7 @@ from ..exceptions import LoadShedError, ServingError
 from ..profiling import RouterMetrics, ServingMetrics
 from ..telemetry.tracing import TRACER
 from .persistence import PersistentStateStore, WarmUpReport
-from .queue import AsyncServingQueue, QueueTuning, ServedPrediction, admit_row
-
-#: Sentinel distinguishing "knob not passed" from an explicit ``None``
-#: (which, for the high-water mark, means "disable shedding").
-_UNSET = object()
+from .queue import AsyncServingQueue, ServedPrediction, admit_row
 
 __all__ = [
     "RoutingPolicy",
@@ -164,7 +160,7 @@ class ReplicaRouter:
     queue_depth_high_water:
         Load-shedding threshold: a request is shed when every alive
         replica's pending depth is at or above this value.  ``None``
-        disables shedding.
+        disables shedding.  Fixed for the router's lifetime.
     persistence_root:
         Optional directory for the durable tier.  Each replica's engine
         store becomes a :class:`PersistentStateStore` rooted there, warmed
@@ -243,7 +239,6 @@ class ReplicaRouter:
             self._alive.append(True)
         self.metrics = RouterMetrics(replica_metrics)
         self.swap_count = 0
-        self.knob_adjustments = 0
         self._expected_features = self._queues[0].classifier.feature_map.engine.ansatz.num_features
 
     # ------------------------------------------------------------------
@@ -252,9 +247,12 @@ class ReplicaRouter:
         """Build a router from a declarative :class:`~repro.config.ServingConfig`.
 
         The fleet shape and durability come from the config itself, the
-        performance knobs from its nested :class:`~repro.config.TuningConfig`
-        (``config.tuning``).  ``overrides`` replace or extend the resulting
-        constructor keywords (e.g. ``workers``).
+        three performance knobs -- ``max_batch``, ``encode_batch_size`` and
+        ``queue_depth_high_water`` -- from its nested
+        :class:`~repro.config.TuningConfig` (``config.tuning``).  They are
+        constructor values: nothing changes them while the fleet runs.
+        ``overrides`` replace or extend the resulting constructor keywords
+        (e.g. ``workers``).
         """
         tuning = config.tuning
         kwargs = dict(
@@ -309,62 +307,6 @@ class ReplicaRouter:
     def pending(self) -> List[int]:
         """Pending queue depth per replica (dead replicas report 0)."""
         return [q.pending for q in self._queues]
-
-    # ------------------------------------------------------------------
-    def set_high_water(self, value: int | None) -> None:
-        """Move the load-shedding threshold at runtime (``None`` disables).
-
-        Admission decisions read the threshold under the router lock, so a
-        change applies to the very next placement; requests already placed
-        are unaffected.  Shedding only ever changes *which* requests are
-        answered, never any answer's value.
-        """
-        if value is not None and int(value) < 1:
-            raise ServingError(
-                f"queue_depth_high_water must be >= 1 or None, got {value}"
-            )
-        with self._lock:
-            self.high_water = None if value is None else int(value)
-        self.knob_adjustments += 1
-
-    def apply_tuning(
-        self,
-        max_batch: int | None = None,
-        encode_batch_size: int | None = None,
-        queue_depth_high_water=_UNSET,
-    ) -> List[QueueTuning]:
-        """Fan one knob change out across every alive replica.
-
-        Queue-level knobs are installed on each alive replica's queue via
-        :meth:`AsyncServingQueue.apply_tuning` (each replica bumps its own
-        snapshot version); ``queue_depth_high_water`` moves the router's own
-        shed threshold, where an explicit ``None`` disables shedding.
-        Returns the per-replica snapshots installed, in replica-index order.
-        """
-        if queue_depth_high_water is not _UNSET:
-            value = queue_depth_high_water
-            if value is not None and int(value) < 1:
-                raise ServingError(
-                    f"queue_depth_high_water must be >= 1 or None, got {value}"
-                )
-        installed: List[QueueTuning] = []
-        if max_batch is not None or encode_batch_size is not None:
-            for index in self.alive_replicas:
-                installed.append(
-                    self._queues[index].apply_tuning(
-                        max_batch=max_batch,
-                        encode_batch_size=encode_batch_size,
-                    )
-                )
-        if queue_depth_high_water is not _UNSET:
-            with self._lock:
-                self.high_water = (
-                    None
-                    if queue_depth_high_water is None
-                    else int(queue_depth_high_water)
-                )
-        self.knob_adjustments += 1
-        return installed
 
     # ------------------------------------------------------------------
     def submit(self, row: np.ndarray) -> "Future[ServedPrediction]":
@@ -425,9 +367,8 @@ class ReplicaRouter:
 
     def flush(self) -> None:
         """Flush every alive replica's pending requests."""
-        for i, queue in enumerate(self._queues):
-            if self._alive[i]:
-                queue.flush()
+        for index in self.alive_replicas:
+            self._queues[index].flush()
 
     # ------------------------------------------------------------------
     @property
@@ -437,8 +378,7 @@ class ReplicaRouter:
         Between :meth:`swap_payload` calls every alive replica agrees on the
         version; during one the maximum is the version being rolled out.
         """
-        with self._lock:
-            alive = [i for i, ok in enumerate(self._alive) if ok]
+        alive = self.alive_replicas
         if not alive:
             raise ServingError("every replica is dead; router has no model")
         return max(self._queues[i].model_version for i in alive)
@@ -456,8 +396,7 @@ class ReplicaRouter:
         ``model_version`` stamped on each prediction.  Returns the installed
         version.
         """
-        with self._lock:
-            alive = [i for i, ok in enumerate(self._alive) if ok]
+        alive = self.alive_replicas
         if not alive:
             raise ServingError("every replica is dead; router cannot swap")
         current = max(self._queues[i].model_version for i in alive)

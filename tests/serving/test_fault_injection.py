@@ -5,7 +5,8 @@ kill-and-restart test SIGKILLs a real serving process after it snapshots (no
 atexit, no context-manager cleanup ran) and proves a warm-started successor
 produces byte-identical predictions with zero circuit simulations.  The
 router tests model the single-replica failure modes: a classifier that blows
-up mid-batch, and a queue that was closed behind the router's back.
+up mid-batch, and a queue that was closed behind the router's back (for
+routing and for a fleet swap).
 """
 
 import os
@@ -143,18 +144,22 @@ def test_kill_and_restart_warm_starts_a_router_fleet(crashed_server):
 # ----------------------------------------------------------------------
 # Replica-level faults inside one process
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def served_engine():
+def _fit_engine(landmark_seed=0):
     data = balanced_subsample(
         generate_elliptic_like(DatasetSpec(num_samples=400, num_features=4, seed=31)),
         20,
         seed=2,
     )
     engine = QuantumKernelInferenceEngine(
-        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=0)
+        ANSATZ, approximation=NystroemConfig(num_landmarks=6, seed=landmark_seed)
     )
     engine.fit(data.features, data.labels)
     return engine
+
+
+@pytest.fixture(scope="module")
+def served_engine():
+    return _fit_engine()
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +228,33 @@ def test_router_routes_around_a_queue_closed_behind_its_back(
         assert view["failover_count"] >= 1
         assert view["routed_per_replica"][0] == 0
         assert view["routed_per_replica"][1] == len(queries)
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize("closed", [0, 1])
+def test_fleet_swap_skips_a_queue_closed_behind_its_back(
+    served_engine, payload, queries, closed
+):
+    """A swap rolls out over the replicas that are really alive: a queue that
+    closed without the router's knowledge neither fails the swap nor leaves
+    the survivor on the old model."""
+    replacement = _fit_engine(landmark_seed=5)
+    expected = replacement.streaming_classifier().classify(queries)
+    old = served_engine.streaming_classifier().classify(queries)
+    assert not np.array_equal(expected.decision_values, old.decision_values)
+    router = ReplicaRouter(
+        payload, num_replicas=2, policy="round-robin", max_batch=4
+    )
+    try:
+        router._queues[closed].close()  # death the router was never told about
+        assert router.swap_payload(replacement.serving_payload()) == 1
+        assert router.swap_count == 1
+        assert router.model_version == 1
+        served = [f.result(timeout=60) for f in router.submit_many(queries)]
+        assert all(r.model_version == 1 for r in served)
+        decisions = np.array([r.decision_value for r in served])
+        assert decisions.tobytes() == expected.decision_values.tobytes()
     finally:
         router.close()
 

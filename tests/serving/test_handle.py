@@ -232,22 +232,9 @@ def test_shed_probe_sheds_exactly_the_overflow(payload, coalescer_gate):
 def test_serve_accepts_a_model_object_directly(served_engine, queries):
     with serve(served_engine) as handle:
         assert handle.predict(queries[0]).prediction in (0, 1)
-        # Default config: one replica, static policy, no endpoint.
-        assert handle.config.control_policy == "static"
+        # Default config: one replica, no endpoint.
         assert handle.router.num_replicas == 1
         assert handle.url is None
-
-
-def test_metrics_view_carries_a_control_section(payload, queries):
-    with serve(payload) as handle:
-        handle.predict(queries[0])
-        handle.controller.step()
-        view = handle.metrics()
-    assert view["total_routed"] == 1
-    control = view["control"]
-    assert control["policy"] == "static"
-    assert control["step_count"] == 1
-    assert control["knobs"]["max_batch"] == TuningConfig().max_batch
 
 
 def test_swap_rolls_a_new_model_across_the_fleet(payload, queries):
@@ -275,47 +262,13 @@ def test_handle_close_is_idempotent_and_final(payload, queries):
 
 
 # ----------------------------------------------------------------------
-# Controller integration
-# ----------------------------------------------------------------------
-def test_serve_wires_the_configured_control_policy(payload, queries):
-    config = ServingConfig(
-        tuning=TuningConfig(max_batch=4, batch_ceiling=64),
-        control_policy="depth-proportional",
-    )
-    with serve(payload, config) as handle:
-        assert handle.controller.policy.name == "depth-proportional"
-        assert handle.controller.bounds is config.tuning
-        handle.predict(queries[0])
-        decision = handle.controller.step()
-    assert decision.policy == "depth-proportional"
-
-
-def test_control_interval_runs_the_loop_in_the_background(payload):
-    config = ServingConfig(control_interval_s=0.005)
-    with serve(payload, config) as handle:
-        deadline = 200
-        while handle.controller.step_count == 0 and deadline:
-            deadline -= 1
-            time.sleep(0.005)
-        assert handle.controller.step_count > 0
-    # close() stopped the loop thread.
-    assert handle.controller._loop_thread is None
-
-
-# ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
-def test_telemetry_endpoint_exports_the_control_families(payload, queries):
+def test_telemetry_endpoint_exports_the_serving_families(payload, queries):
     with serve(payload, telemetry=True) as handle:
         assert handle.url is not None
         handle.predict(queries[0])
-        handle.controller.step()
         with urllib.request.urlopen(handle.url + "/metrics", timeout=10) as resp:
             text = resp.read().decode()
-    assert 'repro_control_knob{knob="max_batch"}' in text
-    assert "repro_control_steps_total 1" in text
-    assert 'repro_control_policy{policy="static"} 1' in text
-    assert "repro_control_recommended_replicas" in text
-    # The serving families ride along on the same registry.
     assert "repro_router_routed_total" in text
     assert "repro_serving_requests_total" in text

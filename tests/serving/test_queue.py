@@ -51,6 +51,8 @@ def test_queue_validates_parameters(served_engine):
         AsyncServingQueue(clf, workers=-1)
     with pytest.raises(ServingError):
         AsyncServingQueue(clf, memo_capacity=0)
+    with pytest.raises(ServingError):
+        AsyncServingQueue(clf, encode_batch_size=0)
 
 
 def test_queue_rejects_malformed_rows(served_engine):
@@ -99,7 +101,7 @@ def test_flush_forces_partial_batch(served_engine, queries, coalescer_gate):
     assert [r.batch_size for r in results] == [3, 3, 3]
 
 
-def test_max_wait_flushes_without_full_batch(served_engine, queries):
+def test_lone_request_on_idle_queue_is_flushed_alone(served_engine, queries):
     # Work-conserving: a lone request on an idle queue is flushed at once,
     # never held back waiting for its batch to fill.
     with served_engine.serving_queue(max_batch=64) as queue:

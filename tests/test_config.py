@@ -110,7 +110,6 @@ def test_tuning_config_defaults_and_roundtrip():
     assert tuning.max_batch == 32
     assert tuning.encode_batch_size is None
     assert tuning.queue_depth_high_water is None
-    assert tuning.min_batch <= tuning.batch_ceiling
     d = tuning.to_dict()
     assert TuningConfig(**d) == tuning
 
@@ -125,26 +124,6 @@ def test_tuning_config_validates_knobs():
         TuningConfig(encode_batch_size=0)
 
 
-def test_tuning_config_validates_bounds():
-    with pytest.raises(ConfigurationError, match="min_batch"):
-        TuningConfig(min_batch=0)
-    with pytest.raises(ConfigurationError, match="batch_ceiling"):
-        TuningConfig(min_batch=8, batch_ceiling=4)
-    with pytest.raises(ConfigurationError, match="min_high_water"):
-        TuningConfig(min_high_water=0)
-    with pytest.raises(ConfigurationError, match="high_water_ceiling"):
-        TuningConfig(min_high_water=16, high_water_ceiling=8)
-
-
-def test_tuning_config_initial_knob_may_sit_outside_bounds():
-    # A fixed knob outside the adaptation interval stays legal -- the
-    # static policy never moves it.
-    tuning = TuningConfig(max_batch=256, batch_ceiling=128)
-    assert tuning.max_batch == 256
-    tuning = TuningConfig(queue_depth_high_water=2, min_high_water=4)
-    assert tuning.queue_depth_high_water == 2
-
-
 def test_serving_config_nested_tuning_is_canonical():
     config = ServingConfig(
         tuning=TuningConfig(max_batch=4),
@@ -155,12 +134,8 @@ def test_serving_config_nested_tuning_is_canonical():
     assert ServingConfig().tuning == TuningConfig()
 
 
-def test_serving_config_validates_control_fields():
+def test_serving_config_validates_fields():
     with pytest.raises(ConfigurationError, match="num_replicas"):
         ServingConfig(num_replicas=0)
-    with pytest.raises(ConfigurationError, match="control_policy"):
-        ServingConfig(control_policy="")
-    with pytest.raises(ConfigurationError, match="control_interval_s"):
-        ServingConfig(control_interval_s=-1.0)
     with pytest.raises(ConfigurationError, match="warm_max_keys"):
         ServingConfig(warm_max_keys=-1)

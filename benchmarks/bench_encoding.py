@@ -8,17 +8,10 @@ the stacked sweep (:meth:`repro.backends.Backend.simulate_batch`) buys:
 * **encode throughput**: a block of fresh rows encoded per-point
   (``backend.simulate`` in a loop) versus in stacked sweeps at several batch
   sizes, with byte-identical states asserted between every mode;
-* **modelled device time**: the per-point versus stacked cost-model entries
-  on both the CPU and simulated-GPU models (the A100's launch overhead is
-  what stacking amortises, extending the Fig. 5 crossover picture);
 * **cold-query serving latency**: a stream of entirely-unseen rows pushed
   through :class:`repro.serving.AsyncServingQueue` -- throughput and p50/p99
   latency, with every decision value required to be byte-identical to
-  point-at-a-time classification;
-* **modelled cross dispatch**: the Nystrom-scale ``K_nm`` block swept
-  through an engine with a GPU cross backend -- the stacked cost models of
-  both devices, which one the engine chose, and proof the block actually
-  ran on it (with byte-identical values).
+  point-at-a-time classification.
 
 The script writes ``BENCH_encoding.json`` and exits non-zero when the
 acceptance contract breaks:
@@ -46,17 +39,12 @@ import numpy as np
 from repro import __version__
 from repro.approx import LinearSVC, NystroemConfig, NystroemFeatureMap
 from repro.approx.streaming import StreamingNystroemClassifier
-from repro.backends import CpuBackend, SimulatedGpuBackend
+from repro.backends import CpuBackend
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
 from repro.engine import EngineConfig, KernelEngine
 from repro.serving import AsyncServingQueue
-from repro.telemetry import (
-    MetricsRegistry,
-    bind_engine,
-    bind_queue,
-    render_prometheus,
-)
+from repro.telemetry import MetricsRegistry, bind_queue, render_prometheus
 
 
 def maybe_emit_metrics(args, payload: dict) -> None:
@@ -141,23 +129,7 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
         )
         if not identical:
             failures.append(f"batched encode (batch={batch_size}) not byte-identical")
-
-    # Modelled device times: what the stacked launch amortisation is worth on
-    # each device model (one entry per backend).
-    modelled = []
-    for backend in (CpuBackend(), SimulatedGpuBackend()):
-        result = backend.simulate_batch(circuits[: args.batch])
-        modelled.append(
-            {
-                "backend": backend.name,
-                "batch_size": args.batch,
-                "modelled_per_point_s": result.modelled_time_s,
-                "modelled_batched_s": result.modelled_batched_time_s,
-                "modelled_speedup": result.modelled_time_s
-                / result.modelled_batched_time_s,
-            }
-        )
-    return records + modelled, failures
+    return records, failures
 
 
 def build_classifier(args) -> StreamingNystroemClassifier:
@@ -227,73 +199,6 @@ def run_cold_serving(args, mode_rng_seed: int = 11) -> tuple[list[dict], list[st
     return [record], failures
 
 
-def run_cross_dispatch(args, rng) -> tuple[list[dict], list[str]]:
-    """Nystrom-scale ``K_nm`` sweep through the modelled CPU/GPU dispatch."""
-    from repro.backends import CPU_COST_MODEL, GPU_COST_MODEL, preferred_cross_model
-
-    # chi saturates at 16 for this ansatz, where a ~2048-pair stacked block
-    # clears the A100 model's launch overhead (the per-pair crossover does
-    # not arrive until chi ~ 320 -- stacking moves the crossover).
-    ansatz = AnsatzConfig(
-        num_features=args.features,
-        interaction_distance=3,
-        layers=2,
-        gamma=0.8,
-    )
-    gpu = SimulatedGpuBackend()
-    engine = KernelEngine(ansatz, config=EngineConfig(), cross_backend=gpu)
-    if args.metrics_registry is not None:
-        bind_engine(args.metrics_registry, engine, replica="dispatch")
-    reference = KernelEngine(ansatz, config=EngineConfig())
-    X_landmarks = rng.uniform(0.05, 1.95, size=(args.landmarks, args.features))
-    X_rows = rng.uniform(0.05, 1.95, size=(args.cross_rows, args.features))
-    train_states = engine.encode_rows(X_landmarks)
-
-    start = time.perf_counter()
-    routed = engine.cross(X_rows, train_states)
-    wall = time.perf_counter() - start
-    baseline = reference.cross(X_rows, train_states)
-
-    num_pairs = args.cross_rows * args.landmarks
-    chi = max(
-        max(s.max_bond_dimension for s in routed.states),
-        max(s.max_bond_dimension for s in train_states),
-    )
-    chosen_model = preferred_cross_model(num_pairs, args.features, chi)
-    chosen = "gpu" if chosen_model is GPU_COST_MODEL else "cpu"
-    gpu_swept = gpu.num_inner_products == num_pairs
-
-    failures: list[str] = []
-    identical = routed.matrix.tobytes() == baseline.matrix.tobytes()
-    if not identical:
-        failures.append("dispatched cross sweep is not byte-identical to CPU-only")
-    if chosen == "gpu" and not gpu_swept:
-        failures.append("cost model chose the GPU but the block did not run there")
-    record = {
-        "mode": "cross-dispatch",
-        "rows": args.cross_rows,
-        "landmarks": args.landmarks,
-        "pairs": num_pairs,
-        "chi": chi,
-        "modelled_cpu_s": CPU_COST_MODEL.batched_inner_product_time(
-            num_pairs, args.features, chi
-        ),
-        "modelled_gpu_s": GPU_COST_MODEL.batched_inner_product_time(
-            num_pairs, args.features, chi
-        ),
-        "chosen": chosen,
-        "gpu_inner_products": gpu.num_inner_products,
-        "wall_s": wall,
-        "byte_identical": identical,
-    }
-    print(
-        f"cross dispatch: {num_pairs} pairs at chi={chi} -> {chosen} "
-        f"(cpu {record['modelled_cpu_s'] * 1e3:.2f} ms vs "
-        f"gpu {record['modelled_gpu_s'] * 1e3:.2f} ms modelled)"
-    )
-    return [record], failures
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("BENCH_encoding.json"))
@@ -307,13 +212,6 @@ def main() -> None:
     parser.add_argument("--landmarks", type=int, default=16)
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument(
-        "--cross-rows",
-        type=int,
-        default=128,
-        help="rows in the Nystrom K_nm dispatch block "
-        "(128 x 16 landmarks = 2048 pairs clears the A100 launch overhead)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=0,
@@ -323,7 +221,7 @@ def main() -> None:
         "--emit-metrics",
         type=Path,
         default=None,
-        help="bind a telemetry registry to the served queues / dispatch engine "
+        help="bind a telemetry registry to the served queue "
         "and dump it after the run: Prometheus text here, JSON at PATH.json",
     )
     args = parser.parse_args()
@@ -338,9 +236,7 @@ def main() -> None:
 
     encode_records, failures = run_encode_throughput(args, rng)
     serving_records, serving_failures = run_cold_serving(args)
-    dispatch_records, dispatch_failures = run_cross_dispatch(args, rng)
     failures.extend(serving_failures)
-    failures.extend(dispatch_failures)
 
     acceptance_speedup = next(
         r["speedup_vs_per_point"]
@@ -367,10 +263,9 @@ def main() -> None:
             "cold_queries": args.queries,
             "train_size": args.train_size,
             "landmarks": args.landmarks,
-            "cross_rows": args.cross_rows,
             "seed": args.seed,
         },
-        "records": encode_records + serving_records + dispatch_records,
+        "records": encode_records + serving_records,
         "min_speedup_required": args.min_speedup,
         "acceptance_speedup": acceptance_speedup,
         "ok": not failures,
@@ -383,11 +278,9 @@ def main() -> None:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         raise SystemExit(1)
-    dispatch = dispatch_records[0]
     print(
         f"OK: batch-{args.batch} stacked encoding reaches {acceptance_speedup:.2f}x "
-        "per-point throughput with byte-identical states and predictions; "
-        f"{dispatch['pairs']}-pair cross block dispatched to {dispatch['chosen']}"
+        "per-point throughput with byte-identical states and predictions"
     )
 
 

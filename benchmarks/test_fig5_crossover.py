@@ -125,11 +125,11 @@ def test_fig5_gpu_wins_beyond_the_crossover_bond_dimension():
 def test_fig5_nystroem_cross_sweep_crossover(crossover_data):
     """Extend the crossover study to the Nystrom ``K_nm`` block sweep.
 
-    The engine dispatches the stacked cross sweep by comparing
-    ``batched_inner_product_time`` across devices.  Using the bond
-    dimensions actually measured in the sweep: the GPU/CPU ratio of the
-    modelled *block* time falls monotonically as d grows (the same
-    mechanism as the per-pair Fig. 5 ratio), and because the stack
+    :func:`preferred_cross_model` picks a device for the stacked cross
+    sweep by comparing ``batched_inner_product_time`` across devices.
+    Using the bond dimensions actually measured in the sweep: the GPU/CPU
+    ratio of the modelled *block* time falls monotonically as d grows (the
+    same mechanism as the per-pair Fig. 5 ratio), and because the stack
     amortises the GPU's launch overhead, the block crossover arrives at a
     smaller chi than the per-pair one.
     """
@@ -145,7 +145,7 @@ def test_fig5_nystroem_cross_sweep_crossover(crossover_data):
         ratios.append(gpu_t / cpu_t)
     assert all(np.diff(ratios) < 0)
     # At the largest swept distance the stacked sweep already favours the
-    # GPU -- the modelled dispatch the engine's cross_backend performs.
+    # GPU on the cost models alone.
     largest_chi = int(round(crossover_data[-1]["avg_chi_cpu"]))
     assert (
         preferred_cross_model(pairs, RESOURCE_QUBITS, largest_chi) is GPU_COST_MODEL

@@ -18,19 +18,12 @@ primal linear SVM (:mod:`repro.approx.linear_svc`) in ``O(n m^2)`` instead of
 against the *cached* landmark states instead of ``n`` against the full
 training set (:mod:`repro.approx.streaming`).
 
-All engine work is declared through the existing pairwise plans -- a
-:class:`~repro.engine.plan.SymmetricGramPlan` over the landmarks, a
-:class:`~repro.engine.plan.CrossGramPlan` for the ``n x m`` cross block, and
-a :class:`~repro.engine.plan.KernelRowPlan` per streaming transform -- so the
-landmark states are encoded once into the engine's
-:class:`~repro.engine.StateStore` and every executor (sequential, tiled,
-multiprocess tiles) applies unchanged.  Outside the multiprocess executor the
-``K_nm`` block runs as **one padded block sweep** over a
-:class:`~repro.engine.StackedStateBlock` of the landmarks, byte-identical to
-the chunked pair sweep, and an engine built with a ``cross_backend``
-dispatches that sweep to whichever device's cost model predicts the cheaper
-stacked sweep -- the Fig. 5 crossover decision applied to the Nystrom fit,
-modelled rather than hardcoded.
+All engine work goes through :class:`~repro.engine.KernelEngine` -- ``gram``
+over the landmarks, ``cross`` for the ``n x m`` block and ``kernel_rows``
+per streaming transform -- so the landmark states are encoded once into the
+engine's :class:`~repro.engine.StateStore`.  The ``K_nm`` block runs as
+**one padded block sweep** over a :class:`~repro.engine.StackedStateBlock`
+of the landmarks, byte-identical to the chunked pair sweep.
 """
 
 from __future__ import annotations
@@ -272,18 +265,11 @@ class NystroemFeatureMap:
         self.report.absorb(gram_result)
         K_mm = gram_result.matrix
         states = list(gram_result.states)
-        if not states:
-            # The multiprocess executor keeps no states; encode them here
-            # (served from the store when caching is on).
-            states = self.engine.encode_rows(self.landmark_rows_)
         self.landmark_states_ = states
         # Stack the landmark tensors once; every streaming transform sweeps
         # against this block with zero per-pair stacking.
         self.landmark_block_ = StackedStateBlock(states)
 
-        # One stacked block sweep under the sequential executor (and the
-        # modelled CPU/GPU dispatch point when the engine has a
-        # cross_backend); tiled / multiprocess keep their job streams.
         cross_result = self.engine.cross(X, self.landmark_states_)
         self.report.absorb(cross_result)
         K_nm = cross_result.matrix

@@ -123,12 +123,6 @@ class BatchSimulationResult:
         Sum of the per-point modelled device times -- the counters advance
         exactly as if :meth:`Backend.simulate` had run once per circuit, so
         engine accounting is invariant under batching.
-    modelled_batched_time_s:
-        Device time under the *stacked* cost model
-        (:meth:`DeviceCostModel.batched_two_qubit_gate_time` and friends):
-        one launch per stacked contraction instead of one per point.  The
-        encoding benchmark compares the two to extend the Fig. 5 crossover
-        study to the encoding primitive.
     num_circuits / num_structure_groups:
         Batch size and how many distinct circuit structures it contained.
     max_bond_dimension / total_memory_bytes:
@@ -138,7 +132,6 @@ class BatchSimulationResult:
     states: Tuple[MPS, ...]
     wall_time_s: float
     modelled_time_s: float
-    modelled_batched_time_s: float
     num_circuits: int
     num_structure_groups: int
     max_bond_dimension: int
@@ -163,15 +156,11 @@ class Backend(abc.ABC):
         if cost_model is None:
             raise BackendError("a backend requires a DeviceCostModel")
         self.cost_model = cost_model
-        #: Accumulated modelled device seconds, split by primitive.  The
-        #: per-point counters advance as if every primitive had run solo (the
-        #: batching-invariant contract); the ``batched`` counters charge each
-        #: *stacked* launch once, so their gap is the modelled win of the
-        #: stacked encode and block sweep on this device.
+        #: Accumulated modelled device seconds, split by primitive.  They
+        #: advance as if every primitive had run solo, so they are invariant
+        #: under batching.
         self.modelled_simulation_time_s = 0.0
         self.modelled_inner_product_time_s = 0.0
-        self.modelled_batched_simulation_time_s = 0.0
-        self.modelled_batched_inner_product_time_s = 0.0
         #: Accumulated measured wall-clock seconds.
         self.wall_simulation_time_s = 0.0
         self.wall_inner_product_time_s = 0.0
@@ -197,8 +186,6 @@ class Backend(abc.ABC):
         "num_encode_stacked_launches",
         "modelled_simulation_time_s",
         "modelled_inner_product_time_s",
-        "modelled_batched_simulation_time_s",
-        "modelled_batched_inner_product_time_s",
         "wall_simulation_time_s",
         "wall_inner_product_time_s",
     )
@@ -256,8 +243,6 @@ class Backend(abc.ABC):
         wall = time.perf_counter() - start
 
         self.modelled_simulation_time_s += modelled
-        # A solo simulation is its own launch sequence: stacked == per-point.
-        self.modelled_batched_simulation_time_s += modelled
         self.wall_simulation_time_s += wall
         self.num_simulations += 1
 
@@ -289,9 +274,7 @@ class Backend(abc.ABC):
 
         Counters advance exactly as if :meth:`simulate` had been called once
         per circuit (same modelled seconds, same ``num_simulations``); the
-        measured wall time is where batching pays off.  The stacked device
-        model (one launch per stacked contraction) is additionally reported
-        as ``modelled_batched_time_s``.
+        measured wall time is where batching pays off.
 
         ``initial_state`` is not supported (the stacked sweep always starts
         from ``|0...0>``, which is what every feature-map encode uses); a
@@ -312,7 +295,6 @@ class Backend(abc.ABC):
                 states=(),
                 wall_time_s=0.0,
                 modelled_time_s=0.0,
-                modelled_batched_time_s=0.0,
                 num_circuits=0,
                 num_structure_groups=0,
                 max_bond_dimension=1,
@@ -324,7 +306,6 @@ class Backend(abc.ABC):
                 states=tuple(r.state for r in results),
                 wall_time_s=sum(r.wall_time_s for r in results),
                 modelled_time_s=sum(r.modelled_time_s for r in results),
-                modelled_batched_time_s=sum(r.modelled_time_s for r in results),
                 num_circuits=len(results),
                 num_structure_groups=len(
                     {circuit_structure_signature(c) for c in circuits}
@@ -339,27 +320,19 @@ class Backend(abc.ABC):
         wall = time.perf_counter() - start
 
         modelled = 0.0
-        modelled_batched = 0.0
         for entry in log.entries:
             if entry[0] == "1q":
                 _kind, count, chi_l, chi_r = entry
                 modelled += count * self.cost_model.single_qubit_gate_time(
                     chi_l, chi_r
                 )
-                modelled_batched += self.cost_model.batched_single_qubit_gate_time(
-                    count, chi_l, chi_r
-                )
             else:
                 _kind, count, chi_l, chi_m, chi_r = entry
                 modelled += count * self.cost_model.two_qubit_gate_time(
                     chi_l, chi_m, chi_r
                 )
-                modelled_batched += self.cost_model.batched_two_qubit_gate_time(
-                    count, chi_l, chi_m, chi_r
-                )
 
         self.modelled_simulation_time_s += modelled
-        self.modelled_batched_simulation_time_s += modelled_batched
         self.wall_simulation_time_s += wall
         self.num_simulations += len(circuits)
         self.num_encode_batches += 1
@@ -368,7 +341,6 @@ class Backend(abc.ABC):
             states=tuple(states),
             wall_time_s=wall,
             modelled_time_s=modelled,
-            modelled_batched_time_s=modelled_batched,
             num_circuits=len(circuits),
             num_structure_groups=log.structure_groups,
             max_bond_dimension=max(s.max_bond_dimension for s in states),
@@ -384,7 +356,6 @@ class Backend(abc.ABC):
         wall = time.perf_counter() - start
 
         self.modelled_inner_product_time_s += modelled
-        self.modelled_batched_inner_product_time_s += modelled
         self.wall_inner_product_time_s += wall
         self.num_inner_products += 1
         return InnerProductResult(
@@ -441,15 +412,11 @@ class Backend(abc.ABC):
         Sums per unique chi: the cost model depends only on qubits and chi.
         """
         unique_chis, counts = np.unique(np.asarray(chis, dtype=int), return_counts=True)
-        modelled = modelled_batched = 0.0
+        modelled = 0.0
         for chi, count in zip(unique_chis.tolist(), counts.tolist()):
             modelled += count * self.cost_model.inner_product_time(num_qubits, chi)
-            modelled_batched += self.cost_model.batched_inner_product_time(
-                count, num_qubits, chi
-            )
         num_pairs = int(counts.sum())
         self.modelled_inner_product_time_s += modelled
-        self.modelled_batched_inner_product_time_s += modelled_batched
         self.wall_inner_product_time_s += wall
         self.num_inner_products += num_pairs
         return BatchInnerProductResult(
@@ -472,8 +439,6 @@ class Backend(abc.ABC):
             self._lifetime[attr] = self._lifetime.get(attr, 0) + getattr(self, attr)
         self.modelled_simulation_time_s = 0.0
         self.modelled_inner_product_time_s = 0.0
-        self.modelled_batched_simulation_time_s = 0.0
-        self.modelled_batched_inner_product_time_s = 0.0
         self.wall_simulation_time_s = 0.0
         self.wall_inner_product_time_s = 0.0
         self.num_simulations = 0
@@ -498,12 +463,6 @@ class Backend(abc.ABC):
             "num_encode_stacked_launches": self.num_encode_stacked_launches,
             "modelled_simulation_time_s": self.modelled_simulation_time_s,
             "modelled_inner_product_time_s": self.modelled_inner_product_time_s,
-            "modelled_batched_simulation_time_s": (
-                self.modelled_batched_simulation_time_s
-            ),
-            "modelled_batched_inner_product_time_s": (
-                self.modelled_batched_inner_product_time_s
-            ),
             "wall_simulation_time_s": self.wall_simulation_time_s,
             "wall_inner_product_time_s": self.wall_inner_product_time_s,
         }

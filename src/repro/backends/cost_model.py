@@ -135,50 +135,6 @@ class DeviceCostModel:
             + svd_flops / (self.svd_gflops * 1e9)
         )
 
-    def batched_single_qubit_gate_time(
-        self, batch: int, chi_left: int, chi_right: int
-    ) -> float:
-        """Modelled seconds for one *stacked* single-qubit gate application.
-
-        A stacked sweep contracts the gate with ``batch`` same-shape site
-        tensors in one fused kernel: the launch/transfer overhead is paid
-        once per stack instead of once per point, while the arithmetic still
-        scales with the batch.  This is the device model behind the batched
-        encoding path (the GPU's win at small ``chi``, where per-call
-        overhead dominates, is exactly what encoding batching recovers).
-        """
-        flops = batch * self.single_qubit_gate_flops(chi_left, chi_right)
-        return (
-            self.gate_overhead_s
-            + self.transfer_overhead_s
-            + flops / (self.contraction_gflops * 1e9)
-        )
-
-    def batched_two_qubit_gate_time(
-        self, batch: int, chi_left: int, chi_mid: int, chi_right: int
-    ) -> float:
-        """Modelled seconds for one *stacked* two-qubit gate (merge+gate+SVD).
-
-        Contractions launch once per stack; the SVD runs as a batched
-        factorisation (one stacked-LAPACK/cuSOLVER call), so its fixed
-        overhead is likewise charged once while the per-matrix flops scale
-        with the batch.
-        """
-        merge_gate = batch * (
-            2.0 * 4.0 * chi_left * chi_mid * chi_right
-            + 2.0 * 16.0 * chi_left * chi_right
-        )
-        rows, cols = 2 * chi_left, 2 * chi_right
-        small, large = (rows, cols) if rows <= cols else (cols, rows)
-        svd_flops = batch * 14.0 * small * small * large
-        return (
-            self.gate_overhead_s
-            + self.svd_overhead_s
-            + self.transfer_overhead_s
-            + merge_gate / (self.contraction_gflops * 1e9)
-            + svd_flops / (self.svd_gflops * 1e9)
-        )
-
     def inner_product_time(self, num_qubits: int, chi: int) -> float:
         """Modelled seconds for one MPS-MPS inner product.
 
@@ -208,9 +164,8 @@ class DeviceCostModel:
         per-site launch/transfer overhead is charged once per stack instead of
         once per pair, while the arithmetic still scales with the batch.  At
         ``batch == 1`` this equals :meth:`inner_product_time` exactly.  This
-        is the entry that keeps the serving path's block-sweep accounting
-        honest and the entry the engine's CPU/GPU cross-sweep dispatch
-        compares.
+        is the entry :func:`preferred_cross_model` compares in the extended
+        Fig. 5 crossover study.
         """
         flops = self.batched_inner_product_flops(batch, num_qubits, chi)
         return (

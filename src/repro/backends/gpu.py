@@ -9,22 +9,10 @@ transfer overheads, but an order of magnitude higher throughput on large
 contractions.  The CPU/GPU crossover analysis of Figure 5 / Table I is
 performed on these modelled times.  See DESIGN.md, substitution 2.
 
-Batched encodes (:meth:`~repro.backends.Backend.simulate_batch`) matter most
-here: the A100 model's large per-call launch overhead is charged once per
-stacked contraction instead of once per point, which is exactly the regime
-(small ``chi``, overhead-dominated) where the paper's Fig. 5 shows the GPU
-losing to the CPU -- the batched cost-model entries let the crossover study
-quantify how much stacking recovers.
-
-The same logic routes the Nystrom ``K_nm`` cross block here: a
-:class:`~repro.engine.KernelEngine` constructed with ``cross_backend=
-SimulatedGpuBackend(...)`` compares
-:meth:`DeviceCostModel.batched_inner_product_time` across its two devices and
-dispatches the padded cross sweep (:meth:`~repro.backends.Backend.
-inner_product_block`, two BLAS matmuls per site) to whichever model
-predicts the cheaper block -- the modelled, not hardcoded, CPU/GPU crossover
-decision of the extended Fig. 5 study.  Numerics are NumPy either way, so
-the dispatch never moves a bit of any kernel entry.
+Like every backend, it charges each primitive its per-point modelled time,
+however the work was batched.  The extended Fig. 5 study compares the two
+devices' stacked cross sweeps through
+:func:`~repro.backends.preferred_cross_model`, on the cost models alone.
 """
 
 from __future__ import annotations

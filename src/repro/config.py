@@ -175,7 +175,7 @@ class SVMConfig:
 
 @dataclass(frozen=True)
 class TuningConfig:
-    """The three performance knobs of the serving tier.
+    """The two performance knobs of the serving tier.
 
     A fleet reads them once, when it is built, and they stay fixed while it
     runs: nothing retunes a live fleet.  Predictions never depend on them --
@@ -187,27 +187,18 @@ class TuningConfig:
         Most requests one flush of a replica queue scores.  The coalescer
         is work-conserving: it flushes whatever is pending, up to this many,
         as soon as it is idle, so there is no wait to tune.
-    encode_batch_size:
-        Circuits per stacked encoding sweep; ``None`` keeps each engine's
-        :attr:`repro.engine.EngineConfig.encode_batch_size`.
     queue_depth_high_water:
         Load-shedding threshold of the replica router; ``None`` disables
         shedding.
     """
 
     max_batch: int = 32
-    encode_batch_size: int | None = None
     queue_depth_high_water: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.encode_batch_size is not None and self.encode_batch_size < 1:
-            raise ConfigurationError(
-                "encode_batch_size must be >= 1 or None, got "
-                f"{self.encode_batch_size}"
             )
         if (
             self.queue_depth_high_water is not None

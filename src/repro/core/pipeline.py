@@ -111,7 +111,7 @@ class QuantumKernelPipeline:
         tolerance is a different quantity and keeps its own default.
     engine_config:
         Knobs of the underlying :class:`~repro.engine.KernelEngine`
-        (executor selection, state cache, overlap batch size) used by the
+        (state cache, overlap and encode batch sizes) used by the
         quantum kernel families.
     approximation:
         A :class:`~repro.approx.NystroemConfig` to route the quantum kernel

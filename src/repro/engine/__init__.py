@@ -11,9 +11,9 @@ One compute core for every pairwise-overlap workload in the library:
   policy), with LRU eviction under a byte budget and hit/miss statistics;
 * :mod:`~repro.engine.batching` -- chunked overlap evaluation that pads
   every state to one per-site bond dimension and sweeps it with BLAS;
-* :mod:`~repro.engine.engine` -- the :class:`KernelEngine` facade with
-  pluggable executors (sequential, tiled, multiprocess) selected by
-  :class:`EngineConfig`.
+* :mod:`~repro.engine.engine` -- the :class:`KernelEngine` facade: one
+  encode path and one overlap path per plan shape, configured by
+  :class:`EngineConfig` (cache and batch sizes).
 
 The kernels, pipeline, inference and distributed layers all dispatch through
 :class:`KernelEngine`; no other module hand-rolls the pairwise loop.

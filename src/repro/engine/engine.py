@@ -16,17 +16,17 @@ each with exactly one code path, so consumers describe *what* to compute (a
 * overlap jobs are chunked and dispatched through the backend's padded
   BLAS transfer sweep (:meth:`repro.backends.Backend.inner_product_batch`),
   and cross blocks / kernel rows run the same sweep against one pre-stacked
-  state block (:meth:`repro.backends.Backend.inner_product_block`);
-* the executor -- ``"sequential"``, ``"tiled"`` (cache-friendly tile-ordered
-  job stream) or ``"multiprocess"`` (process-pool fan-out) -- is selected by
-  :class:`EngineConfig` without touching call sites.
+  state block (:meth:`repro.backends.Backend.inner_product_block`).
+
+Every result carries two timing models: the measured wall time and the
+per-point modelled device time of the backend's cost model.
 
 :class:`repro.kernels.QuantumKernel`,
 :class:`repro.kernels.ProjectedQuantumKernel`,
 :class:`repro.core.QuantumKernelPipeline` and
 :class:`repro.core.QuantumKernelInferenceEngine` are all thin layers over
-this class, which makes it the single choke point for future scaling work
-(sharding, async serving, GPU batching).
+this class.  The paper's distributed strategies live in
+:mod:`repro.parallel`, which drives the same engine per simulated process.
 """
 
 from __future__ import annotations
@@ -48,48 +48,28 @@ from .plan import PairJob, PairwisePlan, SymmetricGramPlan
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
-_EXECUTORS = ("sequential", "tiled", "multiprocess")
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs of the unified kernel engine.
 
     Parameters
     ----------
-    executor:
-        ``"sequential"`` evaluates the plan's canonical job order in one
-        process; ``"tiled"`` evaluates the same jobs tile-by-tile (the
-        locality order the distributed strategies use); ``"multiprocess"``
-        fans symmetric Gram plans out over a local process pool.
     use_cache:
         Enable the content-addressed :class:`StateStore` for encodes.
     cache_bytes:
         LRU byte budget of the store (``None`` = unbounded).
     batch_size:
         Maximum overlap pairs per batched backend call.
-    num_blocks:
-        Tile-grid side for the tiled / multiprocess executors (``None`` =
-        auto).
-    max_workers:
-        Process count for the multiprocess executor (``None`` = auto).
     encode_batch_size:
         Maximum circuits per stacked encoding sweep.
     """
 
-    executor: str = "sequential"
     use_cache: bool = False
     cache_bytes: Optional[int] = None
     batch_size: int = 64
-    num_blocks: Optional[int] = None
-    max_workers: Optional[int] = None
     encode_batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.executor not in _EXECUTORS:
-            raise EngineError(
-                f"unknown executor {self.executor!r}; expected one of {_EXECUTORS}"
-            )
         if self.batch_size < 1:
             raise EngineError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.encode_batch_size < 1:
@@ -111,11 +91,9 @@ class EngineResult:
     total_state_memory_bytes: int
     num_simulations: int
     num_inner_products: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    modelled_batched_simulation_time_s: float = 0.0
-    modelled_batched_inner_product_time_s: float = 0.0
-    states: Tuple[MPS, ...] = field(default=(), repr=False)
+    cache_hits: int
+    cache_misses: int
+    states: Tuple[MPS, ...] = field(repr=False)
 
     @property
     def total_time_s(self) -> float:
@@ -126,27 +104,10 @@ class EngineResult:
     def modelled_total_time_s(self) -> float:
         """Modelled device total, one launch per *point* (batching-invariant).
 
-        This is the historical per-point accounting: it never moves when a
-        workload is batched or re-chunked, which is what lets tests
-        pin engine behaviour across execution paths.
+        It never moves when a workload is batched or re-chunked, which is
+        what lets tests pin engine accounting across batch sizes.
         """
         return self.modelled_simulation_time_s + self.modelled_inner_product_time_s
-
-    @property
-    def modelled_batched_total_time_s(self) -> float:
-        """Modelled device total under the *stacked* launch model.
-
-        Charges each stacked sweep's launch/transfer overhead once per stack
-        instead of once per point
-        (:meth:`repro.backends.DeviceCostModel.batched_inner_product_time`
-        and the ``batched_*_gate_time`` entries) -- the device prediction
-        for the stacked encode and block sweep, and the number the extended
-        Fig. 5 crossover study dispatches on.
-        """
-        return (
-            self.modelled_batched_simulation_time_s
-            + self.modelled_batched_inner_product_time_s
-        )
 
 
 class KernelEngine:
@@ -161,19 +122,10 @@ class KernelEngine:
     simulation:
         Simulation configuration for a default backend.
     config:
-        Engine configuration (executor, cache, batching).
+        Engine configuration (cache, batching).
     store:
         Externally owned :class:`StateStore`; overrides ``config.use_cache``
         so several engines (or a serving layer) can share one cache.
-    cross_backend:
-        Optional second backend (typically a
-        :class:`~repro.backends.SimulatedGpuBackend`) offered the stacked
-        cross sweep: before each block sweep of :meth:`cross`, the engine
-        compares ``cost_model.batched_inner_product_time`` across the two
-        devices and dispatches to whichever model predicts the cheaper block
-        -- the Fig. 5 crossover decision, modelled rather than hardcoded.
-        Both backends run identical NumPy numerics, so dispatch never
-        changes a kernel value; its accounting is merged into the result.
     """
 
     def __init__(
@@ -183,13 +135,11 @@ class KernelEngine:
         simulation: SimulationConfig | None = None,
         config: EngineConfig | None = None,
         store: StateStore | None = None,
-        cross_backend: Backend | None = None,
     ) -> None:
         self.ansatz = ansatz
         if backend is None:
             backend = CpuBackend(simulation)
         self.backend = backend
-        self.cross_backend = cross_backend
         self.config = config if config is not None else EngineConfig()
         if store is not None:
             self.store: StateStore | None = store
@@ -199,30 +149,6 @@ class KernelEngine:
             self.store = None
         self._ansatz_fp = ansatz_fingerprint(ansatz)
         self._simulation_fp = simulation_fingerprint(self.backend.config)
-        self._encode_batch_size_override: Optional[int] = None
-
-    @property
-    def encode_batch_size(self) -> int:
-        """Effective stacked-encode chunk size (live override, else config).
-
-        Chunking is bit-identical by the stacked-sweep contract, so this
-        knob only moves sweep granularity -- a serving queue applies its own
-        setting via :meth:`set_encode_batch_size` without rebuilding the
-        engine.
-        """
-        override = self._encode_batch_size_override
-        return self.config.encode_batch_size if override is None else override
-
-    def set_encode_batch_size(self, size: int | None) -> int:
-        """Override the stacked-encode chunk size without rebuilding the engine.
-
-        ``None`` clears the override and restores the config default.
-        Returns the effective chunk size after the change.
-        """
-        if size is not None and int(size) < 1:
-            raise EngineError(f"encode_batch_size must be >= 1, got {size}")
-        self._encode_batch_size_override = None if size is None else int(size)
-        return self.encode_batch_size
 
     @property
     def fingerprint(self) -> str:
@@ -247,10 +173,10 @@ class KernelEngine:
 
         Worker processes receive only picklable primitives: the ansatz and
         simulation configurations as ``to_dict()`` mappings (``dtype`` may
-        arrive as a string) plus the backend registry name.  Every
-        multiprocess worker and serving replica reconstructs its engine
-        through this single entry point, so config-rehydration rules live in
-        one place.
+        arrive as a string) plus the backend registry name.  Serving pool
+        workers and every model rebuilt from a serving payload reconstruct
+        their engine through this single entry point, so config-rehydration
+        rules live in one place.
         """
         from ..backends import get_backend
 
@@ -374,7 +300,7 @@ class KernelEngine:
     ) -> None:
         """Encode the selected rows through stacked sweeps, filling ``states``."""
         indices = list(indices)
-        chunk_size = self.encode_batch_size
+        chunk_size = self.config.encode_batch_size
         for lo in range(0, len(indices), chunk_size):
             chunk = indices[lo : lo + chunk_size]
             circuits = [
@@ -392,25 +318,6 @@ class KernelEngine:
     # ------------------------------------------------------------------
     # Plan execution
     # ------------------------------------------------------------------
-    def _job_stream(self, plan: PairwisePlan) -> Iterable[PairJob]:
-        """The plan's jobs in the executor's preferred order."""
-        if self.config.executor == "tiled" and isinstance(plan, SymmetricGramPlan):
-            return self._tiled_jobs(plan)
-        return plan.jobs()
-
-    def _tiled_jobs(self, plan: SymmetricGramPlan) -> Iterable[PairJob]:
-        """Symmetric-plan jobs reordered tile-by-tile (locality order)."""
-        from ..parallel.tiling import square_tiling
-
-        n = plan.num_points
-        blocks = self.config.num_blocks
-        if blocks is None:
-            blocks = max(1, int(np.ceil(np.sqrt(n))))
-        blocks = min(blocks, n)
-        for tile in square_tiling(n, blocks, symmetric=True):
-            for (i, j) in tile.entry_pairs():
-                yield PairJob(left=i, right=j, row=i, col=j, mirror=True)
-
     def execute_plan(
         self,
         plan: PairwisePlan,
@@ -452,7 +359,7 @@ class KernelEngine:
                     K[job.col, job.row] = value
             chunk.clear()
 
-        for job in self._job_stream(plan):
+        for job in plan.jobs():
             chunk.append(job)
             if len(chunk) >= self.config.batch_size:
                 _flush()
@@ -470,8 +377,6 @@ class KernelEngine:
         ``QuantumKernel.gram_matrix``).
         """
         X = self.validate_features(X)
-        if self.config.executor == "multiprocess" and X.shape[0] >= 2:
-            return self._gram_multiprocess(X)
         self.backend.reset_counters()
         hits0, misses0 = self._cache_counts()
         states = self.encode_rows(X)
@@ -482,23 +387,16 @@ class KernelEngine:
     def cross(self, X_rows: np.ndarray, train_states: Sequence[MPS]) -> EngineResult:
         """Rectangular kernel between new rows and stored training states.
 
-        With the ``"multiprocess"`` executor the rectangular tiles fan out
-        over a local process pool: column states are serialised once and
-        shipped, row circuits are encoded inside the workers, and the result
-        is bit-identical to the sequential cross plan.  Covers the Nystrom
-        ``K_nm`` fit block and bulk test-versus-train scoring; the serving
-        hot path (:meth:`kernel_rows`) stays in-process by design.
-
-        Otherwise the whole block runs as one padded sweep of the rows against
-        a :class:`StackedStateBlock` of ``train_states``
-        (:meth:`~repro.backends.Backend.inner_product_block`), dispatched to
-        ``cross_backend`` when its cost model predicts the cheaper block.
-        Its values are byte-identical to the chunked pair sweep the Gram and
-        the multiprocess tiles run, whatever the executor or batch size.
+        Covers the Nystrom ``K_nm`` fit block and bulk test-versus-train
+        scoring.  The whole block runs as one padded sweep of the rows
+        against a :class:`StackedStateBlock` of ``train_states``
+        (:meth:`~repro.backends.Backend.inner_product_block`); its values are
+        byte-identical to the chunked pair sweep the Gram runs, whatever the
+        batch size.  Same code, values and accounting as :meth:`kernel_rows`.
         """
-        if self.config.executor == "multiprocess":
-            return self._cross_multiprocess(X_rows, train_states)
-        return self._rectangular(X_rows, train_states, serving=False)
+        # Not via kernel_rows, so a profiler wrapping kernel_rows sees only
+        # serving calls.
+        return self._rectangular(X_rows, train_states, None)
 
     def kernel_rows(
         self,
@@ -508,19 +406,18 @@ class KernelEngine:
     ) -> EngineResult:
         """Inference-time kernel rows against stored training states.
 
-        Identical values and accounting to :meth:`cross`, on the serving hot
-        path: it never fans out or changes device.  Pass the
-        ``train_states``' :class:`StackedStateBlock` (built once at fit time)
-        to skip re-stacking it.
+        The serving hot path, and the one rectangular path :meth:`cross`
+        also runs.  Pass the ``train_states``' :class:`StackedStateBlock`
+        (built once at fit time) to skip re-stacking it; the values are the
+        same bytes either way.
         """
-        return self._rectangular(X_rows, train_states, serving=True, block=block)
+        return self._rectangular(X_rows, train_states, block)
 
     def _rectangular(
         self,
         X_rows: np.ndarray,
         train_states: Sequence[MPS],
-        serving: bool,
-        block: StackedStateBlock | None = None,
+        block: StackedStateBlock | None,
     ) -> EngineResult:
         if not train_states:
             raise KernelError("train_states must not be empty")
@@ -531,49 +428,19 @@ class KernelEngine:
             )
         X_rows = self.validate_features(X_rows)
         self.backend.reset_counters()
-        if self.cross_backend is not None:
-            self.cross_backend.reset_counters()
         hits0, misses0 = self._cache_counts()
         with TRACER.span("engine.encode") as sp:
             row_states = self.encode_rows(X_rows)
             if sp is not None:
                 sp.set_attribute("rows", len(row_states))
         with TRACER.span("engine.overlap") as sp:
-            backend = self.backend
             if block is None:
                 block = StackedStateBlock(list(train_states))
-                if not serving:
-                    backend = self._select_cross_backend(row_states, block)
-            result = backend.inner_product_block(row_states, block)
+            result = self.backend.inner_product_block(row_states, block)
             if sp is not None:
                 sp.set_attribute("pairs", result.num_pairs)
         K = np.abs(result.values) ** 2
         return self._result_from_counters(K, row_states, hits0, misses0)
-
-    def _select_cross_backend(
-        self, row_states: Sequence[MPS], block: StackedStateBlock
-    ) -> Backend:
-        """Pick the backend whose cost model predicts the cheaper block sweep.
-
-        The Fig. 5 crossover decision, applied to the Nystrom / cross sweep:
-        both candidates run identical NumPy numerics, so this only moves
-        *where* the padded sweep is charged, never what it returns.  With
-        no ``cross_backend`` configured the primary backend always wins.
-        """
-        if self.cross_backend is None:
-            return self.backend
-        num_pairs = len(row_states) * block.num_states
-        chi = max(
-            max((s.max_bond_dimension for s in row_states), default=1),
-            int(block.max_bond_dimensions.max()) if block.num_states else 1,
-        )
-        primary = self.backend.cost_model.batched_inner_product_time(
-            num_pairs, block.num_qubits, chi
-        )
-        candidate = self.cross_backend.cost_model.batched_inner_product_time(
-            num_pairs, block.num_qubits, chi
-        )
-        return self.cross_backend if candidate < primary else self.backend
 
     def gram_and_cross(
         self, X_train: np.ndarray, X_test: np.ndarray
@@ -584,13 +451,7 @@ class KernelEngine:
         stored states exactly as the paper's inference procedure does.
         """
         train_result = self.gram(X_train)
-        train_states: Sequence[MPS] = train_result.states
-        if not train_states:
-            # The multiprocess executor computes the Gram matrix out of
-            # process and keeps no states; encode them here for the cross
-            # phase (charged to neither result -- cross() resets counters).
-            train_states = self.encode_rows(X_train)
-        test_result = self.cross(X_test, train_states)
+        test_result = self.cross(X_test, train_result.states)
         return train_result, test_result
 
     # ------------------------------------------------------------------
@@ -609,14 +470,7 @@ class KernelEngine:
         hits0: int,
         misses0: int,
     ) -> EngineResult:
-        summary = dict(self.backend.timing_summary())
-        if self.cross_backend is not None:
-            # The cross backend was reset alongside the primary one, so its
-            # counters are zero unless the block sweep dispatched to it;
-            # merging keeps the result's accounting complete either way.
-            for key, value in self.cross_backend.timing_summary().items():
-                if isinstance(value, (int, float)):
-                    summary[key] = summary.get(key, 0) + value
+        summary = self.backend.timing_summary()
         hits1, misses1 = self._cache_counts()
         return EngineResult(
             matrix=K,
@@ -630,85 +484,5 @@ class KernelEngine:
             num_inner_products=int(summary["num_inner_products"]),
             cache_hits=hits1 - hits0,
             cache_misses=misses1 - misses0,
-            modelled_batched_simulation_time_s=summary.get(
-                "modelled_batched_simulation_time_s", 0.0
-            ),
-            modelled_batched_inner_product_time_s=summary.get(
-                "modelled_batched_inner_product_time_s", 0.0
-            ),
             states=tuple(states),
-        )
-
-    def _gram_multiprocess(self, X: np.ndarray) -> EngineResult:
-        """Fan a symmetric Gram plan out over a local process pool.
-
-        Workers rebuild this engine's backend (by registry name, so modelled
-        device times match) and simulation config, but run sequentially and
-        without a shared cache -- states cannot cross process boundaries
-        cheaply.  Per-tile accounting is aggregated here: wall times are
-        summed across workers (total busy time, not elapsed time) and state
-        memory is deduplicated per data point.
-        """
-        from ..parallel.multiprocess import MultiprocessGramComputer
-
-        computer = MultiprocessGramComputer(
-            ansatz=self.ansatz,
-            simulation=self.backend.config,
-            max_workers=self.config.max_workers,
-            num_blocks=self.config.num_blocks,
-            backend_name=self.backend.name,
-        )
-        self.backend.reset_counters()
-        matrix, stats = computer.compute_with_stats(X)
-        return self._result_from_worker_stats(matrix, stats)
-
-    def _cross_multiprocess(
-        self, X_rows: np.ndarray, train_states: Sequence[MPS]
-    ) -> EngineResult:
-        """Fan a rectangular cross plan out over a local process pool.
-
-        The provided column states are serialised once by the computer and
-        attached in every worker (no re-simulation of the columns); only the
-        row circuits are encoded worker-side.  Accounting mirrors
-        :meth:`_gram_multiprocess`: busy times are summed across workers.
-        """
-        from ..parallel.multiprocess import MultiprocessCrossGramComputer
-
-        if not train_states:
-            raise KernelError("train_states must not be empty")
-        X_rows = self.validate_features(X_rows)
-        computer = MultiprocessCrossGramComputer(
-            ansatz=self.ansatz,
-            simulation=self.backend.config,
-            max_workers=self.config.max_workers,
-            num_blocks=self.config.num_blocks,
-            backend_name=self.backend.name,
-        )
-        self.backend.reset_counters()
-        matrix, stats = computer.compute_with_stats(X_rows, train_states)
-        return self._result_from_worker_stats(matrix, stats)
-
-    def _result_from_worker_stats(
-        self, matrix: np.ndarray, stats: dict
-    ) -> EngineResult:
-        """Engine result assembled from aggregated worker accounting."""
-        return EngineResult(
-            matrix=matrix,
-            simulation_time_s=stats["wall_simulation_time_s"],
-            inner_product_time_s=stats["wall_inner_product_time_s"],
-            modelled_simulation_time_s=stats["modelled_simulation_time_s"],
-            modelled_inner_product_time_s=stats["modelled_inner_product_time_s"],
-            max_bond_dimension=int(stats["max_bond_dimension"]),
-            total_state_memory_bytes=int(stats["total_state_memory_bytes"]),
-            num_simulations=int(stats["num_simulations"]),
-            num_inner_products=int(stats["num_inner_products"]),
-            modelled_batched_simulation_time_s=stats.get(
-                "modelled_batched_simulation_time_s",
-                stats["modelled_simulation_time_s"],
-            ),
-            modelled_batched_inner_product_time_s=stats.get(
-                "modelled_batched_inner_product_time_s",
-                stats["modelled_inner_product_time_s"],
-            ),
-            states=(),
         )

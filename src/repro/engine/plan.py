@@ -4,9 +4,9 @@ Every kernel-matrix computation in the library reduces to the same shape of
 work: a set of ``(i, j)`` overlap jobs between a *left* list of encoded states
 and a *right* list, whose results land at ``matrix[row, col]`` (optionally
 mirrored across the diagonal).  Historically each consumer hand-rolled that
-double loop; a plan enumerates the jobs **once**, in one place, so that every
-executor -- sequential, tiled, multi-process -- iterates the exact same job
-stream and symmetry is exploited by construction rather than by convention.
+double loop; a plan enumerates the jobs **once**, in one place, so that the
+engine and the tests iterate the exact same job stream and symmetry is
+exploited by construction rather than by convention.
 
 Three concrete plans cover all call sites:
 
@@ -68,9 +68,7 @@ class PairwisePlan(abc.ABC):
     """Enumeration of the overlap jobs of one kernel-matrix computation.
 
     A plan is pure bookkeeping: it never touches states or backends, so it can
-    be built (and tested) without any simulation, shipped to worker processes,
-    or re-ordered by an executor (e.g. tile-by-tile) without changing *what*
-    is computed.
+    be built (and tested) without any simulation.
     """
 
     #: Shape of the output matrix.
@@ -90,7 +88,7 @@ class PairwisePlan(abc.ABC):
         """Number of overlap evaluations the plan requires."""
 
     def job_list(self) -> List[PairJob]:
-        """Materialised job stream (executors that chunk need a list)."""
+        """Materialised job stream."""
         return list(self.jobs())
 
 
@@ -160,7 +158,7 @@ class KernelRowPlan(CrossGramPlan):
 
     Identical job structure to :class:`CrossGramPlan`; the separate type marks
     the serving hot path (one or a few new points against a large training
-    set) so executors may special-case it later without a schema change.
+    set).
     """
 
     def __init__(self, num_train: int, num_rows: int = 1) -> None:

@@ -42,7 +42,7 @@ class KernelError(ReproError):
 
 
 class EngineError(ReproError):
-    """Raised by the unified kernel compute engine (plans, cache, executors)."""
+    """Raised by the unified kernel compute engine (plans, cache, config)."""
 
 
 class SVMError(ReproError):

@@ -15,8 +15,8 @@ over :class:`repro.engine.KernelEngine`: encoding, state caching, symmetry
 exploitation and batched overlap evaluation all live in the engine, and the
 same engine instance powers the pipeline, the inference service and the
 per-process kernels of the distributed strategies.  Construct the kernel with
-an :class:`~repro.engine.EngineConfig` (or a ready-made engine) to select the
-executor or enable the state cache.
+an :class:`~repro.engine.EngineConfig` (or a ready-made engine) to enable the
+state cache or set the batch sizes.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class QuantumKernel:
         ``engine_config``); used by the inference service so that kernel and
         serving paths share one state cache.
     engine_config:
-        Engine knobs (executor, cache, batch size) for an engine built here.
+        Engine knobs (cache, batch sizes) for an engine built here.
     """
 
     def __init__(

@@ -23,8 +23,7 @@ the real entries whatever the padding:
 :class:`StackedStateBlock` pads a fixed set of states (the serving landmarks,
 the Nystrom ``K_nm`` fit, exact-model scoring) once and sweeps each query
 against all of them; :func:`batched_overlaps` sweeps a chunk of unrelated
-pairs (Gram chunks, tiled and multiprocess tiles) as stacked per-pair
-products.  Contract: a value is byte-identical whatever the batch
+pairs (the Gram's chunks) as stacked per-pair products.  Contract: a value is byte-identical whatever the batch
 composition -- a query alone or in any subset or order, any chunk size,
 either entry point -- and within ``1e-12`` of :meth:`MPS.inner_product`.
 Identity holds for one BLAS build and thread count, as for any BLAS result.

@@ -43,7 +43,6 @@ from .executor import (
     compute_cross_distributed,
     compute_gram_distributed,
 )
-from .multiprocess import MultiprocessCrossGramComputer, MultiprocessGramComputer
 from .projection import ScalingProjection, project_wall_clock
 
 __all__ = [
@@ -63,8 +62,6 @@ __all__ = [
     "KernelWorker",
     "compute_gram_distributed",
     "compute_cross_distributed",
-    "MultiprocessGramComputer",
-    "MultiprocessCrossGramComputer",
     "ScalingProjection",
     "project_wall_clock",
 ]

@@ -8,13 +8,12 @@ collapses that into one call over one declarative
 single object a deployment talks to afterwards: ``submit`` traffic, ``swap``
 models, read ``metrics``, ``close`` cleanly.
 
-The serving knobs (``max_batch``, ``encode_batch_size`` and the shed
-threshold) are read from ``config.tuning`` once, when the fleet is built,
-and stay fixed while it runs.  The handle is composition, not replacement:
-it builds exactly the router/endpoint objects a manual caller would, so
-everything the test suites pin about those layers (byte-identical
-predictions, atomic swaps, shed semantics) holds verbatim under the
-one-call surface.
+The serving knobs (``max_batch`` and the shed threshold) are read from
+``config.tuning`` once, when the fleet is built, and stay fixed while it
+runs.  The handle is composition, not replacement: it builds exactly the
+router/endpoint objects a manual caller would, so everything the test suites
+pin about those layers (byte-identical predictions, atomic swaps, shed
+semantics) holds verbatim under the one-call surface.
 """
 
 from __future__ import annotations

@@ -176,10 +176,6 @@ class AsyncServingQueue:
     metrics:
         Externally owned :class:`ServingMetrics` (e.g. shared across queues);
         a fresh one is created by default.
-    encode_batch_size:
-        Circuits per stacked encoding sweep of the served engine; ``None``
-        keeps the engine's own setting.  Re-applied to every model a swap
-        installs.
     """
 
     def __init__(
@@ -190,7 +186,6 @@ class AsyncServingQueue:
         memoize: bool = True,
         memo_capacity: int = 4096,
         metrics: ServingMetrics | None = None,
-        encode_batch_size: int | None = None,
     ) -> None:
         if max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {max_batch}")
@@ -198,14 +193,7 @@ class AsyncServingQueue:
             raise ServingError(f"workers must be >= 0, got {workers}")
         if memo_capacity < 1:
             raise ServingError(f"memo_capacity must be >= 1, got {memo_capacity}")
-        if encode_batch_size is not None and encode_batch_size < 1:
-            raise ServingError(
-                f"encode_batch_size must be >= 1, got {encode_batch_size}"
-            )
         self.max_batch = int(max_batch)
-        self._encode_batch_size = (
-            None if encode_batch_size is None else int(encode_batch_size)
-        )
         self.workers = int(workers)
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.memoize = bool(memoize)
@@ -221,10 +209,6 @@ class AsyncServingQueue:
             memo=OrderedDict() if self.memoize else None,
             pool=self._build_pool(classifier, None),
         )
-        if self._encode_batch_size is not None:
-            classifier.feature_map.engine.set_encode_batch_size(
-                self._encode_batch_size
-            )
 
         self._cond = threading.Condition()
         self._pending: List[_Pending] = []
@@ -266,11 +250,6 @@ class AsyncServingQueue:
     def model_version(self) -> int:
         """Version of the currently active model slot (0 at construction)."""
         return self._slot.version
-
-    @property
-    def encode_batch_size(self) -> int:
-        """Effective stacked-encode chunk size of the active model's engine."""
-        return self._slot.classifier.feature_map.engine.encode_batch_size
 
     def _build_pool(
         self, classifier: StreamingNystroemClassifier, payload: Optional[Dict]
@@ -331,12 +310,6 @@ class AsyncServingQueue:
             raise ServingError(
                 f"replacement model expects {expected} features but the "
                 f"queue serves {self._expected_features}"
-            )
-        if self._encode_batch_size is not None:
-            # The queue's encode-chunk setting survives model swaps: the
-            # fresh slot's engine inherits it before serving its first flush.
-            classifier.feature_map.engine.set_encode_batch_size(
-                self._encode_batch_size
             )
         new_pool = self._build_pool(classifier, _payload)
         with TRACER.span("serving.swap") as span:

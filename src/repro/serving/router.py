@@ -173,9 +173,8 @@ class ReplicaRouter:
         Budgets forwarded to :meth:`PersistentStateStore.warm_up`.
     queue_kwargs:
         Forwarded to every :class:`AsyncServingQueue`: ``max_batch``,
-        ``workers``, ``memoize``, ``memo_capacity`` and
-        ``encode_batch_size``.  Each replica's coalescer is work-conserving,
-        so there is no wait knob.
+        ``workers``, ``memoize`` and ``memo_capacity``.  Each replica's
+        coalescer is work-conserving, so there is no wait knob.
     """
 
     def __init__(
@@ -247,7 +246,7 @@ class ReplicaRouter:
         """Build a router from a declarative :class:`~repro.config.ServingConfig`.
 
         The fleet shape and durability come from the config itself, the
-        three performance knobs -- ``max_batch``, ``encode_batch_size`` and
+        two performance knobs -- ``max_batch`` and
         ``queue_depth_high_water`` -- from its nested
         :class:`~repro.config.TuningConfig` (``config.tuning``).  They are
         constructor values: nothing changes them while the fleet runs.
@@ -262,7 +261,6 @@ class ReplicaRouter:
             persistence_root=config.snapshot_root,
             warm_max_keys=config.warm_max_keys,
             max_batch=tuning.max_batch,
-            encode_batch_size=tuning.encode_batch_size,
             memoize=config.memoize,
         )
         kwargs.update(overrides)

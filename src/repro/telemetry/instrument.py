@@ -187,22 +187,18 @@ def bind_state_store(
     return [registry.register_collector(collect, name=f"store-{replica}")]
 
 
-def bind_backend(
-    registry: MetricsRegistry, backend, replica: str = "0", role: str = "primary"
-) -> List[str]:
+def bind_backend(registry: MetricsRegistry, backend, replica: str = "0") -> List[str]:
     """Publish one backend's primitive counts and modelled/wall timings.
 
-    ``backend`` is anything with the :class:`repro.backends.Backend` counter
-    surface (``num_simulations``, ``modelled_simulation_time_s``, ...).  The
-    ``device`` label comes from the backend's cost-model name, so the
-    modelled-vs-measured comparison is per device; ``role`` distinguishes an
-    engine's primary backend from its cross-dispatch one.
+    ``backend`` is a :class:`repro.backends.Backend`; its
+    :meth:`~repro.backends.Backend.lifetime_summary` is the source of every
+    value.  The ``device`` label comes from the backend's cost-model name, so
+    the modelled-vs-measured comparison is per device.  ``role`` is always
+    ``"primary"`` (an engine has one backend); the label stays so exported
+    series keep their names.
     """
     labelnames = ("device", "replica", "role")
-    device = getattr(getattr(backend, "cost_model", None), "name", None) or getattr(
-        backend, "name", "unknown"
-    )
-    labels = {"device": str(device), "replica": replica, "role": role}
+    labels = {"device": backend.cost_model.name, "replica": replica, "role": "primary"}
 
     simulations = registry.counter(
         "repro_backend_simulations_total",
@@ -233,8 +229,6 @@ def bind_backend(
         for key in (
             "modelled_simulation_time_seconds",
             "modelled_inner_product_time_seconds",
-            "modelled_batched_simulation_time_seconds",
-            "modelled_batched_inner_product_time_seconds",
             "wall_simulation_time_seconds",
             "wall_inner_product_time_seconds",
         )
@@ -243,20 +237,8 @@ def bind_backend(
     def collect() -> None:
         # The engine resets the per-call counters before every public call;
         # lifetime_summary() folds across those resets, which is the monotone
-        # view a counter family requires.  Raw attributes are the fallback
-        # for backend-likes without it.
-        if hasattr(backend, "lifetime_summary"):
-            summary = backend.lifetime_summary()
-        else:
-            summary = {
-                attr: getattr(backend, attr, 0)
-                for attr in (
-                    "num_simulations",
-                    "num_inner_products",
-                    "num_encode_batches",
-                    "num_encode_stacked_launches",
-                )
-            }
+        # view a counter family requires.
+        summary = backend.lifetime_summary()
         simulations.labels(**labels).set_total(summary["num_simulations"])
         inner_products.labels(**labels).set_total(summary["num_inner_products"])
         encode_batches.labels(**labels).set_total(summary["num_encode_batches"])
@@ -265,23 +247,20 @@ def bind_backend(
         )
         for key, gauge in timing_gauges.items():
             attr = key.replace("_seconds", "_s")
-            gauge.labels(**labels).set(summary.get(attr, getattr(backend, attr, 0.0)))
+            gauge.labels(**labels).set(summary[attr])
 
-    return [registry.register_collector(collect, name=f"backend-{replica}-{role}")]
+    return [registry.register_collector(collect, name=f"backend-{replica}-primary")]
 
 
 def bind_engine(registry: MetricsRegistry, engine, replica: str = "0") -> List[str]:
-    """Publish one kernel engine's store and backend(s)."""
+    """Publish one kernel engine's store and backend."""
     names: List[str] = []
     store = getattr(engine, "store", None)
     if store is not None:
         names.extend(bind_state_store(registry, store, replica=replica))
     backend = getattr(engine, "backend", None)
     if backend is not None:
-        names.extend(bind_backend(registry, backend, replica=replica, role="primary"))
-    cross = getattr(engine, "cross_backend", None)
-    if cross is not None:
-        names.extend(bind_backend(registry, cross, replica=replica, role="cross"))
+        names.extend(bind_backend(registry, backend, replica=replica))
     return names
 
 

@@ -1,15 +1,10 @@
-"""Unit tests for the KernelEngine facade: executors, caching, reuse."""
+"""Unit tests for the KernelEngine facade: numerics, caching, reuse."""
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    CPU_COST_MODEL,
-    CpuBackend,
-    DeviceCostModel,
-    SimulatedGpuBackend,
-)
-from repro.config import AnsatzConfig, SimulationConfig
+from repro.backends import CpuBackend
+from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import (
     CrossGramPlan,
@@ -58,17 +53,6 @@ def test_engine_gram_matches_reference_exactly(ansatz, X):
     assert len(result.states) == X.shape[0]
 
 
-def test_all_executors_agree(ansatz, X):
-    K_ref, _ = _reference_gram(ansatz, X)
-    for config in (
-        EngineConfig(executor="sequential", batch_size=4),
-        EngineConfig(executor="tiled", num_blocks=3),
-        EngineConfig(executor="multiprocess", max_workers=1),
-    ):
-        K = KernelEngine(ansatz, config=config).gram(X).matrix
-        assert np.allclose(K, K_ref, atol=1e-12), config.executor
-
-
 def test_cross_plan_matches_gram_block(ansatz, X):
     engine = KernelEngine(ansatz)
     train_result = engine.gram(X[:4])
@@ -99,9 +83,9 @@ def test_validate_features_rejects_non_finite_values(ansatz, X, bad_value):
 
 def test_engine_config_validation():
     with pytest.raises(EngineError):
-        EngineConfig(executor="quantum-teleport")
-    with pytest.raises(EngineError):
         EngineConfig(batch_size=0)
+    with pytest.raises(EngineError, match="encode_batch_size"):
+        EngineConfig(encode_batch_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -176,24 +160,8 @@ def test_train_then_infer_reuses_cached_states(small_dataset):
     assert baseline.cache_stats() is None
 
 
-def test_tiled_executor_covers_cross_plans(ansatz, X, rng):
-    """A tiled engine's cross and kernel rows match the sequential engine."""
-    X_rows = rng.uniform(0.1, 1.9, size=(5, 4))
-    seq = KernelEngine(ansatz)
-    train_states = seq.encode_rows(X)
-    K_seq = seq.cross(X_rows, train_states).matrix
-
-    tiled = KernelEngine(ansatz, config=EngineConfig(executor="tiled", num_blocks=2))
-    K_tiled = tiled.cross(X_rows, train_states).matrix
-    assert np.allclose(K_tiled, K_seq, atol=1e-12)
-
-    # kernel rows run the same padded block sweep as cross
-    K_rows = tiled.kernel_rows(X_rows, train_states).matrix
-    assert np.allclose(K_rows, K_seq, atol=1e-12)
-
-
 # ----------------------------------------------------------------------
-# Cross block sweep + modelled dispatch
+# Cross block sweep
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def train_parts():
@@ -210,62 +178,3 @@ def test_cross_block_sweep_byte_identical_to_pair_path(train_parts):
     sweep = block.overlaps(rows)
     pairs = batched_overlaps([(row, state) for row in rows for state in states])
     assert sweep.tobytes() == pairs.tobytes()
-
-
-def test_tiled_executor_keeps_its_job_stream(train_parts):
-    """The tiled executor's cross agrees with the sequential one bit for bit."""
-    ansatz, states, _ = train_parts
-    X = np.random.default_rng(53).uniform(0.05, 1.95, size=(4, 5))
-    sequential = KernelEngine(ansatz).cross(X, states)
-    tiled = KernelEngine(
-        ansatz, config=EngineConfig(executor="tiled", num_blocks=2)
-    ).cross(X, states)
-    assert tiled.matrix.tobytes() == sequential.matrix.tobytes()
-
-
-def test_dispatch_stays_on_cpu_at_small_chi(train_parts):
-    """With the real device models, a small-chi block never clears the GPU's
-    launch overhead: the sweep stays on the primary backend."""
-    ansatz, states, _ = train_parts
-    gpu = SimulatedGpuBackend(SimulationConfig())
-    X = np.random.default_rng(59).uniform(0.05, 1.95, size=(4, 5))
-    reference = KernelEngine(ansatz).cross(X, states)
-    routed = KernelEngine(ansatz, cross_backend=gpu).cross(X, states)
-    assert routed.matrix.tobytes() == reference.matrix.tobytes()
-    assert gpu.num_inner_products == 0
-
-
-def test_dispatch_moves_to_the_cheaper_modelled_device(train_parts):
-    """A cross backend whose model predicts a cheaper stacked sweep receives
-    the block -- and, both backends running identical numerics, the kernel
-    does not move a bit."""
-    ansatz, states, _ = train_parts
-    fast_model = DeviceCostModel(
-        "always-cheaper",
-        gate_overhead_s=CPU_COST_MODEL.gate_overhead_s / 1e6,
-        svd_overhead_s=CPU_COST_MODEL.svd_overhead_s / 1e6,
-        contraction_gflops=CPU_COST_MODEL.contraction_gflops * 1e6,
-        svd_gflops=CPU_COST_MODEL.svd_gflops * 1e6,
-    )
-    fast = CpuBackend(SimulationConfig(), cost_model=fast_model)
-    X = np.random.default_rng(61).uniform(0.05, 1.95, size=(4, 5))
-    reference = KernelEngine(ansatz).cross(X, states)
-    routed = KernelEngine(ansatz, cross_backend=fast).cross(X, states)
-    assert routed.matrix.tobytes() == reference.matrix.tobytes()
-    assert fast.num_inner_products == 4 * len(states)
-    # The dispatched backend's accounting is merged into the result.
-    assert routed.num_inner_products == reference.num_inner_products
-
-
-def test_result_carries_the_stacked_launch_model(train_parts):
-    ansatz, states, block = train_parts
-    X = np.random.default_rng(67).uniform(0.05, 1.95, size=(5, 5))
-    result = KernelEngine(ansatz).kernel_rows(X, states, block=block)
-    assert result.modelled_batched_simulation_time_s > 0.0
-    assert result.modelled_batched_inner_product_time_s > 0.0
-    # Stacking can only amortise launches, never add work.
-    assert result.modelled_batched_total_time_s <= result.modelled_total_time_s
-    assert result.modelled_batched_total_time_s == pytest.approx(
-        result.modelled_batched_simulation_time_s
-        + result.modelled_batched_inner_product_time_s
-    )

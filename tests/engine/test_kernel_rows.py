@@ -146,3 +146,43 @@ def test_store_writes_land_before_the_block_sweep(train_parts):
     engine.kernel_rows(X, states, block=block)
     sweep_at = events.index(("block",))
     assert sum(1 for e in events[:sweep_at] if e == ("put",)) == 5
+
+
+@pytest.mark.parametrize("num_rows", [1, 4])
+@pytest.mark.parametrize("store", ["off", "cold", "warm"])
+def test_cross_and_kernel_rows_are_one_path(train_parts, store, num_rows):
+    """``cross``, ``kernel_rows`` and ``kernel_rows`` with a pre-stacked block
+    return the same bytes and the same accounting, whatever the store holds;
+    ``gram`` keeps one state per row."""
+    states, _ = train_parts
+    X = np.random.default_rng(41 + num_rows).uniform(0.05, 1.95, size=(num_rows, 5))
+    if num_rows > 1:
+        X[-1] = X[0]  # a duplicate within the call
+
+    def fresh_engine():
+        engine = _engine(use_cache=store != "off")
+        if store == "warm":
+            engine.encode_rows(X[:1])
+        return engine
+
+    paths = [
+        lambda e: e.cross(X, states),
+        lambda e: e.kernel_rows(X, states),
+        lambda e: e.kernel_rows(X, states, block=StackedStateBlock(states)),
+    ]
+    results = [path(fresh_engine()) for path in paths]
+
+    def accounting(result):
+        return (
+            result.num_simulations,
+            result.num_inner_products,
+            result.cache_hits,
+            result.cache_misses,
+        )
+
+    first = results[0]
+    assert first.num_inner_products == num_rows * len(states)
+    for result in results[1:]:
+        assert result.matrix.tobytes() == first.matrix.tobytes()
+        assert accounting(result) == accounting(first)
+    assert len(fresh_engine().gram(X).states) == num_rows

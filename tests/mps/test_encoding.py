@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends import CpuBackend, SimulatedGpuBackend
+from repro.backends import CpuBackend
 from repro.circuits import Circuit, GateKind, build_feature_map_circuit
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.exceptions import BackendError, SimulationError
@@ -171,18 +171,6 @@ def test_simulate_batch_counters_match_per_point(circuits):
     _assert_states_bit_identical(
         list(result.states), [loop_backend.simulate(c).state for c in circuits]
     )
-
-
-def test_simulate_batch_stacked_cost_model(circuits):
-    cpu = CpuBackend().simulate_batch(circuits)
-    gpu = SimulatedGpuBackend().simulate_batch(circuits)
-    # One launch per stacked contraction can only help, and it helps the
-    # overhead-heavy GPU model far more (the Fig. 5 small-chi regime).
-    assert cpu.modelled_batched_time_s < cpu.modelled_time_s
-    assert gpu.modelled_batched_time_s < gpu.modelled_time_s
-    gpu_gain = gpu.modelled_time_s / gpu.modelled_batched_time_s
-    cpu_gain = cpu.modelled_time_s / cpu.modelled_batched_time_s
-    assert gpu_gain > cpu_gain
 
 
 def test_simulate_batch_rejects_initial_state(circuits):

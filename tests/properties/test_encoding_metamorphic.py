@@ -184,9 +184,12 @@ def fitted_parts():
     return X, y
 
 
-def _classifier(fitted_parts):
+def _classifier(fitted_parts, encode_batch_size=32):
     X, y = fitted_parts
-    engine = KernelEngine(ANSATZ, config=EngineConfig(use_cache=True))
+    engine = KernelEngine(
+        ANSATZ,
+        config=EngineConfig(use_cache=True, encode_batch_size=encode_batch_size),
+    )
     feature_map = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=6, seed=0))
     phi = feature_map.fit_transform(X)
     model = LinearSVC(C=1.0).fit(phi, y)
@@ -235,19 +238,12 @@ def test_cold_predictions_invariant_under_request_order(fitted_parts, cold_strea
 def test_encode_batch_size_argument_is_invisible_on_cold_rows(
     fitted_parts, cold_stream
 ):
-    """The queue's stacked-encode chunk size moves sweep granularity only."""
-
-    def serve_chunked(chunk):
-        with AsyncServingQueue(
-            _classifier(fitted_parts),
-            max_batch=8,
-            memoize=False,  # every row must truly re-encode
-            encode_batch_size=chunk,
-        ) as queue:
-            assert chunk is None or queue.encode_batch_size == chunk
-            futures = queue.submit_many(cold_stream)
-            return np.array([f.result(timeout=120).decision_value for f in futures])
-
-    fixed = serve_chunked(None)
+    """The served engine's stacked-encode chunk size moves sweep granularity
+    only: ``EngineConfig.encode_batch_size`` never moves a served bit."""
+    # _serve disables the memo, so every row truly re-encodes.
+    fixed = _serve(_classifier(fitted_parts), cold_stream, max_batch=8)
     for chunk in (1, 2, 7):
-        assert serve_chunked(chunk).tobytes() == fixed.tobytes()
+        classifier = _classifier(fitted_parts, encode_batch_size=chunk)
+        assert classifier.feature_map.engine.config.encode_batch_size == chunk
+        served = _serve(classifier, cold_stream, max_batch=8)
+        assert served.tobytes() == fixed.tobytes()

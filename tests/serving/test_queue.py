@@ -51,8 +51,6 @@ def test_queue_validates_parameters(served_engine):
         AsyncServingQueue(clf, workers=-1)
     with pytest.raises(ServingError):
         AsyncServingQueue(clf, memo_capacity=0)
-    with pytest.raises(ServingError):
-        AsyncServingQueue(clf, encode_batch_size=0)
 
 
 def test_queue_rejects_malformed_rows(served_engine):

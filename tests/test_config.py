@@ -108,7 +108,6 @@ def test_experiment_config_validation():
 def test_tuning_config_defaults_and_roundtrip():
     tuning = TuningConfig()
     assert tuning.max_batch == 32
-    assert tuning.encode_batch_size is None
     assert tuning.queue_depth_high_water is None
     d = tuning.to_dict()
     assert TuningConfig(**d) == tuning
@@ -120,8 +119,6 @@ def test_tuning_config_validates_knobs():
         TuningConfig(queue_depth_high_water=0)
     with pytest.raises(ConfigurationError, match="max_batch"):
         TuningConfig(max_batch=0)
-    with pytest.raises(ConfigurationError, match="encode_batch_size"):
-        TuningConfig(encode_batch_size=0)
 
 
 def test_serving_config_nested_tuning_is_canonical():

@@ -8,9 +8,8 @@ Fitzpatrick; SC 2024).  The package provides:
 * a dense statevector simulator for validation (:mod:`repro.statevector`),
 * the Ising feature-map circuit ansatz with SWAP routing
   (:mod:`repro.circuits`),
-* a unified pairwise compute engine with declarative work plans, a
-  content-addressed MPS state cache and batched overlap evaluation
-  (:mod:`repro.engine`),
+* a unified pairwise compute engine with a content-addressed MPS state
+  cache, stacked encoding and block overlap sweeps (:mod:`repro.engine`),
 * quantum fidelity / projected kernels and a Gaussian baseline
   (:mod:`repro.kernels`),
 * a Nystrom low-rank approximation subsystem -- landmark selection, explicit

@@ -8,15 +8,15 @@ layered on the unified :class:`~repro.engine.KernelEngine`:
 * :mod:`~repro.approx.landmarks` -- pluggable landmark selectors (uniform,
   k-means, greedy farthest-point) behind a string registry;
 * :mod:`~repro.approx.nystroem` -- the landmark Gram ``K_mm`` and cross-Gram
-  ``K_nm`` computed through the engine's existing plans, factorised into an
+  ``K_nm`` computed by the engine's Gram and block sweeps, factorised into an
   explicit feature map ``Phi = K_nm K_mm^{-1/2}`` with jittered
   eigendecomposition;
 * :mod:`~repro.approx.linear_svc` -- a primal squared-hinge linear SVM
   trained by semismooth Newton in the feature space, ``O(n m^2)`` overall;
 * :mod:`~repro.approx.streaming` -- micro-batched classification of newly
-  arriving points via one :class:`~repro.engine.plan.KernelRowPlan` against
-  the cached landmark states (``m`` overlaps per query, constant memory in
-  ``n``);
+  arriving points via one sweep against the cached landmark states'
+  :class:`~repro.engine.StackedStateBlock` (``m`` overlaps per query,
+  constant memory in ``n``);
 * :mod:`~repro.approx.drift` -- the online adaptation loop: a rolling
   conformal-coverage alarm, shadow refits that grow the landmark set from
   poorly reconstructed traffic, and atomic hot swaps into the serving tier.

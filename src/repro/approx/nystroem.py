@@ -244,8 +244,8 @@ class NystroemFeatureMap:
         """Select landmarks, build ``K_mm`` and ``K_nm``, factorise.
 
         ``X`` must already be scaled to the feature map's interval.  Issues
-        exactly ``m (m - 1) / 2`` symmetric-plan pairs plus ``n m``
-        cross-plan pairs through the engine.
+        exactly ``m (m - 1) / 2`` Gram pairs plus ``n m`` cross-block pairs
+        through the engine.
         """
         X = self.engine.validate_features(X)
         n = X.shape[0]
@@ -350,10 +350,11 @@ class NystroemFeatureMap:
 
     # ------------------------------------------------------------------
     def transform(self, X_new: np.ndarray) -> np.ndarray:
-        """Feature matrix of new (scaled) rows: one ``KernelRowPlan``.
+        """Feature matrix of new (scaled) rows: one landmark block sweep.
 
-        Each row costs ``m`` overlaps against the cached landmark states --
-        the training set itself is never touched.
+        Each row costs ``m`` overlaps against the cached landmark states'
+        :class:`~repro.engine.StackedStateBlock` -- the training set itself
+        is never touched.
         """
         return self.transform_result(X_new)[0]
 

@@ -2,8 +2,9 @@
 
 The serving story of the exact path computes ``n_train`` overlaps per query.
 With a Nystrom model the hot path shrinks to ``m`` overlaps against the
-*cached landmark states* -- one :class:`~repro.engine.plan.KernelRowPlan` per
-arriving batch -- followed by two small matrix products (the ``m x r``
+*cached landmark states* -- one sweep of the batch against their
+:class:`~repro.engine.StackedStateBlock` per arriving batch -- followed by
+two small matrix products (the ``m x r``
 normalisation and the ``r``-dimensional linear model).  The full training set
 is never touched after fit, so a serving process only has to hold the
 landmark states, the normalisation and the weight vector: constant memory in
@@ -12,7 +13,7 @@ the training-set size.
 :class:`StreamingNystroemClassifier` supports both immediate batch
 classification (:meth:`classify`) and record-at-a-time ingestion with
 micro-batching (:meth:`submit` / :meth:`flush`), the pattern a traffic-facing
-service uses to amortise the per-plan overhead at high request rates.
+service uses to amortise the per-flush overhead at high request rates.
 
 Every flush runs the engine's two primitives once
 (:meth:`repro.engine.KernelEngine.kernel_rows`): the batch's state-store
@@ -84,7 +85,7 @@ class StreamingNystroemClassifier:
         traffic).
     buffer_size:
         Micro-batch size for :meth:`submit`; once this many rows are pending
-        they are flushed through one kernel-row plan.
+        they are flushed through one kernel-row sweep.
     """
 
     def __init__(
@@ -124,9 +125,9 @@ class StreamingNystroemClassifier:
         return self.scaler.transform(X_raw) if self.scaler is not None else X_raw
 
     def classify(self, X_raw: np.ndarray) -> StreamingBatchResult:
-        """Classify a batch immediately (scaling -> row plan -> linear model).
+        """Classify a batch immediately (scaling -> row sweep -> linear model).
 
-        The kernel-row plan is cache-aware end to end: rows already in the
+        The kernel-row sweep is cache-aware end to end: rows already in the
         engine's state store skip simulation entirely, and the remaining cold
         rows are encoded together in one stacked gate sweep before the
         landmark overlaps run.  ``num_simulations`` on the result therefore

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from ..mps import MPS, InstrumentedMPS, TruncationPolicy
 from ..mps.batched import StackedStateBlock, batched_overlaps
 from ..mps.encoding import (
     GateShapeLog,
+    GateStacks,
     circuit_structure_signature,
     encode_circuits,
 )
@@ -210,24 +211,38 @@ class Backend(abc.ABC):
         ``initial_state`` defaults to ``|0...0>``; the feature-map circuits
         include their own Hadamard preparation layer.
         """
+        return self._simulate_steps(
+            circuit.num_qubits,
+            ((op.qubits, op.matrix()) for op in circuit.operations),
+            initial_state,
+        )
+
+    def _simulate_steps(
+        self,
+        num_qubits: int,
+        steps: Iterable[Tuple[Tuple[int, ...], np.ndarray]],
+        initial_state: MPS | None = None,
+    ) -> BackendResult:
+        """Per-point simulation of ``(targets, matrix)`` steps."""
         policy = self._policy()
         if initial_state is not None:
             state: MPS = initial_state.copy()
         elif self.config.track_memory:
-            state = InstrumentedMPS.zero_state(circuit.num_qubits, policy)
+            state = InstrumentedMPS.zero_state(num_qubits, policy)
         else:
-            state = MPS.zero_state(circuit.num_qubits, policy)
+            state = MPS.zero_state(num_qubits, policy)
 
         modelled = 0.0
+        num_gates = num_two_qubit_gates = 0
         start = time.perf_counter()
-        for op in circuit.operations:
-            qubits = op.qubits
+        for qubits, matrix in steps:
+            num_gates += 1
             if len(qubits) == 1:
                 q = qubits[0]
                 chi_l = state.tensors[q].shape[0]
                 chi_r = state.tensors[q].shape[2]
                 modelled += self.cost_model.single_qubit_gate_time(chi_l, chi_r)
-                state.apply_single_qubit_gate(q, op.matrix())
+                state.apply_single_qubit_gate(q, matrix)
             else:
                 q0, q1 = qubits
                 if q1 != q0 + 1:
@@ -235,11 +250,12 @@ class Backend(abc.ABC):
                         "backend received an unrouted circuit: two-qubit gate "
                         f"on non-adjacent qubits {qubits}"
                     )
+                num_two_qubit_gates += 1
                 chi_l = state.tensors[q0].shape[0]
                 chi_m = state.tensors[q0].shape[2]
                 chi_r = state.tensors[q1].shape[2]
                 modelled += self.cost_model.two_qubit_gate_time(chi_l, chi_m, chi_r)
-                state.apply_two_qubit_gate(q0, op.matrix())
+                state.apply_two_qubit_gate(q0, matrix)
         wall = time.perf_counter() - start
 
         self.modelled_simulation_time_s += modelled
@@ -252,45 +268,49 @@ class Backend(abc.ABC):
             modelled_time_s=modelled,
             max_bond_dimension=state.max_bond_dimension,
             memory_bytes=state.memory_bytes,
-            num_gates=circuit.num_gates,
-            num_two_qubit_gates=circuit.num_two_qubit_gates,
+            num_gates=num_gates,
+            num_two_qubit_gates=num_two_qubit_gates,
         )
 
     def simulate_batch(
         self,
-        circuits: Sequence,
+        circuits: Union[Sequence, GateStacks],
         initial_state: MPS | None = None,
     ) -> BatchSimulationResult:
         """Encode a micro-batch of routed circuits through stacked gate sweeps.
 
-        Circuits are grouped by structure signature (same gate targets in the
-        same order -- all feature-map circuits from one ansatz qualify) and
-        each group is swept straight through with one stacked gufunc per
-        gate (:func:`repro.mps.encoding.encode_circuits`), regrouping when
-        per-slice truncation diverges bond dimensions.  Every resulting state
-        is **bit-identical** to :meth:`simulate` on the same circuit, so
-        callers may batch, split or reorder encodes freely without moving a
-        single bit of any downstream kernel entry.
+        ``circuits`` is a :class:`~repro.mps.encoding.GateStacks` batch (the
+        engine builds one per chunk from the ansatz's angle table) or a
+        sequence of circuits, grouped by structure signature (same gate
+        targets in the same order -- all feature-map circuits from one
+        ansatz qualify).  Each group is swept straight through with one
+        stacked gufunc per gate (:func:`repro.mps.encoding.encode_circuits`),
+        regrouping when per-slice truncation diverges bond dimensions.  Every
+        resulting state is **bit-identical** to :meth:`simulate` on the same
+        circuit, so callers may batch, split or reorder encodes freely
+        without moving a single bit of any downstream kernel entry.
 
-        Counters advance exactly as if :meth:`simulate` had been called once
-        per circuit (same modelled seconds, same ``num_simulations``); the
-        measured wall time is where batching pays off.
+        Counters advance as if :meth:`simulate` had been called once per
+        circuit (same ``num_simulations``; the modelled seconds sum the same
+        per-gate device times, addition order aside); the measured wall time
+        is where batching pays off.
 
         ``initial_state`` is not supported (the stacked sweep always starts
         from ``|0...0>``, which is what every feature-map encode uses); a
         non-default initial state raises :class:`BackendError`.  When the
         configuration requests per-gate memory traces
         (``config.track_memory``) the batch falls back to per-point
-        :meth:`simulate` -- instrumentation is inherently per point -- and
-        still returns the same states and accounting.
+        simulation -- instrumentation is inherently per point -- and still
+        returns the same states and accounting.
         """
         if initial_state is not None:
             raise BackendError(
                 "simulate_batch always encodes from |0...0>; "
                 "use simulate() for custom initial states"
             )
-        circuits = list(circuits)
-        if not circuits:
+        if not isinstance(circuits, GateStacks):
+            circuits = list(circuits)
+        if not len(circuits):
             return BatchSimulationResult(
                 states=(),
                 wall_time_s=0.0,
@@ -301,15 +321,21 @@ class Backend(abc.ABC):
                 total_memory_bytes=0,
             )
         if self.config.track_memory:
-            results = [self.simulate(circuit) for circuit in circuits]
+            if isinstance(circuits, GateStacks):
+                results = [
+                    self._simulate_steps(circuits.num_qubits, circuits.row(i))
+                    for i in range(len(circuits))
+                ]
+                groups = 1
+            else:
+                results = [self.simulate(circuit) for circuit in circuits]
+                groups = len({circuit_structure_signature(c) for c in circuits})
             return BatchSimulationResult(
                 states=tuple(r.state for r in results),
                 wall_time_s=sum(r.wall_time_s for r in results),
                 modelled_time_s=sum(r.modelled_time_s for r in results),
                 num_circuits=len(results),
-                num_structure_groups=len(
-                    {circuit_structure_signature(c) for c in circuits}
-                ),
+                num_structure_groups=groups,
                 max_bond_dimension=max(r.max_bond_dimension for r in results),
                 total_memory_bytes=sum(r.memory_bytes for r in results),
             )
@@ -371,8 +397,9 @@ class Backend(abc.ABC):
         """Evaluate a chunk of overlaps through the padded BLAS transfer sweep.
 
         Counters advance exactly as if :meth:`inner_product` had been called
-        once per pair (same modelled seconds, same ``num_inner_products``),
-        so strategies and benchmarks can switch freely between the paths.
+        once per pair, in order (same modelled seconds to the last bit, same
+        ``num_inner_products``), so strategies and benchmarks can switch
+        freely between the paths.
         Each value is within ``1e-12`` of :meth:`inner_product` and does not
         depend on how the chunk was composed (:mod:`repro.mps.batched`), so
         re-batching, tiling or coalescing a workload yields byte-identical
@@ -396,7 +423,7 @@ class Backend(abc.ABC):
         byte-identical to :meth:`inner_product_batch` on the same pair.
         ``values`` is the 2-D overlap matrix in (query, block state) order;
         counters advance exactly as if each pair had been evaluated
-        individually.
+        individually, in that order.
         """
         chis = np.maximum.outer([b.max_bond_dimension for b in bras], block.max_bond_dimensions)
         start = time.perf_counter()
@@ -409,14 +436,22 @@ class Backend(abc.ABC):
     ) -> BatchInnerProductResult:
         """Charge one overlap per entry of ``chis`` to the counters.
 
-        Sums per unique chi: the cost model depends only on qubits and chi.
+        Each pair is charged what a solo :meth:`inner_product` call charges,
+        one after another in ``chis`` order (``np.cumsum`` adds
+        sequentially), so the counters are byte-identical to a per-pair loop
+        over the same pairs however they were split into calls.
         """
-        unique_chis, counts = np.unique(np.asarray(chis, dtype=int), return_counts=True)
-        modelled = 0.0
-        for chi, count in zip(unique_chis.tolist(), counts.tolist()):
-            modelled += count * self.cost_model.inner_product_time(num_qubits, chi)
-        num_pairs = int(counts.sum())
-        self.modelled_inner_product_time_s += modelled
+        chis = np.asarray(chis, dtype=int).ravel()
+        unique_chis, inverse = np.unique(chis, return_inverse=True)
+        per_chi = np.array(
+            [self.cost_model.inner_product_time(num_qubits, chi) for chi in unique_chis.tolist()]
+        )
+        times = per_chi[inverse]
+        num_pairs = int(chis.size)
+        modelled = float(np.cumsum(times)[-1]) if num_pairs else 0.0
+        self.modelled_inner_product_time_s = float(
+            np.cumsum(np.concatenate(([self.modelled_inner_product_time_s], times)))[-1]
+        )
         self.wall_inner_product_time_s += wall
         self.num_inner_products += num_pairs
         return BatchInnerProductResult(

@@ -23,22 +23,37 @@ Hamiltonian exponentials therefore translate to::
     exp(-i gamma x_i Z_i)                      ->  RZ(2 * gamma * x_i)
     exp(-i gamma^2 (pi/2)(1-x_i)(1-x_j) XX)    ->  RXX(gamma^2 * pi * (1-x_i)(1-x_j))
 
-These conversions are carried out by :func:`feature_map_angles` so that tests
-can verify them independently of circuit construction.
+These conversions are carried out once, for a whole ``(g, m)`` batch of
+rows, by :func:`feature_map_angle_table`; :func:`feature_map_angles` reads
+one row of it so that tests can verify them independently of circuit
+construction.
+
+Angle table
+-----------
+Every circuit of one ansatz has the same routed gate sequence; only the
+angles differ per data point.  :func:`feature_map_template` derives that
+sequence once per ansatz, with each gate's *angle source*: an RZ feature
+column, an RXX edge column of the angle table, or none for a fixed gate.
+A single circuit fills the template from one table row
+(:func:`build_feature_map_circuit`); a batch of rows becomes one
+``(g, d, d)`` gate stack per operation (:func:`feature_map_gate_stacks`),
+which the stacked MPS sweep consumes without any per-row circuit object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..config import AnsatzConfig
 from ..exceptions import CircuitError
+from ..mps.encoding import GateStacks
 from .circuit import Circuit
-from .gate import GateKind, Operation
+from .gate import GateKind, Operation, stacked_matrices
 from .routing import route_to_linear_chain
 from .scheduling import schedule_commuting_layers
 
@@ -46,7 +61,11 @@ __all__ = [
     "rescale_features",
     "build_interaction_graph",
     "feature_map_angles",
+    "feature_map_angle_table",
+    "TemplateOperation",
+    "feature_map_template",
     "build_feature_map_circuit",
+    "feature_map_gate_stacks",
 ]
 
 
@@ -109,6 +128,36 @@ class FeatureMapAngles:
     rxx_angles: dict[Tuple[int, int], float]
 
 
+@lru_cache(maxsize=None)
+def _edges(num_features: int, interaction_distance: int) -> Tuple[Tuple[int, int], ...]:
+    """Sorted ``(lo, hi)`` interaction-graph edges: the RXX table columns."""
+    graph = build_interaction_graph(num_features, interaction_distance)
+    return tuple(sorted((min(i, j), max(i, j)) for i, j in graph.edges()))
+
+
+def feature_map_angle_table(X: np.ndarray, config: AnsatzConfig) -> np.ndarray:
+    """RZ and RXX angles of one ansatz layer for every row of ``X``.
+
+    ``X`` is a ``(g, m)`` matrix of rows already rescaled to ``(0, 2)``.
+    Column ``q < m`` holds the RZ angle of qubit ``q``; column ``m + e``
+    holds the RXX angle of the ``e``-th edge of the sorted interaction-graph
+    edge list.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != config.num_features:
+        raise CircuitError(
+            f"expected rows of {config.num_features} features, got shape {X.shape}"
+        )
+    gamma = config.gamma
+    m = config.num_features
+    edges = _edges(m, config.interaction_distance)
+    table = np.empty((X.shape[0], m + len(edges)))
+    table[:, :m] = 2.0 * gamma * X
+    for e, (lo, hi) in enumerate(edges):
+        table[:, m + e] = gamma * gamma * np.pi * (1.0 - X[:, lo]) * (1.0 - X[:, hi])
+    return table
+
+
 def feature_map_angles(
     features: np.ndarray,
     config: AnsatzConfig,
@@ -123,16 +172,76 @@ def feature_map_angles(
         raise CircuitError(
             f"expected {config.num_features} features, got {x.size}"
         )
-    gamma = config.gamma
-    rz_angles = 2.0 * gamma * x
-    graph = build_interaction_graph(config.num_features, config.interaction_distance)
-    rxx_angles: dict[Tuple[int, int], float] = {}
-    for i, j in sorted(graph.edges()):
-        lo, hi = (i, j) if i < j else (j, i)
-        rxx_angles[(lo, hi)] = float(
-            gamma * gamma * np.pi * (1.0 - x[lo]) * (1.0 - x[hi])
+    row = feature_map_angle_table(x[None, :], config)[0]
+    m = config.num_features
+    edges = _edges(m, config.interaction_distance)
+    return FeatureMapAngles(
+        rz_angles=row[:m].copy(),
+        rxx_angles={edge: float(row[m + e]) for e, edge in enumerate(edges)},
+    )
+
+
+@dataclass(frozen=True)
+class TemplateOperation:
+    """One gate of a feature-map template.
+
+    ``column`` is the angle-table column the gate's angle comes from, or
+    ``-1`` for a fixed gate (Hadamard, routing SWAP).
+    """
+
+    kind: GateKind
+    qubits: Tuple[int, ...]
+    column: int
+    tag: str
+
+
+@lru_cache(maxsize=None)
+def feature_map_template(
+    config: AnsatzConfig,
+    *,
+    routed: bool = True,
+    scheduled: bool = True,
+    include_state_prep: bool = True,
+) -> Tuple[TemplateOperation, ...]:
+    """The gate sequence every feature-map circuit of ``config`` shares.
+
+    Built once per ansatz and option set: the ops of
+    :func:`build_feature_map_circuit` in order, each with its angle-table
+    column in place of an angle.  Scheduling and routing only reorder and
+    wrap gates, never read their angles, so the template is exact for every
+    data point.
+    """
+    m = config.num_features
+    circuit = Circuit(m)
+    if include_state_prep:
+        for q in range(m):
+            circuit.add(GateKind.H, q, tag="prep")
+    # While the template is built, an Operation's angle carries its column.
+    edges = _edges(m, config.interaction_distance)
+    for _layer in range(config.layers):
+        # exp(-i H_Z): one RZ per qubit.
+        for q in range(m):
+            circuit.add(GateKind.RZ, q, angle=float(q), tag="HZ")
+        # exp(-i H_XX): one RXX per interaction-graph edge.  All RXX gates
+        # commute, so the emission order is free; scheduling optimises it.
+        hxx_ops = [
+            Operation(GateKind.RXX, edge, angle=float(m + e), tag="HXX")
+            for e, edge in enumerate(edges)
+        ]
+        if scheduled:
+            hxx_ops = schedule_commuting_layers(hxx_ops, m)
+        circuit.extend(hxx_ops)
+    if routed:
+        circuit = route_to_linear_chain(circuit)
+    return tuple(
+        TemplateOperation(
+            kind=op.kind,
+            qubits=op.qubits,
+            column=int(op.angle) if op.kind.is_parameterised else -1,
+            tag=op.tag,
         )
-    return FeatureMapAngles(rz_angles=rz_angles, rxx_angles=rxx_angles)
+        for op in circuit
+    )
 
 
 def build_feature_map_circuit(
@@ -170,30 +279,53 @@ def build_feature_map_circuit(
         The constructed circuit, with each gate tagged ``"prep"``, ``"HZ"``,
         ``"HXX"`` or ``"routing"``.
     """
-    angles = feature_map_angles(features, config)
-    m = config.num_features
-    circuit = Circuit(m)
+    x = np.asarray(features, dtype=float).ravel()
+    if x.size != config.num_features:
+        raise CircuitError(
+            f"expected {config.num_features} features, got {x.size}"
+        )
+    row = feature_map_angle_table(x[None, :], config)[0]
+    template = feature_map_template(
+        config,
+        routed=routed,
+        scheduled=scheduled,
+        include_state_prep=include_state_prep,
+    )
+    return Circuit(
+        config.num_features,
+        (
+            Operation(
+                op.kind,
+                op.qubits,
+                angle=float(row[op.column]) if op.column >= 0 else 0.0,
+                tag=op.tag,
+            )
+            for op in template
+        ),
+    )
 
-    if include_state_prep:
-        for q in range(m):
-            circuit.add(GateKind.H, q, tag="prep")
 
-    edge_list: List[Tuple[Tuple[int, int], float]] = sorted(angles.rxx_angles.items())
+def feature_map_gate_stacks(X: np.ndarray, config: AnsatzConfig) -> GateStacks:
+    """Routed feature-map circuits of every row of ``X`` as gate stacks.
 
-    for _layer in range(config.layers):
-        # exp(-i H_Z): one RZ per qubit.
-        for q in range(m):
-            circuit.add(GateKind.RZ, q, angle=float(angles.rz_angles[q]), tag="HZ")
-        # exp(-i H_XX): one RXX per interaction-graph edge.  All RXX gates
-        # commute, so the emission order is free; scheduling optimises it.
-        hxx_ops = [
-            Operation(GateKind.RXX, (i, j), angle=theta, tag="HXX")
-            for (i, j), theta in edge_list
-        ]
-        if scheduled:
-            hxx_ops = schedule_commuting_layers(hxx_ops, m)
-        circuit.extend(hxx_ops)
-
-    if routed:
-        circuit = route_to_linear_chain(circuit)
-    return circuit
+    One ``(g, d, d)`` stack per template operation, built from the angle
+    table in one vectorised step per distinct angle source (the ``r`` layers
+    share their stacks).  Row ``i`` of stack ``k`` is byte-equal to
+    ``build_feature_map_circuit(X[i], config).operations[k].matrix()``.
+    """
+    table = feature_map_angle_table(X, config)
+    template = feature_map_template(config)
+    stacks: Dict[Tuple[GateKind, int], np.ndarray] = {}
+    gates = []
+    for op in template:
+        key = (op.kind, op.column)
+        if key not in stacks:
+            angles = table[:, op.column] if op.column >= 0 else np.zeros(len(table))
+            stacks[key] = stacked_matrices(op.kind, angles)
+        gates.append(stacks[key])
+    return GateStacks(
+        num_qubits=config.num_features,
+        num_circuits=len(table),
+        targets=tuple(op.qubits for op in template),
+        gates=tuple(gates),
+    )

@@ -12,7 +12,7 @@ import numpy as np
 from ..exceptions import CircuitError
 from ..mps import gates as gatelib
 
-__all__ = ["GateKind", "Operation"]
+__all__ = ["GateKind", "Operation", "stacked_matrices"]
 
 
 class GateKind(str, enum.Enum):
@@ -84,6 +84,13 @@ _PARAM_MATRICES = {
     GateKind.RXX: gatelib.rxx,
     GateKind.RYY: gatelib.ryy,
     GateKind.RZZ: gatelib.rzz,
+}
+
+
+#: Stacked constructors of the parameterised gates the feature map emits.
+_STACKED_PARAM_MATRICES = {
+    GateKind.RZ: gatelib.rz_stack,
+    GateKind.RXX: gatelib.rxx_stack,
 }
 
 
@@ -174,3 +181,18 @@ class Operation:
             angle=self.angle,
             tag=self.tag,
         )
+
+
+def stacked_matrices(kind: GateKind, angles: np.ndarray) -> np.ndarray:
+    """``(g, d, d)`` stack of the matrices of ``kind`` at each of ``angles``.
+
+    Row ``i`` is byte-equal to ``Operation(kind, ..., angle=angles[i]).matrix()``.
+    A fixed gate comes back as a read-only broadcast of its one matrix.
+    """
+    angles = np.asarray(angles, dtype=float)
+    if kind in _STACKED_PARAM_MATRICES:
+        return _STACKED_PARAM_MATRICES[kind](angles)
+    if kind in _FIXED_MATRICES:
+        matrix = _cached_matrix(kind, 0.0)
+        return np.broadcast_to(matrix, (angles.size,) + matrix.shape)
+    raise CircuitError(f"no stacked construction for {kind.value} gates")

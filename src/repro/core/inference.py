@@ -12,8 +12,9 @@ milliseconds per training-state inner product at full scale).
 
 The heavy lifting dispatches through a cache-enabled
 :class:`repro.engine.KernelEngine`: training encodes populate the
-content-addressed :class:`~repro.engine.StateStore`, and inference builds a
-:class:`~repro.engine.KernelRowPlan` against the stored states, so a point
+content-addressed :class:`~repro.engine.StateStore`, and inference sweeps
+new rows against a :class:`~repro.engine.StackedStateBlock` of the stored
+states, so a point
 that was ever encoded before (training or a repeated query) is served from
 the cache with zero redundant simulations.
 """
@@ -146,8 +147,8 @@ class QuantumKernelInferenceEngine:
     def fit(self, X_train: np.ndarray, y_train: np.ndarray) -> "QuantumKernelInferenceEngine":
         """Scale, encode and store the training set, then train the SVM.
 
-        Encoding and the symmetric Gram plan both run through the engine, so
-        the training states land in the state store for later inference.  On
+        Encoding and the triangular Gram sweep both run through the engine,
+        so the training states land in the state store for later inference.  On
         the Nystrom path only the landmark Gram and the ``n x m`` cross
         block are evaluated, and a primal :class:`~repro.approx.LinearSVC`
         replaces the SMO dual solver.

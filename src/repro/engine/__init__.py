@@ -2,18 +2,17 @@
 
 One compute core for every pairwise-overlap workload in the library:
 
-* :mod:`~repro.engine.plan` -- declarative pairwise work plans
-  (:class:`SymmetricGramPlan`, :class:`CrossGramPlan`,
-  :class:`KernelRowPlan`) that enumerate overlap jobs once, exploiting
-  symmetry by construction;
 * :mod:`~repro.engine.cache` -- a content-addressed :class:`StateStore` for
   encoded MPS keyed by (feature-row bytes, ansatz fingerprint, truncation
   policy), with LRU eviction under a byte budget and hit/miss statistics;
-* :mod:`~repro.engine.batching` -- chunked overlap evaluation that pads
-  every state to one per-site bond dimension and sweeps it with BLAS;
+* :mod:`~repro.engine.batching` -- the :class:`StackedStateBlock` overlap
+  sweep, which pads a set of states once to one per-site bond dimension and
+  sweeps queries against it with BLAS, plus the per-pair reference
+  :func:`batched_overlaps`;
 * :mod:`~repro.engine.engine` -- the :class:`KernelEngine` facade: one
-  encode path and one overlap path per plan shape, configured by
-  :class:`EngineConfig` (cache and batch sizes).
+  encode path and one overlap path, the block sweep (a triangular one for
+  the Gram), configured by :class:`EngineConfig` (cache and encode batch
+  size).
 
 The kernels, pipeline, inference and distributed layers all dispatch through
 :class:`KernelEngine`; no other module hand-rolls the pairwise loop.
@@ -37,21 +36,9 @@ from .cache import (
     simulation_fingerprint,
     state_key,
 )
-from .plan import (
-    CrossGramPlan,
-    KernelRowPlan,
-    PairJob,
-    PairwisePlan,
-    SymmetricGramPlan,
-)
 from .engine import EngineConfig, EngineResult, KernelEngine
 
 __all__ = [
-    "PairJob",
-    "PairwisePlan",
-    "SymmetricGramPlan",
-    "CrossGramPlan",
-    "KernelRowPlan",
     "CacheStats",
     "StateStore",
     "ansatz_fingerprint",

@@ -4,19 +4,22 @@ Every kernel-matrix computation in the library -- training Gram matrices,
 test-versus-train cross matrices, inference kernel rows -- is the same two
 primitives composed: encode data points to MPS (linear in ``N``), evaluate
 pairwise overlaps (quadratic in ``N``).  The engine owns both primitives,
-each with exactly one code path, so consumers describe *what* to compute (a
-:class:`~repro.engine.plan.PairwisePlan`) and never *how*:
+each with exactly one code path, so consumers ask for a Gram
+(:meth:`KernelEngine.gram`) or a rectangular block (:meth:`KernelEngine.cross`
+/ :meth:`KernelEngine.kernel_rows`) and never say *how*:
 
 * :meth:`KernelEngine.encode_rows` goes through an optional
   content-addressed :class:`~repro.engine.cache.StateStore`, so a point
   encoded for training is never re-simulated at inference time; the
   remaining cache misses of a multi-row encode run as stacked gate sweeps
-  (:meth:`repro.backends.Backend.simulate_batch`), bit-identical to
-  per-point simulation;
-* overlap jobs are chunked and dispatched through the backend's padded
-  BLAS transfer sweep (:meth:`repro.backends.Backend.inner_product_batch`),
-  and cross blocks / kernel rows run the same sweep against one pre-stacked
-  state block (:meth:`repro.backends.Backend.inner_product_block`).
+  (:meth:`repro.backends.Backend.simulate_batch`) fed by gate stacks built
+  from the ansatz's angle table, bit-identical to per-point simulation;
+* every overlap runs through the backend's padded BLAS transfer sweep
+  against one pre-stacked :class:`StackedStateBlock`
+  (:meth:`repro.backends.Backend.inner_product_block`): cross blocks and
+  kernel rows sweep each row against the whole block, and the Gram sweeps
+  each state against the tail of its own block, so only the strict upper
+  triangle is evaluated.
 
 Every result carries two timing models: the measured wall time and the
 per-point modelled device time of the backend's cost model.
@@ -37,14 +40,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backends import Backend, BackendResult, CpuBackend
-from ..circuits import build_feature_map_circuit
+from ..circuits import build_feature_map_circuit, feature_map_gate_stacks
 from ..config import AnsatzConfig, SimulationConfig
 from ..exceptions import EngineError, KernelError
 from ..mps import MPS
 from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock
 from .cache import StateStore, ansatz_fingerprint, simulation_fingerprint, state_key
-from .plan import PairJob, PairwisePlan, SymmetricGramPlan
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
@@ -58,20 +60,15 @@ class EngineConfig:
         Enable the content-addressed :class:`StateStore` for encodes.
     cache_bytes:
         LRU byte budget of the store (``None`` = unbounded).
-    batch_size:
-        Maximum overlap pairs per batched backend call.
     encode_batch_size:
         Maximum circuits per stacked encoding sweep.
     """
 
     use_cache: bool = False
     cache_bytes: Optional[int] = None
-    batch_size: int = 64
     encode_batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise EngineError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.encode_batch_size < 1:
             raise EngineError(
                 f"encode_batch_size must be >= 1, got {self.encode_batch_size}"
@@ -80,7 +77,7 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class EngineResult:
-    """One executed plan: the kernel matrix plus full cost accounting."""
+    """One engine call: the kernel matrix plus full cost accounting."""
 
     matrix: np.ndarray
     simulation_time_s: float
@@ -104,8 +101,8 @@ class EngineResult:
     def modelled_total_time_s(self) -> float:
         """Modelled device total, one launch per *point* (batching-invariant).
 
-        It never moves when a workload is batched or re-chunked, which is
-        what lets tests pin engine accounting across batch sizes.
+        Every simulation and every overlap is charged as if it ran alone,
+        so the total does not depend on how the work was batched.
         """
         return self.modelled_simulation_time_s + self.modelled_inner_product_time_s
 
@@ -298,16 +295,18 @@ class KernelEngine:
         indices: Iterable[int],
         states: List["MPS | None"],
     ) -> None:
-        """Encode the selected rows through stacked sweeps, filling ``states``."""
+        """Encode the selected rows through stacked sweeps, filling ``states``.
+
+        Each chunk's circuits go to the backend as gate stacks built from
+        the chunk's angle table; no per-row circuit object is made.
+        """
         indices = list(indices)
         chunk_size = self.config.encode_batch_size
         for lo in range(0, len(indices), chunk_size):
             chunk = indices[lo : lo + chunk_size]
-            circuits = [
-                build_feature_map_circuit(np.asarray(X[i], dtype=float), self.ansatz)
-                for i in chunk
-            ]
-            result = self.backend.simulate_batch(circuits)
+            result = self.backend.simulate_batch(
+                feature_map_gate_stacks(X[chunk], self.ansatz)
+            )
             for i, state in zip(chunk, result.states):
                 states[i] = state
 
@@ -316,61 +315,18 @@ class KernelEngine:
         return self.store.stats() if self.store is not None else None
 
     # ------------------------------------------------------------------
-    # Plan execution
-    # ------------------------------------------------------------------
-    def execute_plan(
-        self,
-        plan: PairwisePlan,
-        left_states: Sequence[MPS],
-        right_states: Sequence[MPS] | None = None,
-    ) -> np.ndarray:
-        """Evaluate every job of ``plan`` and return the filled matrix.
-
-        Jobs are chunked to ``config.batch_size`` and dispatched through the
-        backend's batched overlap path; symmetric mirroring happens here, so
-        no caller ever writes kernel entries directly.
-        """
-        right = left_states if right_states is None else right_states
-        n_left, n_right = plan.shape
-        if isinstance(plan, SymmetricGramPlan):
-            if len(left_states) < plan.num_points:
-                raise EngineError(
-                    f"plan needs {plan.num_points} states, got {len(left_states)}"
-                )
-        else:
-            if len(left_states) < n_left or len(right) < n_right:
-                raise EngineError(
-                    f"plan shape {plan.shape} exceeds the provided state lists "
-                    f"({len(left_states)} x {len(right)})"
-                )
-
-        K = plan.initial_matrix()
-        chunk: List[PairJob] = []
-
-        def _flush() -> None:
-            if not chunk:
-                return
-            pairs = [(left_states[job.left], right[job.right]) for job in chunk]
-            result = self.backend.inner_product_batch(pairs)
-            values = np.abs(result.values) ** 2
-            for job, value in zip(chunk, values):
-                K[job.row, job.col] = value
-                if job.mirror:
-                    K[job.col, job.row] = value
-            chunk.clear()
-
-        for job in plan.jobs():
-            chunk.append(job)
-            if len(chunk) >= self.config.batch_size:
-                _flush()
-        _flush()
-        return K
-
-    # ------------------------------------------------------------------
     # High-level entry points
     # ------------------------------------------------------------------
     def gram(self, X: np.ndarray) -> EngineResult:
         """Symmetric training Gram matrix ``K_ij = |<psi_i|psi_j>|^2``.
+
+        The states are stacked once into a :class:`StackedStateBlock`; state
+        ``i`` is swept against the block's tail ``j > i``
+        (:meth:`~repro.backends.Backend.inner_product_block` on
+        :meth:`StackedStateBlock.tail`), and the strict upper triangle is
+        mirrored onto a unit diagonal.  That is ``n (n - 1) / 2`` overlaps,
+        each the same bytes as the per-pair
+        :func:`~repro.engine.batched_overlaps` value.
 
         Resets the backend counters first, so the result's accounting covers
         exactly this computation (matching the historical semantics of
@@ -380,8 +336,15 @@ class KernelEngine:
         self.backend.reset_counters()
         hits0, misses0 = self._cache_counts()
         states = self.encode_rows(X)
-        plan = SymmetricGramPlan(len(states))
-        K = self.execute_plan(plan, states)
+        n = len(states)
+        K = np.eye(n)
+        if n > 1:
+            block = StackedStateBlock(states)
+            for i in range(n - 1):
+                result = self.backend.inner_product_block([states[i]], block.tail(i + 1))
+                K[i, i + 1 :] = np.abs(result.values[0]) ** 2
+            lower = np.tril_indices(n, -1)
+            K[lower] = K.T[lower]
         return self._result_from_counters(K, states, hits0, misses0)
 
     def cross(self, X_rows: np.ndarray, train_states: Sequence[MPS]) -> EngineResult:
@@ -391,8 +354,8 @@ class KernelEngine:
         scoring.  The whole block runs as one padded sweep of the rows
         against a :class:`StackedStateBlock` of ``train_states``
         (:meth:`~repro.backends.Backend.inner_product_block`); its values are
-        byte-identical to the chunked pair sweep the Gram runs, whatever the
-        batch size.  Same code, values and accounting as :meth:`kernel_rows`.
+        byte-identical to the Gram's entries for the same pairs.  Same code,
+        values and accounting as :meth:`kernel_rows`.
         """
         # Not via kernel_rows, so a profiler wrapping kernel_rows sees only
         # serving calls.

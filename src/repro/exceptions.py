@@ -42,7 +42,7 @@ class KernelError(ReproError):
 
 
 class EngineError(ReproError):
-    """Raised by the unified kernel compute engine (plans, cache, config)."""
+    """Raised by the unified kernel compute engine (blocks, cache, config)."""
 
 
 class SVMError(ReproError):

@@ -8,8 +8,9 @@ this package only defines the kernel semantics on top.
 * :class:`~repro.kernels.quantum_kernel.QuantumKernel` encodes each data
   point with the feature-map ansatz via the engine and fills the Gram matrix
   with squared state overlaps ``K_ij = |<psi(x_i)|psi(x_j)>|^2`` (equation
-  (1) of the paper) by executing a
-  :class:`~repro.engine.SymmetricGramPlan` / :class:`~repro.engine.CrossGramPlan`.
+  (1) of the paper) through :meth:`~repro.engine.KernelEngine.gram` (a
+  triangular sweep of the states' :class:`~repro.engine.StackedStateBlock`)
+  and :meth:`~repro.engine.KernelEngine.cross`.
 * :class:`~repro.kernels.gaussian.GaussianKernel` is the paper's classical
   baseline ``exp(-alpha |x - x'|^2)`` with the ``alpha = 1 / (m var(X))``
   bandwidth convention.

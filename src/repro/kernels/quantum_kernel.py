@@ -153,7 +153,7 @@ class QuantumKernel:
         Training states are simulated once and reused for the cross matrix,
         matching the paper's inference procedure (simulate only the new
         points, reuse the stored training MPS).  Both halves route through
-        the same engine plans as :meth:`gram_matrix` / :meth:`cross_matrix`.
+        the same engine calls as :meth:`gram_matrix` / :meth:`cross_matrix`.
         """
         train_result, test_result = self.engine.gram_and_cross(X_train, X_test)
         return (

@@ -35,18 +35,22 @@ from .mps import MPS
 from .batched import StackedStateBlock, batched_overlaps
 from .encoding import (
     GateShapeLog,
+    GateStacks,
     circuit_structure_signature,
     encode_circuits,
     group_circuits_by_structure,
+    stack_circuits,
 )
 from .instrumented import InstrumentedMPS, MemoryTrace, MemorySample
 
 __all__ = [
     "MPS",
     "GateShapeLog",
+    "GateStacks",
     "circuit_structure_signature",
     "encode_circuits",
     "group_circuits_by_structure",
+    "stack_circuits",
     "InstrumentedMPS",
     "MemoryTrace",
     "MemorySample",

@@ -21,11 +21,15 @@ the real entries whatever the padding:
   order, so BLAS never splits one at a size-dependent point.
 
 :class:`StackedStateBlock` pads a fixed set of states (the serving landmarks,
-the Nystrom ``K_nm`` fit, exact-model scoring) once and sweeps each query
-against all of them; :func:`batched_overlaps` sweeps a chunk of unrelated
-pairs (the Gram's chunks) as stacked per-pair products.  Contract: a value is byte-identical whatever the batch
-composition -- a query alone or in any subset or order, any chunk size,
-either entry point -- and within ``1e-12`` of :meth:`MPS.inner_product`.
+the Nystrom ``K_nm`` fit, exact-model scoring, the training Gram) once and
+sweeps each query against all of them, or against a tail of them
+(:meth:`StackedStateBlock.tail`, the Gram's triangular rows);
+:func:`batched_overlaps` sweeps a chunk of unrelated pairs as stacked
+per-pair products, the per-pair reference the block is checked against.
+Contract: a value is byte-identical whatever the batch composition -- a
+query alone or in any subset or order, against a whole block or a tail of
+it, any chunk size, either entry point -- and within ``1e-12`` of
+:meth:`MPS.inner_product`.
 Identity holds for one BLAS build and thread count, as for any BLAS result.
 
 The module depends only on the MPS class and NumPy, so :mod:`repro.backends`
@@ -140,6 +144,24 @@ class StackedStateBlock:
         chains = [s.tensors for s in states]
         dims = _bond_dims(chains)
         self._kets = [_ket_operands(chains, dims, site) for site in range(self.num_qubits)]
+
+    def tail(self, start: int) -> "StackedStateBlock":
+        """The block's states ``start:`` as a view, without re-padding.
+
+        Shares the padded operands (a slice along the stack axis stays
+        contiguous), so it costs a few slices; overlaps against it are the
+        same bytes as against the whole block.
+        """
+        if not 0 <= start < self.num_states:
+            raise SimulationError(
+                f"tail start {start} outside a block of {self.num_states} states"
+            )
+        view = object.__new__(StackedStateBlock)
+        view.num_states = self.num_states - start
+        view.num_qubits = self.num_qubits
+        view.max_bond_dimensions = self.max_bond_dimensions[start:]
+        view._kets = [kets[start:] for kets in self._kets]
+        return view
 
     def overlaps(self, bras: Sequence[MPS]) -> np.ndarray:
         """``<bra_q|ket_j>`` for every query ``q`` and block state ``j``."""

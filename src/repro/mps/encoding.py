@@ -4,19 +4,23 @@ Encoding a data point -- simulating its feature-map circuit into an MPS -- is
 the linear half of the paper's workload.  All circuits built from one ansatz
 share a *structure* (the same ordered sequence of gate targets; only the
 angles differ per data point), so a micro-batch of encodings is one sweep over
-a stack of tensors:
+a stack of tensors, fed by one ``(g, d, d)`` gate stack per operation
+(:class:`GateStacks`):
 
-* circuits are grouped by :func:`circuit_structure_signature`, and each group
-  runs its own straight sweep (a :class:`~repro.engine.KernelEngine` encodes
-  with one ansatz, so its batches are always a single group);
+* the engine builds the stacks straight from an angle table
+  (:func:`repro.circuits.feature_map_gate_stacks`); a list of circuits is
+  grouped by :func:`circuit_structure_signature` and each group's
+  ``op.matrix()`` calls are stacked (:func:`stack_circuits`), so mixed
+  structures still work and each group runs its own straight sweep;
 * within a group every state starts as the same stacked ``|0...0>`` block and
   each gate is applied to the whole stack at once -- single- and two-qubit
   contractions are broadcast ``matmul`` gufuncs, QR center moves and the
   post-gate SVD use NumPy's stacked LAPACK gufuncs;
-* truncation is decided **per slice** (each member's singular values go
-  through the same :meth:`TruncationPolicy.select_rank` a solo simulation
-  would run), so members whose kept ranks diverge are split into new shape
-  groups and the sweep continues per group.
+* truncation is decided **per slice**: the whole stack's singular values go
+  through :meth:`TruncationPolicy.select_ranks`, whose row ``i`` is the
+  :meth:`~TruncationPolicy.select_rank` a solo simulation would run, so
+  members whose kept ranks diverge are split into new shape groups (in
+  first-occurrence order) and the sweep continues per group.
 
 Bit-identicality contract
 -------------------------
@@ -24,7 +28,7 @@ Every per-slice operation of the stacked sweep is the *same gufunc* the
 per-point path in :mod:`repro.mps.tensor_ops` issues (``matmul`` broadcast,
 stacked ``np.linalg.qr`` via :func:`~repro.mps.tensor_ops.stacked_qr_right` /
 :func:`~repro.mps.tensor_ops.stacked_rq_left`, stacked ``np.linalg.svd``
-inner loops, per-slice ``select_rank`` calls), and NumPy evaluates gufunc
+inner loops, row-wise rank selection), and NumPy evaluates gufunc
 slices independently of how many ride in one call.  The resulting site
 tensors are therefore **bit-identical** to per-point
 :meth:`repro.mps.MPS.apply_circuit` simulation -- however the batch was
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +57,8 @@ from .truncation import TruncationPolicy, TruncationRecord
 __all__ = [
     "circuit_structure_signature",
     "group_circuits_by_structure",
+    "GateStacks",
+    "stack_circuits",
     "GateShapeLog",
     "encode_circuits",
 ]
@@ -76,6 +82,55 @@ def group_circuits_by_structure(circuits: Sequence) -> Dict[Tuple, List[int]]:
     for idx, circuit in enumerate(circuits):
         groups[circuit_structure_signature(circuit)].append(idx)
     return dict(groups)
+
+
+@dataclass(frozen=True)
+class GateStacks:
+    """A batch of same-structure routed circuits as one gate stack per step.
+
+    ``gates[k]`` has shape ``(num_circuits, d, d)``: row ``i`` is the matrix
+    circuit ``i`` applies to ``targets[k]`` at step ``k``.  Stacks are only
+    read, so a fixed gate may be a broadcast view of one matrix.
+    """
+
+    num_qubits: int
+    num_circuits: int
+    targets: Tuple[Tuple[int, ...], ...]
+    gates: Tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return self.num_circuits
+
+    def row(self, i: int) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+        """Circuit ``i`` as its ``(targets, matrix)`` steps."""
+        return [(qubits, gates[i]) for qubits, gates in zip(self.targets, self.gates)]
+
+
+def stack_circuits(circuits: Sequence) -> List[Tuple[List[int], GateStacks]]:
+    """Group circuits by structure and stack each group's gate matrices.
+
+    Returns ``(indices, stacks)`` per structure group, in first-occurrence
+    order; ``indices`` are positions in ``circuits``.
+    """
+    out: List[Tuple[List[int], GateStacks]] = []
+    for indices in group_circuits_by_structure(circuits).values():
+        members = [circuits[i].operations for i in indices]
+        first = members[0]
+        out.append(
+            (
+                indices,
+                GateStacks(
+                    num_qubits=circuits[indices[0]].num_qubits,
+                    num_circuits=len(indices),
+                    targets=tuple(op.qubits for op in first),
+                    gates=tuple(
+                        np.stack([ops[k].matrix() for ops in members])
+                        for k in range(len(first))
+                    ),
+                ),
+            )
+        )
+    return out
 
 
 @dataclass
@@ -111,15 +166,19 @@ class _ChainBlock:
 
     ``stacks[site]`` has shape ``(g, l, 2, r)`` -- the ``g`` members' site
     tensors share every bond dimension, so each gate is one gufunc call.
-    ``members`` maps stack slots to the member ids (indices into the caller's
-    circuit list) riding in them.
+    ``members`` holds the member ids (rows of the batch's gate stacks)
+    riding in the stack slots.
     """
 
     __slots__ = ("members", "stacks")
 
-    def __init__(self, members: List[int], stacks: List[np.ndarray]) -> None:
+    def __init__(self, members: np.ndarray, stacks: List[np.ndarray]) -> None:
         self.members = members
         self.stacks = stacks
+
+    def gates(self, stack: np.ndarray) -> np.ndarray:
+        """This block's rows of a batch-wide gate stack."""
+        return stack if len(self.members) == len(stack) else stack[self.members]
 
 
 def _stacked_svd(mats: np.ndarray):
@@ -144,17 +203,16 @@ def _stacked_svd(mats: np.ndarray):
 
 
 def _apply_single(
-    blocks: List[_ChainBlock], q: int, gate_for: Dict[int, np.ndarray], log: GateShapeLog
+    blocks: List[_ChainBlock], q: int, gates: np.ndarray, log: GateShapeLog
 ) -> None:
     """Apply one single-qubit gate (per-member matrices) to every block."""
     for block in blocks:
         stack = block.stacks[q]
         g, chi_l, _p, chi_r = stack.shape
         log.add_single(g, chi_l, chi_r)
-        gates = np.stack([gate_for[m] for m in block.members])
         # Same broadcast matmul as tensor_ops.apply_single_qubit_gate,
         # with (batch, left-bond) as the gufunc loop axes.
-        block.stacks[q] = np.matmul(gates[:, None, :, :], stack)
+        block.stacks[q] = np.matmul(block.gates(gates)[:, None, :, :], stack)
 
 
 def _move_center(blocks: List[_ChainBlock], center: int, q: int) -> int:
@@ -193,11 +251,11 @@ def _move_center(blocks: List[_ChainBlock], center: int, q: int) -> int:
 def _apply_two(
     blocks: List[_ChainBlock],
     q: int,
-    gate_for: Dict[int, np.ndarray],
+    gates: np.ndarray,
     policy: TruncationPolicy,
     log: GateShapeLog,
-    discarded: Dict[int, float],
-    records: Dict[int, List[TruncationRecord]],
+    discarded: np.ndarray,
+    records: List[List[TruncationRecord]],
 ) -> List[_ChainBlock]:
     """Apply one adjacent two-qubit gate: merge + gate + SVD + regroup."""
     new_blocks: List[_ChainBlock] = []
@@ -207,7 +265,6 @@ def _apply_two(
         g, chi_l, _p, chi_m = left_stack.shape
         chi_r = right_stack.shape[3]
         log.add_two(g, chi_l, chi_m, chi_r)
-        gates = np.stack([gate_for[m] for m in block.members])
 
         # merge_sites + apply_two_qubit_gate_to_theta + split_theta, each
         # as the stacked form of the identical gufunc.
@@ -215,83 +272,76 @@ def _apply_two(
             left_stack.reshape(g, chi_l * 2, chi_m),
             right_stack.reshape(g, chi_m, 2 * chi_r),
         )
-        theta = np.matmul(gates[:, None, :, :], theta.reshape(g, chi_l, 4, chi_r))
+        theta = np.matmul(
+            block.gates(gates)[:, None, :, :], theta.reshape(g, chi_l, 4, chi_r)
+        )
         u, s, vh = _stacked_svd(theta.reshape(g, chi_l * 2, 2 * chi_r))
 
         # Per-slice truncation: each member keeps exactly the rank a solo
         # simulation would, then members regroup by their new bond.
-        by_kept: Dict[int, List[int]] = defaultdict(list)
-        for slot in range(g):
-            kept, weight = policy.select_rank(s[slot])
-            member = block.members[slot]
-            discarded[member] += weight
+        kept, weight = policy.select_ranks(s)
+        before = int(s.shape[1])
+        discarded[block.members] += weight
+        ranks = kept.tolist()
+        for member, k, w in zip(block.members.tolist(), ranks, weight.tolist()):
             records[member].append(
                 TruncationRecord(
-                    kept=kept,
-                    discarded=int(s.shape[1]) - kept,
-                    discarded_weight=weight,
-                    bond_dimension_before=int(s.shape[1]),
-                    bond_dimension_after=kept,
+                    kept=k,
+                    discarded=before - k,
+                    discarded_weight=w,
+                    bond_dimension_before=before,
+                    bond_dimension_after=k,
                 )
             )
-            by_kept[kept].append(slot)
 
-        for kept, slots in by_kept.items():
-            if len(slots) == g:
+        groups = dict.fromkeys(ranks)  # distinct ranks, first occurrence first
+        for k in groups:
+            if len(groups) == 1:
                 sub_stacks = block.stacks
                 u_sub, s_sub, vh_sub = u, s, vh
                 sub_members = block.members
             else:
-                sel = np.asarray(slots, dtype=int)
+                sel = np.flatnonzero(kept == k)
                 sub_stacks = [
                     st if site in (q, q + 1) else st[sel]
                     for site, st in enumerate(block.stacks)
                 ]
                 u_sub, s_sub, vh_sub = u[sel], s[sel], vh[sel]
-                sub_members = [block.members[slot] for slot in slots]
+                sub_members = block.members[sel]
             g2 = len(sub_members)
-            sub_stacks[q] = u_sub[:, :, :kept].reshape(g2, chi_l, 2, kept)
+            sub_stacks[q] = u_sub[:, :, :k].reshape(g2, chi_l, 2, k)
             # Same elementwise absorption of the singular values into the
             # right factor as the per-point path (s[:, None, None] * vh).
             sub_stacks[q + 1] = (
-                s_sub[:, :kept, None] * vh_sub[:, :kept, :]
-            ).reshape(g2, kept, 2, chi_r)
+                s_sub[:, :k, None] * vh_sub[:, :k, :]
+            ).reshape(g2, k, 2, chi_r)
             new_blocks.append(_ChainBlock(sub_members, sub_stacks))
     return new_blocks
 
 
-def _sweep_group(
-    circuits: Sequence,
-    member_indices: Sequence[int],
-    policy: TruncationPolicy,
-    log: GateShapeLog,
-) -> List[Tuple[int, MPS]]:
-    """Simulate one structure group of circuits in a single stacked sweep.
+def _sweep(
+    batch: GateStacks, policy: TruncationPolicy, log: GateShapeLog
+) -> List[MPS]:
+    """Simulate one structure group in a single stacked sweep.
 
     Every member applies its own gate matrices to the same targets in the
-    same order, so the sweep walks the shared op list once.  Returns
-    ``(original_index, state)`` pairs; see the module docstring for the
+    same order, so the sweep walks the shared op list once.  Returns the
+    states in batch order; see the module docstring for the
     bit-identicality contract.
     """
-    num_qubits = circuits[member_indices[0]].num_qubits
-    ops_for: Dict[int, list] = {m: list(circuits[m]) for m in member_indices}
-    shared_ops = ops_for[member_indices[0]]
-
+    g = batch.num_circuits
+    num_qubits = batch.num_qubits
     # The stacked |0...0> start: every site needs its own stack array
     # because sites are updated independently during the sweep.
-    zero = np.zeros((len(member_indices), 1, 2, 1), dtype=np.complex128)
+    zero = np.zeros((g, 1, 2, 1), dtype=np.complex128)
     zero[:, 0, 0, 0] = 1.0
-    blocks = [
-        _ChainBlock(list(member_indices), [zero.copy() for _ in range(num_qubits)])
-    ]
-    discarded: Dict[int, float] = {m: 0.0 for m in member_indices}
-    records: Dict[int, List[TruncationRecord]] = {m: [] for m in member_indices}
+    blocks = [_ChainBlock(np.arange(g), [zero.copy() for _ in range(num_qubits)])]
+    discarded = np.zeros(g)
+    records: List[List[TruncationRecord]] = [[] for _ in range(g)]
     center = 0
-    for k, op in enumerate(shared_ops):
-        qubits = op.qubits
-        gate_for = {m: ops_for[m][k].matrix() for m in member_indices}
+    for qubits, gates in zip(batch.targets, batch.gates):
         if len(qubits) == 1:
-            _apply_single(blocks, qubits[0], gate_for, log)
+            _apply_single(blocks, qubits[0], gates, log)
             continue
         if len(qubits) != 2 or qubits[1] != qubits[0] + 1:
             raise SimulationError(
@@ -300,41 +350,43 @@ def _sweep_group(
             )
         q = qubits[0]
         center = _move_center(blocks, center, q)
-        blocks = _apply_two(blocks, q, gate_for, policy, log, discarded, records)
+        blocks = _apply_two(blocks, q, gates, policy, log, discarded, records)
         center = q + 1
 
-    two_qubit_gates = sum(1 for op in shared_ops if len(op.qubits) == 2)
-    results: List[Tuple[int, MPS]] = []
+    two_qubit_gates = sum(1 for qubits in batch.targets if len(qubits) == 2)
+    states: List[MPS | None] = [None] * g
     for block in blocks:
-        for slot, member in enumerate(block.members):
+        for slot, member in enumerate(block.members.tolist()):
             tensors = [block.stacks[site][slot].copy() for site in range(num_qubits)]
             state = MPS(tensors, truncation=policy, center=center)
-            state._cumulative_discarded_weight = discarded[member]
+            state._cumulative_discarded_weight = float(discarded[member])
             state._truncation_records = records[member]
-            state._gates_applied = len(shared_ops)
+            state._gates_applied = len(batch.targets)
             state._two_qubit_gates_applied = two_qubit_gates
-            results.append((member, state))
-    return results
+            states[member] = state
+    return [s for s in states if s is not None]
 
 
 def encode_circuits(
-    circuits: Sequence,
+    circuits: Union[Sequence, GateStacks],
     policy: TruncationPolicy | None = None,
     log: GateShapeLog | None = None,
 ) -> List[MPS]:
     """Simulate a batch of routed circuits through stacked gate sweeps.
 
-    Circuits are grouped by :func:`circuit_structure_signature` and each
-    group runs its own straight sweep; states that diverge in bond dimension
-    regroup on the fly.  Mixed-structure batches are therefore supported,
-    and every resulting MPS is bit-identical to simulating its circuit
-    alone.
+    ``circuits`` is either a :class:`GateStacks` batch (one sweep) or a
+    sequence of circuits, which are grouped by
+    :func:`circuit_structure_signature` and stacked (:func:`stack_circuits`)
+    so each group runs its own straight sweep; states that diverge in bond
+    dimension regroup on the fly.  Mixed-structure batches are therefore
+    supported, and every resulting MPS is bit-identical to simulating its
+    circuit alone.
 
     Parameters
     ----------
     circuits:
-        Routed :class:`~repro.circuits.Circuit` objects (adjacent two-qubit
-        gates only).
+        :class:`GateStacks`, or routed :class:`~repro.circuits.Circuit`
+        objects (adjacent two-qubit gates only).
     policy:
         Shared truncation policy (the paper's machine-precision default when
         omitted).
@@ -344,19 +396,20 @@ def encode_circuits(
 
     Returns
     -------
-    The encoded states, in the same order as ``circuits``.
+    The encoded states, in input order.
     """
-    circuits = list(circuits)
-    if not circuits:
-        return []
     if policy is None:
         policy = TruncationPolicy()
     if log is None:
         log = GateShapeLog()
-    states: List[MPS | None] = [None] * len(circuits)
-    groups = group_circuits_by_structure(circuits)
+    if isinstance(circuits, GateStacks):
+        groups = [(list(range(len(circuits))), circuits)] if len(circuits) else []
+    else:
+        circuits = list(circuits)
+        groups = stack_circuits(circuits)
     log.structure_groups = len(groups)
-    for indices in groups.values():
-        for original_idx, state in _sweep_group(circuits, indices, policy, log):
+    states: List[MPS | None] = [None] * sum(len(batch) for _, batch in groups)
+    for indices, batch in groups:
+        for original_idx, state in zip(indices, _sweep(batch, policy, log)):
             states[original_idx] = state
     return [s for s in states if s is not None]

@@ -29,6 +29,8 @@ __all__ = [
     "rxx",
     "ryy",
     "rzz",
+    "rz_stack",
+    "rxx_stack",
     "swap",
     "cnot",
     "controlled_z",
@@ -84,30 +86,55 @@ def ry(theta: float) -> np.ndarray:
 
 def rz(theta: float) -> np.ndarray:
     """Single-qubit rotation about Z: exp(-i theta Z / 2)."""
-    e = np.exp(-1j * theta / 2.0)
-    return np.array([[e, 0.0], [0.0, np.conj(e)]], dtype=_CTYPE)
-
-
-def _two_qubit_rotation(theta: float, pauli: np.ndarray) -> np.ndarray:
-    """exp(-i theta P (x) P / 2) for a single-qubit Pauli ``P``."""
-    pp = np.kron(pauli, pauli)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.eye(4, dtype=_CTYPE) * c - 1j * s * pp
+    return rz_stack(np.array([theta], dtype=float))[0]
 
 
 def rxx(theta: float) -> np.ndarray:
     """Two-qubit rotation exp(-i theta X(x)X / 2); the ansatz's entangler."""
-    return _two_qubit_rotation(theta, pauli_x())
+    return rxx_stack(np.array([theta], dtype=float))[0]
 
 
 def ryy(theta: float) -> np.ndarray:
     """Two-qubit rotation exp(-i theta Y(x)Y / 2)."""
-    return _two_qubit_rotation(theta, pauli_y())
+    return _two_qubit_rotation_stack(np.array([theta], dtype=float), pauli_y())[0]
 
 
 def rzz(theta: float) -> np.ndarray:
     """Two-qubit rotation exp(-i theta Z(x)Z / 2)."""
-    return _two_qubit_rotation(theta, pauli_z())
+    return _two_qubit_rotation_stack(np.array([theta], dtype=float), pauli_z())[0]
+
+
+def rz_stack(thetas: np.ndarray) -> np.ndarray:
+    """``(g, 2, 2)`` stack of :func:`rz` over a 1-D angle array.
+
+    :func:`rz` is one row of this, so a stacked gate is byte-equal to the
+    gate a per-point simulation applies.
+    """
+    thetas = np.ascontiguousarray(thetas, dtype=float)
+    e = np.exp(-1j * thetas / 2.0)
+    out = np.zeros((thetas.size, 2, 2), dtype=_CTYPE)
+    out[:, 0, 0] = e
+    out[:, 1, 1] = np.conj(e)
+    return out
+
+
+def _two_qubit_rotation_stack(thetas: np.ndarray, pauli: np.ndarray) -> np.ndarray:
+    """exp(-i theta P (x) P / 2) for each angle, a single-qubit Pauli ``P``."""
+    # Contiguous angles: NumPy's SIMD cos/sin loops and a lone angle's call
+    # then take the same path.
+    thetas = np.ascontiguousarray(thetas, dtype=float)
+    pp = np.kron(pauli, pauli)
+    c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    return np.eye(4, dtype=_CTYPE) * c[:, None, None] - (1j * s)[:, None, None] * pp
+
+
+def rxx_stack(thetas: np.ndarray) -> np.ndarray:
+    """``(g, 4, 4)`` stack of :func:`rxx` over a 1-D angle array.
+
+    :func:`rxx` is one row of this, so a stacked gate is byte-equal to the
+    gate a per-point simulation applies.
+    """
+    return _two_qubit_rotation_stack(thetas, pauli_x())
 
 
 def swap() -> np.ndarray:

@@ -103,41 +103,73 @@ class TruncationPolicy:
         s = np.asarray(singular_values, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise TruncationError("singular value array must be 1-D and non-empty")
+        kept, weight = self.select_ranks(s[None, :])
+        return int(kept[0]), float(weight[0])
 
-        total = float(np.sum(s * s))
-        if total <= 0.0:
-            # Degenerate state (all-zero theta); keep a single value to keep
-            # the MPS structurally valid.
-            return 1, 0.0
+    def select_ranks(self, singular_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`select_rank` for every row of a ``(g, k)`` stack at once.
 
+        Each row is decided on its own values only: one pairwise row sum for
+        the total and one sequential cumsum from the smallest value for the
+        tail weights, the arithmetic the single-row rule has always used.
+        Row ``i`` of the result is therefore bit-identical to
+        ``select_rank(s[i])``, whatever the other rows hold.
+
+        Returns
+        -------
+        (kept, discarded_weight):
+            An ``int`` array and a ``float`` array of length ``g``.
+
+        Raises
+        ------
+        TruncationError
+            If a ``max_bond_dim`` cap would discard more than ``cutoff`` on
+            any row and ``allow_lossy_cap`` is unset; the message names the
+            first such row's weight.
+        """
+        s = np.asarray(singular_values, dtype=float)
+        if s.ndim != 2 or s.shape[1] == 0:
+            raise TruncationError("singular value stack must be 2-D with non-empty rows")
+        g, n = s.shape
         squared = s * s
-        # Cumulative discarded weight if we keep only the first k values:
-        # discarded(k) = sum_{i >= k} s_i^2
-        reversed_cumsum = np.cumsum(squared[::-1])[::-1]
-        # discarded_if_keep[k] for k = 1..n is reversed_cumsum[k] (0 for k = n)
-        n = s.size
+        total = squared.sum(axis=1)
+        # A degenerate row (all-zero theta) keeps a single value so the MPS
+        # stays structurally valid; dividing it by 1 keeps the sweep quiet.
+        degenerate = total <= 0.0
+        if degenerate.any():
+            total = np.where(degenerate, 1.0, total)
+        # tail[:, n - k] = sum_{i >= k} s_i^2, the weight discarded when
+        # keeping k values: a cumsum from the smallest value, after an exact
+        # zero for k = n.
+        tail = np.zeros((g, n))
+        tail[:, 1:] = squared[:, :0:-1]
+        ratio = np.cumsum(tail, axis=1) / total[:, None]
+        # The tail shrinks as k grows, so the k that fit form a suffix and
+        # the smallest is n + 1 minus their count (n when none fits: a NaN
+        # spectrum).
+        fitting = (ratio <= self.cutoff).sum(axis=1)
+        kept = n + 1 - np.maximum(fitting, 1)
+        rows = np.arange(g)
+        weight = ratio[rows, n - kept]
 
-        kept = n
-        for k in range(1, n + 1):
-            discarded = reversed_cumsum[k] if k < n else 0.0
-            if discarded / total <= self.cutoff:
-                kept = k
-                break
-
-        if self.max_bond_dim is not None and kept > self.max_bond_dim:
-            capped = self.max_bond_dim
-            discarded = reversed_cumsum[capped] if capped < n else 0.0
-            rel = float(discarded / total)
-            if rel > self.cutoff and not self.allow_lossy_cap:
+        cap = self.max_bond_dim
+        if cap is not None and cap < n:
+            capped = (kept > cap) & ~degenerate
+            rel = ratio[:, n - cap]
+            lossy = capped & (rel > self.cutoff)
+            if lossy.any() and not self.allow_lossy_cap:
+                worst = float(rel[np.argmax(lossy)])
                 raise TruncationError(
                     "bond-dimension cap would discard weight "
-                    f"{rel:.3e} > cutoff {self.cutoff:.3e}; "
+                    f"{worst:.3e} > cutoff {self.cutoff:.3e}; "
                     "set allow_lossy_cap=True for approximate simulation"
                 )
-            return capped, rel
+            kept = np.where(capped, cap, kept)
+            weight = np.where(capped, rel, weight)
 
-        discarded = reversed_cumsum[kept] if kept < n else 0.0
-        return kept, float(discarded / total)
+        kept[degenerate] = 1
+        weight[degenerate] = 0.0
+        return kept, weight
 
 
 def truncate_singular_values(

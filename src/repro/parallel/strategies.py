@@ -27,7 +27,7 @@ evaluates which entry at which ring step, so the iteration order is the
 message schedule itself.  The primitives they drive come from the worker
 (see :class:`repro.parallel.executor.KernelWorker`), which dispatches through
 the unified :class:`repro.engine.KernelEngine`; every other consumer in the
-library routes its pairwise loops through engine plans.
+library leaves its pairwise loops to the engine.
 """
 
 from __future__ import annotations

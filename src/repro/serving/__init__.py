@@ -7,9 +7,10 @@ restarts and run more than one replica.  This package closes those gaps:
 * :mod:`~repro.serving.queue` -- :class:`AsyncServingQueue`, a
   batch-coalescing request queue in front of
   :class:`~repro.approx.StreamingNystroemClassifier`: a work-conserving
-  coalescer flushes up to ``max_batch`` pending requests as one
-  :class:`~repro.engine.plan.KernelRowPlan` whenever it is idle (requests
-  that arrive during a flush form the next batch), and resolves futures
+  coalescer flushes up to ``max_batch`` pending requests as one sweep of
+  their states against the landmarks' :class:`~repro.engine.StackedStateBlock`
+  whenever it is idle (requests that arrive during a flush form the next
+  batch), and resolves futures
   carrying per-request latency; queue depth / throughput / p50 / p99 land
   in :class:`repro.profiling.ServingMetrics`.
 * :mod:`~repro.serving.store` -- :class:`SharedLandmarkStore`, the served

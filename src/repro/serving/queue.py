@@ -1,15 +1,15 @@
 """Async batch-coalescing request queue over a streaming Nystrom classifier.
 
 A traffic-facing service receives requests one at a time, but the engine is
-at its best when it evaluates one :class:`~repro.engine.plan.KernelRowPlan`
-per *batch*: the per-plan overhead amortises and -- with worker processes --
-the row encodes fan out.  :class:`AsyncServingQueue` sits between the two:
+at its best when it sweeps a whole *batch* of query states against the
+landmarks' :class:`~repro.engine.StackedStateBlock` at once: the per-flush
+overhead amortises and -- with worker processes -- the row encodes fan out.  :class:`AsyncServingQueue` sits between the two:
 
 * :meth:`submit` accepts one raw feature row and immediately returns a
   :class:`concurrent.futures.Future`;
 * a background coalescer thread is **work-conserving**: whenever it is idle
   and something is pending, it pops up to ``max_batch`` requests at once and
-  flushes them through the classifier as one plan.  It never holds a batch
+  flushes them through the classifier as one block sweep.  It never holds a batch
   back to let it fill.  Requests that arrive while a flush runs form the
   next batch, so batches grow with load and shrink to one request when the
   queue is quiet -- the dynamic batching of Clipper and Triton, with no
@@ -540,7 +540,7 @@ class AsyncServingQueue:
         Scoring is a pure function of the raw row *and the model slot*, so
         memo hits return the byte-exact output a fresh compute under the
         same slot would; only the memo-miss rows go through the classifier
-        (one coalesced plan, possibly fanned out over the slot's worker
+        (one coalesced block sweep, possibly fanned out over the slot's worker
         pool).  The memo lives on the slot, never the queue: answers
         memoised under one model version are unreachable after a swap.
         """

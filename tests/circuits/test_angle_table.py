@@ -1,0 +1,142 @@
+"""Gate stacks from the angle table, against per-row circuits.
+
+``feature_map_gate_stacks`` builds every operation's ``(g, d, d)`` stack from
+one ``(g, m)`` feature array; row ``i`` of stack ``k`` must be byte-equal to
+``build_feature_map_circuit(X[i]).operations[k].matrix()``, and encodes fed
+by the stacks must be bit-identical to per-point ``MPS.apply_circuit``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.backends import CpuBackend
+from repro.circuits import (
+    build_feature_map_circuit,
+    feature_map_angle_table,
+    feature_map_angles,
+    feature_map_gate_stacks,
+    feature_map_template,
+)
+from repro.config import AnsatzConfig, SimulationConfig
+from repro.engine import EngineConfig, KernelEngine
+from repro.exceptions import CircuitError
+from repro.mps import MPS, InstrumentedMPS, TruncationPolicy, encode_circuits
+
+ANSATZE = [
+    AnsatzConfig(num_features=m, interaction_distance=d, layers=layers, gamma=gamma)
+    for m, d, layers, gamma in itertools.product((3, 5, 8), (1, 2, 3), (1, 2), (0.4, 1.3))
+    if d < m
+]
+
+
+def _rows(ansatz, count=6, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 2.0, size=(count, ansatz.num_features))
+    # Exact edge values: (1 - x) = 0 gives a signed-zero RXX angle.
+    X[0, 0] = 1.0
+    X[1, :] = 0.0
+    X[2, -1] = 2.0
+    return X
+
+
+def _state_bytes(state):
+    return [t.tobytes() for t in state.tensors]
+
+
+@pytest.mark.parametrize("ansatz", ANSATZE, ids=repr)
+def test_gate_stacks_are_byte_equal_to_circuit_matrices(ansatz):
+    X = _rows(ansatz)
+    stacks = feature_map_gate_stacks(X, ansatz)
+    assert len(stacks) == len(X)
+    for i, row in enumerate(X):
+        circuit = build_feature_map_circuit(row, ansatz)
+        assert stacks.targets == tuple(op.qubits for op in circuit.operations)
+        for k, op in enumerate(circuit.operations):
+            assert stacks.gates[k][i].tobytes() == op.matrix().tobytes()
+
+
+@pytest.mark.parametrize("ansatz", ANSATZE[:6], ids=repr)
+def test_angle_table_rows_are_the_per_point_angles(ansatz):
+    X = _rows(ansatz)
+    table = feature_map_angle_table(X, ansatz)
+    m = ansatz.num_features
+    for i, row in enumerate(X):
+        angles = feature_map_angles(row, ansatz)
+        assert table[i, :m].tobytes() == angles.rz_angles.tobytes()
+        assert table[i, m:].tolist() == list(angles.rxx_angles.values())
+
+
+def test_angle_table_keeps_the_scalar_angle_arithmetic():
+    """The table's elementwise operations and their order are the scalar ones."""
+    ansatz = AnsatzConfig(num_features=5, interaction_distance=2, layers=1, gamma=0.73)
+    X = _rows(ansatz, count=40, seed=11)
+    table = feature_map_angle_table(X, ansatz)
+    gamma, m = ansatz.gamma, ansatz.num_features
+    edges = [(i, j) for i in range(m) for j in range(i + 1, min(i + 2, m - 1) + 1)]
+    for row, angles in zip(X, table):
+        expected = [float(2.0 * gamma * row[q]) for q in range(m)] + [
+            float(gamma * gamma * np.pi * (1.0 - row[i]) * (1.0 - row[j]))
+            for i, j in edges
+        ]
+        assert np.array(expected).tobytes() == angles.tobytes()
+
+
+def test_template_is_built_once_per_ansatz():
+    ansatz = ANSATZE[0]
+    assert feature_map_template(ansatz) is feature_map_template(ansatz)
+
+
+def test_angle_table_rejects_the_wrong_width():
+    with pytest.raises(CircuitError):
+        feature_map_angle_table(np.zeros((2, 4)), ANSATZE[0])
+
+
+@pytest.mark.parametrize("ansatz", ANSATZE[::5], ids=repr)
+def test_stack_encodes_match_per_point_apply_circuit(ansatz):
+    X = _rows(ansatz, count=5, seed=3)
+    states = encode_circuits(feature_map_gate_stacks(X, ansatz))
+    for state, row in zip(states, X):
+        reference = MPS.zero_state(ansatz.num_features, TruncationPolicy())
+        reference.apply_circuit(build_feature_map_circuit(row, ansatz))
+        assert _state_bytes(state) == _state_bytes(reference)
+        assert state.truncation_records == reference.truncation_records
+        assert state.cumulative_discarded_weight == reference.cumulative_discarded_weight
+
+
+def test_circuit_list_and_gate_stacks_log_the_same_shapes():
+    ansatz = AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.9)
+    X = _rows(ansatz, count=7, seed=5)
+    by_stacks, by_circuits = CpuBackend(), CpuBackend()
+    a = by_stacks.simulate_batch(feature_map_gate_stacks(X, ansatz))
+    b = by_circuits.simulate_batch([build_feature_map_circuit(row, ansatz) for row in X])
+    assert [_state_bytes(s) for s in a.states] == [_state_bytes(s) for s in b.states]
+    assert by_stacks.timing_summary()["modelled_simulation_time_s"] == (
+        by_circuits.timing_summary()["modelled_simulation_time_s"]
+    )
+    assert by_stacks.num_encode_stacked_launches == by_circuits.num_encode_stacked_launches
+
+
+def test_track_memory_fallback_returns_the_same_states():
+    ansatz = AnsatzConfig(num_features=5, interaction_distance=2, layers=2, gamma=0.7)
+    X = _rows(ansatz, count=4, seed=9)
+    tracked = CpuBackend(SimulationConfig(track_memory=True))
+    result = tracked.simulate_batch(feature_map_gate_stacks(X, ansatz))
+    plain = CpuBackend().simulate_batch(feature_map_gate_stacks(X, ansatz))
+    assert all(isinstance(s, InstrumentedMPS) for s in result.states)
+    assert [_state_bytes(s) for s in result.states] == [
+        _state_bytes(s) for s in plain.states
+    ]
+    circuit = build_feature_map_circuit(X[0], ansatz)
+    assert len(result.states[0].trace) == circuit.num_gates
+    assert tracked.num_simulations == len(X)
+
+    engine = KernelEngine(
+        ansatz,
+        backend=CpuBackend(SimulationConfig(track_memory=True)),
+        config=EngineConfig(encode_batch_size=3),
+    )
+    assert [_state_bytes(s) for s in engine.encode_rows(X)] == [
+        _state_bytes(s) for s in plain.states
+    ]

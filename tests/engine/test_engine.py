@@ -7,12 +7,10 @@ from repro.backends import CpuBackend
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import (
-    CrossGramPlan,
     EngineConfig,
     KernelEngine,
     StackedStateBlock,
     StateStore,
-    SymmetricGramPlan,
     batched_overlaps,
 )
 from repro.exceptions import EngineError, KernelError
@@ -53,24 +51,31 @@ def test_engine_gram_matches_reference_exactly(ansatz, X):
     assert len(result.states) == X.shape[0]
 
 
+def _pair_overlaps(bras, kets):
+    """``|<bra|ket>|^2`` for every pair, one pair per batched_overlaps call."""
+    return np.array(
+        [[np.abs(batched_overlaps([(bra, ket)]))[0] ** 2 for ket in kets] for bra in bras]
+    )
+
+
 def test_cross_plan_matches_gram_block(ansatz, X):
     engine = KernelEngine(ansatz)
     train_result = engine.gram(X[:4])
     cross = engine.cross(X[4:], train_result.states)
-    full = engine.gram(X).matrix
+    full = engine.gram(X)
     assert cross.matrix.shape == (2, 4)
-    assert np.allclose(cross.matrix, full[4:, :4], atol=1e-12)
+    # Each gives the per-pair bytes for its own (bra, ket) order; the Gram's
+    # lower block mirrors pairs whose bra is the training state.
+    assert np.array_equal(cross.matrix, _pair_overlaps(full.states[4:], full.states[:4]))
+    assert np.array_equal(
+        full.matrix[4:, :4], _pair_overlaps(full.states[:4], full.states[4:]).T
+    )
+    assert np.allclose(cross.matrix, full.matrix[4:, :4], atol=1e-12)
 
 
-def test_execute_plan_validates_state_counts(ansatz, X):
-    engine = KernelEngine(ansatz)
-    states = engine.encode_rows(X[:3])
-    with pytest.raises(EngineError):
-        engine.execute_plan(SymmetricGramPlan(5), states)
-    with pytest.raises(EngineError):
-        engine.execute_plan(CrossGramPlan(2, 5), states[:2], states)
+def test_cross_rejects_empty_train_states(ansatz, X):
     with pytest.raises(KernelError):
-        engine.cross(X[:1], [])
+        KernelEngine(ansatz).cross(X[:1], [])
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, -np.inf])
@@ -82,8 +87,6 @@ def test_validate_features_rejects_non_finite_values(ansatz, X, bad_value):
 
 
 def test_engine_config_validation():
-    with pytest.raises(EngineError):
-        EngineConfig(batch_size=0)
     with pytest.raises(EngineError, match="encode_batch_size"):
         EngineConfig(encode_batch_size=0)
 

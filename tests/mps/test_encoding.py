@@ -10,6 +10,8 @@ from repro.exceptions import BackendError, SimulationError
 from repro.mps import (
     MPS,
     GateShapeLog,
+    GateStacks,
+    gates,
     InstrumentedMPS,
     TruncationPolicy,
     circuit_structure_signature,
@@ -92,6 +94,28 @@ def test_truncation_divergence_regroups_and_stays_identical(rng):
     batched = encode_circuits(circuits)
     assert len({s.max_bond_dimension for s in batched}) > 1
     _assert_states_bit_identical(batched, [_reference_state(c) for c in circuits])
+
+
+def test_regrouped_blocks_keep_first_occurrence_order():
+    """After a split, the group holding the lowest member index goes first.
+
+    Rows 0 and 2 entangle (CNOT after H keeps rank 2) and row 1 does not
+    (identity keeps rank 1), so the last gate is logged for the rank-2 block
+    (2 members) before the rank-1 block: the log, and with it the modelled
+    seconds, do not depend on how the ranks sort.
+    """
+    h = np.broadcast_to(gates.hadamard(), (3, 2, 2))
+    entanglers = np.stack([gates.cnot(), np.eye(4, dtype=complex), gates.cnot()])
+    batch = GateStacks(
+        num_qubits=2,
+        num_circuits=3,
+        targets=((0,), (0, 1), (1,)),
+        gates=(h, entanglers, h),
+    )
+    log = GateShapeLog()
+    states = encode_circuits(batch, log=log)
+    assert log.entries[-2:] == [("1q", 2, 2, 1), ("1q", 1, 1, 1)]
+    assert [s.max_bond_dimension for s in states] == [2, 1, 2]
 
 
 def test_mixed_structure_batch(rng):

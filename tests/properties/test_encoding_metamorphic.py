@@ -18,7 +18,7 @@ from repro.approx import LinearSVC, NystroemConfig, NystroemFeatureMap
 from repro.approx.streaming import StreamingNystroemClassifier
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
-from repro.engine import EngineConfig, KernelEngine, SymmetricGramPlan
+from repro.engine import EngineConfig, KernelEngine, batched_overlaps
 from repro.mps import MPS, TruncationPolicy, encode_circuits
 from repro.serving import AsyncServingQueue
 
@@ -96,9 +96,14 @@ def test_cache_occupancy_does_not_change_states(rng):
 
 def test_gram_invariant_under_batch_encoding(rng):
     X = rng.uniform(0.05, 1.95, size=(7, 4))
-    engine = _engine(encode_batch_size=3)
-    K_seq = engine.execute_plan(SymmetricGramPlan(7), _per_point(X))
-    K_bat = engine.gram(X).matrix
+    states = _per_point(X)
+    # The oracle: per-point states, one batched_overlaps call per pair.
+    K_seq = np.eye(7)
+    for i in range(7):
+        for j in range(i + 1, 7):
+            value = np.abs(batched_overlaps([(states[i], states[j])]))[0] ** 2
+            K_seq[i, j] = K_seq[j, i] = value
+    K_bat = _engine(encode_batch_size=3).gram(X).matrix
     assert np.array_equal(K_seq, K_bat)
 
 

@@ -264,11 +264,10 @@ class NystroemFeatureMap:
         gram_result = self.engine.gram(self.landmark_rows_)
         self.report.absorb(gram_result)
         K_mm = gram_result.matrix
-        states = list(gram_result.states)
-        self.landmark_states_ = states
-        # Stack the landmark tensors once; every streaming transform sweeps
-        # against this block with zero per-pair stacking.
-        self.landmark_block_ = StackedStateBlock(states)
+        self.landmark_states_ = list(gram_result.states)
+        # The Gram's stacked landmark tensors: every streaming transform
+        # sweeps against this block with zero per-pair stacking.
+        self.landmark_block_ = gram_result.block
 
         cross_result = self.engine.cross(X, self.landmark_states_)
         self.report.absorb(cross_result)
@@ -310,11 +309,8 @@ class NystroemFeatureMap:
         gram_result = self.engine.gram(self.landmark_rows_)
         self.report.absorb(gram_result)
         K_mm = gram_result.matrix
-        states = list(gram_result.states)
-        if not states:
-            states = self.engine.encode_rows(self.landmark_rows_)
-        self.landmark_states_ = states
-        self.landmark_block_ = StackedStateBlock(states)
+        self.landmark_states_ = list(gram_result.states)
+        self.landmark_block_ = gram_result.block
 
         cross_result = self.engine.cross(X, self.landmark_states_)
         self.report.absorb(cross_result)

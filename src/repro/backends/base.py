@@ -116,14 +116,17 @@ class BatchSimulationResult:
     Attributes
     ----------
     states:
-        The encoded MPS, in input order.  Each is bit-identical to what
-        :meth:`Backend.simulate` would have produced for its circuit alone.
+        The encoded MPS, in input order.  Each depends on its own circuit
+        only, byte for byte (alone or in any batch), and is within rounding
+        of what :meth:`Backend.simulate` produces for it
+        (``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff).
     wall_time_s:
         Measured Python time for the whole stacked sweep.
     modelled_time_s:
-        Sum of the per-point modelled device times -- the counters advance
-        exactly as if :meth:`Backend.simulate` had run once per circuit, so
-        engine accounting is invariant under batching.
+        Sum of the per-point modelled device times, each row priced at the
+        live shapes a solo simulation has -- the counters advance as if
+        :meth:`Backend.simulate` had run once per circuit (addition order
+        aside), so engine accounting is invariant under batching.
     num_circuits / num_structure_groups:
         Batch size and how many distinct circuit structures it contained.
     max_bond_dimension / total_memory_bytes:
@@ -284,16 +287,19 @@ class Backend(abc.ABC):
         sequence of circuits, grouped by structure signature (same gate
         targets in the same order -- all feature-map circuits from one
         ansatz qualify).  Each group is swept straight through with one
-        stacked gufunc per gate (:func:`repro.mps.encoding.encode_circuits`),
-        regrouping when per-slice truncation diverges bond dimensions.  Every
-        resulting state is **bit-identical** to :meth:`simulate` on the same
-        circuit, so callers may batch, split or reorder encodes freely
-        without moving a single bit of any downstream kernel entry.
+        stacked gufunc per gate (:func:`repro.mps.encoding.encode_circuits`)
+        at padded shapes the structure fixes, truncating each row on its own
+        singular values.  Every resulting state depends on its own circuit
+        alone, **byte for byte**, so callers may batch, split or reorder
+        encodes freely without moving a single bit of any downstream kernel
+        entry; it is within rounding of :meth:`simulate` on the same circuit
+        (same kept ranks and bond dimensions, ``1 - |<a|b>|^2 <= 1e-12`` at
+        the default cutoff).
 
         Counters advance as if :meth:`simulate` had been called once per
-        circuit (same ``num_simulations``; the modelled seconds sum the same
-        per-gate device times, addition order aside); the measured wall time
-        is where batching pays off.
+        circuit (same ``num_simulations``; the modelled seconds price every
+        row's live pre-gate shapes, addition order aside); the measured wall
+        time is where batching pays off.
 
         ``initial_state`` is not supported (the stacked sweep always starts
         from ``|0...0>``, which is what every feature-map encode uses); a

@@ -64,10 +64,6 @@ class SimulationConfig:
         error budget (useful for deliberately approximate simulation).
     dtype:
         Complex dtype used for all tensors.
-    canonicalize_before_truncation:
-        Whether to restore the canonical form before each two-qubit gate so
-        the truncation is locally optimal (the paper does; disabling is only
-        intended for ablation benchmarks).
     track_memory:
         Record the MPS memory footprint after every gate application.
     """
@@ -76,7 +72,6 @@ class SimulationConfig:
     max_bond_dim: int | None = DEFAULT_MAX_BOND_DIM
     allow_lossy_cap: bool = False
     dtype: Any = np.complex128
-    canonicalize_before_truncation: bool = True
     track_memory: bool = False
 
     def __post_init__(self) -> None:

@@ -163,7 +163,7 @@ class QuantumKernelInferenceEngine:
             return self
         result = self.engine.gram(Xs)
         self._train_states = list(result.states)
-        self._train_block = None
+        self._train_block = result.block
         self._model = PrecomputedKernelSVC(C=self.C, tol=self.tol).fit(
             result.matrix, y_train
         )
@@ -194,11 +194,6 @@ class QuantumKernelInferenceEngine:
             decisions = self._linear_model.decision_function(phi)
         else:
             assert self._model is not None
-            if self._train_block is None and self._train_states:
-                # Stack the stored states on first serve (not at fit): the
-                # block duplicates every site tensor, so train-only usage
-                # should not pay the memory.
-                self._train_block = StackedStateBlock(self._train_states)
             result = self.engine.kernel_rows(
                 Xs, self._train_states, block=self._train_block
             )

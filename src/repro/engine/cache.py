@@ -35,6 +35,7 @@ from ..mps import MPS
 
 __all__ = [
     "CacheStats",
+    "ENCODER_CONTRACT",
     "StateStore",
     "ansatz_fingerprint",
     "simulation_fingerprint",
@@ -50,15 +51,25 @@ def ansatz_fingerprint(ansatz: AnsatzConfig) -> str:
     return "ansatz:" + ";".join(f"{k}={v!r}" for k, v in items)
 
 
-def simulation_fingerprint(config: SimulationConfig) -> str:
-    """Stable string identifying the simulation / truncation policy.
+#: The encoder contract stored states were produced under: rows padded to
+#: structure-fixed shapes in one stacked sweep, each state a function of its
+#: row alone (:mod:`repro.mps.encoding`).  Change it whenever an encode's
+#: bytes may change, so stores and snapshots of another encoder never mix
+#: with fresh states.
+ENCODER_CONTRACT = "padded-sweep-1"
 
-    Every field that can change the resulting tensors (cut-off, bond cap,
-    lossy-cap flag, dtype, canonicalisation) participates, so two backends
-    sharing a policy share cache entries while any policy change is a miss.
+
+def simulation_fingerprint(config: SimulationConfig) -> str:
+    """Stable string identifying the encoder and its simulation policy.
+
+    The :data:`ENCODER_CONTRACT` tag and every field that can change the
+    resulting tensors (cut-off, bond cap, lossy-cap flag, dtype, memory
+    tracking) participate, so two backends sharing a policy share cache
+    entries while any policy or encoder change is a miss -- and a persisted
+    snapshot from another encoder is refused.
     """
     items = sorted(config.to_dict().items())
-    return "sim:" + ";".join(f"{k}={v!r}" for k, v in items)
+    return f"sim:encoder={ENCODER_CONTRACT};" + ";".join(f"{k}={v!r}" for k, v in items)
 
 
 def state_key(

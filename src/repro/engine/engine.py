@@ -11,9 +11,10 @@ each with exactly one code path, so consumers ask for a Gram
 * :meth:`KernelEngine.encode_rows` goes through an optional
   content-addressed :class:`~repro.engine.cache.StateStore`, so a point
   encoded for training is never re-simulated at inference time; the
-  remaining cache misses of a multi-row encode run as stacked gate sweeps
+  remaining cache misses run as stacked gate sweeps
   (:meth:`repro.backends.Backend.simulate_batch`) fed by gate stacks built
-  from the ansatz's angle table, bit-identical to per-point simulation;
+  from the ansatz's angle table; a row's state depends on the row alone,
+  byte for byte, and is within rounding of per-point simulation;
 * every overlap runs through the backend's padded BLAS transfer sweep
   against one pre-stacked :class:`StackedStateBlock`
   (:meth:`repro.backends.Backend.inner_product_block`): cross blocks and
@@ -34,7 +35,7 @@ this class.  The paper's distributed strategies live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from ..backends import Backend, BackendResult, CpuBackend
 from ..circuits import build_feature_map_circuit, feature_map_gate_stacks
 from ..config import AnsatzConfig, SimulationConfig
-from ..exceptions import EngineError, KernelError
+from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
 from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock
@@ -91,6 +92,9 @@ class EngineResult:
     cache_hits: int
     cache_misses: int
     states: Tuple[MPS, ...] = field(repr=False)
+    #: The Gram's padded, stacked ``states`` (``None`` for other calls):
+    #: the block exact-model scoring sweeps new rows against.
+    block: Optional[StackedStateBlock] = field(default=None, repr=False)
 
     @property
     def total_time_s(self) -> float:
@@ -173,10 +177,22 @@ class KernelEngine:
         arrive as a string) plus the backend registry name.  Serving pool
         workers and every model rebuilt from a serving payload reconstruct
         their engine through this single entry point, so config-rehydration
-        rules live in one place.
+        rules live in one place.  A setting neither configuration knows --
+        say one a newer or older release wrote into a payload -- raises
+        :class:`~repro.exceptions.ConfigurationError` naming it.
         """
         from ..backends import get_backend
 
+        for config_cls, kwargs in (
+            (AnsatzConfig, ansatz_kwargs),
+            (SimulationConfig, simulation_kwargs),
+        ):
+            unknown = sorted(set(kwargs) - {f.name for f in fields(config_cls)})
+            if unknown:
+                raise ConfigurationError(
+                    f"{config_cls.__name__} has no setting(s) {unknown}: the "
+                    "payload was written by an incompatible release; re-export it"
+                )
         sim_kwargs = dict(simulation_kwargs)
         if "dtype" in sim_kwargs and isinstance(sim_kwargs["dtype"], str):
             sim_kwargs["dtype"] = np.dtype(sim_kwargs["dtype"])
@@ -206,23 +222,31 @@ class KernelEngine:
         return X
 
     def simulate_row(self, row: np.ndarray) -> BackendResult:
-        """Uncached single-row simulation (full :class:`BackendResult`).
+        """Uncached per-point simulation of one row (full :class:`BackendResult`).
 
         The distributed strategies charge every re-simulation to the process
-        that performs it, so this path deliberately bypasses the store.
+        that performs it, so this path deliberately bypasses the store.  It
+        runs :meth:`repro.backends.Backend.simulate`, whose state is within
+        rounding of :meth:`encode_row`'s (``1 - |<a|b>|^2 <= 1e-12`` at the
+        default cutoff) but not byte-equal to it.
         """
         circuit = build_feature_map_circuit(np.asarray(row, dtype=float), self.ansatz)
         return self.backend.simulate(circuit)
 
     def encode_row(self, row: np.ndarray) -> MPS:
-        """Encode one feature row, through the state store when enabled."""
+        """Encode one feature row, through the state store when enabled.
+
+        A miss runs the stacked sweep of :meth:`encode_rows` on this row
+        alone, so the state is byte-identical to the one any batched encode
+        gives the same row.
+        """
         if self.store is None:
-            return self.simulate_row(row).state
+            return self._sweep(np.asarray(row, dtype=float)[None, :])[0]
         key = state_key(row, self._ansatz_fp, self._simulation_fp)
         cached = self.store.get(key)
         if cached is not None:
             return cached
-        state = self.simulate_row(row).state
+        state = self._sweep(np.asarray(row, dtype=float)[None, :])[0]
         self.store.put(key, state)
         return state
 
@@ -234,9 +258,10 @@ class KernelEngine:
         (:meth:`repro.backends.Backend.simulate_batch`), cache-aware: rows
         already in the state store are served from it and **only the misses**
         are simulated, all in one sweep per ``encode_batch_size`` chunk.
-        Because the stacked sweep is bit-identical to per-point simulation,
-        the returned states do not depend on cache occupancy, chunking or
-        batch composition.
+        A row's state depends on the row alone (the sweep pads every row to
+        shapes its ansatz fixes), so the returned states are byte-identical
+        under any cache occupancy, chunking, batch composition or order, and
+        to :meth:`encode_row`.
         """
         X = self.validate_features(X)
         if X.shape[0] == 1:
@@ -304,11 +329,14 @@ class KernelEngine:
         chunk_size = self.config.encode_batch_size
         for lo in range(0, len(indices), chunk_size):
             chunk = indices[lo : lo + chunk_size]
-            result = self.backend.simulate_batch(
-                feature_map_gate_stacks(X[chunk], self.ansatz)
-            )
-            for i, state in zip(chunk, result.states):
+            for i, state in zip(chunk, self._sweep(X[chunk])):
                 states[i] = state
+
+    def _sweep(self, X: np.ndarray) -> Tuple[MPS, ...]:
+        """One stacked encode of the rows of ``X``, from the angle table."""
+        return self.backend.simulate_batch(
+            feature_map_gate_stacks(X, self.ansatz)
+        ).states
 
     def cache_stats(self):
         """Store statistics, or ``None`` when caching is disabled."""
@@ -330,7 +358,9 @@ class KernelEngine:
 
         Resets the backend counters first, so the result's accounting covers
         exactly this computation (matching the historical semantics of
-        ``QuantumKernel.gram_matrix``).
+        ``QuantumKernel.gram_matrix``).  The block is returned as
+        :attr:`EngineResult.block`, so a model fitted on this Gram scores
+        new rows against it without stacking the states again.
         """
         X = self.validate_features(X)
         self.backend.reset_counters()
@@ -338,14 +368,13 @@ class KernelEngine:
         states = self.encode_rows(X)
         n = len(states)
         K = np.eye(n)
-        if n > 1:
-            block = StackedStateBlock(states)
-            for i in range(n - 1):
-                result = self.backend.inner_product_block([states[i]], block.tail(i + 1))
-                K[i, i + 1 :] = np.abs(result.values[0]) ** 2
-            lower = np.tril_indices(n, -1)
-            K[lower] = K.T[lower]
-        return self._result_from_counters(K, states, hits0, misses0)
+        block = StackedStateBlock(states)
+        for i in range(n - 1):
+            result = self.backend.inner_product_block([states[i]], block.tail(i + 1))
+            K[i, i + 1 :] = np.abs(result.values[0]) ** 2
+        lower = np.tril_indices(n, -1)
+        K[lower] = K.T[lower]
+        return self._result_from_counters(K, states, hits0, misses0, block)
 
     def cross(self, X_rows: np.ndarray, train_states: Sequence[MPS]) -> EngineResult:
         """Rectangular kernel between new rows and stored training states.
@@ -432,6 +461,7 @@ class KernelEngine:
         states: Sequence[MPS],
         hits0: int,
         misses0: int,
+        block: StackedStateBlock | None = None,
     ) -> EngineResult:
         summary = self.backend.timing_summary()
         hits1, misses1 = self._cache_counts()
@@ -448,4 +478,5 @@ class KernelEngine:
             cache_hits=hits1 - hits0,
             cache_misses=misses1 - misses0,
             states=tuple(states),
+            block=block,
         )

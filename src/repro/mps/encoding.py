@@ -1,4 +1,4 @@
-"""Batched circuit encoding: stacked gate sweeps over same-structure circuits.
+"""Batched circuit encoding: padded stacked sweeps over same-structure circuits.
 
 Encoding a data point -- simulating its feature-map circuit into an MPS -- is
 the linear half of the paper's workload.  All circuits built from one ansatz
@@ -12,29 +12,49 @@ a stack of tensors, fed by one ``(g, d, d)`` gate stack per operation
   grouped by :func:`circuit_structure_signature` and each group's
   ``op.matrix()`` calls are stacked (:func:`stack_circuits`), so mixed
   structures still work and each group runs its own straight sweep;
-* within a group every state starts as the same stacked ``|0...0>`` block and
-  each gate is applied to the whole stack at once -- single- and two-qubit
-  contractions are broadcast ``matmul`` gufuncs, QR center moves and the
-  post-gate SVD use NumPy's stacked LAPACK gufuncs;
-* truncation is decided **per slice**: the whole stack's singular values go
-  through :meth:`TruncationPolicy.select_ranks`, whose row ``i`` is the
-  :meth:`~TruncationPolicy.select_rank` a solo simulation would run, so
-  members whose kept ranks diverge are split into new shape groups (in
-  first-occurrence order) and the sweep continues per group.
+* every row's site tensors are zero-padded to one width per bond and step:
+  the width an untruncated simulation of the structure gives that bond at
+  that point of the sweep, never past the policy's ``max_bond_dim``.  The
+  widths come from the gate targets, never from the batch or the data, so a
+  whole group is one ``(g, l, 2, r)`` stack per site for the entire sweep:
+  single- and two-qubit contractions are broadcast ``matmul`` gufuncs, each
+  QR centre move and each post-gate SVD one stacked LAPACK gufunc call;
+* truncation is decided **per row**: the stack's singular values go through
+  :meth:`TruncationPolicy.select_ranks`, whose row ``i`` is the
+  :meth:`~TruncationPolicy.select_rank` a solo simulation would run on that
+  row's singular values.  A row's dropped columns of ``U`` and rows of
+  ``S Vh`` are zeroed rather than sliced off, and after every QR / RQ centre
+  move the factor columns (rows) beyond the row's live rank -- which only
+  ever meet zero rows (columns) of ``R`` -- are zeroed as well.  Each row
+  therefore carries its *live* bond dimensions, exactly the shapes per-point
+  simulation would give it, inside the padding, and every state is trimmed
+  to its live ranks at the end.
 
-Bit-identicality contract
--------------------------
-Every per-slice operation of the stacked sweep is the *same gufunc* the
-per-point path in :mod:`repro.mps.tensor_ops` issues (``matmul`` broadcast,
-stacked ``np.linalg.qr`` via :func:`~repro.mps.tensor_ops.stacked_qr_right` /
-:func:`~repro.mps.tensor_ops.stacked_rq_left`, stacked ``np.linalg.svd``
-inner loops, row-wise rank selection), and NumPy evaluates gufunc
-slices independently of how many ride in one call.  The resulting site
-tensors are therefore **bit-identical** to per-point
-:meth:`repro.mps.MPS.apply_circuit` simulation -- however the batch was
-composed, permuted or partitioned -- which is the invariant the encoding
-property suites pin down and the serving layer's byte-identical-predictions
-contract extends to cold traffic.
+Structures whose bonds could grow past :data:`MAX_PADDED_BOND`
+(:func:`bond_caps`; wide registers with deep entanglers) are not padded:
+each row is simulated alone by :class:`~repro.mps.MPS`, which is equally a
+function of the row alone.
+
+Encoding contract
+-----------------
+*A row's state is a function of the row alone.*  Every operation of the
+sweep acts on one row's slice at shapes the structure fixes, and NumPy
+evaluates gufunc slices independently of how many ride in one call, so a
+row's site tensors are byte-identical however the batch was composed,
+chunked, permuted or partitioned -- alone (``g = 1``) or with any
+neighbours.  This is the
+invariant the encoding property suites pin down and the serving layer's
+byte-identical-predictions contract extends to cold traffic.
+
+*A state is within tolerance of per-point simulation*
+(:meth:`repro.mps.MPS.apply_circuit`), no longer bit-equal to it: a padded
+factorisation rounds differently from the unpadded one.  Each row keeps the
+same ranks per-point simulation would and has the same bond dimensions, and
+``1 - |<batched|per-point>|^2`` stays at the level of double-precision
+rounding (``<= 1e-12``) under the default cutoff; under a lossy
+``max_bond_dim`` the bound is the policy's own error budget, ``1 - sum`` of
+the discarded weights, because a cut inside a degenerate singular-value
+cluster may pick a different basis of the cluster.
 
 The module lives in the :mod:`repro.mps` layer (it depends only on the MPS
 machinery and NumPy); :mod:`repro.backends` wraps it with device cost-model
@@ -45,6 +65,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,8 +81,13 @@ __all__ = [
     "GateStacks",
     "stack_circuits",
     "GateShapeLog",
+    "MAX_PADDED_BOND",
+    "bond_caps",
     "encode_circuits",
 ]
+
+#: Largest padded bond of a stacked sweep; wider structures encode per row.
+MAX_PADDED_BOND = 32
 
 
 def circuit_structure_signature(circuit) -> Tuple:
@@ -135,60 +161,106 @@ def stack_circuits(circuits: Sequence) -> List[Tuple[List[int], GateStacks]]:
 
 @dataclass
 class GateShapeLog:
-    """Per-gate tensor shapes seen by a stacked sweep, for cost models.
+    """Per-row live tensor shapes seen by a stacked sweep, for cost models.
 
-    Each entry describes one stacked gate application: ``("1q", count,
-    chi_l, chi_r)`` or ``("2q", count, chi_l, chi_m, chi_r)`` where ``count``
-    is the number of batch members sharing those (pre-gate) bond dimensions.
-    Backends turn the log into modelled device seconds without the encoding
-    layer depending on :mod:`repro.backends`.  ``structure_groups`` records
-    how many distinct circuit structures the batch contained (filled by
+    Each stacked gate application records one live-bond array per leg (one
+    entry per batch row): ``(chi_l, chi_r)`` for a single-qubit gate,
+    ``(chi_l, chi_m, chi_r)`` for a two-qubit gate, the pre-gate shapes the
+    row would have if simulated alone.  :attr:`entries` folds them into
+    distinct shapes with counts, so backends turn the log into modelled
+    device seconds without the encoding layer depending on
+    :mod:`repro.backends`.  ``structure_groups`` records how many distinct
+    circuit structures the batch contained (filled by
     :func:`encode_circuits`, saving consumers a re-grouping pass).
     """
 
-    entries: List[Tuple] = field(default_factory=list)
+    singles: List[Tuple[np.ndarray, ...]] = field(default_factory=list)
+    twos: List[Tuple[np.ndarray, ...]] = field(default_factory=list)
     structure_groups: int = 0
 
-    def add_single(self, count: int, chi_l: int, chi_r: int) -> None:
-        self.entries.append(("1q", count, chi_l, chi_r))
+    def add_single(self, chi_l: np.ndarray, chi_r: np.ndarray) -> None:
+        self.singles.append((chi_l, chi_r))
 
-    def add_two(self, count: int, chi_l: int, chi_m: int, chi_r: int) -> None:
-        self.entries.append(("2q", count, chi_l, chi_m, chi_r))
+    def add_two(self, chi_l: np.ndarray, chi_m: np.ndarray, chi_r: np.ndarray) -> None:
+        self.twos.append((chi_l, chi_m, chi_r))
+
+    @property
+    def entries(self) -> List[Tuple]:
+        """Distinct shapes with row counts: ``("1q", count, chi_l, chi_r)``
+        and ``("2q", count, chi_l, chi_m, chi_r)``, each kind in sorted
+        shape order -- a function of the multiset of logged shapes."""
+        out: List[Tuple] = []
+        for kind, logged in (("1q", self.singles), ("2q", self.twos)):
+            if not logged:
+                continue
+            legs = [np.concatenate(leg) for leg in zip(*logged)]
+            # One integer per shape, in lexicographic shape order.
+            extent = (int(max(leg.max() for leg in legs)) + 1,) * len(legs)
+            keys, counts = np.unique(
+                np.ravel_multi_index(legs, extent), return_counts=True
+            )
+            shapes = np.stack(np.unravel_index(keys, extent), axis=1)
+            out.extend(
+                (kind, count, *shape)
+                for shape, count in zip(shapes.tolist(), counts.tolist())
+            )
+        return out
 
     @property
     def stacked_launches(self) -> int:
         """Number of stacked gate applications issued (fewer = more sharing)."""
-        return len(self.entries)
+        return len(self.singles) + len(self.twos)
 
 
-class _ChainBlock:
-    """One shape group of a stacked sweep: all site tensors stacked.
+def bond_caps(
+    num_qubits: int,
+    targets: Sequence[Tuple[int, ...]],
+    max_bond_dim: int | None = None,
+) -> List[int]:
+    """Largest dimension each of the ``num_qubits + 1`` bonds can reach.
 
-    ``stacks[site]`` has shape ``(g, l, 2, r)`` -- the ``g`` members' site
-    tensors share every bond dimension, so each gate is one gufunc call.
-    ``members`` holds the member ids (rows of the batch's gate stacks)
-    riding in the stack slots.
+    This is the largest padded width a stacked sweep of the structure uses.
+    Walks the gate targets the way per-point simulation shapes its tensors:
+    a two-qubit gate on ``(q, q + 1)`` splits a ``2 chi_q x 2 chi_{q+2}``
+    matrix, so bond ``q + 1`` can grow to ``min(2 chi_q, 2 chi_{q+2})``, and
+    never past ``max_bond_dim``.  The result never exceeds
+    ``2 ** min(b, num_qubits - b)`` and depends only on the circuit structure
+    and the policy.
+
+    Raises
+    ------
+    SimulationError
+        If a two-qubit gate acts on non-adjacent qubits (unrouted circuit).
     """
+    caps = [1] * (num_qubits + 1)
+    for qubits in targets:
+        if len(qubits) == 1:
+            continue
+        if len(qubits) != 2 or qubits[1] != qubits[0] + 1:
+            raise SimulationError(
+                "batched encoding requires a routed circuit "
+                f"(adjacent two-qubit gates); got targets {qubits}"
+            )
+        q = qubits[0]
+        grown = min(2 * caps[q], 2 * caps[q + 2])
+        if max_bond_dim is not None:
+            grown = min(grown, max_bond_dim)
+        caps[q + 1] = max(caps[q + 1], grown)
+    return caps
 
-    __slots__ = ("members", "stacks")
 
-    def __init__(self, members: np.ndarray, stacks: List[np.ndarray]) -> None:
-        self.members = members
-        self.stacks = stacks
-
-    def gates(self, stack: np.ndarray) -> np.ndarray:
-        """This block's rows of a batch-wide gate stack."""
-        return stack if len(self.members) == len(stack) else stack[self.members]
+@lru_cache(maxsize=None)
+def _prefix_masks(width: int) -> np.ndarray:
+    """``(width + 1, width)`` table whose row ``k`` is ``k`` ones, then zeros."""
+    return np.tri(width + 1, width, -1)
 
 
 def _stacked_svd(mats: np.ndarray):
     """Stacked SVD with the same robustness ladder as :func:`robust_svd`.
 
-    ``np.linalg.svd`` on a stack runs the identical LAPACK routine per slice
-    as the single-matrix call, so the factors are bit-identical to per-point
-    :func:`split_theta`.  If any slice fails to converge the whole stack
-    falls back to per-slice :func:`robust_svd` (which retries with scipy's
-    gesvd driver) -- exactly what the per-point path would do.
+    If any slice fails to converge the whole stack falls back to per-slice
+    :func:`robust_svd` (which retries with scipy's gesvd driver), so a row's
+    factors never depend on whether a neighbour converged.
     """
     try:
         return np.linalg.svd(mats, full_matrices=False)
@@ -202,169 +274,214 @@ def _stacked_svd(mats: np.ndarray):
         return np.stack(us), np.stack(ss), np.stack(vhs)
 
 
-def _apply_single(
-    blocks: List[_ChainBlock], q: int, gates: np.ndarray, log: GateShapeLog
-) -> None:
-    """Apply one single-qubit gate (per-member matrices) to every block."""
-    for block in blocks:
-        stack = block.stacks[q]
-        g, chi_l, _p, chi_r = stack.shape
-        log.add_single(g, chi_l, chi_r)
-        # Same broadcast matmul as tensor_ops.apply_single_qubit_gate,
-        # with (batch, left-bond) as the gufunc loop axes.
-        block.stacks[q] = np.matmul(block.gates(gates)[:, None, :, :], stack)
+class _ChainBlock:
+    """A structure group's stacked chain at padded, row-independent shapes.
 
-
-def _move_center(blocks: List[_ChainBlock], center: int, q: int) -> int:
-    """Move the shared orthogonality centre of every block onto site ``q``.
-
-    The same QR / QR-of-adjoint steps ``MPS._move_center`` performs per
-    point, issued as the stacked gufuncs of :mod:`repro.mps.tensor_ops`.
+    ``stacks[site]`` has shape ``(g, l, 2, r)``, where ``l`` and ``r`` are
+    the bond widths an untruncated simulation of the structure has at this
+    point of the sweep (capped by ``max_bond_dim``): they depend on the gate
+    targets only, so every gate is one gufunc call on the whole group.
+    ``live[bond]`` holds each row's live dimension of ``bond`` -- the width
+    a solo simulation of that row would have -- and every entry outside a
+    row's live block is exactly zero.  ``full[bond]`` says every row fills
+    the bond's padded width, so masks along it would be all ones.  ``live``
+    entries are replaced, never mutated, so the shape log may keep them.
     """
-    while center < q:
-        i = center
-        for block in blocks:
-            qs, rs = stacked_qr_right(block.stacks[i])
-            kdim = qs.shape[3]
-            block.stacks[i] = qs
-            nxt = block.stacks[i + 1]
-            g2, nl, nphys, nr = nxt.shape
-            block.stacks[i + 1] = np.matmul(
-                rs, nxt.reshape(g2, nl, nphys * nr)
-            ).reshape(g2, kdim, nphys, nr)
-        center = i + 1
-    while center > q:
-        i = center
-        for block in blocks:
-            rs, qs = stacked_rq_left(block.stacks[i])
-            kdim = qs.shape[1]
-            block.stacks[i] = qs
-            prv = block.stacks[i - 1]
-            g2, pl, pphys, pr = prv.shape
-            block.stacks[i - 1] = np.matmul(
-                prv.reshape(g2, pl * pphys, pr), rs
-            ).reshape(g2, pl, pphys, kdim)
-        center = i - 1
-    return center
 
+    def __init__(self, num_rows: int, num_qubits: int) -> None:
+        zero = np.zeros((num_rows, 1, 2, 1), dtype=np.complex128)
+        zero[:, 0, 0, 0] = 1.0  # |0...0>
+        # Every site needs its own array: sites are updated independently.
+        self.stacks = [zero.copy() for _ in range(num_qubits)]
+        self.live = [np.ones(num_rows, dtype=np.intp)] * (num_qubits + 1)
+        self.full = [True] * (num_qubits + 1)
+        self.center = 0
 
-def _apply_two(
-    blocks: List[_ChainBlock],
-    q: int,
-    gates: np.ndarray,
-    policy: TruncationPolicy,
-    log: GateShapeLog,
-    discarded: np.ndarray,
-    records: List[List[TruncationRecord]],
-) -> List[_ChainBlock]:
-    """Apply one adjacent two-qubit gate: merge + gate + SVD + regroup."""
-    new_blocks: List[_ChainBlock] = []
-    for block in blocks:
-        left_stack = block.stacks[q]
-        right_stack = block.stacks[q + 1]
-        g, chi_l, _p, chi_m = left_stack.shape
-        chi_r = right_stack.shape[3]
-        log.add_two(g, chi_l, chi_m, chi_r)
+    def _set_live(self, bond: int, ranks: np.ndarray, width: int) -> None:
+        self.live[bond] = ranks
+        self.full[bond] = bool(ranks.min() == width)
 
-        # merge_sites + apply_two_qubit_gate_to_theta + split_theta, each
-        # as the stacked form of the identical gufunc.
+    def _masked(self, tensor: np.ndarray, site: int) -> np.ndarray:
+        """``tensor`` (site ``site``'s ``(g, l, 2, r)``) with everything
+        outside each row's live block set to zero."""
+        _g, left, _p, right = tensor.shape
+        if not self.full[site]:
+            tensor = tensor * _prefix_masks(left)[self.live[site]][:, :, None, None]
+        if not self.full[site + 1]:
+            tensor = tensor * _prefix_masks(right)[self.live[site + 1]][:, None, None, :]
+        return tensor
+
+    def apply_single(self, q: int, gates: np.ndarray, log: GateShapeLog) -> None:
+        log.add_single(self.live[q], self.live[q + 1])
+        # Zero padding maps to zero padding: no mask needed.
+        self.stacks[q] = np.matmul(gates[:, None, :, :], self.stacks[q])
+
+    def move_center(self, q: int) -> None:
+        """Move every row's orthogonality centre onto site ``q``.
+
+        The QR / QR-of-adjoint steps ``MPS._move_center`` performs per point,
+        issued as stacked gufuncs.  A step leaves a row the bond rank
+        ``min(2 chi_l, chi_r)`` (rightward) or ``min(chi_l, 2 chi_r)``
+        (leftward), as it would per point; the factor columns (rows) beyond
+        it meet only zero rows (columns) of ``R``, and are zeroed.
+        """
+        stacks, live = self.stacks, self.live
+        while self.center < q:
+            i = self.center
+            qs, rs = stacked_qr_right(stacks[i])
+            rank = np.minimum(2 * live[i], live[i + 1])
+            self._set_live(i + 1, rank, rs.shape[1])
+            stacks[i] = self._masked(qs, i)
+            if not self.full[i + 1]:
+                rs = rs * _prefix_masks(rs.shape[1])[rank][:, :, None]
+            nxt = stacks[i + 1]
+            g, nl, nphys, nr = nxt.shape
+            stacks[i + 1] = np.matmul(rs, nxt.reshape(g, nl, nphys * nr)).reshape(
+                g, rs.shape[1], nphys, nr
+            )
+            self.center = i + 1
+        while self.center > q:
+            i = self.center
+            rs, qs = stacked_rq_left(stacks[i])
+            rank = np.minimum(live[i], 2 * live[i + 1])
+            self._set_live(i, rank, rs.shape[2])
+            stacks[i] = self._masked(qs, i)
+            if not self.full[i]:
+                rs = rs * _prefix_masks(rs.shape[2])[rank][:, None, :]
+            prv = stacks[i - 1]
+            g, pl, pphys, pr = prv.shape
+            stacks[i - 1] = np.matmul(prv.reshape(g, pl * pphys, pr), rs).reshape(
+                g, pl, pphys, rs.shape[2]
+            )
+            self.center = i - 1
+
+    def apply_two(
+        self, q: int, gates: np.ndarray, policy: TruncationPolicy, log: GateShapeLog
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Merge + gate + SVD + per-row truncation on sites ``(q, q + 1)``.
+
+        Returns each row's ``(kept, discarded_weight, width)``, ``width``
+        being the number of singular values a solo simulation's SVD has.
+        """
+        live_l, live_r = self.live[q], self.live[q + 2]
+        log.add_two(live_l, self.live[q + 1], live_r)
+        left, right = self.stacks[q], self.stacks[q + 1]
+        g, chi_l, _p, chi_m = left.shape
+        chi_r = right.shape[3]
         theta = np.matmul(
-            left_stack.reshape(g, chi_l * 2, chi_m),
-            right_stack.reshape(g, chi_m, 2 * chi_r),
+            left.reshape(g, chi_l * 2, chi_m), right.reshape(g, chi_m, 2 * chi_r)
         )
-        theta = np.matmul(
-            block.gates(gates)[:, None, :, :], theta.reshape(g, chi_l, 4, chi_r)
-        )
+        theta = np.matmul(gates[:, None, :, :], theta.reshape(g, chi_l, 4, chi_r))
         u, s, vh = _stacked_svd(theta.reshape(g, chi_l * 2, 2 * chi_r))
 
-        # Per-slice truncation: each member keeps exactly the rank a solo
-        # simulation would, then members regroup by their new bond.
+        # The padding adds zero singular values; rank each row on its own
+        # width only, so an exact-zero cutoff keeps what it keeps per point.
+        width = 2 * np.minimum(live_l, live_r)
+        if not (self.full[q] and self.full[q + 2]):
+            s = s * _prefix_masks(s.shape[1])[width]
         kept, weight = policy.select_ranks(s)
-        before = int(s.shape[1])
-        discarded[block.members] += weight
-        ranks = kept.tolist()
-        for member, k, w in zip(block.members.tolist(), ranks, weight.tolist()):
-            records[member].append(
-                TruncationRecord(
-                    kept=k,
-                    discarded=before - k,
-                    discarded_weight=w,
-                    bond_dimension_before=before,
-                    bond_dimension_after=k,
-                )
-            )
+        # The new bond's padded width: the whole SVD, or the policy's cap.
+        bond = s.shape[1]
+        if policy.max_bond_dim is not None:
+            bond = min(bond, policy.max_bond_dim)
+        self._set_live(q + 1, kept, bond)
+        self.stacks[q] = self._masked(u[:, :, :bond].reshape(g, chi_l, 2, bond), q)
+        self.stacks[q + 1] = self._masked(
+            (s[:, :bond, None] * vh[:, :bond, :]).reshape(g, bond, 2, chi_r), q + 1
+        )
+        self.center = q + 1
+        return kept, weight, width
 
-        groups = dict.fromkeys(ranks)  # distinct ranks, first occurrence first
-        for k in groups:
-            if len(groups) == 1:
-                sub_stacks = block.stacks
-                u_sub, s_sub, vh_sub = u, s, vh
-                sub_members = block.members
-            else:
-                sel = np.flatnonzero(kept == k)
-                sub_stacks = [
-                    st if site in (q, q + 1) else st[sel]
-                    for site, st in enumerate(block.stacks)
-                ]
-                u_sub, s_sub, vh_sub = u[sel], s[sel], vh[sel]
-                sub_members = block.members[sel]
-            g2 = len(sub_members)
-            sub_stacks[q] = u_sub[:, :, :k].reshape(g2, chi_l, 2, k)
-            # Same elementwise absorption of the singular values into the
-            # right factor as the per-point path (s[:, None, None] * vh).
-            sub_stacks[q + 1] = (
-                s_sub[:, :k, None] * vh_sub[:, :k, :]
-            ).reshape(g2, k, 2, chi_r)
-            new_blocks.append(_ChainBlock(sub_members, sub_stacks))
-    return new_blocks
+    def trimmed(self, row: int, live: List[List[int]]) -> List[np.ndarray]:
+        """Row ``row``'s site tensors cut to its live ranks (fresh arrays)."""
+        return [
+            stack[row, : live[site][row], :, : live[site + 1][row]].copy()
+            for site, stack in enumerate(self.stacks)
+        ]
 
 
 def _sweep(
     batch: GateStacks, policy: TruncationPolicy, log: GateShapeLog
 ) -> List[MPS]:
-    """Simulate one structure group in a single stacked sweep.
+    """Simulate one structure group in a single padded stacked sweep.
 
     Every member applies its own gate matrices to the same targets in the
     same order, so the sweep walks the shared op list once.  Returns the
-    states in batch order; see the module docstring for the
-    bit-identicality contract.
+    states in batch order; see the module docstring for the contract.
     """
     g = batch.num_circuits
-    num_qubits = batch.num_qubits
-    # The stacked |0...0> start: every site needs its own stack array
-    # because sites are updated independently during the sweep.
-    zero = np.zeros((g, 1, 2, 1), dtype=np.complex128)
-    zero[:, 0, 0, 0] = 1.0
-    blocks = [_ChainBlock(np.arange(g), [zero.copy() for _ in range(num_qubits)])]
-    discarded = np.zeros(g)
-    records: List[List[TruncationRecord]] = [[] for _ in range(g)]
-    center = 0
+    caps = bond_caps(batch.num_qubits, batch.targets, policy.max_bond_dim)
+    if max(caps) > MAX_PADDED_BOND:
+        return _encode_rows_alone(batch, policy, log)
+    block = _ChainBlock(g, batch.num_qubits)
+    kept_log, weight_log, width_log = [], [], []
     for qubits, gates in zip(batch.targets, batch.gates):
-        if len(qubits) == 1:
-            _apply_single(blocks, qubits[0], gates, log)
-            continue
-        if len(qubits) != 2 or qubits[1] != qubits[0] + 1:
-            raise SimulationError(
-                "batched encoding requires a routed circuit "
-                f"(adjacent two-qubit gates); got targets {qubits}"
-            )
         q = qubits[0]
-        center = _move_center(blocks, center, q)
-        blocks = _apply_two(blocks, q, gates, policy, log, discarded, records)
-        center = q + 1
+        if len(qubits) == 1:
+            block.apply_single(q, gates, log)
+            continue
+        block.move_center(q)
+        kept, weight, width = block.apply_two(q, gates, policy, log)
+        kept_log.append(kept)
+        weight_log.append(weight)
+        width_log.append(width)
 
-    two_qubit_gates = sum(1 for qubits in batch.targets if len(qubits) == 2)
-    states: List[MPS | None] = [None] * g
-    for block in blocks:
-        for slot, member in enumerate(block.members.tolist()):
-            tensors = [block.stacks[site][slot].copy() for site in range(num_qubits)]
-            state = MPS(tensors, truncation=policy, center=center)
-            state._cumulative_discarded_weight = float(discarded[member])
-            state._truncation_records = records[member]
-            state._gates_applied = len(batch.targets)
-            state._two_qubit_gates_applied = two_qubit_gates
-            states[member] = state
-    return [s for s in states if s is not None]
+    num_gates = len(batch.targets)
+    two_qubit_gates = len(kept_log)
+    live = [ranks.tolist() for ranks in block.live]
+    if two_qubit_gates:
+        kept_rows = np.stack(kept_log, axis=1).tolist()
+        width_rows = np.stack(width_log, axis=1).tolist()
+        weights = np.stack(weight_log, axis=1)
+        # Sequential left fold per row, as a solo simulation accumulates.
+        discarded = np.cumsum(weights, axis=1)[:, -1].tolist()
+        weight_rows = weights.tolist()
+    states: List[MPS] = []
+    for row in range(g):
+        state = MPS(block.trimmed(row, live), truncation=policy, center=block.center)
+        if two_qubit_gates:
+            state._cumulative_discarded_weight = discarded[row]
+            state._truncation_records = [
+                TruncationRecord(
+                    kept=kept,
+                    discarded=width - kept,
+                    discarded_weight=weight,
+                    bond_dimension_before=width,
+                    bond_dimension_after=kept,
+                )
+                for kept, width, weight in zip(
+                    kept_rows[row], width_rows[row], weight_rows[row]
+                )
+            ]
+        state._gates_applied = num_gates
+        state._two_qubit_gates_applied = two_qubit_gates
+        states.append(state)
+    return states
+
+
+def _encode_rows_alone(
+    batch: GateStacks, policy: TruncationPolicy, log: GateShapeLog
+) -> List[MPS]:
+    """Simulate each row by itself with :class:`MPS` (no padding).
+
+    For structures whose padded bonds would exceed :data:`MAX_PADDED_BOND`.
+    Shapes are logged as :meth:`repro.backends.Backend.simulate` prices them
+    (before the gate's own centre move).
+    """
+    states = []
+    for i in range(len(batch)):
+        state = MPS.zero_state(batch.num_qubits, policy)
+        for qubits, gate in batch.row(i):
+            dims = [1, *state.bond_dimensions, 1]
+            q = qubits[0]
+            legs = dims[q : q + len(qubits) + 1]
+            if len(qubits) == 1:
+                log.add_single(*np.array(legs)[:, None])
+            else:
+                log.add_two(*np.array(legs)[:, None])
+            state.apply_gate(qubits, gate)
+        states.append(state)
+    return states
 
 
 def encode_circuits(
@@ -372,15 +489,15 @@ def encode_circuits(
     policy: TruncationPolicy | None = None,
     log: GateShapeLog | None = None,
 ) -> List[MPS]:
-    """Simulate a batch of routed circuits through stacked gate sweeps.
+    """Simulate a batch of routed circuits through padded stacked sweeps.
 
     ``circuits`` is either a :class:`GateStacks` batch (one sweep) or a
     sequence of circuits, which are grouped by
     :func:`circuit_structure_signature` and stacked (:func:`stack_circuits`)
-    so each group runs its own straight sweep; states that diverge in bond
-    dimension regroup on the fly.  Mixed-structure batches are therefore
-    supported, and every resulting MPS is bit-identical to simulating its
-    circuit alone.
+    so each group runs its own straight sweep.  Mixed-structure batches are
+    therefore supported.  Every resulting MPS depends on its own circuit
+    only, byte for byte, and is within rounding of simulating that circuit
+    with :meth:`MPS.apply_circuit` (see the module docstring).
 
     Parameters
     ----------
@@ -391,8 +508,8 @@ def encode_circuits(
         Shared truncation policy (the paper's machine-precision default when
         omitted).
     log:
-        Optional :class:`GateShapeLog` that accumulates per-gate tensor
-        shapes for backend cost models.
+        Optional :class:`GateShapeLog` that accumulates per-row gate shapes
+        for backend cost models.
 
     Returns
     -------

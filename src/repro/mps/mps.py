@@ -340,7 +340,7 @@ class MPS:
         # stays left-isometric and the centre moves to ``qubit + 1``.
         # Canonical C-contiguous layout: einsum picks its summation order by
         # memory layout, so a truncated-slice view here would make downstream
-        # overlaps differ in the last ulp from batch-encoded states.
+        # overlaps depend on how the tensor was sliced.
         self._tensors[qubit] = np.ascontiguousarray(u)
         self._tensors[qubit + 1] = np.ascontiguousarray(s[:, None, None] * vh)
         if canonicalize:

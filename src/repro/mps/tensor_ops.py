@@ -91,7 +91,8 @@ def rq_left(tensor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     A = R~^H Q~^H``: any isometric split serves canonicalisation equally
     well, and ``np.linalg.qr`` -- unlike scipy's RQ -- has a stacked gufunc
     whose per-slice factors are bit-identical to this single-matrix call,
-    which is what keeps batch-encoded states byte-equal to per-point ones.
+    so a stacked encoding sweep factors each row independently of the rest
+    of its stack.
     Factors are returned C-contiguous because the GEMM/einsum calls
     downstream pick their summation order by memory layout.
     """
@@ -111,8 +112,9 @@ def stacked_qr_right(stacks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``(g, k, r)``.  ``np.linalg.qr`` is a gufunc whose per-slice factors are
     bit-identical to the single-matrix call, so pushing a whole stack's
     orthogonality centres rightward in one call produces exactly the tensors
-    ``g`` per-point :func:`qr_right` calls would -- the invariant the batched
-    encoding sweep relies on.
+    ``g`` separate :func:`qr_right` calls on the same slices would -- a
+    row's factors never depend on the rest of the stack, the invariant the
+    batched encoding sweep relies on.
     """
     g, left, phys, right = stacks.shape
     qs, rs = np.linalg.qr(stacks.reshape(g, left * phys, right))
@@ -147,9 +149,8 @@ def apply_single_qubit_gate(tensor: np.ndarray, gate: np.ndarray) -> np.ndarray:
     virtual bond dimension.
 
     Expressed as a broadcast ``matmul`` (one ``(2, 2) @ (2, r)`` product per
-    left-bond slice) so the batched encoding sweep -- which stacks many
-    states along a leading axis and issues the identical gufunc call -- is
-    bit-for-bit equal to this per-point path.
+    left-bond slice), the same gufunc the batched encoding sweep issues on
+    many states stacked along a leading axis.
     """
     # T'[l, p', r] = sum_p G[p', p] T[l, p, r]
     return np.matmul(gate, tensor)
@@ -160,7 +161,7 @@ def merge_sites(left_tensor: np.ndarray, right_tensor: np.ndarray) -> np.ndarray
 
     ``left_tensor`` has shape ``(l, 2, m)`` and ``right_tensor`` has shape
     ``(m, 2, r)``; the result has shape ``(l, 2, 2, r)``.  Formulated as one
-    GEMM so the stacked (batched-encoding) sweep reproduces it bitwise.
+    GEMM, the product the stacked (batched-encoding) sweep issues per row.
     """
     left, phys, mid = left_tensor.shape
     mid_r, phys_r, right = right_tensor.shape

@@ -163,6 +163,39 @@ def coalescer_gate(monkeypatch):
     gate.release()
 
 
+#: Largest ``1 - |<a|b>|^2`` allowed between a batch-encoded state and its
+#: per-point ``MPS.apply_circuit`` simulation under an exact policy: the
+#: stacked sweep pads every row to shapes its ansatz fixes, so its
+#: factorisations round differently, but only at double precision.
+ENCODE_INFIDELITY_TOL = 1e-12
+
+
+def assert_states_close(actual, expected, tol=ENCODE_INFIDELITY_TOL):
+    """Encoded states against their per-point oracle.
+
+    Same site-tensor shapes and kept ranks, and ``1 - |<a|e>|^2 / (<a|a>
+    <e|e>)`` at most ``tol`` -- or, under a lossy policy, at most the two
+    states' own discarded weight (a cut inside a degenerate singular-value
+    cluster may keep a different basis of it).
+    """
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert [t.shape for t in a.tensors] == [t.shape for t in e.tensors]
+        assert [r.kept for r in a.truncation_records] == [
+            r.kept for r in e.truncation_records
+        ]
+        overlap = abs(a.inner_product(e)) ** 2
+        norms = abs(a.inner_product(a)) * abs(e.inner_product(e))
+        budget = a.cumulative_discarded_weight + e.cumulative_discarded_weight
+        assert 1.0 - overlap / norms <= max(tol, budget)
+
+
+@pytest.fixture(scope="session")
+def states_close():
+    """:func:`assert_states_close`, for suites that check encodes."""
+    return assert_states_close
+
+
 @pytest.fixture
 def rng():
     """Deterministic NumPy generator for tests that need randomness."""

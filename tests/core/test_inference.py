@@ -131,3 +131,25 @@ def test_nystroem_backed_inference(small_dataset):
     from repro.svm import roc_auc_score
 
     assert roc_auc_score(y_test, engine.decision_function(X_test)) > 0.6
+
+
+def test_fit_hands_the_gram_block_to_decision_function(rng, monkeypatch):
+    """A 20-row exact fit stacks its training states once: the Gram's block
+    is the one every later ``decision_function`` sweeps against."""
+    from repro.engine import StackedStateBlock
+
+    built = []
+    init = StackedStateBlock.__init__
+
+    def counting_init(self, states):
+        built.append(len(states))
+        init(self, states)
+
+    monkeypatch.setattr(StackedStateBlock, "__init__", counting_init)
+    ansatz = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.5)
+    X = rng.uniform(-1.0, 1.0, size=(20, 4))
+    model = QuantumKernelInferenceEngine(ansatz).fit(X, np.arange(20) % 2)
+    first = model.decision_function(X[:3])
+    assert built == [20]
+    assert model.decision_function(X[:3]).tobytes() == first.tobytes()
+    assert built == [20]

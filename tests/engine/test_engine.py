@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backends import CpuBackend
-from repro.config import AnsatzConfig
+from repro.config import AnsatzConfig, SimulationConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import (
     EngineConfig,
@@ -13,7 +13,7 @@ from repro.engine import (
     StateStore,
     batched_overlaps,
 )
-from repro.exceptions import EngineError, KernelError
+from repro.exceptions import ConfigurationError, EngineError, KernelError, ReproError
 
 
 @pytest.fixture
@@ -181,3 +181,18 @@ def test_cross_block_sweep_byte_identical_to_pair_path(train_parts):
     sweep = block.overlaps(rows)
     pairs = batched_overlaps([(row, state) for row in rows for state in states])
     assert sweep.tobytes() == pairs.tobytes()
+
+
+def test_worker_kwargs_name_a_setting_the_release_does_not_know(ansatz):
+    """A payload written when ``SimulationConfig`` still had
+    ``canonicalize_before_truncation`` is refused with a library error that
+    names the key, not a bare ``TypeError``."""
+    old = dict(SimulationConfig().to_dict(), canonicalize_before_truncation=True)
+    with pytest.raises(ConfigurationError, match="canonicalize_before_truncation"):
+        KernelEngine.from_worker_kwargs(ansatz.to_dict(), old)
+    with pytest.raises(ReproError, match="warp"):
+        KernelEngine.from_worker_kwargs(dict(ansatz.to_dict(), warp=1), {})
+    engine = KernelEngine.from_worker_kwargs(
+        ansatz.to_dict(), SimulationConfig().to_dict()
+    )
+    assert engine.fingerprint == KernelEngine(ansatz).fingerprint

@@ -3,8 +3,8 @@
 A flush encodes its rows (store hits first, then one stacked sweep of the
 misses) and overlaps them with the pre-stacked landmark block.  Every test
 here checks that against two oracles kept in the tests: the per-pair overlap
-of per-point simulated states, and the hit/miss counts of encoding the same
-rows one at a time with ``encode_row``.
+of states each encoded alone with ``encode_row``, and the hit/miss counts of
+encoding the same rows one at a time.
 """
 
 import numpy as np
@@ -52,9 +52,9 @@ def train_parts():
 
 
 def _per_pair_oracle(X, states):
-    """``|<row|train>|^2`` per pair, each row simulated on its own."""
+    """``|<row|train>|^2`` per pair, each row encoded on its own."""
     engine = _engine(use_cache=False)
-    rows = [engine.simulate_row(row).state for row in X]
+    rows = [engine.encode_row(row) for row in X]
     values = batched_overlaps([(row, state) for row in rows for state in states])
     K = (np.abs(values) ** 2).reshape(len(rows), len(states))
     exact = np.array([[abs(r.inner_product(s)) ** 2 for s in states] for r in rows])

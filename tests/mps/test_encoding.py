@@ -18,6 +18,7 @@ from repro.mps import (
     encode_circuits,
     group_circuits_by_structure,
 )
+from repro.mps.encoding import MAX_PADDED_BOND, bond_caps
 
 
 def _reference_state(circuit, policy=None):
@@ -26,13 +27,8 @@ def _reference_state(circuit, policy=None):
     return state
 
 
-def _assert_states_bit_identical(actual, expected):
-    assert len(actual) == len(expected)
-    for a, e in zip(actual, expected):
-        assert a.num_qubits == e.num_qubits
-        for ta, te in zip(a.tensors, e.tensors):
-            assert ta.shape == te.shape
-            assert ta.tobytes() == te.tobytes()
+def _state_bytes(states):
+    return [tuple(t.tobytes() for t in s.tensors) for s in states]
 
 
 # ----------------------------------------------------------------------
@@ -62,13 +58,16 @@ def test_different_ansatz_configs_split_structures(rng):
 
 
 # ----------------------------------------------------------------------
-# Bit-identicality to per-point simulation
+# Per-point simulation is the oracle, to rounding; a row alone is the
+# oracle byte for byte
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "distance,features,layers",
     [(1, 4, 2), (2, 6, 2), (3, 8, 1), (2, 5, 3)],
 )
-def test_encode_circuits_bit_identical_to_per_point(rng, distance, features, layers):
+def test_encode_circuits_matches_per_point(
+    rng, states_close, distance, features, layers
+):
     ansatz = AnsatzConfig(
         num_features=features,
         interaction_distance=distance,
@@ -78,13 +77,15 @@ def test_encode_circuits_bit_identical_to_per_point(rng, distance, features, lay
     X = rng.uniform(0.05, 1.95, size=(7, features))
     circuits = [build_feature_map_circuit(row, ansatz) for row in X]
     batched = encode_circuits(circuits)
-    _assert_states_bit_identical(batched, [_reference_state(c) for c in circuits])
+    states_close(batched, [_reference_state(c) for c in circuits])
+    alone = [encode_circuits([c])[0] for c in circuits]
+    assert _state_bytes(batched) == _state_bytes(alone)
 
 
-def test_truncation_divergence_regroups_and_stays_identical(rng):
+def test_truncation_divergence_keeps_per_row_ranks(rng, states_close):
     # Features equal to 1.0 zero the RXX angles, so those members keep a
-    # smaller bond dimension and must split off into their own shape group
-    # mid-sweep.
+    # smaller bond dimension than their neighbours in the same padded
+    # stack.
     ansatz = AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.8)
     X = rng.uniform(0.05, 1.95, size=(10, 6))
     X[2] = 1.0
@@ -93,16 +94,18 @@ def test_truncation_divergence_regroups_and_stays_identical(rng):
     circuits = [build_feature_map_circuit(row, ansatz) for row in X]
     batched = encode_circuits(circuits)
     assert len({s.max_bond_dimension for s in batched}) > 1
-    _assert_states_bit_identical(batched, [_reference_state(c) for c in circuits])
+    states_close(batched, [_reference_state(c) for c in circuits])
+    assert _state_bytes(batched) == _state_bytes(
+        [encode_circuits([c])[0] for c in circuits]
+    )
 
 
-def test_regrouped_blocks_keep_first_occurrence_order():
-    """After a split, the group holding the lowest member index goes first.
+def test_log_prices_each_rows_live_shapes():
+    """One stacked launch per gate; each row is priced at its own shapes.
 
     Rows 0 and 2 entangle (CNOT after H keeps rank 2) and row 1 does not
-    (identity keeps rank 1), so the last gate is logged for the rank-2 block
-    (2 members) before the rank-1 block: the log, and with it the modelled
-    seconds, do not depend on how the ranks sort.
+    (identity keeps rank 1), so the last single-qubit gate meets bond 2 on
+    two rows and bond 1 on one, inside one padded stack.
     """
     h = np.broadcast_to(gates.hadamard(), (3, 2, 2))
     entanglers = np.stack([gates.cnot(), np.eye(4, dtype=complex), gates.cnot()])
@@ -114,11 +117,21 @@ def test_regrouped_blocks_keep_first_occurrence_order():
     )
     log = GateShapeLog()
     states = encode_circuits(batch, log=log)
-    assert log.entries[-2:] == [("1q", 2, 2, 1), ("1q", 1, 1, 1)]
+    assert log.stacked_launches == 3
+    assert log.entries == [
+        ("1q", 4, 1, 1),
+        ("1q", 2, 2, 1),
+        ("2q", 3, 1, 1, 1),
+    ]
     assert [s.max_bond_dimension for s in states] == [2, 1, 2]
+    assert [[t.shape for t in s.tensors] for s in states] == [
+        [(1, 2, 2), (2, 2, 1)],
+        [(1, 2, 1), (1, 2, 1)],
+        [(1, 2, 2), (2, 2, 1)],
+    ]
 
 
-def test_mixed_structure_batch(rng):
+def test_mixed_structure_batch(rng, states_close):
     a1 = AnsatzConfig(num_features=5, interaction_distance=1, layers=1, gamma=0.6)
     a2 = AnsatzConfig(num_features=5, interaction_distance=2, layers=2, gamma=0.6)
     rows = rng.uniform(0.1, 1.9, size=(6, 5))
@@ -129,7 +142,7 @@ def test_mixed_structure_batch(rng):
     log = GateShapeLog()
     batched = encode_circuits(circuits, log=log)
     assert log.structure_groups == 2
-    _assert_states_bit_identical(batched, [_reference_state(c) for c in circuits])
+    states_close(batched, [_reference_state(c) for c in circuits])
 
 
 def test_accounting_matches_per_point(rng):
@@ -150,13 +163,11 @@ def test_accounting_matches_per_point(rng):
         assert state.truncation_records == reference.truncation_records
 
 
-def test_empty_and_single_circuit():
+def test_empty_and_single_circuit(states_close):
     assert encode_circuits([]) == []
     ansatz = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.5)
     circuit = build_feature_map_circuit(np.full(4, 0.7), ansatz)
-    _assert_states_bit_identical(
-        encode_circuits([circuit]), [_reference_state(circuit)]
-    )
+    states_close(encode_circuits([circuit]), [_reference_state(circuit)])
 
 
 def test_unrouted_circuit_raises():
@@ -177,7 +188,7 @@ def circuits(rng):
     return [build_feature_map_circuit(row, ansatz) for row in X]
 
 
-def test_simulate_batch_counters_match_per_point(circuits):
+def test_simulate_batch_counters_match_per_point(circuits, states_close):
     loop_backend = CpuBackend()
     for circuit in circuits:
         loop_backend.simulate(circuit)
@@ -192,9 +203,7 @@ def test_simulate_batch_counters_match_per_point(circuits):
     assert result.modelled_time_s == pytest.approx(
         loop_backend.modelled_simulation_time_s, rel=1e-12
     )
-    _assert_states_bit_identical(
-        list(result.states), [loop_backend.simulate(c).state for c in circuits]
-    )
+    states_close(list(result.states), [loop_backend.simulate(c).state for c in circuits])
 
 
 def test_simulate_batch_rejects_initial_state(circuits):
@@ -214,3 +223,20 @@ def test_simulate_batch_track_memory_falls_back(circuits):
     result = backend.simulate_batch(circuits)
     assert all(isinstance(s, InstrumentedMPS) for s in result.states)
     assert all(len(s.trace) == c.num_gates for s, c in zip(result.states, circuits))
+
+
+def test_wide_structures_encode_row_by_row(rng):
+    """Past ``MAX_PADDED_BOND`` a structure is not padded: each row runs
+    alone through ``MPS``, byte-equal to ``apply_circuit``, and its shapes
+    are still logged per row."""
+    ansatz = AnsatzConfig(num_features=12, interaction_distance=2, layers=2, gamma=0.3)
+    circuits = [
+        build_feature_map_circuit(row, ansatz)
+        for row in rng.uniform(0.1, 1.9, size=(2, 12))
+    ]
+    targets = [op.qubits for op in circuits[0].operations]
+    assert max(bond_caps(12, targets)) > MAX_PADDED_BOND
+    log = GateShapeLog()
+    states = encode_circuits(circuits, log=log)
+    assert _state_bytes(states) == _state_bytes([_reference_state(c) for c in circuits])
+    assert sum(entry[1] for entry in log.entries) == 2 * len(targets)

@@ -2,8 +2,9 @@
 
 A batch may mix circuits of *different* structures; :func:`encode_circuits`
 runs one stacked sweep per structure group.  However the batch is composed or
-interleaved with cache hits, every returned state is bit-identical to
-per-point :meth:`MPS.apply_circuit` simulation.
+interleaved with cache hits, every returned state is byte-identical to its
+circuit encoded alone, and within rounding of per-point
+:meth:`MPS.apply_circuit` simulation.
 """
 
 from repro.circuits import build_feature_map_circuit
@@ -44,12 +45,13 @@ def _blobs(states):
     return [tuple(t.tobytes() for t in s.tensors) for s in states]
 
 
-def test_mixed_structure_batch_bit_identical_to_per_point(rng):
+def test_mixed_structure_batch_matches_per_point(rng, states_close):
     circuits = _mixed_circuits(rng)
     log = GateShapeLog()
     batched = encode_circuits(circuits, log=log)
     assert log.structure_groups == 3
-    assert _blobs(batched) == _blobs(_reference_states(circuits))
+    states_close(batched, _reference_states(circuits))
+    assert _blobs(batched) == _blobs([encode_circuits([c])[0] for c in circuits])
 
 
 def test_cache_occupancy_does_not_change_tree_states(rng):

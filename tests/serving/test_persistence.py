@@ -345,3 +345,43 @@ def test_wrapper_delegates_store_surface(tmp_path):
     store.clear()
     assert len(store) == 0
     assert store.load_entries(other.dump_entries()) == 1
+
+
+# ----------------------------------------------------------------------
+# Encoder contract
+# ----------------------------------------------------------------------
+#: The simulation fingerprint of the per-point-exact encoder this tier used
+#: to persist, and the same string without its long-gone dead field: a
+#: snapshot under either holds states of another encoder.
+OLD_ENCODER_FINGERPRINTS = [
+    "sim:allow_lossy_cap=False;canonicalize_before_truncation=True;"
+    "dtype='complex128';max_bond_dim=None;track_memory=False;truncation_cutoff=1e-16",
+    "sim:allow_lossy_cap=False;dtype='complex128';max_bond_dim=None;"
+    "track_memory=False;truncation_cutoff=1e-16",
+]
+
+
+@pytest.mark.parametrize("old_sim_fp", OLD_ENCODER_FINGERPRINTS)
+def test_snapshot_of_another_encoder_is_refused(payload, queries, tmp_path, old_sim_fp):
+    from repro.engine import state_key
+
+    clf, store = _durable_classifier(payload, tmp_path)
+    engine = clf.feature_map.engine
+    ansatz_fp, sim_fp = engine.fingerprint.split("|")
+    assert "encoder=" in sim_fp and sim_fp != old_sim_fp
+    # The old tier: the same rows simulated per point, keyed and stamped the
+    # way the old encoder did.
+    rows = clf.scaler.transform(queries)
+    old = PersistentStateStore(tmp_path, fingerprint=f"{ansatz_fp}|{old_sim_fp}")
+    for row in rows:
+        old.put(state_key(row, ansatz_fp, old_sim_fp), engine.simulate_row(row).state)
+    old.snapshot()
+
+    with pytest.raises(PersistenceError, match="fingerprint"):
+        store.restore()
+    with pytest.raises(PersistenceError, match="fingerprint"):
+        store.warm_up()
+    assert len(store) == 0
+    result = clf.classify(queries)
+    assert result.num_simulations == len(queries)
+    assert result.cache_hits == 0

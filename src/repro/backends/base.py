@@ -287,9 +287,10 @@ class Backend(abc.ABC):
         sequence of circuits, grouped by structure signature (same gate
         targets in the same order -- all feature-map circuits from one
         ansatz qualify).  Each group is swept straight through with one
-        stacked gufunc per gate (:func:`repro.mps.encoding.encode_circuits`)
-        at padded shapes the structure fixes, truncating each row on its own
-        singular values.  Every resulting state depends on its own circuit
+        stacked gufunc per gate and clamp block
+        (:func:`repro.mps.encoding.encode_circuits`) at padded shapes the
+        structure and the row's own ranks fix, truncating each row on its
+        own singular values.  Every resulting state depends on its own circuit
         alone, **byte for byte**, so callers may batch, split or reorder
         encodes freely without moving a single bit of any downstream kernel
         entry; it is within rounding of :meth:`simulate` on the same circuit

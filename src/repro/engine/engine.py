@@ -259,9 +259,9 @@ class KernelEngine:
         already in the state store are served from it and **only the misses**
         are simulated, all in one sweep per ``encode_batch_size`` chunk.
         A row's state depends on the row alone (the sweep pads every row to
-        shapes its ansatz fixes), so the returned states are byte-identical
-        under any cache occupancy, chunking, batch composition or order, and
-        to :meth:`encode_row`.
+        shapes its ansatz and its own ranks fix), so the returned states are
+        byte-identical under any cache occupancy, chunking, batch
+        composition or order, and to :meth:`encode_row`.
         """
         X = self.validate_features(X)
         if X.shape[0] == 1:

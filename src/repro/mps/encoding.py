@@ -14,11 +14,12 @@ a stack of tensors, fed by one ``(g, d, d)`` gate stack per operation
   structures still work and each group runs its own straight sweep;
 * every row's site tensors are zero-padded to one width per bond and step:
   the width an untruncated simulation of the structure gives that bond at
-  that point of the sweep, never past the policy's ``max_bond_dim``.  The
-  widths come from the gate targets, never from the batch or the data, so a
-  whole group is one ``(g, l, 2, r)`` stack per site for the entire sweep:
-  single- and two-qubit contractions are broadcast ``matmul`` gufuncs, each
-  QR centre move and each post-gate SVD one stacked LAPACK gufunc call;
+  that point of the sweep, clamped to the row's block clamp (below) and
+  never past the policy's ``max_bond_dim``.  The widths come from the gate
+  targets and the clamp, never from the batch or the data, so all rows of a
+  block are one ``(g, l, 2, r)`` stack per site: single- and two-qubit
+  contractions are broadcast ``matmul`` gufuncs, each QR centre move and
+  each post-gate SVD one stacked LAPACK gufunc call;
 * truncation is decided **per row**: the stack's singular values go through
   :meth:`TruncationPolicy.select_ranks`, whose row ``i`` is the
   :meth:`~TruncationPolicy.select_rank` a solo simulation would run on that
@@ -28,17 +29,22 @@ a stack of tensors, fed by one ``(g, d, d)`` gate stack per operation
   ever meet zero rows (columns) of ``R`` -- are zeroed as well.  Each row
   therefore carries its *live* bond dimensions, exactly the shapes per-point
   simulation would give it, inside the padding, and every state is trimmed
-  to its live ranks at the end.
-
-Structures whose bonds could grow past :data:`MAX_PADDED_BOND`
-(:func:`bond_caps`; wide registers with deep entanglers) are not padded:
-each row is simulated alone by :class:`~repro.mps.MPS`, which is equally a
-function of the row alone.
+  to its live ranks at the end;
+* the structure's bounds (:func:`bond_caps`) grow like ``2 ** (n / 2)`` on
+  wide registers, while the ranks truncation keeps stay far lower (11 to 13
+  at interaction distance 2 from 8 to 16 qubits), so every row starts in a
+  block whose bonds are clamped to :data:`FIRST_CLAMP`.  A row whose kept
+  rank outgrows its clamp at some gate moves, with its untruncated split,
+  to the block of the next rung of :func:`clamp_ladder` (twice the clamp
+  holds every rank the gate can produce), zero-padded to that block's
+  shapes, and carries on there.  A chunk thus holds one block per rung in
+  use, at most ``len(clamp_ladder(...))``.
 
 Encoding contract
 -----------------
-*A row's state is a function of the row alone.*  Every operation of the
-sweep acts on one row's slice at shapes the structure fixes, and NumPy
+*A row's state is a function of the row alone.*  Every operation acts on
+one row's slice at shapes the structure and the row's clamp fix, the gate
+at which a row changes block is decided on its own slice, and NumPy
 evaluates gufunc slices independently of how many ride in one call, so a
 row's site tensors are byte-identical however the batch was composed,
 chunked, permuted or partitioned -- alone (``g = 1``) or with any
@@ -81,13 +87,17 @@ __all__ = [
     "GateStacks",
     "stack_circuits",
     "GateShapeLog",
-    "MAX_PADDED_BOND",
+    "FIRST_CLAMP",
     "bond_caps",
+    "clamp_ladder",
     "encode_circuits",
 ]
 
-#: Largest padded bond of a stacked sweep; wider structures encode per row.
-MAX_PADDED_BOND = 32
+#: Bond clamp every row starts under.  It holds every rank the
+#: interaction-distance-1 and -2 ansatze keep (at most 13 measured from 8 to
+#: 16 qubits), so their rows never change block; it is also the widest bond
+#: of the 8-qubit ansatz, so that sweep is not clamped at all.
+FIRST_CLAMP = 16
 
 
 def circuit_structure_signature(circuit) -> Tuple:
@@ -208,7 +218,8 @@ class GateShapeLog:
 
     @property
     def stacked_launches(self) -> int:
-        """Number of stacked gate applications issued (fewer = more sharing)."""
+        """Stacked gate applications issued, one per gate and clamp block
+        (fewer = more sharing)."""
         return len(self.singles) + len(self.twos)
 
 
@@ -219,7 +230,8 @@ def bond_caps(
 ) -> List[int]:
     """Largest dimension each of the ``num_qubits + 1`` bonds can reach.
 
-    This is the largest padded width a stacked sweep of the structure uses.
+    They bound every block's padded widths; the last rung of
+    :func:`clamp_ladder` is their maximum.
     Walks the gate targets the way per-point simulation shapes its tensors:
     a two-qubit gate on ``(q, q + 1)`` splits a ``2 chi_q x 2 chi_{q+2}``
     matrix, so bond ``q + 1`` can grow to ``min(2 chi_q, 2 chi_{q+2})``, and
@@ -249,6 +261,16 @@ def bond_caps(
     return caps
 
 
+def clamp_ladder(widest: int) -> List[int]:
+    """Bond clamps of the blocks a sweep over a structure whose widest bond
+    is ``widest`` may hold: :data:`FIRST_CLAMP`, doubled until the last
+    clamps nothing."""
+    ladder = [min(FIRST_CLAMP, widest)]
+    while ladder[-1] < widest:
+        ladder.append(min(2 * ladder[-1], widest))
+    return ladder
+
+
 @lru_cache(maxsize=None)
 def _prefix_masks(width: int) -> np.ndarray:
     """``(width + 1, width)`` table whose row ``k`` is ``k`` ones, then zeros."""
@@ -275,12 +297,15 @@ def _stacked_svd(mats: np.ndarray):
 
 
 class _ChainBlock:
-    """A structure group's stacked chain at padded, row-independent shapes.
+    """The rows of a structure group that share one bond clamp.
 
     ``stacks[site]`` has shape ``(g, l, 2, r)``, where ``l`` and ``r`` are
     the bond widths an untruncated simulation of the structure has at this
-    point of the sweep (capped by ``max_bond_dim``): they depend on the gate
-    targets only, so every gate is one gufunc call on the whole group.
+    point of the sweep, clamped to ``clamp`` (and to ``max_bond_dim``)
+    (:func:`_padded_bonds`): they depend on the gate targets and the clamp
+    only, so every gate is one gufunc call on the whole block.  ``rows``
+    maps the block's slices to batch positions, ascending (so a block
+    holding all ``g`` rows reads the batch's gate stacks as they are).
     ``live[bond]`` holds each row's live dimension of ``bond`` -- the width
     a solo simulation of that row would have -- and every entry outside a
     row's live block is exactly zero.  ``full[bond]`` says every row fills
@@ -288,14 +313,51 @@ class _ChainBlock:
     entries are replaced, never mutated, so the shape log may keep them.
     """
 
-    def __init__(self, num_rows: int, num_qubits: int) -> None:
-        zero = np.zeros((num_rows, 1, 2, 1), dtype=np.complex128)
+    def __init__(
+        self,
+        rows: np.ndarray,
+        clamp: int,
+        stacks: List[np.ndarray],
+        live: List[np.ndarray],
+        center: int,
+    ) -> None:
+        self.rows = rows
+        self.clamp = clamp
+        self.stacks = stacks
+        self.live = live
+        widths = [stack.shape[1] for stack in stacks] + [stacks[-1].shape[3]]
+        self.full = [bool(ranks.min() == w) for ranks, w in zip(live, widths)]
+        self.center = center
+
+    @classmethod
+    def zero_state(cls, rows: np.ndarray, num_qubits: int, clamp: int) -> "_ChainBlock":
+        zero = np.zeros((len(rows), 1, 2, 1), dtype=np.complex128)
         zero[:, 0, 0, 0] = 1.0  # |0...0>
         # Every site needs its own array: sites are updated independently.
-        self.stacks = [zero.copy() for _ in range(num_qubits)]
-        self.live = [np.ones(num_rows, dtype=np.intp)] * (num_qubits + 1)
-        self.full = [True] * (num_qubits + 1)
-        self.center = 0
+        stacks = [zero.copy() for _ in range(num_qubits)]
+        live = [np.ones(len(rows), dtype=np.intp)] * (num_qubits + 1)
+        return cls(rows, clamp, stacks, live, center=0)
+
+    def take(self, mask: np.ndarray) -> "_ChainBlock":
+        """A new block of the rows ``mask`` selects."""
+        return _ChainBlock(
+            self.rows[mask],
+            self.clamp,
+            [stack[mask] for stack in self.stacks],
+            [ranks[mask] for ranks in self.live],
+            self.center,
+        )
+
+    def absorb(self, other: "_ChainBlock") -> None:
+        """Merge in ``other``'s rows (same clamp, same step, same shapes),
+        keeping ``rows`` ascending."""
+        order = np.argsort(np.concatenate([self.rows, other.rows]))
+        self.rows = np.concatenate([self.rows, other.rows])[order]
+        self.stacks = [
+            np.concatenate(pair)[order] for pair in zip(self.stacks, other.stacks)
+        ]
+        self.live = [np.concatenate(pair)[order] for pair in zip(self.live, other.live)]
+        self.full = [a and b for a, b in zip(self.full, other.full)]
 
     def _set_live(self, bond: int, ranks: np.ndarray, width: int) -> None:
         self.live[bond] = ranks
@@ -355,13 +417,24 @@ class _ChainBlock:
             )
             self.center = i - 1
 
+    def trimmed(self, row: int, live: List[List[int]]) -> List[np.ndarray]:
+        """Row ``row``'s site tensors cut to its live ranks (fresh arrays)."""
+        return [
+            stack[row, : live[site][row], :, : live[site + 1][row]].copy()
+            for site, stack in enumerate(self.stacks)
+        ]
+
     def apply_two(
         self, q: int, gates: np.ndarray, policy: TruncationPolicy, log: GateShapeLog
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, "_ChainBlock | None"]:
         """Merge + gate + SVD + per-row truncation on sites ``(q, q + 1)``.
 
         Returns each row's ``(kept, discarded_weight, width)``, ``width``
-        being the number of singular values a solo simulation's SVD has.
+        being the number of singular values a solo simulation's SVD has, for
+        the rows the block held on entry.  Rows that keep more than the new
+        bond's clamped width leave the block; they come back as a block of
+        their own at their untruncated split (:meth:`_split_off`), or
+        ``None`` when every row fits.
         """
         live_l, live_r = self.live[q], self.live[q + 2]
         log.add_two(live_l, self.live[q + 1], live_r)
@@ -380,107 +453,210 @@ class _ChainBlock:
         if not (self.full[q] and self.full[q + 2]):
             s = s * _prefix_masks(s.shape[1])[width]
         kept, weight = policy.select_ranks(s)
-        # The new bond's padded width: the whole SVD, or the policy's cap.
-        bond = s.shape[1]
+        # The new bond's padded width: the whole SVD, the policy's cap or
+        # the block's clamp.
+        bond = min(s.shape[1], self.clamp)
         if policy.max_bond_dim is not None:
             bond = min(bond, policy.max_bond_dim)
+        out = (kept, weight, width)
+        over = kept > bond
+        leavers = None
+        if over.any():
+            leavers = self._split_off(over, q, u, s, vh, kept)
+            stay = ~over
+            u, s, vh, kept = u[stay], s[stay], vh[stay], kept[stay]
+            g = len(self.rows)
+            if not g:
+                return (*out, leavers)
         self._set_live(q + 1, kept, bond)
         self.stacks[q] = self._masked(u[:, :, :bond].reshape(g, chi_l, 2, bond), q)
         self.stacks[q + 1] = self._masked(
             (s[:, :bond, None] * vh[:, :bond, :]).reshape(g, bond, 2, chi_r), q + 1
         )
         self.center = q + 1
-        return kept, weight, width
+        return (*out, leavers)
 
-    def trimmed(self, row: int, live: List[List[int]]) -> List[np.ndarray]:
-        """Row ``row``'s site tensors cut to its live ranks (fresh arrays)."""
-        return [
-            stack[row, : live[site][row], :, : live[site + 1][row]].copy()
-            for site, stack in enumerate(self.stacks)
-        ]
+    def _split_off(
+        self,
+        over: np.ndarray,
+        q: int,
+        u: np.ndarray,
+        s: np.ndarray,
+        vh: np.ndarray,
+        kept: np.ndarray,
+    ) -> "_ChainBlock":
+        """Remove rows ``over`` and return them as a block holding their
+        whole split of sites ``(q, q + 1)``, for :func:`_widened`."""
+        _g, chi_l, _p, _m = self.stacks[q].shape
+        chi_r = self.stacks[q + 1].shape[3]
+        width = s.shape[1]
+        leavers = self.take(over)
+        leavers.stacks[q] = u[over].reshape(-1, chi_l, 2, width)
+        leavers.stacks[q + 1] = (s[over, :, None] * vh[over]).reshape(
+            -1, width, 2, chi_r
+        )
+        leavers.live[q + 1] = kept[over]
+        leavers.center = q + 1
+        stay = ~over
+        self.rows = self.rows[stay]
+        self.stacks = [stack[stay] for stack in self.stacks]
+        self.live = [ranks[stay] for ranks in self.live]
+        return leavers
+
+
+def _padded_bonds(
+    num_qubits: int,
+    targets: Sequence[Tuple[int, ...]],
+    clamp: int,
+    max_bond_dim: int | None,
+) -> List[int]:
+    """Padded bond widths of a block clamped at ``clamp`` after ``targets``.
+
+    Walks the shapes :class:`_ChainBlock` gives its stacks: a rightward QR
+    step leaves bond ``i + 1`` the width ``min(2 l, r)``, a leftward one
+    bond ``i`` the width ``min(l, 2 r)``, and a two-qubit gate on
+    ``(q, q + 1)`` leaves bond ``q + 1`` the SVD width ``2 min(chi_q,
+    chi_{q+2})`` clamped to ``clamp`` and ``max_bond_dim``.
+    """
+    bonds = [1] * (num_qubits + 1)
+    center = 0
+    for qubits in targets:
+        if len(qubits) == 1:
+            continue
+        q = qubits[0]
+        while center < q:
+            bonds[center + 1] = min(2 * bonds[center], bonds[center + 1])
+            center += 1
+        while center > q:
+            bonds[center] = min(bonds[center], 2 * bonds[center + 1])
+            center -= 1
+        bonds[q + 1] = min(2 * min(bonds[q], bonds[q + 2]), clamp)
+        if max_bond_dim is not None:
+            bonds[q + 1] = min(bonds[q + 1], max_bond_dim)
+        center = q + 1
+    return bonds
+
+
+def _widened(
+    leavers: _ChainBlock, clamp: int, bonds: List[int], q: int
+) -> _ChainBlock:
+    """``leavers`` zero-padded to the shapes ``bonds`` of the block clamped
+    at ``clamp``, the split of ``(q, q + 1)`` cut to its new bond."""
+    stacks = leavers.stacks
+    cut = bonds[q + 1]
+    stacks[q] = stacks[q][..., :cut]
+    stacks[q + 1] = stacks[q + 1][:, :cut]
+    padded = []
+    for site, stack in enumerate(stacks):
+        g, left, phys, right = stack.shape
+        wide = np.zeros((g, bonds[site], phys, bonds[site + 1]), dtype=stack.dtype)
+        wide[:, :left, :, :right] = stack
+        padded.append(wide)
+    block = _ChainBlock(leavers.rows, clamp, padded, leavers.live, leavers.center)
+    # The split's columns (rows) past each row's kept rank are dropped.
+    block.stacks[q] = block._masked(block.stacks[q], q)
+    block.stacks[q + 1] = block._masked(block.stacks[q + 1], q + 1)
+    return block
 
 
 def _sweep(
     batch: GateStacks, policy: TruncationPolicy, log: GateShapeLog
 ) -> List[MPS]:
-    """Simulate one structure group in a single padded stacked sweep.
+    """Simulate one structure group in one stacked sweep.
 
     Every member applies its own gate matrices to the same targets in the
-    same order, so the sweep walks the shared op list once.  Returns the
-    states in batch order; see the module docstring for the contract.
+    same order, so the sweep walks the shared op list once.  All rows start
+    in one block clamped at :data:`FIRST_CLAMP`; a row that keeps more than
+    its block's clamp on some bond moves, from that gate on, to the block of
+    the next rung of :func:`clamp_ladder`, so a chunk holds at most one
+    block per rung.  Returns the states in batch order;
+    see the module docstring for the contract.
     """
     g = batch.num_circuits
-    caps = bond_caps(batch.num_qubits, batch.targets, policy.max_bond_dim)
-    if max(caps) > MAX_PADDED_BOND:
-        return _encode_rows_alone(batch, policy, log)
-    block = _ChainBlock(g, batch.num_qubits)
-    kept_log, weight_log, width_log = [], [], []
-    for qubits, gates in zip(batch.targets, batch.gates):
+    num_qubits = batch.num_qubits
+    ladder = clamp_ladder(
+        max(bond_caps(num_qubits, batch.targets, policy.max_bond_dim))
+    )
+    blocks = {ladder[0]: _ChainBlock.zero_state(np.arange(g), num_qubits, ladder[0])}
+    num_two = sum(len(qubits) == 2 for qubits in batch.targets)
+    # Per two-qubit gate and block: (gate, rows, kept, discarded weight,
+    # width).
+    splits: List[Tuple] = []
+    gate = 0
+    for step, (qubits, gates) in enumerate(zip(batch.targets, batch.gates)):
         q = qubits[0]
-        if len(qubits) == 1:
-            block.apply_single(q, gates, log)
-            continue
-        block.move_center(q)
-        kept, weight, width = block.apply_two(q, gates, policy, log)
-        kept_log.append(kept)
-        weight_log.append(weight)
-        width_log.append(width)
-
-    num_gates = len(batch.targets)
-    two_qubit_gates = len(kept_log)
-    live = [ranks.tolist() for ranks in block.live]
-    if two_qubit_gates:
-        kept_rows = np.stack(kept_log, axis=1).tolist()
-        width_rows = np.stack(width_log, axis=1).tolist()
-        weights = np.stack(weight_log, axis=1)
-        # Sequential left fold per row, as a solo simulation accumulates.
-        discarded = np.cumsum(weights, axis=1)[:, -1].tolist()
-        weight_rows = weights.tolist()
-    states: List[MPS] = []
-    for row in range(g):
-        state = MPS(block.trimmed(row, live), truncation=policy, center=block.center)
-        if two_qubit_gates:
-            state._cumulative_discarded_weight = discarded[row]
-            state._truncation_records = [
-                TruncationRecord(
-                    kept=kept,
-                    discarded=width - kept,
-                    discarded_weight=weight,
-                    bond_dimension_before=width,
-                    bond_dimension_after=kept,
-                )
-                for kept, width, weight in zip(
-                    kept_rows[row], width_rows[row], weight_rows[row]
-                )
-            ]
-        state._gates_applied = num_gates
-        state._two_qubit_gates_applied = two_qubit_gates
-        states.append(state)
-    return states
-
-
-def _encode_rows_alone(
-    batch: GateStacks, policy: TruncationPolicy, log: GateShapeLog
-) -> List[MPS]:
-    """Simulate each row by itself with :class:`MPS` (no padding).
-
-    For structures whose padded bonds would exceed :data:`MAX_PADDED_BOND`.
-    Shapes are logged as :meth:`repro.backends.Backend.simulate` prices them
-    (before the gate's own centre move).
-    """
-    states = []
-    for i in range(len(batch)):
-        state = MPS.zero_state(batch.num_qubits, policy)
-        for qubits, gate in batch.row(i):
-            dims = [1, *state.bond_dimensions, 1]
-            q = qubits[0]
-            legs = dims[q : q + len(qubits) + 1]
+        arrivals: List[_ChainBlock] = []
+        for block in blocks.values():
+            block_gates = gates if len(block.rows) == g else gates[block.rows]
             if len(qubits) == 1:
-                log.add_single(*np.array(legs)[:, None])
+                block.apply_single(q, block_gates, log)
+                continue
+            rows = block.rows
+            block.move_center(q)
+            kept, weight, width, leavers = block.apply_two(q, block_gates, policy, log)
+            splits.append((gate, rows, kept, weight, width))
+            if leavers is not None:
+                arrivals.append(leavers)
+        if len(qubits) == 2:
+            gate += 1
+        for leavers in arrivals:
+            # A block's SVD has at most twice its clamp of singular values,
+            # so the next rung holds every leaver.
+            clamp = ladder[ladder.index(leavers.clamp) + 1]
+            bonds = _padded_bonds(
+                num_qubits, batch.targets[: step + 1], clamp, policy.max_bond_dim
+            )
+            arrived = _widened(leavers, clamp, bonds, q)
+            if clamp in blocks:
+                blocks[clamp].absorb(arrived)
             else:
-                log.add_two(*np.array(legs)[:, None])
-            state.apply_gate(qubits, gate)
-        states.append(state)
+                blocks[clamp] = arrived
+        if arrivals:
+            blocks = {w: b for w, b in sorted(blocks.items()) if len(b.rows)}
+
+    if num_two and len(splits) == num_two:
+        # One block of every row throughout: the columns, in gate order.
+        kept_log, weight_log, width_log = (
+            np.stack(column, axis=1) for column in list(zip(*splits))[2:]
+        )
+    elif num_two:
+        kept_log = np.empty((g, num_two), dtype=np.intp)
+        weight_log = np.empty((g, num_two))
+        width_log = np.empty((g, num_two), dtype=np.intp)
+        for column, rows, kept, weight, width in splits:
+            kept_log[rows, column] = kept
+            weight_log[rows, column] = weight
+            width_log[rows, column] = width
+    if num_two:
+        # Sequential left fold per row, as a solo simulation accumulates.
+        discarded = np.cumsum(weight_log, axis=1)[:, -1].tolist()
+        kept_rows = kept_log.tolist()
+        width_rows = width_log.tolist()
+        weight_rows = weight_log.tolist()
+    states: List[MPS | None] = [None] * g
+    for block in blocks.values():
+        live = [ranks.tolist() for ranks in block.live]
+        for local, row in enumerate(block.rows.tolist()):
+            state = MPS(
+                block.trimmed(local, live), truncation=policy, center=block.center
+            )
+            if num_two:
+                state._cumulative_discarded_weight = discarded[row]
+                state._truncation_records = [
+                    TruncationRecord(
+                        kept=kept,
+                        discarded=width - kept,
+                        discarded_weight=weight,
+                        bond_dimension_before=width,
+                        bond_dimension_after=kept,
+                    )
+                    for kept, width, weight in zip(
+                        kept_rows[row], width_rows[row], weight_rows[row]
+                    )
+                ]
+            state._gates_applied = len(batch.targets)
+            state._two_qubit_gates_applied = num_two
+            states[row] = state
     return states
 
 

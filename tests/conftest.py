@@ -165,7 +165,7 @@ def coalescer_gate(monkeypatch):
 
 #: Largest ``1 - |<a|b>|^2`` allowed between a batch-encoded state and its
 #: per-point ``MPS.apply_circuit`` simulation under an exact policy: the
-#: stacked sweep pads every row to shapes its ansatz fixes, so its
+#: stacked sweep pads every row to shapes its ansatz and ranks fix, so its
 #: factorisations round differently, but only at double precision.
 ENCODE_INFIDELITY_TOL = 1e-12
 

@@ -51,10 +51,12 @@ def train_parts():
     return states, StackedStateBlock(states)
 
 
-def _per_pair_oracle(X, states):
-    """``|<row|train>|^2`` per pair, each row encoded on its own."""
+def _per_pair_oracle(X, states, states_close):
+    """``|<row|train>|^2`` per pair, each row encoded on its own; those
+    encodes are checked against per-point simulation, to rounding."""
     engine = _engine(use_cache=False)
     rows = [engine.encode_row(row) for row in X]
+    states_close(rows, [engine.simulate_row(row).state for row in X])
     values = batched_overlaps([(row, state) for row in rows for state in states])
     K = (np.abs(values) ** 2).reshape(len(rows), len(states))
     exact = np.array([[abs(r.inner_product(s)) ** 2 for s in states] for r in rows])
@@ -72,18 +74,19 @@ def _row_by_row_counts(engine, X):
 
 
 @pytest.mark.parametrize("batch_rows", [1, 2, 5, 9])
-def test_kernel_rows_match_the_per_pair_oracle_cold(train_parts, batch_rows):
+def test_kernel_rows_match_the_per_pair_oracle_cold(train_parts, batch_rows, states_close):
     states, block = train_parts
     X = np.random.default_rng(batch_rows).uniform(0.05, 1.95, size=(batch_rows, 5))
     result = _engine().kernel_rows(X, states, block=block)
     assert result.matrix.shape == (batch_rows, len(states))
-    assert result.matrix.tobytes() == _per_pair_oracle(X, states).tobytes()
+    expected = _per_pair_oracle(X, states, states_close)
+    assert result.matrix.tobytes() == expected.tobytes()
     assert (result.cache_hits, result.cache_misses) == (0, batch_rows)
     assert result.num_simulations == batch_rows
 
 
 @pytest.mark.parametrize("warm_rows", [0, 2, 6])
-def test_kernel_rows_with_a_warm_store(train_parts, warm_rows):
+def test_kernel_rows_with_a_warm_store(train_parts, warm_rows, states_close):
     states, block = train_parts
     X = np.random.default_rng(17).uniform(0.05, 1.95, size=(6, 5))
     engine, oracle = _engine(), _engine()
@@ -91,19 +94,21 @@ def test_kernel_rows_with_a_warm_store(train_parts, warm_rows):
         if warm_rows:
             e.encode_rows(X[:warm_rows])
     result = engine.kernel_rows(X, states, block=block)
-    assert result.matrix.tobytes() == _per_pair_oracle(X, states).tobytes()
+    expected = _per_pair_oracle(X, states, states_close)
+    assert result.matrix.tobytes() == expected.tobytes()
     assert (result.cache_hits, result.cache_misses) == _row_by_row_counts(oracle, X)
     assert result.cache_hits == warm_rows
     assert result.num_simulations == 6 - warm_rows
 
 
-def test_kernel_rows_with_intra_batch_duplicates(train_parts):
+def test_kernel_rows_with_intra_batch_duplicates(train_parts, states_close):
     states, block = train_parts
     X = np.random.default_rng(29).uniform(0.05, 1.95, size=(6, 5))
     X[3] = X[0]
     X[5] = X[0]
     result = _engine().kernel_rows(X, states, block=block)
-    assert result.matrix.tobytes() == _per_pair_oracle(X, states).tobytes()
+    expected = _per_pair_oracle(X, states, states_close)
+    assert result.matrix.tobytes() == expected.tobytes()
     assert np.array_equal(result.matrix[3], result.matrix[0])
     assert np.array_equal(result.matrix[5], result.matrix[0])
     # Duplicates resolve to store hits, as row-by-row encoding records them.
@@ -113,11 +118,12 @@ def test_kernel_rows_with_intra_batch_duplicates(train_parts):
     assert result.num_simulations == 4
 
 
-def test_kernel_rows_without_a_store(train_parts):
+def test_kernel_rows_without_a_store(train_parts, states_close):
     states, block = train_parts
     X = np.random.default_rng(31).uniform(0.05, 1.95, size=(4, 5))
     result = _engine(use_cache=False).kernel_rows(X, states, block=block)
-    assert result.matrix.tobytes() == _per_pair_oracle(X, states).tobytes()
+    expected = _per_pair_oracle(X, states, states_close)
+    assert result.matrix.tobytes() == expected.tobytes()
     assert result.cache_hits == result.cache_misses == 0
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.backends import CpuBackend
-from repro.circuits import Circuit, GateKind, build_feature_map_circuit
+from repro.circuits import (
+    Circuit,
+    GateKind,
+    build_feature_map_circuit,
+    feature_map_gate_stacks,
+)
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.exceptions import BackendError, SimulationError
 from repro.mps import (
@@ -18,7 +23,7 @@ from repro.mps import (
     encode_circuits,
     group_circuits_by_structure,
 )
-from repro.mps.encoding import MAX_PADDED_BOND, bond_caps
+from repro.mps.encoding import FIRST_CLAMP, bond_caps, clamp_ladder
 
 
 def _reference_state(circuit, policy=None):
@@ -225,18 +230,27 @@ def test_simulate_batch_track_memory_falls_back(circuits):
     assert all(len(s.trace) == c.num_gates for s, c in zip(result.states, circuits))
 
 
-def test_wide_structures_encode_row_by_row(rng):
-    """Past ``MAX_PADDED_BOND`` a structure is not padded: each row runs
-    alone through ``MPS``, byte-equal to ``apply_circuit``, and its shapes
-    are still logged per row."""
-    ansatz = AnsatzConfig(num_features=12, interaction_distance=2, layers=2, gamma=0.3)
-    circuits = [
-        build_feature_map_circuit(row, ansatz)
-        for row in rng.uniform(0.1, 1.9, size=(2, 12))
-    ]
-    targets = [op.qubits for op in circuits[0].operations]
-    assert max(bond_caps(12, targets)) > MAX_PADDED_BOND
+def test_rows_that_outgrow_their_clamp_change_block(rng, states_close):
+    """A row keeping more than ``FIRST_CLAMP`` carries on in a wider block,
+    a row that fits stays, each is priced once at its own shapes, and every
+    state is the one its row gets alone."""
+    ansatz = AnsatzConfig(num_features=12, interaction_distance=3, layers=2, gamma=0.5)
+    # All-ones features zero every entangling angle: a product state.
+    X = np.vstack([rng.uniform(0.1, 1.9, size=(3, 12)), np.ones((1, 12))])
+    stacks = feature_map_gate_stacks(X, ansatz)
+    assert clamp_ladder(max(bond_caps(12, stacks.targets))) == [16, 32, 64]
     log = GateShapeLog()
-    states = encode_circuits(circuits, log=log)
-    assert _state_bytes(states) == _state_bytes([_reference_state(c) for c in circuits])
-    assert sum(entry[1] for entry in log.entries) == 2 * len(targets)
+    states = encode_circuits(stacks, log=log)
+    widest = [max(r.kept for r in s.truncation_records) for s in states]
+    assert [w > FIRST_CLAMP for w in widest] == [True, True, True, False]
+    assert log.stacked_launches > len(stacks.targets)
+    assert sum(entry[1] for entry in log.entries) == 4 * len(stacks.targets)
+    alone = [encode_circuits(feature_map_gate_stacks(row[None], ansatz))[0] for row in X]
+    assert _state_bytes(states) == _state_bytes(alone)
+    order = [3, 1, 0, 2]
+    shuffled = encode_circuits(feature_map_gate_stacks(X[order], ansatz))
+    assert _state_bytes(shuffled) == _state_bytes([alone[i] for i in order])
+    states_close(
+        states,
+        [_reference_state(build_feature_map_circuit(row, ansatz)) for row in X],
+    )

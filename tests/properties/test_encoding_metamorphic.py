@@ -10,6 +10,8 @@ Per-point :meth:`MPS.apply_circuit` simulation is the oracle to rounding:
 same kept ranks and shapes, ``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.engine import EngineConfig, KernelEngine, batched_overlaps
 from repro.mps import MPS, TruncationPolicy, encode_circuits
+from repro.mps import encoding
 from repro.serving import AsyncServingQueue
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=2, layers=1, gamma=0.7)
@@ -47,12 +50,20 @@ def _per_point(X):
 # Engine-level invariances (hypothesis-driven)
 # ----------------------------------------------------------------------
 # The encoder contract on two policies: exact (the default cutoff) and a
-# lossy bond cap that cuts into the 6-qubit ansatz's middle bonds.
+# lossy bond cap that cuts into the 6-qubit ansatz's middle bonds; and with
+# a first clamp of 2, so rows change block (2 -> 4 -> 8) at gates their own
+# ranks decide.
 CONTRACT_CASES = [
-    (ANSATZ, SimulationConfig()),
+    (ANSATZ, SimulationConfig(), encoding.FIRST_CLAMP),
     (
         AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.9),
         SimulationConfig(max_bond_dim=6, allow_lossy_cap=True),
+        encoding.FIRST_CLAMP,
+    ),
+    (
+        AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.9),
+        SimulationConfig(),
+        2,
     ),
 ]
 
@@ -68,12 +79,14 @@ def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
     a row's state; against the per-point oracle (``simulate_row``) the kept
     ranks are equal and ``1 - |<a|b>|^2`` is at most 1e-12, or the lossy
     policy's own discarded weight."""
-    ansatz, simulation = case
+    ansatz, simulation, first_clamp = case
     seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
     chunk = data.draw(st.integers(min_value=1, max_value=rows), label="chunk")
     swap = data.draw(st.integers(min_value=0, max_value=rows - 2), label="swap")
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.05, 1.95, size=(rows, ansatz.num_features))
+    # A feature at 1.0 zeroes its entanglers, so rows differ in rank.
+    X[rng.random(X.shape) < data.draw(st.sampled_from([0.0, 0.3]), label="flat")] = 1.0
     perm = rng.permutation(rows)
     neighbours = np.arange(rows)
     neighbours[[swap, swap + 1]] = neighbours[[swap + 1, swap]]
@@ -85,14 +98,15 @@ def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
             config=EngineConfig(encode_batch_size=batch),
         )
 
-    states = engine().encode_rows(X)
-    blobs = _states_bytes(states)
-    assert _states_bytes(engine(chunk).encode_rows(X)) == blobs
-    for order in (perm, neighbours):
-        reordered = _states_bytes(engine().encode_rows(X[order]))
-        assert reordered == [blobs[i] for i in order]
-    solo = engine()
-    assert _states_bytes([solo.encode_row(row) for row in X]) == blobs
+    with mock.patch.object(encoding, "FIRST_CLAMP", first_clamp):
+        states = engine().encode_rows(X)
+        blobs = _states_bytes(states)
+        assert _states_bytes(engine(chunk).encode_rows(X)) == blobs
+        for order in (perm, neighbours):
+            reordered = _states_bytes(engine().encode_rows(X[order]))
+            assert reordered == [blobs[i] for i in order]
+        solo = engine()
+        assert _states_bytes([solo.encode_row(row) for row in X]) == blobs
     states_close(states, [solo.simulate_row(row).state for row in X])
 
 

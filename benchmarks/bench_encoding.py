@@ -6,8 +6,10 @@ simulated its circuit one gate-sweep at a time.  This benchmark measures what
 the stacked sweep (:meth:`repro.backends.Backend.simulate_batch`) buys:
 
 * **encode throughput**: a block of fresh rows encoded per-point
-  (``backend.simulate`` in a loop) versus in stacked sweeps at several batch
-  sizes.  A row's encoded state depends on the row alone, so every batched
+  (``KernelEngine.simulate_row`` in a loop: per-point simulation of the MPS
+  steps the engine encodes with) versus in stacked sweeps of the same steps
+  (``feature_map_gate_stacks``) at several batch sizes.  A row's encoded
+  state depends on the row alone, so every batched
   mode must give states byte-identical to encoding each row by itself
   (``KernelEngine.encode_row``); against per-point simulation the states
   agree to rounding, ``max_oracle_infidelity`` (the largest
@@ -47,7 +49,7 @@ from repro import __version__
 from repro.approx import LinearSVC, NystroemConfig, NystroemFeatureMap
 from repro.approx.streaming import StreamingNystroemClassifier
 from repro.backends import CpuBackend
-from repro.circuits import build_feature_map_circuit
+from repro.circuits import feature_map_gate_stacks
 from repro.config import AnsatzConfig
 from repro.engine import EngineConfig, KernelEngine
 from repro.serving import AsyncServingQueue
@@ -106,14 +108,12 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
         gamma=0.8,
     )
     X = rng.uniform(0.05, 1.95, size=(args.rows, args.features))
-    circuits = [build_feature_map_circuit(row, ansatz) for row in X]
 
-    backend = CpuBackend()
-    backend.simulate_batch(circuits[:4])  # warm NumPy/LAPACK paths
-    start = time.perf_counter()
-    reference = [backend.simulate(c).state for c in circuits]
-    per_point_s = time.perf_counter() - start
     engine = KernelEngine(ansatz)
+    engine.encode_rows(X[:4])  # warm NumPy/LAPACK paths
+    start = time.perf_counter()
+    reference = [engine.simulate_row(row).state for row in X]
+    per_point_s = time.perf_counter() - start
     alone = [engine.encode_row(row) for row in X]
 
     records = [
@@ -121,7 +121,7 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
             "mode": "per-point",
             "batch_size": 1,
             "wall_s": per_point_s,
-            "encodes_per_sec": len(circuits) / per_point_s,
+            "encodes_per_sec": len(X) / per_point_s,
             "byte_identical": True,
         }
     ]
@@ -130,10 +130,9 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
         backend = CpuBackend()
         start = time.perf_counter()
         states: list = []
-        for lo in range(0, len(circuits), batch_size):
-            states.extend(
-                backend.simulate_batch(circuits[lo : lo + batch_size]).states
-            )
+        for lo in range(0, len(X), batch_size):
+            stacks = feature_map_gate_stacks(X[lo : lo + batch_size], ansatz)
+            states.extend(backend.simulate_batch(stacks).states)
         elapsed = time.perf_counter() - start
         identical = states_identical(states, alone)
         infidelity = max_infidelity(states, reference)
@@ -141,7 +140,7 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
             "mode": "batched",
             "batch_size": batch_size,
             "wall_s": elapsed,
-            "encodes_per_sec": len(circuits) / elapsed,
+            "encodes_per_sec": len(X) / elapsed,
             "speedup_vs_per_point": per_point_s / elapsed,
             "byte_identical": identical,
             "max_oracle_infidelity": infidelity,

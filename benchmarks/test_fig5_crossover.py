@@ -13,7 +13,8 @@ is where the crossover claim (C1.2) lives.  The sweep is scaled down to
 RESOURCE_QUBITS qubits and distances 1-4 so it finishes in seconds; the
 qualitative shape -- runtime grows exponentially with d, the GPU curve starts
 above the CPU curve and the gap closes as chi grows -- is the reproduction
-target.
+target.  Circuits are built in the paper's footnote-3 depth order
+(``scheduled=True``), the order its timings were taken on.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _sweep_distance(distance: int, feature_rows: np.ndarray) -> dict:
 
     states = {name: [] for name in backends}
     for row_idx in range(TIMING_SAMPLES):
-        circuit = build_feature_map_circuit(feature_rows[row_idx], ansatz)
+        circuit = build_feature_map_circuit(feature_rows[row_idx], ansatz, scheduled=True)
         for name, backend in backends.items():
             result = backend.simulate(circuit)
             sim_times[name].append(result.modelled_time_s)
@@ -209,7 +210,7 @@ def test_benchmark_single_circuit_simulation(benchmark, feature_rows):
         layers=2,
         gamma=1.0,
     )
-    circuit = build_feature_map_circuit(feature_rows[0], ansatz)
+    circuit = build_feature_map_circuit(feature_rows[0], ansatz, scheduled=True)
     backend = CpuBackend(SimulationConfig())
     benchmark(lambda: backend.simulate(circuit))
 
@@ -223,6 +224,8 @@ def test_benchmark_single_inner_product(benchmark, feature_rows):
         gamma=1.0,
     )
     backend = CpuBackend()
-    a = backend.simulate(build_feature_map_circuit(feature_rows[0], ansatz)).state
-    b = backend.simulate(build_feature_map_circuit(feature_rows[1], ansatz)).state
+    a, b = (
+        backend.simulate(build_feature_map_circuit(row, ansatz, scheduled=True)).state
+        for row in feature_rows[:2]
+    )
     benchmark(lambda: backend.inner_product(a, b))

@@ -9,7 +9,9 @@ larger interaction distance consuming far more memory.
 Here the two families are d = 1 (small) and the largest swept distance
 (large) on RESOURCE_QUBITS qubits; the trace is recorded with
 :class:`repro.mps.InstrumentedMPS` through the ``track_memory`` backend
-option, exactly the mechanism a full-scale run would use.
+option, exactly the mechanism a full-scale run would use.  Circuits are
+built in the paper's footnote-3 depth order (``scheduled=True``), so the
+trace follows the gate sequence the paper plots.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def _trace_family(distance: int, feature_rows: np.ndarray):
     backend = CpuBackend(SimulationConfig(track_memory=True))
     traces = []
     for row in feature_rows[:TIMING_SAMPLES]:
-        circuit = build_feature_map_circuit(row, ansatz)
+        circuit = build_feature_map_circuit(row, ansatz, scheduled=True)
         result = backend.simulate(circuit)
         assert isinstance(result.state, InstrumentedMPS)
         traces.append(result.state.trace)
@@ -126,6 +128,6 @@ def test_benchmark_instrumented_simulation(benchmark, feature_rows):
         layers=2,
         gamma=1.0,
     )
-    circuit = build_feature_map_circuit(feature_rows[0], ansatz)
+    circuit = build_feature_map_circuit(feature_rows[0], ansatz, scheduled=True)
     backend = CpuBackend(SimulationConfig(track_memory=True))
     benchmark(lambda: backend.simulate(circuit))

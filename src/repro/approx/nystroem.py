@@ -269,7 +269,9 @@ class NystroemFeatureMap:
         # sweeps against this block with zero per-pair stacking.
         self.landmark_block_ = gram_result.block
 
-        cross_result = self.engine.cross(X, self.landmark_states_)
+        cross_result = self.engine.cross(
+            X, self.landmark_states_, block=self.landmark_block_
+        )
         self.report.absorb(cross_result)
         K_nm = cross_result.matrix
 
@@ -312,7 +314,9 @@ class NystroemFeatureMap:
         self.landmark_states_ = list(gram_result.states)
         self.landmark_block_ = gram_result.block
 
-        cross_result = self.engine.cross(X, self.landmark_states_)
+        cross_result = self.engine.cross(
+            X, self.landmark_states_, block=self.landmark_block_
+        )
         self.report.absorb(cross_result)
         K_nm = cross_result.matrix
 

@@ -226,7 +226,13 @@ class Backend(abc.ABC):
         steps: Iterable[Tuple[Tuple[int, ...], np.ndarray]],
         initial_state: MPS | None = None,
     ) -> BackendResult:
-        """Per-point simulation of ``(targets, matrix)`` steps."""
+        """Per-point simulation of ``(targets, matrix)`` steps.
+
+        The per-point reference of the stacked sweep: the engine runs one
+        row's :class:`GateStacks` steps through it
+        (:meth:`repro.engine.KernelEngine.simulate_row`), as the
+        ``track_memory`` fallback of :meth:`simulate_batch` does.
+        """
         policy = self._policy()
         if initial_state is not None:
             state: MPS = initial_state.copy()

@@ -9,7 +9,8 @@ target qubits.  Two transformation passes operate on circuits:
   (the MPS simulator's adjacency constraint, section II-C of the paper);
 * :func:`~repro.circuits.scheduling.schedule_commuting_layers` packs the
   mutually commuting RXX gates of one ``exp(-i H_XX)`` block into as few
-  depth layers as possible (the paper's footnote 3).
+  depth layers as possible (the paper's footnote 3; ``scheduled=True`` --
+  the default sorted-edge order serves the MPS sweep instead).
 
 :func:`~repro.circuits.ansatz.build_feature_map_circuit` builds the Ising
 feature-map circuit ``U(x)|+>^m`` for one data point;

@@ -52,11 +52,12 @@ def ansatz_fingerprint(ansatz: AnsatzConfig) -> str:
 
 
 #: The encoder contract stored states were produced under: rows padded to
-#: structure-fixed shapes in one stacked sweep, each state a function of its
-#: row alone (:mod:`repro.mps.encoding`).  Change it whenever an encode's
-#: bytes may change, so stores and snapshots of another encoder never mix
-#: with fresh states.
-ENCODER_CONTRACT = "padded-sweep-1"
+#: structure-fixed shapes in one stacked sweep over the sorted-edge, merged
+#: MPS steps of :func:`repro.circuits.feature_map_gate_stacks`, each state a
+#: function of its row alone (:mod:`repro.mps.encoding`).  Change it
+#: whenever an encode's bytes may change, so stores and snapshots of another
+#: encoder never mix with fresh states.
+ENCODER_CONTRACT = "padded-sweep-2"
 
 
 def simulation_fingerprint(config: SimulationConfig) -> str:

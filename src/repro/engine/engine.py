@@ -41,7 +41,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backends import Backend, BackendResult, CpuBackend
-from ..circuits import build_feature_map_circuit, feature_map_gate_stacks
+# ``build_feature_map_circuit`` is no longer called here; the name stays for
+# tracers that patch it on this module (perfbench's layer tracer does).
+from ..circuits import build_feature_map_circuit, feature_map_gate_stacks  # noqa: F401
 from ..config import AnsatzConfig, SimulationConfig
 from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
@@ -226,12 +228,15 @@ class KernelEngine:
 
         The distributed strategies charge every re-simulation to the process
         that performs it, so this path deliberately bypasses the store.  It
-        runs :meth:`repro.backends.Backend.simulate`, whose state is within
-        rounding of :meth:`encode_row`'s (``1 - |<a|b>|^2 <= 1e-12`` at the
-        default cutoff) but not byte-equal to it.
+        simulates, one unpadded MPS gate at a time, the same steps the
+        stacked sweep takes (:func:`~repro.circuits.feature_map_gate_stacks`):
+        the per-point reference of :meth:`encode_row`, with the same kept
+        ranks at every step and a state within rounding of it
+        (``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff) but not
+        byte-equal to it.
         """
-        circuit = build_feature_map_circuit(np.asarray(row, dtype=float), self.ansatz)
-        return self.backend.simulate(circuit)
+        stacks = feature_map_gate_stacks(np.asarray(row, dtype=float)[None, :], self.ansatz)
+        return self.backend._simulate_steps(stacks.num_qubits, stacks.row(0))
 
     def encode_row(self, row: np.ndarray) -> MPS:
         """Encode one feature row, through the state store when enabled.
@@ -376,19 +381,25 @@ class KernelEngine:
         K[lower] = K.T[lower]
         return self._result_from_counters(K, states, hits0, misses0, block)
 
-    def cross(self, X_rows: np.ndarray, train_states: Sequence[MPS]) -> EngineResult:
+    def cross(
+        self,
+        X_rows: np.ndarray,
+        train_states: Sequence[MPS],
+        block: StackedStateBlock | None = None,
+    ) -> EngineResult:
         """Rectangular kernel between new rows and stored training states.
 
         Covers the Nystrom ``K_nm`` fit block and bulk test-versus-train
         scoring.  The whole block runs as one padded sweep of the rows
         against a :class:`StackedStateBlock` of ``train_states``
         (:meth:`~repro.backends.Backend.inner_product_block`); its values are
-        byte-identical to the Gram's entries for the same pairs.  Same code,
-        values and accounting as :meth:`kernel_rows`.
+        byte-identical to the Gram's entries for the same pairs.  Pass the
+        block :meth:`gram` returned for ``train_states`` to skip stacking
+        them again.  Same code, values and accounting as :meth:`kernel_rows`.
         """
         # Not via kernel_rows, so a profiler wrapping kernel_rows sees only
         # serving calls.
-        return self._rectangular(X_rows, train_states, None)
+        return self._rectangular(X_rows, train_states, block)
 
     def kernel_rows(
         self,
@@ -443,7 +454,7 @@ class KernelEngine:
         stored states exactly as the paper's inference procedure does.
         """
         train_result = self.gram(X_train)
-        test_result = self.cross(X_test, train_result.states)
+        test_result = self.cross(X_test, train_result.states, block=train_result.block)
         return train_result, test_result
 
     # ------------------------------------------------------------------

@@ -4,12 +4,13 @@ Encoding a data point -- simulating its feature-map circuit into an MPS -- is
 the linear half of the paper's workload.  All circuits built from one ansatz
 share a *structure* (the same ordered sequence of gate targets; only the
 angles differ per data point), so a micro-batch of encodings is one sweep over
-a stack of tensors, fed by one ``(g, d, d)`` gate stack per operation
+a stack of tensors, fed by one ``(g, d, d)`` gate stack per step
 (:class:`GateStacks`):
 
 * the engine builds the stacks straight from an angle table
-  (:func:`repro.circuits.feature_map_gate_stacks`); a list of circuits is
-  grouped by :func:`circuit_structure_signature` and each group's
+  (:func:`repro.circuits.feature_map_gate_stacks`), in sorted-edge order
+  with each run of two-qubit gates on one pair merged into one step; a list
+  of circuits is grouped by :func:`circuit_structure_signature` and each group's
   ``op.matrix()`` calls are stacked (:func:`stack_circuits`), so mixed
   structures still work and each group runs its own straight sweep;
 * every row's site tensors are zero-padded to one width per bond and step:
@@ -52,8 +53,10 @@ neighbours.  This is the
 invariant the encoding property suites pin down and the serving layer's
 byte-identical-predictions contract extends to cold traffic.
 
-*A state is within tolerance of per-point simulation*
-(:meth:`repro.mps.MPS.apply_circuit`), no longer bit-equal to it: a padded
+*A state is within tolerance of per-point simulation of the same steps*
+(:meth:`repro.mps.MPS.apply_circuit` for a circuit,
+:meth:`repro.backends.Backend.simulate` of a one-row :class:`GateStacks`),
+no longer bit-equal to it: a padded
 factorisation rounds differently from the unpadded one.  Each row keeps the
 same ranks per-point simulation would and has the same bond dimensions, and
 ``1 - |<batched|per-point>|^2`` stays at the level of double-precision
@@ -79,7 +82,7 @@ import numpy as np
 from ..exceptions import SimulationError
 from .mps import MPS
 from .tensor_ops import robust_svd, stacked_qr_right, stacked_rq_left
-from .truncation import TruncationPolicy, TruncationRecord
+from .truncation import TruncationPolicy
 
 __all__ = [
     "circuit_structure_signature",
@@ -642,18 +645,9 @@ def _sweep(
             )
             if num_two:
                 state._cumulative_discarded_weight = discarded[row]
-                state._truncation_records = [
-                    TruncationRecord(
-                        kept=kept,
-                        discarded=width - kept,
-                        discarded_weight=weight,
-                        bond_dimension_before=width,
-                        bond_dimension_after=kept,
-                    )
-                    for kept, width, weight in zip(
-                        kept_rows[row], width_rows[row], weight_rows[row]
-                    )
-                ]
+                state._record_columns = (
+                    kept_rows[row], width_rows[row], weight_rows[row]
+                )
             state._gates_applied = len(batch.targets)
             state._two_qubit_gates_applied = num_two
             states[row] = state

@@ -24,7 +24,7 @@ Fig. 2 which costs ``O(m * chi^3)``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class MPS:
         "_center",
         "_cumulative_discarded_weight",
         "_truncation_records",
+        "_record_columns",
         "_gates_applied",
         "_two_qubit_gates_applied",
     )
@@ -111,6 +112,10 @@ class MPS:
         self._center = center
         self._cumulative_discarded_weight = 0.0
         self._truncation_records: List[TruncationRecord] = []
+        #: ``(kept, width, discarded_weight)`` lists, one entry per two-qubit
+        #: gate, that a stacked encode leaves instead of records; turned
+        #: into :class:`TruncationRecord` objects only when first read.
+        self._record_columns: Tuple[List[int], List[int], List[float]] | None = None
         self._gates_applied = 0
         self._two_qubit_gates_applied = 0
 
@@ -217,7 +222,23 @@ class MPS:
     @property
     def truncation_records(self) -> List[TruncationRecord]:
         """Per-truncation records accumulated during simulation."""
-        return list(self._truncation_records)
+        return list(self._records())
+
+    def _records(self) -> List[TruncationRecord]:
+        """The internal record list, built from the encode's columns first."""
+        if self._record_columns is not None:
+            self._truncation_records = [
+                TruncationRecord(
+                    kept=kept,
+                    discarded=width - kept,
+                    discarded_weight=weight,
+                    bond_dimension_before=width,
+                    bond_dimension_after=kept,
+                )
+                for kept, width, weight in zip(*self._record_columns)
+            ]
+            self._record_columns = None
+        return self._truncation_records
 
     @property
     def gates_applied(self) -> int:
@@ -238,6 +259,7 @@ class MPS:
         )
         clone._cumulative_discarded_weight = self._cumulative_discarded_weight
         clone._truncation_records = list(self._truncation_records)
+        clone._record_columns = self._record_columns
         clone._gates_applied = self._gates_applied
         clone._two_qubit_gates_applied = self._two_qubit_gates_applied
         return clone
@@ -349,7 +371,7 @@ class MPS:
             self._center = None
 
         self._cumulative_discarded_weight += record.discarded_weight
-        self._truncation_records.append(record)
+        self._records().append(record)
         self._gates_applied += 1
         self._two_qubit_gates_applied += 1
         return record

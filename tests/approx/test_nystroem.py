@@ -102,3 +102,36 @@ def test_more_landmarks_than_samples_raises(engine, X):
     fmap = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=X.shape[0] + 1))
     with pytest.raises(KernelError):
         fmap.fit(X)
+
+
+@pytest.mark.parametrize("with_landmarks", [False, True])
+def test_fit_stacks_the_landmarks_once(ansatz, rng, monkeypatch, with_landmarks):
+    """The landmark Gram's block is the one the ``K_nm`` cross sweeps
+    against and every later transform reuses: a 30-row, 6-landmark fit
+    stacks the landmark states once, and the values match a cross that
+    stacks them itself."""
+    from repro.engine import StackedStateBlock
+
+    built = []
+    init = StackedStateBlock.__init__
+
+    def counting_init(self, states):
+        built.append(len(states))
+        init(self, states)
+
+    monkeypatch.setattr(StackedStateBlock, "__init__", counting_init)
+    X = rng.uniform(0.1, 1.9, size=(30, 4))
+    engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
+    fmap = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=6))
+    if with_landmarks:
+        fmap.fit_with_landmarks(X, X[[0, 4, 9, 13, 21, 27]])
+    else:
+        fmap.fit(X)
+    assert built == [6]
+    fmap.transform(X[:3])
+    assert built == [6]
+    restacked = engine.cross(X, fmap.landmark_states_)
+    assert built == [6, 6]
+    assert fmap.train_features_.tobytes() == (
+        restacked.matrix @ fmap.normalization_
+    ).tobytes()

@@ -73,6 +73,23 @@ def test_cross_plan_matches_gram_block(ansatz, X):
     assert np.allclose(cross.matrix, full.matrix[4:, :4], atol=1e-12)
 
 
+def test_gram_and_cross_stacks_the_training_states_once(ansatz, X, monkeypatch):
+    """The cross phase sweeps against the Gram's block, with the same bytes
+    as a cross that stacks the training states itself."""
+    built = []
+    init = StackedStateBlock.__init__
+
+    def counting_init(self, states):
+        built.append(len(states))
+        init(self, states)
+
+    monkeypatch.setattr(StackedStateBlock, "__init__", counting_init)
+    engine = KernelEngine(ansatz)
+    train, test = engine.gram_and_cross(X[:4], X[4:])
+    assert built == [4]
+    assert test.matrix.tobytes() == engine.cross(X[4:], train.states).matrix.tobytes()
+
+
 def test_cross_rejects_empty_train_states(ansatz, X):
     with pytest.raises(KernelError):
         KernelEngine(ansatz).cross(X[:1], [])

@@ -10,6 +10,7 @@ encoding the same rows one at a time.
 import numpy as np
 import pytest
 
+from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
 from repro.engine import (
     EngineConfig,
@@ -18,6 +19,7 @@ from repro.engine import (
     StateStore,
     batched_overlaps,
 )
+from repro.mps import MPS
 
 ANSATZ = AnsatzConfig(num_features=5, interaction_distance=2, layers=1, gamma=0.8)
 
@@ -51,12 +53,21 @@ def train_parts():
     return states, StackedStateBlock(states)
 
 
+def _unmerged(row):
+    """Per-point ``MPS.apply_circuit`` of the row's circuit, gate by gate."""
+    state = MPS.zero_state(ANSATZ.num_features)
+    state.apply_circuit(build_feature_map_circuit(row, ANSATZ))
+    return state
+
+
 def _per_pair_oracle(X, states, states_close):
     """``|<row|train>|^2`` per pair, each row encoded on its own; those
-    encodes are checked against per-point simulation, to rounding."""
+    encodes are checked against per-point simulation of the same steps and
+    against the unmerged circuit, to rounding."""
     engine = _engine(use_cache=False)
     rows = [engine.encode_row(row) for row in X]
     states_close(rows, [engine.simulate_row(row).state for row in X])
+    states_close(rows, [_unmerged(row) for row in X], same_steps=False)
     values = batched_overlaps([(row, state) for row in rows for state in states])
     K = (np.abs(values) ** 2).reshape(len(rows), len(states))
     exact = np.array([[abs(r.inner_product(s)) ** 2 for s in states] for r in rows])

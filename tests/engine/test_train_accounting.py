@@ -3,19 +3,23 @@
 A fit of ``n`` rows encodes ``n`` states and evaluates ``n (n - 1) / 2``
 Gram overlaps, all charged through ``Backend.inner_product_block`` (the
 traced pair count of the ``train`` benchmark reads those calls).  The
-modelled seconds are the per-point model's to the last bit: the encode
-charges what the circuit-list stacked sweep charges, and the overlaps charge
-what one ``Backend.inner_product`` call per pair, in row-major order, would.
+modelled seconds are the per-point model's: the encode charges, to the last
+bit, what a bare stacked sweep of the same chunks charges, and to rounding
+what per-point simulation of every row's steps charges (the sweep prices
+each distinct shape once, times its count); the overlaps charge what one
+``Backend.inner_product`` call per pair, in row-major order, would, to the
+last bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends import CpuBackend
-from repro.circuits import build_feature_map_circuit
+from repro.circuits import build_feature_map_circuit, feature_map_gate_stacks
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import KernelEngine
+from repro.mps import MPS
 from repro.svm import FeatureScaler
 
 ANSATZ = AnsatzConfig(num_features=5, interaction_distance=2, layers=2, gamma=0.7)
@@ -53,16 +57,20 @@ class _CallLog:
 
 
 def _per_point_modelled(states, X, encode_batch_size=32):
-    """The per-point model: circuit-list encodes, one inner_product per pair."""
+    """The per-point model: stacked encodes of the fit's chunks, one
+    inner_product per pair, plus the per-point encode seconds."""
     backend = CpuBackend()
     for lo in range(0, len(X), encode_batch_size):
-        backend.simulate_batch(
-            [build_feature_map_circuit(row, ANSATZ) for row in X[lo : lo + encode_batch_size]]
-        )
+        backend.simulate_batch(feature_map_gate_stacks(X[lo : lo + encode_batch_size], ANSATZ))
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             backend.inner_product(states[i], states[j])
-    return backend.timing_summary()
+    summary = backend.timing_summary()
+    per_point = KernelEngine(ANSATZ)
+    for row in X:
+        per_point.simulate_row(row)
+    summary["per_point_simulation_time_s"] = per_point.backend.modelled_simulation_time_s
+    return summary
 
 
 def _check_gram(engine, Xs, distinct):
@@ -78,7 +86,7 @@ def _check_gram(engine, Xs, distinct):
 
 
 @pytest.mark.parametrize("n", [2, 5, 37])
-def test_fit_counts_and_modelled_seconds_match_the_per_point_model(n, rng):
+def test_fit_counts_and_modelled_seconds_match_the_per_point_model(n, rng, states_close):
     X = rng.uniform(-1.0, 1.0, size=(n, ANSATZ.num_features))
     y = np.arange(n) % 2
     model = QuantumKernelInferenceEngine(ANSATZ)
@@ -91,9 +99,19 @@ def test_fit_counts_and_modelled_seconds_match_the_per_point_model(n, rng):
     assert log.batch_calls == 0 and log.single_calls == 0
 
     Xs = FeatureScaler().fit_transform(X)
-    expected = _per_point_modelled(model.engine.encode_rows(Xs), Xs)
+    states = model.engine.encode_rows(Xs)
+    expected = _per_point_modelled(states, Xs)
     for key in ("modelled_simulation_time_s", "modelled_inner_product_time_s"):
         assert summary[key] == expected[key], key
+    assert summary["modelled_simulation_time_s"] == pytest.approx(
+        expected["per_point_simulation_time_s"], rel=1e-12
+    )
+    unmerged = []
+    for row in Xs:
+        state = MPS.zero_state(ANSATZ.num_features)
+        state.apply_circuit(build_feature_map_circuit(row, ANSATZ))
+        unmerged.append(state)
+    states_close(states, unmerged, same_steps=False)
 
 
 def test_single_row_gram_makes_no_overlap_call(rng):

@@ -11,6 +11,7 @@ from repro.circuits import (
     feature_map_gate_stacks,
 )
 from repro.config import AnsatzConfig, SimulationConfig
+from repro.engine import KernelEngine
 from repro.exceptions import BackendError, SimulationError
 from repro.mps import (
     MPS,
@@ -252,5 +253,41 @@ def test_rows_that_outgrow_their_clamp_change_block(rng, states_close):
     assert _state_bytes(shuffled) == _state_bytes([alone[i] for i in order])
     states_close(
         states,
-        [_reference_state(build_feature_map_circuit(row, ansatz)) for row in X],
+        [KernelEngine(ansatz).simulate_row(row).state for row in X],
     )
+    states_close(
+        states,
+        [_reference_state(build_feature_map_circuit(row, ansatz)) for row in X],
+        same_steps=False,
+    )
+
+
+def test_truncation_records_are_built_only_when_read(monkeypatch):
+    """A fit keeps each row's kept ranks, widths and weights as lists; the
+    record objects appear on first read, equal to per-point simulation's."""
+    from repro.mps import mps as mps_module
+
+    built = []
+    record = mps_module.TruncationRecord
+
+    def counting_record(**fields):
+        built.append(fields)
+        return record(**fields)
+
+    monkeypatch.setattr(mps_module, "TruncationRecord", counting_record)
+    ansatz = AnsatzConfig(num_features=5, interaction_distance=2, layers=2, gamma=0.7)
+    engine = KernelEngine(ansatz)
+    X = np.random.default_rng(3).uniform(0.05, 1.95, size=(6, 5))
+    states = engine.gram(X).states
+    assert built == []
+    copy = states[0].copy()
+    records = states[0].truncation_records
+    steps = states[0].two_qubit_gates_applied
+    assert len(records) == steps and len(built) == steps
+    assert states[0].truncation_records == records and len(built) == steps
+    assert copy.truncation_records == records
+    monkeypatch.undo()
+    per_point = engine.simulate_row(X[0]).state.truncation_records
+    assert [(r.kept, r.discarded, r.bond_dimension_before) for r in records] == [
+        (r.kept, r.discarded, r.bond_dimension_before) for r in per_point
+    ]

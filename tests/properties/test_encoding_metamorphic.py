@@ -6,8 +6,10 @@ reordered, split, mixed with circuits of other structures, or interleaved
 with cache hits -- must not move a single bit of any state, kernel entry or
 served prediction.  Those equivalences are exact (``tobytes()`` /
 ``np.array_equal``); the row-alone oracle is :meth:`KernelEngine.encode_row`.
-Per-point :meth:`MPS.apply_circuit` simulation is the oracle to rounding:
+Per-point simulation of the same MPS steps (:meth:`KernelEngine.simulate_row`,
+or :meth:`MPS.apply_circuit` for a circuit list) is the oracle to rounding:
 same kept ranks and shapes, ``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff.
+The unmerged circuit of an engine-encoded row agrees to the same rounding.
 """
 
 from unittest import mock
@@ -78,7 +80,8 @@ def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
     """Chunk size, order, neighbours and solo-vs-batch never move a byte of
     a row's state; against the per-point oracle (``simulate_row``) the kept
     ranks are equal and ``1 - |<a|b>|^2`` is at most 1e-12, or the lossy
-    policy's own discarded weight."""
+    policy's own discarded weight; under the exact policy the unmerged
+    circuit is within 1e-12 too."""
     ansatz, simulation, first_clamp = case
     seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
     chunk = data.draw(st.integers(min_value=1, max_value=rows), label="chunk")
@@ -108,6 +111,12 @@ def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
         solo = engine()
         assert _states_bytes([solo.encode_row(row) for row in X]) == blobs
     states_close(states, [solo.simulate_row(row).state for row in X])
+    if simulation.max_bond_dim is None:
+        states_close(
+            states,
+            [_apply_circuit(build_feature_map_circuit(row, ansatz)) for row in X],
+            same_steps=False,
+        )
 
 
 @settings(max_examples=10, deadline=None)

@@ -351,13 +351,16 @@ def test_wrapper_delegates_store_surface(tmp_path):
 # Encoder contract
 # ----------------------------------------------------------------------
 #: The simulation fingerprint of the per-point-exact encoder this tier used
-#: to persist, and the same string without its long-gone dead field: a
-#: snapshot under either holds states of another encoder.
+#: to persist, the same string without its long-gone dead field, and the
+#: first padded sweep's (depth-ordered, unmerged gates): a snapshot under
+#: any of them holds states of another encoder.
 OLD_ENCODER_FINGERPRINTS = [
     "sim:allow_lossy_cap=False;canonicalize_before_truncation=True;"
     "dtype='complex128';max_bond_dim=None;track_memory=False;truncation_cutoff=1e-16",
     "sim:allow_lossy_cap=False;dtype='complex128';max_bond_dim=None;"
     "track_memory=False;truncation_cutoff=1e-16",
+    "sim:encoder=padded-sweep-1;allow_lossy_cap=False;dtype='complex128';"
+    "max_bond_dim=None;track_memory=False;truncation_cutoff=1e-16",
 ]
 
 

@@ -430,9 +430,10 @@ class Backend(abc.ABC):
     ) -> BatchInnerProductResult:
         """Overlaps of a query batch against a pre-stacked state block.
 
-        The serving fast path: the block's tensors were padded and stacked
-        once at fit time, so each query costs two BLAS matmuls per site
-        against all ``block.num_states`` states, and every value is
+        The serving fast path: the block's tensors were fused, padded and
+        stacked once at fit time, so each query costs one BLAS product for
+        the fused leading sites plus two per remaining site against all
+        ``block.num_states`` states, and every value is
         byte-identical to :meth:`inner_product_batch` on the same pair.
         ``values`` is the 2-D overlap matrix in (query, block state) order;
         counters advance exactly as if each pair had been evaluated
@@ -449,22 +450,22 @@ class Backend(abc.ABC):
     ) -> BatchInnerProductResult:
         """Charge one overlap per entry of ``chis`` to the counters.
 
-        Each pair is charged what a solo :meth:`inner_product` call charges,
-        one after another in ``chis`` order (``np.cumsum`` adds
-        sequentially), so the counters are byte-identical to a per-pair loop
-        over the same pairs however they were split into calls.
+        Each pair is charged what a solo :meth:`inner_product` call charges
+        (a cost-model table lookup), one after another in ``chis`` order
+        (``np.add.accumulate`` adds sequentially), so the counters are
+        byte-identical to a per-pair loop over the same pairs however they
+        were split into calls.
         """
-        chis = np.asarray(chis, dtype=int).ravel()
-        unique_chis, inverse = np.unique(chis, return_inverse=True)
-        per_chi = np.array(
-            [self.cost_model.inner_product_time(num_qubits, chi) for chi in unique_chis.tolist()]
-        )
-        times = per_chi[inverse]
+        chis = np.asarray(chis, dtype=np.intp).ravel()
         num_pairs = int(chis.size)
-        modelled = float(np.cumsum(times)[-1]) if num_pairs else 0.0
-        self.modelled_inner_product_time_s = float(
-            np.cumsum(np.concatenate(([self.modelled_inner_product_time_s], times)))[-1]
-        )
+        max_chi = int(chis.max(initial=1))
+        times = self.cost_model.inner_product_time_table(num_qubits, max_chi)[chis]
+        modelled = 0.0
+        if num_pairs:
+            modelled = float(np.add.accumulate(times)[-1])
+            # ((total + t0) + t1) + ...: the running total folded in first.
+            times[0] += self.modelled_inner_product_time_s
+            self.modelled_inner_product_time_s = float(np.add.accumulate(times)[-1])
         self.wall_inner_product_time_s += wall
         self.num_inner_products += num_pairs
         return BatchInnerProductResult(
@@ -472,7 +473,7 @@ class Backend(abc.ABC):
             wall_time_s=wall,
             modelled_time_s=modelled,
             num_pairs=num_pairs,
-            max_bond_dimension=int(unique_chis.max()) if num_pairs else 1,
+            max_bond_dimension=max_chi,
         )
 
     # ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Chunked overlap evaluation for the engine (re-export of the MPS-layer sweep).
 
-The engine's batched-overlap path zero-pads every state of a chunk to one
-per-site bond dimension and runs the transfer-matrix sweep as two BLAS
-matmuls per site.  The implementation lives in :mod:`repro.mps.batched` -- it depends only on the
-MPS class, and :mod:`repro.backends` uses it directly for
+The engine's batched-overlap path fuses each state's leading sites (up to
+seven) into one site, zero-pads every state of a chunk to one per-site bond
+dimension, and runs the transfer-matrix sweep as one BLAS product for the
+fused site plus two per remaining site.  The implementation lives in
+:mod:`repro.mps.batched` -- it depends only on the MPS class, and
+:mod:`repro.backends` uses it directly for
 :meth:`~repro.backends.Backend.inner_product_batch` without importing the
 engine package.  This module re-exports it as part of the engine's public
 surface, which is the namespace consumers and the engine facade use.

@@ -2,11 +2,20 @@
 
 The overlap ``<bra|ket>`` is the transfer-matrix sweep of Fig. 2: a left
 environment ``env[b, a]`` (``b`` the open ket bond, ``a`` the open bra bond)
-is pushed through the chain one site at a time.  Here each site is two
-``np.matmul`` calls, so BLAS ``zgemm`` does the arithmetic:
+is pushed through the chain one site at a time, so BLAS ``zgemm`` does the
+arithmetic:
 
-1. ``tmp = env @ conj(bra)``: ``(b x a) @ (a x 2a')``, read as ``(2b x a')``;
-2. ``env' = ket^T @ tmp``: ``(b' x 2b) @ (2b x a')``.
+* the leading run of ``k = min(7, num_qubits - 1)`` sites
+  (:func:`_leading_run`) is first fused, per state and from the state's own
+  unpadded tensors, into one site of shape ``(1, 2**k, chi_k)``.  The
+  environment left of site 0 is all ones, so the sweep's first step is the
+  single product ``env = ket_run^T @ conj(bra_run)``: ``(b x 2**k) @
+  (2**k x a)``.  Its contraction, ``2**k <= 128``, is one BLAS slice
+  (:data:`_K_SLICE`);
+* every later site is two ``np.matmul`` calls:
+
+  1. ``tmp = env @ conj(bra)``: ``(b x a) @ (a x 2a')``, read as ``(2b x a')``;
+  2. ``env' = ket^T @ tmp``: ``(b' x 2b) @ (2b x a')``.
 
 States swept together need not share bond dimensions: each side of the sweep
 is zero-padded to its largest bond per site.  Zero padding leaves the exact
@@ -18,7 +27,9 @@ the real entries whatever the padding:
   tiles (OpenBLAS rounds edge tiles differently) and no product falls back
   to NumPy's ``gemv``, ``dot`` or plain loop for a unit dimension;
 * contractions are cut into fixed :data:`_K_SLICE`-term slices summed in
-  order, so BLAS never splits one at a size-dependent point.
+  order, so BLAS never splits one at a size-dependent point;
+* a leading run is fused before any padding, from one state's tensors at
+  their own shapes, so its bytes depend on that state alone.
 
 :class:`StackedStateBlock` pads a fixed set of states (the serving landmarks,
 the Nystrom ``K_nm`` fit, exact-model scoring, the training Gram) once and
@@ -52,8 +63,18 @@ __all__ = ["batched_overlaps", "StackedStateBlock"]
 _BOND_QUANTUM = 4
 #: Longest contraction handed to one BLAS call (below OpenBLAS's K blocking).
 _K_SLICE = 128
+#: Most leading sites fused into the first: ``2**7`` terms fill one slice.
+_FUSED_SITES = _K_SLICE.bit_length() - 1
 
 Chain = List[np.ndarray]
+
+
+def _leading_run(num_qubits: int) -> int:
+    """How many leading sites a sweep fuses into its first step.
+
+    At least one site is left to sweep, so a one-qubit chain fuses none.
+    """
+    return min(_FUSED_SITES, num_qubits - 1)
 
 
 def _bond_dims(chains: Sequence[Chain]) -> List[int]:
@@ -98,6 +119,43 @@ def _ket_operands(chains: Sequence[Chain], dims: List[int], site: int) -> np.nda
     return out.reshape(len(chains), dims[site + 1], -1)
 
 
+def _fused_run(tensors: Chain, k: int) -> np.ndarray:
+    """Sites ``0..k-1`` of one state contracted to a ``(2**k, chi_k)`` matrix.
+
+    Row ``p`` is the physical configuration ``p_0 ... p_{k-1}`` read as a
+    binary number; ``k == 0`` is the unit run.  The products run at the
+    state's own shapes, before any padding, so the bytes depend on this
+    state alone.
+    """
+    if k == 0:
+        return np.ones((1, 1), dtype=np.complex128)
+    run = tensors[0].reshape(-1, tensors[0].shape[2])
+    for tensor in tensors[1:k]:
+        run = (run @ tensor.reshape(tensor.shape[0], -1)).reshape(-1, tensor.shape[2])
+    return run
+
+
+def _runs(chains: Sequence[Chain], dims: List[int], k: int) -> np.ndarray:
+    """Fused runs of ``chains`` zero-padded and stacked to ``(Z, 2**k, chi_k)``."""
+    out = np.zeros((len(chains), 2**k, dims[k]), dtype=np.complex128)
+    for z, tensors in enumerate(chains):
+        run = _fused_run(tensors, k)
+        out[z, :, : run.shape[1]] = run
+    return out
+
+
+def _bra_runs(chains: Sequence[Chain], dims: List[int], k: int) -> np.ndarray:
+    """First-step operands ``conj(bra_run)`` as ``(Z, 2**k, a)``."""
+    out = _runs(chains, dims, k)
+    np.conjugate(out, out=out)
+    return out
+
+
+def _ket_runs(chains: Sequence[Chain], dims: List[int], k: int) -> np.ndarray:
+    """First-step operands ``ket_run^T`` as ``(Z, b, 2**k)``."""
+    return np.ascontiguousarray(_runs(chains, dims, k).transpose(0, 2, 1))
+
+
 def _chains(
     states: Sequence[MPS], num_qubits: int, message: str
 ) -> Tuple[List[Chain], np.ndarray | None]:
@@ -123,13 +181,15 @@ class StackedStateBlock:
     """A fixed set of MPS, padded and stacked once for repeated sweeps.
 
     The serving hot path scores every query against the *same* ``m``
-    landmark states.  Their site tensors are padded to the block's largest
-    bonds and laid out as step-2 operands at construction, so a query costs
-    ``2 * num_qubits`` matmul calls against the whole block, however many
-    states it holds and however their bonds differ.  A query is padded on
-    its own bra side only: one whose bond exceeds the block's needs no
-    re-padding of the block, and its values never depend on the other
-    queries of a flush.
+    landmark states.  At construction each state's leading run is fused
+    and the block keeps all of them as one ``(m * chi_k x 2**k)`` first-step
+    operand; the remaining site tensors are padded to the block's largest
+    bonds and laid out as step-2 operands.  A query then costs one product
+    for its fused run plus two matmul calls per remaining site against the
+    whole block (3 calls on 8 qubits), however many states it holds and
+    however their bonds differ.  A query is fused and padded on its own bra
+    side only: one whose bond exceeds the block's needs no re-padding of the
+    block, and its values never depend on the other queries of a flush.
     """
 
     def __init__(self, states: Sequence[MPS]) -> None:
@@ -143,7 +203,11 @@ class StackedStateBlock:
         self.max_bond_dimensions = np.array([s.max_bond_dimension for s in states])
         chains = [s.tensors for s in states]
         dims = _bond_dims(chains)
-        self._kets = [_ket_operands(chains, dims, site) for site in range(self.num_qubits)]
+        k = _leading_run(self.num_qubits)
+        self._run = _ket_runs(chains, dims, k).reshape(-1, 2**k)
+        self._kets = [
+            _ket_operands(chains, dims, site) for site in range(k, self.num_qubits)
+        ]
 
     def tail(self, start: int) -> "StackedStateBlock":
         """The block's states ``start:`` as a view, without re-padding.
@@ -160,6 +224,8 @@ class StackedStateBlock:
         view.num_states = self.num_states - start
         view.num_qubits = self.num_qubits
         view.max_bond_dimensions = self.max_bond_dimensions[start:]
+        run_bond = self._run.shape[0] // self.num_states
+        view._run = self._run[start * run_bond :]
         view._kets = [kets[start:] for kets in self._kets]
         return view
 
@@ -178,10 +244,12 @@ class StackedStateBlock:
     def _sweep(self, chain: Chain) -> np.ndarray:
         m = self.num_states
         dims = _bond_dims([chain])
-        env = np.ones((m, 1, 1), dtype=np.complex128)
-        for site, kets in enumerate(self._kets):
+        k = _leading_run(self.num_qubits)
+        # The fused first step and every step 1 run as one (m*b x .) product
+        # for the whole block.
+        env = _matmul(self._run, _bra_runs([chain], dims, k)[0])
+        for site, kets in enumerate(self._kets, start=k):
             ket_bond = kets.shape[2] // 2
-            # Step 1 runs as one (m*b x a) product for the whole block.
             bra = _bra_operands([chain], dims, site)[0]
             tmp = _matmul(env.reshape(m * ket_bond, -1), bra)
             env = _matmul(kets, tmp.reshape(m, 2 * ket_bond, -1))
@@ -192,6 +260,8 @@ def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
     """Inner products ``<bra_k|ket_k>`` for a chunk of ``(bra, ket)`` pairs.
 
     The bra is conjugated; values come back in the order of ``pairs``.
+    Each pair is swept as :class:`StackedStateBlock` sweeps it -- fused
+    leading run, then two products per site -- as per-pair stacks.
     """
     if not pairs:
         return np.empty(0, dtype=np.complex128)
@@ -201,8 +271,12 @@ def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
     kets, ket_index = _chains([ket for _, ket in pairs], num_qubits, message)
     bra_dims = _bond_dims(bras)
     ket_dims = _bond_dims(kets)
-    env = np.ones((len(pairs), 1, 1), dtype=np.complex128)
-    for site in range(num_qubits):
+    k = _leading_run(num_qubits)
+    env = _matmul(
+        _gather(_ket_runs(kets, ket_dims, k), ket_index),
+        _gather(_bra_runs(bras, bra_dims, k), bra_index),
+    )
+    for site in range(k, num_qubits):
         tmp = _matmul(env, _gather(_bra_operands(bras, bra_dims, site), bra_index))
         env = _matmul(
             _gather(_ket_operands(kets, ket_dims, site), ket_index),

@@ -610,7 +610,9 @@ def _sweep(
                 num_qubits, batch.targets[: step + 1], clamp, policy.max_bond_dim
             )
             arrived = _widened(leavers, clamp, bonds, q)
-            if clamp in blocks:
+            # A block whose rows all moved up at this gate kept its old
+            # centre and masks: arrivals replace it rather than join it.
+            if clamp in blocks and len(blocks[clamp].rows):
                 blocks[clamp].absorb(arrived)
             else:
                 blocks[clamp] = arrived

@@ -6,7 +6,7 @@ import pytest
 from repro.backends import CpuBackend
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
-from repro.engine import batched_overlaps
+from repro.engine import StackedStateBlock, batched_overlaps
 from repro.exceptions import SimulationError
 from repro.mps import MPS
 
@@ -66,3 +66,24 @@ def test_backend_batched_api_matches_single_pair_api(encoded_states):
         single_summary["modelled_inner_product_time_s"]
     )
     assert batch.max_bond_dimension == max(r.bond_dimension for r in singles)
+
+
+def test_block_call_charges_each_pair_like_a_solo_call_in_order(encoded_states):
+    """The cost-model table prices every pair as ``inner_product`` does, and
+    both the call's own seconds and the running total fold them in order."""
+    bras, kets = encoded_states[:2], encoded_states[2:]
+    # Both backends start from the same non-zero running total.
+    loop = CpuBackend()
+    loop.inner_product(kets[0], kets[1])
+    modelled = 0.0
+    for bra in bras:
+        for ket in kets:
+            modelled += loop.inner_product(bra, ket).modelled_time_s
+
+    backend = CpuBackend()
+    backend.inner_product(kets[0], kets[1])
+    result = backend.inner_product_block(bras, StackedStateBlock(kets))
+    assert result.modelled_time_s == modelled
+    assert backend.modelled_inner_product_time_s == loop.modelled_inner_product_time_s
+    assert backend.num_inner_products == loop.num_inner_products
+    assert result.max_bond_dimension == max(s.max_bond_dimension for s in encoded_states)

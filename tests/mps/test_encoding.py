@@ -262,6 +262,24 @@ def test_rows_that_outgrow_their_clamp_change_block(rng, states_close):
     )
 
 
+def test_rows_arriving_at_a_block_its_rows_just_left(monkeypatch):
+    """At one gate the clamp-4 block's only row moves up to clamp 8 while
+    the other row arrives from clamp 2.  The emptied block keeps its old
+    centre and masks, so the arrival must replace it, not join it: the
+    arriving row's bytes are then the ones it gets alone."""
+    from repro.mps import encoding
+
+    monkeypatch.setattr(encoding, "FIRST_CLAMP", 2)
+    ansatz = AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.9)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.05, 1.95, size=(3, 6))
+    X[rng.random(X.shape) < 0.3] = 1.0
+    engine = KernelEngine(ansatz)
+    pair = engine.encode_rows(X[[1, 2]])
+    alone = [engine.encode_rows(X[[i]])[0] for i in (1, 2)]
+    assert _state_bytes(pair) == _state_bytes(alone)
+
+
 def test_truncation_records_are_built_only_when_read(monkeypatch):
     """A fit keeps each row's kept ranks, widths and weights as lists; the
     record objects appear on first read, equal to per-point simulation's."""

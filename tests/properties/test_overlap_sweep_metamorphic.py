@@ -4,7 +4,9 @@ Every overlap is within 1e-12 of ``MPS.inner_product`` and byte-identical
 however the sweep is composed: a query alone or in any subset or order,
 against a block or as pair chunks of any size.  Blocks mix per-site bonds
 (two ansatze, a product state, random bonds off the padding tile), include a
-one-state block, and meet queries whose bonds exceed the block's.
+one-state block, and meet queries whose bonds exceed the block's.  Chains of
+1 to 3 qubits are shorter than a full fused leading run (7 sites), and 16
+qubits are longer.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ WIDE = AnsatzConfig(num_features=6, interaction_distance=3, layers=2, gamma=0.9)
 
 
 def _encode(ansatz, num_rows, seed):
-    X = np.random.default_rng(seed).uniform(0.05, 1.95, size=(num_rows, 6))
+    X = np.random.default_rng(seed).uniform(0.05, 1.95, size=(num_rows, ansatz.num_features))
     return [CpuBackend().simulate(build_feature_map_circuit(r, ansatz)).state for r in X]
 
 
@@ -110,3 +112,20 @@ def test_sweep_contract_at_bond_100():
     queries = _random_states(42, 16, cap=104, count=3)
     assert max(s.max_bond_dimension for s in landmarks + queries) > 90
     _assert_contract(landmarks, queries, seed=43)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_sweep_contract_on_short_chains(num_qubits):
+    """A one-qubit chain fuses no site; two and three qubits fuse all but
+    the last."""
+    block_states = _random_states(50 + num_qubits, num_qubits, cap=4, count=3)
+    block_states.append(MPS.plus_state(num_qubits))
+    queries = _random_states(60 + num_qubits, num_qubits, cap=4, count=2)
+    queries.append(MPS.zero_state(num_qubits))
+    if num_qubits > 1:
+        ansatz = AnsatzConfig(
+            num_features=num_qubits, interaction_distance=1, layers=2, gamma=0.9
+        )
+        block_states += _encode(ansatz, 2, 70 + num_qubits)
+        queries += _encode(ansatz, 2, 80 + num_qubits)
+    _assert_contract(block_states, queries, seed=num_qubits)

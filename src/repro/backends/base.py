@@ -20,7 +20,7 @@ import numpy as np
 from ..config import SimulationConfig
 from ..exceptions import BackendError
 from ..mps import MPS, InstrumentedMPS, TruncationPolicy
-from ..mps.batched import StackedStateBlock, batched_overlaps
+from ..mps.batched import StackedStateBlock, batched_overlaps, query_form
 from ..mps.encoding import (
     GateShapeLog,
     GateStacks,
@@ -431,18 +431,23 @@ class Backend(abc.ABC):
         """Overlaps of a query batch against a pre-stacked state block.
 
         The serving fast path: the block's tensors were fused, padded and
-        stacked once at fit time, so each query costs one BLAS product for
-        the fused leading sites plus two per remaining site against all
-        ``block.num_states`` states, and every value is
-        byte-identical to :meth:`inner_product_batch` on the same pair.
+        stacked once at fit time, and each query's bra operands once per
+        state (:func:`~repro.mps.batched.query_form`).  Queries that share
+        their padded bonds are swept in stacks of up to 32 (a serving
+        flush), each one BLAS product for the fused leading sites plus two
+        per remaining site against all ``block.num_states`` states; every
+        value is byte-identical to :meth:`inner_product_batch` on the same
+        pair.
         ``values`` is the 2-D overlap matrix in (query, block state) order;
         counters advance exactly as if each pair had been evaluated
         individually, in that order.
         """
-        chis = np.maximum.outer([b.max_bond_dimension for b in bras], block.max_bond_dimensions)
         start = time.perf_counter()
         values = block.overlaps(bras)
         wall = time.perf_counter() - start
+        chis = np.maximum.outer(
+            [query_form(b).max_bond_dimension for b in bras], block.max_bond_dimensions
+        )
         return self._record_overlaps(values, chis, block.num_qubits, wall)
 
     def _record_overlaps(

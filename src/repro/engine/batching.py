@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mps.batched import StackedStateBlock, batched_overlaps
+from ..mps.batched import StackedStateBlock, batched_overlaps, query_form
 from ..mps.encoding import (
     GateShapeLog,
     circuit_structure_signature,
@@ -33,6 +33,7 @@ from ..mps.encoding import (
 __all__ = [
     "batched_overlaps",
     "StackedStateBlock",
+    "query_form",
     "GateShapeLog",
     "circuit_structure_signature",
     "encode_circuits",

@@ -154,6 +154,12 @@ class StateStore:
         Eviction budget measured in MPS tensor bytes
         (:attr:`repro.mps.MPS.memory_bytes`).  ``None`` disables eviction.
         A state larger than the whole budget is simply not retained.
+
+    The budget counts tensor bytes only -- the paper's MiB per MPS, and the
+    prefetch budget persistence warms a store under.  A state that has been
+    swept also holds its cached query form
+    (:func:`repro.mps.batched.query_form`), about 4 KB at 8 qubits, outside
+    the budget.
     """
 
     def __init__(self, max_bytes: int | None = None) -> None:

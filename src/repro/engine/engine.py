@@ -48,7 +48,7 @@ from ..config import AnsatzConfig, SimulationConfig
 from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
 from ..telemetry.tracing import TRACER
-from .batching import StackedStateBlock
+from .batching import StackedStateBlock, query_form
 from .cache import StateStore, ansatz_fingerprint, simulation_fingerprint, state_key
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
@@ -268,7 +268,10 @@ class KernelEngine:
         byte-identical under any cache occupancy, chunking, batch
         composition or order, and to :meth:`encode_row`.
         """
-        X = self.validate_features(X)
+        return self._encode_validated(self.validate_features(X))
+
+    def _encode_validated(self, X: np.ndarray) -> List[MPS]:
+        """:meth:`encode_rows` of an already validated ``X``."""
         if X.shape[0] == 1:
             return [self.encode_row(X[0])]
         if self.store is None:
@@ -370,7 +373,7 @@ class KernelEngine:
         X = self.validate_features(X)
         self.backend.reset_counters()
         hits0, misses0 = self._cache_counts()
-        states = self.encode_rows(X)
+        states = self._encode_validated(X)
         n = len(states)
         K = np.eye(n)
         block = StackedStateBlock(states)
@@ -433,7 +436,7 @@ class KernelEngine:
         self.backend.reset_counters()
         hits0, misses0 = self._cache_counts()
         with TRACER.span("engine.encode") as sp:
-            row_states = self.encode_rows(X_rows)
+            row_states = self._encode_validated(X_rows)
             if sp is not None:
                 sp.set_attribute("rows", len(row_states))
         with TRACER.span("engine.overlap") as sp:
@@ -476,14 +479,16 @@ class KernelEngine:
     ) -> EngineResult:
         summary = self.backend.timing_summary()
         hits1, misses1 = self._cache_counts()
+        # Every state was swept, so its form is cached: no tensor walk.
+        forms = [query_form(s) for s in states]
         return EngineResult(
             matrix=K,
             simulation_time_s=summary["wall_simulation_time_s"],
             inner_product_time_s=summary["wall_inner_product_time_s"],
             modelled_simulation_time_s=summary["modelled_simulation_time_s"],
             modelled_inner_product_time_s=summary["modelled_inner_product_time_s"],
-            max_bond_dimension=max((s.max_bond_dimension for s in states), default=1),
-            total_state_memory_bytes=sum(s.memory_bytes for s in states),
+            max_bond_dimension=max((f.max_bond_dimension for f in forms), default=1),
+            total_state_memory_bytes=sum(f.memory_bytes for f in forms),
             num_simulations=int(summary["num_simulations"]),
             num_inner_products=int(summary["num_inner_products"]),
             cache_hits=hits1 - hits0,

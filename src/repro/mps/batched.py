@@ -31,10 +31,18 @@ the real entries whatever the padding:
 * a leading run is fused before any padding, from one state's tensors at
   their own shapes, so its bytes depend on that state alone.
 
-:class:`StackedStateBlock` pads a fixed set of states (the serving landmarks,
-the Nystrom ``K_nm`` fit, exact-model scoring, the training Gram) once and
-sweeps each query against all of them, or against a tail of them
-(:meth:`StackedStateBlock.tail`, the Gram's triangular rows);
+:class:`QueryForm` holds what the bra side of a sweep reads from one state
+-- its conjugated fused run and its conjugated, padded site operands -- and
+:func:`query_form` builds it once per state and caches it on the
+:class:`MPS`.  :class:`StackedStateBlock` pads a fixed set of states (the
+serving landmarks, the Nystrom ``K_nm`` fit, exact-model scoring, the
+training Gram) once and sweeps a call's queries against all of them, or
+against a tail of them (:meth:`StackedStateBlock.tail`, the Gram's
+triangular rows): queries that share their padded bonds run as one stack
+along the batch axis, one product for the fused runs plus two per
+remaining site (3 on 8 qubits) per :data:`_STACK_QUERIES` queries, so a
+serving flush takes 3 whatever its size.  The stack never
+widens a product: each query's slice is the BLAS call it gets alone.
 :func:`batched_overlaps` sweeps a chunk of unrelated pairs as stacked
 per-pair products, the per-pair reference the block is checked against.
 Contract: a value is byte-identical whatever the batch composition -- a
@@ -50,14 +58,14 @@ it.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import SimulationError
 from .mps import MPS
 
-__all__ = ["batched_overlaps", "StackedStateBlock"]
+__all__ = ["batched_overlaps", "query_form", "QueryForm", "StackedStateBlock"]
 
 #: Interior bonds are padded to a multiple of this (one micro-kernel tile).
 _BOND_QUANTUM = 4
@@ -65,6 +73,12 @@ _BOND_QUANTUM = 4
 _K_SLICE = 128
 #: Most leading sites fused into the first: ``2**7`` terms fill one slice.
 _FUSED_SITES = _K_SLICE.bit_length() - 1
+#: Most queries one stacked sweep holds, a full serving flush (the default
+#: ``max_batch``).  Its temporaries grow with the stack: sweeping a 128-row
+#: ``K_nm`` fit as one stack raised the serving benchmark's peak RSS by 6 MB.
+_STACK_QUERIES = 32
+#: Bra padding: operands are padded with zeros and then conjugated.
+_CONJ_ZERO = complex(0.0, -0.0)
 
 Chain = List[np.ndarray]
 
@@ -135,42 +149,93 @@ def _fused_run(tensors: Chain, k: int) -> np.ndarray:
     return run
 
 
-def _runs(chains: Sequence[Chain], dims: List[int], k: int) -> np.ndarray:
-    """Fused runs of ``chains`` zero-padded and stacked to ``(Z, 2**k, chi_k)``."""
-    out = np.zeros((len(chains), 2**k, dims[k]), dtype=np.complex128)
-    for z, tensors in enumerate(chains):
-        run = _fused_run(tensors, k)
-        out[z, :, : run.shape[1]] = run
+class QueryForm:
+    """Everything the bra side of a sweep reads from one state.
+
+    ``run`` is the conjugated fused leading run at the state's own
+    ``(2**k, chi_k)``; ``sites`` holds the step-1 operands ``conj(bra)`` of
+    sites ``k..N-1`` as ``(a, 2a')``, zero-padded to the state's own
+    rounded bonds, which ``bonds`` lists from bond ``k`` on.  Built once from
+    the state's unpadded tensors, so its bytes depend on that state alone.
+    """
+
+    __slots__ = ("run", "sites", "bonds", "max_bond_dimension", "memory_bytes")
+
+    def __init__(self, state: MPS) -> None:
+        chain = state.tensors
+        dims = _bond_dims([chain])
+        k = _leading_run(len(chain))
+        self.run = np.conjugate(_fused_run(chain, k))
+        self.sites = [_bra_operands([chain], dims, site)[0] for site in range(k, len(chain))]
+        self.bonds = tuple(dims[k:])
+        self.max_bond_dimension = state.max_bond_dimension
+        self.memory_bytes = state.memory_bytes
+
+
+def query_form(state: MPS) -> QueryForm:
+    """The :class:`QueryForm` of ``state``, built on first use and cached on it.
+
+    Stored states are immutable by contract; every mutating :class:`MPS`
+    method drops the cache, :meth:`MPS.copy` does not carry it, and it is
+    never pickled.  Threads that race to build one build the same bytes.
+    """
+    form = state._query_form
+    if form is None:
+        form = state._query_form = QueryForm(state)
+    return form
+
+
+def _bra_stacks(
+    forms: Sequence[QueryForm], bonds: Sequence[int], k: int
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Bra operands of ``forms`` padded to ``bonds`` (bond ``k`` on) and stacked.
+
+    Returns the first-step ``(Z, 2**k, a)`` stack and one step-1
+    ``(Z, a, 2a')`` stack per site ``k..N-1``.  Padding is the conjugate of
+    zero, as in a form, so an entry's bytes do not depend on which of the
+    two padded it.
+    """
+    z = len(forms)
+    runs = np.full((z, 2**k, bonds[0]), _CONJ_ZERO)
+    for slot, form in enumerate(forms):
+        runs[slot, :, : form.run.shape[1]] = form.run
+    sites = []
+    for i, (left, right) in enumerate(zip(bonds, bonds[1:])):
+        out = np.full((z, left, 2, right), _CONJ_ZERO)
+        for slot, form in enumerate(forms):
+            bra = form.sites[i]
+            out[slot, : bra.shape[0], :, : bra.shape[1] // 2] = bra.reshape(
+                bra.shape[0], 2, -1
+            )
+        sites.append(out.reshape(z, left, -1))
+    return runs, sites
+
+
+def _ket_runs(forms: Sequence[QueryForm], dims: List[int], k: int) -> np.ndarray:
+    """First-step operands ``ket_run^T`` as ``(Z, b, 2**k)``.
+
+    Read from the forms' conjugated runs: conjugating back is exact.
+    """
+    out = np.zeros((len(forms), dims[k], 2**k), dtype=np.complex128)
+    for z, form in enumerate(forms):
+        np.conjugate(form.run.T, out=out[z, : form.run.shape[1]])
     return out
 
 
-def _bra_runs(chains: Sequence[Chain], dims: List[int], k: int) -> np.ndarray:
-    """First-step operands ``conj(bra_run)`` as ``(Z, 2**k, a)``."""
-    out = _runs(chains, dims, k)
-    np.conjugate(out, out=out)
-    return out
-
-
-def _ket_runs(chains: Sequence[Chain], dims: List[int], k: int) -> np.ndarray:
-    """First-step operands ``ket_run^T`` as ``(Z, b, 2**k)``."""
-    return np.ascontiguousarray(_runs(chains, dims, k).transpose(0, 2, 1))
-
-
-def _chains(
+def _distinct(
     states: Sequence[MPS], num_qubits: int, message: str
-) -> Tuple[List[Chain], np.ndarray | None]:
-    """Tensor chains of the distinct ``states`` and the index expanding them.
+) -> Tuple[List[MPS], np.ndarray | None]:
+    """The distinct ``states`` and the index expanding them back.
 
-    The index is ``None`` when all are distinct; a Gram chunk repeats bras.
+    The index is ``None`` when all are distinct; a flush may repeat a row.
     """
     if any(state.num_qubits != num_qubits for state in states):
         raise SimulationError(message)
     distinct = {id(state): state for state in states}
+    if len(distinct) == len(states):
+        return list(states), None
     slots = {key: slot for slot, key in enumerate(distinct)}
-    chains = [state.tensors for state in distinct.values()]
-    if len(chains) == len(states):
-        return chains, None
-    return chains, np.array([slots[id(state)] for state in states])
+    return list(distinct.values()), np.array([slots[id(state)] for state in states])
 
 
 def _gather(stack: np.ndarray, index: np.ndarray | None) -> np.ndarray:
@@ -181,15 +246,18 @@ class StackedStateBlock:
     """A fixed set of MPS, padded and stacked once for repeated sweeps.
 
     The serving hot path scores every query against the *same* ``m``
-    landmark states.  At construction each state's leading run is fused
-    and the block keeps all of them as one ``(m * chi_k x 2**k)`` first-step
-    operand; the remaining site tensors are padded to the block's largest
-    bonds and laid out as step-2 operands.  A query then costs one product
-    for its fused run plus two matmul calls per remaining site against the
-    whole block (3 calls on 8 qubits), however many states it holds and
-    however their bonds differ.  A query is fused and padded on its own bra
-    side only: one whose bond exceeds the block's needs no re-padding of the
-    block, and its values never depend on the other queries of a flush.
+    landmark states.  At construction the block keeps its states' fused
+    leading runs, read from their :class:`QueryForm`, as one
+    ``(m * chi_k x 2**k)`` first-step operand and pads the remaining site
+    tensors to its largest bonds as step-2 operands.  A call groups its
+    queries by their padded bonds and sweeps each group as one stack along
+    the batch axis: one product for the fused runs plus two per remaining
+    site against the whole block (3 calls on 8 qubits) for every
+    :data:`_STACK_QUERIES` queries of the group, however the block's bonds
+    differ.  Each query's slice of a stacked product is the BLAS call it
+    would get alone, at the same shapes, so its values never depend on the
+    other queries of a flush; and a query whose bond exceeds the block's
+    needs no re-padding of the block.
     """
 
     def __init__(self, states: Sequence[MPS]) -> None:
@@ -200,11 +268,12 @@ class StackedStateBlock:
         self.num_qubits = states[0].num_qubits
         if any(s.num_qubits != self.num_qubits for s in states):
             raise SimulationError("all states in a stacked block must share one qubit count")
-        self.max_bond_dimensions = np.array([s.max_bond_dimension for s in states])
+        forms = [query_form(s) for s in states]
+        self.max_bond_dimensions = np.array([f.max_bond_dimension for f in forms])
         chains = [s.tensors for s in states]
         dims = _bond_dims(chains)
         k = _leading_run(self.num_qubits)
-        self._run = _ket_runs(chains, dims, k).reshape(-1, 2**k)
+        self._run = _ket_runs(forms, dims, k).reshape(-1, 2**k)
         self._kets = [
             _ket_operands(chains, dims, site) for site in range(k, self.num_qubits)
         ]
@@ -231,29 +300,34 @@ class StackedStateBlock:
 
     def overlaps(self, bras: Sequence[MPS]) -> np.ndarray:
         """``<bra_q|ket_j>`` for every query ``q`` and block state ``j``."""
-        chains, index = _chains(
+        states, index = _distinct(
             list(bras),
             self.num_qubits,
             "query state qubit count does not match the stacked block",
         )
-        out = np.empty((len(chains), self.num_states), dtype=np.complex128)
-        for q, chain in enumerate(chains):
-            out[q] = self._sweep(chain)
+        forms = [query_form(state) for state in states]
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for q, form in enumerate(forms):
+            groups.setdefault(form.bonds, []).append(q)
+        out = np.empty((len(forms), self.num_states), dtype=np.complex128)
+        for bonds, members in groups.items():
+            for start in range(0, len(members), _STACK_QUERIES):
+                stack = members[start : start + _STACK_QUERIES]
+                out[stack] = self._sweep([forms[q] for q in stack], bonds)
         return _gather(out, index)
 
-    def _sweep(self, chain: Chain) -> np.ndarray:
-        m = self.num_states
-        dims = _bond_dims([chain])
-        k = _leading_run(self.num_qubits)
-        # The fused first step and every step 1 run as one (m*b x .) product
-        # for the whole block.
-        env = _matmul(self._run, _bra_runs([chain], dims, k)[0])
-        for site, kets in enumerate(self._kets, start=k):
+    def _sweep(self, forms: Sequence[QueryForm], bonds: Tuple[int, ...]) -> np.ndarray:
+        """One stacked sweep of queries that share their padded ``bonds``."""
+        m, z = self.num_states, len(forms)
+        runs, sites = _bra_stacks(forms, bonds, _leading_run(self.num_qubits))
+        # The fused first step and every step 1 run as (m*b x .) products
+        # against the whole block, one slice per query.
+        env = _matmul(self._run, runs)
+        for kets, bras in zip(self._kets, sites):
             ket_bond = kets.shape[2] // 2
-            bra = _bra_operands([chain], dims, site)[0]
-            tmp = _matmul(env.reshape(m * ket_bond, -1), bra)
-            env = _matmul(kets, tmp.reshape(m, 2 * ket_bond, -1))
-        return env[:, 0, 0]
+            tmp = _matmul(env.reshape(z, m * ket_bond, -1), bras)
+            env = _matmul(kets, tmp.reshape(z, m, 2 * ket_bond, -1))
+        return env[:, :, 0, 0]
 
 
 def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
@@ -261,25 +335,30 @@ def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
 
     The bra is conjugated; values come back in the order of ``pairs``.
     Each pair is swept as :class:`StackedStateBlock` sweeps it -- fused
-    leading run, then two products per site -- as per-pair stacks.
+    leading run, then two products per site -- as per-pair stacks, with
+    both sides' runs and the bra operands read from the states'
+    :class:`QueryForm`.
     """
     if not pairs:
         return np.empty(0, dtype=np.complex128)
     num_qubits = pairs[0][0].num_qubits
     message = "all states in a batched overlap chunk must share one qubit count"
-    bras, bra_index = _chains([bra for bra, _ in pairs], num_qubits, message)
-    kets, ket_index = _chains([ket for _, ket in pairs], num_qubits, message)
-    bra_dims = _bond_dims(bras)
-    ket_dims = _bond_dims(kets)
+    bras, bra_index = _distinct([bra for bra, _ in pairs], num_qubits, message)
+    kets, ket_index = _distinct([ket for _, ket in pairs], num_qubits, message)
+    bra_forms = [query_form(bra) for bra in bras]
+    bonds = [max(sizes) for sizes in zip(*(form.bonds for form in bra_forms))]
+    chains = [ket.tensors for ket in kets]
+    ket_dims = _bond_dims(chains)
     k = _leading_run(num_qubits)
+    runs, sites = _bra_stacks(bra_forms, bonds, k)
     env = _matmul(
-        _gather(_ket_runs(kets, ket_dims, k), ket_index),
-        _gather(_bra_runs(bras, bra_dims, k), bra_index),
+        _gather(_ket_runs([query_form(ket) for ket in kets], ket_dims, k), ket_index),
+        _gather(runs, bra_index),
     )
-    for site in range(k, num_qubits):
-        tmp = _matmul(env, _gather(_bra_operands(bras, bra_dims, site), bra_index))
+    for site, bra in enumerate(sites, start=k):
+        tmp = _matmul(env, _gather(bra, bra_index))
         env = _matmul(
-            _gather(_ket_operands(kets, ket_dims, site), ket_index),
+            _gather(_ket_operands(chains, ket_dims, site), ket_index),
             tmp.reshape(len(pairs), 2 * ket_dims[site], -1),
         )
     return env[:, 0, 0].copy()

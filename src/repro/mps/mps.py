@@ -79,6 +79,7 @@ class MPS:
         "_record_columns",
         "_gates_applied",
         "_two_qubit_gates_applied",
+        "_query_form",
     )
 
     def __init__(
@@ -118,6 +119,25 @@ class MPS:
         self._record_columns: Tuple[List[int], List[int], List[float]] | None = None
         self._gates_applied = 0
         self._two_qubit_gates_applied = 0
+        #: The bra-side sweep operands :func:`repro.mps.batched.query_form`
+        #: builds from these tensors on first use; every mutating method
+        #: drops it, :meth:`copy` does not carry it and it is never pickled.
+        self._query_form = None
+
+    def __getstate__(self):
+        # The default slot state minus the query form, so a pickled state is
+        # the same bytes whether or not it was ever swept.
+        slots = {}
+        for cls in type(self).__mro__:
+            for name in cls.__dict__.get("__slots__", ()):
+                if name != "_query_form" and hasattr(self, name):
+                    slots[name] = getattr(self, name)
+        return None, slots
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._query_form = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -277,6 +297,7 @@ class MPS:
         m = self.num_qubits
         if not (0 <= center < m):
             raise SimulationError(f"center {center} out of range for {m} qubits")
+        self._query_form = None
         # Left-to-right QR sweep up to (excluding) the centre.
         for i in range(center):
             q, r = qr_right(self._tensors[i])
@@ -291,6 +312,7 @@ class MPS:
 
     def _move_center(self, target: int) -> None:
         """Move the orthogonality centre to ``target`` with local QR steps."""
+        self._query_form = None
         if self._center is None:
             self.canonicalize(target)
             return
@@ -316,6 +338,7 @@ class MPS:
         gate = np.asarray(gate, dtype=np.complex128)
         if gate.shape != (2, 2):
             raise SimulationError(f"single-qubit gate must be 2x2, got {gate.shape}")
+        self._query_form = None
         self._tensors[qubit] = apply_single_qubit_gate(self._tensors[qubit], gate)
         self._gates_applied += 1
 
@@ -340,6 +363,7 @@ class MPS:
         gate = np.asarray(gate, dtype=np.complex128)
         if gate.shape != (4, 4):
             raise SimulationError(f"two-qubit gate must be 4x4, got {gate.shape}")
+        self._query_form = None
 
         if canonicalize:
             self._move_center(qubit)
@@ -417,6 +441,7 @@ class MPS:
         n = self.norm()
         if n == 0.0:
             raise SimulationError("cannot normalise the zero state")
+        self._query_form = None
         # Scale the centre tensor (or site 0 if the centre is unknown).
         site = self._center if self._center is not None else 0
         self._tensors[site] = self._tensors[site] / n

@@ -67,19 +67,49 @@ def _matmul_calls(monkeypatch):
 
 
 def test_a_block_query_on_the_benchmark_ansatz_is_three_matmuls(monkeypatch):
-    """The fused first step is one product against the whole block; site 7
-    is one block product and one per-pair stack.  The query's own run is
-    fused once per query, at its own shapes, before any of these."""
-    X = np.random.default_rng(7).uniform(0.05, 1.95, size=(12, 8))
+    """A flush whose queries share their padded bonds is one stacked sweep:
+    the fused first step is one product against the whole block and site 7
+    two more, for a flush of up to 32 queries (a serving flush), and three
+    more per further 32.  A query's own run is fused when its form is
+    built, outside these products."""
+    X = np.random.default_rng(7).uniform(0.05, 1.95, size=(80, 8))
     states = KernelEngine(BENCHMARK_ANSATZ).encode_rows(X)
+    assert len({batched.query_form(s).bonds for s in states}) == 1
     block = StackedStateBlock(states[:8])
     calls = _matmul_calls(monkeypatch)
-    block.overlaps([states[9]])
-    assert len(calls) == 3
-    assert [len(shape) for shape in calls] == [2, 2, 3]
+    for flush in ([states[9]], states[9:12], states[8:40]):
+        calls.clear()
+        block.overlaps(flush)
+        assert [len(shape) for shape in calls] == [2, 3, 3]
     calls.clear()
-    block.tail(3).overlaps(states[9:12])
-    assert len(calls) == 3 * 3
+    block.tail(3).overlaps(states[9:40])
+    assert len(calls) == 3
+    calls.clear()
+    values = block.overlaps(states[8:80])
+    assert [len(shape) for shape in calls] == [2, 3, 3] * 3
+    alone = np.concatenate([block.overlaps([s]) for s in states[8:80]])
+    assert values.tobytes() == alone.tobytes()
+
+
+def test_each_state_is_fused_once_per_fit(monkeypatch):
+    """A 128-row Gram fuses each state once: the block's ket runs and every
+    row's bra run come from one cached form, and repeated queries against
+    the block reuse it too."""
+    fused = []
+    fuse = batched._fused_run
+
+    def counting(tensors, k):
+        fused.append(k)
+        return fuse(tensors, k)
+
+    monkeypatch.setattr(batched, "_fused_run", counting)
+    X = np.random.default_rng(9).uniform(0.05, 1.95, size=(128, 8))
+    result = KernelEngine(BENCHMARK_ANSATZ).gram(X)
+    assert len(fused) == 128
+    for _ in range(2):
+        result.block.overlaps(result.states[:32])
+        batched_overlaps([(result.states[0], s) for s in result.states[1:9]])
+    assert len(fused) == 128
 
 
 def test_a_pair_chunk_on_the_benchmark_ansatz_is_three_matmuls(monkeypatch):

@@ -7,6 +7,10 @@ against a block or as pair chunks of any size.  Blocks mix per-site bonds
 one-state block, and meet queries whose bonds exceed the block's.  Chains of
 1 to 3 qubits are shorter than a full fused leading run (7 sites), and 16
 qubits are longer.
+
+A state's cached query form (:func:`repro.mps.batched.query_form`) never
+shows in a value: it is the same whether the form is fresh or cached, and a
+state mutated after it was swept is swept from its new tensors.
 """
 
 import numpy as np
@@ -15,7 +19,9 @@ import pytest
 from repro.backends import CpuBackend
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
-from repro.mps import MPS, StackedStateBlock, batched_overlaps
+from repro.engine import KernelEngine
+from repro.mps import MPS, StackedStateBlock, batched_overlaps, rx, rxx
+from repro.mps.batched import QueryForm, query_form
 
 NARROW = AnsatzConfig(num_features=6, interaction_distance=1, layers=1, gamma=0.5)
 WIDE = AnsatzConfig(num_features=6, interaction_distance=3, layers=2, gamma=0.9)
@@ -129,3 +135,90 @@ def test_sweep_contract_on_short_chains(num_qubits):
         block_states += _encode(ansatz, 2, 70 + num_qubits)
         queries += _encode(ansatz, 2, 80 + num_qubits)
     _assert_contract(block_states, queries, seed=num_qubits)
+
+
+#: 12 qubits at ``d = 2``: the rows' padded bonds from the fused run on fall
+#: into several shape groups, so one flush takes several stacked sweeps.
+GROUPED = AnsatzConfig(num_features=12, interaction_distance=2, layers=2, gamma=0.3)
+
+
+def _grouped_states(count, seed):
+    X = np.random.default_rng(seed).uniform(0.05, 1.95, size=(count, GROUPED.num_features))
+    return KernelEngine(GROUPED).encode_rows(X)
+
+
+def test_form_cache_flush_and_tail_leave_values_unchanged():
+    states = _grouped_states(18, 31)
+    block_states, queries = states[:6], states[6:]
+    groups = [QueryForm(q).bonds for q in queries]
+    assert len(set(groups)) > 1
+    assert len({QueryForm(s).run.shape for s in states}) > 1
+    assert all(q._query_form is None for q in queries)
+    block = StackedStateBlock(block_states)
+    # A fresh form (built by this call), then the cached one, then a copy's.
+    fresh = [block.overlaps([q]) for q in queries]
+    assert all(q._query_form is not None for q in queries)
+    assert all(q.copy()._query_form is None for q in queries)
+    for q, query in enumerate(queries):
+        assert block.overlaps([query]).tobytes() == fresh[q].tobytes()
+        assert block.overlaps([query.copy()]).tobytes() == fresh[q].tobytes()
+    alone = np.concatenate(fresh)
+    oracle = np.array([[q.inner_product(s) for s in block_states] for q in queries])
+    assert np.max(np.abs(alone - oracle)) < 1e-12
+    # Any flush, mixing shape groups in any order and with repeats.
+    rng = np.random.default_rng(32)
+    everyone = np.arange(len(queries))
+    flushes = [everyone, everyone[::-1], rng.permutation(everyone)[:5]]
+    flushes += [rng.integers(0, len(queries), size=size) for size in (3, 30)]
+    for flush in flushes:
+        swept = block.overlaps([queries[q] for q in flush])
+        assert swept.tobytes() == alone[flush].tobytes()
+    # Against a tail of the block, and as pair chunks.
+    for start in (1, 4, 5):
+        tail = block.tail(start).overlaps(queries)
+        assert tail.tobytes() == np.ascontiguousarray(alone[:, start:]).tobytes()
+    pairs = [(q, s) for q in queries for s in block_states]
+    values = batched_overlaps(pairs)
+    assert values.tobytes() == alone.ravel().tobytes()
+
+
+def _scaled(state, factor):
+    """``state`` times ``factor``: not unit-norm, so ``normalize`` shows."""
+    tensors = state.tensors
+    tensors[0] = tensors[0] * factor
+    return MPS(tensors)
+
+
+MUTATIONS = {
+    "single-qubit gate": lambda s: s.apply_single_qubit_gate(3, rx(0.7)),
+    "two-qubit gate": lambda s: s.apply_two_qubit_gate(5, rxx(0.4)),
+    "canonicalize": lambda s: s.canonicalize(9),
+    "normalize": lambda s: s.normalize(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_a_state_mutated_after_a_sweep_is_swept_anew(name):
+    states = _grouped_states(6, 41)
+    others = states[1:]
+    block = StackedStateBlock(others)
+    for mutate_copy in (False, True):
+        state = _scaled(states[0], 1.5)
+        before = block.overlaps([state])
+        StackedStateBlock([state]).overlaps(others)
+        assert state._query_form is not None
+        target = state.copy() if mutate_copy else state
+        MUTATIONS[name](target)
+        assert target._query_form is None
+        if mutate_copy:
+            assert block.overlaps([state]).tobytes() == before.tobytes()
+        oracle = np.array([target.inner_product(o) for o in others])
+        assert np.max(np.abs(block.overlaps([target])[0] - oracle)) < 1e-12
+        as_ket = StackedStateBlock([target]).overlaps(others)[:, 0]
+        assert np.max(np.abs(as_ket - oracle.conj())) < 1e-12
+        pairs = batched_overlaps([(target, o) for o in others])
+        assert np.max(np.abs(pairs - oracle)) < 1e-12
+        # The rebuilt form is the form a never-swept state gets.
+        rebuilt, fresh = query_form(target), QueryForm(target)
+        assert rebuilt.run.tobytes() == fresh.run.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rebuilt.sites, fresh.sites))

@@ -19,7 +19,7 @@ from repro.approx import NystroemConfig, StreamingNystroemClassifier
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
-from repro.engine import StateStore
+from repro.engine import StateStore, deserialize_states, serialize_states
 from repro.exceptions import PersistenceError
 from repro.mps import MPS
 from repro.serving import PersistentStateStore, SnapshotManifest
@@ -85,6 +85,39 @@ def test_snapshot_round_trip_is_byte_identical(payload, queries, tmp_path):
     assert np.array_equal(result_a.kernel_rows, result_b.kernel_rows)
     assert np.array_equal(result_a.decision_values, result_b.decision_values)
     assert np.array_equal(result_a.predictions, result_b.predictions)
+
+
+def test_a_swept_state_travels_as_its_never_swept_twin(payload, queries, tmp_path):
+    """A state's cached query form is never pickled: a swept state ships in
+    a state payload, a persistence snapshot and a serving payload as the
+    same bytes as a twin that was never swept."""
+    swept, swept_store = _durable_classifier(payload, tmp_path / "swept")
+    swept.classify(queries)
+    twin, twin_store = _durable_classifier(payload, tmp_path / "twin")
+    twin.feature_map.engine.encode_rows(twin.scale(queries))
+    states = {
+        key: (swept_store.store._entries[key], twin_store.store._entries[key])
+        for key in swept_store.keys()
+    }
+    assert len(states) == len(queries)
+    assert all(a._query_form is not None and b._query_form is None for a, b in states.values())
+    assert serialize_states([a for a, _ in states.values()]) == serialize_states(
+        [b for _, b in states.values()]
+    )
+    assert swept_store.dump_entries() == twin_store.dump_entries()
+    manifests = swept_store.snapshot(), twin_store.snapshot()
+    assert manifests[0].payload_file == manifests[1].payload_file
+    assert (tmp_path / "swept" / manifests[0].payload_file).read_bytes() == (
+        tmp_path / "twin" / manifests[1].payload_file
+    ).read_bytes()
+    # The landmarks were stacked into the swept replica's block.
+    landmarks = swept.feature_map.landmark_states_
+    assert all(s._query_form is not None for s in landmarks)
+    never_swept = deserialize_states(payload["landmark_payload"])
+    assert serialize_states(landmarks) == serialize_states(never_swept)
+    shipped = swept.serving_payload()
+    assert shipped["landmark_payload"] == payload["landmark_payload"]
+    assert shipped["model_blob"] == payload["model_blob"]
 
 
 def test_snapshot_subset_and_manifest_fields(payload, queries, tmp_path):

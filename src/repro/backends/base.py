@@ -434,10 +434,11 @@ class Backend(abc.ABC):
         stacked once at fit time, and each query's bra operands once per
         state (:func:`~repro.mps.batched.query_form`).  Queries that share
         their padded bonds are swept in stacks of up to 32 (a serving
-        flush), each one BLAS product for the fused leading sites plus two
-        per remaining site against all ``block.num_states`` states; every
-        value is byte-identical to :meth:`inner_product_batch` on the same
-        pair.
+        flush) against all ``block.num_states`` states: a chain of up to 8
+        qubits is fused whole, so a stack is one GEMV per 128-term slice of
+        the amplitudes; a longer chain takes one product for its 7 fused
+        leading sites plus two per remaining site.  Every value is
+        byte-identical to :meth:`inner_product_batch` on the same pair.
         ``values`` is the 2-D overlap matrix in (query, block state) order;
         counters advance exactly as if each pair had been evaluated
         individually, in that order.

@@ -146,9 +146,10 @@ class DeviceCostModel:
         (Fig. 5b) until the ``chi^3`` term takes over.
 
         This prices the per-site device sweep the paper times.  The host
-        sweep (:mod:`repro.mps.batched`) fuses a state's leading sites into
-        one BLAS product before sweeping the rest; that changes measured wall
-        time, not the modelled device time, which stays this per-site figure.
+        sweep (:mod:`repro.mps.batched`) fuses a state's leading sites (on up
+        to 8 qubits, the whole chain) into one BLAS product before sweeping
+        the rest; that changes measured wall time, not the modelled device
+        time, which stays this per-site figure.
         """
         flops = self.inner_product_flops(num_qubits, chi)
         return (

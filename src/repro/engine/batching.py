@@ -1,7 +1,8 @@
 """Chunked overlap evaluation for the engine (re-export of the MPS-layer sweep).
 
-The engine's batched-overlap path fuses each state's leading sites (up to
-seven) into one site, zero-pads every state of a chunk to one per-site bond
+The engine's batched-overlap path fuses each state's leading sites into one
+site -- the whole chain, its amplitude vector, on up to 8 qubits, else the
+leading seven -- zero-pads every state of a chunk to one per-site bond
 dimension, and runs the transfer-matrix sweep as one BLAS product for the
 fused site plus two per remaining site.  The implementation lives in
 :mod:`repro.mps.batched` -- it depends only on the MPS class, and

@@ -40,6 +40,8 @@ __all__ = [
     "ansatz_fingerprint",
     "simulation_fingerprint",
     "state_key",
+    "key_suffix",
+    "row_key",
     "serialize_states",
     "deserialize_states",
 ]
@@ -83,11 +85,23 @@ def state_key(
     from, while any change to the data, ansatz or truncation policy yields a
     different key.
     """
-    row = np.ascontiguousarray(np.asarray(feature_row, dtype=np.float64)).ravel()
-    h = hashlib.blake2b(digest_size=20)
-    h.update(row.tobytes())
-    h.update(ansatz_fp.encode())
-    h.update(simulation_fp.encode())
+    return row_key(feature_row, key_suffix(ansatz_fp, simulation_fp))
+
+
+def key_suffix(ansatz_fp: str, simulation_fp: str) -> bytes:
+    """The bytes every :func:`state_key` under these fingerprints ends with."""
+    return (ansatz_fp + simulation_fp).encode()
+
+
+def row_key(feature_row: np.ndarray, suffix: bytes) -> str:
+    """:func:`state_key` of ``feature_row`` under a :func:`key_suffix`.
+
+    An engine encodes its suffix once.  blake2b hashes a stream, so hashing
+    the row's C-order float64 bytes and then the suffix gives the same key
+    as hashing the row and each fingerprint in turn.
+    """
+    h = hashlib.blake2b(np.asarray(feature_row, dtype=np.float64).tobytes(), digest_size=20)
+    h.update(suffix)
     return h.hexdigest()
 
 

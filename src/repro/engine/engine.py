@@ -49,7 +49,13 @@ from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
 from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock, query_form
-from .cache import StateStore, ansatz_fingerprint, simulation_fingerprint, state_key
+from .cache import (
+    StateStore,
+    ansatz_fingerprint,
+    key_suffix,
+    row_key,
+    simulation_fingerprint,
+)
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
@@ -152,6 +158,7 @@ class KernelEngine:
             self.store = None
         self._ansatz_fp = ansatz_fingerprint(ansatz)
         self._simulation_fp = simulation_fingerprint(self.backend.config)
+        self._key_suffix = key_suffix(self._ansatz_fp, self._simulation_fp)
 
     @property
     def fingerprint(self) -> str:
@@ -247,7 +254,7 @@ class KernelEngine:
         """
         if self.store is None:
             return self._sweep(np.asarray(row, dtype=float)[None, :])[0]
-        key = state_key(row, self._ansatz_fp, self._simulation_fp)
+        key = row_key(row, self._key_suffix)
         cached = self.store.get(key)
         if cached is not None:
             return cached
@@ -296,9 +303,7 @@ class KernelEngine:
         pending: List[int] = []
         pending_keys = set()
         deferred: List[int] = []
-        keys = [
-            state_key(row, self._ansatz_fp, self._simulation_fp) for row in X
-        ]
+        keys = [row_key(row, self._key_suffix) for row in X]
         for i in range(n):
             if keys[i] in pending_keys:
                 # A duplicate of an earlier miss in this same call: resolve it

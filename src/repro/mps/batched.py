@@ -2,30 +2,35 @@
 
 The overlap ``<bra|ket>`` is the transfer-matrix sweep of Fig. 2: a left
 environment ``env[b, a]`` (``b`` the open ket bond, ``a`` the open bra bond)
-is pushed through the chain one site at a time, so BLAS ``zgemm`` does the
-arithmetic:
+is pushed through the chain one site at a time, so BLAS does the
+arithmetic.  Each state's leading run of ``k`` sites (:func:`_leading_run`)
+is first fused, per state and from the state's own unpadded tensors, into
+one site of shape ``(1, 2**k, chi_k)``.  The environment left of site 0 is
+all ones, so the sweep's first step is the single product ``env =
+ket_run^T @ conj(bra_run)``: ``(b x 2**k) @ (2**k x a)``.
 
-* the leading run of ``k = min(7, num_qubits - 1)`` sites
-  (:func:`_leading_run`) is first fused, per state and from the state's own
-  unpadded tensors, into one site of shape ``(1, 2**k, chi_k)``.  The
-  environment left of site 0 is all ones, so the sweep's first step is the
-  single product ``env = ket_run^T @ conj(bra_run)``: ``(b x 2**k) @
-  (2**k x a)``.  Its contraction, ``2**k <= 128``, is one BLAS slice
-  (:data:`_K_SLICE`);
-* every later site is two ``np.matmul`` calls:
+* A chain of up to 8 sites is fused whole (``k = N``, ``chi_N = 1``): a
+  run is the state's ``2**N`` amplitudes, an overlap is one GEMV of two
+  amplitude vectors, at most two :data:`_K_SLICE` slices, and no site is
+  left to sweep.
+* A longer chain fuses its leading ``k = 7`` sites, one 128-term slice, and
+  sweeps every later site with two ``np.matmul`` calls:
 
   1. ``tmp = env @ conj(bra)``: ``(b x a) @ (a x 2a')``, read as ``(2b x a')``;
   2. ``env' = ket^T @ tmp``: ``(b' x 2b) @ (2b x a')``.
 
 States swept together need not share bond dimensions: each side of the sweep
 is zero-padded to its largest bond per site.  Zero padding leaves the exact
-sum unchanged, and two rules keep BLAS doing the same floating-point work on
-the real entries whatever the padding:
+sum unchanged, and these rules keep BLAS doing the same floating-point work
+on the real entries whatever the padding:
 
 * interior bonds are rounded up to a multiple of :data:`_BOND_QUANTUM`, so
   every product dimension but the unit boundaries spans whole micro-kernel
-  tiles (OpenBLAS rounds edge tiles differently) and no product falls back
-  to NumPy's ``gemv``, ``dot`` or plain loop for a unit dimension;
+  tiles (OpenBLAS rounds edge tiles differently);
+* no product has one row: NumPy sends a ``(1 x K) @ (K x 1)`` product to
+  ``dot``, whose bytes differ from GEMV's, so a block keeps one spare zero
+  state after its runs (a tail slices past it, so it keeps the spare too)
+  and a pair's one-row ket run gets a zero second row;
 * contractions are cut into fixed :data:`_K_SLICE`-term slices summed in
   order, so BLAS never splits one at a size-dependent point;
 * a leading run is fused before any padding, from one state's tensors at
@@ -39,9 +44,9 @@ serving landmarks, the Nystrom ``K_nm`` fit, exact-model scoring, the
 training Gram) once and sweeps a call's queries against all of them, or
 against a tail of them (:meth:`StackedStateBlock.tail`, the Gram's
 triangular rows): queries that share their padded bonds run as one stack
-along the batch axis, one product for the fused runs plus two per
-remaining site (3 on 8 qubits) per :data:`_STACK_QUERIES` queries, so a
-serving flush takes 3 whatever its size.  The stack never
+along the batch axis, one product per slice of the fused runs plus two per
+remaining site per :data:`_STACK_QUERIES` queries, so on 8 qubits a serving
+flush takes 2 ``np.matmul`` calls whatever its size.  The stack never
 widens a product: each query's slice is the BLAS call it gets alone.
 :func:`batched_overlaps` sweeps a chunk of unrelated pairs as stacked
 per-pair products, the per-pair reference the block is checked against.
@@ -49,7 +54,8 @@ Contract: a value is byte-identical whatever the batch composition -- a
 query alone or in any subset or order, against a whole block or a tail of
 it, any chunk size, either entry point -- and within ``1e-12`` of
 :meth:`MPS.inner_product`.
-Identity holds for one BLAS build and thread count, as for any BLAS result.
+Identity holds for one BLAS build, core type and thread count, as for any
+BLAS result.
 
 The module depends only on the MPS class and NumPy, so :mod:`repro.backends`
 uses it without the engine package; :mod:`repro.engine.batching` re-exports
@@ -73,6 +79,8 @@ _BOND_QUANTUM = 4
 _K_SLICE = 128
 #: Most leading sites fused into the first: ``2**7`` terms fill one slice.
 _FUSED_SITES = _K_SLICE.bit_length() - 1
+#: Longest chain fused whole: its ``2**8`` amplitudes fill two slices.
+_WHOLE_CHAIN = _FUSED_SITES + 1
 #: Most queries one stacked sweep holds, a full serving flush (the default
 #: ``max_batch``).  Its temporaries grow with the stack: sweeping a 128-row
 #: ``K_nm`` fit as one stack raised the serving benchmark's peak RSS by 6 MB.
@@ -86,9 +94,11 @@ Chain = List[np.ndarray]
 def _leading_run(num_qubits: int) -> int:
     """How many leading sites a sweep fuses into its first step.
 
-    At least one site is left to sweep, so a one-qubit chain fuses none.
+    A chain of up to :data:`_WHOLE_CHAIN` sites is fused whole, so its
+    overlap is one product of two amplitude vectors; a longer one fuses
+    :data:`_FUSED_SITES` and sweeps the rest.
     """
-    return min(_FUSED_SITES, num_qubits - 1)
+    return num_qubits if num_qubits <= _WHOLE_CHAIN else _FUSED_SITES
 
 
 def _bond_dims(chains: Sequence[Chain]) -> List[int]:
@@ -137,12 +147,10 @@ def _fused_run(tensors: Chain, k: int) -> np.ndarray:
     """Sites ``0..k-1`` of one state contracted to a ``(2**k, chi_k)`` matrix.
 
     Row ``p`` is the physical configuration ``p_0 ... p_{k-1}`` read as a
-    binary number; ``k == 0`` is the unit run.  The products run at the
-    state's own shapes, before any padding, so the bytes depend on this
-    state alone.
+    binary number; for ``k == N`` the run is the state's amplitude vector.
+    The products run at the state's own shapes, before any padding, so the
+    bytes depend on this state alone.
     """
-    if k == 0:
-        return np.ones((1, 1), dtype=np.complex128)
     run = tensors[0].reshape(-1, tensors[0].shape[2])
     for tensor in tensors[1:k]:
         run = (run @ tensor.reshape(tensor.shape[0], -1)).reshape(-1, tensor.shape[2])
@@ -153,7 +161,8 @@ class QueryForm:
     """Everything the bra side of a sweep reads from one state.
 
     ``run`` is the conjugated fused leading run at the state's own
-    ``(2**k, chi_k)``; ``sites`` holds the step-1 operands ``conj(bra)`` of
+    ``(2**k, chi_k)`` (on up to 8 qubits the ``(2**N, 1)`` amplitude
+    vector); ``sites`` holds the step-1 operands ``conj(bra)`` of
     sites ``k..N-1`` as ``(a, 2a')``, zero-padded to the state's own
     rounded bonds, which ``bonds`` lists from bond ``k`` on.  Built once from
     the state's unpadded tensors, so its bytes depend on that state alone.
@@ -211,12 +220,13 @@ def _bra_stacks(
     return runs, sites
 
 
-def _ket_runs(forms: Sequence[QueryForm], dims: List[int], k: int) -> np.ndarray:
-    """First-step operands ``ket_run^T`` as ``(Z, b, 2**k)``.
+def _ket_runs(forms: Sequence[QueryForm], states: int, rows: int) -> np.ndarray:
+    """First-step operands ``ket_run^T`` as ``(states, rows, 2**k)``.
 
-    Read from the forms' conjugated runs: conjugating back is exact.
+    Zero past the forms' own states and rows.  Read from the forms'
+    conjugated runs: conjugating back is exact.
     """
-    out = np.zeros((len(forms), dims[k], 2**k), dtype=np.complex128)
+    out = np.zeros((states, rows, forms[0].run.shape[0]), dtype=np.complex128)
     for z, form in enumerate(forms):
         np.conjugate(form.run.T, out=out[z, : form.run.shape[1]])
     return out
@@ -248,16 +258,17 @@ class StackedStateBlock:
     The serving hot path scores every query against the *same* ``m``
     landmark states.  At construction the block keeps its states' fused
     leading runs, read from their :class:`QueryForm`, as one
-    ``(m * chi_k x 2**k)`` first-step operand and pads the remaining site
-    tensors to its largest bonds as step-2 operands.  A call groups its
-    queries by their padded bonds and sweeps each group as one stack along
-    the batch axis: one product for the fused runs plus two per remaining
-    site against the whole block (3 calls on 8 qubits) for every
-    :data:`_STACK_QUERIES` queries of the group, however the block's bonds
-    differ.  Each query's slice of a stacked product is the BLAS call it
-    would get alone, at the same shapes, so its values never depend on the
-    other queries of a flush; and a query whose bond exceeds the block's
-    needs no re-padding of the block.
+    ``((m + 1) * chi_k x 2**k)`` first-step operand whose last state is a
+    spare zero one, and pads the remaining site tensors to its largest
+    bonds as step-2 operands.  A call groups its queries by their padded
+    bonds and sweeps each group as one stack along the batch axis: one
+    product per slice of the fused runs plus two per remaining site against
+    the whole block (2 calls on 8 qubits) for every :data:`_STACK_QUERIES`
+    queries of the group, however the block's bonds differ.  Each query's
+    slice of a stacked product is the BLAS call it would get alone, at the
+    same shapes, so its values never depend on the other queries of a
+    flush; and a query whose bond exceeds the block's needs no re-padding
+    of the block.
     """
 
     def __init__(self, states: Sequence[MPS]) -> None:
@@ -273,7 +284,8 @@ class StackedStateBlock:
         chains = [s.tensors for s in states]
         dims = _bond_dims(chains)
         k = _leading_run(self.num_qubits)
-        self._run = _ket_runs(forms, dims, k).reshape(-1, 2**k)
+        # The spare zero state keeps a one-state block or tail off ``dot``.
+        self._run = _ket_runs(forms, self.num_states + 1, dims[k]).reshape(-1, 2**k)
         self._kets = [
             _ket_operands(chains, dims, site) for site in range(k, self.num_qubits)
         ]
@@ -293,7 +305,7 @@ class StackedStateBlock:
         view.num_states = self.num_states - start
         view.num_qubits = self.num_qubits
         view.max_bond_dimensions = self.max_bond_dimensions[start:]
-        run_bond = self._run.shape[0] // self.num_states
+        run_bond = self._run.shape[0] // (self.num_states + 1)
         view._run = self._run[start * run_bond :]
         view._kets = [kets[start:] for kets in self._kets]
         return view
@@ -321,13 +333,15 @@ class StackedStateBlock:
         m, z = self.num_states, len(forms)
         runs, sites = _bra_stacks(forms, bonds, _leading_run(self.num_qubits))
         # The fused first step and every step 1 run as (m*b x .) products
-        # against the whole block, one slice per query.
-        env = _matmul(self._run, runs)
+        # against the whole block, one slice per query; the first step's
+        # rows of the spare state are dropped.
+        run_bond = self._run.shape[0] // (m + 1)
+        env = _matmul(self._run, runs)[:, : m * run_bond]
         for kets, bras in zip(self._kets, sites):
             ket_bond = kets.shape[2] // 2
             tmp = _matmul(env.reshape(z, m * ket_bond, -1), bras)
             env = _matmul(kets, tmp.reshape(z, m, 2 * ket_bond, -1))
-        return env[:, :, 0, 0]
+        return env.reshape(z, m)
 
 
 def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
@@ -335,9 +349,9 @@ def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
 
     The bra is conjugated; values come back in the order of ``pairs``.
     Each pair is swept as :class:`StackedStateBlock` sweeps it -- fused
-    leading run, then two products per site -- as per-pair stacks, with
-    both sides' runs and the bra operands read from the states'
-    :class:`QueryForm`.
+    leading run, then two products per remaining site -- as per-pair
+    stacks, with both sides' runs and the bra operands read from the
+    states' :class:`QueryForm`.
     """
     if not pairs:
         return np.empty(0, dtype=np.complex128)
@@ -351,10 +365,9 @@ def batched_overlaps(pairs: Sequence[Tuple[MPS, MPS]]) -> np.ndarray:
     ket_dims = _bond_dims(chains)
     k = _leading_run(num_qubits)
     runs, sites = _bra_stacks(bra_forms, bonds, k)
-    env = _matmul(
-        _gather(_ket_runs([query_form(ket) for ket in kets], ket_dims, k), ket_index),
-        _gather(runs, bra_index),
-    )
+    # A whole chain's ket run is one row: a zero second row keeps it off ``dot``.
+    ket_runs = _ket_runs([query_form(ket) for ket in kets], len(kets), max(ket_dims[k], 2))
+    env = _matmul(_gather(ket_runs, ket_index), _gather(runs, bra_index))
     for site, bra in enumerate(sites, start=k):
         tmp = _matmul(env, _gather(bra, bra_index))
         env = _matmul(

@@ -88,6 +88,7 @@ class FeatureScaler:
             raise DataError(f"expected a non-empty 2-D matrix, got shape {X.shape}")
         self._mins = X.min(axis=0)
         self._maxs = X.max(axis=0)
+        self.__dict__.pop("_affine_cache", None)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -97,21 +98,39 @@ class FeatureScaler:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DataError(f"expected a 2-D matrix, got shape {X.shape}")
-        assert self._mins is not None and self._maxs is not None
+        assert self._mins is not None
         if X.shape[1] != self._mins.shape[0]:
             raise DataError(
                 f"feature count mismatch: fitted {self._mins.shape[0]}, got {X.shape[1]}"
             )
-        lo = self.lower + self.margin
-        hi = self.upper - self.margin
-        span = self._maxs - self._mins
-        mid = (lo + hi) / 2.0
+        lo, hi, mid, cols, mins, span = self._affine()
         out = np.full_like(X, mid, dtype=float)
-        nonconst = span > 0
-        out[:, nonconst] = lo + (X[:, nonconst] - self._mins[nonconst]) / span[
-            nonconst
-        ] * (hi - lo)
+        out[:, cols] = lo + (X[:, cols] - mins) / span * (hi - lo)
         return np.clip(out, lo, hi)
+
+    def _affine(self) -> tuple:
+        """``(lo, hi, mid, cols, mins, span)`` of the fitted statistics.
+
+        ``cols`` selects the non-constant features (a plain slice when all
+        are), ``mins`` and ``span`` their statistics.  Derived on first use
+        after each :meth:`fit` and kept outside the dataclass fields
+        (:meth:`__getstate__` drops it), so equality, repr and pickle bytes
+        are those of the fitted statistics alone.
+        """
+        affine = self.__dict__.get("_affine_cache")
+        if affine is None:
+            assert self._mins is not None and self._maxs is not None
+            lo = self.lower + self.margin
+            hi = self.upper - self.margin
+            span = self._maxs - self._mins
+            nonconst = span > 0
+            cols = slice(None) if nonconst.all() else nonconst
+            affine = (lo, hi, (lo + hi) / 2.0, cols, self._mins[cols], span[cols])
+            self._affine_cache = affine
+        return affine
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_affine_cache"}
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit on ``X`` then transform it."""

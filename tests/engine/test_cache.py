@@ -1,10 +1,13 @@
 """Unit tests for the content-addressed MPS state store."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.engine import (
+    KernelEngine,
     StateStore,
     ansatz_fingerprint,
     deserialize_states,
@@ -52,6 +55,26 @@ def test_key_changes_with_data_ansatz_and_truncation(ansatz):
 
     other_sim = simulation_fingerprint(SimulationConfig(truncation_cutoff=1e-8))
     assert state_key(row, fp_a, other_sim) != base
+
+
+def test_engine_keys_are_the_three_part_hash(ansatz):
+    """An engine hashes each row, then both fingerprints encoded once: the
+    same key as hashing the row, the ansatz and the simulation fingerprint
+    in turn, so store and snapshot keys do not move."""
+    engine = KernelEngine(ansatz, store=StateStore())
+    X = np.random.default_rng(3).uniform(0.05, 1.95, size=(6, 4))
+    rows = [X[0], X[1:2], np.asfortranarray(X[2:3]), X[3:6, 0:4][1], list(X[5])]
+    expected = []
+    for row in rows:
+        h = hashlib.blake2b(digest_size=20)
+        h.update(np.ascontiguousarray(np.asarray(row, dtype=np.float64)).ravel().tobytes())
+        h.update(engine._ansatz_fp.encode())
+        h.update(engine._simulation_fp.encode())
+        expected.append(h.hexdigest())
+        assert state_key(row, engine._ansatz_fp, engine._simulation_fp) == expected[-1]
+    engine.encode_rows(X[:2])
+    engine.encode_row(X[2])
+    assert engine.store.keys() == expected[:3]
 
 
 # ----------------------------------------------------------------------

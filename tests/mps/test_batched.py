@@ -1,9 +1,10 @@
 """The fused-first-site partition of the padded overlap sweep.
 
-Each state's leading ``k = min(7, N - 1)`` sites are fused into one site of
-``2**k`` physical configurations, so a sweep's first step is one BLAS
-product and only the remaining ``N - k`` sites are swept site by site.  The
-byte-identity and accuracy relations live in
+A chain of up to 8 sites is fused whole into its ``2**N`` amplitudes, so an
+overlap is one GEMV per 128-term slice; a longer chain fuses its leading 7
+sites into one site of ``2**7`` physical configurations, so a sweep's first
+step is one BLAS product and only the remaining ``N - 7`` sites are swept
+site by site.  The byte-identity and accuracy relations live in
 ``tests/properties/test_overlap_sweep_metamorphic.py``.
 """
 
@@ -22,18 +23,20 @@ BENCHMARK_ANSATZ = AnsatzConfig(num_features=8, interaction_distance=2, layers=2
 
 
 @pytest.mark.parametrize(
-    "num_qubits, fused", [(1, 0), (2, 1), (6, 5), (8, 7), (16, 7)]
+    "num_qubits, fused", [(1, 1), (2, 2), (6, 6), (8, 8), (16, 7)]
 )
 def test_leading_run_partition(num_qubits, fused):
-    """``k = min(7, N - 1)``: one 128-term BLAS slice at most, and at least
-    one site left to sweep (a one-qubit chain fuses nothing)."""
+    """A chain of up to 8 sites (two 128-term BLAS slices) is fused whole;
+    a longer one fuses 7 sites, one slice, and sweeps the rest."""
     assert batched._leading_run(num_qubits) == fused
     states = [MPS.plus_state(num_qubits), MPS.zero_state(num_qubits)]
     block = StackedStateBlock(states)
-    # One (m * chi_k x 2**k) first-step operand, chi_k padded to a tile;
-    # the other sites as now.
-    chi_k = batched._BOND_QUANTUM if fused else 1
-    assert block._run.shape == (len(states) * chi_k, 2**fused)
+    # One ((m + 1) * chi_k x 2**k) first-step operand, the last state a
+    # spare zero one, chi_k padded to a tile inside the chain; the other
+    # sites as before.
+    chi_k = 1 if fused == num_qubits else batched._BOND_QUANTUM
+    assert block._run.shape == ((len(states) + 1) * chi_k, 2**fused)
+    assert not block._run[len(states) * chi_k :].any()
     assert len(block._kets) == num_qubits - fused
     cross = 2 ** (-num_qubits / 2)
     assert np.allclose(block.overlaps(states), [[1.0, cross], [cross, 1.0]])
@@ -49,6 +52,11 @@ def test_fused_run_is_the_leading_amplitude_block():
     assert run.shape == (128, tensors[7].shape[0])
     amplitudes = (run @ tensors[7].reshape(run.shape[1], -1)).ravel()
     assert np.max(np.abs(amplitudes - state.to_statevector())) < 1e-13
+    # The whole chain is the amplitude vector, conjugated in the query form.
+    whole = batched._fused_run(tensors, 8)
+    assert whole.shape == (256, 1)
+    assert np.max(np.abs(whole.ravel() - state.to_statevector())) < 1e-13
+    assert batched.QueryForm(state).run.tobytes() == np.conjugate(whole).tobytes()
 
 
 def _matmul_calls(monkeypatch):
@@ -66,12 +74,13 @@ def _matmul_calls(monkeypatch):
     return calls
 
 
-def test_a_block_query_on_the_benchmark_ansatz_is_three_matmuls(monkeypatch):
+def test_a_block_query_on_the_benchmark_ansatz_is_one_matmul_per_slice(monkeypatch):
     """A flush whose queries share their padded bonds is one stacked sweep:
-    the fused first step is one product against the whole block and site 7
-    two more, for a flush of up to 32 queries (a serving flush), and three
-    more per further 32.  A query's own run is fused when its form is
-    built, outside these products."""
+    on 8 qubits the whole chain is fused, so a flush of up to 32 queries (a
+    serving flush) is one GEMV stack per 128-term slice of the 256
+    amplitudes against the whole block, and two more per further 32.  A
+    query's own run is fused when its form is built, outside these
+    products."""
     X = np.random.default_rng(7).uniform(0.05, 1.95, size=(80, 8))
     states = KernelEngine(BENCHMARK_ANSATZ).encode_rows(X)
     assert len({batched.query_form(s).bonds for s in states}) == 1
@@ -80,13 +89,13 @@ def test_a_block_query_on_the_benchmark_ansatz_is_three_matmuls(monkeypatch):
     for flush in ([states[9]], states[9:12], states[8:40]):
         calls.clear()
         block.overlaps(flush)
-        assert [len(shape) for shape in calls] == [2, 3, 3]
+        assert calls == [(9, 128), (9, 128)]
     calls.clear()
     block.tail(3).overlaps(states[9:40])
-    assert len(calls) == 3
+    assert calls == [(6, 128), (6, 128)]
     calls.clear()
     values = block.overlaps(states[8:80])
-    assert [len(shape) for shape in calls] == [2, 3, 3] * 3
+    assert calls == [(9, 128)] * 6
     alone = np.concatenate([block.overlaps([s]) for s in states[8:80]])
     assert values.tobytes() == alone.tobytes()
 
@@ -112,9 +121,35 @@ def test_each_state_is_fused_once_per_fit(monkeypatch):
     assert len(fused) == 128
 
 
-def test_a_pair_chunk_on_the_benchmark_ansatz_is_three_matmuls(monkeypatch):
+def test_a_pair_chunk_on_the_benchmark_ansatz_is_one_matmul_per_slice(monkeypatch):
+    """Every pair's ket run carries a zero second row, so each per-pair
+    product is a two-row GEMV."""
     X = np.random.default_rng(8).uniform(0.05, 1.95, size=(6, 8))
     states = KernelEngine(BENCHMARK_ANSATZ).encode_rows(X)
     calls = _matmul_calls(monkeypatch)
     batched_overlaps([(states[i], states[i + 1]) for i in range(5)])
-    assert len(calls) == 3
+    assert calls == [(5, 2, 128), (5, 2, 128)]
+    calls.clear()
+    batched_overlaps([(states[0], states[1])])
+    assert calls == [(1, 2, 128), (1, 2, 128)]
+
+
+def test_one_state_products_on_the_benchmark_ansatz_keep_the_block_bytes():
+    """NumPy sends a one-row ``(1 x K) @ (K x 1)`` product to ``dot``, whose
+    bytes differ from GEMV's.  The last state's column, swept against the
+    whole block, as the block's last tail, as a block of one state and as
+    single pairs, is the same bytes, for a stack of queries and for a
+    query alone."""
+    X = np.random.default_rng(10).uniform(0.05, 1.95, size=(20, 8))
+    states = KernelEngine(BENCHMARK_ANSATZ).encode_rows(X)
+    block_states, queries = states[:12], states[12:]
+    block = StackedStateBlock(block_states)
+    column = np.ascontiguousarray(block.overlaps(queries)[:, -1:])
+    last = block_states[-1]
+    assert block.tail(len(block_states) - 1).overlaps(queries).tobytes() == column.tobytes()
+    assert StackedStateBlock([last]).overlaps(queries).tobytes() == column.tobytes()
+    pairs = np.concatenate([batched_overlaps([(q, last)]) for q in queries])
+    assert pairs.tobytes() == column.ravel().tobytes()
+    for q, query in enumerate(queries):
+        alone = StackedStateBlock([last]).overlaps([query])
+        assert alone.tobytes() == column[q : q + 1].tobytes()

@@ -2,11 +2,11 @@
 
 Every overlap is within 1e-12 of ``MPS.inner_product`` and byte-identical
 however the sweep is composed: a query alone or in any subset or order,
-against a block or as pair chunks of any size.  Blocks mix per-site bonds
-(two ansatze, a product state, random bonds off the padding tile), include a
-one-state block, and meet queries whose bonds exceed the block's.  Chains of
-1 to 3 qubits are shorter than a full fused leading run (7 sites), and 16
-qubits are longer.
+against a block, any tail of it or as pair chunks of any size.  Blocks mix
+per-site bonds (two ansatze, a product state, random bonds off the padding
+tile), include a one-state block, and meet queries whose bonds exceed the
+block's.  Chains of 1 to 6 qubits are fused whole (up to 8 are), and 12 and
+16 qubits fuse a leading run of 7 sites and sweep the rest.
 
 A state's cached query form (:func:`repro.mps.batched.query_form`) never
 shows in a value: it is the same whether the form is fresh or cached, and a
@@ -80,6 +80,10 @@ def _assert_contract(block_states, queries, seed):
         subset = rng.permutation(len(queries))[: rng.integers(1, len(queries) + 1)]
         swept = block.overlaps([queries[q] for q in subset])
         assert swept.tobytes() == full[subset].tobytes()
+    # Every tail of the block, down to its last state.
+    for start in range(1, len(block_states)):
+        tail = block.tail(start).overlaps(queries)
+        assert tail.tobytes() == np.ascontiguousarray(full[:, start:]).tobytes()
     # A state alone in a block of one.
     for j, state in enumerate(block_states):
         alone = StackedStateBlock([state]).overlaps(queries)
@@ -122,8 +126,7 @@ def test_sweep_contract_at_bond_100():
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_sweep_contract_on_short_chains(num_qubits):
-    """A one-qubit chain fuses no site; two and three qubits fuse all but
-    the last."""
+    """Short chains are fused whole: a one-qubit run is the site itself."""
     block_states = _random_states(50 + num_qubits, num_qubits, cap=4, count=3)
     block_states.append(MPS.plus_state(num_qubits))
     queries = _random_states(60 + num_qubits, num_qubits, cap=4, count=2)

@@ -83,3 +83,37 @@ def test_scaler_is_monotone_per_feature(rng):
         order_before = np.argsort(X[:, col])
         order_after = np.argsort(Xt[:, col])
         assert np.array_equal(order_before, order_after)
+
+
+def _reference_transform(scaler, X):
+    """The scaling formula evaluated from the fitted statistics on every call."""
+    lo, hi = scaler.interval()
+    span = scaler._maxs - scaler._mins
+    out = np.full_like(X, (lo + hi) / 2.0, dtype=float)
+    nonconst = span > 0
+    out[:, nonconst] = lo + (X[:, nonconst] - scaler._mins[nonconst]) / span[
+        nonconst
+    ] * (hi - lo)
+    return np.clip(out, lo, hi)
+
+
+@pytest.mark.parametrize("constant_column", [None, 1])
+def test_scaler_derives_its_affine_once_without_changing_bytes(rng, constant_column):
+    """The derived statistics change no output byte, never reach the pickle
+    or repr, and follow a refit."""
+    import pickle
+
+    X = rng.normal(size=(30, 4)) * 3
+    if constant_column is not None:
+        X[:, constant_column] = 0.5
+    scaler = FeatureScaler().fit(X)
+    never_used = pickle.dumps(scaler, protocol=pickle.HIGHEST_PROTOCOL)
+    tests = [X, X[:1], rng.normal(size=(7, 4)) * 10]
+    for X_new in tests:
+        assert scaler.transform(X_new).tobytes() == _reference_transform(scaler, X_new).tobytes()
+    assert pickle.dumps(scaler, protocol=pickle.HIGHEST_PROTOCOL) == never_used
+    assert repr(scaler) == repr(pickle.loads(never_used))
+    restored = pickle.loads(pickle.dumps(scaler))
+    assert restored.transform(X[:1]).tobytes() == scaler.transform(X[:1]).tobytes()
+    scaler.fit(X * 2.0 + 1.0)
+    assert scaler.transform(X).tobytes() == _reference_transform(scaler, X).tobytes()

@@ -2,8 +2,8 @@
 
 Runs one small but representative engine workload -- a training Gram matrix,
 a test cross matrix reusing the training states, and a warm inference replay
--- and writes ``BENCH_engine.json`` with throughput (pairs/sec, both measured
-and modelled-device), cache statistics and bond-dimension bookkeeping.  CI
+-- and writes ``BENCH_engine.json`` with measured throughput (pairs/sec),
+cache statistics and bond-dimension bookkeeping.  CI
 uploads the file so future PRs have a perf trajectory to compare against.
 
 Run with:  python benchmarks/bench_engine.py [--out BENCH_engine.json]
@@ -80,13 +80,6 @@ def main() -> None:
             + test_result.simulation_time_s,
             "inner_product_time_s": train_result.inner_product_time_s
             + test_result.inner_product_time_s,
-            "modelled_pairs_per_sec": (
-                cold_pairs
-                / (
-                    train_result.modelled_inner_product_time_s
-                    + test_result.modelled_inner_product_time_s
-                )
-            ),
             "max_bond_dimension": max(
                 train_result.max_bond_dimension, test_result.max_bond_dimension
             ),

@@ -9,12 +9,15 @@ In this reproduction both backends execute the same NumPy numerics (so every
 result is bit-for-bit backend independent, mirroring the paper's observation
 that the bond dimensions of the two backends match).  What differs is the
 *device cost model*: each backend reports a modelled wall-clock time for
-every MPS simulation and inner product, computed from calibrated per-device
-constants (per-gate launch overhead, effective FLOP rate, host-device
-transfer overhead).  The crossover analysis of Figure 5 / Table I is carried
-out on these modelled times, while the correctness-facing results (kernels,
-classification metrics) use the actual numerics and are identical across
-backends.
+every solo MPS simulation (``simulate``) and solo inner product
+(``inner_product``) -- the primitives the paper times one at a time --
+computed from calibrated per-device constants (per-gate launch overhead,
+effective FLOP rate, host-device transfer overhead).  The batched paths the
+engine runs (``simulate_batch``, ``inner_product_block``,
+``inner_product_batch``) only count and time.  The crossover analysis of
+Figure 5 / Table I is carried out on the modelled times, while the
+correctness-facing results (kernels, classification metrics) use the actual
+numerics and are identical across backends.
 """
 
 from .base import (

@@ -1,11 +1,13 @@
 """Backend protocol and result records.
 
 A backend turns circuits into MPS states and computes inner products between
-MPS, reporting both the *measured* wall-clock time (actual Python/NumPy
-execution) and the *modelled* device time from its
-:class:`~repro.backends.cost_model.DeviceCostModel`.  The correctness of the
-output never depends on the backend: both backends run the same algorithm on
-the same arrays.
+MPS, reporting the *measured* wall-clock time (actual Python/NumPy
+execution).  The solo primitives the paper times -- :meth:`Backend.simulate`
+and :meth:`Backend.inner_product` -- also report the *modelled* device time
+from the backend's :class:`~repro.backends.cost_model.DeviceCostModel`; the
+batched paths only count and time.  The correctness of the output never
+depends on the backend: both backends run the same algorithm on the same
+arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from ..config import SimulationConfig
 from ..exceptions import BackendError
 from ..mps import MPS, InstrumentedMPS, TruncationPolicy
-from ..mps.batched import StackedStateBlock, batched_overlaps, query_form
+from ..mps.batched import StackedStateBlock, batched_overlaps
 from ..mps.encoding import (
     GateShapeLog,
     GateStacks,
@@ -93,20 +95,13 @@ class BatchInnerProductResult:
         Complex overlaps ``<bra_k|ket_k>`` in input order.
     wall_time_s:
         Measured Python time for the whole chunk.
-    modelled_time_s:
-        Sum of the per-pair modelled device times (the device evaluates the
-        pairs one by one; batching is a host-side optimisation).
     num_pairs:
         Number of pairs evaluated.
-    max_bond_dimension:
-        Largest bond dimension seen across the chunk.
     """
 
     values: "np.ndarray"
     wall_time_s: float
-    modelled_time_s: float
     num_pairs: int
-    max_bond_dimension: int
 
 
 @dataclass(frozen=True)
@@ -122,24 +117,14 @@ class BatchSimulationResult:
         (``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff).
     wall_time_s:
         Measured Python time for the whole stacked sweep.
-    modelled_time_s:
-        Sum of the per-point modelled device times, each row priced at the
-        live shapes a solo simulation has -- the counters advance as if
-        :meth:`Backend.simulate` had run once per circuit (addition order
-        aside), so engine accounting is invariant under batching.
     num_circuits / num_structure_groups:
         Batch size and how many distinct circuit structures it contained.
-    max_bond_dimension / total_memory_bytes:
-        Bond-dimension and memory bookkeeping over the final states.
     """
 
     states: Tuple[MPS, ...]
     wall_time_s: float
-    modelled_time_s: float
     num_circuits: int
     num_structure_groups: int
-    max_bond_dimension: int
-    total_memory_bytes: int
 
 
 class Backend(abc.ABC):
@@ -160,12 +145,9 @@ class Backend(abc.ABC):
         if cost_model is None:
             raise BackendError("a backend requires a DeviceCostModel")
         self.cost_model = cost_model
-        #: Accumulated modelled device seconds, split by primitive.  They
-        #: advance as if every primitive had run solo, so they are invariant
-        #: under batching.
-        self.modelled_simulation_time_s = 0.0
-        self.modelled_inner_product_time_s = 0.0
-        #: Accumulated measured wall-clock seconds.
+        #: Counters since construction; they never reset, so a caller takes
+        #: per-call figures as the difference of two :meth:`lifetime_summary`
+        #: snapshots.  Measured wall-clock seconds:
         self.wall_simulation_time_s = 0.0
         self.wall_inner_product_time_s = 0.0
         self.num_simulations = 0
@@ -176,20 +158,13 @@ class Backend(abc.ABC):
         #: exports them as deterministic counters (``repro_encode_*_total``).
         self.num_encode_batches = 0
         self.num_encode_stacked_launches = 0
-        #: Lifetime totals: :meth:`reset_counters` folds the live counters in
-        #: here instead of dropping them, so the engine's per-call accounting
-        #: and the telemetry layer's monotone counters can coexist.
-        self._lifetime: dict[str, float] = {}
 
-    #: Every numeric counter attribute; reset_counters / lifetime_summary
-    #: iterate this so the two views can never drift apart.
+    #: Every counter attribute, in :meth:`lifetime_summary` order.
     _COUNTER_ATTRS = (
         "num_simulations",
         "num_inner_products",
         "num_encode_batches",
         "num_encode_stacked_launches",
-        "modelled_simulation_time_s",
-        "modelled_inner_product_time_s",
         "wall_simulation_time_s",
         "wall_inner_product_time_s",
     )
@@ -267,7 +242,6 @@ class Backend(abc.ABC):
                 state.apply_two_qubit_gate(q0, matrix)
         wall = time.perf_counter() - start
 
-        self.modelled_simulation_time_s += modelled
         self.wall_simulation_time_s += wall
         self.num_simulations += 1
 
@@ -303,10 +277,11 @@ class Backend(abc.ABC):
         (same kept ranks and bond dimensions, ``1 - |<a|b>|^2 <= 1e-12`` at
         the default cutoff).
 
-        Counters advance as if :meth:`simulate` had been called once per
-        circuit (same ``num_simulations``; the modelled seconds price every
-        row's live pre-gate shapes, addition order aside); the measured wall
-        time is where batching pays off.
+        ``num_simulations`` advances by one per circuit, as if
+        :meth:`simulate` had run once per circuit; the measured wall time is
+        where batching pays off.  No modelled device time is priced here:
+        the figures that report it time :meth:`simulate` one circuit at a
+        time (per row, :meth:`repro.engine.KernelEngine.simulate_row`).
 
         ``initial_state`` is not supported (the stacked sweep always starts
         from ``|0...0>``, which is what every feature-map encode uses); a
@@ -327,11 +302,8 @@ class Backend(abc.ABC):
             return BatchSimulationResult(
                 states=(),
                 wall_time_s=0.0,
-                modelled_time_s=0.0,
                 num_circuits=0,
                 num_structure_groups=0,
-                max_bond_dimension=1,
-                total_memory_bytes=0,
             )
         if self.config.track_memory:
             if isinstance(circuits, GateStacks):
@@ -346,11 +318,8 @@ class Backend(abc.ABC):
             return BatchSimulationResult(
                 states=tuple(r.state for r in results),
                 wall_time_s=sum(r.wall_time_s for r in results),
-                modelled_time_s=sum(r.modelled_time_s for r in results),
                 num_circuits=len(results),
                 num_structure_groups=groups,
-                max_bond_dimension=max(r.max_bond_dimension for r in results),
-                total_memory_bytes=sum(r.memory_bytes for r in results),
             )
 
         log = GateShapeLog()
@@ -358,20 +327,6 @@ class Backend(abc.ABC):
         states = encode_circuits(circuits, policy=self._policy(), log=log)
         wall = time.perf_counter() - start
 
-        modelled = 0.0
-        for entry in log.entries:
-            if entry[0] == "1q":
-                _kind, count, chi_l, chi_r = entry
-                modelled += count * self.cost_model.single_qubit_gate_time(
-                    chi_l, chi_r
-                )
-            else:
-                _kind, count, chi_l, chi_m, chi_r = entry
-                modelled += count * self.cost_model.two_qubit_gate_time(
-                    chi_l, chi_m, chi_r
-                )
-
-        self.modelled_simulation_time_s += modelled
         self.wall_simulation_time_s += wall
         self.num_simulations += len(circuits)
         self.num_encode_batches += 1
@@ -379,11 +334,8 @@ class Backend(abc.ABC):
         return BatchSimulationResult(
             states=tuple(states),
             wall_time_s=wall,
-            modelled_time_s=modelled,
             num_circuits=len(circuits),
             num_structure_groups=log.structure_groups,
-            max_bond_dimension=max(s.max_bond_dimension for s in states),
-            total_memory_bytes=sum(s.memory_bytes for s in states),
         )
 
     def inner_product(self, bra: MPS, ket: MPS) -> InnerProductResult:
@@ -394,7 +346,6 @@ class Backend(abc.ABC):
         value = bra.inner_product(ket)
         wall = time.perf_counter() - start
 
-        self.modelled_inner_product_time_s += modelled
         self.wall_inner_product_time_s += wall
         self.num_inner_products += 1
         return InnerProductResult(
@@ -409,21 +360,16 @@ class Backend(abc.ABC):
     ) -> BatchInnerProductResult:
         """Evaluate a chunk of overlaps through the padded BLAS transfer sweep.
 
-        Counters advance exactly as if :meth:`inner_product` had been called
-        once per pair, in order (same modelled seconds to the last bit, same
-        ``num_inner_products``), so strategies and benchmarks can switch
-        freely between the paths.
-        Each value is within ``1e-12`` of :meth:`inner_product` and does not
+        ``num_inner_products`` advances by one per pair, as
+        :meth:`inner_product` would.  Each value is within ``1e-12`` of :meth:`inner_product` and does not
         depend on how the chunk was composed (:mod:`repro.mps.batched`), so
         re-batching, tiling or coalescing a workload yields byte-identical
         kernel entries -- the invariant the serving metamorphic tests assert.
         """
-        chis = [max(bra.max_bond_dimension, ket.max_bond_dimension) for bra, ket in pairs]
         start = time.perf_counter()
         values = batched_overlaps(pairs)
         wall = time.perf_counter() - start
-        num_qubits = pairs[0][0].num_qubits if pairs else 0
-        return self._record_overlaps(values, chis, num_qubits, wall)
+        return self._record_overlaps(values, wall)
 
     def inner_product_block(
         self, bras: Sequence[MPS], block: StackedStateBlock
@@ -440,84 +386,20 @@ class Backend(abc.ABC):
         leading sites plus two per remaining site.  Every value is
         byte-identical to :meth:`inner_product_batch` on the same pair.
         ``values`` is the 2-D overlap matrix in (query, block state) order;
-        counters advance exactly as if each pair had been evaluated
-        individually, in that order.
+        ``num_inner_products`` advances by one per entry.
         """
         start = time.perf_counter()
         values = block.overlaps(bras)
         wall = time.perf_counter() - start
-        chis = np.maximum.outer(
-            [query_form(b).max_bond_dimension for b in bras], block.max_bond_dimensions
-        )
-        return self._record_overlaps(values, chis, block.num_qubits, wall)
+        return self._record_overlaps(values, wall)
 
-    def _record_overlaps(
-        self, values: np.ndarray, chis, num_qubits: int, wall: float
-    ) -> BatchInnerProductResult:
-        """Charge one overlap per entry of ``chis`` to the counters.
-
-        Each pair is charged what a solo :meth:`inner_product` call charges
-        (a cost-model table lookup), one after another in ``chis`` order
-        (``np.add.accumulate`` adds sequentially), so the counters are
-        byte-identical to a per-pair loop over the same pairs however they
-        were split into calls.
-        """
-        chis = np.asarray(chis, dtype=np.intp).ravel()
-        num_pairs = int(chis.size)
-        max_chi = int(chis.max(initial=1))
-        times = self.cost_model.inner_product_time_table(num_qubits, max_chi)[chis]
-        modelled = 0.0
-        if num_pairs:
-            modelled = float(np.add.accumulate(times)[-1])
-            # ((total + t0) + t1) + ...: the running total folded in first.
-            times[0] += self.modelled_inner_product_time_s
-            self.modelled_inner_product_time_s = float(np.add.accumulate(times)[-1])
+    def _record_overlaps(self, values: np.ndarray, wall: float) -> BatchInnerProductResult:
+        """Count one overlap per entry of ``values``, and the wall time."""
         self.wall_inner_product_time_s += wall
-        self.num_inner_products += num_pairs
-        return BatchInnerProductResult(
-            values=values,
-            wall_time_s=wall,
-            modelled_time_s=modelled,
-            num_pairs=num_pairs,
-            max_bond_dimension=max_chi,
-        )
+        self.num_inner_products += values.size
+        return BatchInnerProductResult(values=values, wall_time_s=wall, num_pairs=values.size)
 
     # ------------------------------------------------------------------
-    def reset_counters(self) -> None:
-        """Zero the per-call counters, folding them into the lifetime totals.
-
-        The engine resets before every public call so :class:`EngineResult`
-        reports per-call figures; the fold keeps :meth:`lifetime_summary`
-        monotone across those resets for the telemetry exporters.
-        """
-        for attr in self._COUNTER_ATTRS:
-            self._lifetime[attr] = self._lifetime.get(attr, 0) + getattr(self, attr)
-        self.modelled_simulation_time_s = 0.0
-        self.modelled_inner_product_time_s = 0.0
-        self.wall_simulation_time_s = 0.0
-        self.wall_inner_product_time_s = 0.0
-        self.num_simulations = 0
-        self.num_inner_products = 0
-        self.num_encode_batches = 0
-        self.num_encode_stacked_launches = 0
-
     def lifetime_summary(self) -> dict[str, float]:
-        """Counters accumulated since construction, surviving resets."""
-        return {
-            attr: self._lifetime.get(attr, 0) + getattr(self, attr)
-            for attr in self._COUNTER_ATTRS
-        }
-
-    def timing_summary(self) -> dict[str, float]:
-        """Accumulated timing counters as a flat dictionary."""
-        return {
-            "backend": self.name,
-            "num_simulations": self.num_simulations,
-            "num_inner_products": self.num_inner_products,
-            "num_encode_batches": self.num_encode_batches,
-            "num_encode_stacked_launches": self.num_encode_stacked_launches,
-            "modelled_simulation_time_s": self.modelled_simulation_time_s,
-            "modelled_inner_product_time_s": self.modelled_inner_product_time_s,
-            "wall_simulation_time_s": self.wall_simulation_time_s,
-            "wall_inner_product_time_s": self.wall_inner_product_time_s,
-        }
+        """Snapshot of every counter, accumulated since construction."""
+        return {attr: getattr(self, attr) for attr in self._COUNTER_ATTRS}

@@ -30,10 +30,7 @@ fields so ablation benchmarks can explore other device balances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from ..exceptions import ConfigurationError
 
@@ -145,26 +142,17 @@ class DeviceCostModel:
         GPU's inner-product curve nearly flat at small bond dimension
         (Fig. 5b) until the ``chi^3`` term takes over.
 
-        This prices the per-site device sweep the paper times.  The host
-        sweep (:mod:`repro.mps.batched`) fuses a state's leading sites (on up
-        to 8 qubits, the whole chain) into one BLAS product before sweeping
-        the rest; that changes measured wall time, not the modelled device
-        time, which stays this per-site figure.
+        This prices the per-site device sweep the paper times, one
+        :meth:`repro.backends.Backend.inner_product` call at a time.  The
+        batched host sweeps (:mod:`repro.mps.batched`) fuse a state's leading
+        sites into one BLAS product and stack many pairs; they are counted
+        and timed, never priced.
         """
         flops = self.inner_product_flops(num_qubits, chi)
         return (
             (self.gate_overhead_s + self.transfer_overhead_s) * num_qubits
             + flops / (self.contraction_gflops * 1e9)
         )
-
-    def inner_product_time_table(self, num_qubits: int, max_chi: int) -> np.ndarray:
-        """Read-only prices: entry ``chi`` is ``inner_product_time(num_qubits, chi)``.
-
-        Covers every ``chi <= max_chi``.  The table is built once per model,
-        qubit count and power-of-two length, so a batch of overlaps is
-        priced with one gather, to the same floats per-pair calls return.
-        """
-        return _inner_product_table(self, num_qubits, 1 << int(max_chi).bit_length())
 
     @staticmethod
     def batched_inner_product_flops(batch: int, num_qubits: int, chi: int) -> float:
@@ -201,14 +189,6 @@ class DeviceCostModel:
         study plots per device.
         """
         return self.batched_inner_product_time(num_rows * num_cols, num_qubits, chi)
-
-
-@lru_cache(maxsize=64)
-def _inner_product_table(model: DeviceCostModel, num_qubits: int, size: int) -> np.ndarray:
-    """``model.inner_product_time(num_qubits, chi)`` for ``chi`` in ``0..size-1``."""
-    table = np.array([model.inner_product_time(num_qubits, chi) for chi in range(size)])
-    table.flags.writeable = False
-    return table
 
 
 #: CPU model: negligible launch overhead, moderate sustained throughput.

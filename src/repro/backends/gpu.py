@@ -9,9 +9,9 @@ transfer overheads, but an order of magnitude higher throughput on large
 contractions.  The CPU/GPU crossover analysis of Figure 5 / Table I is
 performed on these modelled times.  See DESIGN.md, substitution 2.
 
-Like every backend, it charges each primitive its per-point modelled time,
-however the work was batched.  The extended Fig. 5 study compares the two
-devices' stacked cross sweeps through
+Like every backend, it prices only the solo primitives (``simulate`` and
+``inner_product``); its batched paths count and time.  The extended Fig. 5
+study compares the two devices' stacked cross sweeps through
 :func:`~repro.backends.preferred_cross_model`, on the cost models alone.
 """
 

@@ -191,10 +191,6 @@ class QuantumKernelPipeline:
                 + test_result.simulation_time_s,
                 "inner_product_time_s": train_result.inner_product_time_s
                 + test_result.inner_product_time_s,
-                "modelled_simulation_time_s": train_result.modelled_simulation_time_s
-                + test_result.modelled_simulation_time_s,
-                "modelled_inner_product_time_s": train_result.modelled_inner_product_time_s
-                + test_result.modelled_inner_product_time_s,
                 "max_bond_dimension": float(
                     max(train_result.max_bond_dimension, test_result.max_bond_dimension)
                 ),

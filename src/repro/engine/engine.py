@@ -22,8 +22,10 @@ each with exactly one code path, so consumers ask for a Gram
   each state against the tail of its own block, so only the strict upper
   triangle is evaluated.
 
-Every result carries two timing models: the measured wall time and the
-per-point modelled device time of the backend's cost model.
+Every result carries the measured wall time of both primitives and their
+counts.  Modelled device time is priced only on the solo primitives the
+paper times: :meth:`KernelEngine.simulate_row` and
+:meth:`repro.backends.Backend.inner_product`.
 
 :class:`repro.kernels.QuantumKernel`,
 :class:`repro.kernels.ProjectedQuantumKernel`,
@@ -48,7 +50,7 @@ from ..config import AnsatzConfig, SimulationConfig
 from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
 from ..telemetry.tracing import TRACER
-from .batching import StackedStateBlock, query_form
+from .batching import StackedStateBlock
 from .cache import (
     StateStore,
     ansatz_fingerprint,
@@ -86,15 +88,11 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class EngineResult:
-    """One engine call: the kernel matrix plus full cost accounting."""
+    """One engine call: the kernel matrix plus its counts and wall times."""
 
     matrix: np.ndarray
     simulation_time_s: float
     inner_product_time_s: float
-    modelled_simulation_time_s: float
-    modelled_inner_product_time_s: float
-    max_bond_dimension: int
-    total_state_memory_bytes: int
     num_simulations: int
     num_inner_products: int
     cache_hits: int
@@ -110,13 +108,14 @@ class EngineResult:
         return self.simulation_time_s + self.inner_product_time_s
 
     @property
-    def modelled_total_time_s(self) -> float:
-        """Modelled device total, one launch per *point* (batching-invariant).
+    def max_bond_dimension(self) -> int:
+        """Largest bond dimension over :attr:`states`."""
+        return max((s.max_bond_dimension for s in self.states), default=1)
 
-        Every simulation and every overlap is charged as if it ran alone,
-        so the total does not depend on how the work was batched.
-        """
-        return self.modelled_simulation_time_s + self.modelled_inner_product_time_s
+    @property
+    def total_state_memory_bytes(self) -> int:
+        """Memory footprint of :attr:`states`."""
+        return sum(s.memory_bytes for s in self.states)
 
 
 class KernelEngine:
@@ -369,15 +368,13 @@ class KernelEngine:
         each the same bytes as the per-pair
         :func:`~repro.engine.batched_overlaps` value.
 
-        Resets the backend counters first, so the result's accounting covers
-        exactly this computation (matching the historical semantics of
-        ``QuantumKernel.gram_matrix``).  The block is returned as
+        The result's accounting covers exactly this computation: the
+        difference of the backend and store counters across it.  The block is returned as
         :attr:`EngineResult.block`, so a model fitted on this Gram scores
         new rows against it without stacking the states again.
         """
         X = self.validate_features(X)
-        self.backend.reset_counters()
-        hits0, misses0 = self._cache_counts()
+        before = self._counters()
         states = self._encode_validated(X)
         n = len(states)
         K = np.eye(n)
@@ -387,7 +384,7 @@ class KernelEngine:
             K[i, i + 1 :] = np.abs(result.values[0]) ** 2
         lower = np.tril_indices(n, -1)
         K[lower] = K.T[lower]
-        return self._result_from_counters(K, states, hits0, misses0, block)
+        return self._result(K, states, before, block)
 
     def cross(
         self,
@@ -438,8 +435,7 @@ class KernelEngine:
                 f"{len(train_states)} train states were given"
             )
         X_rows = self.validate_features(X_rows)
-        self.backend.reset_counters()
-        hits0, misses0 = self._cache_counts()
+        before = self._counters()
         with TRACER.span("engine.encode") as sp:
             row_states = self._encode_validated(X_rows)
             if sp is not None:
@@ -451,7 +447,7 @@ class KernelEngine:
             if sp is not None:
                 sp.set_attribute("pairs", result.num_pairs)
         K = np.abs(result.values) ** 2
-        return self._result_from_counters(K, row_states, hits0, misses0)
+        return self._result(K, row_states, before)
 
     def gram_and_cross(
         self, X_train: np.ndarray, X_test: np.ndarray
@@ -468,36 +464,38 @@ class KernelEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cache_counts(self) -> Tuple[int, int]:
-        if self.store is None:
-            return 0, 0
-        stats = self.store.stats()
-        return stats.hits, stats.misses
+    def _counters(self) -> Tuple[float, ...]:
+        """Wall seconds and counts of both primitives, then store hits and
+        misses, all since construction."""
+        summary = self.backend.lifetime_summary()
+        stats = self.store.stats() if self.store is not None else None
+        return (
+            summary["wall_simulation_time_s"],
+            summary["wall_inner_product_time_s"],
+            summary["num_simulations"],
+            summary["num_inner_products"],
+            stats.hits if stats is not None else 0,
+            stats.misses if stats is not None else 0,
+        )
 
-    def _result_from_counters(
+    def _result(
         self,
         K: np.ndarray,
         states: Sequence[MPS],
-        hits0: int,
-        misses0: int,
+        before: Tuple[float, ...],
         block: StackedStateBlock | None = None,
     ) -> EngineResult:
-        summary = self.backend.timing_summary()
-        hits1, misses1 = self._cache_counts()
-        # Every state was swept, so its form is cached: no tensor walk.
-        forms = [query_form(s) for s in states]
+        sim_s, ip_s, sims, ips, hits, misses = (
+            after - was for after, was in zip(self._counters(), before)
+        )
         return EngineResult(
             matrix=K,
-            simulation_time_s=summary["wall_simulation_time_s"],
-            inner_product_time_s=summary["wall_inner_product_time_s"],
-            modelled_simulation_time_s=summary["modelled_simulation_time_s"],
-            modelled_inner_product_time_s=summary["modelled_inner_product_time_s"],
-            max_bond_dimension=max((f.max_bond_dimension for f in forms), default=1),
-            total_state_memory_bytes=sum(f.memory_bytes for f in forms),
-            num_simulations=int(summary["num_simulations"]),
-            num_inner_products=int(summary["num_inner_products"]),
-            cache_hits=hits1 - hits0,
-            cache_misses=misses1 - misses0,
+            simulation_time_s=sim_s,
+            inner_product_time_s=ip_s,
+            num_simulations=sims,
+            num_inner_products=ips,
+            cache_hits=hits,
+            cache_misses=misses,
             states=tuple(states),
             block=block,
         )

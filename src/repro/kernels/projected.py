@@ -99,22 +99,22 @@ class ProjectedQuantumKernel:
         of the encoded states.
         """
         assert self.engine is not None and self.backend is not None
-        self.backend.reset_counters()
+        before = self.backend.lifetime_summary()
         states = self.engine.encode_rows(X)
 
         start = time.perf_counter()
         rows: List[np.ndarray] = [self.project_state(state) for state in states]
         projection_wall = time.perf_counter() - start
 
-        summary = self.backend.timing_summary()
+        after = self.backend.lifetime_summary()
         # The projection sweeps are the projected kernel's analogue of the
         # fidelity kernel's inner products: same transfer-matrix primitive,
         # 3m sweeps per encoded point.
         increments = {
-            "simulation_time_s": summary["wall_simulation_time_s"],
-            "modelled_simulation_time_s": summary["modelled_simulation_time_s"],
+            "simulation_time_s": after["wall_simulation_time_s"]
+            - before["wall_simulation_time_s"],
             "inner_product_time_s": projection_wall,
-            "num_simulations": float(summary["num_simulations"]),
+            "num_simulations": float(after["num_simulations"] - before["num_simulations"]),
             "num_expectation_values": float(sum(3 * s.num_qubits for s in states)),
             "train_state_memory_bytes": float(sum(s.memory_bytes for s in states)),
         }

@@ -41,8 +41,6 @@ class QuantumKernelResult:
     matrix: np.ndarray
     simulation_time_s: float
     inner_product_time_s: float
-    modelled_simulation_time_s: float
-    modelled_inner_product_time_s: float
     max_bond_dimension: int
     total_state_memory_bytes: int
     num_simulations: int
@@ -53,11 +51,6 @@ class QuantumKernelResult:
         """Measured wall-clock total."""
         return self.simulation_time_s + self.inner_product_time_s
 
-    @property
-    def modelled_total_time_s(self) -> float:
-        """Modelled device total."""
-        return self.modelled_simulation_time_s + self.modelled_inner_product_time_s
-
     @classmethod
     def from_engine_result(cls, result: EngineResult) -> "QuantumKernelResult":
         """Project an :class:`~repro.engine.EngineResult` onto this record."""
@@ -65,8 +58,6 @@ class QuantumKernelResult:
             matrix=result.matrix,
             simulation_time_s=result.simulation_time_s,
             inner_product_time_s=result.inner_product_time_s,
-            modelled_simulation_time_s=result.modelled_simulation_time_s,
-            modelled_inner_product_time_s=result.modelled_inner_product_time_s,
             max_bond_dimension=result.max_bond_dimension,
             total_state_memory_bytes=result.total_state_memory_bytes,
             num_simulations=result.num_simulations,

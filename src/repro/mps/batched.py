@@ -168,7 +168,7 @@ class QueryForm:
     the state's unpadded tensors, so its bytes depend on that state alone.
     """
 
-    __slots__ = ("run", "sites", "bonds", "max_bond_dimension", "memory_bytes")
+    __slots__ = ("run", "sites", "bonds")
 
     def __init__(self, state: MPS) -> None:
         chain = state.tensors
@@ -177,8 +177,6 @@ class QueryForm:
         self.run = np.conjugate(_fused_run(chain, k))
         self.sites = [_bra_operands([chain], dims, site)[0] for site in range(k, len(chain))]
         self.bonds = tuple(dims[k:])
-        self.max_bond_dimension = state.max_bond_dimension
-        self.memory_bytes = state.memory_bytes
 
 
 def query_form(state: MPS) -> QueryForm:
@@ -280,7 +278,6 @@ class StackedStateBlock:
         if any(s.num_qubits != self.num_qubits for s in states):
             raise SimulationError("all states in a stacked block must share one qubit count")
         forms = [query_form(s) for s in states]
-        self.max_bond_dimensions = np.array([f.max_bond_dimension for f in forms])
         chains = [s.tensors for s in states]
         dims = _bond_dims(chains)
         k = _leading_run(self.num_qubits)
@@ -304,7 +301,6 @@ class StackedStateBlock:
         view = object.__new__(StackedStateBlock)
         view.num_states = self.num_states - start
         view.num_qubits = self.num_qubits
-        view.max_bond_dimensions = self.max_bond_dimensions[start:]
         run_bond = self._run.shape[0] // (self.num_states + 1)
         view._run = self._run[start * run_bond :]
         view._kets = [kets[start:] for kets in self._kets]

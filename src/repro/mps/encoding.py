@@ -66,14 +66,14 @@ the discarded weights, because a cut inside a degenerate singular-value
 cluster may pick a different basis of the cluster.
 
 The module lives in the :mod:`repro.mps` layer (it depends only on the MPS
-machinery and NumPy); :mod:`repro.backends` wraps it with device cost-model
-accounting (:meth:`repro.backends.Backend.simulate_batch`).
+machinery and NumPy); :mod:`repro.backends` wraps it with counters and wall
+time (:meth:`repro.backends.Backend.simulate_batch`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -174,56 +174,16 @@ def stack_circuits(circuits: Sequence) -> List[Tuple[List[int], GateStacks]]:
 
 @dataclass
 class GateShapeLog:
-    """Per-row live tensor shapes seen by a stacked sweep, for cost models.
+    """What a stacked sweep issued, for the backend's counters.
 
-    Each stacked gate application records one live-bond array per leg (one
-    entry per batch row): ``(chi_l, chi_r)`` for a single-qubit gate,
-    ``(chi_l, chi_m, chi_r)`` for a two-qubit gate, the pre-gate shapes the
-    row would have if simulated alone.  :attr:`entries` folds them into
-    distinct shapes with counts, so backends turn the log into modelled
-    device seconds without the encoding layer depending on
-    :mod:`repro.backends`.  ``structure_groups`` records how many distinct
-    circuit structures the batch contained (filled by
+    ``stacked_launches`` counts stacked gate applications, one per gate and
+    clamp block (fewer = more sharing).  ``structure_groups`` records how
+    many distinct circuit structures the batch contained (filled by
     :func:`encode_circuits`, saving consumers a re-grouping pass).
     """
 
-    singles: List[Tuple[np.ndarray, ...]] = field(default_factory=list)
-    twos: List[Tuple[np.ndarray, ...]] = field(default_factory=list)
+    stacked_launches: int = 0
     structure_groups: int = 0
-
-    def add_single(self, chi_l: np.ndarray, chi_r: np.ndarray) -> None:
-        self.singles.append((chi_l, chi_r))
-
-    def add_two(self, chi_l: np.ndarray, chi_m: np.ndarray, chi_r: np.ndarray) -> None:
-        self.twos.append((chi_l, chi_m, chi_r))
-
-    @property
-    def entries(self) -> List[Tuple]:
-        """Distinct shapes with row counts: ``("1q", count, chi_l, chi_r)``
-        and ``("2q", count, chi_l, chi_m, chi_r)``, each kind in sorted
-        shape order -- a function of the multiset of logged shapes."""
-        out: List[Tuple] = []
-        for kind, logged in (("1q", self.singles), ("2q", self.twos)):
-            if not logged:
-                continue
-            legs = [np.concatenate(leg) for leg in zip(*logged)]
-            # One integer per shape, in lexicographic shape order.
-            extent = (int(max(leg.max() for leg in legs)) + 1,) * len(legs)
-            keys, counts = np.unique(
-                np.ravel_multi_index(legs, extent), return_counts=True
-            )
-            shapes = np.stack(np.unravel_index(keys, extent), axis=1)
-            out.extend(
-                (kind, count, *shape)
-                for shape, count in zip(shapes.tolist(), counts.tolist())
-            )
-        return out
-
-    @property
-    def stacked_launches(self) -> int:
-        """Stacked gate applications issued, one per gate and clamp block
-        (fewer = more sharing)."""
-        return len(self.singles) + len(self.twos)
 
 
 def bond_caps(
@@ -313,7 +273,8 @@ class _ChainBlock:
     a solo simulation of that row would have -- and every entry outside a
     row's live block is exactly zero.  ``full[bond]`` says every row fills
     the bond's padded width, so masks along it would be all ones.  ``live``
-    entries are replaced, never mutated, so the shape log may keep them.
+    entries are replaced, never mutated: :meth:`zero_state` shares one array
+    across every bond.
     """
 
     def __init__(
@@ -376,8 +337,7 @@ class _ChainBlock:
             tensor = tensor * _prefix_masks(right)[self.live[site + 1]][:, None, None, :]
         return tensor
 
-    def apply_single(self, q: int, gates: np.ndarray, log: GateShapeLog) -> None:
-        log.add_single(self.live[q], self.live[q + 1])
+    def apply_single(self, q: int, gates: np.ndarray) -> None:
         # Zero padding maps to zero padding: no mask needed.
         self.stacks[q] = np.matmul(gates[:, None, :, :], self.stacks[q])
 
@@ -428,7 +388,7 @@ class _ChainBlock:
         ]
 
     def apply_two(
-        self, q: int, gates: np.ndarray, policy: TruncationPolicy, log: GateShapeLog
+        self, q: int, gates: np.ndarray, policy: TruncationPolicy
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, "_ChainBlock | None"]:
         """Merge + gate + SVD + per-row truncation on sites ``(q, q + 1)``.
 
@@ -440,7 +400,6 @@ class _ChainBlock:
         ``None`` when every row fits.
         """
         live_l, live_r = self.live[q], self.live[q + 2]
-        log.add_two(live_l, self.live[q + 1], live_r)
         left, right = self.stacks[q], self.stacks[q + 1]
         g, chi_l, _p, chi_m = left.shape
         chi_r = right.shape[3]
@@ -591,12 +550,13 @@ def _sweep(
         arrivals: List[_ChainBlock] = []
         for block in blocks.values():
             block_gates = gates if len(block.rows) == g else gates[block.rows]
+            log.stacked_launches += 1
             if len(qubits) == 1:
-                block.apply_single(q, block_gates, log)
+                block.apply_single(q, block_gates)
                 continue
             rows = block.rows
             block.move_center(q)
-            kept, weight, width, leavers = block.apply_two(q, block_gates, policy, log)
+            kept, weight, width, leavers = block.apply_two(q, block_gates, policy)
             splits.append((gate, rows, kept, weight, width))
             if leavers is not None:
                 arrivals.append(leavers)
@@ -680,8 +640,8 @@ def encode_circuits(
         Shared truncation policy (the paper's machine-precision default when
         omitted).
     log:
-        Optional :class:`GateShapeLog` that accumulates per-row gate shapes
-        for backend cost models.
+        Optional :class:`GateShapeLog` that counts the stacked launches and
+        structure groups, for backend counters.
 
     Returns
     -------

@@ -188,12 +188,12 @@ def bind_state_store(
 
 
 def bind_backend(registry: MetricsRegistry, backend, replica: str = "0") -> List[str]:
-    """Publish one backend's primitive counts and modelled/wall timings.
+    """Publish one backend's primitive counts and measured wall timings.
 
     ``backend`` is a :class:`repro.backends.Backend`; its
     :meth:`~repro.backends.Backend.lifetime_summary` is the source of every
     value.  The ``device`` label comes from the backend's cost-model name, so
-    the modelled-vs-measured comparison is per device.  ``role`` is always
+    the series are per device.  ``role`` is always
     ``"primary"`` (an engine has one backend); the label stays so exported
     series keep their names.
     """
@@ -223,21 +223,17 @@ def bind_backend(registry: MetricsRegistry, backend, replica: str = "0") -> List
     timing_gauges = {
         key: registry.gauge(
             f"repro_backend_{key}",
-            f"Accumulated backend {key.replace('_', ' ')} (cost-model vs measured).",
+            f"Accumulated backend {key.replace('_', ' ')} (measured).",
             labelnames,
         )
         for key in (
-            "modelled_simulation_time_seconds",
-            "modelled_inner_product_time_seconds",
             "wall_simulation_time_seconds",
             "wall_inner_product_time_seconds",
         )
     }
 
     def collect() -> None:
-        # The engine resets the per-call counters before every public call;
-        # lifetime_summary() folds across those resets, which is the monotone
-        # view a counter family requires.
+        # The backend's counters never reset, as a counter family requires.
         summary = backend.lifetime_summary()
         simulations.labels(**labels).set_total(summary["num_simulations"])
         inner_products.labels(**labels).set_total(summary["num_inner_products"])

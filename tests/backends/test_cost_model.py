@@ -143,10 +143,3 @@ def test_preferred_cross_model_rejects_empty_candidates():
     with pytest.raises(ConfigurationError):
         preferred_cross_model(10, 24, 8, models=())
 
-
-@pytest.mark.parametrize("model", [CPU_COST_MODEL, GPU_COST_MODEL])
-def test_inner_product_time_table_holds_the_per_call_prices(model):
-    table = model.inner_product_time_table(12, 100)
-    assert len(table) > 100 and not table.flags.writeable
-    assert table.tolist() == [model.inner_product_time(12, chi) for chi in range(len(table))]
-    assert model.inner_product_time_table(12, 90) is table

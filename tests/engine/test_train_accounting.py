@@ -1,21 +1,14 @@
 """The exact training path's accounting.
 
 A fit of ``n`` rows encodes ``n`` states and evaluates ``n (n - 1) / 2``
-Gram overlaps, all charged through ``Backend.inner_product_block`` (the
-traced pair count of the ``train`` benchmark reads those calls).  The
-modelled seconds are the per-point model's: the encode charges, to the last
-bit, what a bare stacked sweep of the same chunks charges, and to rounding
-what per-point simulation of every row's steps charges (the sweep prices
-each distinct shape once, times its count); the overlaps charge what one
-``Backend.inner_product`` call per pair, in row-major order, would, to the
-last bit.
+Gram overlaps, all counted through ``Backend.inner_product_block`` (the
+traced pair count of the ``train`` benchmark reads those calls).
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import CpuBackend
-from repro.circuits import build_feature_map_circuit, feature_map_gate_stacks
+from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import KernelEngine
@@ -56,23 +49,6 @@ class _CallLog:
         backend.inner_product = on_single
 
 
-def _per_point_modelled(states, X, encode_batch_size=32):
-    """The per-point model: stacked encodes of the fit's chunks, one
-    inner_product per pair, plus the per-point encode seconds."""
-    backend = CpuBackend()
-    for lo in range(0, len(X), encode_batch_size):
-        backend.simulate_batch(feature_map_gate_stacks(X[lo : lo + encode_batch_size], ANSATZ))
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            backend.inner_product(states[i], states[j])
-    summary = backend.timing_summary()
-    per_point = KernelEngine(ANSATZ)
-    for row in X:
-        per_point.simulate_row(row)
-    summary["per_point_simulation_time_s"] = per_point.backend.modelled_simulation_time_s
-    return summary
-
-
 def _check_gram(engine, Xs, distinct):
     log = _CallLog(engine.backend)
     result = engine.gram(Xs)
@@ -86,13 +62,13 @@ def _check_gram(engine, Xs, distinct):
 
 
 @pytest.mark.parametrize("n", [2, 5, 37])
-def test_fit_counts_and_modelled_seconds_match_the_per_point_model(n, rng, states_close):
+def test_fit_counts_each_encode_and_overlap_once(n, rng, states_close):
     X = rng.uniform(-1.0, 1.0, size=(n, ANSATZ.num_features))
     y = np.arange(n) % 2
     model = QuantumKernelInferenceEngine(ANSATZ)
     log = _CallLog(model.engine.backend)
     model.fit(X, y)
-    summary = model.engine.backend.timing_summary()
+    summary = model.engine.backend.lifetime_summary()
     assert summary["num_simulations"] == n
     assert summary["num_inner_products"] == n * (n - 1) // 2
     assert sum(log.block_pairs) == n * (n - 1) // 2
@@ -100,12 +76,6 @@ def test_fit_counts_and_modelled_seconds_match_the_per_point_model(n, rng, state
 
     Xs = FeatureScaler().fit_transform(X)
     states = model.engine.encode_rows(Xs)
-    expected = _per_point_modelled(states, Xs)
-    for key in ("modelled_simulation_time_s", "modelled_inner_product_time_s"):
-        assert summary[key] == expected[key], key
-    assert summary["modelled_simulation_time_s"] == pytest.approx(
-        expected["per_point_simulation_time_s"], rel=1e-12
-    )
     unmerged = []
     for row in Xs:
         state = MPS.zero_state(ANSATZ.num_features)
@@ -118,7 +88,6 @@ def test_single_row_gram_makes_no_overlap_call(rng):
     engine = KernelEngine(ANSATZ)
     result = _check_gram(engine, rng.uniform(0.1, 1.9, size=(1, 5)), distinct=1)
     assert result.matrix.tolist() == [[1.0]]
-    assert result.modelled_inner_product_time_s == 0.0
 
 
 def test_duplicate_rows_are_encoded_once_and_give_equal_gram_rows(rng):
@@ -138,3 +107,21 @@ def test_duplicate_rows_are_encoded_once_and_give_equal_gram_rows(rng):
     assert K[1, 4] == K[1, 5] == K[4, 5]
     uncached = _check_gram(engine, X, distinct=6)
     assert uncached.matrix.tobytes() == K.tobytes()
+
+
+def test_repeated_gram_reports_per_call_counts_and_state_figures(rng):
+    """Backend counters only grow, so each result reads its own call's share;
+    the resource figures are read off the call's own states."""
+    X = rng.uniform(0.1, 1.9, size=(4, 5))
+    engine = KernelEngine(ANSATZ)
+    first = engine.gram(X)
+    second = engine.gram(X)
+    for result in (first, second):
+        assert result.num_simulations == 4 and result.num_inner_products == 6
+        assert result.max_bond_dimension == max(s.max_bond_dimension for s in result.states)
+        assert result.total_state_memory_bytes == sum(s.memory_bytes for s in result.states)
+    assert second.matrix.tobytes() == first.matrix.tobytes()
+    assert second.max_bond_dimension == first.max_bond_dimension
+    assert second.total_state_memory_bytes == first.total_state_memory_bytes
+    summary = engine.backend.lifetime_summary()
+    assert summary["num_simulations"] == 8 and summary["num_inner_products"] == 12

@@ -106,8 +106,8 @@ def test_truncation_divergence_keeps_per_row_ranks(rng, states_close):
     )
 
 
-def test_log_prices_each_rows_live_shapes():
-    """One stacked launch per gate; each row is priced at its own shapes.
+def test_padded_stack_keeps_each_rows_live_shapes():
+    """One stacked launch per gate; each row keeps its own shapes.
 
     Rows 0 and 2 entangle (CNOT after H keeps rank 2) and row 1 does not
     (identity keeps rank 1), so the last single-qubit gate meets bond 2 on
@@ -124,11 +124,6 @@ def test_log_prices_each_rows_live_shapes():
     log = GateShapeLog()
     states = encode_circuits(batch, log=log)
     assert log.stacked_launches == 3
-    assert log.entries == [
-        ("1q", 4, 1, 1),
-        ("1q", 2, 2, 1),
-        ("2q", 3, 1, 1, 1),
-    ]
     assert [s.max_bond_dimension for s in states] == [2, 1, 2]
     assert [[t.shape for t in s.tensors] for s in states] == [
         [(1, 2, 2), (2, 2, 1)],
@@ -204,11 +199,6 @@ def test_simulate_batch_counters_match_per_point(circuits, states_close):
     assert batch_backend.num_simulations == loop_backend.num_simulations
     assert result.num_circuits == len(circuits)
     assert result.num_structure_groups == 1
-    # Modelled time is the sum of per-point device times (addition order
-    # aside), so engine accounting is invariant under batching.
-    assert result.modelled_time_s == pytest.approx(
-        loop_backend.modelled_simulation_time_s, rel=1e-12
-    )
     states_close(list(result.states), [loop_backend.simulate(c).state for c in circuits])
 
 
@@ -233,7 +223,7 @@ def test_simulate_batch_track_memory_falls_back(circuits):
 
 def test_rows_that_outgrow_their_clamp_change_block(rng, states_close):
     """A row keeping more than ``FIRST_CLAMP`` carries on in a wider block,
-    a row that fits stays, each is priced once at its own shapes, and every
+    a row that fits stays, and every
     state is the one its row gets alone."""
     ansatz = AnsatzConfig(num_features=12, interaction_distance=3, layers=2, gamma=0.5)
     # All-ones features zero every entangling angle: a product state.
@@ -245,7 +235,6 @@ def test_rows_that_outgrow_their_clamp_change_block(rng, states_close):
     widest = [max(r.kept for r in s.truncation_records) for s in states]
     assert [w > FIRST_CLAMP for w in widest] == [True, True, True, False]
     assert log.stacked_launches > len(stacks.targets)
-    assert sum(entry[1] for entry in log.entries) == 4 * len(stacks.targets)
     alone = [encode_circuits(feature_map_gate_stacks(row[None], ansatz))[0] for row in X]
     assert _state_bytes(states) == _state_bytes(alone)
     order = [3, 1, 0, 2]

@@ -28,7 +28,7 @@ to point-at-a-time classification however requests were coalesced.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -47,20 +47,37 @@ class _LinearModel(Protocol):
     def decision_function(self, Phi: np.ndarray) -> np.ndarray: ...
 
 
+def _engine_figure(name: str, doc: str) -> property:
+    """A :class:`StreamingBatchResult` figure read off its ``engine_result``."""
+
+    def read(self: "StreamingBatchResult"):
+        result = self.engine_result
+        return 0 if result is None else getattr(result, name)
+
+    return property(read, doc=f"{doc} (``engine_result.{name}``; 0 without one).")
+
+
 @dataclass(frozen=True)
 class StreamingBatchResult:
-    """Classification of one streamed micro-batch plus cost accounting."""
+    """Classification of one streamed micro-batch plus cost accounting.
+
+    The counts and wall times are derived: they are read off
+    ``engine_result``, the engine call that computed the kernel rows, and
+    are zero when the overlaps ran elsewhere (say on pool workers).
+    """
 
     predictions: np.ndarray
     decision_values: np.ndarray
     features: np.ndarray
     kernel_rows: np.ndarray
-    num_simulations: int
-    num_inner_products: int
-    cache_hits: int
-    cache_misses: int
-    simulation_time_s: float
-    inner_product_time_s: float
+    engine_result: Optional[EngineResult] = field(default=None, repr=False)
+
+    num_simulations = _engine_figure("num_simulations", "Rows simulated")
+    num_inner_products = _engine_figure("num_inner_products", "Overlaps evaluated")
+    cache_hits = _engine_figure("cache_hits", "State-store hits")
+    cache_misses = _engine_figure("cache_misses", "State-store misses")
+    simulation_time_s = _engine_figure("simulation_time_s", "Encode wall seconds")
+    inner_product_time_s = _engine_figure("inner_product_time_s", "Overlap wall seconds")
 
     @property
     def num_points(self) -> int:
@@ -138,16 +155,7 @@ class StreamingNystroemClassifier:
         decisions = np.asarray(self.model.decision_function(phi)).ravel()
         self.num_served += phi.shape[0]
         return StreamingBatchResult(
-            predictions=(decisions > 0).astype(int),
-            decision_values=decisions,
-            features=phi,
-            kernel_rows=engine_result.matrix,
-            num_simulations=engine_result.num_simulations,
-            num_inner_products=engine_result.num_inner_products,
-            cache_hits=engine_result.cache_hits,
-            cache_misses=engine_result.cache_misses,
-            simulation_time_s=engine_result.simulation_time_s,
-            inner_product_time_s=engine_result.inner_product_time_s,
+            (decisions > 0).astype(int), decisions, phi, engine_result.matrix, engine_result
         )
 
     def classify_kernel_rows(
@@ -161,39 +169,28 @@ class StreamingNystroemClassifier:
         through the exact same row-wise code :meth:`classify` uses, so
         identical kernel rows yield bit-identical predictions regardless of
         which process computed the overlaps.  ``engine_result`` (when the
-        caller has one) fills the cost-accounting fields; otherwise they are
-        reported as zero because the quantum work happened elsewhere.
+        caller has one) backs the cost-accounting figures; otherwise they
+        read zero because the quantum work happened elsewhere.
         """
         phi = self.feature_map.project_kernel_rows(kernel_rows)
         decisions = np.asarray(self.model.decision_function(phi)).ravel()
         self.num_served += phi.shape[0]
         return StreamingBatchResult(
-            predictions=(decisions > 0).astype(int),
-            decision_values=decisions,
-            features=phi,
-            kernel_rows=np.asarray(kernel_rows, dtype=float),
-            num_simulations=engine_result.num_simulations if engine_result else 0,
-            num_inner_products=(
-                engine_result.num_inner_products if engine_result else 0
-            ),
-            cache_hits=engine_result.cache_hits if engine_result else 0,
-            cache_misses=engine_result.cache_misses if engine_result else 0,
-            simulation_time_s=(
-                engine_result.simulation_time_s if engine_result else 0.0
-            ),
-            inner_product_time_s=(
-                engine_result.inner_product_time_s if engine_result else 0.0
-            ),
+            (decisions > 0).astype(int),
+            decisions,
+            phi,
+            np.asarray(kernel_rows, dtype=float),
+            engine_result,
         )
 
     # ------------------------------------------------------------------
     def submit(self, row: np.ndarray) -> Optional[StreamingBatchResult]:
         """Buffer one raw feature row; flush when the micro-batch fills.
 
-        The row's width is validated here (against the feature map's
-        ansatz), so malformed traffic is rejected at ingestion and never
-        poisons a buffered batch.  Returns the batch result when this row
-        triggered a flush, else ``None``.
+        The row's width and values are validated here (against the feature
+        map's ansatz), so a malformed or non-finite row is rejected at
+        ingestion and never poisons a buffered batch.  Returns the batch
+        result when this row triggered a flush, else ``None``.
         """
         row = np.asarray(row, dtype=float).ravel()
         expected = self.feature_map.engine.ansatz.num_features
@@ -201,6 +198,8 @@ class StreamingNystroemClassifier:
             raise SVMError(
                 f"row has {row.size} features but the service expects {expected}"
             )
+        if not np.isfinite(row).all():
+            raise SVMError("row has a NaN or infinite feature value")
         self._buffer.append(row)
         if len(self._buffer) >= self.buffer_size:
             return self.flush()

@@ -158,6 +158,9 @@ class KernelEngine:
         self._ansatz_fp = ansatz_fingerprint(ansatz)
         self._simulation_fp = simulation_fingerprint(self.backend.config)
         self._key_suffix = key_suffix(self._ansatz_fp, self._simulation_fp)
+        #: This engine's store lookups since construction (never reset).
+        self._store_hits = 0
+        self._store_misses = 0
 
     @property
     def fingerprint(self) -> str:
@@ -256,7 +259,9 @@ class KernelEngine:
         key = row_key(row, self._key_suffix)
         cached = self.store.get(key)
         if cached is not None:
+            self._store_hits += 1
             return cached
+        self._store_misses += 1
         state = self._sweep(np.asarray(row, dtype=float)[None, :])[0]
         self.store.put(key, state)
         return state
@@ -316,6 +321,8 @@ class KernelEngine:
             else:
                 pending.append(i)
                 pending_keys.add(keys[i])
+        self._store_misses += len(pending)
+        self._store_hits += n - len(pending) - len(deferred)
         self._encode_batched(X, pending, states)
         for i in pending:
             state = states[i]
@@ -323,7 +330,12 @@ class KernelEngine:
                 self.store.put(keys[i], state)
         for i in deferred:
             cached = self.store.get(keys[i])
-            states[i] = cached if cached is not None else self.encode_row(X[i])
+            if cached is None:
+                self._store_misses += 1
+                cached = self.encode_row(X[i])
+            else:
+                self._store_hits += 1
+            states[i] = cached
         return [s for s in states if s is not None]
 
     def _encode_batched(
@@ -465,17 +477,16 @@ class KernelEngine:
     # Internals
     # ------------------------------------------------------------------
     def _counters(self) -> Tuple[float, ...]:
-        """Wall seconds and counts of both primitives, then store hits and
-        misses, all since construction."""
-        summary = self.backend.lifetime_summary()
-        stats = self.store.stats() if self.store is not None else None
+        """Wall seconds and counts of both primitives, then this engine's
+        store hits and misses, all since construction."""
+        backend = self.backend
         return (
-            summary["wall_simulation_time_s"],
-            summary["wall_inner_product_time_s"],
-            summary["num_simulations"],
-            summary["num_inner_products"],
-            stats.hits if stats is not None else 0,
-            stats.misses if stats is not None else 0,
+            backend.wall_simulation_time_s,
+            backend.wall_inner_product_time_s,
+            backend.num_simulations,
+            backend.num_inner_products,
+            self._store_hits,
+            self._store_misses,
         )
 
     def _result(

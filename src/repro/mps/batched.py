@@ -160,12 +160,13 @@ def _fused_run(tensors: Chain, k: int) -> np.ndarray:
 class QueryForm:
     """Everything the bra side of a sweep reads from one state.
 
-    ``run`` is the conjugated fused leading run at the state's own
-    ``(2**k, chi_k)`` (on up to 8 qubits the ``(2**N, 1)`` amplitude
-    vector); ``sites`` holds the step-1 operands ``conj(bra)`` of
-    sites ``k..N-1`` as ``(a, 2a')``, zero-padded to the state's own
-    rounded bonds, which ``bonds`` lists from bond ``k`` on.  Built once from
-    the state's unpadded tensors, so its bytes depend on that state alone.
+    ``run`` is the conjugated fused leading run, ``(2**k, chi_k)`` (on up
+    to 8 qubits the ``(2**N, 1)`` amplitude vector); ``sites`` holds the
+    step-1 operands ``conj(bra)`` of sites ``k..N-1`` as ``(a, 2a')``.  Both
+    are zero-padded to the state's own rounded bonds, which ``bonds`` lists
+    from bond ``k`` on, so the forms of one shape group stack as they are.
+    Built once from the state's unpadded tensors, so its bytes depend on
+    that state alone.
     """
 
     __slots__ = ("run", "sites", "bonds")
@@ -174,7 +175,9 @@ class QueryForm:
         chain = state.tensors
         dims = _bond_dims([chain])
         k = _leading_run(len(chain))
-        self.run = np.conjugate(_fused_run(chain, k))
+        run = _fused_run(chain, k)
+        self.run = np.full((run.shape[0], dims[k]), _CONJ_ZERO)
+        np.conjugate(run, out=self.run[:, : run.shape[1]])
         self.sites = [_bra_operands([chain], dims, site)[0] for site in range(k, len(chain))]
         self.bonds = tuple(dims[k:])
 
@@ -327,7 +330,12 @@ class StackedStateBlock:
     def _sweep(self, forms: Sequence[QueryForm], bonds: Tuple[int, ...]) -> np.ndarray:
         """One stacked sweep of queries that share their padded ``bonds``."""
         m, z = self.num_states, len(forms)
-        runs, sites = _bra_stacks(forms, bonds, _leading_run(self.num_qubits))
+        # The group's forms share their padded shapes: each stack is one copy.
+        runs = np.concatenate([form.run for form in forms]).reshape(z, -1, bonds[0])
+        sites = [
+            np.concatenate([form.sites[i] for form in forms]).reshape(z, bonds[i], -1)
+            for i in range(len(bonds) - 1)
+        ]
         # The fused first step and every step 1 run as (m*b x .) products
         # against the whole block, one slice per query; the first step's
         # rows of the spare state are dropped.

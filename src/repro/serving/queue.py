@@ -111,9 +111,11 @@ class ServedPrediction:
             raise ServingError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     row: np.ndarray
+    #: The admitted row's bytes: its response-memo key, computed once.
+    key: bytes
     future: "Future[ServedPrediction]"
     enqueued_at: float
     #: Root span of this request's trace, minted at submit() when the global
@@ -212,7 +214,7 @@ class AsyncServingQueue:
 
         self._cond = threading.Condition()
         self._pending: List[_Pending] = []
-        self._in_flight: List["Future[ServedPrediction]"] = []
+        self._in_flight: List[_Pending] = []
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name="serving-queue", daemon=True
@@ -349,6 +351,16 @@ class AsyncServingQueue:
         is rejected at ingestion and never poisons a coalesced batch.
         """
         row = admit_row(row, self._expected_features)
+        return self._enqueue(row, row.tobytes())
+
+    def _enqueue(self, row: np.ndarray, key: bytes) -> "Future[ServedPrediction]":
+        """Queue a row :func:`admit_row` accepted, under its memo ``key``.
+
+        The one hand-off behind :meth:`submit` and
+        :meth:`~repro.serving.ReplicaRouter.submit`, which admits the row
+        itself.  Only a request that finds nothing pending wakes the
+        coalescer: it waits only while nothing is pending.
+        """
         future: "Future[ServedPrediction]" = Future()
         # Mint the request's trace root here (None when tracing is off):
         # the coalescer thread later hangs the wait span and the flush's
@@ -358,11 +370,10 @@ class AsyncServingQueue:
         with self._cond:
             if self._closed:
                 raise ServingError("serving queue is closed")
-            self._pending.append(
-                _Pending(row=row, future=future, enqueued_at=now, span=span)
-            )
+            self._pending.append(_Pending(row, key, future, now, span))
             depth = len(self._pending)
-            self._cond.notify_all()
+            if depth == 1:
+                self._cond.notify_all()
         self.metrics.record_enqueue(depth, now)
         return future
 
@@ -380,7 +391,7 @@ class AsyncServingQueue:
         scored.  A result and an exception both count as resolved.
         """
         with self._cond:
-            waiting = [p.future for p in self._pending] + self._in_flight
+            waiting = [p.future for p in self._pending + self._in_flight]
         wait(waiting)
 
     def close(self) -> None:
@@ -401,11 +412,10 @@ class AsyncServingQueue:
     def _run(self) -> None:
         try:
             while True:
-                batch = self._collect_batch()
-                if batch is None:
+                popped = self._collect_batch()
+                if popped is None:
                     return
-                if batch:
-                    self._process(batch)
+                self._process(*popped)
         except BaseException as exc:
             # The thread ends either way; first make sure no caller hangs on
             # it, then let threading.excepthook report the traceback.
@@ -421,7 +431,7 @@ class AsyncServingQueue:
         """
         with self._cond:
             self._closed = True
-            in_flight = [f for f in self._in_flight if not f.done()]
+            in_flight = [p.future for p in self._in_flight if not p.future.done()]
             pending = [p.future for p in self._pending]
             self._pending = []
             self._cond.notify_all()
@@ -434,8 +444,8 @@ class AsyncServingQueue:
             error.__cause__ = cause
             future.set_exception(error)
 
-    def _collect_batch(self) -> Optional[List[_Pending]]:
-        """Pop the next batch once anything is pending; ``None`` means shut down.
+    def _collect_batch(self) -> Optional[Tuple[List[_Pending], _ModelSlot]]:
+        """Pop the next batch and the slot scoring it; ``None`` means shut down.
 
         Work-conserving: the coalescer only gets here between flushes, and
         it takes up to ``max_batch`` pending requests at once instead of
@@ -449,24 +459,23 @@ class AsyncServingQueue:
                 self._cond.wait()
             popped = self._pending[: self.max_batch]
             del self._pending[: self.max_batch]
-            # A request its caller cancelled while it waited is dropped here:
-            # it is never scored and never waited on.  The survivors' futures
-            # can no longer be cancelled, so resolving them cannot fail.
-            batch = [p for p in popped if p.future.set_running_or_notify_cancel()]
-            self._in_flight = [p.future for p in batch]
-            return batch
-
-    def _process(self, batch: List[_Pending]) -> None:
-        start = time.perf_counter()
-        # Capture the active model slot exactly once: classifier, memo and
-        # pool stay mutually consistent for this whole flush even if a swap
-        # installs a new slot mid-score, and the slot's refcount keeps its
-        # pool alive until the flush completes.
-        with self._cond:
+            self._in_flight = popped
+            # Capture the active model slot exactly once: classifier, memo
+            # and pool stay mutually consistent for this whole flush even if
+            # a swap installs a new slot mid-score, and the slot's refcount
+            # keeps its pool alive until the flush completes.
             slot = self._slot
             slot.active_flushes += 1
+        # A request its caller cancelled while it waited is dropped here: it
+        # is never scored.  The survivors' futures can no longer be
+        # cancelled, so resolving them cannot fail.
+        return [p for p in popped if p.future.set_running_or_notify_cancel()], slot
+
+    def _process(self, batch: List[_Pending], slot: _ModelSlot) -> None:
+        start = time.perf_counter()
         try:
-            self._flush_batch(batch, slot, start)
+            if batch:
+                self._flush_batch(batch, slot, start)
         finally:
             # Released even if the flush raised, so a swap waiting on this
             # slot's in-flight flushes never waits forever.
@@ -513,22 +522,18 @@ class AsyncServingQueue:
                 p.future.set_exception(exc)
             return
         now = time.perf_counter()
-        latencies = [now - p.enqueued_at for p in batch]
         if flush_span is not None:
             flush_span.end(now)
-        for i, p in enumerate(batch):
-            prediction, decision = outputs[i]
+        size, version = len(batch), slot.version
+        latencies = []
+        for p, (prediction, decision) in zip(batch, outputs):
+            latency = now - p.enqueued_at
+            latencies.append(latency)
             if p.span is not None:
-                p.span.set_attribute("batch_size", len(batch))
+                p.span.set_attribute("batch_size", size)
                 p.span.end(now)
             p.future.set_result(
-                ServedPrediction(
-                    prediction=prediction,
-                    decision_value=decision,
-                    latency_s=latencies[i],
-                    batch_size=len(batch),
-                    model_version=slot.version,
-                )
+                ServedPrediction(prediction, decision, latency, size, version)
             )
         self.metrics.record_batch(latencies, now - start, now)
 
@@ -544,45 +549,32 @@ class AsyncServingQueue:
         pool).  The memo lives on the slot, never the queue: answers
         memoised under one model version are unreachable after a swap.
         """
-        if slot.memo is None:
-            result = self._classify_rows(np.vstack([p.row for p in batch]), slot)
-            return [
-                (int(result.predictions[i]), float(result.decision_values[i]))
-                for i in range(len(batch))
-            ]
-        keys = [p.row.tobytes() for p in batch]
-        outputs: List[Optional[Tuple[int, float]]] = [None] * len(batch)
-        miss_indices: List[int] = []
-        miss_keys: Dict[bytes, int] = {}
-        for i, key in enumerate(keys):
-            hit = slot.memo.get(key)
-            if hit is not None:
-                slot.memo.move_to_end(key)
+        memo = slot.memo
+        outputs: List = [None] * len(batch)
+        # The rows to score, by memo key (by position without a memo): with
+        # a memo, a row repeated inside one batch is scored once.
+        misses: Dict[object, List[int]] = {}
+        for i, p in enumerate(batch):
+            hit = memo.get(p.key) if memo is not None else None
+            if hit is None:
+                misses.setdefault(p.key if memo is not None else i, []).append(i)
+            else:
+                memo.move_to_end(p.key)
                 self.memo_hits += 1
                 outputs[i] = hit
-            elif key not in miss_keys:
-                # Duplicates inside one batch are computed once.
-                miss_keys[key] = len(miss_indices)
-                miss_indices.append(i)
-        if miss_indices:
+        if misses:
             result = self._classify_rows(
-                np.vstack([batch[i].row for i in miss_indices]), slot
+                np.array([batch[indices[0]].row for indices in misses.values()]), slot
             )
-            fresh = {
-                key: (
-                    int(result.predictions[local]),
-                    float(result.decision_values[local]),
-                )
-                for key, local in miss_keys.items()
-            }
-            for key, value in fresh.items():
-                slot.memo[key] = value
-            while len(slot.memo) > self.memo_capacity:
-                slot.memo.popitem(last=False)
-            for i, key in enumerate(keys):
-                if outputs[i] is None:
-                    outputs[i] = fresh[key]
-        return [out for out in outputs if out is not None]
+            scored = zip(result.predictions.tolist(), result.decision_values.tolist())
+            for (key, indices), output in zip(misses.items(), scored):
+                for i in indices:
+                    outputs[i] = output
+                if memo is not None:
+                    memo[key] = output
+            while memo is not None and len(memo) > self.memo_capacity:
+                memo.popitem(last=False)
+        return outputs
 
     def _classify_rows(self, rows: np.ndarray, slot: _ModelSlot):
         # Either path encodes the batch's cache-miss rows in one stacked

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections.abc import Sequence as SequenceABC
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +79,25 @@ class RoutingPolicy:
     def select(self, key: bytes, depths: Sequence[int]) -> int:
         """Index (into ``depths``) of the replica to receive this request."""
         raise NotImplementedError
+
+
+class _Depths(SequenceABC):
+    """Pending depths of the alive replicas, each read when a policy indexes it.
+
+    Round-robin and key-affinity only take its length, so placing a request
+    under them reads no queue depth (and takes no queue lock).
+    """
+
+    __slots__ = ("_queues",)
+
+    def __init__(self, queues: List[AsyncServingQueue]) -> None:
+        self._queues = queues
+
+    def __len__(self) -> int:
+        return len(self._queues)
+
+    def __getitem__(self, index: int) -> int:
+        return self._queues[index].pending
 
 
 class RoundRobinPolicy(RoutingPolicy):
@@ -204,7 +224,6 @@ class ReplicaRouter:
         self._lock = threading.Lock()
         self._queues: List[AsyncServingQueue] = []
         self._stores: List[Optional[PersistentStateStore]] = []
-        self._alive: List[bool] = []
         self.warm_up_reports: List[WarmUpReport] = []
 
         replica_metrics: List[ServingMetrics] = []
@@ -235,8 +254,8 @@ class ReplicaRouter:
             self._queues.append(
                 AsyncServingQueue(classifier, metrics=metrics, **queue_kwargs)
             )
-            self._alive.append(True)
         self.metrics = RouterMetrics(replica_metrics)
+        self._set_alive(range(self.num_replicas))
         self.swap_count = 0
         self._expected_features = self._queues[0].classifier.feature_map.engine.ansatz.num_features
 
@@ -281,11 +300,7 @@ class ReplicaRouter:
         coalescer failed) is not alive, even before a request finds out.
         """
         with self._lock:
-            return [
-                i
-                for i, alive in enumerate(self._alive)
-                if alive and not self._queues[i].closed
-            ]
+            return [i for i in self._alive if not self._queues[i].closed]
 
     @property
     def queues(self) -> List[AsyncServingQueue]:
@@ -310,34 +325,42 @@ class ReplicaRouter:
     def submit(self, row: np.ndarray) -> "Future[ServedPrediction]":
         """Route one raw feature row; returns the chosen replica's future.
 
-        Placement order: the policy picks among alive replicas; a saturated
-        pick fails over to the shallowest alive replica; if that one is
-        saturated too the request is shed.  A replica that died between
-        selection and hand-off is marked dead and the request retries over
-        the survivors, so single-replica death never fails a request.
+        The row is admitted here, once (:func:`admit_row`), and handed to
+        the replica with its memo key.  Placement order: the policy picks
+        among alive replicas; a saturated pick fails over to the shallowest
+        alive replica; if that one is saturated too the request is shed.  A
+        replica that died between selection and hand-off is marked dead and
+        the request retries over the survivors, so single-replica death
+        never fails a request.
         """
         row = admit_row(row, self._expected_features)
         key = row.tobytes()
         while True:
             chosen = self._place(key)
             try:
-                future = self._queues[chosen].submit(row)
+                future = self._queues[chosen]._enqueue(row, key)
             except ServingError:
                 # The replica closed under us: route around it from now on.
                 with self._lock:
-                    self._alive[chosen] = False
+                    self._set_alive(i for i in self._alive if i != chosen)
                 self.metrics.record_failover()
                 continue
             self.metrics.record_route(chosen)
             return future
 
+    def _set_alive(self, indices: Iterable[int]) -> None:
+        """Place requests on replicas ``indices`` only (under the lock)."""
+        self._alive: Tuple[int, ...] = tuple(indices)
+        self._depths = _Depths([self._queues[i] for i in self._alive])
+
     def _place(self, key: bytes) -> int:
         """Pick an alive replica for ``key``, shedding under saturation."""
         with self._lock:
-            alive = [i for i, ok in enumerate(self._alive) if ok]
+            alive = self._alive
             if not alive:
                 raise ServingError("every replica is dead; router cannot serve")
-            depths = [self._queues[i].pending for i in alive]
+            # Shedding compares every depth, so it reads them all once.
+            depths = self._depths if self.high_water is None else list(self._depths)
             pos = self.policy.select(key, depths)
             if not 0 <= pos < len(alive):
                 raise ServingError(
@@ -427,9 +450,9 @@ class ReplicaRouter:
         with self._lock:
             if not 0 <= index < self.num_replicas:
                 raise ServingError(f"no replica with index {index}")
-            if not self._alive[index]:
+            if index not in self._alive:
                 return
-            self._alive[index] = False
+            self._set_alive(i for i in self._alive if i != index)
         self._queues[index].close()
         dead_store = self._stores[index]
         survivor = self._first_alive_store()
@@ -440,8 +463,8 @@ class ReplicaRouter:
 
     def _first_alive_store(self) -> Optional[PersistentStateStore]:
         with self._lock:
-            for i, alive in enumerate(self._alive):
-                if alive and self._stores[i] is not None:
+            for i in self._alive:
+                if self._stores[i] is not None:
                     return self._stores[i]
         return None
 
@@ -460,7 +483,7 @@ class ReplicaRouter:
                 "router has no durable tier; construct with persistence_root"
             )
         for i, store in enumerate(self._stores):
-            if store is None or store is target or not self._alive[i]:
+            if store is None or store is target or i not in self._alive:
                 continue
             if len(store):
                 target.load_entries(store.dump_entries())
@@ -474,7 +497,7 @@ class ReplicaRouter:
         for queue in self._queues:
             queue.close()
         with self._lock:
-            self._alive = [False] * self.num_replicas
+            self._set_alive(())
 
     # ------------------------------------------------------------------
     def metrics_view(self) -> Dict:

@@ -150,17 +150,10 @@ class StreamingNystroemClassifier:
         landmark overlaps run.  ``num_simulations`` on the result therefore
         counts exactly the batch's cold rows.
         """
-        Xs = self.scale(X_raw)
-        phi, engine_result = self.feature_map.transform_result(Xs)
-        decisions = np.asarray(self.model.decision_function(phi)).ravel()
-        self.num_served += phi.shape[0]
-        return StreamingBatchResult(
-            (decisions > 0).astype(int), decisions, phi, engine_result.matrix, engine_result
-        )
+        phi, engine_result = self.feature_map.transform_result(self.scale(X_raw))
+        return self._score(phi, engine_result.matrix, engine_result)
 
-    def classify_kernel_rows(
-        self, kernel_rows: np.ndarray, engine_result: "EngineResult | None" = None
-    ) -> StreamingBatchResult:
+    def classify_kernel_rows(self, kernel_rows: np.ndarray) -> StreamingBatchResult:
         """Score precomputed landmark kernel rows (distributed flush path).
 
         ``kernel_rows`` is the ``batch x m`` overlap block against the
@@ -168,19 +161,20 @@ class StreamingNystroemClassifier:
         shared landmark store.  The projection and the decision values run
         through the exact same row-wise code :meth:`classify` uses, so
         identical kernel rows yield bit-identical predictions regardless of
-        which process computed the overlaps.  ``engine_result`` (when the
-        caller has one) backs the cost-accounting figures; otherwise they
-        read zero because the quantum work happened elsewhere.
+        which process computed the overlaps.  The cost-accounting figures
+        read zero: the quantum work happened elsewhere.
         """
         phi = self.feature_map.project_kernel_rows(kernel_rows)
+        return self._score(phi, np.asarray(kernel_rows, dtype=float), None)
+
+    def _score(
+        self, phi: np.ndarray, kernel_rows: np.ndarray, engine_result: Optional[EngineResult]
+    ) -> StreamingBatchResult:
+        """The linear model's decisions on features ``phi``, as a result."""
         decisions = np.asarray(self.model.decision_function(phi)).ravel()
         self.num_served += phi.shape[0]
         return StreamingBatchResult(
-            (decisions > 0).astype(int),
-            decisions,
-            phi,
-            np.asarray(kernel_rows, dtype=float),
-            engine_result,
+            (decisions > 0).astype(int), decisions, phi, kernel_rows, engine_result
         )
 
     # ------------------------------------------------------------------

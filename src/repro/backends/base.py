@@ -95,13 +95,15 @@ class BatchInnerProductResult:
         Complex overlaps ``<bra_k|ket_k>`` in input order.
     wall_time_s:
         Measured Python time for the whole chunk.
-    num_pairs:
-        Number of pairs evaluated.
     """
 
     values: "np.ndarray"
     wall_time_s: float
-    num_pairs: int
+
+    @property
+    def num_pairs(self) -> int:
+        """Number of pairs evaluated: one per entry of :attr:`values`."""
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -397,7 +399,7 @@ class Backend(abc.ABC):
         """Count one overlap per entry of ``values``, and the wall time."""
         self.wall_inner_product_time_s += wall
         self.num_inner_products += values.size
-        return BatchInnerProductResult(values=values, wall_time_s=wall, num_pairs=values.size)
+        return BatchInnerProductResult(values, wall)
 
     # ------------------------------------------------------------------
     def lifetime_summary(self) -> dict[str, float]:

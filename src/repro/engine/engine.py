@@ -22,10 +22,11 @@ each with exactly one code path, so consumers ask for a Gram
   each state against the tail of its own block, so only the strict upper
   triangle is evaluated.
 
-Every result carries the measured wall time of both primitives and their
-counts.  Modelled device time is priced only on the solo primitives the
-paper times: :meth:`KernelEngine.simulate_row` and
-:meth:`repro.backends.Backend.inner_product`.
+Every result carries the wall time and count of both primitives and the
+hits and misses of the engine's own store lookups: differences of monotone
+counters read as attributes before and after the call.  Modelled device
+time is priced only on the solo primitives the paper times:
+:meth:`KernelEngine.simulate_row` and :meth:`repro.backends.Backend.inner_product`.
 
 :class:`repro.kernels.QuantumKernel`,
 :class:`repro.kernels.ProjectedQuantumKernel`,
@@ -101,11 +102,6 @@ class EngineResult:
     #: The Gram's padded, stacked ``states`` (``None`` for other calls):
     #: the block exact-model scoring sweeps new rows against.
     block: Optional[StackedStateBlock] = field(default=None, repr=False)
-
-    @property
-    def total_time_s(self) -> float:
-        """Measured wall-clock total of both primitives."""
-        return self.simulation_time_s + self.inner_product_time_s
 
     @property
     def max_bond_dimension(self) -> int:
@@ -321,21 +317,18 @@ class KernelEngine:
             else:
                 pending.append(i)
                 pending_keys.add(keys[i])
-        self._store_misses += len(pending)
-        self._store_hits += n - len(pending) - len(deferred)
         self._encode_batched(X, pending, states)
         for i in pending:
             state = states[i]
             if state is not None:
                 self.store.put(keys[i], state)
+        misses = len(pending)
         for i in deferred:
             cached = self.store.get(keys[i])
-            if cached is None:
-                self._store_misses += 1
-                cached = self.encode_row(X[i])
-            else:
-                self._store_hits += 1
-            states[i] = cached
+            misses += cached is None
+            states[i] = cached if cached is not None else self.encode_row(X[i])
+        self._store_hits += n - misses
+        self._store_misses += misses
         return [s for s in states if s is not None]
 
     def _encode_batched(
@@ -381,7 +374,8 @@ class KernelEngine:
         :func:`~repro.engine.batched_overlaps` value.
 
         The result's accounting covers exactly this computation: the
-        difference of the backend and store counters across it.  The block is returned as
+        difference of the backend's counters and the engine's store-lookup
+        counts across it.  The block is returned as
         :attr:`EngineResult.block`, so a model fitted on this Gram scores
         new rows against it without stacking the states again.
         """

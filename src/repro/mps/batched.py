@@ -240,7 +240,7 @@ def _distinct(
 
     The index is ``None`` when all are distinct; a flush may repeat a row.
     """
-    if any(state.num_qubits != num_qubits for state in states):
+    if any(len(state._tensors) != num_qubits for state in states):
         raise SimulationError(message)
     distinct = {id(state): state for state in states}
     if len(distinct) == len(states):
@@ -320,6 +320,9 @@ class StackedStateBlock:
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for q, form in enumerate(forms):
             groups.setdefault(form.bonds, []).append(q)
+        if len(groups) == 1 and len(forms) <= _STACK_QUERIES:
+            # One stack of one shape group (a serving flush): nothing to scatter.
+            return _gather(self._sweep(forms, forms[0].bonds), index)
         out = np.empty((len(forms), self.num_states), dtype=np.complex128)
         for bonds, members in groups.items():
             for start in range(0, len(members), _STACK_QUERIES):
@@ -330,18 +333,15 @@ class StackedStateBlock:
     def _sweep(self, forms: Sequence[QueryForm], bonds: Tuple[int, ...]) -> np.ndarray:
         """One stacked sweep of queries that share their padded ``bonds``."""
         m, z = self.num_states, len(forms)
-        # The group's forms share their padded shapes: each stack is one copy.
+        # The group's forms share their padded shapes, so a stack of their
+        # operands is one copy.  The fused first step and every step 1 run
+        # as (m*b x .) products against the whole block, one slice per
+        # query; the first step's rows of the spare state are dropped.
         runs = np.concatenate([form.run for form in forms]).reshape(z, -1, bonds[0])
-        sites = [
-            np.concatenate([form.sites[i] for form in forms]).reshape(z, bonds[i], -1)
-            for i in range(len(bonds) - 1)
-        ]
-        # The fused first step and every step 1 run as (m*b x .) products
-        # against the whole block, one slice per query; the first step's
-        # rows of the spare state are dropped.
         run_bond = self._run.shape[0] // (m + 1)
         env = _matmul(self._run, runs)[:, : m * run_bond]
-        for kets, bras in zip(self._kets, sites):
+        for i, kets in enumerate(self._kets):
+            bras = np.concatenate([form.sites[i] for form in forms]).reshape(z, bonds[i], -1)
             ket_bond = kets.shape[2] // 2
             tmp = _matmul(env.reshape(z, m * ket_bond, -1), bras)
             env = _matmul(kets, tmp.reshape(z, m, 2 * ket_bond, -1))

@@ -137,15 +137,18 @@ class ServingMetrics:
             n = len(self._latencies_s)
             if n == 0:
                 raise ReproError("no completed requests recorded yet")
-            if self._first_enqueue_t is not None and self._last_flush_t is not None:
-                span = self._last_flush_t - self._first_enqueue_t
-            else:  # pragma: no cover - defensive
-                span = 0.0
-            if span <= 0.0:
-                span = sum(self._batch_wall_s)
-            if span <= 0.0:
-                raise ReproError("no elapsed serving time recorded")
-            return n / span
+            span = self._serving_span_s()
+        if span <= 0.0:
+            raise ReproError("no elapsed serving time recorded")
+        return n / span
+
+    def _serving_span_s(self) -> float:
+        """First enqueue to last flush, else the summed batch wall times."""
+        if self._first_enqueue_t is not None and self._last_flush_t is not None:
+            span = self._last_flush_t - self._first_enqueue_t
+            if span > 0.0:
+                return span
+        return float(sum(self._batch_wall_s))
 
     def to_dict(self) -> Dict[str, float]:
         """JSON-friendly snapshot for benchmark artifacts and dashboards."""
@@ -168,14 +171,7 @@ class ServingMetrics:
                         "batch_wall_s_total": float(np.sum(self._batch_wall_s)),
                     }
                 )
-                span = (
-                    self._last_flush_t - self._first_enqueue_t
-                    if self._first_enqueue_t is not None
-                    and self._last_flush_t is not None
-                    else 0.0
-                )
-                if span <= 0.0:
-                    span = float(np.sum(self._batch_wall_s))
+                span = self._serving_span_s()
                 if span > 0.0:
                     out["throughput_rps"] = n / span
         return out

@@ -3,10 +3,16 @@
 A traffic-facing service receives requests one at a time, but the engine is
 at its best when it sweeps a whole *batch* of query states against the
 landmarks' :class:`~repro.engine.StackedStateBlock` at once: the per-flush
-overhead amortises and -- with worker processes -- the row encodes fan out.  :class:`AsyncServingQueue` sits between the two:
+overhead amortises and -- with worker processes -- the row encodes fan out.
+:class:`AsyncServingQueue` sits between the two:
 
-* :meth:`submit` accepts one raw feature row and immediately returns a
-  :class:`concurrent.futures.Future`;
+* :meth:`submit` admits one raw feature row (:func:`admit_row`: its width
+  and finite values) and immediately returns a
+  :class:`concurrent.futures.Future`.  The admitted row's bytes are its
+  response-memo key, taken once; a :class:`~repro.serving.ReplicaRouter`
+  admits the row itself and hands it over with that key, so a routed row is
+  admitted once.  Only a request that finds nothing pending wakes the
+  coalescer, which waits only then;
 * a background coalescer thread is **work-conserving**: whenever it is idle
   and something is pending, it pops up to ``max_batch`` requests at once and
   flushes them through the classifier as one block sweep.  It never holds a batch
@@ -85,7 +91,7 @@ def admit_row(row: np.ndarray, expected_features: int) -> np.ndarray:
         raise ServingError(
             f"row has {row.size} features but the service expects {expected_features}"
         )
-    if not np.isfinite(row).all():
+    if np.count_nonzero(np.isfinite(row)) != row.size:
         raise ServingError("row has a NaN or infinite feature value")
     return row
 
@@ -123,6 +129,7 @@ class _Pending:
     span: Optional[Span] = None
 
 
+@dataclass(slots=True)
 class _ModelSlot:
     """One served model version: classifier, memo, worker pool, refcount.
 
@@ -135,20 +142,11 @@ class _ModelSlot:
     worker pool (in-flight flushes complete against the old payload).
     """
 
-    __slots__ = ("classifier", "version", "memo", "pool", "active_flushes")
-
-    def __init__(
-        self,
-        classifier: StreamingNystroemClassifier,
-        version: int,
-        memo: "OrderedDict[bytes, Tuple[int, float]] | None",
-        pool: Optional[ProcessPoolExecutor],
-    ) -> None:
-        self.classifier = classifier
-        self.version = version
-        self.memo = memo
-        self.pool = pool
-        self.active_flushes = 0
+    classifier: StreamingNystroemClassifier
+    version: int
+    memo: "OrderedDict[bytes, Tuple[int, float]] | None"
+    pool: Optional[ProcessPoolExecutor]
+    active_flushes: int = 0
 
 
 class AsyncServingQueue:
@@ -230,9 +228,8 @@ class AsyncServingQueue:
 
     @property
     def pending(self) -> int:
-        """Requests accepted but not yet flushed."""
-        with self._cond:
-            return len(self._pending)
+        """Requests accepted but not yet flushed (a list's length: no lock)."""
+        return len(self._pending)
 
     @property
     def closed(self) -> bool:

@@ -15,7 +15,10 @@ request with a pluggable :class:`RoutingPolicy`:
   memo stay hot on exactly one engine instead of being duplicated ``N``
   times.
 
-The router is also the admission controller: with
+The router is also the admission controller.  It admits each row once
+(:func:`~repro.serving.queue.admit_row`) and hands it to the chosen queue
+with its memo key; the queue does not admit it again.  Reading the replica
+depths a policy sees takes no queue lock.  With
 ``queue_depth_high_water`` set, a request whose chosen replica is saturated
 first fails over to the shallowest replica, and is **shed** (rejected with
 :class:`~repro.exceptions.LoadShedError`) only when every replica is at or
@@ -39,9 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections.abc import Sequence as SequenceABC
 from concurrent.futures import Future
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,25 +81,6 @@ class RoutingPolicy:
     def select(self, key: bytes, depths: Sequence[int]) -> int:
         """Index (into ``depths``) of the replica to receive this request."""
         raise NotImplementedError
-
-
-class _Depths(SequenceABC):
-    """Pending depths of the alive replicas, each read when a policy indexes it.
-
-    Round-robin and key-affinity only take its length, so placing a request
-    under them reads no queue depth (and takes no queue lock).
-    """
-
-    __slots__ = ("_queues",)
-
-    def __init__(self, queues: List[AsyncServingQueue]) -> None:
-        self._queues = queues
-
-    def __len__(self) -> int:
-        return len(self._queues)
-
-    def __getitem__(self, index: int) -> int:
-        return self._queues[index].pending
 
 
 class RoundRobinPolicy(RoutingPolicy):
@@ -255,7 +238,8 @@ class ReplicaRouter:
                 AsyncServingQueue(classifier, metrics=metrics, **queue_kwargs)
             )
         self.metrics = RouterMetrics(replica_metrics)
-        self._set_alive(range(self.num_replicas))
+        #: Indices of the replicas requests are placed on.
+        self._alive: Tuple[int, ...] = tuple(range(self.num_replicas))
         self.swap_count = 0
         self._expected_features = self._queues[0].classifier.feature_map.engine.ansatz.num_features
 
@@ -342,16 +326,11 @@ class ReplicaRouter:
             except ServingError:
                 # The replica closed under us: route around it from now on.
                 with self._lock:
-                    self._set_alive(i for i in self._alive if i != chosen)
+                    self._alive = tuple(i for i in self._alive if i != chosen)
                 self.metrics.record_failover()
                 continue
             self.metrics.record_route(chosen)
             return future
-
-    def _set_alive(self, indices: Iterable[int]) -> None:
-        """Place requests on replicas ``indices`` only (under the lock)."""
-        self._alive: Tuple[int, ...] = tuple(indices)
-        self._depths = _Depths([self._queues[i] for i in self._alive])
 
     def _place(self, key: bytes) -> int:
         """Pick an alive replica for ``key``, shedding under saturation."""
@@ -359,8 +338,7 @@ class ReplicaRouter:
             alive = self._alive
             if not alive:
                 raise ServingError("every replica is dead; router cannot serve")
-            # Shedding compares every depth, so it reads them all once.
-            depths = self._depths if self.high_water is None else list(self._depths)
+            depths = [self._queues[i].pending for i in alive]
             pos = self.policy.select(key, depths)
             if not 0 <= pos < len(alive):
                 raise ServingError(
@@ -452,7 +430,7 @@ class ReplicaRouter:
                 raise ServingError(f"no replica with index {index}")
             if index not in self._alive:
                 return
-            self._set_alive(i for i in self._alive if i != index)
+            self._alive = tuple(i for i in self._alive if i != index)
         self._queues[index].close()
         dead_store = self._stores[index]
         survivor = self._first_alive_store()
@@ -497,7 +475,7 @@ class ReplicaRouter:
         for queue in self._queues:
             queue.close()
         with self._lock:
-            self._set_alive(())
+            self._alive = ()
 
     # ------------------------------------------------------------------
     def metrics_view(self) -> Dict:

@@ -121,6 +121,33 @@ def test_submit_rejects_malformed_rows_without_poisoning_buffer(served):
     assert out is not None and out.num_points == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejected_non_finite_row_leaves_the_stream_unchanged(served, bad):
+    """Relation: a stream with a rejected non-finite row flushes the same
+    bytes, at the same submits, as the stream without it."""
+    from repro.exceptions import SVMError
+
+    fmap, model, scaler, X_test = served
+    rows = X_test[:9]
+    poisoned = rows[2].copy()
+    poisoned[1] = bad
+
+    def run(with_bad_row):
+        clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=4)
+        flushes = []
+        for i, row in enumerate(rows):
+            if with_bad_row and i == 3:
+                with pytest.raises(SVMError):
+                    clf.submit(poisoned)
+            out = clf.submit(row)
+            if out is not None:
+                flushes.append((i, out.decision_values.tobytes()))
+        assert clf.pending == len(rows) % 4
+        return flushes, clf.flush().decision_values.tobytes()
+
+    assert run(with_bad_row=True) == run(with_bad_row=False)
+
+
 # ----------------------------------------------------------------------
 # Conformal feedback wiring: misconfiguration must fail at its cause, not
 # deep inside the serving loop (regression tests for the drift path).

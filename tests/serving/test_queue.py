@@ -190,6 +190,55 @@ def test_concurrent_submitters_all_served(served_engine, queries):
     assert np.array_equal(decisions, reference.decision_values)
 
 
+def test_no_future_waits_forever_when_close_lands_mid_stream(served_engine, queries):
+    """Relation: submitters race the flushes until close() lands; every
+    accepted future still resolves, byte-identical to a direct classify."""
+    reference = served_engine.streaming_classifier().classify(queries)
+    queue = served_engine.serving_queue(max_batch=3)
+    accepted = []
+    lock = threading.Lock()
+    start = threading.Barrier(5)
+
+    def submit_until_closed(seed):
+        rng = np.random.default_rng(seed)
+        start.wait()
+        while True:
+            i = int(rng.integers(len(queries)))
+            try:
+                future = queue.submit(queries[i])
+            except ServingError:
+                return
+            with lock:
+                accepted.append((i, future))
+
+    threads = [
+        threading.Thread(target=submit_until_closed, args=(s,), daemon=True)
+        for s in range(4)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        start.wait()
+        deadline = time.monotonic() + 10.0
+        while queue.metrics.total_batches < 5 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # The flushes ran while the stream did, not only at close().
+        assert queue.metrics.total_batches >= 5
+    finally:
+        queue.close()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert queue.pending == 0
+    assert accepted
+    for i, future in accepted:
+        served = future.result(timeout=30)
+        assert served.prediction == reference.predictions[i]
+        assert np.float64(served.decision_value).tobytes() == (
+            reference.decision_values[i].tobytes()
+        )
+
+
 # ----------------------------------------------------------------------
 # Shared landmark store
 # ----------------------------------------------------------------------

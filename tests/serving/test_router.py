@@ -98,6 +98,79 @@ def test_router_rejects_malformed_rows(payload):
             router.submit(np.zeros(3))
 
 
+def test_routed_row_is_admitted_once(payload, queries, monkeypatch):
+    from repro.serving import queue as queue_module
+    from repro.serving import router as router_module
+
+    admitted = []
+    admit_row = queue_module.admit_row
+
+    def counting_admit_row(row, expected_features):
+        admitted.append(1)
+        return admit_row(row, expected_features)
+
+    monkeypatch.setattr(queue_module, "admit_row", counting_admit_row)
+    monkeypatch.setattr(router_module, "admit_row", counting_admit_row)
+    with ReplicaRouter(payload, num_replicas=2, max_batch=4) as router:
+        router.submit(queries[0]).result(timeout=60)
+        assert len(admitted) == 1
+        # A bare queue's public submit still admits its row.
+        router.queues[1].submit(queries[1]).result(timeout=60)
+        assert len(admitted) == 2
+
+
+BAD_ROWS = {
+    "narrow": np.zeros(3),
+    "wide": np.zeros(5),
+    "nan": np.array([0.1, np.nan, 0.2, 0.3]),
+    "inf": np.array([0.1, 0.2, -np.inf, 0.3]),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ROWS), ids=list(BAD_ROWS))
+def test_rejected_row_leaves_no_trace(served_engine, payload, queries, coalescer_gate, bad):
+    """A bad row raises ServingError at the router and at a bare queue, and
+    changes no depth, enqueue count, high-water mark or route count."""
+
+    def queue_state(queue):
+        snapshot = queue.metrics.to_dict()
+        return (
+            queue.pending,
+            snapshot["total_enqueued"],
+            snapshot["queue_depth_high_water"],
+        )
+
+    queue = served_engine.serving_queue(max_batch=1000)
+    router = ReplicaRouter(payload, num_replicas=2, max_batch=1000)
+    try:
+        for q in [queue] + router.queues:
+            coalescer_gate.stall(q)
+        accepted = [queue.submit(queries[0])]
+        accepted += [router.submit(queries[i]) for i in range(3)]
+        before = (
+            queue_state(queue),
+            [queue_state(q) for q in router.queues],
+            router.metrics.routed_per_replica,
+        )
+        with pytest.raises(ServingError):
+            queue.submit(BAD_ROWS[bad])
+        with pytest.raises(ServingError):
+            router.submit(BAD_ROWS[bad])
+        after = (
+            queue_state(queue),
+            [queue_state(q) for q in router.queues],
+            router.metrics.routed_per_replica,
+        )
+        assert after == before
+        coalescer_gate.release()
+        for future in accepted:
+            assert future.result(timeout=60).prediction in (0, 1)
+    finally:
+        coalescer_gate.release()
+        queue.close()
+        router.close()
+
+
 def test_router_serves_identically_to_direct_classifier(
     served_engine, payload, queries
 ):

@@ -472,7 +472,8 @@ class KernelEngine:
     # ------------------------------------------------------------------
     def _counters(self) -> Tuple[float, ...]:
         """Wall seconds and counts of both primitives, then this engine's
-        store hits and misses, all since construction."""
+        store hits and misses, all since construction: the accounting
+        fields of :class:`EngineResult`, in their order."""
         backend = self.backend
         return (
             backend.wall_simulation_time_s,
@@ -490,17 +491,5 @@ class KernelEngine:
         before: Tuple[float, ...],
         block: StackedStateBlock | None = None,
     ) -> EngineResult:
-        sim_s, ip_s, sims, ips, hits, misses = (
-            after - was for after, was in zip(self._counters(), before)
-        )
-        return EngineResult(
-            matrix=K,
-            simulation_time_s=sim_s,
-            inner_product_time_s=ip_s,
-            num_simulations=sims,
-            num_inner_products=ips,
-            cache_hits=hits,
-            cache_misses=misses,
-            states=tuple(states),
-            block=block,
-        )
+        deltas = (after - was for after, was in zip(self._counters(), before))
+        return EngineResult(K, *deltas, tuple(states), block)

@@ -1,6 +1,7 @@
 """Unit tests for the async serving queue and the shared landmark store."""
 
 import pickle
+import sys
 import threading
 import time
 
@@ -215,9 +216,12 @@ def test_no_future_waits_forever_when_close_lands_mid_stream(served_engine, quer
         threading.Thread(target=submit_until_closed, args=(s,), daemon=True)
         for s in range(4)
     ]
-    for t in threads:
-        t.start()
+    # More submitters than cores, switching threads every few bytecodes.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
+        for t in threads:
+            t.start()
         start.wait()
         deadline = time.monotonic() + 10.0
         while queue.metrics.total_batches < 5 and time.monotonic() < deadline:
@@ -226,6 +230,7 @@ def test_no_future_waits_forever_when_close_lands_mid_stream(served_engine, quer
         assert queue.metrics.total_batches >= 5
     finally:
         queue.close()
+        sys.setswitchinterval(interval)
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()

@@ -37,9 +37,9 @@ on the real entries whatever the padding:
   their own shapes, so its bytes depend on that state alone.
 
 :class:`QueryForm` holds what the bra side of a sweep reads from one state
--- its conjugated fused run and its conjugated, padded site operands -- and
-:func:`query_form` builds it once per state and caches it on the
-:class:`MPS`.  :class:`StackedStateBlock` pads a fixed set of states (the
+-- its conjugated fused run and site operands, padded to its own rounded
+bonds -- and :func:`query_form` builds it once per state and caches it on
+the :class:`MPS`.  :class:`StackedStateBlock` pads a fixed set of states (the
 serving landmarks, the Nystrom ``K_nm`` fit, exact-model scoring, the
 training Gram) once and sweeps a call's queries against all of them, or
 against a tail of them (:meth:`StackedStateBlock.tail`, the Gram's

@@ -10,11 +10,12 @@ trustworthy.  :class:`DriftController` turns that gauge into a closed loop:
 * **Alarm** -- labelled feedback (raw rows, served decision values, true
   labels) streams through :meth:`DriftController.record_feedback`, which
   scores each point against the controller's conformal sets and maintains a
-  rolling coverage window.  The alarm fires when the window holds at least
-  ``min_samples`` points *and* coverage sits below
-  ``1 - alpha - hysteresis``; it re-arms only once coverage climbs back to
-  ``1 - alpha``, so a coverage value oscillating around the threshold cannot
-  flap the alarm.
+  rolling coverage window; a row of the wrong width or with a NaN/inf
+  feature is rejected before anything is recorded.  The alarm fires when
+  the window holds at least ``min_samples`` points *and* coverage sits
+  below ``1 - alpha - hysteresis``; it re-arms only once coverage climbs
+  back to ``1 - alpha``, so a coverage value oscillating around the
+  threshold cannot flap the alarm.
 
 * **Shadow fit** -- :meth:`DriftController.adapt` rebuilds the model on a
   *fresh* engine (same ansatz / simulation config, its own state store), so
@@ -25,12 +26,12 @@ trustworthy.  :class:`DriftController` turns that gauge into a closed loop:
   represent, i.e. where the shifted distribution lives.  When more rows
   qualify than ``max_new_landmarks``, a registry selector (default the
   ridge-leverage sampler) picks the most informative subset.  The linear SVM
-  is then refit on the buffered traffic with a **warm start**: the previous
-  solution is mapped into the grown feature basis (least squares against the
-  new normalisation), which cannot change the minimiser of the convex
-  objective but reliably cuts Newton iterations.  Finally the conformal
-  quantile is recalibrated on a held-out split of the *fresh* samples,
-  restoring the exchangeability assumption for post-shift traffic.
+  is then refit from zero on the buffered traffic: the primal Newton solver
+  needs a handful of iterations, and a start seeded from the previous
+  generation saves at most one.  Finally the conformal quantile is
+  recalibrated on a held-out split of the *fresh* samples, restoring the
+  exchangeability assumption for post-shift traffic.  A refit with
+  ``max_new_landmarks=0`` is a routine refresh over a frozen basis.
 
 * **Swap** -- the adapted model is installed through the target's
   ``swap_payload`` (:class:`~repro.serving.AsyncServingQueue` or
@@ -86,7 +87,8 @@ class DriftConfig:
         coverage estimate is too noisy to act on.
     buffer_size:
         How many of the most recent labelled feedback rows are retained as
-        shadow-fit material (raw rows + labels, FIFO).
+        shadow-fit material (raw rows + labels, FIFO); at least
+        ``min_refit_samples``.
     min_refit_samples:
         :meth:`DriftController.adapt` refuses to run with fewer buffered
         samples than this -- a refit on a handful of points would install a
@@ -106,12 +108,6 @@ class DriftConfig:
         more qualify than ``max_new_landmarks``.
     seed:
         Seed for the calibration split and the growth selector.
-    warm_start:
-        Whether to warm-start the refit from the previous solution.
-    compare_cold:
-        Additionally run a cold (zero-initialised) refit and record its
-        iteration count in the :class:`DriftAdaptation` -- for the benchmark
-        and the warm-start equivalence suite, not for production.
     """
 
     hysteresis: float = 0.05
@@ -124,8 +120,6 @@ class DriftConfig:
     reconstruction_bound: float = 0.15
     growth_strategy: str = "ridge-leverage"
     seed: int = 0
-    warm_start: bool = True
-    compare_cold: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.hysteresis < 1.0):
@@ -147,6 +141,11 @@ class DriftConfig:
             raise DriftError(
                 f"min_refit_samples must be >= 2, got {self.min_refit_samples}"
             )
+        if self.buffer_size < self.min_refit_samples:
+            raise DriftError(
+                f"buffer_size ({self.buffer_size}) cannot be below "
+                f"min_refit_samples ({self.min_refit_samples})"
+            )
         if not (0.0 < self.calibration_fraction < 1.0):
             raise DriftError(
                 f"calibration_fraction must be in (0, 1), "
@@ -162,10 +161,6 @@ class DriftConfig:
                 f"got {self.reconstruction_bound}"
             )
 
-    def to_dict(self) -> dict:
-        """JSON-friendly representation for benchmark artifacts."""
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class DriftAdaptation:
@@ -178,17 +173,12 @@ class DriftAdaptation:
     num_candidates: int
     refit_samples: int
     calibration_samples: int
-    warm_iterations: int
-    cold_iterations: Optional[int] = None
+    refit_iterations: int
 
     @property
     def landmarks_grown(self) -> int:
         """How many landmarks this adaptation added."""
         return self.new_num_landmarks - self.old_num_landmarks
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation for benchmark artifacts."""
-        return dataclasses.asdict(self)
 
 
 class DriftController:
@@ -276,10 +266,21 @@ class DriftController:
         the ground-truth labels that arrived later.  Each point contributes
         one 0/1 sample to the rolling coverage window and one candidate row
         to the shadow-fit buffer, then the alarm predicate is re-evaluated.
+        A batch holding a row of the wrong width or a NaN/inf feature raises
+        :class:`~repro.exceptions.DriftError` and records nothing: buffered,
+        it would fail every later :meth:`adapt` until it rolled out.
         """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows[None, :]
+        expected = self.classifier.feature_map.engine.ansatz.num_features
+        if rows.ndim != 2 or rows.shape[1] != expected:
+            raise DriftError(
+                f"feedback rows have shape {rows.shape} but the model "
+                f"expects {expected} features per row"
+            )
+        if not np.isfinite(rows).all():
+            raise DriftError("feedback rows hold a NaN or infinite feature value")
         decision_values = np.asarray(decision_values, dtype=float).ravel()
         labels = np.asarray(y_true, dtype=int).ravel()
         if rows.shape[0] != decision_values.shape[0] or rows.shape[0] != labels.shape[0]:
@@ -350,12 +351,9 @@ class DriftController:
         coverage_before = float(self.rolling_coverage() or 0.0)
 
         with TRACER.span("drift.adapt") as span:
-            shadow = self._shadow_fit(rows_raw, labels)
-            (
-                new_classifier,
-                new_conformal,
-                report_fields,
-            ) = shadow
+            new_classifier, new_conformal, report_fields = self._shadow_fit(
+                rows_raw, labels
+            )
             version = 0
             if self.target is not None:
                 version = self.target.swap_payload(
@@ -388,7 +386,7 @@ class DriftController:
 
     # ------------------------------------------------------------------
     def _shadow_fit(self, rows_raw: np.ndarray, labels: np.ndarray):
-        """Grow landmarks, refit warm-started, recalibrate -- off to the side.
+        """Grow landmarks, refit, recalibrate -- off to the side.
 
         All quantum work runs on a fresh engine so the serving replicas'
         engines (busy scoring traffic on their own threads) are never
@@ -450,13 +448,19 @@ class DriftController:
             new_map.fit_with_landmarks(X_scaled[train_idx], new_rows)
             assert new_map.train_features_ is not None
 
-            model, warm_iters, cold_iters = self._refit(
-                new_map, new_map.train_features_, y_train, old_rows.shape[0]
-            )
+            # The refit keeps the served model's solver settings.
+            old_model = self.classifier.model
+            model = LinearSVC(
+                C=getattr(old_model, "C", 1.0),
+                tol=getattr(old_model, "tol", 1e-6),
+                max_iter=getattr(old_model, "max_iter", 100),
+                fit_intercept=getattr(old_model, "fit_intercept", True),
+                strict_convergence=getattr(old_model, "strict_convergence", False),
+            ).fit(new_map.train_features_, y_train)
             if span is not None:
                 span.set_attribute("candidates", num_candidates)
                 span.set_attribute("landmarks", new_rows.shape[0])
-                span.set_attribute("warm_iterations", warm_iters)
+                span.set_attribute("refit_iterations", model.n_iter_)
 
         with TRACER.span("drift.recalibrate") as span:
             calib_decisions = np.asarray(
@@ -480,8 +484,7 @@ class DriftController:
             "num_candidates": int(num_candidates),
             "refit_samples": int(train_idx.size),
             "calibration_samples": int(n_calib),
-            "warm_iterations": int(warm_iters),
-            "cold_iterations": None if cold_iters is None else int(cold_iters),
+            "refit_iterations": int(model.n_iter_),
         }
         return new_classifier, new_conformal, report_fields
 
@@ -528,50 +531,3 @@ class DriftController:
             )
             candidates = candidates[chosen]
         return candidates.copy(), len(unique_idx)
-
-    def _refit(
-        self,
-        new_map: NystroemFeatureMap,
-        Phi: np.ndarray,
-        y: np.ndarray,
-        m_old: int,
-    ) -> tuple[LinearSVC, int, Optional[int]]:
-        """Warm-started (and optionally cold, for comparison) Newton refit.
-
-        The old decision function is ``k_old(x) . (N_old w_old) + b``; in the
-        grown basis the same function is approximated by any ``w`` with
-        ``N_new w ~= [N_old w_old; 0]`` (new landmarks start with zero
-        contribution), solved here by least squares.  Convexity guarantees
-        the warm start changes only the iteration count, never the solution.
-        """
-        old_model = self.classifier.model
-        kwargs = dict(
-            C=getattr(old_model, "C", 1.0),
-            tol=getattr(old_model, "tol", 1e-6),
-            max_iter=getattr(old_model, "max_iter", 100),
-            fit_intercept=getattr(old_model, "fit_intercept", True),
-            strict_convergence=getattr(old_model, "strict_convergence", False),
-        )
-        coef_init = None
-        intercept_init = None
-        if self.config.warm_start and getattr(old_model, "coef_", None) is not None:
-            old_map = self.classifier.feature_map
-            N_old = np.asarray(old_map.normalization_)
-            N_new = np.asarray(new_map.normalization_)
-            kernel_weights = np.concatenate(
-                [
-                    N_old @ np.asarray(old_model.coef_),
-                    np.zeros(N_new.shape[0] - m_old),
-                ]
-            )
-            coef_init = np.linalg.lstsq(N_new, kernel_weights, rcond=None)[0]
-            intercept_init = float(getattr(old_model, "intercept_", 0.0))
-
-        cold_iters: Optional[int] = None
-        if self.config.compare_cold:
-            cold = LinearSVC(**kwargs).fit(Phi, y)
-            cold_iters = int(cold.n_iter_)
-        model = LinearSVC(**kwargs).fit(
-            Phi, y, coef_init=coef_init, intercept_init=intercept_init
-        )
-        return model, int(model.n_iter_), cold_iters

@@ -111,21 +111,11 @@ class LinearSVC:
         grad_b = -float(np.sum(resid)) if self.fit_intercept else 0.0
         return obj, grad_w, grad_b, active
 
-    def fit(
-        self,
-        Phi: np.ndarray,
-        y: np.ndarray,
-        coef_init: np.ndarray | None = None,
-        intercept_init: float | None = None,
-    ) -> "LinearSVC":
+    def fit(self, Phi: np.ndarray, y: np.ndarray) -> "LinearSVC":
         """Train on an ``n x r`` feature matrix and binary labels.
 
-        ``coef_init`` / ``intercept_init`` optionally warm-start the Newton
-        iteration from a previous solution (mapped into the current feature
-        basis by the caller).  The objective is convex, so a warm start can
-        only change *how fast* the solver reaches the minimiser, never which
-        minimiser it reaches -- the property the drift path's incremental
-        refits rely on, and the warm-start equivalence suite pins.
+        The Newton iteration starts from ``w = 0, b = 0``; the objective is
+        convex, so the start decides only how many iterations the fit takes.
         """
         Phi = self._validate_features(Phi)
         y_signed = _to_signed(y)
@@ -139,18 +129,8 @@ class LinearSVC:
         if np.all(y_signed == y_signed[0]):
             raise SVMError("training labels contain a single class")
 
-        if coef_init is None:
-            w = np.zeros(r)
-        else:
-            w = np.asarray(coef_init, dtype=float).ravel().copy()
-            if w.size != r:
-                raise SVMError(
-                    f"coef_init has {w.size} entries but the feature matrix "
-                    f"has {r} columns"
-                )
+        w = np.zeros(r)
         b = 0.0
-        if intercept_init is not None and self.fit_intercept:
-            b = float(intercept_init)
         iteration = 0
         converged = False
         obj, grad_w, grad_b, active = self._objective_and_grad(Phi, y_signed, w, b)

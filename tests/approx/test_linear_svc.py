@@ -95,73 +95,37 @@ def test_validation_errors():
         LinearSVC().decision_function(X)  # unfitted
 
 
+
 # ----------------------------------------------------------------------
-# Warm-start equivalence: the objective is convex, so an initial point can
-# change only the iteration count, never the minimiser.  The drift path's
-# incremental refits (grow the basis, start from [w_old; 0]) rely on this.
+# Optimality: every fit starts from the origin, and the objective is
+# convex, so a converged fit must sit at the unique stationary point.
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+def test_fit_returns_a_stationary_point(C, fit_intercept):
+    X, y = _blobs(n_per_class=40, separation=1.5, seed=21, dim=5)
+    model = LinearSVC(C=C, fit_intercept=fit_intercept).fit(X, y)
+    assert model.n_iter_ < model.max_iter
+
+    # Gradient of 1/2 ||w||^2 + C sum max(0, 1 - y f)^2, written out here
+    # rather than read back from the solver.
+    y_signed = np.where(y == 1, 1.0, -1.0)
+    violation = np.maximum(0.0, 1.0 - y_signed * model.decision_function(X))
+    resid = 2.0 * C * violation * y_signed
+    grad_w = model.coef_ - X.T @ resid
+    assert np.max(np.abs(grad_w)) <= model.tol
+    if fit_intercept:
+        assert abs(np.sum(resid)) <= model.tol
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("growth", [1, 3, 6])
-def test_warm_start_reaches_the_cold_solution(seed, growth):
-    rng = np.random.default_rng(seed + 100)
+def test_fit_does_not_depend_on_row_order(seed):
+    """A drift refit trains on buffered rows in arrival order; the minimiser
+    must not care which order that was."""
     X, y = _blobs(separation=2.0, seed=seed, dim=4)
-    cold_small = LinearSVC(C=1.0).fit(X, y)
-
-    # Grow the feature basis the way a landmark-set growth does: the old
-    # columns survive unchanged and `growth` new ones are appended.
-    X_grown = np.hstack([X, 0.3 * rng.normal(size=(X.shape[0], growth))])
-    w_init = np.concatenate([cold_small.coef_, np.zeros(growth)])
-
-    cold = LinearSVC(C=1.0).fit(X_grown, y)
-    warm = LinearSVC(C=1.0).fit(
-        X_grown, y, coef_init=w_init, intercept_init=cold_small.intercept_
-    )
-    assert np.allclose(warm.coef_, cold.coef_, atol=1e-5)
-    assert np.isclose(warm.intercept_, cold.intercept_, atol=1e-5)
-    assert np.isclose(
-        warm.objective(X_grown, y), cold.objective(X_grown, y), rtol=1e-8
-    )
-
-
-def test_warm_start_from_the_optimum_converges_immediately():
-    X, y = _blobs(separation=2.0, seed=11)
-    cold = LinearSVC(C=1.0).fit(X, y)
-    warm = LinearSVC(C=1.0).fit(
-        X, y, coef_init=cold.coef_, intercept_init=cold.intercept_
-    )
-    assert warm.n_iter_ == 0  # first gradient check already passes
-    assert np.array_equal(warm.coef_, cold.coef_)
-    assert warm.intercept_ == cold.intercept_
-
-
-def test_warm_start_near_the_optimum_is_cheaper_than_cold():
-    """A perturbed optimum must cost strictly fewer iterations than zero init.
-
-    This is the steady-state drift refresh: the previous generation's
-    solution is close to the new optimum, so the semismooth Newton solver
-    needs fewer iterations than a from-scratch fit.
-    """
-    X, y = _blobs(n_per_class=60, separation=1.2, seed=13, dim=6)
-    cold = LinearSVC(C=5.0).fit(X, y)
-    rng = np.random.default_rng(17)
-    w_near = cold.coef_ + 1e-4 * rng.normal(size=cold.coef_.size)
-    warm = LinearSVC(C=5.0).fit(
-        X, y, coef_init=w_near, intercept_init=cold.intercept_
-    )
-    assert warm.n_iter_ < cold.n_iter_
-    assert np.allclose(warm.coef_, cold.coef_, atol=1e-5)
-
-
-def test_warm_start_validates_coefficient_width():
-    X, y = _blobs(seed=6)
-    with pytest.raises(SVMError, match="coef_init"):
-        LinearSVC().fit(X, y, coef_init=np.zeros(X.shape[1] + 2))
-
-
-def test_intercept_init_ignored_without_intercept():
-    X, y = _blobs(separation=4.0, seed=8)
-    X = X - X.mean(axis=0)
-    model = LinearSVC(C=1.0, fit_intercept=False).fit(
-        X, y, intercept_init=5.0
-    )
-    assert model.intercept_ == 0.0
+    perm = np.random.default_rng(seed + 50).permutation(X.shape[0])
+    model = LinearSVC(C=1.0).fit(X, y)
+    shuffled = LinearSVC(C=1.0).fit(X[perm], y[perm])
+    assert np.allclose(shuffled.coef_, model.coef_, atol=1e-6)
+    assert np.isclose(shuffled.intercept_, model.intercept_, atol=1e-6)
+    assert np.isclose(shuffled.objective(X, y), model.objective(X, y), rtol=1e-8)

@@ -144,6 +144,31 @@ def test_cache_respects_ansatz_changes(X, ansatz):
     assert result.cache_hits == 0
 
 
+def test_cold_train_and_test_then_warm_replay_counts():
+    """Cold Gram + cross, then a warm cross replay: exact pair and cache counts.
+
+    24 train and 8 test rows on an 8-feature, distance-2, 2-layer ansatz:
+    the cold pass sweeps 24*23/2 + 24*8 = 468 pairs and simulates all 32
+    rows; the replay of the test rows against the training states sweeps
+    192 pairs with zero simulations, for a lifetime hit rate of 8/40.
+    """
+    rng = np.random.default_rng(42)
+    X_train = rng.uniform(0.1, 1.9, size=(24, 8))
+    X_test = rng.uniform(0.1, 1.9, size=(8, 8))
+    ansatz = AnsatzConfig(num_features=8, interaction_distance=2, layers=2, gamma=1.0)
+    engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
+
+    train, test = engine.gram_and_cross(X_train, X_test)
+    assert train.num_inner_products + test.num_inner_products == 468
+    assert train.num_simulations + test.num_simulations == 32
+
+    warm = engine.cross(X_test, train.states)
+    assert warm.num_inner_products == 192
+    assert warm.num_simulations == 0
+    assert warm.cache_hits == 8
+    assert engine.cache_stats().hit_rate == 0.2
+
+
 # ----------------------------------------------------------------------
 # Train-then-infer reuse (the acceptance scenario)
 # ----------------------------------------------------------------------

@@ -89,6 +89,7 @@ def test_queue_endpoint_serves_parseable_metrics(served_engine, queries):
             for name in (
                 "repro_serving_request_latency_seconds",
                 "repro_serving_requests_total",
+                "repro_serving_batches_total",
                 "repro_serving_batch_size",
                 "repro_store_hits_total",
                 "repro_store_misses_total",

@@ -5,8 +5,8 @@ training points, ``m = 64`` landmarks -- once through the exact quadratic
 path (full Gram + SMO) and once through the Nystrom path (landmark Gram +
 cross block + primal linear SVM), and writes ``BENCH_approx.json`` with the
 engine pair counts, end-to-end wall times and the test-AUC gap.  CI uploads
-the file next to ``BENCH_engine.json`` so the scaling trajectory is tracked
-per PR.
+the file with the other ``BENCH_*.json`` artifacts and
+``check_regression.py`` gates it against ``benchmarks/baselines/``.
 
 The script exits non-zero when any of the subsystem's contracts break:
 

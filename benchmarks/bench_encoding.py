@@ -170,10 +170,7 @@ def build_classifier(args) -> StreamingNystroemClassifier:
     ansatz = AnsatzConfig(
         num_features=args.features, interaction_distance=1, layers=2, gamma=0.5
     )
-    engine = KernelEngine(
-        ansatz,
-        config=EngineConfig(use_cache=True, encode_batch_size=args.batch),
-    )
+    engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
     X = rng.uniform(0.05, 1.95, size=(args.train_size, args.features))
     y = (X.mean(axis=1) > 1.0).astype(int)
     feature_map = NystroemFeatureMap(

@@ -11,8 +11,7 @@ One compute core for every pairwise-overlap workload in the library:
   :func:`batched_overlaps`;
 * :mod:`~repro.engine.engine` -- the :class:`KernelEngine` facade: one
   encode path and one overlap path, the block sweep (a triangular one for
-  the Gram), configured by :class:`EngineConfig` (cache and encode batch
-  size).
+  the Gram), configured by :class:`EngineConfig` (the state store).
 
 The kernels, pipeline, inference and distributed layers all dispatch through
 :class:`KernelEngine`; no other module hand-rolls the pairwise loop.

@@ -2,32 +2,38 @@
 
 The paper plugs its quantum and Gaussian kernels into a standard Support
 Vector Classifier.  We implement the classifier from scratch with the
-Sequential Minimal Optimization (SMO) algorithm of Platt, specialised to a
+Sequential Minimal Optimization (SMO) solver of LIBSVM, specialised to a
 precomputed kernel:
 
-* the dual problem ``max sum_i a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij`` subject
-  to ``0 <= a_i <= C`` and ``sum_i a_i y_i = 0`` is solved by repeatedly
-  optimising pairs of multipliers analytically;
-* pair selection follows the usual two-loop heuristic (first loop over
-  KKT-violating examples, second chooses the partner maximising the step);
-* an error cache keeps the per-sample decision residuals so each pair update
-  is O(n).
+* the dual problem ``min 1/2 a^T Q a - sum_i a_i`` with
+  ``Q_ij = y_i y_j K_ij``, subject to ``0 <= a_i <= C`` and
+  ``sum_i a_i y_i = 0``, is solved by repeatedly optimising a pair of
+  multipliers analytically;
+* the pair is chosen by the second-order working-set selection (WSS2) of
+  Fan, Chen & Lin (JMLR 6, 2005): ``i`` is the maximal violator of
+  ``-y_t G_t`` over the multipliers that may move up, and ``j`` the
+  partner, among those that may move down, whose pair step gains the most
+  objective;
+* the gradient ``G = Q a - 1`` is kept up to date with two kernel rows per
+  step, so each pair update is O(n) vectorised work.
 
-The implementation targets the data sizes used in this reproduction (up to a
-few thousand samples) where SMO on a dense precomputed kernel is perfectly
-adequate.
+Training stops when the maximal violating pair gap ``m(a) - M(a)`` (the
+largest ``-y_t G_t`` that may move up minus the smallest that may move
+down) is at most ``tol``, LIBSVM's ``eps``.  The intercept is LIBSVM's:
+the mean of ``y_t G_t`` over the free multipliers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..exceptions import ConvergenceError, SVMError
 
 __all__ = ["PrecomputedKernelSVC"]
+
+#: Curvature used for a pair whose ``K_ii + K_jj - 2 K_ij`` is not positive
+#: (duplicate rows), as in LIBSVM.
+_TAU = 1e-12
 
 
 def _sigmoid_probability(scores: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -109,18 +115,17 @@ def _fit_platt_sigmoid(
     return a, b
 
 
-@dataclass
-class _TrainingState:
-    """Mutable SMO state bundled to keep the main loop readable."""
-
-    K: np.ndarray
-    y: np.ndarray  # labels in {-1, +1}
-    alpha: np.ndarray
-    errors: np.ndarray  # f(x_i) - y_i
-    b: float
-    C: float
-    tol: float
-    eps: float = 1e-12
+def _intercept(
+    alpha: np.ndarray, y_grad: np.ndarray, positive: np.ndarray, C: float
+) -> float:
+    """LIBSVM's ``rho`` from the final ``y_t G_t``: their mean over the free
+    multipliers, else the midpoint of the interval the bounded ones leave."""
+    free = (alpha > 0.0) & (alpha < C)
+    if np.any(free):
+        return float(np.mean(y_grad[free]))
+    at_upper = alpha >= C
+    upper_side = np.where(positive, ~at_upper, at_upper)
+    return float((np.min(y_grad[upper_side]) + np.max(y_grad[~upper_side])) / 2)
 
 
 class PrecomputedKernelSVC:
@@ -131,13 +136,13 @@ class PrecomputedKernelSVC:
     C:
         Regularisation parameter (box constraint on the dual variables).
     tol:
-        KKT-violation tolerance; the paper uses ``1e-3``.
-    max_passes:
-        Number of consecutive full passes without any multiplier change
-        before declaring convergence.
+        Stopping tolerance on the maximal violating pair: training stops
+        once ``m(a) - M(a) <= tol`` (LIBSVM's ``eps``); the paper uses
+        ``1e-3``.
     max_iter:
-        Hard cap on the number of pair optimisations; exceeded raises
-        :class:`ConvergenceError` unless ``strict_convergence`` is False.
+        Hard cap on the number of pair updates; reaching it before the
+        tolerance holds raises :class:`ConvergenceError` when
+        ``strict_convergence`` is set.
     strict_convergence:
         When ``False`` (default) hitting ``max_iter`` returns the current
         (usually already excellent) model instead of raising; set to ``True``
@@ -152,30 +157,26 @@ class PrecomputedKernelSVC:
     support_:
         Indices of samples with non-zero dual coefficient.
     n_iter_:
-        Number of pair optimisations performed.
+        Number of pair updates performed.
     """
 
     def __init__(
         self,
         C: float = 1.0,
         tol: float = 1e-3,
-        max_passes: int = 5,
         max_iter: int = 200_000,
         strict_convergence: bool = False,
-        random_state: Optional[int] = 0,
     ) -> None:
         if C <= 0:
             raise SVMError(f"C must be positive, got {C}")
         if tol <= 0:
             raise SVMError(f"tol must be positive, got {tol}")
-        if max_iter < 1 or max_passes < 1:
-            raise SVMError("max_iter and max_passes must be >= 1")
+        if max_iter < 1:
+            raise SVMError("max_iter must be >= 1")
         self.C = float(C)
         self.tol = float(tol)
-        self.max_passes = int(max_passes)
         self.max_iter = int(max_iter)
         self.strict_convergence = bool(strict_convergence)
-        self.random_state = random_state
 
         self.alpha_: np.ndarray | None = None
         self.intercept_: float = 0.0
@@ -204,11 +205,18 @@ class PrecomputedKernelSVC:
             raise SVMError(f"kernel matrix must be 2-D, got shape {K.shape}")
         if n is not None and K.shape != (n, n):
             raise SVMError(f"kernel must be {n}x{n}, got {K.shape}")
+        if not np.all(np.isfinite(K)):
+            raise SVMError("kernel matrix contains NaN or infinite entries")
         return K
 
     # ------------------------------------------------------------------
     def fit(self, K: np.ndarray, y: np.ndarray) -> "PrecomputedKernelSVC":
-        """Train on an ``n x n`` training Gram matrix and binary labels."""
+        """Train on an ``n x n`` training Gram matrix and binary labels.
+
+        SMO with second-order working-set selection (WSS2): each step takes
+        the maximal violating ``i``, the partner ``j`` of largest predicted
+        objective gain, and solves the two-variable subproblem analytically.
+        """
         y_signed = self._to_signed(y)
         n = y_signed.size
         K = self._validate_kernel(K, None)
@@ -221,54 +229,75 @@ class PrecomputedKernelSVC:
         if np.all(y_signed == y_signed[0]):
             raise SVMError("training labels contain a single class")
 
-        state = _TrainingState(
-            K=K,
-            y=y_signed,
-            alpha=np.zeros(n),
-            errors=-y_signed.astype(float).copy(),  # f = 0 initially
-            b=0.0,
-            C=self.C,
-            tol=self.tol,
-        )
-
-        rng = np.random.default_rng(self.random_state)
+        C = self.C
+        positive = y_signed > 0
+        diag = np.diag(K).copy()
+        alpha = np.zeros(n)
+        grad = -np.ones(n)  # G = Q a - 1 with Q_ij = y_i y_j K_ij
         iteration = 0
-        passes_without_change = 0
-        examine_all = True
+        while True:
+            score = -y_signed * grad
+            below, above = alpha < C, alpha > 0.0
+            up = np.where(positive, below, above)
+            low = np.where(positive, above, below)
+            i = int(np.argmax(np.where(up, score, -np.inf)))
+            m = score[i]
+            if m - np.min(np.where(low, score, np.inf)) <= self.tol:
+                break
+            if iteration >= self.max_iter:
+                if self.strict_convergence:
+                    raise ConvergenceError(
+                        f"SMO did not converge within {self.max_iter} pair updates"
+                    )
+                break
+            # WSS2: the partner maximising b^2 / a, the gain of the pair step.
+            b = m - score
+            a = diag[i] + diag - 2.0 * K[i]
+            a[a <= 0.0] = _TAU
+            j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
 
-        while passes_without_change < self.max_passes and iteration < self.max_iter:
-            num_changed = 0
-            if examine_all:
-                candidates = range(n)
+            yi, yj = y_signed[i], y_signed[j]
+            ai, aj = alpha[i], alpha[j]
+            if yi != yj:
+                delta = (-grad[i] - grad[j]) / a[j]
+                diff = ai - aj
+                ai += delta
+                aj += delta
+                if diff > 0.0:
+                    if aj < 0.0:
+                        aj, ai = 0.0, diff
+                    if ai > C:
+                        ai, aj = C, C - diff
+                else:
+                    if ai < 0.0:
+                        ai, aj = 0.0, -diff
+                    if aj > C:
+                        aj, ai = C, C + diff
             else:
-                candidates = np.where(
-                    (state.alpha > state.eps) & (state.alpha < self.C - state.eps)
-                )[0]
-            for i2 in candidates:
-                changed, iteration = self._examine_example(
-                    int(i2), state, rng, iteration
-                )
-                num_changed += changed
-                if iteration >= self.max_iter:
-                    break
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-            if num_changed == 0:
-                passes_without_change += 1
-            else:
-                passes_without_change = 0
-
-        if iteration >= self.max_iter and self.strict_convergence:
-            raise ConvergenceError(
-                f"SMO did not converge within {self.max_iter} pair updates"
+                delta = (grad[i] - grad[j]) / a[j]
+                total = ai + aj
+                ai -= delta
+                aj += delta
+                if total > C:
+                    if ai > C:
+                        ai, aj = C, total - C
+                    if aj > C:
+                        aj, ai = C, total - C
+                else:
+                    if aj < 0.0:
+                        aj, ai = 0.0, total
+                    if ai < 0.0:
+                        ai, aj = 0.0, total
+            grad += y_signed * (
+                (yi * (ai - alpha[i])) * K[i] + (yj * (aj - alpha[j])) * K[j]
             )
+            alpha[i], alpha[j] = ai, aj
+            iteration += 1
 
-        self.alpha_ = state.alpha
-        self.intercept_ = state.b
+        self.alpha_ = alpha
+        self.intercept_ = _intercept(alpha, y_signed * grad, positive, C)
         self._y_signed = y_signed
-        self.support_ = np.where(state.alpha > state.eps)[0]
+        self.support_ = np.where(alpha > 1e-12)[0]
         self.n_iter_ = iteration
         # Keep the training decision values (one cheap matvec while K is in
         # hand); the Platt sigmoid itself is fitted lazily on the first
@@ -278,148 +307,6 @@ class PrecomputedKernelSVC:
         self.platt_a_ = None
         self.platt_b_ = None
         return self
-
-    # ------------------------------------------------------------------
-    def _examine_example(
-        self,
-        i2: int,
-        state: _TrainingState,
-        rng: np.random.Generator,
-        iteration: int,
-    ) -> tuple[int, int]:
-        """Platt's examineExample: try to find a partner for index ``i2``."""
-        y2 = state.y[i2]
-        alpha2 = state.alpha[i2]
-        e2 = state.errors[i2]
-        r2 = e2 * y2
-        violates = (r2 < -state.tol and alpha2 < state.C - state.eps) or (
-            r2 > state.tol and alpha2 > state.eps
-        )
-        if not violates:
-            return 0, iteration
-
-        non_bound = np.where(
-            (state.alpha > state.eps) & (state.alpha < state.C - state.eps)
-        )[0]
-
-        # Heuristic 1: partner maximising |E1 - E2| among non-bound samples.
-        if non_bound.size > 1:
-            i1 = int(non_bound[np.argmax(np.abs(state.errors[non_bound] - e2))])
-            if i1 != i2 and self._take_step(i1, i2, state):
-                return 1, iteration + 1
-
-        # Heuristic 2: loop over non-bound samples from a random start.
-        if non_bound.size > 0:
-            start = rng.integers(non_bound.size)
-            for offset in range(non_bound.size):
-                i1 = int(non_bound[(start + offset) % non_bound.size])
-                if i1 != i2 and self._take_step(i1, i2, state):
-                    return 1, iteration + 1
-
-        # Heuristic 3: loop over all samples from a random start.
-        n = state.y.size
-        start = rng.integers(n)
-        for offset in range(n):
-            i1 = int((start + offset) % n)
-            if i1 != i2 and self._take_step(i1, i2, state):
-                return 1, iteration + 1
-        return 0, iteration
-
-    def _take_step(self, i1: int, i2: int, state: _TrainingState) -> bool:
-        """Jointly optimise the pair (i1, i2); returns True if anything moved."""
-        alpha1, alpha2 = state.alpha[i1], state.alpha[i2]
-        y1, y2 = state.y[i1], state.y[i2]
-        e1, e2 = state.errors[i1], state.errors[i2]
-        s = y1 * y2
-
-        if s > 0:
-            low = max(0.0, alpha1 + alpha2 - state.C)
-            high = min(state.C, alpha1 + alpha2)
-        else:
-            low = max(0.0, alpha2 - alpha1)
-            high = min(state.C, state.C + alpha2 - alpha1)
-        if high - low < state.eps:
-            return False
-
-        k11 = state.K[i1, i1]
-        k12 = state.K[i1, i2]
-        k22 = state.K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-
-        if eta > state.eps:
-            a2_new = alpha2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, low), high)
-        else:
-            # Degenerate curvature: evaluate the objective at the clip ends.
-            f1 = y1 * (e1 + state.b) - alpha1 * k11 - s * alpha2 * k12
-            f2 = y2 * (e2 + state.b) - s * alpha1 * k12 - alpha2 * k22
-            l1 = alpha1 + s * (alpha2 - low)
-            h1 = alpha1 + s * (alpha2 - high)
-            obj_low = (
-                l1 * f1
-                + low * f2
-                + 0.5 * l1 * l1 * k11
-                + 0.5 * low * low * k22
-                + s * low * l1 * k12
-            )
-            obj_high = (
-                h1 * f1
-                + high * f2
-                + 0.5 * h1 * h1 * k11
-                + 0.5 * high * high * k22
-                + s * high * h1 * k12
-            )
-            if obj_low < obj_high - state.eps:
-                a2_new = low
-            elif obj_low > obj_high + state.eps:
-                a2_new = high
-            else:
-                a2_new = alpha2
-
-        if abs(a2_new - alpha2) < state.eps * (a2_new + alpha2 + state.eps):
-            return False
-
-        a1_new = alpha1 + s * (alpha2 - a2_new)
-
-        # Bias update.
-        b1 = (
-            e1
-            + y1 * (a1_new - alpha1) * k11
-            + y2 * (a2_new - alpha2) * k12
-            + state.b
-        )
-        b2 = (
-            e2
-            + y1 * (a1_new - alpha1) * k12
-            + y2 * (a2_new - alpha2) * k22
-            + state.b
-        )
-        if state.eps < a1_new < state.C - state.eps:
-            b_new = b1
-        elif state.eps < a2_new < state.C - state.eps:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        # Error-cache update for all samples.
-        delta1 = y1 * (a1_new - alpha1)
-        delta2 = y2 * (a2_new - alpha2)
-        state.errors += (
-            delta1 * state.K[i1, :] + delta2 * state.K[i2, :] - (b_new - state.b)
-        )
-        state.alpha[i1] = a1_new
-        state.alpha[i2] = a2_new
-        state.b = b_new
-        # Recompute the two touched entries from scratch for numerical
-        # stability of the error cache.
-        state.errors[i1] = self._decision_row(i1, state) - y1
-        state.errors[i2] = self._decision_row(i2, state) - y2
-        return True
-
-    @staticmethod
-    def _decision_row(i: int, state: _TrainingState) -> float:
-        """Decision function value for training sample ``i`` from scratch."""
-        return float(np.dot(state.alpha * state.y, state.K[:, i]) - state.b)
 
     # ------------------------------------------------------------------
     def decision_function(self, K_test: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from repro.circuits import (
     feature_map_template,
 )
 from repro.config import AnsatzConfig, SimulationConfig
-from repro.engine import EngineConfig, KernelEngine
+from repro.engine import KernelEngine
 from repro.exceptions import CircuitError
 from repro.mps import MPS, InstrumentedMPS, TruncationPolicy, encode_circuits
 
@@ -162,7 +162,7 @@ def test_circuit_list_and_gate_stacks_encode_the_same_states(states_close):
     assert circuits[0].num_gates - len(stacks.targets) == 4 * ansatz.layers
 
 
-def test_track_memory_fallback_returns_per_point_states(states_close):
+def test_track_memory_fallback_returns_per_point_states(states_close, monkeypatch):
     ansatz = AnsatzConfig(num_features=5, interaction_distance=2, layers=2, gamma=0.7)
     X = _rows(ansatz, count=4, seed=9)
     tracked = CpuBackend(SimulationConfig(track_memory=True))
@@ -181,11 +181,8 @@ def test_track_memory_fallback_returns_per_point_states(states_close):
     assert len(result.states[0].trace) == len(steps)
     assert tracked.num_simulations == len(X)
 
-    engine = KernelEngine(
-        ansatz,
-        backend=CpuBackend(SimulationConfig(track_memory=True)),
-        config=EngineConfig(encode_batch_size=3),
-    )
+    monkeypatch.setattr("repro.engine.engine.ENCODE_CHUNK_ROWS", 3)
+    engine = KernelEngine(ansatz, backend=CpuBackend(SimulationConfig(track_memory=True)))
     assert [_state_bytes(s) for s in engine.encode_rows(X)] == [
         _state_bytes(s) for s in per_point
     ]

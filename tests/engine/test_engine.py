@@ -13,7 +13,7 @@ from repro.engine import (
     StateStore,
     batched_overlaps,
 )
-from repro.exceptions import ConfigurationError, EngineError, KernelError, ReproError
+from repro.exceptions import ConfigurationError, KernelError, ReproError
 
 
 @pytest.fixture
@@ -101,11 +101,6 @@ def test_validate_features_rejects_non_finite_values(ansatz, X, bad_value):
     rows[1, 0] = bad_value
     with pytest.raises(KernelError, match="NaN or infinite"):
         KernelEngine(ansatz).validate_features(rows)
-
-
-def test_engine_config_validation():
-    with pytest.raises(EngineError, match="encode_batch_size"):
-        EngineConfig(encode_batch_size=0)
 
 
 # ----------------------------------------------------------------------

@@ -54,9 +54,9 @@ def test_benchmark_ansatz_step_list():
     assert _two_qubit_steps_and_centre_moves(depth_order) == (50, 74)
 
 
-def test_a_128_row_fit_makes_276_stacked_factorisations(monkeypatch):
-    """Four 32-row chunks, each one block of 38 SVDs and 31 QR centre moves;
-    the Gram and SMO factorise nothing."""
+def test_a_128_row_fit_makes_69_stacked_factorisations(monkeypatch):
+    """One 128-row chunk: one block of 38 SVDs and 31 QR centre moves; the
+    Gram and SMO factorise nothing."""
     calls = []
     for name in ("svd", "qr"):
         original = getattr(np.linalg, name)
@@ -71,8 +71,8 @@ def test_a_128_row_fit_makes_276_stacked_factorisations(monkeypatch):
     y = np.arange(128) % 2
     model = QuantumKernelInferenceEngine(BENCHMARK_ANSATZ)
     model.fit(X, y)
-    assert (calls.count("svd"), calls.count("qr")) == (4 * 38, 4 * 31)
-    assert len(calls) == 276
+    assert (calls.count("svd"), calls.count("qr")) == (38, 31)
+    assert len(calls) == 69
 
 
 @pytest.mark.parametrize("distance", [1, 2, 3])

@@ -24,6 +24,7 @@ from repro.approx.streaming import StreamingNystroemClassifier
 from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.engine import EngineConfig, KernelEngine, batched_overlaps
+from repro.engine import engine as engine_module
 from repro.mps import MPS, TruncationPolicy, encode_circuits
 from repro.mps import encoding
 from repro.serving import AsyncServingQueue
@@ -35,11 +36,13 @@ def _states_bytes(states):
     return [tuple(t.tobytes() for t in s.tensors) for s in states]
 
 
-def _engine(encode_batch_size=32, use_cache=False):
-    return KernelEngine(
-        ANSATZ,
-        config=EngineConfig(use_cache=use_cache, encode_batch_size=encode_batch_size),
-    )
+def _engine(use_cache=False):
+    return KernelEngine(ANSATZ, config=EngineConfig(use_cache=use_cache))
+
+
+def _chunk_rows(rows):
+    """Encode in stacked sweeps of at most ``rows`` rows while it is open."""
+    return mock.patch.object(engine_module, "ENCODE_CHUNK_ROWS", rows)
 
 
 def _per_point(X):
@@ -94,17 +97,14 @@ def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
     neighbours = np.arange(rows)
     neighbours[[swap, swap + 1]] = neighbours[[swap + 1, swap]]
 
-    def engine(batch=32):
-        return KernelEngine(
-            ansatz,
-            simulation=simulation,
-            config=EngineConfig(encode_batch_size=batch),
-        )
+    def engine():
+        return KernelEngine(ansatz, simulation=simulation)
 
     with mock.patch.object(encoding, "FIRST_CLAMP", first_clamp):
         states = engine().encode_rows(X)
         blobs = _states_bytes(states)
-        assert _states_bytes(engine(chunk).encode_rows(X)) == blobs
+        with _chunk_rows(chunk):
+            assert _states_bytes(engine().encode_rows(X)) == blobs
         for order in (perm, neighbours):
             reordered = _states_bytes(engine().encode_rows(X[order]))
             assert reordered == [blobs[i] for i in order]
@@ -129,7 +129,8 @@ def test_chunk_size_invariance(rows, chunk, seed):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.05, 1.95, size=(rows, 4))
     sequential = _per_point(X)
-    chunked = _engine(encode_batch_size=chunk).encode_rows(X)
+    with _chunk_rows(chunk):
+        chunked = _engine().encode_rows(X)
     assert _states_bytes(sequential) == _states_bytes(chunked)
 
 
@@ -168,7 +169,7 @@ def test_cache_occupancy_does_not_change_states(rng):
     assert warm.backend.num_simulations - before == 5
 
 
-def test_gram_invariant_under_batch_encoding(rng):
+def test_gram_invariant_under_batch_encoding(rng, monkeypatch):
     X = rng.uniform(0.05, 1.95, size=(7, 4))
     states = _per_point(X)
     # The oracle: per-point states, one batched_overlaps call per pair.
@@ -177,7 +178,8 @@ def test_gram_invariant_under_batch_encoding(rng):
         for j in range(i + 1, 7):
             value = np.abs(batched_overlaps([(states[i], states[j])]))[0] ** 2
             K_seq[i, j] = K_seq[j, i] = value
-    K_bat = _engine(encode_batch_size=3).gram(X).matrix
+    monkeypatch.setattr(engine_module, "ENCODE_CHUNK_ROWS", 3)
+    K_bat = _engine().gram(X).matrix
     assert np.array_equal(K_seq, K_bat)
 
 
@@ -268,12 +270,9 @@ def fitted_parts():
     return X, y
 
 
-def _classifier(fitted_parts, encode_batch_size=32):
+def _classifier(fitted_parts):
     X, y = fitted_parts
-    engine = KernelEngine(
-        ANSATZ,
-        config=EngineConfig(use_cache=True, encode_batch_size=encode_batch_size),
-    )
+    engine = KernelEngine(ANSATZ, config=EngineConfig(use_cache=True))
     feature_map = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=6, seed=0))
     phi = feature_map.fit_transform(X)
     model = LinearSVC(C=1.0).fit(phi, y)
@@ -319,15 +318,14 @@ def test_cold_predictions_invariant_under_request_order(fitted_parts, cold_strea
     assert np.array_equal(direct[perm], permuted)
 
 
-def test_encode_batch_size_argument_is_invisible_on_cold_rows(
-    fitted_parts, cold_stream
+def test_encode_chunk_size_is_invisible_on_cold_rows(
+    fitted_parts, cold_stream, monkeypatch
 ):
-    """The served engine's stacked-encode chunk size moves sweep granularity
-    only: ``EngineConfig.encode_batch_size`` never moves a served bit."""
+    """The stacked-encode chunk size moves sweep granularity only:
+    ``ENCODE_CHUNK_ROWS`` never moves a served bit."""
     # _serve disables the memo, so every row truly re-encodes.
     fixed = _serve(_classifier(fitted_parts), cold_stream, max_batch=8)
     for chunk in (1, 2, 7):
-        classifier = _classifier(fitted_parts, encode_batch_size=chunk)
-        assert classifier.feature_map.engine.config.encode_batch_size == chunk
-        served = _serve(classifier, cold_stream, max_batch=8)
+        monkeypatch.setattr(engine_module, "ENCODE_CHUNK_ROWS", chunk)
+        served = _serve(_classifier(fitted_parts), cold_stream, max_batch=8)
         assert served.tobytes() == fixed.tobytes()

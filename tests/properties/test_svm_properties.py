@@ -62,8 +62,8 @@ def test_label_encoding_does_not_change_the_model(X, seed):
     y = rng.integers(0, 2, size=X.shape[0])
     assume(0 < y.sum() < y.size)
     K = gaussian_gram_matrix(X, alpha=1.0)
-    m01 = PrecomputedKernelSVC(C=1.0, max_iter=5000, random_state=0).fit(K, y)
-    mpm = PrecomputedKernelSVC(C=1.0, max_iter=5000, random_state=0).fit(
+    m01 = PrecomputedKernelSVC(C=1.0, max_iter=5000).fit(K, y)
+    mpm = PrecomputedKernelSVC(C=1.0, max_iter=5000).fit(
         K, np.where(y > 0, 1, -1)
     )
     assert np.allclose(m01.alpha_, mpm.alpha_)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import SVMError
+from repro.exceptions import ConvergenceError, SVMError
 from repro.kernels import gaussian_gram_matrix
 from repro.svm import PrecomputedKernelSVC, accuracy_score, roc_auc_score
 
@@ -142,13 +143,96 @@ def test_regularisation_controls_margin_violations():
     assert at_bound_loose >= at_bound_tight
 
 
-def test_deterministic_given_seed():
+# ----------------------------------------------------------------------
+# The SMO solver's relations
+# ----------------------------------------------------------------------
+def _violating_pair_gap(K, y_signed, alpha, C):
+    """``m(a) - M(a)`` from a gradient recomputed from scratch: the largest
+    ``-y_t G_t`` over multipliers that may move up minus the smallest over
+    those that may move down."""
+    grad = y_signed * (K @ (alpha * y_signed)) - 1.0
+    score = -y_signed * grad
+    positive = y_signed > 0
+    up = np.where(positive, alpha < C, alpha > 0)
+    low = np.where(positive, alpha > 0, alpha < C)
+    return score[up].max() - score[low].min()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 40),
+    C=st.sampled_from([0.01, 1.0, 4.0]),
+    duplicates=st.integers(0, 3),
+    tol=st.sampled_from([1e-3, 1e-6]),
+)
+def test_returned_model_meets_the_stopping_rule_and_the_constraints(
+    seed, n, C, duplicates, tol
+):
+    """At return the maximal violating pair gap is at most ``tol``, every
+    multiplier is inside its box and ``sum a_i y_i`` vanishes; duplicate
+    rows make pairs with ``K_ii + K_jj - 2 K_ij = 0``."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    for k in range(duplicates):
+        X[rng.integers(n)] = X[k]
+    K = gaussian_gram_matrix(X, alpha=0.5)
+    model = PrecomputedKernelSVC(C=C, tol=tol, strict_convergence=True).fit(K, y)
+    y_signed = np.where(y > 0, 1.0, -1.0)
+    alpha = model.alpha_
+    assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+    assert abs(float(alpha @ y_signed)) <= 1e-10
+    # The running gradient and the recomputed one differ by rounding only.
+    assert _violating_pair_gap(K, y_signed, alpha, C) <= tol + 1e-9
+
+
+def test_refit_is_byte_identical():
     X, y = _blobs(separation=1.2, seed=30)
     K = gaussian_gram_matrix(X)
-    a = PrecomputedKernelSVC(C=1.0, random_state=3).fit(K, y)
-    b = PrecomputedKernelSVC(C=1.0, random_state=3).fit(K, y)
-    assert np.allclose(a.alpha_, b.alpha_)
-    assert a.intercept_ == pytest.approx(b.intercept_)
+    a = PrecomputedKernelSVC(C=1.0).fit(K, y)
+    b = PrecomputedKernelSVC(C=1.0).fit(K, y)
+    assert a.alpha_.tobytes() == b.alpha_.tobytes()
+    assert np.float64(a.intercept_).tobytes() == np.float64(b.intercept_).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), C=st.sampled_from([0.01, 1.0, 4.0]))
+def test_row_permutation_moves_no_decision(seed, C):
+    """Permuting the training rows (and the kernel with them) reaches the
+    same model: at ``tol=1e-8`` every decision agrees within 1e-6."""
+    rng = np.random.default_rng(seed)
+    X, y = _blobs(n_per_class=12, separation=1.0, seed=seed)
+    K = gaussian_gram_matrix(X, alpha=0.5)
+    perm = rng.permutation(y.size)
+    K_perm = K[np.ix_(perm, perm)]
+    direct = PrecomputedKernelSVC(C=C, tol=1e-8).fit(K, y)
+    permuted = PrecomputedKernelSVC(C=C, tol=1e-8).fit(K_perm, y[perm])
+    gap = direct.decision_function(K)[perm] - permuted.decision_function(K_perm)
+    assert np.max(np.abs(gap)) <= 1e-6
+
+
+def test_strict_convergence_raises_at_max_iter():
+    X, y = _blobs(separation=1.0, seed=7)
+    K = gaussian_gram_matrix(X)
+    with pytest.raises(ConvergenceError):
+        PrecomputedKernelSVC(C=1.0, max_iter=3, strict_convergence=True).fit(K, y)
+    lenient = PrecomputedKernelSVC(C=1.0, max_iter=3).fit(K, y)
+    assert lenient.n_iter_ == 3
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_non_finite_kernel_is_rejected(bad_value):
+    """A NaN or infinite kernel entry is an input error, not a model with
+    NaN decisions."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 2))
+    y = (X[:, 0] > 0).astype(int)
+    K = gaussian_gram_matrix(X)
+    K[3, 17] = K[17, 3] = bad_value
+    with pytest.raises(SVMError, match="NaN or infinite"):
+        PrecomputedKernelSVC(C=1.0).fit(K, y)
 
 
 # ----------------------------------------------------------------------

@@ -178,7 +178,7 @@ def build_classifier(args) -> StreamingNystroemClassifier:
     )
     phi = feature_map.fit_transform(X)
     model = LinearSVC(C=1.0).fit(phi, y)
-    return StreamingNystroemClassifier(feature_map, model, buffer_size=args.batch)
+    return StreamingNystroemClassifier(feature_map, model)
 
 
 def run_cold_serving(args, mode_rng_seed: int = 11) -> tuple[list[dict], list[str]]:

@@ -138,7 +138,7 @@ def run_baseline(args, stream: np.ndarray) -> tuple[np.ndarray, dict]:
 def run_queue(args, stream: np.ndarray, max_batch: int, memoize: bool) -> tuple[np.ndarray, dict]:
     engine = build_engine(args)
     queue = AsyncServingQueue(
-        engine.streaming_classifier(buffer_size=max_batch),
+        engine.streaming_classifier(),
         max_batch=max_batch,
         memoize=memoize,
     )

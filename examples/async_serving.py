@@ -14,10 +14,6 @@ Builds the full serving stack introduced by the serving layer:
    print the latency/throughput accounting the queue's
    :class:`repro.profiling.ServingMetrics` collected.
 
-Pass ``--workers 2`` to fan each flush out over worker processes that attach
-the serialised landmark store once at start-up (the distributed serving
-path).
-
 Run with:  python examples/async_serving.py [--requests 512] [--max-batch 32]
 """
 
@@ -48,7 +44,6 @@ def main() -> None:
     parser.add_argument("--requests", type=int, default=512)
     parser.add_argument("--unique", type=int, default=48)
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--workers", type=int, default=0)
     args = parser.parse_args()
 
     data = balanced_subsample(
@@ -90,7 +85,7 @@ def main() -> None:
     baseline_s = time.perf_counter() - start
 
     config = ServingConfig(tuning=TuningConfig(max_batch=args.max_batch))
-    handle = repro.serve(engine, config, workers=args.workers)
+    handle = repro.serve(engine, config)
     queue = handle.router.queues[0]
     start = time.perf_counter()
     futures = handle.submit_many(stream)
@@ -112,7 +107,7 @@ def main() -> None:
             "p99_ms": "-",
         },
         {
-            "mode": f"queue (batch={args.max_batch}, workers={args.workers})",
+            "mode": f"queue (batch={args.max_batch})",
             "wall_s": queue_s,
             "req_per_s": len(stream) / queue_s,
             "p50_ms": snapshot["p50_latency_s"] * 1e3,

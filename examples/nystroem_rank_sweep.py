@@ -105,19 +105,10 @@ def main() -> None:
     phi = fmap.fit_transform(pipeline.scaler.fit_transform(X_train))
     model = LinearSVC(C=best.best_C).fit(phi, y_train)
 
-    service = StreamingNystroemClassifier(
-        fmap, model, scaler=pipeline.scaler, buffer_size=8
-    )
-    batches = []
-    for row in X_test:
-        out = service.submit(row)
-        if out is not None:
-            batches.append(out)
-    tail = service.flush()
-    if tail is not None:
-        batches.append(tail)
-    decisions = np.concatenate([b.decision_values for b in batches])
-    pairs_per_point = sum(b.num_inner_products for b in batches) / len(decisions)
+    service = StreamingNystroemClassifier(fmap, model, scaler=pipeline.scaler)
+    served = service.classify(X_test)
+    decisions = served.decision_values
+    pairs_per_point = served.num_inner_products / len(decisions)
     print(
         f"\nstreaming service at m={best_m}: {len(decisions)} points, "
         f"{pairs_per_point:.0f} overlaps/point (vs {X_train.shape[0]} exact)"

@@ -13,7 +13,7 @@ layered on the unified :class:`~repro.engine.KernelEngine`:
   eigendecomposition;
 * :mod:`~repro.approx.linear_svc` -- a primal squared-hinge linear SVM
   trained by semismooth Newton in the feature space, ``O(n m^2)`` overall;
-* :mod:`~repro.approx.streaming` -- micro-batched classification of newly
+* :mod:`~repro.approx.streaming` -- batched classification of newly
   arriving points via one sweep against the cached landmark states'
   :class:`~repro.engine.StackedStateBlock` (``m`` overlaps per query,
   constant memory in ``n``);

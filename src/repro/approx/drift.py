@@ -476,7 +476,6 @@ class DriftController:
             new_map,
             model,
             scaler=self.classifier.scaler,
-            buffer_size=self.classifier.buffer_size,
         )
         report_fields = {
             "old_num_landmarks": int(old_rows.shape[0]),

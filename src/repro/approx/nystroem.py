@@ -366,20 +366,19 @@ class NystroemFeatureMap:
         the serving layer's batched-vs-sequential equivalence relies on.
         """
         self._require_fitted()
-        assert self.normalization_ is not None
         result = self.engine.kernel_rows(
             X_new, self.landmark_states_, block=self.landmark_block_
         )
         self.report.absorb(result, transform=True)
-        return rowwise_matmul(result.matrix, self.normalization_), result
+        return self.project_kernel_rows(result.matrix), result
 
     def project_kernel_rows(self, kernel_rows: np.ndarray) -> np.ndarray:
         """Map precomputed landmark kernel rows to feature space, row-wise.
 
-        Accepts a ``batch x m`` block of overlaps against the landmarks
-        (e.g. assembled from distributed workers) and applies the same
-        per-row normalisation :meth:`transform_result` uses, so both entry
-        points produce bit-identical features for identical rows.
+        Accepts a ``batch x m`` block of overlaps against the landmarks --
+        the engine's, from :meth:`transform_result`, or one computed outside
+        the engine, such as a reference kernel -- and applies the per-row
+        normalisation, so identical rows give bit-identical features.
         """
         self._require_fitted()
         assert self.normalization_ is not None

@@ -10,12 +10,12 @@ is never touched after fit, so a serving process only has to hold the
 landmark states, the normalisation and the weight vector: constant memory in
 the training-set size.
 
-:class:`StreamingNystroemClassifier` supports both immediate batch
-classification (:meth:`classify`) and record-at-a-time ingestion with
-micro-batching (:meth:`submit` / :meth:`flush`), the pattern a traffic-facing
-service uses to amortise the per-flush overhead at high request rates.
+:meth:`StreamingNystroemClassifier.classify` scores a batch of raw rows.  It
+is the one scoring path of a served row: record-at-a-time traffic is
+coalesced into batches by :class:`repro.serving.AsyncServingQueue`, which
+calls it once per flush.
 
-Every flush runs the engine's two primitives once
+Every call runs the engine's two primitives once
 (:meth:`repro.engine.KernelEngine.kernel_rows`): the batch's state-store
 misses are encoded in one stacked gate sweep
 (:meth:`repro.backends.Backend.simulate_batch`), then all rows are overlapped
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Protocol, Sequence
+from typing import Deque, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -51,26 +51,24 @@ def _engine_figure(name: str, doc: str) -> property:
     """A :class:`StreamingBatchResult` figure read off its ``engine_result``."""
 
     def read(self: "StreamingBatchResult"):
-        result = self.engine_result
-        return 0 if result is None else getattr(result, name)
+        return getattr(self.engine_result, name)
 
-    return property(read, doc=f"{doc} (``engine_result.{name}``; 0 without one).")
+    return property(read, doc=f"{doc} (``engine_result.{name}``).")
 
 
 @dataclass(frozen=True)
 class StreamingBatchResult:
-    """Classification of one streamed micro-batch plus cost accounting.
+    """Classification of one batch plus cost accounting.
 
     The counts and wall times are derived: they are read off
-    ``engine_result``, the engine call that computed the kernel rows, and
-    are zero when the overlaps ran elsewhere (say on pool workers).
+    ``engine_result``, the engine call that computed the kernel rows.
     """
 
     predictions: np.ndarray
     decision_values: np.ndarray
     features: np.ndarray
     kernel_rows: np.ndarray
-    engine_result: Optional[EngineResult] = field(default=None, repr=False)
+    engine_result: EngineResult = field(repr=False)
 
     num_simulations = _engine_figure("num_simulations", "Rows simulated")
     num_inner_products = _engine_figure("num_inner_products", "Overlaps evaluated")
@@ -100,9 +98,6 @@ class StreamingNystroemClassifier:
         Optional :class:`~repro.svm.FeatureScaler` applied to raw rows
         before encoding (pass the pipeline's fitted scaler to serve raw
         traffic).
-    buffer_size:
-        Micro-batch size for :meth:`submit`; once this many rows are pending
-        they are flushed through one kernel-row sweep.
     """
 
     def __init__(
@@ -110,17 +105,12 @@ class StreamingNystroemClassifier:
         feature_map: NystroemFeatureMap,
         model: _LinearModel,
         scaler: FeatureScaler | None = None,
-        buffer_size: int = 32,
     ) -> None:
         if not feature_map.is_fitted:
             raise KernelError("feature map must be fitted before serving")
-        if buffer_size < 1:
-            raise KernelError(f"buffer_size must be >= 1, got {buffer_size}")
         self.feature_map = feature_map
         self.model = model
         self.scaler = scaler
-        self.buffer_size = buffer_size
-        self._buffer: List[np.ndarray] = []
         self.num_served = 0
         #: Optional calibrated conformal classifier (see
         #: :meth:`attach_conformal`) plus its rolling-coverage window.
@@ -129,11 +119,6 @@ class StreamingNystroemClassifier:
         self.feedback_count = 0
 
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of buffered, not-yet-classified rows."""
-        return len(self._buffer)
-
     def scale(self, X_raw: np.ndarray) -> np.ndarray:
         """Raw rows -> the scaled representation the feature map encodes."""
         X_raw = np.asarray(X_raw, dtype=float)
@@ -151,67 +136,15 @@ class StreamingNystroemClassifier:
         counts exactly the batch's cold rows.
         """
         phi, engine_result = self.feature_map.transform_result(self.scale(X_raw))
-        return self._score(phi, engine_result.matrix, engine_result)
-
-    def classify_kernel_rows(self, kernel_rows: np.ndarray) -> StreamingBatchResult:
-        """Score precomputed landmark kernel rows (distributed flush path).
-
-        ``kernel_rows`` is the ``batch x m`` overlap block against the
-        landmarks, e.g. assembled from worker processes that attached the
-        shared landmark store.  The projection and the decision values run
-        through the exact same row-wise code :meth:`classify` uses, so
-        identical kernel rows yield bit-identical predictions regardless of
-        which process computed the overlaps.  The cost-accounting figures
-        read zero: the quantum work happened elsewhere.
-        """
-        phi = self.feature_map.project_kernel_rows(kernel_rows)
-        return self._score(phi, np.asarray(kernel_rows, dtype=float), None)
-
-    def _score(
-        self, phi: np.ndarray, kernel_rows: np.ndarray, engine_result: Optional[EngineResult]
-    ) -> StreamingBatchResult:
-        """The linear model's decisions on features ``phi``, as a result."""
         decisions = np.asarray(self.model.decision_function(phi)).ravel()
         self.num_served += phi.shape[0]
         return StreamingBatchResult(
-            (decisions > 0).astype(int), decisions, phi, kernel_rows, engine_result
+            (decisions > 0).astype(int),
+            decisions,
+            phi,
+            engine_result.matrix,
+            engine_result,
         )
-
-    # ------------------------------------------------------------------
-    def submit(self, row: np.ndarray) -> Optional[StreamingBatchResult]:
-        """Buffer one raw feature row; flush when the micro-batch fills.
-
-        The row's width and values are validated here (against the feature
-        map's ansatz), so a malformed or non-finite row is rejected at
-        ingestion and never poisons a buffered batch.  Returns the batch
-        result when this row triggered a flush, else ``None``.
-        """
-        row = np.asarray(row, dtype=float).ravel()
-        expected = self.feature_map.engine.ansatz.num_features
-        if row.size != expected:
-            raise SVMError(
-                f"row has {row.size} features but the service expects {expected}"
-            )
-        if not np.isfinite(row).all():
-            raise SVMError("row has a NaN or infinite feature value")
-        self._buffer.append(row)
-        if len(self._buffer) >= self.buffer_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> Optional[StreamingBatchResult]:
-        """Classify every buffered row (no-op returning ``None`` when empty).
-
-        The buffer is cleared only after classification succeeds, so a
-        failure (e.g. an engine error) leaves the pending rows intact for
-        retry or inspection.
-        """
-        if not self._buffer:
-            return None
-        batch = np.vstack(self._buffer)
-        result = self.classify(batch)
-        self._buffer.clear()
-        return result
 
     # ------------------------------------------------------------------
     def attach_conformal(
@@ -282,10 +215,7 @@ class StreamingNystroemClassifier:
     # ------------------------------------------------------------------
     @classmethod
     def from_serving_payload(
-        cls,
-        payload: dict,
-        buffer_size: int = 32,
-        store=None,
+        cls, payload: dict, store=None
     ) -> "StreamingNystroemClassifier":
         """Rebuild a full serving replica from a :meth:`serving_payload` dict.
 
@@ -339,18 +269,18 @@ class StreamingNystroemClassifier:
             feature_map,
             pickle.loads(payload["model_blob"]),
             scaler=pickle.loads(payload["scaler_blob"]),
-            buffer_size=buffer_size,
         )
 
     def serving_payload(self) -> dict:
-        """Everything a worker process needs to serve this model, picklable.
+        """Everything a serving replica needs to serve this model, picklable.
 
         The landmark MPS -- the engine's cached state-store entries for the
         landmark rows -- are serialised exactly once here; the scaler and the
         linear model ride along as pickled blobs, and the engine is described
-        by its configuration (workers rebuild it by backend registry name).
-        Feed the result to ``repro.serving.SharedLandmarkStore.attach`` in
-        each worker.
+        by its configuration (a replica rebuilds it by backend registry
+        name).  :meth:`from_serving_payload` rebuilds the classifier from
+        it; a :class:`repro.serving.ReplicaRouter` attaches one replica per
+        queue from it.
         """
         import pickle
 

@@ -219,9 +219,7 @@ class QuantumKernelInferenceEngine:
         return self.kernel_rows(X_new).predictions
 
     # ------------------------------------------------------------------
-    def streaming_classifier(
-        self, buffer_size: int = 32
-    ) -> StreamingNystroemClassifier:
+    def streaming_classifier(self) -> StreamingNystroemClassifier:
         """The fitted Nystrom model as a raw-traffic streaming classifier.
 
         Shares this engine's feature map, linear model and scaler (and hence
@@ -240,30 +238,27 @@ class QuantumKernelInferenceEngine:
             self._feature_map,
             self._linear_model,
             scaler=self._scaler,
-            buffer_size=buffer_size,
         )
 
     def serving_queue(self, **queue_kwargs):
         """An :class:`~repro.serving.AsyncServingQueue` over this model.
 
         Keyword arguments pass through to the queue constructor
-        (``max_batch``, ``workers``, ``memoize``, ...); its coalescer flushes
+        (``max_batch``, ``memoize``, ``memo_capacity``); its coalescer flushes
         whatever is pending, up to ``max_batch``, whenever it is idle.  The
         caller owns the returned queue and must ``close()`` it (or use it as
         a context manager).
         """
         from ..serving import AsyncServingQueue
 
-        buffer_size = int(queue_kwargs.get("max_batch", 32))
-        return AsyncServingQueue(
-            self.streaming_classifier(buffer_size=buffer_size), **queue_kwargs
-        )
+        return AsyncServingQueue(self.streaming_classifier(), **queue_kwargs)
 
     def serving_payload(self) -> dict:
         """The fitted model as one picklable payload (see streaming docs).
 
-        Serialised once, attached anywhere: pool workers, standalone
-        replicas, or a :class:`~repro.serving.ReplicaRouter` fleet.
+        Serialised once, attached anywhere: a classifier rebuilt with
+        :meth:`StreamingNystroemClassifier.from_serving_payload`, or a
+        :class:`~repro.serving.ReplicaRouter` fleet.
         """
         return self.streaming_classifier().serving_payload()
 

@@ -175,14 +175,14 @@ class KernelEngine:
         config: "EngineConfig | None" = None,
         store: StateStore | None = None,
     ) -> "KernelEngine":
-        """Rebuild an engine from the plain-dict description shipped to workers.
+        """Rebuild an engine from its plain-dict description.
 
-        Worker processes receive only picklable primitives: the ansatz and
+        A serving payload carries only picklable primitives: the ansatz and
         simulation configurations as ``to_dict()`` mappings (``dtype`` may
-        arrive as a string) plus the backend registry name.  Serving pool
-        workers and every model rebuilt from a serving payload reconstruct
-        their engine through this single entry point, so config-rehydration
-        rules live in one place.  A setting neither configuration knows --
+        arrive as a string) plus the backend registry name.  Every model
+        rebuilt from a serving payload, and the drift controller's shadow
+        engine, is built through this single entry point, so
+        config-rehydration rules live in one place.  A setting neither configuration knows --
         say one a newer or older release wrote into a payload -- raises
         :class:`~repro.exceptions.ConfigurationError` naming it.
         """

@@ -1,21 +1,13 @@
 """Instrumentation shared by the benchmark harness: timers, records, tables.
 
-The serving accounting classes (:class:`ServingMetrics`,
-:class:`RouterMetrics`) now sit *atop* the unified telemetry registry: the
-registry primitives are re-exported here for backward compatibility, and
-:mod:`repro.telemetry.instrument` binds the accounting silos into a
-:class:`~repro.telemetry.MetricsRegistry` via pull-model collectors, so the
-hot paths keep their existing cheap counters while every value becomes
-scrapeable through the Prometheus endpoint.
+Also the serving accounting classes (:class:`ServingMetrics`,
+:class:`RouterMetrics`): cheap thread-safe counters on the hot path, which
+:mod:`repro.telemetry.instrument` binds into a
+:class:`~repro.telemetry.MetricsRegistry` through pull-model collectors, so
+every value is scrapeable through the Prometheus endpoint.  The registry
+primitives themselves live in :mod:`repro.telemetry`.
 """
 
-from ..telemetry.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .timers import Timer, timed
 from .records import RunRecord, RecordCollection
 from .reporting import format_table, summarize_samples, quartiles
@@ -31,9 +23,4 @@ __all__ = [
     "quartiles",
     "ServingMetrics",
     "RouterMetrics",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
 ]

@@ -12,11 +12,10 @@ restarts and run more than one replica.  This package closes those gaps:
   whenever it is idle (requests that arrive during a flush form the next
   batch), and resolves futures
   carrying per-request latency; queue depth / throughput / p50 / p99 land
-  in :class:`repro.profiling.ServingMetrics`.
-* :mod:`~repro.serving.store` -- :class:`SharedLandmarkStore`, the served
-  model serialised once (landmark MPS out of the engine's state store,
-  normalisation, linear model, scaler) and attached per worker process, so
-  flushes fan out over a pool without ever re-simulating a landmark.
+  in :class:`repro.profiling.ServingMetrics`.  A flush is scored in the
+  queue's own process by
+  :meth:`~repro.approx.StreamingNystroemClassifier.classify`, the one
+  scoring path of a served row.
 * :mod:`~repro.serving.persistence` -- :class:`PersistentStateStore`, the
   durable tier: content-addressed on-disk snapshots of the state store
   (atomic temp-write-then-rename, versioned checksummed manifest) plus an
@@ -29,7 +28,7 @@ restarts and run more than one replica.  This package closes those gaps:
   shedding, and one aggregated :class:`repro.profiling.RouterMetrics` view.
 
 The layer's correctness contract -- byte-identical predictions no matter how
-requests were coalesced, distributed, routed, or whether the process warm- or
+requests were coalesced or routed, or whether the process warm- or
 cold-started -- rests on the engine's batch-composition-invariant padded
 overlap sweep and the row-wise serving projections, and is enforced by
 ``tests/properties/test_metamorphic_serving.py``,
@@ -54,11 +53,6 @@ from .router import (
     RoutingPolicy,
     make_routing_policy,
 )
-from .store import (
-    SharedLandmarkStore,
-    attach_shared_store,
-    shared_store_kernel_rows,
-)
 
 __all__ = [
     "AsyncServingQueue",
@@ -66,9 +60,6 @@ __all__ = [
     "ServingHandle",
     "serve",
     "resolve_serving_payload",
-    "SharedLandmarkStore",
-    "attach_shared_store",
-    "shared_store_kernel_rows",
     "PersistentStateStore",
     "SnapshotManifest",
     "WarmUpReport",

@@ -161,7 +161,8 @@ def serve(
         ``handle.endpoint`` / ``handle.url``.
     overrides:
         Keyword overrides forwarded to
-        :meth:`~repro.serving.ReplicaRouter.from_config` (e.g. ``workers``).
+        :meth:`~repro.serving.ReplicaRouter.from_config` (e.g.
+        ``memo_capacity``).
     """
     if config is None:
         config = ServingConfig()

@@ -3,8 +3,8 @@
 A traffic-facing service receives requests one at a time, but the engine is
 at its best when it sweeps a whole *batch* of query states against the
 landmarks' :class:`~repro.engine.StackedStateBlock` at once: the per-flush
-overhead amortises and -- with worker processes -- the row encodes fan out.
-:class:`AsyncServingQueue` sits between the two:
+overhead amortises over the batch.  :class:`AsyncServingQueue` sits between
+the two:
 
 * :meth:`submit` admits one raw feature row (:func:`admit_row`: its width
   and finite values) and immediately returns a
@@ -20,24 +20,22 @@ overhead amortises and -- with worker processes -- the row encodes fan out.
   next batch, so batches grow with load and shrink to one request when the
   queue is quiet -- the dynamic batching of Clipper and Triton, with no
   timer to tune;
-* with ``workers >= 2`` the flush fans the batch's row blocks out over a
-  persistent process pool whose workers attached the serialised landmark
-  store once at start-up (:mod:`repro.serving.store`); the parent assembles
-  the kernel rows and scores them through the classifier's row-wise path;
-* a flush's *cold* rows -- memo misses whose states are not in the engine's
-  cache either -- are encoded through one stacked gate sweep rather than one
-  circuit simulation each, closing the last per-point cost of cold traffic
+* a flush is scored in the queue's own process by
+  :meth:`~repro.approx.StreamingNystroemClassifier.classify`, the one
+  scoring path of a served row.  Its *cold* rows -- memo misses whose
+  states are not in the engine's cache either -- are encoded through one
+  stacked gate sweep rather than one circuit simulation each
   (:mod:`repro.mps.encoding`).
 
 Because every overlap runs the composition-invariant padded sweep and every
 projection is row-wise, a request's prediction is **byte-identical** however
-it was coalesced -- alone, in a full batch, in-process or on a worker.  That
-is the contract the metamorphic test suite pins down, and it also makes the
-queue deterministic: two identical request streams produce identical outputs
-even though wall-clock timing batches them differently.
+it was coalesced -- alone or in a full batch.  That is the contract the
+metamorphic test suite pins down, and it also makes the queue
+deterministic: two identical request streams produce identical outputs even
+though wall-clock timing batches them differently.
 
 The served model is **hot-swappable**: everything version-dependent
-(classifier, response memo, worker pool) lives in one immutable
+(classifier and response memo) lives in one immutable
 :class:`_ModelSlot` that a flush reads exactly once, and
 :meth:`AsyncServingQueue.swap_payload` installs a new slot atomically under
 the queue lock.  Serving is never paused -- requests keep coalescing during
@@ -64,7 +62,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,10 +70,8 @@ import numpy as np
 
 from ..approx import StreamingNystroemClassifier
 from ..exceptions import ServingError
-from ..parallel.tiling import partition_indices
 from ..profiling import ServingMetrics
 from ..telemetry.tracing import TRACER, Span
-from .store import attach_shared_store, shared_store_kernel_rows
 
 __all__ = ["ServedPrediction", "AsyncServingQueue", "admit_row"]
 
@@ -129,24 +125,19 @@ class _Pending:
     span: Optional[Span] = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class _ModelSlot:
-    """One served model version: classifier, memo, worker pool, refcount.
+    """One served model version: classifier and response memo.
 
     Everything whose validity is tied to the model version lives here so a
     flush can capture a single reference and stay internally consistent even
     if a swap lands mid-score.  The memo is per-slot by construction --
     answers memoised under one model must never be served under another.
-    ``active_flushes`` counts flushes currently scoring against this slot;
-    the swap path waits for it to reach zero before tearing down the slot's
-    worker pool (in-flight flushes complete against the old payload).
     """
 
     classifier: StreamingNystroemClassifier
     version: int
     memo: "OrderedDict[bytes, Tuple[int, float]] | None"
-    pool: Optional[ProcessPoolExecutor]
-    active_flushes: int = 0
 
 
 class AsyncServingQueue:
@@ -161,10 +152,9 @@ class AsyncServingQueue:
         pending, up to this many, the moment it is idle; it never waits for
         a batch to fill.
     workers:
-        ``0`` or ``1`` scores batches in-process.  ``>= 2`` starts a
-        persistent process pool; each worker attaches the classifier's
-        serialised landmark store once, and every flush fans its row blocks
-        out over the pool.
+        ``0`` or ``1``; any other value raises :class:`ServingError`.  Every
+        flush is scored in-process; the keyword remains only so callers
+        that pass it keep working.
     memoize:
         Memoise decision values by raw row bytes (LRU, ``memo_capacity``
         entries).  Scoring is a pure function of the row, so a repeated hot
@@ -189,12 +179,11 @@ class AsyncServingQueue:
     ) -> None:
         if max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {max_batch}")
-        if workers < 0:
-            raise ServingError(f"workers must be >= 0, got {workers}")
+        if workers not in (0, 1):
+            raise ServingError(f"workers must be 0 or 1, got {workers}")
         if memo_capacity < 1:
             raise ServingError(f"memo_capacity must be >= 1, got {memo_capacity}")
         self.max_batch = int(max_batch)
-        self.workers = int(workers)
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.memoize = bool(memoize)
         self.memo_capacity = int(memo_capacity)
@@ -207,7 +196,6 @@ class AsyncServingQueue:
             classifier,
             version=0,
             memo=OrderedDict() if self.memoize else None,
-            pool=self._build_pool(classifier, None),
         )
 
         self._cond = threading.Condition()
@@ -250,20 +238,6 @@ class AsyncServingQueue:
         """Version of the currently active model slot (0 at construction)."""
         return self._slot.version
 
-    def _build_pool(
-        self, classifier: StreamingNystroemClassifier, payload: Optional[Dict]
-    ) -> Optional[ProcessPoolExecutor]:
-        """A fresh worker pool attached to this model, or ``None`` in-process."""
-        if self.workers < 2:
-            return None
-        if payload is None:
-            payload = classifier.serving_payload()
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=attach_shared_store,
-            initargs=(payload,),
-        )
-
     # ------------------------------------------------------------------
     def swap_payload(self, payload: Dict, version: int | None = None) -> int:
         """Atomically install a new served model from a serving payload.
@@ -277,26 +251,20 @@ class AsyncServingQueue:
         """
         store = self._slot.classifier.feature_map.engine.store
         classifier = StreamingNystroemClassifier.from_serving_payload(
-            payload, buffer_size=self.max_batch, store=store
+            payload, store=store
         )
-        return self.swap_model(classifier, version=version, _payload=payload)
+        return self.swap_model(classifier, version=version)
 
     def swap_model(
-        self,
-        classifier: StreamingNystroemClassifier,
-        version: int | None = None,
-        _payload: Optional[Dict] = None,
+        self, classifier: StreamingNystroemClassifier, version: int | None = None
     ) -> int:
         """Atomically swap the served model; returns the new version.
 
-        Serving is never paused: the new slot (classifier, fresh memo, and
-        -- with ``workers >= 2`` -- a fresh worker pool attached to the new
-        payload) is fully constructed *before* the installation, which is a
-        single reference assignment under the queue lock.  Flushes that
-        captured the old slot complete against the old payload; every later
-        flush scores against the new one and stamps the new
-        ``model_version`` on its results.  The old pool is torn down only
-        after its last in-flight flush finishes.
+        Serving is never paused: the new slot (classifier and a fresh memo)
+        is installed by a single reference assignment under the queue lock.
+        Flushes that captured the old slot complete against the old model;
+        every later flush scores against the new one and stamps the new
+        ``model_version`` on its results.
 
         ``version`` defaults to the current version + 1 and must be strictly
         monotone -- a stale controller replaying an old swap is rejected
@@ -310,34 +278,25 @@ class AsyncServingQueue:
                 f"replacement model expects {expected} features but the "
                 f"queue serves {self._expected_features}"
             )
-        new_pool = self._build_pool(classifier, _payload)
         with TRACER.span("serving.swap") as span:
             with self._cond:
                 if self._closed:
                     raise ServingError("serving queue is closed")
-                old = self._slot
-                new_version = old.version + 1 if version is None else int(version)
-                if new_version <= old.version:
+                active = self._slot.version
+                new_version = active + 1 if version is None else int(version)
+                if new_version <= active:
                     raise ServingError(
                         f"swap version must exceed the active version "
-                        f"{old.version}, got {new_version}"
+                        f"{active}, got {new_version}"
                     )
                 self._slot = _ModelSlot(
                     classifier,
                     version=new_version,
                     memo=OrderedDict() if self.memoize else None,
-                    pool=new_pool,
                 )
                 self.swap_count += 1
-                # In-flight flushes complete against the old payload; wait
-                # them out before the old pool (their compute substrate) is
-                # shut down.  New requests already score on the new slot.
-                while old.active_flushes > 0:
-                    self._cond.wait()
             if span is not None:
                 span.set_attribute("version", new_version)
-        if old.pool is not None:
-            old.pool.shutdown(wait=True)
         return new_version
 
     # ------------------------------------------------------------------
@@ -392,7 +351,7 @@ class AsyncServingQueue:
         wait(waiting)
 
     def close(self) -> None:
-        """Drain pending requests, stop the coalescer and the worker pool.
+        """Drain pending requests and stop the coalescer.
 
         Idempotent; returns also when the coalescer thread has failed.
         """
@@ -400,10 +359,6 @@ class AsyncServingQueue:
             self._closed = True
             self._cond.notify_all()
         self._thread.join()
-        with self._cond:
-            pool, self._slot.pool = self._slot.pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
@@ -412,7 +367,9 @@ class AsyncServingQueue:
                 popped = self._collect_batch()
                 if popped is None:
                     return
-                self._process(*popped)
+                batch, slot = popped
+                if batch:
+                    self._flush_batch(batch, slot, time.perf_counter())
         except BaseException as exc:
             # The thread ends either way; first make sure no caller hangs on
             # it, then let threading.excepthook report the traceback.
@@ -457,28 +414,14 @@ class AsyncServingQueue:
             popped = self._pending[: self.max_batch]
             del self._pending[: self.max_batch]
             self._in_flight = popped
-            # Capture the active model slot exactly once: classifier, memo
-            # and pool stay mutually consistent for this whole flush even if
-            # a swap installs a new slot mid-score, and the slot's refcount
-            # keeps its pool alive until the flush completes.
+            # Capture the active model slot exactly once: classifier and
+            # memo stay consistent for this whole flush even if a swap
+            # installs a new slot mid-score.
             slot = self._slot
-            slot.active_flushes += 1
         # A request its caller cancelled while it waited is dropped here: it
         # is never scored.  The survivors' futures can no longer be
         # cancelled, so resolving them cannot fail.
         return [p for p in popped if p.future.set_running_or_notify_cancel()], slot
-
-    def _process(self, batch: List[_Pending], slot: _ModelSlot) -> None:
-        start = time.perf_counter()
-        try:
-            if batch:
-                self._flush_batch(batch, slot, start)
-        finally:
-            # Released even if the flush raised, so a swap waiting on this
-            # slot's in-flight flushes never waits forever.
-            with self._cond:
-                slot.active_flushes -= 1
-                self._cond.notify_all()
 
     def _flush_batch(
         self, batch: List[_Pending], slot: _ModelSlot, start: float
@@ -542,8 +485,7 @@ class AsyncServingQueue:
         Scoring is a pure function of the raw row *and the model slot*, so
         memo hits return the byte-exact output a fresh compute under the
         same slot would; only the memo-miss rows go through the classifier
-        (one coalesced block sweep, possibly fanned out over the slot's worker
-        pool).  The memo lives on the slot, never the queue: answers
+        (one coalesced block sweep).  The memo lives on the slot, never the queue: answers
         memoised under one model version are unreachable after a swap.
         """
         memo = slot.memo
@@ -560,8 +502,8 @@ class AsyncServingQueue:
                 self.memo_hits += 1
                 outputs[i] = hit
         if misses:
-            result = self._classify_rows(
-                np.array([batch[indices[0]].row for indices in misses.values()]), slot
+            result = slot.classifier.classify(
+                np.array([batch[indices[0]].row for indices in misses.values()])
             )
             scored = zip(result.predictions.tolist(), result.decision_values.tolist())
             for (key, indices), output in zip(misses.items(), scored):
@@ -572,29 +514,3 @@ class AsyncServingQueue:
             while memo is not None and len(memo) > self.memo_capacity:
                 memo.popitem(last=False)
         return outputs
-
-    def _classify_rows(self, rows: np.ndarray, slot: _ModelSlot):
-        # Either path encodes the batch's cache-miss rows in one stacked
-        # sweep (in-process via the classifier's engine; distributed via each
-        # worker's attached-store engine on its row block).
-        if slot.pool is not None and rows.shape[0] >= 2:
-            return self._classify_distributed(rows, slot)
-        return slot.classifier.classify(rows)
-
-    def _classify_distributed(self, rows: np.ndarray, slot: _ModelSlot):
-        """Fan one batch's kernel rows out over the slot's worker pool.
-
-        Scaling happens once here (element-wise, hence batch-invariant), the
-        workers compute their block's landmark overlaps against the attached
-        store, and the assembled rows are scored through the classifier's
-        row-wise path -- bit-identical to an in-process ``classify``.
-        """
-        assert slot.pool is not None
-        Xs = slot.classifier.scale(rows)
-        num_blocks = min(self.workers, Xs.shape[0])
-        blocks = partition_indices(Xs.shape[0], num_blocks)
-        futures = [
-            slot.pool.submit(shared_store_kernel_rows, Xs[block]) for block in blocks
-        ]
-        kernel_rows = np.vstack([f.result() for f in futures])
-        return slot.classifier.classify_kernel_rows(kernel_rows)

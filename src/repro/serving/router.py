@@ -176,7 +176,7 @@ class ReplicaRouter:
         Budgets forwarded to :meth:`PersistentStateStore.warm_up`.
     queue_kwargs:
         Forwarded to every :class:`AsyncServingQueue`: ``max_batch``,
-        ``workers``, ``memoize`` and ``memo_capacity``.  Each replica's
+        ``memoize`` and ``memo_capacity``.  Each replica's
         coalescer is work-conserving, so there is no wait knob.
     """
 
@@ -210,13 +210,12 @@ class ReplicaRouter:
         self.warm_up_reports: List[WarmUpReport] = []
 
         replica_metrics: List[ServingMetrics] = []
-        buffer_size = int(queue_kwargs.get("max_batch", 32))
         for _ in range(self.num_replicas):
             store: Optional[PersistentStateStore] = None
             if persistence_root is not None:
                 store = PersistentStateStore(persistence_root)
             classifier = StreamingNystroemClassifier.from_serving_payload(
-                payload, buffer_size=buffer_size, store=store
+                payload, store=store
             )
             if store is not None:
                 # The engine exists only now; stamp its compute-policy
@@ -254,7 +253,7 @@ class ReplicaRouter:
         :class:`~repro.config.TuningConfig` (``config.tuning``).  They are
         constructor values: nothing changes them while the fleet runs.
         ``overrides`` replace or extend the resulting constructor keywords
-        (e.g. ``workers``).
+        (e.g. ``memo_capacity``).
         """
         tuning = config.tuning
         kwargs = dict(

@@ -313,13 +313,15 @@ class PrecomputedKernelSVC:
         """Decision values for test samples.
 
         ``K_test`` has shape ``(n_test, n_train)`` with entries
-        ``k(x_test_i, x_train_j)``.
+        ``k(x_test_i, x_train_j)``; a NaN or infinite entry raises
+        :class:`SVMError` rather than yielding a NaN decision.
         """
         if self.alpha_ is None or self._y_signed is None:
             raise SVMError("model is not fitted")
         K_test = np.asarray(K_test, dtype=float)
         if K_test.ndim == 1:
             K_test = K_test[None, :]
+        K_test = self._validate_kernel(K_test)
         if K_test.shape[1] != self.alpha_.size:
             raise SVMError(
                 f"test kernel has {K_test.shape[1]} columns but the model was "

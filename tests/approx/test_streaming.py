@@ -1,5 +1,7 @@
 """Unit tests for the streaming Nystrom classification service."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.approx import (
 from repro.config import AnsatzConfig
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.engine import EngineConfig, KernelEngine
-from repro.exceptions import KernelError
+from repro.exceptions import KernelError, SVMError
 from repro.svm import FeatureScaler, train_test_split
 
 
@@ -47,35 +49,58 @@ def test_classify_batch_costs_m_overlaps_per_point(served):
     assert clf.num_served == X_test.shape[0]
 
 
-def test_streamed_predictions_match_batch_path(served):
+@pytest.mark.parametrize("chunk", [1, 3, 4])
+def test_chunked_classify_is_byte_identical_to_the_whole_batch(served, chunk):
+    """Relation: classifying the rows ``chunk`` at a time gives the bytes of
+    one whole-batch call.  Each side runs on its own cold replica, so the
+    stacked encode sees different batch compositions too."""
     fmap, model, scaler, X_test = served
-    batch = StreamingNystroemClassifier(fmap, model, scaler=scaler).classify(X_test)
-
-    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=4)
-    collected = []
-    for row in X_test:
-        out = clf.submit(row)
-        if out is not None:
-            collected.append(out)
-    tail = clf.flush()
-    if tail is not None:
-        collected.append(tail)
-    preds = np.concatenate([o.predictions for o in collected])
-    decisions = np.concatenate([o.decision_values for o in collected])
-    assert np.array_equal(preds, batch.predictions)
-    assert np.allclose(decisions, batch.decision_values, atol=1e-9)
-    assert clf.pending == 0
+    payload = StreamingNystroemClassifier(fmap, model, scaler=scaler).serving_payload()
+    whole = StreamingNystroemClassifier.from_serving_payload(payload).classify(X_test)
+    replica = StreamingNystroemClassifier.from_serving_payload(payload)
+    parts = [
+        replica.classify(X_test[i : i + chunk]) for i in range(0, len(X_test), chunk)
+    ]
+    decisions = np.concatenate([p.decision_values for p in parts])
+    predictions = np.concatenate([p.predictions for p in parts])
+    assert decisions.tobytes() == whole.decision_values.tobytes()
+    assert predictions.tobytes() == whole.predictions.tobytes()
+    assert replica.num_served == len(X_test)
 
 
-def test_buffer_flushes_at_capacity(served):
+def test_serving_payload_round_trips_through_pickle(served):
+    """Relation: a payload pickled and unpickled (as it is to reach another
+    process) rebuilds a classifier whose decisions are byte-identical."""
     fmap, model, scaler, X_test = served
-    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=3)
-    assert clf.submit(X_test[0]) is None
-    assert clf.submit(X_test[1]) is None
-    out = clf.submit(X_test[2])
-    assert out is not None and out.num_points == 3
-    assert clf.pending == 0
-    assert clf.flush() is None
+    source = StreamingNystroemClassifier(fmap, model, scaler=scaler)
+    payload = pickle.loads(pickle.dumps(source.serving_payload()))
+    replica = StreamingNystroemClassifier.from_serving_payload(payload)
+    assert replica.feature_map.config.num_landmarks == 10
+    assert replica.feature_map.engine is not fmap.engine
+    reference = source.classify(X_test)
+    rebuilt = replica.classify(X_test)
+    assert rebuilt.decision_values.tobytes() == reference.decision_values.tobytes()
+    assert rebuilt.predictions.tobytes() == reference.predictions.tobytes()
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "ansatz_kwargs",
+        "simulation_kwargs",
+        "backend_name",
+        "landmark_payload",
+        "normalization",
+        "model_blob",
+        "scaler_blob",
+    ],
+)
+def test_from_serving_payload_rejects_incomplete_payload(served, key):
+    fmap, model, scaler, _ = served
+    payload = StreamingNystroemClassifier(fmap, model, scaler=scaler).serving_payload()
+    payload.pop(key)
+    with pytest.raises(SVMError, match=f"missing keys: \\['{key}'\\]"):
+        StreamingNystroemClassifier.from_serving_payload(payload)
 
 
 def test_repeat_queries_are_simulation_free(served):
@@ -103,49 +128,6 @@ def test_requires_fitted_feature_map(served):
     unfitted = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=4))
     with pytest.raises(KernelError):
         StreamingNystroemClassifier(unfitted, model)
-    with pytest.raises(KernelError):
-        StreamingNystroemClassifier(fmap, model, buffer_size=0)
-
-
-def test_submit_rejects_malformed_rows_without_poisoning_buffer(served):
-    from repro.exceptions import SVMError
-
-    fmap, model, scaler, X_test = served
-    clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=4)
-    clf.submit(X_test[0])
-    with pytest.raises(SVMError):
-        clf.submit(np.ones(X_test.shape[1] + 2))
-    # the valid row is still pending and classifiable
-    assert clf.pending == 1
-    out = clf.flush()
-    assert out is not None and out.num_points == 1
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_rejected_non_finite_row_leaves_the_stream_unchanged(served, bad):
-    """Relation: a stream with a rejected non-finite row flushes the same
-    bytes, at the same submits, as the stream without it."""
-    from repro.exceptions import SVMError
-
-    fmap, model, scaler, X_test = served
-    rows = X_test[:9]
-    poisoned = rows[2].copy()
-    poisoned[1] = bad
-
-    def run(with_bad_row):
-        clf = StreamingNystroemClassifier(fmap, model, scaler=scaler, buffer_size=4)
-        flushes = []
-        for i, row in enumerate(rows):
-            if with_bad_row and i == 3:
-                with pytest.raises(SVMError):
-                    clf.submit(poisoned)
-            out = clf.submit(row)
-            if out is not None:
-                flushes.append((i, out.decision_values.tobytes()))
-        assert clf.pending == len(rows) % 4
-        return flushes, clf.flush().decision_values.tobytes()
-
-    assert run(with_bad_row=True) == run(with_bad_row=False)
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +135,7 @@ def test_rejected_non_finite_row_leaves_the_stream_unchanged(served, bad):
 # deep inside the serving loop (regression tests for the drift path).
 # ----------------------------------------------------------------------
 def test_record_feedback_before_attach_raises(served):
-    from repro.exceptions import ReproError, SVMError
+    from repro.exceptions import ReproError
 
     fmap, model, scaler, X_test = served
     clf = StreamingNystroemClassifier(fmap, model, scaler=scaler)
@@ -165,7 +147,6 @@ def test_record_feedback_before_attach_raises(served):
 
 
 def test_attach_conformal_rejects_uncalibrated(served):
-    from repro.exceptions import SVMError
     from repro.svm import SplitConformalClassifier
 
     fmap, model, scaler, X_test = served
@@ -184,7 +165,6 @@ def test_attach_conformal_rejects_uncalibrated(served):
 
 
 def test_record_feedback_validates_batch(served):
-    from repro.exceptions import SVMError
     from repro.svm import SplitConformalClassifier
 
     fmap, model, scaler, X_test = served

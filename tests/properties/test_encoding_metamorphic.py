@@ -276,7 +276,7 @@ def _classifier(fitted_parts):
     feature_map = NystroemFeatureMap(engine, NystroemConfig(num_landmarks=6, seed=0))
     phi = feature_map.fit_transform(X)
     model = LinearSVC(C=1.0).fit(phi, y)
-    return StreamingNystroemClassifier(feature_map, model, buffer_size=8)
+    return StreamingNystroemClassifier(feature_map, model)
 
 
 @pytest.fixture(scope="module")

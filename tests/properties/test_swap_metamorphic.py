@@ -11,9 +11,6 @@ request stream split across a swap equals the concatenation of old-model
 answers and new-model answers at the recorded swap boundary.
 """
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -107,22 +104,15 @@ def test_swap_timing_invariance(
         elif timing == "pending":
             # Requests sit in the pending buffer while the swap lands: they
             # must be scored by the new model, atomically, none dropped.
-            # The swap waits out the stalled in-flight flush, so it runs in
-            # a helper thread and the gate opens once the new slot is in.
-            coalescer_gate.stall(queue)
+            # The flush stalled mid-score completes against the slot it
+            # captured, the old one.
+            in_flight = coalescer_gate.stall(queue)
             futures = queue.submit_many(queries)
-            swapper = threading.Thread(
-                target=queue.swap_payload, args=(payloads[1],)
-            )
-            swapper.start()
-            deadline = time.monotonic() + 30.0
-            while queue.model_version != 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
+            queue.swap_payload(payloads[1])
             assert queue.model_version == 1
             coalescer_gate.release()
-            swapper.join(timeout=30)
-            assert not swapper.is_alive()
             queue.flush()
+            assert in_flight.result(timeout=30).model_version == 0
         else:
             futures = queue.submit_many(queries)
             queue.flush()

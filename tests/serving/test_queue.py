@@ -1,6 +1,5 @@
-"""Unit tests for the async serving queue and the shared landmark store."""
+"""Unit tests for the async serving queue and its metrics."""
 
-import pickle
 import sys
 import threading
 import time
@@ -14,8 +13,7 @@ from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.exceptions import ReproError, ServingError
 from repro.profiling import ServingMetrics
-from repro.serving import AsyncServingQueue, SharedLandmarkStore, ServedPrediction
-from repro.serving.store import shared_store_kernel_rows
+from repro.serving import AsyncServingQueue, ServedPrediction
 
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
@@ -48,8 +46,10 @@ def test_queue_validates_parameters(served_engine):
     clf = served_engine.streaming_classifier()
     with pytest.raises(ServingError):
         AsyncServingQueue(clf, max_batch=0)
-    with pytest.raises(ServingError):
-        AsyncServingQueue(clf, workers=-1)
+    # Every flush is scored in-process: only 0 and 1 are accepted.
+    for workers in (-1, 2):
+        with pytest.raises(ServingError, match="workers"):
+            AsyncServingQueue(clf, workers=workers)
     with pytest.raises(ServingError):
         AsyncServingQueue(clf, memo_capacity=0)
 
@@ -242,51 +242,6 @@ def test_no_future_waits_forever_when_close_lands_mid_stream(served_engine, quer
         assert np.float64(served.decision_value).tobytes() == (
             reference.decision_values[i].tobytes()
         )
-
-
-# ----------------------------------------------------------------------
-# Shared landmark store
-# ----------------------------------------------------------------------
-def test_shared_store_round_trip(served_engine, queries):
-    clf = served_engine.streaming_classifier()
-    payload = clf.serving_payload()
-    # The payload must survive pickling (it crosses process boundaries).
-    payload = pickle.loads(pickle.dumps(payload))
-    replica = SharedLandmarkStore.attach(payload)
-    assert replica.num_landmarks == 6
-    reference = clf.classify(queries)
-    assert np.array_equal(replica.decision_function(queries), reference.decision_values)
-    assert np.array_equal(replica.predict(queries), reference.predictions)
-
-
-def test_shared_store_rejects_incomplete_payload(served_engine):
-    payload = served_engine.streaming_classifier().serving_payload()
-    payload.pop("normalization")
-    with pytest.raises(ServingError, match="missing keys"):
-        SharedLandmarkStore.attach(payload)
-
-
-def test_worker_task_requires_attachment():
-    import repro.serving.store as store_module
-
-    saved = store_module._ATTACHED
-    store_module._ATTACHED = None
-    try:
-        with pytest.raises(ServingError, match="no attached landmark store"):
-            shared_store_kernel_rows(np.zeros((1, 4)))
-    finally:
-        store_module._ATTACHED = saved
-
-
-def test_two_worker_queue_matches_in_process(served_engine, queries):
-    reference = served_engine.streaming_classifier().classify(queries)
-    with served_engine.serving_queue(
-        max_batch=6, workers=2, memoize=False
-    ) as queue:
-        futures = queue.submit_many(queries)
-        results = [f.result(timeout=120) for f in futures]
-    decisions = np.array([r.decision_value for r in results])
-    assert np.array_equal(decisions, reference.decision_values)
 
 
 # ----------------------------------------------------------------------

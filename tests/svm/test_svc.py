@@ -235,6 +235,25 @@ def test_non_finite_kernel_is_rejected(bad_value):
         PrecomputedKernelSVC(C=1.0).fit(K, y)
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["decision_function", "predict", "predict_proba"])
+def test_non_finite_test_kernel_is_rejected(bad_value, method):
+    """Scoring rejects a NaN or infinite test-kernel entry, as fit does,
+    instead of returning a NaN decision, class 0 or NaN probabilities."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 2))
+    y = (X[:, 0] > 0).astype(int)
+    K = gaussian_gram_matrix(X)
+    model = PrecomputedKernelSVC(C=1.0).fit(K, y)
+    K_test = K[:3].copy()
+    K_test[1, 17] = bad_value
+    with pytest.raises(SVMError, match="NaN or infinite"):
+        getattr(model, method)(K_test)
+    # One bad row alone, passed 1-D, is refused too.
+    with pytest.raises(SVMError, match="NaN or infinite"):
+        getattr(model, method)(K_test[1])
+
+
 # ----------------------------------------------------------------------
 # Platt-scaled probabilities
 # ----------------------------------------------------------------------

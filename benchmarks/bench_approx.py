@@ -15,6 +15,11 @@ The script exits non-zero when any of the subsystem's contracts break:
 * its end-to-end wall time must be lower than the exact path's;
 * its test AUC must land within 0.05 of the exact quantum-kernel AUC.
 
+Each path's wall time is the best of :data:`REPEATS` back-to-back runs, each
+from a fresh engine: a single timing of the exact path read either about
+10x or about 1.5x the Nystrom path, depending on whether the machine had
+sat idle before its first large Gram.
+
 Run with:  python benchmarks/bench_approx.py [--out BENCH_approx.json]
 """
 
@@ -40,6 +45,19 @@ from repro.svm import (
     roc_auc_score,
     train_test_split,
 )
+
+#: Back-to-back runs per path; its wall time is the fastest.
+REPEATS = 3
+
+
+def best_of_repeats(path):
+    """``path()``'s result and its fastest wall time over :data:`REPEATS` runs."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = path()
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 def main() -> None:
@@ -88,28 +106,30 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Exact path: full Gram + cross matrix + SMO dual solver.
     # ------------------------------------------------------------------
-    start = time.perf_counter()
-    exact_engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
-    train_result, test_result = exact_engine.gram_and_cross(Xs_train, Xs_test)
-    exact_model = PrecomputedKernelSVC(C=args.svm_c).fit(train_result.matrix, y_train)
-    exact_scores = exact_model.decision_function(test_result.matrix)
-    exact_elapsed = time.perf_counter() - start
+    def exact_path():
+        engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
+        train_result, test_result = engine.gram_and_cross(Xs_train, Xs_test)
+        model = PrecomputedKernelSVC(C=args.svm_c).fit(train_result.matrix, y_train)
+        return train_result, test_result, model.decision_function(test_result.matrix)
+
+    (train_result, test_result, exact_scores), exact_elapsed = best_of_repeats(
+        exact_path
+    )
     exact_auc = roc_auc_score(y_test, exact_scores)
     exact_pairs = train_result.num_inner_products + test_result.num_inner_products
 
     # ------------------------------------------------------------------
     # Nystrom path: landmark Gram + cross block + primal linear SVM.
     # ------------------------------------------------------------------
-    start = time.perf_counter()
-    approx_engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
-    fmap = NystroemFeatureMap(
-        approx_engine, NystroemConfig(num_landmarks=m, strategy=args.strategy)
-    )
-    phi_train = fmap.fit_transform(Xs_train)
-    approx_model = LinearSVC(C=args.svm_c).fit(phi_train, y_train)
-    phi_test = fmap.transform(Xs_test)
-    approx_scores = approx_model.decision_function(phi_test)
-    approx_elapsed = time.perf_counter() - start
+    def approx_path():
+        engine = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
+        fmap = NystroemFeatureMap(
+            engine, NystroemConfig(num_landmarks=m, strategy=args.strategy)
+        )
+        model = LinearSVC(C=args.svm_c).fit(fmap.fit_transform(Xs_train), y_train)
+        return fmap, model.decision_function(fmap.transform(Xs_test))
+
+    (fmap, approx_scores), approx_elapsed = best_of_repeats(approx_path)
     approx_auc = roc_auc_score(y_test, approx_scores)
 
     pair_budget = n * m + m * m
@@ -125,6 +145,7 @@ def main() -> None:
             "num_features": args.features,
             "svm_c": args.svm_c,
             "seed": args.seed,
+            "repeats": REPEATS,
         },
         "exact": {
             "elapsed_s": exact_elapsed,

@@ -2,14 +2,15 @@
 
 The serving story batches overlaps, caches states and coalesces requests --
 but until the batched encoding subsystem, every *cold* feature vector still
-simulated its circuit one gate-sweep at a time.  This benchmark measures what
-the stacked sweep (:meth:`repro.backends.Backend.simulate_batch`) buys:
+simulated its circuit one gate at a time.  This benchmark measures what the
+stacked layer encode (:meth:`repro.backends.Backend.simulate_batch`, one
+diagonal MPO per ansatz layer) buys:
 
 * **encode throughput**: a block of fresh rows encoded per-point
-  (``KernelEngine.simulate_row`` in a loop: per-point simulation of the MPS
-  steps the engine encodes with) versus in stacked sweeps of the same steps
-  (``feature_map_gate_stacks``) at several batch sizes.  A row's encoded
-  state depends on the row alone, so every batched
+  (``KernelEngine.simulate_row`` in a loop: gate-by-gate simulation of each
+  row's circuit) versus stacked encodes of the rows' angle table
+  (``feature_map_batch``) at several batch sizes.  A row's encoded state
+  depends on the row alone, so every batched
   mode must give states byte-identical to encoding each row by itself
   (``KernelEngine.encode_row``); against per-point simulation the states
   agree to rounding, ``max_oracle_infidelity`` (the largest
@@ -49,7 +50,7 @@ from repro import __version__
 from repro.approx import LinearSVC, NystroemConfig, NystroemFeatureMap
 from repro.approx.streaming import StreamingNystroemClassifier
 from repro.backends import CpuBackend
-from repro.circuits import feature_map_gate_stacks
+from repro.circuits import feature_map_batch
 from repro.config import AnsatzConfig
 from repro.engine import EngineConfig, KernelEngine
 from repro.serving import AsyncServingQueue
@@ -131,8 +132,8 @@ def run_encode_throughput(args, rng) -> tuple[list[dict], list[str]]:
         start = time.perf_counter()
         states: list = []
         for lo in range(0, len(X), batch_size):
-            stacks = feature_map_gate_stacks(X[lo : lo + batch_size], ansatz)
-            states.extend(backend.simulate_batch(stacks).states)
+            batch = feature_map_batch(X[lo : lo + batch_size], ansatz)
+            states.extend(backend.simulate_batch(batch).states)
         elapsed = time.perf_counter() - start
         identical = states_identical(states, alone)
         infidelity = max_infidelity(states, reference)

@@ -46,7 +46,7 @@ SHOWN_FAMILIES = (
     "repro_serving_memo_hits_total",
     "repro_store_hits_total",
     "repro_store_misses_total",
-    "repro_encode_launches_total",
+    "repro_encode_batches_total",
     "repro_router_routed_total",
 )
 

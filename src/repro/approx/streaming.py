@@ -17,7 +17,7 @@ calls it once per flush.
 
 Every call runs the engine's two primitives once
 (:meth:`repro.engine.KernelEngine.kernel_rows`): the batch's state-store
-misses are encoded in one stacked gate sweep
+misses are encoded in one stacked layer-MPO pass
 (:meth:`repro.backends.Backend.simulate_batch`), then all rows are overlapped
 with the pre-stacked landmark block
 (:meth:`repro.backends.Backend.inner_product_block`).  Both are
@@ -131,7 +131,7 @@ class StreamingNystroemClassifier:
 
         The kernel-row sweep is cache-aware end to end: rows already in the
         engine's state store skip simulation entirely, and the remaining cold
-        rows are encoded together in one stacked gate sweep before the
+        rows are encoded together in one stacked pass before the
         landmark overlaps run.  ``num_simulations`` on the result therefore
         counts exactly the batch's cold rows.
         """

@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -23,12 +23,7 @@ from ..config import SimulationConfig
 from ..exceptions import BackendError
 from ..mps import MPS, InstrumentedMPS, TruncationPolicy
 from ..mps.batched import StackedStateBlock, batched_overlaps
-from ..mps.encoding import (
-    GateShapeLog,
-    GateStacks,
-    circuit_structure_signature,
-    encode_circuits,
-)
+from ..mps.encoding import FeatureMapBatch, encode_circuits
 from .cost_model import DeviceCostModel
 
 __all__ = [
@@ -108,25 +103,24 @@ class BatchInnerProductResult:
 
 @dataclass(frozen=True)
 class BatchSimulationResult:
-    """Outcome of one *batched* circuit-encoding sweep on a backend.
+    """Outcome of one *batched* feature-map encode on a backend.
 
     Attributes
     ----------
     states:
-        The encoded MPS, in input order.  Each depends on its own circuit
-        only, byte for byte (alone or in any batch), and is within rounding
-        of what :meth:`Backend.simulate` produces for it
+        The encoded MPS, in row order.  Each depends on its own row only,
+        byte for byte (alone or in any batch), and is within rounding of
+        what :meth:`Backend.simulate` produces for its circuit
         (``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff).
     wall_time_s:
-        Measured Python time for the whole stacked sweep.
-    num_circuits / num_structure_groups:
-        Batch size and how many distinct circuit structures it contained.
+        Measured Python time for the whole stacked encode.
+    num_circuits:
+        Batch size: the number of rows encoded.
     """
 
     states: Tuple[MPS, ...]
     wall_time_s: float
     num_circuits: int
-    num_structure_groups: int
 
 
 class Backend(abc.ABC):
@@ -154,19 +148,17 @@ class Backend(abc.ABC):
         self.wall_inner_product_time_s = 0.0
         self.num_simulations = 0
         self.num_inner_products = 0
-        #: Stacked-encode accounting: how many batched sweeps ran and how
-        #: many stacked gate launches they issued.  These are pure functions
-        #: of the encoded circuits (not wall clock), so the telemetry layer
-        #: exports them as deterministic counters (``repro_encode_*_total``).
+        #: Stacked-encode accounting: how many batched encodes ran.  A pure
+        #: function of the calls (not wall clock), so the telemetry layer
+        #: exports it as a deterministic counter
+        #: (``repro_encode_batches_total``).
         self.num_encode_batches = 0
-        self.num_encode_stacked_launches = 0
 
     #: Every counter attribute, in :meth:`lifetime_summary` order.
     _COUNTER_ATTRS = (
         "num_simulations",
         "num_inner_products",
         "num_encode_batches",
-        "num_encode_stacked_launches",
         "wall_simulation_time_s",
         "wall_inner_product_time_s",
     )
@@ -205,10 +197,9 @@ class Backend(abc.ABC):
     ) -> BackendResult:
         """Per-point simulation of ``(targets, matrix)`` steps.
 
-        The per-point reference of the stacked sweep: the engine runs one
-        row's :class:`GateStacks` steps through it
-        (:meth:`repro.engine.KernelEngine.simulate_row`), as the
-        ``track_memory`` fallback of :meth:`simulate_batch` does.
+        The gate-by-gate reference of the layer encode: the engine runs one
+        row's :class:`~repro.circuits.GateStacks` steps through it
+        (:meth:`repro.engine.KernelEngine.simulate_row`).
         """
         policy = self._policy()
         if initial_state is not None:
@@ -257,87 +248,50 @@ class Backend(abc.ABC):
             num_two_qubit_gates=num_two_qubit_gates,
         )
 
-    def simulate_batch(
-        self,
-        circuits: Union[Sequence, GateStacks],
-        initial_state: MPS | None = None,
-    ) -> BatchSimulationResult:
-        """Encode a micro-batch of routed circuits through stacked gate sweeps.
+    def simulate_batch(self, batch: FeatureMapBatch) -> BatchSimulationResult:
+        """Encode a batch of feature-map rows, one diagonal MPO per layer.
 
-        ``circuits`` is a :class:`~repro.mps.encoding.GateStacks` batch (the
-        engine builds one per chunk from the ansatz's angle table) or a
-        sequence of circuits, grouped by structure signature (same gate
-        targets in the same order -- all feature-map circuits from one
-        ansatz qualify).  Each group is swept straight through with one
-        stacked gufunc per gate and clamp block
-        (:func:`repro.mps.encoding.encode_circuits`) at padded shapes the
-        structure and the row's own ranks fix, truncating each row on its
-        own singular values.  Every resulting state depends on its own circuit
-        alone, **byte for byte**, so callers may batch, split or reorder
-        encodes freely without moving a single bit of any downstream kernel
-        entry; it is within rounding of :meth:`simulate` on the same circuit
-        (same kept ranks and bond dimensions, ``1 - |<a|b>|^2 <= 1e-12`` at
-        the default cutoff).
+        ``batch`` is the rows' angle table with the ansatz structure (the
+        engine builds one per chunk with
+        :func:`repro.circuits.feature_map_batch`).  Every row is encoded in
+        one stacked pass (:func:`repro.mps.encoding.encode_circuits`): per
+        layer an ``RX`` and a diagonal MPO on each site, then a QR and a
+        truncating SVD sweep, each row truncated on its own singular values
+        and padded to widths its own ranks fix.  Every resulting state
+        depends on its own row alone, **byte for byte**, so callers may
+        batch, split or reorder encodes freely without moving a single bit
+        of any downstream kernel entry; under the default cut-off it is
+        within ``1e-12`` infidelity of the row's gate-by-gate simulation.
 
-        ``num_simulations`` advances by one per circuit, as if
-        :meth:`simulate` had run once per circuit; the measured wall time is
-        where batching pays off.  No modelled device time is priced here:
-        the figures that report it time :meth:`simulate` one circuit at a
-        time (per row, :meth:`repro.engine.KernelEngine.simulate_row`).
+        ``num_simulations`` advances by one per row, as if :meth:`simulate`
+        had run once per circuit; the measured wall time is where batching
+        pays off.  No modelled device time is priced here: the figures that
+        report it time :meth:`simulate` one circuit at a time (per row,
+        :meth:`repro.engine.KernelEngine.simulate_row`).
 
-        ``initial_state`` is not supported (the stacked sweep always starts
-        from ``|0...0>``, which is what every feature-map encode uses); a
-        non-default initial state raises :class:`BackendError`.  When the
-        configuration requests per-gate memory traces
-        (``config.track_memory``) the batch falls back to per-point
-        simulation -- instrumentation is inherently per point -- and still
-        returns the same states and accounting.
+        Raises
+        ------
+        BackendError
+            If the configuration requests per-gate memory traces
+            (``config.track_memory``): the layer encode applies no gates to
+            trace, so traced encodes go through :meth:`simulate`.
         """
-        if initial_state is not None:
-            raise BackendError(
-                "simulate_batch always encodes from |0...0>; "
-                "use simulate() for custom initial states"
-            )
-        if not isinstance(circuits, GateStacks):
-            circuits = list(circuits)
-        if not len(circuits):
-            return BatchSimulationResult(
-                states=(),
-                wall_time_s=0.0,
-                num_circuits=0,
-                num_structure_groups=0,
-            )
         if self.config.track_memory:
-            if isinstance(circuits, GateStacks):
-                results = [
-                    self._simulate_steps(circuits.num_qubits, circuits.row(i))
-                    for i in range(len(circuits))
-                ]
-                groups = 1
-            else:
-                results = [self.simulate(circuit) for circuit in circuits]
-                groups = len({circuit_structure_signature(c) for c in circuits})
-            return BatchSimulationResult(
-                states=tuple(r.state for r in results),
-                wall_time_s=sum(r.wall_time_s for r in results),
-                num_circuits=len(results),
-                num_structure_groups=groups,
+            raise BackendError(
+                "simulate_batch applies no gates to trace; per-gate memory "
+                "traces come from simulate()"
             )
-
-        log = GateShapeLog()
+        if not len(batch):
+            return BatchSimulationResult(states=(), wall_time_s=0.0, num_circuits=0)
         start = time.perf_counter()
-        states = encode_circuits(circuits, policy=self._policy(), log=log)
+        states = encode_circuits(batch, policy=self._policy())
         wall = time.perf_counter() - start
 
         self.wall_simulation_time_s += wall
-        self.num_simulations += len(circuits)
+        self.num_simulations += len(batch)
         self.num_encode_batches += 1
-        self.num_encode_stacked_launches += log.stacked_launches
         return BatchSimulationResult(
-            states=tuple(states),
-            wall_time_s=wall,
-            num_circuits=len(circuits),
-            num_structure_groups=log.structure_groups,
+            states=tuple(states), wall_time_s=wall, num_circuits=len(batch)
         )
 
     def inner_product(self, bra: MPS, ket: MPS) -> InnerProductResult:

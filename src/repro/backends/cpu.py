@@ -3,8 +3,8 @@
 Runs the shared MPS numerics directly with NumPy and charges time with the
 CPU device cost model (:data:`repro.backends.cost_model.CPU_COST_MODEL`).
 Batched encodes (:meth:`~repro.backends.Backend.simulate_batch`) share the
-stacked sweep implementation with the GPU backend and charge the CPU model's
-per-launch overhead once per stacked contraction.
+layer-MPO encode with the GPU backend; like every batched path they are
+counted and timed, not priced.
 """
 
 from __future__ import annotations

@@ -16,17 +16,21 @@ target qubits.  Two transformation passes operate on circuits:
 feature-map circuit ``U(x)|+>^m`` for one data point;
 :func:`~repro.circuits.ansatz.feature_map_gate_stacks` builds the same
 circuits for a batch of rows as per-operation gate stacks, from one angle
-table and the ansatz's cached :func:`~repro.circuits.ansatz.feature_map_template`.
+table and the ansatz's cached :func:`~repro.circuits.ansatz.feature_map_template`;
+:func:`~repro.circuits.ansatz.feature_map_batch` hands the angle table itself
+to the batched layer encode.
 """
 
 from .gate import GateKind, Operation, stacked_matrices
 from .circuit import Circuit
 from .ansatz import (
+    GateStacks,
     TemplateOperation,
     build_feature_map_circuit,
     build_interaction_graph,
     feature_map_angle_table,
     feature_map_angles,
+    feature_map_batch,
     feature_map_gate_stacks,
     feature_map_template,
     rescale_features,
@@ -45,6 +49,8 @@ __all__ = [
     "feature_map_angles",
     "feature_map_angle_table",
     "feature_map_template",
+    "feature_map_batch",
+    "GateStacks",
     "feature_map_gate_stacks",
     "rescale_features",
     "route_to_linear_chain",

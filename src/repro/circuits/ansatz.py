@@ -35,24 +35,28 @@ angles differ per data point.  :func:`feature_map_template` derives that
 sequence once per ansatz, with each gate's *angle source*: an RZ feature
 column, an RXX edge column of the angle table, or none for a fixed gate.
 A single circuit fills the template from one table row
-(:func:`build_feature_map_circuit`); a batch of rows becomes one
-``(g, d, d)`` gate stack per MPS step (:func:`feature_map_gate_stacks`),
-which the stacked MPS sweep consumes without any per-row circuit object.
+(:func:`build_feature_map_circuit`); one row's circuit becomes its MPS
+steps (:func:`feature_map_gate_stacks`) for gate-by-gate simulation.  The
+engine's batched encode needs no gate sequence at all: it applies each
+layer of the angle table as one diagonal MPO (:func:`feature_map_batch`,
+:mod:`repro.mps.encoding`), with no per-row circuit object.
 
 Gate order
 ----------
 The RXX gates of one ``exp(-i H_XX)`` block commute, so their order is
 free, and two orders serve two goals:
 
-* **sorted-edge order** (the default, ``scheduled=False``) serves the MPS
-  simulator.  Edges ``(0, 1), (0, 2), (1, 2), (1, 3), ...`` walk the chain
-  left to right, so the orthogonality centre travels little between
-  two-qubit gates, and an adjacent RXX is directly followed by the routing
-  SWAP of the next edge on the same pair.  :func:`feature_map_gate_stacks`
-  multiplies each such run of two-qubit gates on one pair into one
-  ``(g, 4, 4)`` step, so the sweep pays one SVD for it.  For 8 qubits at
-  ``d = 2`` and ``r = 2`` that is 38 two-qubit steps and 31 centre moves,
-  against 50 gates and 74 moves in the depth order.
+* **sorted-edge order** (the default, ``scheduled=False``) serves
+  gate-by-gate MPS simulation.  Edges ``(0, 1), (0, 2), (1, 2), (1, 3),
+  ...`` walk the chain left to right, so the orthogonality centre travels
+  little between two-qubit gates, and an adjacent RXX is directly followed
+  by the routing SWAP of the next edge on the same pair.
+  :func:`feature_map_gate_stacks` multiplies each such run of two-qubit
+  gates on one pair into one ``(4, 4)`` step, so a per-point simulation
+  (:meth:`repro.engine.KernelEngine.simulate_row`) pays one SVD for it.
+  For 8 qubits at ``d = 2`` and ``r = 2`` that is 38 two-qubit steps and 31
+  centre moves, against 50 gates and 74 moves in the depth order.  The
+  merged steps feed only that per-point path.
 * **depth order** (``scheduled=True``) is the paper's footnote-3 layout:
   :func:`~repro.circuits.scheduling.schedule_commuting_layers` packs the
   gates so every qubit is busy at each time step, which minimises circuit
@@ -64,14 +68,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..config import AnsatzConfig
 from ..exceptions import CircuitError
-from ..mps.encoding import GateStacks
+from ..mps.encoding import FeatureMapBatch
 from .circuit import Circuit
 from .gate import GateKind, Operation, stacked_matrices
 from .routing import route_to_linear_chain
@@ -85,6 +89,8 @@ __all__ = [
     "TemplateOperation",
     "feature_map_template",
     "build_feature_map_circuit",
+    "feature_map_batch",
+    "GateStacks",
     "feature_map_gate_stacks",
 ]
 
@@ -327,6 +333,44 @@ def build_feature_map_circuit(
     )
 
 
+def feature_map_batch(X: np.ndarray, config: AnsatzConfig) -> FeatureMapBatch:
+    """Feature-map circuits of every row of ``X`` as the layer encoder's input.
+
+    The angle table of ``X`` (:func:`feature_map_angle_table`) with the
+    sorted interaction-graph edges and the layer count: what
+    :func:`repro.mps.encoding.encode_circuits` applies, one diagonal MPO
+    per layer, with no per-gate step.
+    """
+    return FeatureMapBatch(
+        num_qubits=config.num_features,
+        layers=config.layers,
+        edges=_edges(config.num_features, config.interaction_distance),
+        angles=feature_map_angle_table(X, config),
+    )
+
+
+@dataclass(frozen=True)
+class GateStacks:
+    """A batch of same-structure routed circuits as one gate stack per step.
+
+    ``gates[k]`` has shape ``(num_circuits, d, d)``: row ``i`` is the matrix
+    circuit ``i`` applies to ``targets[k]`` at step ``k``.  Stacks are only
+    read, so a fixed gate may be a broadcast view of one matrix.
+    """
+
+    num_qubits: int
+    num_circuits: int
+    targets: Tuple[Tuple[int, ...], ...]
+    gates: Tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return self.num_circuits
+
+    def row(self, i: int) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+        """Circuit ``i`` as its ``(targets, matrix)`` steps."""
+        return [(qubits, gates[i]) for qubits, gates in zip(self.targets, self.gates)]
+
+
 @lru_cache(maxsize=None)
 def _sweep_steps(config: AnsatzConfig) -> Tuple[Tuple[TemplateOperation, ...], ...]:
     """The default template's gates grouped into MPS steps: each run of
@@ -346,8 +390,8 @@ def feature_map_gate_stacks(X: np.ndarray, config: AnsatzConfig) -> GateStacks:
 
     The steps follow the sorted-edge template, with each run of consecutive
     two-qubit gates on one pair -- an adjacent RXX and the routing SWAP
-    right after it -- multiplied into one ``(g, 4, 4)`` step, so the sweep
-    splits the pair once.  Every stack is built from the angle table in one
+    right after it -- multiplied into one ``(g, 4, 4)`` step, so gate-by-gate
+    simulation splits the pair once.  Every stack is built from the angle table in one
     vectorised step per distinct gate run (the ``r`` layers share their
     stacks).  Row ``i`` of a one-gate step is byte-equal to that gate's
     ``build_feature_map_circuit(X[i], config)`` matrix; a merged step is the

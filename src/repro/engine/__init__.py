@@ -18,12 +18,9 @@ The kernels, pipeline, inference and distributed layers all dispatch through
 """
 
 from .batching import (
-    GateShapeLog,
     StackedStateBlock,
     batched_overlaps,
-    circuit_structure_signature,
     encode_circuits,
-    group_circuits_by_structure,
     rowwise_matmul,
 )
 from .cache import (
@@ -47,10 +44,7 @@ __all__ = [
     "deserialize_states",
     "batched_overlaps",
     "StackedStateBlock",
-    "GateShapeLog",
-    "circuit_structure_signature",
     "encode_circuits",
-    "group_circuits_by_structure",
     "rowwise_matmul",
     "EngineConfig",
     "EngineResult",

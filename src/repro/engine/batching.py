@@ -24,21 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..mps.batched import StackedStateBlock, batched_overlaps, query_form
-from ..mps.encoding import (
-    GateShapeLog,
-    circuit_structure_signature,
-    encode_circuits,
-    group_circuits_by_structure,
-)
+from ..mps.encoding import encode_circuits
 
 __all__ = [
     "batched_overlaps",
     "StackedStateBlock",
     "query_form",
-    "GateShapeLog",
-    "circuit_structure_signature",
     "encode_circuits",
-    "group_circuits_by_structure",
     "rowwise_matmul",
 ]
 

@@ -53,13 +53,14 @@ def ansatz_fingerprint(ansatz: AnsatzConfig) -> str:
     return "ansatz:" + ";".join(f"{k}={v!r}" for k, v in items)
 
 
-#: The encoder contract stored states were produced under: rows padded to
-#: structure-fixed shapes in one stacked sweep over the sorted-edge, merged
-#: MPS steps of :func:`repro.circuits.feature_map_gate_stacks`, each state a
-#: function of its row alone (:mod:`repro.mps.encoding`).  Change it
-#: whenever an encode's bytes may change, so stores and snapshots of another
-#: encoder never mix with fresh states.
-ENCODER_CONTRACT = "padded-sweep-2"
+#: The encoder contract stored states were produced under: each ansatz
+#: layer applied as one diagonal MPO to a stack of rows padded to widths
+#: the structure and each row's own kept ranks fix, then compressed by one
+#: QR and one SVD sweep, each state a function of its row alone
+#: (:mod:`repro.mps.encoding`).  Change it whenever an encode's bytes may
+#: change, so stores and snapshots of another encoder never mix with fresh
+#: states.
+ENCODER_CONTRACT = "layer-mpo-1"
 
 
 def simulation_fingerprint(config: SimulationConfig) -> str:

@@ -11,10 +11,11 @@ each with exactly one code path, so consumers ask for a Gram
 * :meth:`KernelEngine.encode_rows` goes through an optional
   content-addressed :class:`~repro.engine.cache.StateStore`, so a point
   encoded for training is never re-simulated at inference time; the
-  remaining cache misses run as stacked gate sweeps
-  (:meth:`repro.backends.Backend.simulate_batch`) fed by gate stacks built
-  from the ansatz's angle table; a row's state depends on the row alone,
-  byte for byte, and is within rounding of per-point simulation;
+  remaining cache misses are encoded in stacked passes
+  (:meth:`repro.backends.Backend.simulate_batch`) that apply each ansatz
+  layer as one diagonal MPO to the rows of the ansatz's angle table
+  (:func:`repro.circuits.feature_map_batch`); a row's state depends on the
+  row alone, byte for byte, and is within rounding of the exact state;
 * every overlap runs through the backend's padded BLAS transfer sweep
   against one pre-stacked :class:`StackedStateBlock`
   (:meth:`repro.backends.Backend.inner_product_block`): cross blocks and
@@ -46,7 +47,11 @@ import numpy as np
 from ..backends import Backend, BackendResult, CpuBackend
 # ``build_feature_map_circuit`` is no longer called here; the name stays for
 # tracers that patch it on this module (perfbench's layer tracer does).
-from ..circuits import build_feature_map_circuit, feature_map_gate_stacks  # noqa: F401
+from ..circuits import (  # noqa: F401
+    build_feature_map_circuit,
+    feature_map_batch,
+    feature_map_gate_stacks,
+)
 from ..config import AnsatzConfig, SimulationConfig
 from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
@@ -62,10 +67,10 @@ from .cache import (
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
-#: Most rows one stacked encoding sweep takes.  A bigger stack amortises the
-#: Python and gufunc overhead around each stacked SVD and QR: a 128-row fit
-#: is one sweep of 69 stacked calls, not four of 69.  States do not depend
-#: on it (a row's state depends on the row alone).
+#: Most rows one stacked encode takes.  A bigger stack amortises the Python
+#: and gufunc overhead around each stacked SVD and QR: a 128-row fit of the
+#: benchmark ansatz is one pass of 14 stacked calls, not four of 14.  States
+#: do not depend on it (a row's state depends on the row alone).
 ENCODE_CHUNK_ROWS = 128
 
 
@@ -231,12 +236,12 @@ class KernelEngine:
 
         The distributed strategies charge every re-simulation to the process
         that performs it, so this path deliberately bypasses the store.  It
-        simulates, one unpadded MPS gate at a time, the same steps the
-        stacked sweep takes (:func:`~repro.circuits.feature_map_gate_stacks`):
-        the per-point reference of :meth:`encode_row`, with the same kept
-        ranks at every step and a state within rounding of it
-        (``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff) but not
-        byte-equal to it.
+        simulates the row's routed circuit one unpadded MPS gate at a time,
+        in the merged steps of :func:`~repro.circuits.feature_map_gate_stacks`
+        -- the primitive the paper times, and the gate-by-gate reference of
+        :meth:`encode_row`: within rounding of it (``1 - |<a|b>|^2 <=
+        1e-12`` at the default cutoff) but not byte-equal to it, and a kept
+        rank at the cut-off may differ by one.
         """
         stacks = feature_map_gate_stacks(np.asarray(row, dtype=float)[None, :], self.ansatz)
         return self.backend._simulate_steps(stacks.num_qubits, stacks.row(0))
@@ -244,7 +249,7 @@ class KernelEngine:
     def encode_row(self, row: np.ndarray) -> MPS:
         """Encode one feature row, through the state store when enabled.
 
-        A miss runs the stacked sweep of :meth:`encode_rows` on this row
+        A miss runs the stacked encode of :meth:`encode_rows` on this row
         alone, so the state is byte-identical to the one any batched encode
         gives the same row.
         """
@@ -264,13 +269,13 @@ class KernelEngine:
         """Encode every row of ``X`` (validated) to an MPS.
 
         A single row goes through :meth:`encode_row`.  Multi-row encodes run
-        through the backend's stacked gate sweep
+        through the backend's stacked layer encode
         (:meth:`repro.backends.Backend.simulate_batch`), cache-aware: rows
         already in the state store are served from it and **only the misses**
-        are simulated, all in one sweep per :data:`ENCODE_CHUNK_ROWS` rows.
-        A row's state depends on the row alone (the sweep pads every row to
-        shapes its ansatz and its own ranks fix), so the returned states are
-        byte-identical under any cache occupancy, chunking, batch
+        are simulated, all in one pass per :data:`ENCODE_CHUNK_ROWS` rows.
+        A row's state depends on the row alone (the encode pads every row
+        to widths its ansatz and its own ranks fix), so the returned states
+        are byte-identical under any cache occupancy, chunking, batch
         composition or order, and to :meth:`encode_row`.
         """
         return self._encode_validated(self.validate_features(X))
@@ -335,10 +340,10 @@ class KernelEngine:
         indices: Iterable[int],
         states: List["MPS | None"],
     ) -> None:
-        """Encode the selected rows through stacked sweeps, filling ``states``.
+        """Encode the selected rows in stacked passes, filling ``states``.
 
-        Each chunk's circuits go to the backend as gate stacks built from
-        the chunk's angle table; no per-row circuit object is made.
+        Each chunk goes to the backend as its angle table; no per-row
+        circuit object is made.
         """
         indices = list(indices)
         for lo in range(0, len(indices), ENCODE_CHUNK_ROWS):
@@ -348,9 +353,10 @@ class KernelEngine:
 
     def _sweep(self, X: np.ndarray) -> Tuple[MPS, ...]:
         """One stacked encode of the rows of ``X``, from the angle table."""
-        return self.backend.simulate_batch(
-            feature_map_gate_stacks(X, self.ansatz)
-        ).states
+        if self.backend.config.track_memory:
+            # A memory trace is per gate: trace each row's gate-by-gate steps.
+            return tuple(self.simulate_row(row).state for row in X)
+        return self.backend.simulate_batch(feature_map_batch(X, self.ansatz)).states
 
     def cache_stats(self):
         """Store statistics, or ``None`` when caching is disabled."""

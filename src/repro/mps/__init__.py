@@ -33,24 +33,13 @@ from .gates import (
 from .truncation import TruncationPolicy, TruncationRecord, truncate_singular_values
 from .mps import MPS
 from .batched import StackedStateBlock, batched_overlaps
-from .encoding import (
-    GateShapeLog,
-    GateStacks,
-    circuit_structure_signature,
-    encode_circuits,
-    group_circuits_by_structure,
-    stack_circuits,
-)
+from .encoding import FeatureMapBatch, encode_circuits
 from .instrumented import InstrumentedMPS, MemoryTrace, MemorySample
 
 __all__ = [
     "MPS",
-    "GateShapeLog",
-    "GateStacks",
-    "circuit_structure_signature",
+    "FeatureMapBatch",
     "encode_circuits",
-    "group_circuits_by_structure",
-    "stack_circuits",
     "InstrumentedMPS",
     "MemoryTrace",
     "MemorySample",

@@ -32,7 +32,6 @@ __all__ = [
     "qr_right",
     "rq_left",
     "stacked_qr_right",
-    "stacked_rq_left",
     "apply_single_qubit_gate",
     "merge_sites",
     "apply_two_qubit_gate_to_theta",
@@ -90,9 +89,7 @@ def rq_left(tensor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Computed as a QR factorisation of the adjoint, ``A^H = Q~ R~  =>
     A = R~^H Q~^H``: any isometric split serves canonicalisation equally
     well, and ``np.linalg.qr`` -- unlike scipy's RQ -- has a stacked gufunc
-    whose per-slice factors are bit-identical to this single-matrix call,
-    so a stacked encoding sweep factors each row independently of the rest
-    of its stack.
+    whose per-slice factors are bit-identical to this single-matrix call.
     Factors are returned C-contiguous because the GEMM/einsum calls
     downstream pick their summation order by memory layout.
     """
@@ -114,32 +111,12 @@ def stacked_qr_right(stacks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     orthogonality centres rightward in one call produces exactly the tensors
     ``g`` separate :func:`qr_right` calls on the same slices would -- a
     row's factors never depend on the rest of the stack, the invariant the
-    batched encoding sweep relies on.
+    batched layer encode relies on.
     """
     g, left, phys, right = stacks.shape
     qs, rs = np.linalg.qr(stacks.reshape(g, left * phys, right))
     k = qs.shape[2]
     return qs.reshape(g, left, phys, k), rs
-
-
-def stacked_rq_left(stacks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Stacked form of :func:`rq_left` over a ``(g, l, p, r)`` site block.
-
-    Returns ``(R, Q)`` with ``R`` of shape ``(g, l, k)`` and ``Q`` of shape
-    ``(g, k, p, r)``.  Computed -- like the per-point version -- as a QR of
-    the adjoint, because that is the factorisation with a stacked gufunc
-    whose slices match the single-matrix call bit for bit.  Factors are
-    C-contiguous for the same downstream-GEMM reason as :func:`rq_left`.
-    """
-    g, left, phys, right = stacks.shape
-    mats = stacks.reshape(g, left, phys * right)
-    q_adj, r_adj = np.linalg.qr(np.conj(mats).transpose(0, 2, 1))
-    k = q_adj.shape[2]
-    r = np.ascontiguousarray(np.conj(r_adj).transpose(0, 2, 1))
-    q = np.ascontiguousarray(np.conj(q_adj).transpose(0, 2, 1)).reshape(
-        g, k, phys, right
-    )
-    return r, q
 
 
 def apply_single_qubit_gate(tensor: np.ndarray, gate: np.ndarray) -> np.ndarray:
@@ -149,7 +126,7 @@ def apply_single_qubit_gate(tensor: np.ndarray, gate: np.ndarray) -> np.ndarray:
     virtual bond dimension.
 
     Expressed as a broadcast ``matmul`` (one ``(2, 2) @ (2, r)`` product per
-    left-bond slice), the same gufunc the batched encoding sweep issues on
+    left-bond slice), the same gufunc the batched layer encode issues on
     many states stacked along a leading axis.
     """
     # T'[l, p', r] = sum_p G[p', p] T[l, p, r]
@@ -161,7 +138,7 @@ def merge_sites(left_tensor: np.ndarray, right_tensor: np.ndarray) -> np.ndarray
 
     ``left_tensor`` has shape ``(l, 2, m)`` and ``right_tensor`` has shape
     ``(m, 2, r)``; the result has shape ``(l, 2, 2, r)``.  Formulated as one
-    GEMM, the product the stacked (batched-encoding) sweep issues per row.
+    GEMM.
     """
     left, phys, mid = left_tensor.shape
     mid_r, phys_r, right = right_tensor.shape
@@ -178,8 +155,7 @@ def apply_two_qubit_gate_to_theta(theta: np.ndarray, gate: np.ndarray) -> np.nda
     ``theta`` has shape ``(l, 2, 2, r)`` with the left physical index being
     the more significant bit of the gate basis.  The returned tensor has the
     same shape.  The two physical legs are fused so the contraction is a
-    broadcast ``(4, 4) @ (4, r)`` matmul per left-bond slice -- the same
-    gufunc the batched encoding sweep applies with an extra batch axis.
+    broadcast ``(4, 4) @ (4, r)`` matmul per left-bond slice.
     """
     left, p0, p1, right = theta.shape
     # theta'[l, a, b, r] = sum_{p,q} G[ab, pq] theta[l, pq, r]

@@ -23,8 +23,8 @@ the two:
 * a flush is scored in the queue's own process by
   :meth:`~repro.approx.StreamingNystroemClassifier.classify`, the one
   scoring path of a served row.  Its *cold* rows -- memo misses whose
-  states are not in the engine's cache either -- are encoded through one
-  stacked gate sweep rather than one circuit simulation each
+  states are not in the engine's cache either -- are encoded in one
+  stacked layer-MPO pass rather than one circuit simulation each
   (:mod:`repro.mps.encoding`).
 
 Because every overlap runs the composition-invariant padded sweep and every

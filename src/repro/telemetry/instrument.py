@@ -212,12 +212,7 @@ def bind_backend(registry: MetricsRegistry, backend, replica: str = "0") -> List
     )
     encode_batches = registry.counter(
         "repro_encode_batches_total",
-        "Stacked encode sweeps executed (simulate_batch calls that swept).",
-        labelnames,
-    )
-    encode_launches = registry.counter(
-        "repro_encode_launches_total",
-        "Stacked gate launches executed by the batched encode sweeps.",
+        "Stacked encodes executed (simulate_batch calls that encoded rows).",
         labelnames,
     )
     timing_gauges = {
@@ -238,9 +233,6 @@ def bind_backend(registry: MetricsRegistry, backend, replica: str = "0") -> List
         simulations.labels(**labels).set_total(summary["num_simulations"])
         inner_products.labels(**labels).set_total(summary["num_inner_products"])
         encode_batches.labels(**labels).set_total(summary["num_encode_batches"])
-        encode_launches.labels(**labels).set_total(
-            summary["num_encode_stacked_launches"]
-        )
         for key, gauge in timing_gauges.items():
             attr = key.replace("_seconds", "_s")
             gauge.labels(**labels).set(summary[attr])

@@ -4,9 +4,9 @@
 one ``(g, m)`` feature array: the gates of ``build_feature_map_circuit(X[i])``
 in order, each run of consecutive two-qubit gates on one pair multiplied
 into one step.  Row ``i`` of a step must be byte-equal to that product of
-the circuit's matrices; encodes fed by the stacks must match per-point
-simulation of the same steps (same ranks and shapes, equal states to
-double-precision rounding) and the unmerged circuit to the same rounding.
+the circuit's matrices.  The layer encode of the same angle table
+(``feature_map_batch``) must prepare the state per-point simulation of those
+steps and of the unmerged circuit prepares, to double-precision rounding.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from repro.circuits import (
     build_feature_map_circuit,
     feature_map_angle_table,
     feature_map_angles,
+    feature_map_batch,
     feature_map_gate_stacks,
     feature_map_template,
 )
@@ -128,61 +129,30 @@ def _unmerged(row, ansatz):
 
 @pytest.mark.parametrize("ansatz", ANSATZE[::5], ids=repr)
 def test_stack_encodes_match_per_point_simulation(ansatz, states_close):
+    """The layer encode of the angle table prepares the state gate-by-gate
+    simulation of the merged steps and of the unmerged circuit prepares,
+    discarding no more than the cut-off at any bond."""
     X = _rows(ansatz, count=5, seed=3)
-    states = encode_circuits(feature_map_gate_stacks(X, ansatz))
-    references = [_per_point(row, ansatz) for row in X]
-    states_close(states, references)
-    states_close(states, [_unmerged(row, ansatz) for row in X], same_steps=False)
-    for state, reference in zip(states, references):
-        assert [
-            (r.kept, r.discarded, r.bond_dimension_before, r.bond_dimension_after)
-            for r in state.truncation_records
-        ] == [
-            (r.kept, r.discarded, r.bond_dimension_before, r.bond_dimension_after)
-            for r in reference.truncation_records
-        ]
+    states = encode_circuits(feature_map_batch(X, ansatz))
+    states_close(states, [_per_point(row, ansatz) for row in X])
+    states_close(states, [_unmerged(row, ansatz) for row in X])
+    for state in states:
         assert all(r.discarded_weight <= 1e-16 for r in state.truncation_records)
 
 
-def test_circuit_list_and_gate_stacks_encode_the_same_states(states_close):
-    """The circuit list sweeps every gate, the stacks one step per merged
-    run: one launch fewer per run, the same states to rounding."""
-    ansatz = AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.9)
-    X = _rows(ansatz, count=7, seed=5)
-    by_stacks, by_circuits = CpuBackend(), CpuBackend()
-    stacks = feature_map_gate_stacks(X, ansatz)
-    circuits = [build_feature_map_circuit(row, ansatz) for row in X]
-    a = by_stacks.simulate_batch(stacks)
-    b = by_circuits.simulate_batch(circuits)
-    states_close(list(a.states), list(b.states), same_steps=False)
-    assert by_stacks.num_encode_stacked_launches == len(stacks.targets)
-    assert by_circuits.num_encode_stacked_launches == circuits[0].num_gates
-    # m = 6, d = 2: each RXX(i, i + 1) but the last meets the SWAP(i, i + 1)
-    # that routes edge (i, i + 2), four runs per layer.
-    assert circuits[0].num_gates - len(stacks.targets) == 4 * ansatz.layers
-
-
-def test_track_memory_fallback_returns_per_point_states(states_close, monkeypatch):
+def test_track_memory_fallback_returns_per_point_states(states_close):
+    """An engine on a tracing backend encodes each row by its gate-by-gate
+    steps, one trace sample per step."""
     ansatz = AnsatzConfig(num_features=5, interaction_distance=2, layers=2, gamma=0.7)
     X = _rows(ansatz, count=4, seed=9)
-    tracked = CpuBackend(SimulationConfig(track_memory=True))
-    result = tracked.simulate_batch(feature_map_gate_stacks(X, ansatz))
-    plain = CpuBackend().simulate_batch(feature_map_gate_stacks(X, ansatz))
-    assert all(isinstance(s, InstrumentedMPS) for s in result.states)
-    per_point = [_per_point(row, ansatz) for row in X]
-    assert [_state_bytes(s) for s in result.states] == [
-        _state_bytes(s) for s in per_point
-    ]
-    states_close(list(result.states), list(plain.states))
-    states_close(
-        list(result.states), [_unmerged(row, ansatz) for row in X], same_steps=False
+    tracked = KernelEngine(
+        ansatz, backend=CpuBackend(SimulationConfig(track_memory=True))
     )
+    states = tracked.encode_rows(X)
+    assert all(isinstance(s, InstrumentedMPS) for s in states)
+    per_point = [_per_point(row, ansatz) for row in X]
+    assert [_state_bytes(s) for s in states] == [_state_bytes(s) for s in per_point]
+    states_close(states, list(KernelEngine(ansatz).encode_rows(X)))
     steps = feature_map_gate_stacks(X[:1], ansatz).targets
-    assert len(result.states[0].trace) == len(steps)
-    assert tracked.num_simulations == len(X)
-
-    monkeypatch.setattr("repro.engine.engine.ENCODE_CHUNK_ROWS", 3)
-    engine = KernelEngine(ansatz, backend=CpuBackend(SimulationConfig(track_memory=True)))
-    assert [_state_bytes(s) for s in engine.encode_rows(X)] == [
-        _state_bytes(s) for s in per_point
-    ]
+    assert len(states[0].trace) == len(steps)
+    assert tracked.backend.num_simulations == len(X)

@@ -62,12 +62,12 @@ def _unmerged(row):
 
 def _per_pair_oracle(X, states, states_close):
     """``|<row|train>|^2`` per pair, each row encoded on its own; those
-    encodes are checked against per-point simulation of the same steps and
+    encodes are checked against the row's gate-by-gate simulation and
     against the unmerged circuit, to rounding."""
     engine = _engine(use_cache=False)
     rows = [engine.encode_row(row) for row in X]
     states_close(rows, [engine.simulate_row(row).state for row in X])
-    states_close(rows, [_unmerged(row) for row in X], same_steps=False)
+    states_close(rows, [_unmerged(row) for row in X])
     values = batched_overlaps([(row, state) for row in rows for state in states])
     K = (np.abs(values) ** 2).reshape(len(rows), len(states))
     exact = np.array([[abs(r.inner_product(s)) ** 2 for s in states] for r in rows])

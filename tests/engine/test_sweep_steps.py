@@ -1,12 +1,14 @@
-"""The MPS steps the engine encodes with, counted and checked.
+"""The steps behind an encode, counted and checked.
 
-The feature map's RXX gates are emitted in sorted-edge order and each run
-of two-qubit gates on one pair is one step, so the canonical centre of the
-stacked sweep travels little and each merged run costs one SVD.  These
-counts are functions of the gate targets alone, so they are pinned exactly:
-a change that makes the sweep zig-zag again, or stops merging, shows here
-without any timing.  The relation below checks that the reordered, merged
-steps still prepare the paper's state.
+Gate-by-gate simulation (``KernelEngine.simulate_row``) emits the feature
+map's RXX gates in sorted-edge order, each run of two-qubit gates on one
+pair merged into one step, so its canonical centre travels little.  The
+engine's batched encode applies each layer as one diagonal MPO and
+factorises only to compress.  Both counts are functions of the structure
+alone, so they are pinned exactly: a change that makes the per-point sweep
+zig-zag again, stops merging, or brings back a factorisation per gate in
+the encode shows here without any timing.  The relation below checks that
+the encode still prepares the paper's state.
 """
 
 import numpy as np
@@ -54,9 +56,11 @@ def test_benchmark_ansatz_step_list():
     assert _two_qubit_steps_and_centre_moves(depth_order) == (50, 74)
 
 
-def test_a_128_row_fit_makes_69_stacked_factorisations(monkeypatch):
-    """One 128-row chunk: one block of 38 SVDs and 31 QR centre moves; the
-    Gram and SMO factorise nothing."""
+def test_a_128_row_fit_makes_14_stacked_factorisations(monkeypatch):
+    """One 128-row chunk of the benchmark ansatz: its first layer is not
+    compressed and its second is, by one QR sweep and one SVD sweep over
+    the 7 bonds of 8 qubits; the Gram and SMO factorise nothing.  A
+    factorisation per gate would show as 38 SVDs."""
     calls = []
     for name in ("svd", "qr"):
         original = getattr(np.linalg, name)
@@ -71,8 +75,10 @@ def test_a_128_row_fit_makes_69_stacked_factorisations(monkeypatch):
     y = np.arange(128) % 2
     model = QuantumKernelInferenceEngine(BENCHMARK_ANSATZ)
     model.fit(X, y)
-    assert (calls.count("svd"), calls.count("qr")) == (38, 31)
-    assert len(calls) == 69
+    bonds = BENCHMARK_ANSATZ.num_features - 1
+    compressed_layers = BENCHMARK_ANSATZ.layers - 1
+    assert calls.count("svd") == calls.count("qr") == compressed_layers * bonds == 7
+    assert len(calls) == 14
 
 
 @pytest.mark.parametrize("distance", [1, 2, 3])
@@ -96,4 +102,4 @@ def test_engine_states_prepare_the_papers_state(distance, states_close):
         reference = MPS.zero_state(ansatz.num_features)
         reference.apply_circuit(circuit)
         paper_order.append(reference)
-    states_close(states, paper_order, same_steps=False)
+    states_close(states, paper_order)

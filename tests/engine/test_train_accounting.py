@@ -81,7 +81,7 @@ def test_fit_counts_each_encode_and_overlap_once(n, rng, states_close):
         state = MPS.zero_state(ANSATZ.num_features)
         state.apply_circuit(build_feature_map_circuit(row, ANSATZ))
         unmerged.append(state)
-    states_close(states, unmerged, same_steps=False)
+    states_close(states, unmerged)
 
 
 def test_single_row_gram_makes_no_overlap_call(rng):

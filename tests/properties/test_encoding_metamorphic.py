@@ -1,15 +1,17 @@
 """Metamorphic relations of the batched encoding path.
 
 The batched encoding contract mirrors the overlap path's: *how* a set of
-feature vectors is encoded -- one at a time, in one stacked sweep, chunked,
-reordered, split, mixed with circuits of other structures, or interleaved
-with cache hits -- must not move a single bit of any state, kernel entry or
-served prediction.  Those equivalences are exact (``tobytes()`` /
-``np.array_equal``); the row-alone oracle is :meth:`KernelEngine.encode_row`.
-Per-point simulation of the same MPS steps (:meth:`KernelEngine.simulate_row`,
-or :meth:`MPS.apply_circuit` for a circuit list) is the oracle to rounding:
-same kept ranks and shapes, ``1 - |<a|b>|^2 <= 1e-12`` at the default cutoff.
-The unmerged circuit of an engine-encoded row agrees to the same rounding.
+feature vectors is encoded -- one at a time, in one stacked pass, chunked,
+reordered, split, or interleaved with cache hits -- must not move a single
+bit of any state, kernel entry or served prediction.  Those equivalences
+are exact (``tobytes()`` / ``np.array_equal``); the row-alone oracle is
+:meth:`KernelEngine.encode_row`.  The exact state of the row's circuit (its
+dense statevector) is the oracle to rounding: ``1 - |<a|b>|^2 <= 1e-12`` at
+the default cutoff, and each bond keeps the rank the cutoff gives on the
+exact state's Schmidt spectrum; under a lossy cap the infidelity is at most
+``(sum_k sqrt(eps_k)) ** 2`` over the state's truncation records.
+Gate-by-gate simulation (:meth:`KernelEngine.simulate_row`) and the
+unmerged circuit agree to the same rounding.
 """
 
 from unittest import mock
@@ -25,9 +27,10 @@ from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.engine import EngineConfig, KernelEngine, batched_overlaps
 from repro.engine import engine as engine_module
-from repro.mps import MPS, TruncationPolicy, encode_circuits
+from repro.mps import MPS, TruncationPolicy
 from repro.mps import encoding
 from repro.serving import AsyncServingQueue
+from repro.statevector import StatevectorSimulator
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=2, layers=1, gamma=0.7)
 
@@ -54,10 +57,10 @@ def _per_point(X):
 # ----------------------------------------------------------------------
 # Engine-level invariances (hypothesis-driven)
 # ----------------------------------------------------------------------
-# The encoder contract on two policies: exact (the default cutoff) and a
-# lossy bond cap that cuts into the 6-qubit ansatz's middle bonds; and with
-# a first clamp of 2, so rows change block (2 -> 4 -> 8) at gates their own
-# ranks decide.
+# The encoder contract on four cases: exact (the default cutoff); a lossy
+# bond cap that cuts into the 6-qubit ansatz's middle bonds; a first rung
+# of 2, so rows part ways (2 -> 4 -> 8) at bonds their own ranks decide;
+# and a 12-qubit register whose rows keep more than the first rung of 16.
 CONTRACT_CASES = [
     (ANSATZ, SimulationConfig(), encoding.FIRST_CLAMP),
     (
@@ -70,7 +73,25 @@ CONTRACT_CASES = [
         SimulationConfig(),
         2,
     ),
+    (
+        AnsatzConfig(num_features=12, interaction_distance=3, layers=2, gamma=0.5),
+        SimulationConfig(),
+        encoding.FIRST_CLAMP,
+    ),
 ]
+
+
+def _dense(row, ansatz):
+    """The exact state of ``row``'s circuit, as a statevector."""
+    simulator = StatevectorSimulator(ansatz.num_features)
+    simulator.apply_circuit(build_feature_map_circuit(row, ansatz))
+    return simulator.statevector.ravel()
+
+
+def _infidelity(state, vector):
+    amplitudes = state.to_statevector()
+    overlap = abs(np.vdot(vector, amplitudes)) ** 2
+    return 1.0 - overlap / np.vdot(amplitudes, amplitudes).real
 
 
 @settings(max_examples=12, deadline=None)
@@ -79,12 +100,14 @@ CONTRACT_CASES = [
     rows=st.integers(min_value=2, max_value=8),
     data=st.data(),
 )
-def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
+def test_a_rows_state_depends_on_the_row_alone(
+    case, rows, data, states_close, record_angle
+):
     """Chunk size, order, neighbours and solo-vs-batch never move a byte of
-    a row's state; against the per-point oracle (``simulate_row``) the kept
-    ranks are equal and ``1 - |<a|b>|^2`` is at most 1e-12, or the lossy
-    policy's own discarded weight; under the exact policy the unmerged
-    circuit is within 1e-12 too."""
+    a row's state; against the exact state it is within 1e-12, or within
+    its record bound under the lossy policy; under the exact policy the
+    gate-by-gate simulation and the unmerged circuit are within 1e-12
+    too."""
     ansatz, simulation, first_clamp = case
     seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
     chunk = data.draw(st.integers(min_value=1, max_value=rows), label="chunk")
@@ -110,13 +133,60 @@ def test_a_rows_state_depends_on_the_row_alone(case, rows, data, states_close):
             assert reordered == [blobs[i] for i in order]
         solo = engine()
         assert _states_bytes([solo.encode_row(row) for row in X]) == blobs
-    states_close(states, [solo.simulate_row(row).state for row in X])
+    for row, state in zip(X, states):
+        bound = 1e-12 + record_angle(state) ** 2
+        assert _infidelity(state, _dense(row, ansatz)) <= bound
     if simulation.max_bond_dim is None:
+        states_close(states, [solo.simulate_row(row).state for row in X])
         states_close(
-            states,
-            [_apply_circuit(build_feature_map_circuit(row, ansatz)) for row in X],
-            same_steps=False,
+            states, [_apply_circuit(build_feature_map_circuit(row, ansatz)) for row in X]
         )
+
+
+def _near_the_cutoff(spectrum, cutoff, slack):
+    """Whether some tail weight of a Schmidt spectrum lies within ``slack``
+    of the cutoff, on the square-root scale: there a perturbation of the
+    state of norm ``slack`` can move the rank the cutoff keeps (Mirsky's
+    inequality bounds how far the tail's root moves)."""
+    squared = np.sort(spectrum)[::-1] ** 2
+    tails = np.cumsum(squared[::-1])[::-1] / squared.sum()
+    return bool(np.any(np.abs(np.sqrt(tails) - np.sqrt(cutoff)) <= slack))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    qubits=st.integers(min_value=2, max_value=10),
+    data=st.data(),
+)
+def test_engine_states_are_the_exact_states_at_their_schmidt_ranks(
+    qubits, data, record_angle
+):
+    """Every engine state is within 1e-12 of the dense state of its circuit,
+    and every bond keeps the rank ``select_rank`` gives on that state's
+    Schmidt spectrum.  A bond whose exact tail weight sits at the cutoff,
+    within what the state's own earlier truncations (at most
+    ``record_angle`` in norm) or the dense SVD's rounding can move, is
+    not compared: either rank is right there."""
+    ansatz = AnsatzConfig(
+        num_features=qubits,
+        interaction_distance=data.draw(
+            st.integers(min_value=1, max_value=min(3, qubits - 1)), label="d"
+        ),
+        layers=data.draw(st.integers(min_value=1, max_value=3), label="r"),
+        gamma=data.draw(st.floats(min_value=0.05, max_value=1.5), label="gamma"),
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    X = rng.uniform(0.0, 2.0, size=(3, qubits))
+    X[rng.random(X.shape) < 0.2] = 1.0
+    policy = TruncationPolicy()
+    for row, state in zip(X, KernelEngine(ansatz).encode_rows(X)):
+        vector = _dense(row, ansatz)
+        assert _infidelity(state, vector) <= 1e-12
+        slack = record_angle(state) + 1e-6 * np.sqrt(policy.cutoff)
+        for bond, kept in enumerate(state.bond_dimensions, start=1):
+            spectrum = np.linalg.svd(vector.reshape(2**bond, -1), compute_uv=False)
+            if not _near_the_cutoff(spectrum, policy.cutoff, slack):
+                assert kept == policy.select_rank(spectrum)[0]
 
 
 @settings(max_examples=10, deadline=None)
@@ -183,24 +253,21 @@ def test_gram_invariant_under_batch_encoding(rng, monkeypatch):
     assert np.array_equal(K_seq, K_bat)
 
 
-# ----------------------------------------------------------------------
-# Mixed-structure batches (encode_circuits groups them per structure)
-# ----------------------------------------------------------------------
-# The layers=1 schedule is a strict prefix of the layers=2 one, and the d=2
-# schedule shares the d=1 schedule's opening block before diverging.
-MIXED_ANSATZE = [
-    AnsatzConfig(num_features=5, interaction_distance=1, layers=1, gamma=0.8),
-    AnsatzConfig(num_features=5, interaction_distance=1, layers=2, gamma=0.8),
-    AnsatzConfig(num_features=5, interaction_distance=2, layers=1, gamma=0.8),
-]
+def test_cache_occupancy_does_not_change_tree_states(rng):
+    """Warm store entries only shrink the encoded subset; the remaining cold
+    rows still encode in one stacked pass and match the cold encode bit for
+    bit."""
+    ansatz = AnsatzConfig(num_features=5, interaction_distance=1, layers=2, gamma=0.8)
+    X = rng.uniform(0.05, 1.95, size=(8, 5))
+    cold = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
+    cold_states = _states_bytes(cold.encode_rows(X))
 
-
-def _mixed_circuits(rng, counts=(3, 3, 3), ansatze=MIXED_ANSATZE):
-    return [
-        build_feature_map_circuit(row, ansatz)
-        for ansatz, count in zip(ansatze, counts)
-        for row in rng.uniform(0.05, 1.95, size=(count, ansatz.num_features))
-    ]
+    warm = KernelEngine(ansatz, config=EngineConfig(use_cache=True))
+    warm.encode_rows(X[2:5])
+    before = warm.backend.num_simulations
+    warm_states = _states_bytes(warm.encode_rows(X))
+    assert warm_states == cold_states
+    assert warm.backend.num_simulations - before == 5
 
 
 def _apply_circuit(circuit, policy=None):
@@ -209,53 +276,24 @@ def _apply_circuit(circuit, policy=None):
     return state
 
 
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_mixed_batch_permutation_invariance(seed, states_close):
-    rng = np.random.default_rng(seed)
-    circuits = _mixed_circuits(rng, counts=(2, 3, 2))
-    perm = rng.permutation(len(circuits))
-    states = encode_circuits(circuits)
-    direct = _states_bytes(states)
-    permuted = _states_bytes(encode_circuits([circuits[i] for i in perm]))
-    assert [direct[i] for i in perm] == permuted
-    states_close(states, [_apply_circuit(c) for c in circuits])
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    split=st.integers(min_value=1, max_value=8),
-)
-def test_mixed_batch_partition_invariance(seed, split):
-    """Splitting a mixed batch anywhere yields the same states as the union."""
-    rng = np.random.default_rng(seed)
-    circuits = _mixed_circuits(rng)
-    together = _states_bytes(encode_circuits(circuits))
-    apart = _states_bytes(encode_circuits(circuits[:split])) + _states_bytes(
-        encode_circuits(circuits[split:])
-    )
-    assert together == apart
-
-
-def test_mixed_batch_under_a_truncating_policy(rng, states_close):
-    """A lossy policy's per-row rank choices match its per-point application,
-    in a batch of two structures, and each row alone gives the same bytes."""
-    policy = TruncationPolicy(max_bond_dim=4, allow_lossy_cap=True)
-    ansatze = [
-        AnsatzConfig(num_features=6, interaction_distance=3, layers=r, gamma=1.0)
-        for r in (2, 1)
-    ]
-    circuits = _mixed_circuits(rng, counts=(3, 3), ansatze=ansatze)
-    batched = encode_circuits(circuits, policy=policy)
-    expected = [_apply_circuit(c, policy) for c in circuits]
-    states_close(batched, expected)
-    alone = [encode_circuits([c], policy=policy)[0] for c in circuits]
+@pytest.mark.parametrize("layers", [1, 2])
+def test_lossy_batch_stays_within_the_record_bound(rng, record_angle, layers):
+    """Under a lossy cap every state is within ``(sum_k sqrt(eps_k)) ** 2``
+    of the exact state (to rounding: one truncation meets it with
+    equality), its cumulative weight is its records' sum, and each row
+    alone gives the same bytes."""
+    ansatz = AnsatzConfig(num_features=6, interaction_distance=3, layers=layers, gamma=1.0)
+    simulation = SimulationConfig(max_bond_dim=4, allow_lossy_cap=True)
+    X = rng.uniform(0.05, 1.95, size=(4, 6))
+    engine = KernelEngine(ansatz, simulation=simulation)
+    batched = engine.encode_rows(X)
+    assert max(s.cumulative_discarded_weight for s in batched) > 1e-6
+    for row, state in zip(X, batched):
+        assert _infidelity(state, _dense(row, ansatz)) <= 1e-12 + record_angle(state) ** 2
+        weights = [r.discarded_weight for r in state.truncation_records]
+        assert state.cumulative_discarded_weight == pytest.approx(sum(weights))
+    alone = [engine.encode_row(row) for row in X]
     assert _states_bytes(batched) == _states_bytes(alone)
-    for a, e in zip(batched, expected):
-        assert a.cumulative_discarded_weight == pytest.approx(
-            e.cumulative_discarded_weight, rel=1e-6
-        )
 
 
 # ----------------------------------------------------------------------

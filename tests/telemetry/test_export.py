@@ -85,7 +85,7 @@ def test_queue_endpoint_serves_parseable_metrics(served_engine, queries):
             assert "version=0.0.4" in content_type
             families = parse_prometheus_text(body)  # strict: raises if malformed
             # The acceptance surface: latency histogram, store counters,
-            # encode launch counters, serving counters.
+            # encode counters, serving counters.
             for name in (
                 "repro_serving_request_latency_seconds",
                 "repro_serving_requests_total",
@@ -94,7 +94,7 @@ def test_queue_endpoint_serves_parseable_metrics(served_engine, queries):
                 "repro_store_hits_total",
                 "repro_store_misses_total",
                 "repro_store_evictions_total",
-                "repro_encode_launches_total",
+                "repro_encode_batches_total",
                 "repro_backend_simulations_total",
             ):
                 assert name in families, name

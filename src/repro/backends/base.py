@@ -255,13 +255,15 @@ class Backend(abc.ABC):
         engine builds one per chunk with
         :func:`repro.circuits.feature_map_batch`).  Every row is encoded in
         one stacked pass (:func:`repro.mps.encoding.encode_circuits`): per
-        layer an ``RX`` and a diagonal MPO on each site, then a QR and a
-        truncating SVD sweep, each row truncated on its own singular values
-        and padded to widths its own ranks fix.  Every resulting state
-        depends on its own row alone, **byte for byte**, so callers may
-        batch, split or reorder encodes freely without moving a single bit
-        of any downstream kernel entry; under the default cut-off it is
-        within ``1e-12`` infidelity of the row's gate-by-gate simulation.
+        layer an ``RX`` and a diagonal MPO on each site; a compressed layer
+        then folds both chain ends through permutations, QRs only where a
+        bond can narrow and runs a truncating SVD sweep, each row truncated
+        on its own singular values and padded to widths its own ranks fix.
+        Every resulting state depends on its own row alone, **byte for
+        byte**, so callers may batch, split or reorder encodes freely
+        without moving a single bit of any downstream kernel entry; under
+        the default cut-off it is within ``1e-12`` infidelity of the row's
+        gate-by-gate simulation.
 
         ``num_simulations`` advances by one per row, as if :meth:`simulate`
         had run once per circuit; the measured wall time is where batching

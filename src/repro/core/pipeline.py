@@ -110,8 +110,8 @@ class QuantumKernelPipeline:
         :class:`~repro.approx.LinearSVC` models, whose gradient-norm
         tolerance is a different quantity and keeps its own default.
     engine_config:
-        Knobs of the underlying :class:`~repro.engine.KernelEngine`
-        (state cache, overlap and encode batch sizes) used by the
+        Knobs of the underlying :class:`~repro.engine.KernelEngine` (whether
+        encodes go through a state cache, and its byte budget) used by the
         quantum kernel families.
     approximation:
         A :class:`~repro.approx.NystroemConfig` to route the quantum kernel

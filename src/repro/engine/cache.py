@@ -55,12 +55,13 @@ def ansatz_fingerprint(ansatz: AnsatzConfig) -> str:
 
 #: The encoder contract stored states were produced under: each ansatz
 #: layer applied as one diagonal MPO to a stack of rows padded to widths
-#: the structure and each row's own kept ranks fix, then compressed by one
-#: QR and one SVD sweep, each state a function of its row alone
-#: (:mod:`repro.mps.encoding`).  Change it whenever an encode's bytes may
-#: change, so stores and snapshots of another encoder never mix with fresh
-#: states.
-ENCODER_CONTRACT = "layer-mpo-1"
+#: the structure and each row's own kept ranks fix, then compressed by
+#: folding both ends of the chain through permutations, a QR only where a
+#: bond can narrow and one SVD sweep, each state a function of its row
+#: alone (:mod:`repro.mps.encoding`).  Change it whenever an encode's bytes
+#: may change, so stores and snapshots of another encoder never mix with
+#: fresh states.
+ENCODER_CONTRACT = "layer-mpo-2"
 
 
 def simulation_fingerprint(config: SimulationConfig) -> str:

@@ -69,7 +69,7 @@ __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
 #: Most rows one stacked encode takes.  A bigger stack amortises the Python
 #: and gufunc overhead around each stacked SVD and QR: a 128-row fit of the
-#: benchmark ansatz is one pass of 14 stacked calls, not four of 14.  States
+#: benchmark ansatz is one pass of 10 stacked calls, not four of 10.  States
 #: do not depend on it (a row's state depends on the row alone).
 ENCODE_CHUNK_ROWS = 128
 

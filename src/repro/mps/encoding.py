@@ -15,34 +15,44 @@ broadcast multiply by the MPO tensor per site (:func:`_layer_mpo`).  This is the
 White, NJP 12, 055026 (2010)).
 
 A layer multiplies every bond by its MPO bond, so the state is then
-compressed: one stacked QR sweep left to right (each site grown just before
-its QR), then one stacked SVD sweep right to left whose every row keeps
-:meth:`TruncationPolicy.select_ranks` of its own singular values -- the
-paper's relative cut-off (equation (8)) applied to the state's Schmidt
-spectrum at each bond.  The first layer of a circuit with ``r > 1`` is not
-compressed: its state is the MPO applied to a product state, whose bonds are
-already the structural bound on its Schmidt ranks, so compression could
-only drop exact zeros.  The last layer is always compressed.
+compressed.  First it is brought into left-canonical form, factorising
+only where a bond can narrow: a factor that would be a square unitary is a
+pure gauge change (Schollwoeck, Ann. Phys. 326, 96 (2011), section 4), so
+such a site is folded into its neighbour through a fixed permutation
+instead.  From the right end, each site whose left width is at least twice
+its right one folds leftwards, which brings the right half to its
+structural widths ``2 ** (m - b)``; then a sweep left to right folds each
+site whose right width is at least twice its left one and QRs the rest
+(:func:`_apply_layer`).  For the 8-qubit, ``d = 2`` benchmark ansatz that
+leaves 3 QRs of 7 bonds.  Then one stacked SVD sweep right to left keeps,
+for every row, :meth:`TruncationPolicy.select_ranks` of its own singular
+values -- the paper's relative cut-off (equation (8)) applied to the
+state's Schmidt spectrum at each bond.  The first layer of a circuit with
+``r > 1`` is not compressed: its state is the MPO applied to a product
+state, whose bonds are already the structural bound on its Schmidt ranks,
+so compression could only drop exact zeros.  The last layer is always
+compressed.
 
 All rows of a batch go through every step together as one ``(g, l, 2, r)``
 stack per site, zero-padded to shared widths.  A width is never the
-batch's: the MPO and QR steps give widths the structure fixes, and after a
-bond's SVD each row's padded width is its own kept rank rounded up the
-ladder :data:`FIRST_CLAMP`, ``2 * FIRST_CLAMP``, ... (and capped by the SVD
-width and ``max_bond_dim``).  Rows whose widths part ways at a bond carry
-on as separate stacks.  Every row tracks its *live* rank per bond, and
+batch's: the MPO, fold and QR steps give widths the structure fixes, and
+after a bond's SVD each row's padded width is its own kept rank rounded up
+the ladder :data:`FIRST_CLAMP`, ``2 * FIRST_CLAMP``, ... (and capped by the
+SVD width and ``max_bond_dim``).  Rows whose widths part ways at a bond
+carry on as separate stacks.  Every row tracks its *live* rank per bond, and
 everything outside its live block is exactly zero, so each state is trimmed
 to its live ranks at the end.
 
 Encoding contract
 -----------------
 *A row's state is a function of the row alone.*  Every step acts on one
-row's slice at shapes the structure and the row's own kept ranks fix, and
-NumPy evaluates gufunc slices independently of how many ride in one call,
-so a row's site tensors are byte-identical however the batch was composed,
-chunked, permuted or partitioned -- alone (``g = 1``) or with any
-neighbours.  The serving layer's byte-identical-predictions contract
-extends this to cold traffic.
+row's slice at shapes the structure and the row's own kept ranks fix (a
+fold or a QR is chosen on those padded shapes alone), and NumPy evaluates
+gufunc slices independently of how many ride in one call, so a row's site
+tensors are byte-identical however the batch was composed, chunked,
+permuted or partitioned -- alone (``g = 1``) or with any neighbours.  The
+serving layer's byte-identical-predictions contract extends this to cold
+traffic.
 
 *Under the default cut-off a state is exact to double precision.*  It is
 within ``1e-12`` infidelity of the row's gate-by-gate simulation
@@ -244,29 +254,77 @@ def _grown(stack: _Stack, q: int, cos, sin, mpo: List[np.ndarray]) -> np.ndarray
 def _apply_layer(
     stack: _Stack, cos, sin, mpo: List[np.ndarray], canonicalise: bool
 ) -> None:
-    """Apply one layer to every site; with ``canonicalise``, as a stacked QR
-    sweep left to right that leaves every site but the last left-isometric,
-    each site grown just before it is factorised."""
+    """Apply one layer to every site; with ``canonicalise``, leave every
+    site but the last left-isometric, factorising only where a bond can
+    narrow.
+
+    A site whose factor would be a square unitary is folded into its
+    neighbour through a fixed permutation instead.  From the right end, a
+    site with left width ``l >= 2 r`` becomes the permutation that sends
+    bond column ``(s, j)`` to ``2 j + s`` and its ``(l, 2 r)`` matrix moves
+    into site ``b - 1``, so the right half reaches its structural widths
+    ``2 ** (m - b)`` before any factorisation.  Then a sweep left to right
+    folds each site with ``2 l <= r`` (it becomes the identity, its matrix
+    moves into site ``b + 1``) and QRs the rest.  Each site is grown just
+    before it is first folded or factorised.
+    """
     sites = stack.sites
     bonds = [1] + [phases.shape[3] for phases in mpo]
     live = stack.live = [ranks * bond for ranks, bond in zip(stack.live, bonds)]
     if not canonicalise:
         stack.sites = [_grown(stack, q, cos, sin, mpo) for q in range(len(sites))]
         return
-    sites[0] = _grown(stack, 0, cos, sin, mpo)
-    for b in range(len(sites) - 1):
-        q, r = stacked_qr_right(sites[b])
-        g, width = len(q), q.shape[3]
-        rank = np.minimum(2 * live[b], live[b + 1])
-        if (rank < width).any():
-            # Columns past a row's rank meet only zero rows of R.
-            q = q * _prefix_masks(width)[rank][:, None, None, :]
-        live[b + 1] = rank
-        sites[b] = q
-        nxt = _grown(stack, b + 1, cos, sin, mpo)
-        sites[b + 1] = np.matmul(r, nxt.reshape(g, nxt.shape[1], -1)).reshape(
-            g, width, 2, nxt.shape[3]
+    # Right end: sites past ``c`` become permutations.
+    c = len(sites) - 1
+    sites[c] = _grown(stack, c, cos, sin, mpo)
+    while sites[c].shape[1] >= 2 * sites[c].shape[3]:
+        g, left, _p, right = sites[c].shape
+        mat = sites[c].transpose(0, 1, 3, 2).reshape(g, left, 2 * right)
+        mask = _prefix_masks(right)[live[c + 1]]
+        sites[c] = _permutation(right) * mask[:, None, None, :]
+        live[c] = 2 * live[c + 1]
+        c -= 1
+        prv = _grown(stack, c, cos, sin, mpo)
+        sites[c] = np.matmul(prv.reshape(g, -1, left), mat).reshape(
+            g, prv.shape[1], 2, 2 * right
         )
+    if c:
+        sites[0] = _grown(stack, 0, cos, sin, mpo)
+    for b in range(len(sites) - 1):
+        g, left, _p, right = sites[b].shape
+        if 2 * left <= right:
+            # Left end: the site becomes the identity, its matrix moves on.
+            r = sites[b].reshape(g, 2 * left, right)
+            q = _identity(left) * _prefix_masks(left)[live[b]][:, :, None, None]
+            live[b + 1] = 2 * live[b]
+        else:
+            q, r = stacked_qr_right(sites[b])
+            width = q.shape[3]
+            rank = np.minimum(2 * live[b], live[b + 1])
+            if (rank < width).any():
+                # Columns past a row's rank meet only zero rows of R.
+                q = q * _prefix_masks(width)[rank][:, None, None, :]
+            live[b + 1] = rank
+        sites[b] = q
+        nxt = sites[b + 1] if b + 1 >= c else _grown(stack, b + 1, cos, sin, mpo)
+        sites[b + 1] = np.matmul(r, nxt.reshape(g, nxt.shape[1], -1)).reshape(
+            g, r.shape[1], 2, nxt.shape[3]
+        )
+
+
+@lru_cache(maxsize=None)
+def _identity(left: int) -> np.ndarray:
+    """``(1, l, 2, 2 l)`` identity from a left bond and a spin to their
+    joint column ``2 a + s``."""
+    return np.eye(2 * left, dtype=np.complex128).reshape(1, left, 2, 2 * left)
+
+
+@lru_cache(maxsize=None)
+def _permutation(right: int) -> np.ndarray:
+    """``(1, 2 r, 2, r)`` permutation from the row ``2 j + s`` to a spin
+    ``s`` and right bond column ``j``."""
+    eye = np.eye(2 * right, dtype=np.complex128).reshape(1, 2 * right, right, 2)
+    return np.ascontiguousarray(eye.transpose(0, 1, 3, 2))
 
 
 def _truncate(

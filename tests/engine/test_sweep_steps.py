@@ -4,10 +4,12 @@ Gate-by-gate simulation (``KernelEngine.simulate_row``) emits the feature
 map's RXX gates in sorted-edge order, each run of two-qubit gates on one
 pair merged into one step, so its canonical centre travels little.  The
 engine's batched encode applies each layer as one diagonal MPO and
-factorises only to compress.  Both counts are functions of the structure
-alone, so they are pinned exactly: a change that makes the per-point sweep
-zig-zag again, stops merging, or brings back a factorisation per gate in
-the encode shows here without any timing.  The relation below checks that
+factorises only to compress, and only where a bond can narrow.  Both
+counts, and the encode's operand shapes, are functions of the structure
+(and the rows' kept ranks) alone, so they are pinned exactly: a change
+that makes the per-point sweep zig-zag again, stops merging, brings back a
+factorisation per gate or a QR that cannot narrow its bond in the encode,
+or widens an operand shows here without any timing.  The relation below checks that
 the encode still prepares the paper's state.
 """
 
@@ -23,6 +25,7 @@ from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import KernelEngine
 from repro.mps import MPS
+from repro.mps.encoding import FIRST_CLAMP
 from repro.statevector import StatevectorSimulator
 
 #: The ansatz of the ``train`` and ``serve_warm`` benchmarks
@@ -56,29 +59,89 @@ def test_benchmark_ansatz_step_list():
     assert _two_qubit_steps_and_centre_moves(depth_order) == (50, 74)
 
 
-def test_a_128_row_fit_makes_14_stacked_factorisations(monkeypatch):
-    """One 128-row chunk of the benchmark ansatz: its first layer is not
-    compressed and its second is, by one QR sweep and one SVD sweep over
-    the 7 bonds of 8 qubits; the Gram and SMO factorise nothing.  A
-    factorisation per gate would show as 38 SVDs."""
+def _recorded_factorisations(monkeypatch):
+    """Every ``np.linalg`` QR and SVD from here on, as ``(name, shape)``."""
     calls = []
     for name in ("svd", "qr"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def recorded(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def _structural_plan(num_qubits, states):
+    """The QR and SVD operand shapes of one compressed layer on a stack of
+    these rows, derived from the structure and the rows' kept ranks.
+
+    With ``bound[b] = 2 ** min(b, m - b)``, folding both ends leaves a QR
+    only where a bond narrows: at each right-half site ``b`` (but the last)
+    an ``(2 bound[b], bound[b + 1])`` operand.  The SVD at site ``b`` sees
+    ``(bound[b], 2 w[b + 1])``, ``w`` each row's padded width: its kept rank
+    rounded up the rung ladder, capped by the bound and by the SVD width.
+    Rows whose padded widths differ to the right of a bond take that SVD
+    in separate stacks.
+    """
+    m, g = num_qubits, len(states)
+    bound = [2 ** min(b, m - b) for b in range(m + 1)]
+    kept = np.array([[t.shape[0] for t in s.tensors] + [1] for s in states])
+    pad = np.ones_like(kept)
+    for b in range(m - 1, 0, -1):
+        rung = np.full(g, FIRST_CLAMP)
+        while (rung < kept[:, b]).any():
+            rung = np.where(rung < kept[:, b], 2 * rung, rung)
+        pad[:, b] = np.minimum(np.minimum(bound[b], 2 * pad[:, b + 1]), rung)
+    qrs = [("qr", (g, 2 * bound[b], bound[b + 1])) for b in range(m // 2, m - 1)]
+    svds = []
+    for b in range(m - 1, 0, -1):
+        groups, sizes = np.unique(pad[:, b + 1 :], axis=0, return_counts=True)
+        svds += [
+            ("svd", (int(n), bound[b], 2 * int(w[0]))) for w, n in zip(groups, sizes)
+        ]
+    return qrs, sorted(svds), pad
+
+
+def test_a_128_row_fit_factorises_only_where_a_bond_can_narrow(monkeypatch):
+    """One 128-row chunk of the benchmark ansatz: its first layer is not
+    compressed and its second is, by 3 QRs (the right-half sites; the ends
+    fold through permutations) and one SVD sweep over the 7 bonds of 8
+    qubits, every operand at its structural widths.  The Gram and SMO
+    factorise nothing.  A factorisation per gate would show as 38 SVDs, a
+    QR per bond as 7 QRs, a right half at MPO-grown widths as wider
+    operands."""
+    calls = _recorded_factorisations(monkeypatch)
     rng = np.random.default_rng(13)
     X = rng.uniform(-1.0, 1.0, size=(128, 8))
     y = np.arange(128) % 2
     model = QuantumKernelInferenceEngine(BENCHMARK_ANSATZ)
     model.fit(X, y)
-    bonds = BENCHMARK_ANSATZ.num_features - 1
-    compressed_layers = BENCHMARK_ANSATZ.layers - 1
-    assert calls.count("svd") == calls.count("qr") == compressed_layers * bonds == 7
-    assert len(calls) == 14
+    qrs = [call for call in calls if call[0] == "qr"]
+    svds = sorted(call for call in calls if call[0] == "svd")
+    assert qrs == [("qr", (128, 32, 8)), ("qr", (128, 16, 4)), ("qr", (128, 8, 2))]
+    assert len(svds) == 7
+    monkeypatch.undo()
+    states = KernelEngine(BENCHMARK_ANSATZ).encode_rows(X)
+    assert (qrs, svds) == _structural_plan(8, states)[:2]
+
+
+def test_a_12_qubit_encode_on_two_rungs_follows_the_structure(monkeypatch):
+    """12 qubits at interaction distance 3: its widest bond bound is 64, and
+    these rows keep ranks on both sides of the first rung, so left of the
+    bonds where their padded widths part they take the SVD sweep in
+    separate stacks."""
+    ansatz = AnsatzConfig(num_features=12, interaction_distance=3, layers=2, gamma=0.5)
+    X = np.random.default_rng(5).uniform(-0.2, 0.2, size=(8, 12))
+    calls = _recorded_factorisations(monkeypatch)
+    states = KernelEngine(ansatz).encode_rows(X)
+    qrs, svds, pad = _structural_plan(12, states)
+    assert set(pad.max(axis=1)) == {FIRST_CLAMP, 2 * FIRST_CLAMP}
+    assert [call for call in calls if call[0] == "qr"] == qrs
+    assert len(qrs) == 5
+    assert sorted(call for call in calls if call[0] == "svd") == svds
+    assert len(svds) > 11
 
 
 @pytest.mark.parametrize("distance", [1, 2, 3])

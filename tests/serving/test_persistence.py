@@ -397,6 +397,8 @@ OLD_ENCODER_FINGERPRINTS = [
     "max_bond_dim=None;track_memory=False;truncation_cutoff=1e-16",
     "sim:encoder=padded-sweep-2;allow_lossy_cap=False;dtype='complex128';"
     "max_bond_dim=None;track_memory=False;truncation_cutoff=1e-16",
+    "sim:encoder=layer-mpo-1;allow_lossy_cap=False;dtype='complex128';"
+    "max_bond_dim=None;track_memory=False;truncation_cutoff=1e-16",
 ]
 
 

@@ -253,12 +253,15 @@ class Backend(abc.ABC):
 
         ``batch`` is the rows' angle table with the ansatz structure (the
         engine builds one per chunk with
-        :func:`repro.circuits.feature_map_batch`).  Every row is encoded in
-        one stacked pass (:func:`repro.mps.encoding.encode_circuits`): per
+        :func:`repro.circuits.feature_map_batch`).  The rows are encoded in
+        stacked passes (:func:`repro.mps.encoding.encode_circuits`): per
         layer an ``RX`` and a diagonal MPO on each site; a compressed layer
         then folds both chain ends through permutations, QRs only where a
         bond can narrow and runs a truncating SVD sweep, each row truncated
         on its own singular values and padded to widths its own ranks fix.
+        A batch of at least ``2 * MIN_PIECE_ROWS`` (128) rows with bonds of
+        16 or more runs as one pass per contiguous row piece, a thread per
+        core the process may use, all joined before this returns.
         Every resulting state depends on its own row alone, **byte for
         byte**, so callers may batch, split or reorder encodes freely
         without moving a single bit of any downstream kernel entry; under
@@ -266,9 +269,10 @@ class Backend(abc.ABC):
         gate-by-gate simulation.
 
         ``num_simulations`` advances by one per row, as if :meth:`simulate`
-        had run once per circuit; the measured wall time is where batching
-        pays off.  No modelled device time is priced here: the figures that
-        report it time :meth:`simulate` one circuit at a time (per row,
+        had run once per circuit, and ``num_encode_batches`` by one per call
+        however the rows were pieced; the measured wall time (of the whole
+        call) is where batching pays off.  No modelled device time is priced
+        here: the figures that report it time :meth:`simulate` one circuit at a time (per row,
         :meth:`repro.engine.KernelEngine.simulate_row`).
 
         Raises

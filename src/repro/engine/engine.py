@@ -67,10 +67,13 @@ from .cache import (
 
 __all__ = ["EngineConfig", "EngineResult", "KernelEngine"]
 
-#: Most rows one stacked encode takes.  A bigger stack amortises the Python
+#: Most rows one backend encode takes.  A bigger stack amortises the Python
 #: and gufunc overhead around each stacked SVD and QR: a 128-row fit of the
-#: benchmark ansatz is one pass of 10 stacked calls, not four of 10.  States
-#: do not depend on it (a row's state depends on the row alone).
+#: benchmark ansatz is one call, not four.  Inside the call a chunk whose
+#: bonds reach 16 runs as ``min(cores, rows // MIN_PIECE_ROWS)`` row pieces
+#: on threads (:mod:`repro.mps.encoding`): that 128-row fit is two 64-row
+#: pieces of 10 stacked calls each on a two-core machine.  States depend on
+#: neither (a row's state depends on the row alone).
 ENCODE_CHUNK_ROWS = 128
 
 

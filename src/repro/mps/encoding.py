@@ -54,6 +54,24 @@ permuted or partitioned -- alone (``g = 1``) or with any neighbours.  The
 serving layer's byte-identical-predictions contract extends this to cold
 traffic.
 
+*Rows may be encoded in pieces, on threads.*  A batch of ``g`` rows whose
+widest bond reaches :data:`MIN_PIECE_WIDTH` (16) is cut into ``min(cores,
+g // MIN_PIECE_ROWS)`` contiguous row pieces (``MIN_PIECE_ROWS = 64``;
+``cores`` is the process's CPU affinity), each encoded as a batch of its
+own: the calling thread takes the first, short-lived threads started and
+joined inside the call the rest.  By the clause above a piece's states are
+its rows' own bytes, so the split cannot move a bit of any state, record
+or discarded weight; it only lets the pieces' stacked SVDs, QRs and
+matmuls, which NumPy runs without the GIL, use more than one core.  If a
+piece raises, the batch is encoded again in one piece once every thread
+has been joined, so the call raises what a one-piece encode raises.  Both
+floors were measured on a 2-core x86-64 with one BLAS thread (the figures
+are at their definitions): on the benchmark ansatz a 128-row encode runs
+1.45x faster as two 64-row pieces, while two 16-row pieces lose; on bonds
+of 2 or 4 an encode is mostly per-site Python under the GIL, and two
+64-row pieces gain nothing.  So a serving flush (at most 32 rows) is never
+split.
+
 *Under the default cut-off a state is exact to double precision.*  It is
 within ``1e-12`` infidelity of the row's gate-by-gate simulation
 (:meth:`repro.engine.KernelEngine.simulate_row`) and of the dense
@@ -79,9 +97,11 @@ time (:meth:`repro.backends.Backend.simulate_batch`).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,13 +110,39 @@ from .mps import MPS
 from .tensor_ops import robust_svd, stacked_qr_right
 from .truncation import TruncationPolicy
 
-__all__ = ["FeatureMapBatch", "FIRST_CLAMP", "encode_circuits"]
+__all__ = [
+    "FeatureMapBatch",
+    "FIRST_CLAMP",
+    "MIN_PIECE_ROWS",
+    "MIN_PIECE_WIDTH",
+    "encode_circuits",
+]
 
 #: Lowest rung of the padded-width ladder.  It holds every rank the
 #: interaction-distance-1 and -2 ansatze keep (at most 13 measured from 8 to
 #: 16 qubits), so their rows never part ways; it is also the widest bond of
-#: an 8-qubit register, so those stacks are never split at all.
+#: an 8-qubit register, so those stacks never part ways at all.
 FIRST_CLAMP = 16
+
+#: Fewest rows a piece of a split encode takes.  An encode of ``g`` rows
+#: whose bonds reach :data:`MIN_PIECE_WIDTH` runs as ``min(cores, g //
+#: MIN_PIECE_ROWS)`` contiguous pieces, one per thread.  On the benchmark
+#: ansatz two pieces measured 0.87x one stack at 32 rows, 1.09x at 48,
+#: 1.17x at 64, 1.21x at 96 and 1.45x at 128 (medians of 41 alternating
+#: runs, one BLAS thread, a 2-core x86-64).  Each piece pays the per-call
+#: Python overhead again while the pieces share the GIL, so 64 keeps every
+#: piece at the size whose gain was measured: a serving flush (at most 32
+#: rows) and a 96-row fit are never split, and a 128-row fit is two pieces
+#: on any machine with two cores or more.
+MIN_PIECE_ROWS = 64
+
+#: Narrowest widest-bond at which an encode is split.  At 16 the stacked
+#: SVDs and QRs, which NumPy runs without the GIL, are most of an encode: a
+#: 128-row encode ran 1.33-1.71x faster in two pieces on every 8-qubit
+#: ansatz with bonds of 16 tried, and 1.6-1.9x at 12 and 16 qubits.  At 2
+#: or 4 (``d = 1`` with ``r <= 2``, or 4 qubits) an encode is mostly
+#: per-site Python under the GIL, and two pieces measured 0.73-1.09x.
+MIN_PIECE_WIDTH = 16
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -420,7 +466,79 @@ def encode_circuits(
         raise SimulationError(f"edges must be pairs i < j of the {m} qubits")
     if not g:
         return []
+    bounds = _piece_bounds(g, _widest_bond(m, tuple(batch.edges), batch.layers))
+    if len(bounds) > 2:
+        pieces = _on_threads(
+            lambda k: _encode_rows(batch, angles[bounds[k] : bounds[k + 1]], policy),
+            len(bounds) - 1,
+        )
+        if pieces is not None:
+            return [state for piece in pieces for state in piece]
+    # One piece, or a split whose piece raised: the unsplit encode raises
+    # exactly what a one-piece encode raises.
+    return _encode_rows(batch, angles, policy)
 
+
+def _cores() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
+
+
+@lru_cache(maxsize=None)
+def _widest_bond(num_qubits: int, edges: Tuple[Tuple[int, int], ...], layers: int) -> int:
+    """Widest bond an encode of this structure reaches: at bond ``b`` the
+    layer MPO's bond to the power ``layers``, capped by ``2 ** min(b, m - b)``."""
+    return max(
+        min(2 ** min(b, num_qubits - b), site[0] ** layers)
+        for b, site in enumerate(_layer_mpo(num_qubits, edges))
+    )
+
+
+def _piece_bounds(rows: int, width: int) -> List[int]:
+    """Row bounds of the contiguous pieces an encode of ``rows`` rows whose
+    widest bond is ``width`` runs as."""
+    pieces = 1
+    if width >= MIN_PIECE_WIDTH:
+        pieces = max(1, min(_cores(), rows // MIN_PIECE_ROWS))
+    return [rows * k // pieces for k in range(pieces + 1)]
+
+
+def _on_threads(work: Callable[[int], list], count: int) -> Optional[List[list]]:
+    """``[work(k) for k in range(count)]``, ``k = 0`` on this thread and the
+    rest on threads started here and joined before return; ``None`` if any
+    ``work(k)`` raised or its thread could not start."""
+    results: List[Optional[list]] = [None] * count
+
+    def run(k: int) -> None:
+        try:
+            results[k] = work(k)
+        except Exception:
+            pass  # left None: the caller re-runs the batch unsplit
+
+    threads = []
+    try:
+        for k in range(1, count):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            threads.append(thread)
+    except RuntimeError:  # no thread to be had: its piece stays undone
+        pass
+    else:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    return None if any(result is None for result in results) else results
+
+
+def _encode_rows(
+    batch: FeatureMapBatch, angles: np.ndarray, policy: TruncationPolicy
+) -> List[MPS]:
+    """One stacked encode of the rows of ``angles`` (rows of ``batch``'s
+    angle table): every layer, then the states in row order."""
+    m, g = batch.num_qubits, len(angles)
     # RX(a) = cos(a / 2) - i sin(a / 2) X, the X-frame image of RZ(a).
     half = 0.5 * angles[:, :m]
     cos, sin = np.cos(half), -1j * np.sin(half)

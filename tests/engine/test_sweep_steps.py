@@ -13,6 +13,8 @@ or widens an operand shows here without any timing.  The relation below checks t
 the encode still prepares the paper's state.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.engine import KernelEngine
 from repro.mps import MPS
-from repro.mps.encoding import FIRST_CLAMP
+from repro.mps.encoding import FIRST_CLAMP, _piece_bounds
 from repro.statevector import StatevectorSimulator
 
 #: The ansatz of the ``train`` and ``serve_warm`` benchmarks
@@ -60,7 +62,8 @@ def test_benchmark_ansatz_step_list():
 
 
 def _recorded_factorisations(monkeypatch):
-    """Every ``np.linalg`` QR and SVD from here on, as ``(name, shape)``."""
+    """Every ``np.linalg`` QR and SVD from here on, on any thread, as
+    ``(name, shape)``."""
     calls = []
     for name in ("svd", "qr"):
         original = getattr(np.linalg, name)
@@ -71,6 +74,16 @@ def _recorded_factorisations(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
     return calls
+
+
+def _rows_per_operand(calls):
+    """Total rows per ``(name, per-row operand shape)``: the same whether
+    the rows went through one stacked call or through the row pieces of a
+    split encode (:data:`repro.mps.encoding.MIN_PIECE_ROWS`)."""
+    rows = Counter()
+    for name, (g, *shape) in calls:
+        rows[name, tuple(shape)] += g
+    return rows
 
 
 def _structural_plan(num_qubits, states):
@@ -109,39 +122,47 @@ def test_a_128_row_fit_factorises_only_where_a_bond_can_narrow(monkeypatch):
     compressed and its second is, by 3 QRs (the right-half sites; the ends
     fold through permutations) and one SVD sweep over the 7 bonds of 8
     qubits, every operand at its structural widths.  The Gram and SMO
-    factorise nothing.  A factorisation per gate would show as 38 SVDs, a
-    QR per bond as 7 QRs, a right half at MPO-grown widths as wider
-    operands."""
+    factorise nothing.  On a machine with more than one core the encode
+    runs in row pieces, each making the same stacked calls on its own
+    rows, so the rows per operand shape are compared.  A factorisation per
+    gate would show as 38 SVD shapes, a QR per bond as 7 QR shapes, a right
+    half at MPO-grown widths as wider operands, a call per row as more
+    calls."""
     calls = _recorded_factorisations(monkeypatch)
     rng = np.random.default_rng(13)
     X = rng.uniform(-1.0, 1.0, size=(128, 8))
     y = np.arange(128) % 2
     model = QuantumKernelInferenceEngine(BENCHMARK_ANSATZ)
     model.fit(X, y)
-    qrs = [call for call in calls if call[0] == "qr"]
-    svds = sorted(call for call in calls if call[0] == "svd")
-    assert qrs == [("qr", (128, 32, 8)), ("qr", (128, 16, 4)), ("qr", (128, 8, 2))]
-    assert len(svds) == 7
+    rows = _rows_per_operand(calls)
+    assert {key: n for key, n in rows.items() if key[0] == "qr"} == {
+        ("qr", (32, 8)): 128,
+        ("qr", (16, 4)): 128,
+        ("qr", (8, 2)): 128,
+    }
+    assert sorted(rows.values()) == [128] * 10
+    pieces = np.diff(_piece_bounds(128, width=16)).tolist()  # bonds reach 16
+    assert sorted(g for _name, (g, *_shape) in calls) == sorted(pieces * 10)
     monkeypatch.undo()
     states = KernelEngine(BENCHMARK_ANSATZ).encode_rows(X)
-    assert (qrs, svds) == _structural_plan(8, states)[:2]
+    qrs, svds, _pad = _structural_plan(8, states)
+    assert rows == _rows_per_operand(qrs + svds)
 
 
 def test_a_12_qubit_encode_on_two_rungs_follows_the_structure(monkeypatch):
     """12 qubits at interaction distance 3: its widest bond bound is 64, and
     these rows keep ranks on both sides of the first rung, so left of the
     bonds where their padded widths part they take the SVD sweep in
-    separate stacks."""
+    separate stacks.  Eight rows are one piece on any machine."""
     ansatz = AnsatzConfig(num_features=12, interaction_distance=3, layers=2, gamma=0.5)
     X = np.random.default_rng(5).uniform(-0.2, 0.2, size=(8, 12))
     calls = _recorded_factorisations(monkeypatch)
     states = KernelEngine(ansatz).encode_rows(X)
     qrs, svds, pad = _structural_plan(12, states)
     assert set(pad.max(axis=1)) == {FIRST_CLAMP, 2 * FIRST_CLAMP}
-    assert [call for call in calls if call[0] == "qr"] == qrs
+    assert _rows_per_operand(calls) == _rows_per_operand(qrs + svds)
     assert len(qrs) == 5
-    assert sorted(call for call in calls if call[0] == "svd") == svds
-    assert len(svds) > 11
+    assert len([call for call in calls if call[0] == "svd"]) == len(svds) > 11
 
 
 @pytest.mark.parametrize("distance", [1, 2, 3])

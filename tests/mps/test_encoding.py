@@ -1,5 +1,7 @@
 """Unit tests for the batched (layer-MPO) feature-map encoding path."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,48 @@ def test_truncation_records_are_built_only_when_read(monkeypatch):
     assert states[0].truncation_records == records and len(built) == 4
     assert copy.truncation_records == records
     assert [r.bond_dimension_after for r in records] == states[0].bond_dimensions[::-1]
+
+
+# ----------------------------------------------------------------------
+# Row pieces: which encodes are split
+# ----------------------------------------------------------------------
+WIDE = AnsatzConfig(num_features=8, interaction_distance=2, layers=2, gamma=0.5)
+NARROW = AnsatzConfig(num_features=8, interaction_distance=1, layers=2, gamma=0.5)
+
+
+@pytest.mark.parametrize(
+    "ansatz, rows, cores, pieces",
+    [
+        (WIDE, 127, 8, [127]),  # fewer than 2 x MIN_PIECE_ROWS rows
+        (WIDE, 32, 8, [32]),  # a full serving flush
+        (WIDE, 128, 1, [128]),  # one core
+        (WIDE, 128, 2, [64, 64]),
+        (WIDE, 200, 8, [66, 67, 67]),  # at least MIN_PIECE_ROWS a piece
+        (NARROW, 128, 8, [128]),  # bonds of 4: per-site Python dominates
+    ],
+)
+def test_an_encode_is_split_only_into_wide_enough_pieces(
+    monkeypatch, ansatz, rows, cores, pieces
+):
+    """The calling thread encodes the first piece and every piece is a
+    contiguous run of rows; the states are those of the one-piece encode."""
+    from repro.mps import encoding
+
+    batch = feature_map_batch(
+        np.random.default_rng(rows).uniform(0.05, 1.95, size=(rows, 8)), ansatz
+    )
+    whole = _state_bytes(encode_circuits(batch))
+    seen = []
+    original = encoding._encode_rows
+
+    def recorded(batch, angles, policy):
+        seen.append((threading.current_thread() is threading.main_thread(), len(angles)))
+        return original(batch, angles, policy)
+
+    monkeypatch.setattr(encoding, "_cores", lambda: cores)
+    monkeypatch.setattr(encoding, "_encode_rows", recorded)
+    assert encoding.MIN_PIECE_ROWS == 64 and encoding.MIN_PIECE_WIDTH == 16
+    assert _state_bytes(encode_circuits(batch)) == whole
+    assert sorted(n for _main, n in seen) == pieces
+    assert sum(main for main, _n in seen) == 1
+    assert (True, pieces[0]) in seen

@@ -14,6 +14,9 @@ Gate-by-gate simulation (:meth:`KernelEngine.simulate_row`) and the
 unmerged circuit agree to the same rounding.
 """
 
+import sys
+import threading
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.circuits import build_feature_map_circuit
 from repro.config import AnsatzConfig, SimulationConfig
 from repro.engine import EngineConfig, KernelEngine, batched_overlaps
 from repro.engine import engine as engine_module
+from repro.exceptions import TruncationError
 from repro.mps import MPS, TruncationPolicy
 from repro.mps import encoding
 from repro.serving import AsyncServingQueue
@@ -294,6 +298,150 @@ def test_lossy_batch_stays_within_the_record_bound(rng, record_angle, layers):
         assert state.cumulative_discarded_weight == pytest.approx(sum(weights))
     alone = [engine.encode_row(row) for row in X]
     assert _states_bytes(batched) == _states_bytes(alone)
+
+
+# ----------------------------------------------------------------------
+# Row pieces: a split encode is the one-piece encode, bit for bit
+# ----------------------------------------------------------------------
+def _in_pieces(pieces):
+    """Split every encode into ``pieces`` row pieces while open: the core
+    count is forced and the split's row and width floors lowered to 1."""
+    return mock.patch.multiple(
+        encoding, _cores=lambda: pieces, MIN_PIECE_ROWS=1, MIN_PIECE_WIDTH=1
+    )
+
+
+@contextmanager
+def _piece_sizes():
+    """The row count of every piece encoded while open, from any thread."""
+    sizes = []
+    original = encoding._encode_rows
+
+    def recorded(batch, angles, policy):
+        sizes.append(len(angles))
+        return original(batch, angles, policy)
+
+    with mock.patch.object(encoding, "_encode_rows", recorded):
+        yield sizes
+
+
+def _split(rows, pieces):
+    """The piece sizes of ``rows`` rows in ``pieces`` contiguous pieces."""
+    return sorted(rows * (k + 1) // pieces - rows * k // pieces for k in range(pieces))
+
+
+def _encoded(ansatz, simulation, X):
+    """What an encode leaves: each state's tensor bytes, records and
+    cumulative discarded weight, and the backend's counters (but its
+    wall time)."""
+    engine = KernelEngine(ansatz, simulation=simulation)
+    states = engine.encode_rows(X)
+    counters = engine.backend.lifetime_summary()
+    del counters["wall_simulation_time_s"]
+    return [
+        (
+            tuple(t.tobytes() for t in s.tensors),
+            s.truncation_records,
+            s.cumulative_discarded_weight,
+        )
+        for s in states
+    ], counters
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    case=st.sampled_from(CONTRACT_CASES),
+    rows=st.integers(min_value=3, max_value=9),
+    data=st.data(),
+)
+def test_encoding_in_row_pieces_moves_no_bit(case, rows, data):
+    """One batch encoded in 1, 2 or 3 row pieces, each on its own thread,
+    leaves byte-identical tensors, records, cumulative discarded weights and
+    backend counters, and no thread behind."""
+    ansatz, simulation, first_clamp = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    X = rng.uniform(0.05, 1.95, size=(rows, ansatz.num_features))
+    X[rng.random(X.shape) < data.draw(st.sampled_from([0.0, 0.3]), label="flat")] = 1.0
+    with mock.patch.object(encoding, "FIRST_CLAMP", first_clamp):
+        with _in_pieces(1):
+            whole = _encoded(ansatz, simulation, X)
+        for pieces in (2, 3):
+            threads = threading.active_count()
+            with _in_pieces(pieces), _piece_sizes() as sizes:
+                assert _encoded(ansatz, simulation, X) == whole
+            assert sorted(sizes) == _split(rows, pieces)
+            assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("pieces", [2, 3])
+def test_rows_that_part_ways_at_rungs_encode_the_same_in_pieces(pieces):
+    """12 qubits at ``d = 3``: these rows keep ranks on both sides of the
+    first rung, so they part ways into stacks of their own within each
+    piece."""
+    ansatz = AnsatzConfig(num_features=12, interaction_distance=3, layers=2, gamma=0.5)
+    X = np.random.default_rng(5).uniform(-0.2, 0.2, size=(8, 12))
+    states = KernelEngine(ansatz).encode_rows(X)
+    assert {s.max_bond_dimension > encoding.FIRST_CLAMP for s in states} == {True, False}
+    whole = _encoded(ansatz, SimulationConfig(), X)
+    with _in_pieces(pieces), _piece_sizes() as sizes:
+        assert _encoded(ansatz, SimulationConfig(), X) == whole
+    assert sorted(sizes) == _split(8, pieces)
+
+
+def test_a_cap_without_lossy_permission_raises_the_unsplit_error():
+    """A cap that would discard weight without ``allow_lossy_cap`` raises the
+    message of the one-piece encode, split or not.  Row 0 first goes lossy
+    at a bond the sweep reaches after row 1's, so a piece of row 0 alone
+    would name another weight; the split is tried, fails, and is re-run
+    whole once every thread has been joined."""
+    ansatz = AnsatzConfig(num_features=6, interaction_distance=2, layers=2, gamma=0.9)
+    X = np.random.default_rng(3).uniform(0.05, 1.95, size=(2, 6))
+    X[0, 4:] = 1.0  # no entangler crosses bond 4 in row 0
+    strict = SimulationConfig(max_bond_dim=2)
+
+    def message(rows):
+        with pytest.raises(TruncationError) as raised:
+            KernelEngine(ansatz, simulation=strict).encode_rows(rows)
+        return str(raised.value)
+
+    whole = message(X)
+    assert message(X[:1]) != whole
+    threads = threading.active_count()
+    with _in_pieces(2), _piece_sizes() as sizes:
+        assert message(X) == whole
+    assert sizes[-1] == 2 and sorted(sizes[:-1]) == [1, 1]
+    assert threading.active_count() == threads
+
+
+def test_more_pieces_than_cores_under_a_short_switch_interval():
+    """Six pieces on threads that the interpreter switches every microsecond
+    still put every state in its row's place, bit for bit."""
+    ansatz = CONTRACT_CASES[1][0]
+    X = np.random.default_rng(17).uniform(0.05, 1.95, size=(12, ansatz.num_features))
+    whole = _encoded(ansatz, SimulationConfig(), X)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with _in_pieces(6), _piece_sizes() as sizes:
+                assert _encoded(ansatz, SimulationConfig(), X) == whole
+            assert sizes == [2] * 6
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_thread_that_cannot_start_leaves_the_encode_unsplit():
+    """If the OS gives no thread, the batch is encoded in one piece."""
+    X = np.random.default_rng(11).uniform(0.05, 1.95, size=(6, 4))
+    whole = _encoded(ANSATZ, SimulationConfig(), X)
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    with _in_pieces(3), _piece_sizes() as sizes:
+        with mock.patch.object(threading.Thread, "start", refuse):
+            assert _encoded(ANSATZ, SimulationConfig(), X) == whole
+    assert sizes == [6]
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ Builds the full serving stack introduced by the serving layer:
 1. fit a Nystrom-backed :class:`repro.core.QuantumKernelInferenceEngine`
    (training cost ``O(n m)`` engine pairs);
 2. stand the service up with one call -- ``repro.serve(engine, config)``
-   returns a :class:`repro.serving.ServingHandle` whose replica queue
+   returns a :class:`repro.serving.ServingHandle` whose queue
    flushes whatever is pending, up to ``max_batch`` requests, as one
    kernel-row plan against the cached landmark states whenever it is idle
    (requests that arrive during a flush form the next batch);
@@ -30,7 +30,7 @@ import numpy as np
 
 import repro
 from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig, ServingConfig, TuningConfig
+from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.profiling import format_table
@@ -84,9 +84,9 @@ def main() -> None:
     )
     baseline_s = time.perf_counter() - start
 
-    config = ServingConfig(tuning=TuningConfig(max_batch=args.max_batch))
+    config = ServingConfig(max_batch=args.max_batch)
     handle = repro.serve(engine, config)
-    queue = handle.router.queues[0]
+    queue = handle.queue
     start = time.perf_counter()
     futures = handle.submit_many(stream)
     results = [f.result(timeout=600) for f in futures]

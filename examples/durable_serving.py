@@ -1,24 +1,20 @@
-"""Durable serving demo: snapshot, restart warm, route over a replica fleet.
+"""Durable serving demo: snapshot, then restart warm.
 
 Walks the full durability story of the serving layer:
 
 1. fit a Nystrom-backed :class:`repro.core.QuantumKernelInferenceEngine` and
    serialise it once with :meth:`serving_payload`;
-2. **cold boot** a :class:`repro.serving.ReplicaRouter` fleet whose engines
-   sit on a shared :class:`repro.serving.PersistentStateStore` root -- every
-   unique request is simulated once, then :meth:`ReplicaRouter.snapshot`
-   persists the union of the fleet's caches (atomic temp-write-then-rename,
-   checksummed manifest);
-3. **restart warm**: a second fleet over the same root prefetches the
-   hottest snapshotted states at construction (access-log ordered) and
-   serves the same stream simulation-free;
-4. verify the two runs are byte-identical and print the aggregated
-   :class:`repro.profiling.RouterMetrics` dashboards side by side.
+2. **cold boot** a service with ``repro.serve`` whose engine sits on a
+   :class:`repro.serving.PersistentStateStore` root -- every unique request
+   is simulated once, then ``handle.snapshot()`` persists the cache (atomic
+   temp-write-then-rename, checksummed manifest);
+3. **restart warm**: a second service over the same root prefetches the
+   hottest snapshotted states before its first request (access-log ordered)
+   and serves the same stream simulation-free;
+4. verify the two runs are byte-identical and print both services'
+   ``handle.metrics()`` dashboards side by side.
 
-Pass ``--policy key-affinity`` to pin repeated keys onto one replica, or
-``--high-water 8`` to watch load shedding engage on a flooded queue.
-
-Run with:  python examples/durable_serving.py [--replicas 2] [--policy least-depth]
+Run with:  python examples/durable_serving.py [--requests 384] [--max-batch 16]
 """
 
 from __future__ import annotations
@@ -34,29 +30,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig
+from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.profiling import format_table
-from repro.serving import ReplicaRouter
+from repro.serving import ServingHandle, serve
 
 
-def serve(router: ReplicaRouter, stream: np.ndarray):
+def drain(handle: ServingHandle, stream: np.ndarray):
     start = time.perf_counter()
-    futures = router.submit_many(stream)
+    futures = handle.submit_many(stream)
     decisions = np.array([f.result(timeout=600).decision_value for f in futures])
     return decisions, time.perf_counter() - start
 
 
 def dashboard_row(label: str, wall_s: float, view: dict, num_requests: int) -> dict:
-    p99s = [r["p99_latency_s"] for r in view["replicas"] if r["p99_latency_s"]]
     return {
-        "fleet": label,
+        "service": label,
         "wall_s": wall_s,
         "req_per_s": num_requests / wall_s,
-        "worst_p99_ms": max(p99s) * 1e3 if p99s else "-",
-        "routed": "/".join(str(n) for n in view["routed_per_replica"]),
-        "shed": view["shed_count"],
+        "p99_ms": view["p99_latency_s"] * 1e3,
+        "mean_batch": view["mean_batch_size"],
         "warm_hit": f"{view['warm_hit_ratio']:.0%}" if "warm_hit_ratio" in view else "-",
     }
 
@@ -68,13 +62,6 @@ def main() -> None:
     parser.add_argument("--landmarks", type=int, default=32)
     parser.add_argument("--requests", type=int, default=384)
     parser.add_argument("--unique", type=int, default=48)
-    parser.add_argument("--replicas", type=int, default=2)
-    parser.add_argument(
-        "--policy",
-        choices=("round-robin", "least-depth", "key-affinity"),
-        default="least-depth",
-    )
-    parser.add_argument("--high-water", type=int, default=None)
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument(
         "--root",
@@ -114,33 +101,27 @@ def main() -> None:
     weights /= weights.sum()
     stream = unique[rng.choice(args.unique, size=args.requests, p=weights)]
 
-    router_kwargs = dict(
-        num_replicas=args.replicas,
-        policy=args.policy,
-        queue_depth_high_water=args.high_water,
-        persistence_root=root,
-        max_batch=args.max_batch,
-    )
+    config = ServingConfig(max_batch=args.max_batch, snapshot_root=str(root))
 
-    print(f"cold boot: {args.replicas} replicas over empty tier {root}")
-    with ReplicaRouter(payload, **router_kwargs) as cold:
-        cold_decisions, cold_s = serve(cold, stream)
-        cold_view = cold.metrics_view()
+    print(f"cold boot over empty tier {root}")
+    with serve(payload, config) as cold:
+        cold_decisions, cold_s = drain(cold, stream)
+        cold_view = cold.metrics()
         manifest = cold.snapshot()
     print(
         f"snapshot written: {len(manifest.keys)} states, "
         f"{manifest.payload_bytes / 1024:.0f} KiB, checksum {manifest.checksum[:12]}..."
     )
 
-    print("simulated restart: new fleet warm-starts from the snapshot")
-    with ReplicaRouter(payload, **router_kwargs) as warm:
-        for i, report in enumerate(warm.warm_up_reports):
-            print(
-                f"  replica {i}: prefetched {report.loaded}/{report.available} "
-                f"states ({report.bytes_loaded / 1024:.0f} KiB)"
-            )
-        warm_decisions, warm_s = serve(warm, stream)
-        warm_view = warm.metrics_view()
+    print("simulated restart: a new service warm-starts from the snapshot")
+    with serve(payload, config) as warm:
+        report = warm.warm_up_report
+        print(
+            f"  prefetched {report.loaded}/{report.available} "
+            f"states ({report.bytes_loaded / 1024:.0f} KiB)"
+        )
+        warm_decisions, warm_s = drain(warm, stream)
+        warm_view = warm.metrics()
 
     identical = np.array_equal(cold_decisions, warm_decisions)
     print()
@@ -150,7 +131,7 @@ def main() -> None:
                 dashboard_row("cold boot", cold_s, cold_view, len(stream)),
                 dashboard_row("warm restart", warm_s, warm_view, len(stream)),
             ],
-            title=f"{args.policy} x {args.replicas} replicas",
+            title=f"max_batch {args.max_batch}",
         )
     )
     print()

@@ -19,8 +19,8 @@ Fitzpatrick; SC 2024).  The package provides:
 * a synthetic Elliptic-Bitcoin-like dataset (:mod:`repro.data`),
 * distributed Gram-matrix strategies with communication accounting
   (:mod:`repro.parallel`),
-* an async batch-coalescing serving queue with a cross-process shared
-  landmark store (:mod:`repro.serving`),
+* an async batch-coalescing serving queue with an optional durable state
+  tier, stood up by one call to :func:`repro.serve` (:mod:`repro.serving`),
 * CPU and simulated-GPU backends with device cost models
   (:mod:`repro.backends`),
 * an end-to-end classification pipeline (:mod:`repro.core`).
@@ -46,7 +46,6 @@ from .config import (
     ServingConfig,
     SimulationConfig,
     SVMConfig,
-    TuningConfig,
     DEFAULT_C_GRID,
 )
 from .engine import EngineConfig, KernelEngine, StateStore
@@ -75,7 +74,6 @@ __all__ = [
     "SVMConfig",
     "ExperimentConfig",
     "ServingConfig",
-    "TuningConfig",
     "DEFAULT_C_GRID",
     "serve",
     "ServingHandle",

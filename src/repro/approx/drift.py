@@ -19,7 +19,7 @@ trustworthy.  :class:`DriftController` turns that gauge into a closed loop:
 
 * **Shadow fit** -- :meth:`DriftController.adapt` rebuilds the model on a
   *fresh* engine (same ansatz / simulation config, its own state store), so
-  the serving replicas' engines are never touched while they score traffic.
+  the served engine is never touched while it scores traffic.
   The landmark set grows from the buffered feedback rows whose Nystrom
   reconstruction residual ``max(0, 1 - ||phi(x)||^2)`` exceeds
   ``reconstruction_bound`` -- exactly the rows the current landmarks cannot
@@ -34,15 +34,16 @@ trustworthy.  :class:`DriftController` turns that gauge into a closed loop:
   ``max_new_landmarks=0`` is a routine refresh over a frozen basis.
 
 * **Swap** -- the adapted model is installed through the target's
-  ``swap_payload`` (:class:`~repro.serving.AsyncServingQueue` or
-  :class:`~repro.serving.ReplicaRouter`): versioned, atomic, and in-flight
-  flushes complete against the old payload, so serving is never paused and
-  no request is dropped.
+  ``swap_payload`` (an :class:`~repro.serving.AsyncServingQueue`, e.g. the
+  ``queue`` of a :class:`~repro.serving.ServingHandle`): versioned, atomic,
+  and in-flight flushes complete against the old payload, so serving is
+  never paused and no request is dropped.
 
 The controller deliberately owns its *own* conformal wrapper and coverage
-window rather than piggybacking on a replica's ``attach_conformal`` state:
-replicas are disposable (swapped, killed, restored from snapshots) while the
-drift loop must observe continuously across model generations.
+window rather than piggybacking on the served classifier's
+``attach_conformal`` state: a served classifier is disposable (swapped out,
+restored from snapshots) while the drift loop must observe continuously
+across model generations.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ class DriftController:
     ----------
     classifier:
         The currently served
-        :class:`~repro.approx.StreamingNystroemClassifier` (or an attached
-        replica of it).  The controller reads -- never mutates -- its feature
+        :class:`~repro.approx.StreamingNystroemClassifier` (or one rebuilt
+        from its serving payload).  The controller reads -- never mutates -- its feature
         map, model, and scaler; after :meth:`adapt` the controller's
         reference moves to the freshly fitted generation.
     conformal:
@@ -198,7 +199,7 @@ class DriftController:
         guards.
     target:
         Where adapted models are installed: anything with ``swap_payload``
-        (a queue, a router).  ``None`` builds the new generation without
+        (a serving queue, e.g. ``handle.queue``).  ``None`` builds the new generation without
         swapping (the caller receives it via :attr:`classifier`).
     config:
         A :class:`DriftConfig`; defaults throughout when omitted.
@@ -388,9 +389,8 @@ class DriftController:
     def _shadow_fit(self, rows_raw: np.ndarray, labels: np.ndarray):
         """Grow landmarks, refit, recalibrate -- off to the side.
 
-        All quantum work runs on a fresh engine so the serving replicas'
-        engines (busy scoring traffic on their own threads) are never
-        shared.
+        All quantum work runs on a fresh engine so the served engine (busy
+        scoring traffic on its own thread) is never shared.
         """
         from ..engine import EngineConfig, KernelEngine
 

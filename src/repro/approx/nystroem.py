@@ -200,11 +200,11 @@ class NystroemFeatureMap:
     ) -> "NystroemFeatureMap":
         """Rebuild a *fitted* map from shipped parts, without re-fitting.
 
-        Serving replicas receive the landmark states and the ``m x r``
+        A service receives the landmark states and the ``m x r``
         normalisation through a serialised payload rather than by running
         :meth:`fit`; this constructor wires them into a map whose
         :meth:`transform` / :meth:`project_kernel_rows` paths are exactly the
-        ones a locally fitted map uses, so an attached replica's features are
+        ones a locally fitted map uses, so an attached map's features are
         bit-identical to the fitting process's.
         """
         if not landmark_states:

@@ -215,17 +215,19 @@ class StreamingNystroemClassifier:
     # ------------------------------------------------------------------
     @classmethod
     def from_serving_payload(
-        cls, payload: dict, store=None
+        cls, payload: dict, store=None, backend=None
     ) -> "StreamingNystroemClassifier":
-        """Rebuild a full serving replica from a :meth:`serving_payload` dict.
+        """Rebuild a full serving model from a :meth:`serving_payload` dict.
 
-        The replica owns a fresh cache-enabled engine (rebuilt by backend
+        The model owns a cache-enabled engine (its backend rebuilt by
         registry name), the deserialised landmark states, and unpickled
         copies of the linear model and scaler -- everything needed to serve
         traffic with predictions bit-identical to the process that produced
         the payload.  ``store`` optionally injects an externally owned state
         store (e.g. a :class:`repro.serving.PersistentStateStore` that warm
-        starts the replica from an on-disk snapshot).
+        starts the service from an on-disk snapshot), and ``backend`` an
+        existing backend of the payload's simulation config (a swap keeps
+        the served one, so its counters carry on).
         """
         import pickle
 
@@ -252,6 +254,7 @@ class StreamingNystroemClassifier:
             payload["backend_name"],
             config=EngineConfig(use_cache=True),
             store=store,
+            backend=backend,
         )
         feature_map = NystroemFeatureMap.from_attached(
             engine,
@@ -260,7 +263,7 @@ class StreamingNystroemClassifier:
         )
         if payload.get("landmark_rows") is not None:
             # The scaled landmark rows ride along (when the producer had
-            # them) so a drift controller attached to this replica can grow
+            # them) so a drift controller attached to this model can grow
             # the landmark set without reaching back to the fitting process.
             feature_map.landmark_rows_ = np.asarray(
                 payload["landmark_rows"], dtype=float
@@ -272,15 +275,14 @@ class StreamingNystroemClassifier:
         )
 
     def serving_payload(self) -> dict:
-        """Everything a serving replica needs to serve this model, picklable.
+        """Everything a service needs to serve this model, picklable.
 
         The landmark MPS -- the engine's cached state-store entries for the
         landmark rows -- are serialised exactly once here; the scaler and the
         linear model ride along as pickled blobs, and the engine is described
-        by its configuration (a replica rebuilds it by backend registry
+        by its configuration (a service rebuilds it by backend registry
         name).  :meth:`from_serving_payload` rebuilds the classifier from
-        it; a :class:`repro.serving.ReplicaRouter` attaches one replica per
-        queue from it.
+        it; :func:`repro.serve` and a swap attach it.
         """
         import pickle
 

@@ -169,69 +169,39 @@ class SVMConfig:
 
 
 @dataclass(frozen=True)
-class TuningConfig:
-    """The two performance knobs of the serving tier.
+class ServingConfig:
+    """The four settable values of a service built by :func:`repro.serve`.
 
-    A fleet reads them once, when it is built, and they stay fixed while it
-    runs: nothing retunes a live fleet.  Predictions never depend on them --
-    only latency, throughput and which requests are shed do.
+    They are read once, when the service is built, and stay fixed while it
+    runs.  Predictions never depend on them -- only latency and throughput
+    do.
 
     Parameters
     ----------
     max_batch:
-        Most requests one flush of a replica queue scores.  The coalescer
+        Most requests one flush of the serving queue scores.  The coalescer
         is work-conserving: it flushes whatever is pending, up to this many,
         as soon as it is idle, so there is no wait to tune.
-    queue_depth_high_water:
-        Load-shedding threshold of the replica router; ``None`` disables
-        shedding.
+    snapshot_root:
+        Directory of the durable tier (a
+        :class:`~repro.serving.PersistentStateStore`); ``None`` serves from
+        an in-memory store only.
+    warm_max_keys:
+        Most snapshotted states the warm-up loads before the first request
+        (``None``: all of them).
+    memoize:
+        Whether the queue memoises responses by raw row bytes.
     """
 
     max_batch: int = 32
-    queue_depth_high_water: int | None = None
+    snapshot_root: str | None = None
+    warm_max_keys: int | None = None
+    memoize: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if (
-            self.queue_depth_high_water is not None
-            and self.queue_depth_high_water < 1
-        ):
-            raise ConfigurationError(
-                "queue_depth_high_water must be >= 1 or None, got "
-                f"{self.queue_depth_high_water}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Deployment-facing knobs of the durable serving tier.
-
-    One declarative bundle for everything between a fitted model and a
-    traffic-ready fleet: the performance knobs (``tuning``, a nested
-    :class:`TuningConfig`, fixed for the fleet's lifetime), the replica
-    fleet (``num_replicas`` / ``routing_policy``), durability
-    (``snapshot_root`` plus the warm-up key budget) and the response memo.
-    Consumed by :meth:`repro.serving.ReplicaRouter.from_config` and
-    :func:`repro.serve`.
-    """
-
-    num_replicas: int = 1
-    routing_policy: str = "round-robin"
-    snapshot_root: str | None = None
-    warm_max_keys: int | None = None
-    tuning: TuningConfig = field(default_factory=TuningConfig)
-    memoize: bool = True
-
-    def __post_init__(self) -> None:
-        if self.num_replicas < 1:
-            raise ConfigurationError(
-                f"num_replicas must be >= 1, got {self.num_replicas}"
             )
         if self.warm_max_keys is not None and self.warm_max_keys < 0:
             raise ConfigurationError(

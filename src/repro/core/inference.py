@@ -257,20 +257,7 @@ class QuantumKernelInferenceEngine:
         """The fitted model as one picklable payload (see streaming docs).
 
         Serialised once, attached anywhere: a classifier rebuilt with
-        :meth:`StreamingNystroemClassifier.from_serving_payload`, or a
-        :class:`~repro.serving.ReplicaRouter` fleet.
+        :meth:`StreamingNystroemClassifier.from_serving_payload`, a service
+        stood up by :func:`repro.serve`, or a swap.
         """
         return self.streaming_classifier().serving_payload()
-
-    def replica_router(self, **router_kwargs):
-        """A :class:`~repro.serving.ReplicaRouter` fleet over this model.
-
-        Serialises the fitted model once and hands it to the router, which
-        attaches one replica engine per ``num_replicas``.  Keyword arguments
-        pass through (``num_replicas``, ``policy``,
-        ``queue_depth_high_water``, ``persistence_root``, plus any queue
-        knobs); the caller owns the returned router and must ``close()`` it.
-        """
-        from ..serving import ReplicaRouter
-
-        return ReplicaRouter(self.serving_payload(), **router_kwargs)

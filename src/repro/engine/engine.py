@@ -182,6 +182,7 @@ class KernelEngine:
         backend_name: str = "cpu",
         config: "EngineConfig | None" = None,
         store: StateStore | None = None,
+        backend: Backend | None = None,
     ) -> "KernelEngine":
         """Rebuild an engine from its plain-dict description.
 
@@ -192,7 +193,9 @@ class KernelEngine:
         engine, is built through this single entry point, so
         config-rehydration rules live in one place.  A setting neither configuration knows --
         say one a newer or older release wrote into a payload -- raises
-        :class:`~repro.exceptions.ConfigurationError` naming it.
+        :class:`~repro.exceptions.ConfigurationError` naming it.  An
+        existing ``backend`` is used as it is, once its registry name and
+        simulation config are checked against the description's.
         """
         from ..backends import get_backend
 
@@ -209,7 +212,14 @@ class KernelEngine:
         sim_kwargs = dict(simulation_kwargs)
         if "dtype" in sim_kwargs and isinstance(sim_kwargs["dtype"], str):
             sim_kwargs["dtype"] = np.dtype(sim_kwargs["dtype"])
-        backend = get_backend(backend_name, SimulationConfig(**sim_kwargs))
+        simulation = SimulationConfig(**sim_kwargs)
+        if backend is None:
+            backend = get_backend(backend_name, simulation)
+        elif (backend.name, backend.config) != (backend_name, simulation):
+            raise ConfigurationError(
+                f"backend {backend.name!r} runs {backend.config}, but the "
+                f"description asks for {backend_name!r} with {simulation}"
+            )
         return cls(
             AnsatzConfig(**ansatz_kwargs), backend=backend, config=config, store=store
         )

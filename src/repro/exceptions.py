@@ -85,10 +85,6 @@ class PersistenceError(ServingError):
     """Raised by the durable snapshot tier (corrupt payloads, bad manifests)."""
 
 
-class LoadShedError(ServingError):
-    """Raised when the replica router rejects a request under overload."""
-
-
 class DriftError(ReproError):
     """Raised by the online drift-adaptation controller (bad config, a
     shadow fit without enough fresh labelled traffic, invalid swap)."""

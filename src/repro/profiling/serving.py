@@ -22,7 +22,7 @@ import numpy as np
 
 from ..exceptions import ReproError
 
-__all__ = ["ServingMetrics", "RouterMetrics"]
+__all__ = ["ServingMetrics"]
 
 
 class ServingMetrics:
@@ -176,121 +176,3 @@ class ServingMetrics:
                     out["throughput_rps"] = n / span
         return out
 
-
-class RouterMetrics:
-    """Aggregated accounting over a fleet of serving replicas.
-
-    The replica router owns one :class:`ServingMetrics` per replica (each
-    queue records its own latencies and batch sizes) plus the router-level
-    counters only it can see: how requests were routed, how many were shed at
-    the door, and how many had to fail over off a dead or saturated replica.
-    :meth:`view` merges all of it into the one dashboard dictionary the
-    durable-serving benchmark and the fault-injection suite consume --
-    per-replica p50/p99 next to fleet-wide shed count and warm-hit ratio.
-    """
-
-    def __init__(self, replica_metrics: List[ServingMetrics]) -> None:
-        if not replica_metrics:
-            raise ReproError("a router needs at least one replica's metrics")
-        self.replica_metrics = list(replica_metrics)
-        self._lock = threading.Lock()
-        self._routed = [0] * len(replica_metrics)
-        self._shed = 0
-        self._failovers = 0
-
-    # ------------------------------------------------------------------
-    def record_route(self, replica: int) -> None:
-        """Account one request handed to ``replica``."""
-        with self._lock:
-            self._routed[replica] += 1
-
-    def record_shed(self) -> None:
-        """Account one request rejected by load shedding."""
-        with self._lock:
-            self._shed += 1
-
-    def record_failover(self) -> None:
-        """Account one request re-routed off its policy-chosen replica."""
-        with self._lock:
-            self._failovers += 1
-
-    # ------------------------------------------------------------------
-    @property
-    def shed_count(self) -> int:
-        """Requests rejected at the router."""
-        with self._lock:
-            return self._shed
-
-    @property
-    def total_routed(self) -> int:
-        """Requests accepted and handed to some replica."""
-        with self._lock:
-            return sum(self._routed)
-
-    @property
-    def routed_per_replica(self) -> List[int]:
-        """Accepted requests per replica index."""
-        with self._lock:
-            return list(self._routed)
-
-    @property
-    def failover_count(self) -> int:
-        """Requests re-routed off their policy-chosen replica."""
-        with self._lock:
-            return self._failovers
-
-    def fleet_latency_percentile(self, q: float) -> float:
-        """Latency percentile over every replica's completed requests.
-
-        Pools the per-replica samples so the fleet p99 reflects the traffic
-        mix, not an average of per-replica percentiles.  Raises
-        :class:`~repro.exceptions.ReproError` for an out-of-range ``q`` or
-        when no replica has completed a request yet.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ReproError(f"percentile must be in [0, 100], got {q}")
-        pooled: List[float] = []
-        for metrics in self.replica_metrics:
-            pooled.extend(metrics.latency_samples())
-        if not pooled:
-            raise ReproError("no replica has completed a request yet")
-        return float(np.percentile(np.asarray(pooled), q))
-
-    def view(self, warm_hits: int = 0, warm_lookups: int = 0) -> Dict:
-        """One aggregated dashboard snapshot.
-
-        ``warm_hits`` / ``warm_lookups`` are supplied by the router (state
-        store hits plus response-memo hits across replicas) because only it
-        can reach into every replica's engine; the ratio they form is the
-        fleet's warm-hit ratio -- the fraction of cache interest served
-        without a circuit simulation.
-        """
-        with self._lock:
-            routed = list(self._routed)
-            shed = self._shed
-            failovers = self._failovers
-        replicas = []
-        for metrics in self.replica_metrics:
-            snapshot = metrics.to_dict()
-            replicas.append(
-                {
-                    "total_requests": snapshot.get("total_requests", 0),
-                    "p50_latency_s": snapshot.get("p50_latency_s"),
-                    "p99_latency_s": snapshot.get("p99_latency_s"),
-                    "mean_batch_size": snapshot.get("mean_batch_size"),
-                    "queue_depth_high_water": snapshot.get(
-                        "queue_depth_high_water", 0
-                    ),
-                }
-            )
-        out: Dict = {
-            "num_replicas": len(self.replica_metrics),
-            "routed_per_replica": routed,
-            "total_routed": sum(routed),
-            "shed_count": shed,
-            "failover_count": failovers,
-            "replicas": replicas,
-        }
-        if warm_lookups > 0:
-            out["warm_hit_ratio"] = warm_hits / warm_lookups
-        return out

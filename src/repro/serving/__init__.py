@@ -2,7 +2,7 @@
 
 Production traffic arrives one request at a time; the engine is cheapest per
 point when it works in batches, and a real service must also survive
-restarts and run more than one replica.  This package closes those gaps:
+restarts.  This package closes those gaps:
 
 * :mod:`~repro.serving.queue` -- :class:`AsyncServingQueue`, a
   batch-coalescing request queue in front of
@@ -15,24 +15,24 @@ restarts and run more than one replica.  This package closes those gaps:
   in :class:`repro.profiling.ServingMetrics`.  A flush is scored in the
   queue's own process by
   :meth:`~repro.approx.StreamingNystroemClassifier.classify`, the one
-  scoring path of a served row.
+  scoring path of a served row; a request whose own score raises fails
+  alone.
 * :mod:`~repro.serving.persistence` -- :class:`PersistentStateStore`, the
   durable tier: content-addressed on-disk snapshots of the state store
   (atomic temp-write-then-rename, versioned checksummed manifest) plus an
   access-log-ordered :meth:`~PersistentStateStore.warm_up` prefetch so a
   restarted process serves its hottest keys simulation-free from the first
   request.
-* :mod:`~repro.serving.router` -- :class:`ReplicaRouter`, ``N`` queue
-  replicas attached from one serving payload behind pluggable routing
-  policies (round-robin, least-depth, key-affinity), high-water load
-  shedding, and one aggregated :class:`repro.profiling.RouterMetrics` view.
+* :mod:`~repro.serving.handle` -- :func:`serve` and :class:`ServingHandle`:
+  one call stands up one queue (and, with ``snapshot_root``, one warmed
+  durable store) from a :class:`~repro.config.ServingConfig`.
 
 The layer's correctness contract -- byte-identical predictions no matter how
-requests were coalesced or routed, or whether the process warm- or
-cold-started -- rests on the engine's batch-composition-invariant padded
+requests were coalesced, whether a swap landed, or whether the process warm-
+or cold-started -- rests on the engine's batch-composition-invariant padded
 overlap sweep and the row-wise serving projections, and is enforced by
 ``tests/properties/test_metamorphic_serving.py``,
-``tests/properties/test_router_metamorphic.py`` and the crash-recovery suite
+``tests/properties/test_swap_metamorphic.py`` and the crash-recovery suite
 in ``tests/serving/``.
 """
 
@@ -44,15 +44,6 @@ from .persistence import (
     WarmUpReport,
 )
 from .queue import AsyncServingQueue, ServedPrediction
-from .router import (
-    ROUTING_POLICIES,
-    KeyAffinityPolicy,
-    LeastDepthPolicy,
-    ReplicaRouter,
-    RoundRobinPolicy,
-    RoutingPolicy,
-    make_routing_policy,
-)
 
 __all__ = [
     "AsyncServingQueue",
@@ -64,11 +55,4 @@ __all__ = [
     "SnapshotManifest",
     "WarmUpReport",
     "SNAPSHOT_VERSION",
-    "ReplicaRouter",
-    "RoutingPolicy",
-    "RoundRobinPolicy",
-    "LeastDepthPolicy",
-    "KeyAffinityPolicy",
-    "ROUTING_POLICIES",
-    "make_routing_policy",
 ]

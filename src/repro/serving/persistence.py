@@ -39,7 +39,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine import StateStore
 from ..exceptions import PersistenceError
@@ -185,7 +185,7 @@ class PersistentStateStore:
     """Durable tier wrapping an in-memory :class:`~repro.engine.StateStore`.
 
     Duck-types the store surface the engine touches (``get`` / ``put`` /
-    ``stats`` / dump / load), so it can be handed to
+    ``stats``), so it can be handed to
     :class:`~repro.engine.KernelEngine` as its ``store`` and every encode
     flows through it unchanged -- with two additions: every ``get`` is
     tallied in a per-key access log (persisted next to the snapshots), and
@@ -269,14 +269,6 @@ class PersistentStateStore:
         """Tensor bytes per in-memory key."""
         return self.store.entry_sizes()
 
-    def dump_entries(self, keys: Sequence[str] | None = None) -> bytes:
-        """Serialise (a subset of) the wrapped store."""
-        return self.store.dump_entries(keys)
-
-    def load_entries(self, payload: bytes) -> int:
-        """Attach a ``dump_entries`` payload to the wrapped store."""
-        return self.store.load_entries(payload)
-
     # ------------------------------------------------------------------
     # Access log.
     # ------------------------------------------------------------------
@@ -284,11 +276,6 @@ class PersistentStateStore:
     def access_counts(self) -> Dict[str, int]:
         """Per-key lookup tally (hits and misses both count as interest)."""
         return dict(self._access_counts)
-
-    def record_accesses(self, counts: Mapping[str, int]) -> None:
-        """Merge external access tallies (e.g. a dying replica's log)."""
-        for key, count in counts.items():
-            self._access_counts[key] = self._access_counts.get(key, 0) + int(count)
 
     def save_access_log(self) -> None:
         """Persist the access tallies atomically (also done by snapshot)."""

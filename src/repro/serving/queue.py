@@ -9,10 +9,8 @@ the two:
 * :meth:`submit` admits one raw feature row (:func:`admit_row`: its width
   and finite values) and immediately returns a
   :class:`concurrent.futures.Future`.  The admitted row's bytes are its
-  response-memo key, taken once; a :class:`~repro.serving.ReplicaRouter`
-  admits the row itself and hands it over with that key, so a routed row is
-  admitted once.  Only a request that finds nothing pending wakes the
-  coalescer, which waits only then;
+  response-memo key, taken once.  Only a request that finds nothing pending
+  wakes the coalescer, which waits only then;
 * a background coalescer thread is **work-conserving**: whenever it is idle
   and something is pending, it pops up to ``max_batch`` requests at once and
   flushes them through the classifier as one block sweep.  It never holds a batch
@@ -49,12 +47,19 @@ loop (:mod:`repro.approx.drift`) is the primary caller.
 Per-request latency, batch sizes, queue depth and throughput are recorded in
 a :class:`repro.profiling.ServingMetrics`.
 
+A request whose own scoring raises fails alone.  When ``classify`` raises on
+a flush, the flush is scored again by halves, down to single rows, so only
+the requests whose one-row score raises get the exception; every other
+request of the batch resolves byte-identical to a flush without them (the
+composition invariance above), and only their answers are memoised and
+counted in the metrics.
+
 The coalescer thread is **supervised**: a raise outside a batch's scoring
 (resolving a future, recording metrics) does not leave callers waiting on a
 dead thread.  The queue fails every outstanding future with a
 :class:`~repro.exceptions.ServingError` chained to the cause and closes
-itself, so :meth:`AsyncServingQueue.submit` raises, a health check reports
-it down and a :class:`~repro.serving.ReplicaRouter` routes around it.
+itself, so :meth:`AsyncServingQueue.submit` raises and a health check
+reports it down.
 """
 
 from __future__ import annotations
@@ -243,15 +248,16 @@ class AsyncServingQueue:
         """Atomically install a new served model from a serving payload.
 
         The replacement classifier is rebuilt around the **current engine's
-        state store** (persistent or in-memory), so warm cache entries and
-        durable snapshots survive the swap -- the engine fingerprint is
-        unchanged because a swap may only change the model parts (landmarks,
-        normalisation, linear model, scaler), never the ansatz or simulation
-        config.  See :meth:`swap_model` for the swap semantics.
+        state store** (persistent or in-memory) and **backend**, so warm
+        cache entries and durable snapshots survive the swap and the
+        backend's counters keep counting across it.  A swap may only change
+        the model parts (landmarks, normalisation, linear model, scaler),
+        never the simulation config, which the shared backend checks.  See
+        :meth:`swap_model` for the swap semantics.
         """
-        store = self._slot.classifier.feature_map.engine.store
+        engine = self._slot.classifier.feature_map.engine
         classifier = StreamingNystroemClassifier.from_serving_payload(
-            payload, store=store
+            payload, store=engine.store, backend=engine.backend
         )
         return self.swap_model(classifier, version=version)
 
@@ -304,19 +310,12 @@ class AsyncServingQueue:
         """Enqueue one raw feature row; returns a future with the result.
 
         The row is validated here (:func:`admit_row`) so malformed traffic
-        is rejected at ingestion and never poisons a coalesced batch.
+        is rejected at ingestion and never poisons a coalesced batch.  Only
+        a request that finds nothing pending wakes the coalescer: it waits
+        only while nothing is pending.
         """
         row = admit_row(row, self._expected_features)
-        return self._enqueue(row, row.tobytes())
-
-    def _enqueue(self, row: np.ndarray, key: bytes) -> "Future[ServedPrediction]":
-        """Queue a row :func:`admit_row` accepted, under its memo ``key``.
-
-        The one hand-off behind :meth:`submit` and
-        :meth:`~repro.serving.ReplicaRouter.submit`, which admits the row
-        itself.  Only a request that finds nothing pending wakes the
-        coalescer: it waits only while nothing is pending.
-        """
+        key = row.tobytes()
         future: "Future[ServedPrediction]" = Future()
         # Mint the request's trace root here (None when tracing is off):
         # the coalescer thread later hangs the wait span and the flush's
@@ -445,48 +444,47 @@ class AsyncServingQueue:
                         TRACER.record_span(
                             "serving.wait", p.span, p.enqueued_at, start
                         )
-        try:
-            with TRACER.use_span(flush_span):
-                with TRACER.span("serving.score") as score_span:
-                    outputs = self._score_batch(batch, slot)
-                    if score_span is not None:
-                        score_span.set_attribute("batch_size", len(batch))
-        except Exception as exc:  # propagate to every waiting caller
-            if flush_span is not None:
-                flush_span.set_attribute("error", repr(exc))
-                flush_span.end()
-            for p in batch:
-                if p.span is not None:
-                    p.span.set_attribute("error", repr(exc))
-                    p.span.end()
-                p.future.set_exception(exc)
-            return
+        with TRACER.use_span(flush_span):
+            with TRACER.span("serving.score") as score_span:
+                outputs = self._score_batch(batch, slot)
+                if score_span is not None:
+                    score_span.set_attribute("batch_size", len(batch))
         now = time.perf_counter()
         if flush_span is not None:
             flush_span.end(now)
         size, version = len(batch), slot.version
         latencies = []
-        for p, (prediction, decision) in zip(batch, outputs):
+        for p, output in zip(batch, outputs):
+            if isinstance(output, Exception):
+                if p.span is not None:
+                    p.span.set_attribute("error", repr(output))
+                    p.span.end(now)
+                p.future.set_exception(output)
+                continue
             latency = now - p.enqueued_at
             latencies.append(latency)
             if p.span is not None:
                 p.span.set_attribute("batch_size", size)
                 p.span.end(now)
+            prediction, decision = output
             p.future.set_result(
                 ServedPrediction(prediction, decision, latency, size, version)
             )
-        self.metrics.record_batch(latencies, now - start, now)
+        if latencies:
+            self.metrics.record_batch(latencies, now - start, now)
 
     def _score_batch(
         self, batch: List[_Pending], slot: _ModelSlot
-    ) -> List[Tuple[int, float]]:
-        """(prediction, decision value) per request, memo-aware.
+    ) -> List["Tuple[int, float] | Exception"]:
+        """(prediction, decision value) per request, memo-aware; or the
+        exception the request's own one-row score raised.
 
         Scoring is a pure function of the raw row *and the model slot*, so
         memo hits return the byte-exact output a fresh compute under the
         same slot would; only the memo-miss rows go through the classifier
-        (one coalesced block sweep).  The memo lives on the slot, never the queue: answers
-        memoised under one model version are unreachable after a swap.
+        (one coalesced block sweep, see :func:`_classify`).  The memo lives
+        on the slot, never the queue: answers memoised under one model
+        version are unreachable after a swap.  A failed row is not memoised.
         """
         memo = slot.memo
         outputs: List = [None] * len(batch)
@@ -502,15 +500,34 @@ class AsyncServingQueue:
                 self.memo_hits += 1
                 outputs[i] = hit
         if misses:
-            result = slot.classifier.classify(
-                np.array([batch[indices[0]].row for indices in misses.values()])
+            scored = _classify(
+                slot.classifier,
+                np.array([batch[indices[0]].row for indices in misses.values()]),
             )
-            scored = zip(result.predictions.tolist(), result.decision_values.tolist())
             for (key, indices), output in zip(misses.items(), scored):
                 for i in indices:
                     outputs[i] = output
-                if memo is not None:
+                if memo is not None and not isinstance(output, Exception):
                     memo[key] = output
             while memo is not None and len(memo) > self.memo_capacity:
                 memo.popitem(last=False)
         return outputs
+
+
+def _classify(
+    classifier: StreamingNystroemClassifier, rows: np.ndarray
+) -> List["Tuple[int, float] | Exception"]:
+    """Score ``rows`` as one block; on a raise, score each half on its own.
+
+    A row's output does not depend on the rows scored with it, so the halves
+    give the bytes the whole block would have.  The recursion ends at single
+    rows: a row whose own score raises gets that exception as its output.
+    """
+    try:
+        result = classifier.classify(rows)
+    except Exception as exc:
+        if len(rows) == 1:
+            return [exc]
+        half = len(rows) // 2
+        return _classify(classifier, rows[:half]) + _classify(classifier, rows[half:])
+    return list(zip(result.predictions.tolist(), result.decision_values.tolist()))

@@ -13,12 +13,12 @@ The three layers compose but stand alone:
 * :mod:`repro.telemetry.instrument` -- duck-typed ``bind_*`` helpers that
   publish the library's existing accounting silos into a registry.
 
-Quick start against a warm queue or router::
+Quick start against a warm serving queue::
 
     from repro.telemetry import TRACER, attach_endpoint
 
     TRACER.enable()                    # optional: span capture
-    server = attach_endpoint(router)   # binds collectors, starts HTTP
+    server = attach_endpoint(queue)    # binds collectors, starts HTTP
     print(server.url + "/metrics")
 """
 
@@ -29,7 +29,6 @@ from .instrument import (
     bind_drift_controller,
     bind_engine,
     bind_queue,
-    bind_router,
     bind_state_store,
 )
 from .prometheus import parse_prometheus_text, render_prometheus
@@ -57,7 +56,6 @@ __all__ = [
     "TelemetryServer",
     "attach_endpoint",
     "bind_queue",
-    "bind_router",
     "bind_state_store",
     "bind_backend",
     "bind_engine",

@@ -8,15 +8,14 @@ event loop -- and serves three read-only endpoints:
   (``text/plain; version=0.0.4``), collectors freshly run per scrape;
 * ``/health`` -- a JSON liveness document with status ``ok`` / ``degraded``
   / ``down`` (HTTP 200 / 200 / 503), derived from a caller-supplied health
-  callback -- :func:`attach_endpoint` wires the standard ones for a queue
-  (closed?) or a router fleet (how many replicas are alive?);
+  callback -- :func:`attach_endpoint` wires the standard one for a serving
+  queue (closed?);
 * ``/traces/recent?limit=N`` -- the tracer's newest finished traces as a
   JSON span dump, or an indented text flamegraph with ``&format=text``.
 
-:func:`attach_endpoint` is the one-call entry point: give it a queue or a
-:class:`~repro.serving.ReplicaRouter`-shaped fleet and it binds the standard
-collectors (:mod:`repro.telemetry.instrument`), builds the health callback,
-and starts the server on an ephemeral port.
+:func:`attach_endpoint` is the one-call entry point: give it a serving queue
+and it binds the standard collectors (:mod:`repro.telemetry.instrument`),
+builds the health callback, and starts the server on an ephemeral port.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..exceptions import TelemetryError
-from .instrument import bind_classifier_coverage, bind_queue, bind_router
+from .instrument import _Live, bind_classifier_coverage, bind_queue
 from .prometheus import render_prometheus
 from .registry import MetricsRegistry
 from .tracing import TRACER, Tracer, render_trace_text
@@ -198,26 +197,6 @@ def _queue_health(queue) -> Callable[[], Dict]:
     return health
 
 
-def _router_health(router) -> Callable[[], Dict]:
-    def health() -> Dict:
-        alive = len(router.alive_replicas)
-        total = int(router.num_replicas)
-        if alive == 0:
-            status = "down"
-        elif alive < total:
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "status": status,
-            "alive_replicas": alive,
-            "num_replicas": total,
-            "pending": router.pending(),
-        }
-
-    return health
-
-
 def attach_endpoint(
     target,
     registry: Optional[MetricsRegistry] = None,
@@ -225,36 +204,27 @@ def attach_endpoint(
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> TelemetryServer:
-    """Start a telemetry endpoint for a serving queue or a replica router.
+    """Start a telemetry endpoint for a serving queue.
 
-    ``target`` is duck-typed: anything with ``queues`` + ``alive_replicas``
-    is treated as a router fleet (every replica queue is bound and
-    ``/health`` reflects replica liveness); anything with ``submit`` +
-    ``metrics`` is treated as a single queue.  A fresh registry is created
-    unless one is passed; the standard collectors
+    ``target`` is duck-typed: anything with ``submit`` + ``metrics`` (the
+    :class:`~repro.serving.AsyncServingQueue` surface).  A fresh registry
+    is created unless one is passed; the standard collectors
     (:mod:`repro.telemetry.instrument`) are bound either way, including the
     rolling conformal-coverage gauge when the target's classifier has
-    conformal feedback attached.
+    conformal feedback attached.  Like the engine's series, the gauge reads
+    the classifier that serves at each scrape, so a swap to a model without
+    feedback reads zero.
     """
-    registry = registry if registry is not None else MetricsRegistry()
-    if hasattr(target, "queues") and hasattr(target, "alive_replicas"):
-        bind_router(registry, target)
-        health = _router_health(target)
-        queues = list(target.queues)
-    elif hasattr(target, "submit") and hasattr(target, "metrics"):
-        bind_queue(registry, target)
-        health = _queue_health(target)
-        queues = [target]
-    else:
+    if not (hasattr(target, "submit") and hasattr(target, "metrics")):
         raise TelemetryError(
             f"cannot attach a telemetry endpoint to {type(target).__name__}; "
-            "expected a serving queue or a replica router"
+            "expected a serving queue"
         )
-    for queue in queues:
-        classifier = getattr(queue, "classifier", None)
-        if classifier is not None and getattr(classifier, "conformal", None) is not None:
-            bind_classifier_coverage(registry, classifier)
-            break
+    registry = registry if registry is not None else MetricsRegistry()
+    bind_queue(registry, target)
+    classifier = getattr(target, "classifier", None)
+    if classifier is not None and getattr(classifier, "conformal", None) is not None:
+        bind_classifier_coverage(registry, _Live(lambda: target.classifier))
     return TelemetryServer(
-        registry, tracer=tracer, health=health, host=host, port=port
+        registry, tracer=tracer, health=_queue_health(target), host=host, port=port
     )

@@ -9,8 +9,10 @@ The bound objects are **duck-typed** -- this module never imports
 and the hot paths those silos already instrument gain zero per-request work.
 
 Collector names are stable per bound slot (``queue-0``, ``backend-0-primary``
-...), so re-binding after a replica restart replaces the stale collector
-instead of stacking a second reader of a dead object.
+...), so re-binding a slot replaces its collector instead of stacking a
+second reader.  A queue's collectors read the queue's *live* classifier and
+engine at every collection: a swap installs both anew, and the series follow
+it.
 
 Metric families follow the registry's naming conventions: ``repro_`` prefix,
 ``_total`` for monotone counts, ``_seconds`` reserved for wall-clock values
@@ -25,7 +27,6 @@ from .registry import MetricsRegistry
 
 __all__ = [
     "bind_queue",
-    "bind_router",
     "bind_state_store",
     "bind_backend",
     "bind_engine",
@@ -47,7 +48,10 @@ def bind_queue(
 
     ``queue`` is anything with the :class:`repro.serving.AsyncServingQueue`
     surface: a ``metrics`` accounting object, ``memo_hits``, ``pending``.
-    Returns the registered collector names.
+    ``replica`` is the series label.  The engine's store and backend are
+    looked up through ``queue.classifier`` at every collection, so after a
+    swap the series read the engine that serves.  Returns the registered
+    collector names.
     """
     requests = registry.counter(
         "repro_serving_requests_total",
@@ -126,14 +130,20 @@ def bind_queue(
         swaps.labels(replica=replica).set_total(getattr(queue, "swap_count", 0))
 
     names = [registry.register_collector(collect, name=f"queue-{replica}")]
-    engine = getattr(
-        getattr(getattr(queue, "classifier", None), "feature_map", None),
-        "engine",
-        None,
-    )
-    if bind_engine_too and engine is not None:
+    if bind_engine_too and getattr(queue, "classifier", None) is not None:
+        engine = _Live(lambda: queue.classifier.feature_map.engine)
         names.extend(bind_engine(registry, engine, replica=replica))
     return names
+
+
+class _Live:
+    """Reads every attribute off whatever ``source()`` returns at the time."""
+
+    def __init__(self, source) -> None:
+        self._source = source
+
+    def __getattr__(self, name: str):
+        return getattr(self._source(), name)
 
 
 def bind_state_store(
@@ -241,60 +251,17 @@ def bind_backend(registry: MetricsRegistry, backend, replica: str = "0") -> List
 
 
 def bind_engine(registry: MetricsRegistry, engine, replica: str = "0") -> List[str]:
-    """Publish one kernel engine's store and backend."""
-    names: List[str] = []
-    store = getattr(engine, "store", None)
-    if store is not None:
-        names.extend(bind_state_store(registry, store, replica=replica))
-    backend = getattr(engine, "backend", None)
-    if backend is not None:
-        names.extend(bind_backend(registry, backend, replica=replica))
-    return names
+    """Publish one kernel engine's store and backend.
 
-
-def bind_router(registry: MetricsRegistry, router) -> List[str]:
-    """Publish a replica router's fleet counters plus every replica's queue.
-
-    ``router`` is anything with the :class:`repro.serving.ReplicaRouter`
-    surface (``metrics``, ``queues``, ``alive_replicas``, ``metrics_view``).
+    Both are read off ``engine`` at every collection, not bound once.
     """
-    routed = registry.counter(
-        "repro_router_routed_total",
-        "Requests accepted and handed to a replica.",
-        ("replica",),
-    )
-    shed = registry.counter(
-        "repro_router_shed_total",
-        "Requests rejected by load shedding (every replica saturated).",
-    )
-    failovers = registry.counter(
-        "repro_router_failover_total",
-        "Requests re-routed off their policy-chosen replica.",
-    )
-    replicas_total = registry.gauge(
-        "repro_router_replicas", "Configured fleet size."
-    )
-    replicas_alive = registry.gauge(
-        "repro_router_alive_replicas", "Replicas currently accepting traffic."
-    )
-    warm_hit_ratio = registry.gauge(
-        "repro_router_warm_hit_ratio",
-        "Fraction of fleet cache interest served without a circuit simulation.",
-    )
-
-    def collect() -> None:
-        view = router.metrics_view()
-        for i, count in enumerate(view["routed_per_replica"]):
-            routed.labels(replica=str(i)).set_total(count)
-        shed.set_total(view["shed_count"])
-        failovers.set_total(view["failover_count"])
-        replicas_total.set(router.num_replicas)
-        replicas_alive.set(len(router.alive_replicas))
-        warm_hit_ratio.set(view.get("warm_hit_ratio", 0.0))
-
-    names = [registry.register_collector(collect, name="router")]
-    for i, queue in enumerate(router.queues):
-        names.extend(bind_queue(registry, queue, replica=str(i)))
+    names: List[str] = []
+    if getattr(engine, "store", None) is not None:
+        store = _Live(lambda: engine.store)
+        names.extend(bind_state_store(registry, store, replica=replica))
+    if getattr(engine, "backend", None) is not None:
+        backend = _Live(lambda: engine.backend)
+        names.extend(bind_backend(registry, backend, replica=replica))
     return names
 
 
@@ -334,7 +301,7 @@ def bind_drift_controller(
     ``controller`` is anything with the
     :class:`repro.approx.DriftController` surface: ``rolling_coverage()``,
     ``feedback_count``, ``alarm_active``, ``alarm_count``, ``refit_count``,
-    ``swap_count``, ``buffered_samples``.  Together with the per-replica
+    ``swap_count``, ``buffered_samples``.  Together with the queue's
     ``repro_serving_model_version`` gauge these four counters tell the whole
     adaptation story on a dashboard: coverage dips, the alarm latches, a
     refit and a swap land, coverage recovers.

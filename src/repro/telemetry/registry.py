@@ -1,16 +1,15 @@
 """Metrics registry: Counter / Gauge / Histogram primitives with labels.
 
-Until this subsystem, the library's operational accounting lived in four
-disconnected silos -- :class:`repro.profiling.ServingMetrics` per queue,
-:class:`repro.profiling.RouterMetrics` per fleet, the engine's
-:class:`repro.engine.cache.CacheStats`, and the backends' timing counters --
+Until this subsystem, the library's operational accounting lived in three
+disconnected silos -- :class:`repro.profiling.ServingMetrics` per queue, the
+engine's :class:`repro.engine.cache.CacheStats`, and the backends' counters --
 none of which shared a naming scheme or a machine-readable export.  The
 :class:`MetricsRegistry` is the one place they all publish to:
 
 * **primitives** -- :class:`Counter` (monotone totals), :class:`Gauge`
   (instantaneous values) and :class:`Histogram` (bucketed distributions),
   each optionally carrying *labels* (``requests_total{replica="0"}``) so one
-  metric family covers a whole fleet;
+  metric family covers several bound objects;
 * **pull-model collectors** -- existing accounting objects are *bound* to
   the registry (:mod:`repro.telemetry.instrument`) through callbacks that
   run at collection time, so the hot paths those silos already instrument

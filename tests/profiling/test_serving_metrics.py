@@ -1,10 +1,9 @@
 """Regression tests: percentile getters fail loudly instead of numpy-crashing."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
-from repro.profiling import RouterMetrics, ServingMetrics
+from repro.profiling import ServingMetrics
 
 
 def _metrics_with_latencies(latencies):
@@ -38,12 +37,6 @@ def test_throughput_empty_raises_repro_error():
         _ = ServingMetrics().throughput_rps
 
 
-def test_fleet_percentile_empty_raises_repro_error():
-    router = RouterMetrics([ServingMetrics(), ServingMetrics()])
-    with pytest.raises(ReproError, match="no replica has completed"):
-        router.fleet_latency_percentile(99.0)
-
-
 # ----------------------------------------------------------------------
 # Out-of-range percentiles raise ReproError, not numpy's ValueError
 # ----------------------------------------------------------------------
@@ -52,30 +45,16 @@ def test_out_of_range_percentile_raises_repro_error(q):
     metrics = _metrics_with_latencies([0.01, 0.02])
     with pytest.raises(ReproError, match=r"percentile must be in \[0, 100\]"):
         metrics.latency_percentile(q)
-    router = RouterMetrics([metrics])
-    with pytest.raises(ReproError, match=r"percentile must be in \[0, 100\]"):
-        router.fleet_latency_percentile(q)
 
 
 # ----------------------------------------------------------------------
-# The happy path still works (and pools across replicas)
+# The happy path still works
 # ----------------------------------------------------------------------
 def test_percentiles_work_with_samples():
     metrics = _metrics_with_latencies([0.01, 0.02, 0.03, 0.04])
     assert metrics.latency_percentile(0.0) == pytest.approx(0.01)
     assert metrics.latency_percentile(100.0) == pytest.approx(0.04)
     assert metrics.p50_latency_s == pytest.approx(0.025)
-
-
-def test_fleet_percentile_pools_replica_samples():
-    a = _metrics_with_latencies([0.01, 0.01])
-    b = _metrics_with_latencies([0.05, 0.05])
-    router = RouterMetrics([a, b])
-    pooled = np.percentile([0.01, 0.01, 0.05, 0.05], 50.0)
-    assert router.fleet_latency_percentile(50.0) == pytest.approx(pooled)
-    # One empty replica does not break the fleet view.
-    router = RouterMetrics([a, ServingMetrics()])
-    assert router.fleet_latency_percentile(100.0) == pytest.approx(0.01)
 
 
 def test_sample_getters_return_copies():

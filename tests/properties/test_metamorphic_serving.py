@@ -10,7 +10,8 @@ is the contract the engine's grouping-invariant batched sweep provides.
 
 Relation 6 pins the work-conserving coalescer.  Following Metamorphic
 Coverage (Ba, Jiang & Rigger), each of its cases names the branch of the
-queue's batch collection it reaches.
+queue's batch collection it reaches.  Relation 7 pins fault containment:
+a request whose own score raises fails alone.
 """
 
 import threading
@@ -18,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.approx import NystroemConfig, NystroemFeatureMap
+from repro.approx import NystroemConfig, NystroemFeatureMap, StreamingNystroemClassifier
 from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
@@ -215,6 +216,72 @@ def test_decisions_invariant_under_arrival_interleaving(
     predictions = np.array([r.prediction for r in results])
     assert decisions.tobytes() == reference.decision_values.tobytes()
     assert np.array_equal(predictions, reference.predictions)
+
+
+# ----------------------------------------------------------------------
+# Relation 7: a poisoned neighbour changes no other output.
+# ----------------------------------------------------------------------
+POISON = np.full(4, 0.125)
+
+
+def _serve_one_batch(served_engine, rows, coalescer_gate, memoize):
+    """Serve ``rows`` as one coalesced flush, then replay them as another;
+    returns the queue (closed) and both passes' futures."""
+    passes = []
+    with served_engine.serving_queue(max_batch=64, memoize=memoize) as queue:
+        for _ in range(2):
+            coalescer_gate.stall(queue)
+            futures = queue.submit_many(rows)
+            coalescer_gate.release()
+            queue.flush()
+            passes.append(futures)
+    return queue, passes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poisoned_request_leaves_every_other_output_byte_identical(
+    served_engine, queries, coalescer_gate, monkeypatch, seed
+):
+    """Adding requests whose classify raises to any batch leaves every other
+    output byte-identical, fails only the poisoned requests (with the error
+    their own score raised), and memoises and counts only the others."""
+    gated = StreamingNystroemClassifier.classify
+
+    def classify_raising_on_poison(classifier, X):
+        if any(row.tobytes() == POISON.tobytes() for row in np.atleast_2d(X)):
+            raise RuntimeError("poisoned row")
+        return gated(classifier, X)
+
+    monkeypatch.setattr(
+        StreamingNystroemClassifier, "classify", classify_raising_on_poison
+    )
+    rng = np.random.default_rng(seed)
+    clean = queries[rng.choice(len(queries), int(rng.integers(1, 13)), replace=False)]
+    poisoned = clean
+    for _ in range(1 + seed % 2):
+        position = int(rng.integers(0, len(poisoned) + 1))
+        poisoned = np.insert(poisoned, position, POISON, axis=0)
+    bad = [i for i, row in enumerate(poisoned) if row.tobytes() == POISON.tobytes()]
+    memoize = bool(seed % 3)
+
+    clean_queue, clean_passes = _serve_one_batch(
+        served_engine, clean, coalescer_gate, memoize
+    )
+    queue, passes = _serve_one_batch(served_engine, poisoned, coalescer_gate, memoize)
+    for futures, clean_futures in zip(passes, clean_passes):
+        for i in bad:
+            assert isinstance(futures[i].exception(timeout=60), RuntimeError)
+        served = [f.result(timeout=60) for i, f in enumerate(futures) if i not in bad]
+        expected = [f.result(timeout=60) for f in clean_futures]
+        assert {r.batch_size for r in served} == {len(poisoned)}
+        assert np.array([r.decision_value for r in served]).tobytes() == np.array(
+            [r.decision_value for r in expected]
+        ).tobytes()
+        assert [r.prediction for r in served] == [r.prediction for r in expected]
+    # Failed requests are neither memoised (the replay misses them again)
+    # nor counted as served.
+    assert queue.memo_hits == clean_queue.memo_hits
+    assert queue.metrics.total_requests == clean_queue.metrics.total_requests
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The deterministic metric families -- request counts, simulation counts,
 store miss totals, encode launch counts -- are pure functions of the request
 stream, so identical streams must reproduce them exactly however the stream
-was coalesced, however many replicas served it, and whether the caches
-started warm or cold.  :meth:`MetricsRegistry.deterministic_snapshot` is the
+was coalesced and whether the caches started warm or cold.  :meth:`MetricsRegistry.deterministic_snapshot` is the
 filtered view these relations pin (wall-clock families are excluded by
 naming convention); predictions ride along byte-identical as always.
 """
@@ -13,10 +12,11 @@ import numpy as np
 import pytest
 
 from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig
+from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
-from repro.telemetry import MetricsRegistry, bind_queue, bind_router
+from repro.serving import serve
+from repro.telemetry import MetricsRegistry, bind_queue
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
@@ -59,24 +59,17 @@ def _serve_queue(served_engine, queries, **queue_kwargs):
     )
 
 
-def _serve_router(payload, queries, num_replicas, **router_kwargs):
-    from repro.serving import ReplicaRouter
-
+def _serve_durable(payload, queries, root, snapshot=False):
+    """One pass through a service over the durable tier at ``root``."""
     registry = MetricsRegistry()
-    router = ReplicaRouter(
-        payload,
-        num_replicas=num_replicas,
-        policy="key-affinity",
-        max_batch=4,
-        **router_kwargs,
-    )
+    handle = serve(payload, ServingConfig(max_batch=4, snapshot_root=root))
     try:
-        bind_router(registry, router)
-        futures = [router.submit(row) for row in queries]
-        router.flush()
+        bind_queue(registry, handle.queue)
+        futures = handle.submit_many(queries)
+        handle.flush()
         results = [f.result(timeout=30) for f in futures]
     finally:
-        router.close()
+        handle.close(snapshot=snapshot)
     return registry.deterministic_snapshot(), np.array(
         [r.decision_value for r in results]
     )
@@ -140,57 +133,14 @@ def test_coalescing_invariant_totals(served_engine, queries):
 
 
 # ----------------------------------------------------------------------
-# Relation 3: replica-count invariance under key affinity.
-# ----------------------------------------------------------------------
-def test_replica_count_invariant_fleet_totals(payload, queries):
-    stream = np.vstack([queries, queries[:6]])  # repeats exercise affinity
-    snapshots = {}
-    decisions = {}
-    for n in (1, 2, 3):
-        snapshots[n], decisions[n] = _serve_router(payload, stream, num_replicas=n)
-    for n in (2, 3):
-        assert decisions[n].tobytes() == decisions[1].tobytes()
-        for name in (
-            "repro_serving_requests_total",
-            "repro_serving_enqueued_total",
-            "repro_router_routed_total",
-            "repro_backend_simulations_total",
-            "repro_store_misses_total",
-            "repro_serving_memo_hits_total",
-        ):
-            assert _family_total(snapshots[n], name) == _family_total(
-                snapshots[1], name
-            ), (name, n)
-        assert _family_total(snapshots[n], "repro_router_shed_total") == 0
-
-
-# ----------------------------------------------------------------------
-# Relation 4: warm vs cold start -- the warm pass simulates nothing.
+# Relation 3: warm vs cold start -- the warm pass simulates nothing.
 # ----------------------------------------------------------------------
 def test_warm_start_serves_without_simulations(payload, queries, tmp_path):
-    root = tmp_path / "snapshots"
-    cold_snap, cold_dec = _serve_router(
-        payload, queries, num_replicas=1, persistence_root=root
-    )
-
-    # Persist the warmed cache, then serve the same stream from a fresh
-    # fleet warmed from disk.
-    from repro.serving import ReplicaRouter
-
-    router = ReplicaRouter(
-        payload, num_replicas=1, persistence_root=root, max_batch=4
-    )
-    try:
-        futures = [router.submit(row) for row in queries]
-        router.flush()
-        [f.result(timeout=30) for f in futures]
-        router.snapshot()
-    finally:
-        router.close()
-
-    warm_snap, warm_dec = _serve_router(
-        payload, queries, num_replicas=1, persistence_root=root
-    )
+    root = str(tmp_path / "snapshots")
+    # The cold pass persists its cache; a fresh service over the same root
+    # warms up from disk and serves the same stream.
+    cold_snap, cold_dec = _serve_durable(payload, queries, root, snapshot=True)
+    warm_snap, warm_dec = _serve_durable(payload, queries, root)
     assert warm_dec.tobytes() == cold_dec.tobytes()
     assert _family_total(cold_snap, "repro_backend_simulations_total") == len(
         np.unique(queries, axis=0)

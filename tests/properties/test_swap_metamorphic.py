@@ -4,9 +4,9 @@ A hot swap must change *which* model answers, and nothing else: every
 prediction is byte-identical to what the model recorded in its
 ``model_version`` stamp would produce in isolation.  The relations below pin
 that across swap timing relative to a coalesced flush (before / with
-requests pending / after), replica counts 1/2/3, warm vs cold starts from
-the durable tier, and the response memo (which must never leak answers
-across model generations).  The partition relation is the strongest form: a
+requests pending / after), the one-call service surface, warm vs cold
+starts from the durable tier, and the response memo (which must never leak
+answers across model generations).  The partition relation is the strongest form: a
 request stream split across a swap equals the concatenation of old-model
 answers and new-model answers at the recorded swap boundary.
 """
@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro.approx import NystroemConfig, StreamingNystroemClassifier
-from repro.config import AnsatzConfig
+from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.exceptions import ServingError
-from repro.serving import AsyncServingQueue, ReplicaRouter
+from repro.serving import AsyncServingQueue, serve
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
@@ -145,53 +145,43 @@ def test_memo_does_not_leak_across_swap(payloads, queries, references):
 
 
 # ----------------------------------------------------------------------
-# Relation 4: fleet swap agrees across replica counts, policies aside.
+# Relation 4: a swap through the service handle is the queue's swap.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("num_replicas", [1, 2, 3])
-def test_router_swap_across_replica_counts(
-    payloads, queries, references, num_replicas
-):
-    with ReplicaRouter(
-        payloads[0],
-        num_replicas=num_replicas,
-        policy="round-robin",
-        max_batch=4,
-    ) as router:
-        before = [f.result(timeout=30) for f in router.submit_many(queries)]
-        version = router.swap_payload(payloads[1])
-        router.flush()
-        after = [f.result(timeout=30) for f in router.submit_many(queries)]
-    assert version == 1 and router.swap_count == 1
+def test_handle_swap(payloads, queries, references):
+    with serve(payloads[0], ServingConfig(max_batch=4)) as handle:
+        before = [f.result(timeout=30) for f in handle.submit_many(queries)]
+        version = handle.swap(payloads[1])
+        handle.flush()
+        after = [f.result(timeout=30) for f in handle.submit_many(queries)]
+        assert handle.queue.swap_count == 1
+    assert version == 1
     assert [r.decision_value for r in before] == list(references[0])
     assert [r.decision_value for r in after] == list(references[1])
     assert {r.model_version for r in after} == {1}
 
 
 # ----------------------------------------------------------------------
-# Relation 5: warm start from the durable tier serves the swap identically
-# to a cold fleet.
+# Relation 5: a service warm-started from the durable tier serves the swap
+# identically to a cold one.
 # ----------------------------------------------------------------------
 def test_swap_agrees_across_warm_and_cold_starts(
     payloads, queries, references, tmp_path
 ):
     outputs = {}
-    for label, root in (("cold", None), ("warm", tmp_path / "snapshots")):
+    for label, root in (("cold", None), ("warm", str(tmp_path / "snapshots"))):
+        config = ServingConfig(max_batch=4, snapshot_root=root)
         if root is not None:
-            # Populate the snapshot the warm fleet will restore from.
-            with ReplicaRouter(
-                payloads[0], num_replicas=2, persistence_root=root,
-                max_batch=4,
-            ) as seeder:
-                [f.result(timeout=30) for f in seeder.submit_many(queries)]
-                seeder.snapshot()
-        with ReplicaRouter(
-            payloads[0], num_replicas=2, persistence_root=root,
-            max_batch=4,
-        ) as router:
-            router.swap_payload(payloads[1])
+            # Populate the snapshot the warm service will restore from.
+            seeder = serve(payloads[0], config)
+            [f.result(timeout=30) for f in seeder.submit_many(queries)]
+            seeder.close(snapshot=True)
+        with serve(payloads[0], config) as handle:
+            if root is not None:
+                assert handle.warm_up_report.loaded == len(queries)
+            handle.swap(payloads[1])
             outputs[label] = [
                 f.result(timeout=30).decision_value
-                for f in router.submit_many(queries)
+                for f in handle.submit_many(queries)
             ]
     assert outputs["cold"] == outputs["warm"] == list(references[1])
 

@@ -11,12 +11,13 @@ import pytest
 
 import repro
 from repro.approx import NystroemConfig
-from repro.config import AnsatzConfig, ServingConfig, TuningConfig
+from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
-from repro.exceptions import LoadShedError, ServingError
+from repro.exceptions import ConfigurationError, ServingError
 from repro.profiling import ServingMetrics
 from repro.serving import ServingHandle, resolve_serving_payload, serve
+from repro.telemetry import parse_prometheus_text
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
@@ -71,9 +72,7 @@ def test_serve_is_exported_at_top_level():
 
 def test_serve_round_trips_predictions(served_engine, payload, queries):
     reference = served_engine.streaming_classifier().classify(queries)
-    config = ServingConfig(
-        tuning=TuningConfig(max_batch=4), num_replicas=2
-    )
+    config = ServingConfig(max_batch=4)
     with serve(payload, config) as handle:
         futures = handle.submit_many(queries)
         results = [f.result(timeout=60) for f in futures]
@@ -91,10 +90,10 @@ def test_non_finite_row_is_rejected_at_admission(
     poisoned = queries[1].copy()
     poisoned[2] = bad_value
     valid = [queries[0], queries[2], queries[3]]
-    config = ServingConfig(tuning=TuningConfig(max_batch=8))
+    config = ServingConfig(max_batch=8)
     with serve(payload, config, memoize=False) as handle:
         # A stalled coalescer holds the valid rows in one pending batch.
-        coalescer_gate.stall(handle.router.queues[0])
+        coalescer_gate.stall(handle.queue)
         futures = [handle.submit(valid[0])]
         with pytest.raises(ServingError, match="NaN or infinite"):
             handle.submit(poisoned)
@@ -125,10 +124,10 @@ def test_cancelled_request_leaves_the_coalescer_serving(
     classify(), and flush() returns."""
     rows = queries[:4]
     reference = served_engine.streaming_classifier().classify(rows)
-    config = ServingConfig(tuning=TuningConfig(max_batch=8))
+    config = ServingConfig(max_batch=8)
     with serve(payload, config) as handle:
         # A stalled coalescer holds all four rows in one pending batch.
-        coalescer_gate.stall(handle.router.queues[0])
+        coalescer_gate.stall(handle.queue)
         futures = handle.submit_many(rows)
         assert futures[1].cancel()
         coalescer_gate.release()
@@ -167,7 +166,7 @@ def test_coalescer_failure_closes_the_queue_and_reports_down(
     /health reports down, and flush() and close() return."""
     _record_batch_raising_once(monkeypatch)
     with serve(payload, telemetry=True) as handle:
-        queue = handle.router.queues[0]
+        queue = handle.queue
         assert handle.submit(queries[0]).result(timeout=30).prediction in (0, 1)
         deadline = time.monotonic() + 10.0
         while not queue.closed and time.monotonic() < deadline:
@@ -191,7 +190,7 @@ def test_coalescer_failure_fails_every_pending_future(
     ServingError chained to the cause; none waits forever."""
     _record_batch_raising_once(monkeypatch)
     with serve(payload) as handle:
-        queue = handle.router.queues[0]
+        queue = handle.queue
         sentinel = coalescer_gate.stall(queue)
         pending = handle.submit_many(queries[:3])
         coalescer_gate.release()
@@ -205,42 +204,19 @@ def test_coalescer_failure_fails_every_pending_future(
         assert _flush_returns(handle)
 
 
-def test_shed_probe_sheds_exactly_the_overflow(payload, coalescer_gate):
-    """Admission control may refuse work, never lose it: with the coalescer
-    stalled, six rows at high water 4 shed exactly two, and all four
-    accepted requests resolve."""
-    config = ServingConfig(
-        tuning=TuningConfig(max_batch=1000, queue_depth_high_water=4)
-    )
-    rows = np.random.default_rng(17).normal(size=(6, 4))
-    shed, accepted = 0, []
-    with serve(payload, config, memoize=False) as handle:
-        coalescer_gate.stall(handle.router.queues[0])
-        for row in rows:
-            try:
-                accepted.append(handle.submit(row))
-            except LoadShedError:
-                shed += 1
-        coalescer_gate.release()
-        handle.flush()
-        resolved = [f for f in accepted if f.exception(timeout=30) is None]
-    assert shed == 2
-    assert len(accepted) - len(resolved) == 0
-    assert len(resolved) == len(accepted) == 4
-
-
 def test_serve_accepts_a_model_object_directly(served_engine, queries):
     with serve(served_engine) as handle:
         assert handle.predict(queries[0]).prediction in (0, 1)
-        # Default config: one replica, no endpoint.
-        assert handle.router.num_replicas == 1
+        # Default config: no durable tier, no endpoint.
+        assert handle.store is None and handle.warm_up_report is None
+        assert handle.queue.max_batch == ServingConfig().max_batch
         assert handle.url is None
 
 
-def test_swap_rolls_a_new_model_across_the_fleet(payload, queries):
+def test_swap_installs_a_new_model(payload, queries):
     replacement = _fit_engine(landmark_seed=5)
     expected = replacement.streaming_classifier().classify(queries)
-    with serve(payload, ServingConfig(num_replicas=2)) as handle:
+    with serve(payload) as handle:
         before = handle.predict(queries[0])
         assert handle.model_version == 0
         version = handle.swap(replacement)  # model object, not payload
@@ -270,5 +246,220 @@ def test_telemetry_endpoint_exports_the_serving_families(payload, queries):
         handle.predict(queries[0])
         with urllib.request.urlopen(handle.url + "/metrics", timeout=10) as resp:
             text = resp.read().decode()
-    assert "repro_router_routed_total" in text
     assert "repro_serving_requests_total" in text
+    assert "repro_backend_simulations_total" in text
+
+
+def _simulations_exported(url):
+    """``repro_backend_simulations_total`` summed over its series, scraped."""
+    with urllib.request.urlopen(url + "/metrics", timeout=10) as resp:
+        families = parse_prometheus_text(resp.read().decode())
+    samples = families["repro_backend_simulations_total"]["samples"]
+    return sum(value for _, _, value in samples)
+
+
+def test_exported_simulations_follow_the_engine_across_a_swap(payload, queries):
+    """After a swap, k cold rows raise the exported simulation counter by k:
+    /metrics reads the engine that serves, and the counter never falls."""
+    cold = np.random.default_rng(101).normal(size=(3, 4))
+    with serve(payload, telemetry=True) as handle:
+        handle.submit_many(queries[:4])
+        handle.flush()
+        before = _simulations_exported(handle.url)
+        assert before >= 4
+        handle.swap(payload)
+        handle.submit_many(cold)
+        handle.flush()
+        after = _simulations_exported(handle.url)
+    assert after - before == len(cold)
+
+
+def test_swap_refuses_a_payload_of_another_simulation_config(payload):
+    other = dict(payload)
+    other["simulation_kwargs"] = dict(payload["simulation_kwargs"], max_bond_dim=2)
+    with serve(payload) as handle:
+        with pytest.raises(ConfigurationError, match="max_bond_dim"):
+            handle.swap(other)
+        assert handle.model_version == 0
+
+
+def test_close_with_snapshot_stops_a_service_without_a_durable_tier(payload, queries):
+    """close(snapshot=True) without snapshot_root raises, but only after the
+    queue and the endpoint have stopped: nothing keeps serving behind it."""
+    handle = serve(payload, telemetry=True)
+    handle.predict(queries[0])
+    url = handle.url
+    with pytest.raises(ServingError, match="durable tier"):
+        handle.close(snapshot=True)
+    assert handle.queue.closed
+    assert not handle.queue._thread.is_alive()
+    with pytest.raises(ServingError):
+        handle.submit(queries[1])
+    with pytest.raises(urllib.error.URLError):
+        urllib.request.urlopen(url + "/health", timeout=5)
+
+
+def test_serve_builds_the_service_from_its_config(payload, queries, tmp_path):
+    config = ServingConfig(
+        max_batch=4, snapshot_root=str(tmp_path / "tier"), memoize=False
+    )
+    with serve(payload, config, memo_capacity=8) as handle:
+        engine = handle.queue.classifier.feature_map.engine
+        assert handle.queue.max_batch == 4
+        assert not handle.queue.memoize and handle.queue.memo_capacity == 8
+        assert engine.store is handle.store
+        assert handle.store.fingerprint == engine.fingerprint
+        assert handle.warm_up_report.available == 0
+        assert handle.predict(queries[0]).prediction in (0, 1)
+
+
+def test_handle_exposes_its_queue_to_the_benchmark_readers(payload, queries):
+    """perfbench reads ``handle.router.queues[0]`` and passes ``workers=0``."""
+    with serve(payload, ServingConfig(), workers=0) as handle:
+        assert handle.router.queues[0] is handle.queue
+        assert handle.predict(queries[0]).prediction in (0, 1)
+
+
+def test_metrics_report_the_queue_and_the_warm_hit_ratio(payload, queries):
+    """Replaying a stream is answered by the memo: n cold lookups, then n
+    memo hits, read as a warm-hit ratio of one half."""
+    rows = queries[:4]
+    with serve(payload, ServingConfig(max_batch=8)) as handle:
+        assert "warm_hit_ratio" not in handle.metrics()
+        for _ in range(2):
+            handle.submit_many(rows)
+            handle.flush()
+        view = handle.metrics()
+    assert view["total_requests"] == view["total_enqueued"] == 2 * len(rows)
+    assert view["warm_hit_ratio"] == pytest.approx(0.5)
+
+
+def test_served_row_is_admitted_once(payload, queries, monkeypatch):
+    from repro.serving import queue as queue_module
+
+    admitted = []
+    admit_row = queue_module.admit_row
+
+    def counting_admit_row(row, expected_features):
+        admitted.append(1)
+        return admit_row(row, expected_features)
+
+    monkeypatch.setattr(queue_module, "admit_row", counting_admit_row)
+    with serve(payload) as handle:
+        handle.predict(queries[0])
+        assert len(admitted) == 1
+
+
+BAD_ROWS = {
+    "narrow": np.zeros(3),
+    "wide": np.zeros(5),
+    "nan": np.array([0.1, np.nan, 0.2, 0.3]),
+    "inf": np.array([0.1, 0.2, -np.inf, 0.3]),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ROWS), ids=list(BAD_ROWS))
+def test_rejected_row_leaves_no_trace(payload, queries, coalescer_gate, bad):
+    """A bad row raises ServingError at submit and changes no depth, enqueue
+    count or high-water mark; the rows accepted around it all resolve."""
+
+    def queue_state(queue):
+        snapshot = queue.metrics.to_dict()
+        return (
+            queue.pending,
+            snapshot["total_enqueued"],
+            snapshot["queue_depth_high_water"],
+        )
+
+    with serve(payload, ServingConfig(max_batch=1000)) as handle:
+        coalescer_gate.stall(handle.queue)
+        accepted = handle.submit_many(queries[:3])
+        before = queue_state(handle.queue)
+        with pytest.raises(ServingError):
+            handle.submit(BAD_ROWS[bad])
+        assert queue_state(handle.queue) == before
+        coalescer_gate.release()
+        for future in accepted:
+            assert future.result(timeout=60).prediction in (0, 1)
+
+
+# ----------------------------------------------------------------------
+# Durable tier, swap guards and the observed queue depth
+# ----------------------------------------------------------------------
+def test_snapshot_without_a_durable_tier_raises_and_keeps_serving(payload, queries):
+    with serve(payload) as handle:
+        with pytest.raises(ServingError, match="durable tier"):
+            handle.snapshot()
+        assert not handle.queue.closed
+        assert handle.predict(queries[0]).prediction in (0, 1)
+
+
+def test_close_with_snapshot_persists_the_requests_it_drains(
+    payload, queries, coalescer_gate, tmp_path
+):
+    """close(snapshot=True) drains the pending requests first, so the
+    snapshot holds their states and a restart serves them warm."""
+    rows = queries[:5]
+    config = ServingConfig(snapshot_root=str(tmp_path / "tier"))
+    handle = serve(payload, config)
+    sentinel = coalescer_gate.stall(handle.queue)
+    futures = handle.submit_many(rows)
+    coalescer_gate.release()
+    handle.close(snapshot=True)
+    assert all(f.done() for f in futures + [sentinel])
+    served = np.array([f.result().decision_value for f in futures])
+    with serve(payload, config) as restarted:
+        assert restarted.warm_up_report.loaded == len(rows) + 1  # and the sentinel
+        engine = restarted.queue.classifier.feature_map.engine
+        warm = [f.result(timeout=60) for f in restarted.submit_many(rows)]
+        assert engine.backend.num_simulations == 0
+    assert np.array([r.decision_value for r in warm]).tobytes() == served.tobytes()
+
+
+def test_swap_keeps_the_served_backend_and_store(payload, queries, tmp_path):
+    config = ServingConfig(snapshot_root=str(tmp_path / "tier"))
+    with serve(payload, config) as handle:
+        before = handle.queue.classifier.feature_map.engine
+        handle.predict(queries[0])
+        handle.swap(_fit_engine(landmark_seed=5))
+        after = handle.queue.classifier.feature_map.engine
+        assert after is not before
+        assert after.backend is before.backend
+        assert after.store is before.store is handle.store
+
+
+def test_swap_refuses_a_payload_of_another_backend(payload, queries):
+    """A refused swap leaves the old model answering, byte for byte."""
+    other = dict(payload, backend_name="gpu")
+    with serve(payload) as handle:
+        before = handle.predict(queries[0])
+        with pytest.raises(ConfigurationError, match="gpu"):
+            handle.swap(other)
+        after = handle.predict(queries[0])
+        assert handle.model_version == 0
+    assert after.model_version == 0
+    assert after.decision_value == before.decision_value
+
+
+def test_swap_after_close_is_refused(payload):
+    handle = serve(payload)
+    handle.close()
+    with pytest.raises(ServingError, match="closed"):
+        handle.swap(payload)
+    assert handle.model_version == 0
+
+
+def test_queue_depth_high_water_is_observed_not_enforced(
+    payload, queries, coalescer_gate
+):
+    """The high-water mark records the deepest backlog; nothing is shed."""
+    with serve(payload, ServingConfig(max_batch=2)) as handle:
+        coalescer_gate.stall(handle.queue)
+        futures = handle.submit_many(queries)
+        assert handle.queue.pending == len(queries)
+        coalescer_gate.release()
+        handle.flush()
+        view = handle.metrics()
+    assert all(f.result(timeout=60).prediction in (0, 1) for f in futures)
+    assert view["queue_depth_high_water"] == len(queries)
+    assert view["total_requests"] == len(queries) + 1  # and the sentinel

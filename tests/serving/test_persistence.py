@@ -104,13 +104,13 @@ def test_a_swept_state_travels_as_its_never_swept_twin(payload, queries, tmp_pat
     assert serialize_states([a for a, _ in states.values()]) == serialize_states(
         [b for _, b in states.values()]
     )
-    assert swept_store.dump_entries() == twin_store.dump_entries()
+    assert swept_store.store.dump_entries() == twin_store.store.dump_entries()
     manifests = swept_store.snapshot(), twin_store.snapshot()
     assert manifests[0].payload_file == manifests[1].payload_file
     assert (tmp_path / "swept" / manifests[0].payload_file).read_bytes() == (
         tmp_path / "twin" / manifests[1].payload_file
     ).read_bytes()
-    # The landmarks were stacked into the swept replica's block.
+    # The landmarks were stacked into the swept model's block.
     landmarks = swept.feature_map.landmark_states_
     assert all(s._query_form is not None for s in landmarks)
     never_swept = deserialize_states(payload["landmark_payload"])
@@ -335,7 +335,7 @@ def test_warm_up_tie_breaks_deterministically_by_payload_order(tmp_path):
     assert report.keys == ("first",)
 
 
-def test_access_log_survives_restart_and_merges(tmp_path):
+def test_access_log_survives_restart(tmp_path):
     store = PersistentStateStore(tmp_path)
     store.put("a", _plus_state(2))
     store.get("a")
@@ -345,9 +345,6 @@ def test_access_log_survives_restart_and_merges(tmp_path):
 
     reborn = PersistentStateStore(tmp_path)
     assert reborn.access_counts == {"a": 2, "never-seen": 1}
-    reborn.record_accesses({"a": 3, "b": 1})
-    assert reborn.access_counts["a"] == 5
-    assert reborn.access_counts["b"] == 1
 
 
 def test_corrupt_access_log_is_advisory_not_fatal(tmp_path):
@@ -372,12 +369,8 @@ def test_wrapper_delegates_store_surface(tmp_path):
     assert store.max_bytes == 10**9
     stats = store.stats()
     assert stats.hits == 1 and stats.misses == 1
-    # dump/load interoperate with plain StateStores.
-    other = StateStore()
-    assert other.load_entries(store.dump_entries()) == 1
     store.clear()
     assert len(store) == 0
-    assert store.load_entries(other.dump_entries()) == 1
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.config import AnsatzConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.exceptions import SVMError, TelemetryError
-from repro.serving import ReplicaRouter
 from repro.svm import SplitConformalClassifier
 from repro.telemetry import (
     TRACER,
@@ -129,51 +128,6 @@ def test_unknown_path_is_404(served_engine):
             with pytest.raises(HTTPError) as err:
                 urlopen(server.url + "/nope")
             assert err.value.code == 404
-
-
-# ----------------------------------------------------------------------
-# Router fleet: /health liveness + router families
-# ----------------------------------------------------------------------
-def test_router_endpoint_reflects_replica_liveness(payload, queries):
-    router = ReplicaRouter(payload, num_replicas=2, max_batch=4)
-    try:
-        with attach_endpoint(router) as server:
-            futures = [router.submit(row) for row in queries]
-            router.flush()
-            [f.result(timeout=10) for f in futures]
-
-            families = parse_prometheus_text(
-                _get_text(server.url + "/metrics")[0]
-            )
-            for name in (
-                "repro_router_routed_total",
-                "repro_router_shed_total",
-                "repro_router_failover_total",
-                "repro_router_alive_replicas",
-            ):
-                assert name in families, name
-            routed = sum(
-                value
-                for _, _, value in families["repro_router_routed_total"]["samples"]
-            )
-            assert routed == len(queries)
-            # Both replicas publish under their own label.
-            replicas = {
-                labels["replica"]
-                for _, labels, _ in families["repro_serving_requests_total"]["samples"]
-            }
-            assert replicas == {"0", "1"}
-
-            health, _ = _get_json(server.url + "/health")
-            assert health["status"] == "ok"
-            assert health["alive_replicas"] == 2
-
-            router.kill_replica(0)
-            health, _ = _get_json(server.url + "/health")
-            assert health["status"] == "degraded"
-            assert health["alive_replicas"] == 1
-    finally:
-        router.close()
 
 
 def test_attach_endpoint_rejects_unknown_targets():

@@ -1,5 +1,7 @@
 """Unit tests for the configuration dataclasses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.config import (
     ServingConfig,
     SimulationConfig,
     SVMConfig,
-    TuningConfig,
     config_from_mapping,
     make_rng,
 )
@@ -105,34 +106,32 @@ def test_experiment_config_validation():
         ExperimentConfig(ansatz=ansatz, svm_c_grid=(0.0, 1.0))
 
 
-def test_tuning_config_defaults_and_roundtrip():
-    tuning = TuningConfig()
-    assert tuning.max_batch == 32
-    assert tuning.queue_depth_high_water is None
-    d = tuning.to_dict()
-    assert TuningConfig(**d) == tuning
+def test_serving_config_defaults_and_roundtrip():
+    config = ServingConfig()
+    assert config.max_batch == 32
+    assert config.snapshot_root is None and config.warm_max_keys is None
+    assert config.memoize is True
+    assert ServingConfig(**config.to_dict()) == config
 
 
-def test_tuning_config_validates_knobs():
-    # Regression: these used to slip through to the serving layer unvalidated.
-    with pytest.raises(ConfigurationError, match="queue_depth_high_water"):
-        TuningConfig(queue_depth_high_water=0)
-    with pytest.raises(ConfigurationError, match="max_batch"):
-        TuningConfig(max_batch=0)
-
-
-def test_serving_config_nested_tuning_is_canonical():
-    config = ServingConfig(
-        tuning=TuningConfig(max_batch=4),
-        num_replicas=2,
-    )
-    assert config.tuning.max_batch == 4
-    assert config.tuning.queue_depth_high_water is None
-    assert ServingConfig().tuning == TuningConfig()
+def test_serving_config_has_four_fixed_values():
+    """A service's settable values are these four, and a built config
+    cannot be changed behind the service that read it."""
+    config = ServingConfig()
+    assert list(config.to_dict()) == [
+        "max_batch",
+        "snapshot_root",
+        "warm_max_keys",
+        "memoize",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_batch = 4
 
 
 def test_serving_config_validates_fields():
-    with pytest.raises(ConfigurationError, match="num_replicas"):
-        ServingConfig(num_replicas=0)
+    # Regression: max_batch used to slip through to the serving layer
+    # unvalidated.
+    with pytest.raises(ConfigurationError, match="max_batch"):
+        ServingConfig(max_batch=0)
     with pytest.raises(ConfigurationError, match="warm_max_keys"):
         ServingConfig(warm_max_keys=-1)

@@ -1,23 +1,19 @@
-"""Observability demo: trace a served batch and scrape it over HTTP.
+"""Observability demo: serve a hot-key stream and scrape it over HTTP.
 
-Walks the full telemetry story of the serving layer:
+Walks the telemetry story of the serving layer:
 
 1. fit a Nystrom-backed :class:`repro.core.QuantumKernelInferenceEngine`
    and serve a hot-key stream through ``repro.serve``;
 2. attach the export surface with ``serve(..., telemetry=True)`` (which
    calls :func:`repro.telemetry.attach_endpoint` on the serving queue) --
    one daemon-thread HTTP server publishing ``/metrics`` (Prometheus 0.0.4
-   text), ``/health`` (is the queue up?) and ``/traces/recent``;
-3. enable the global :data:`repro.telemetry.TRACER` so every request mints
-   a trace whose spans follow it through wait -> flush -> score ->
-   engine encode/overlap/store-write;
-4. scrape all three routes like a monitoring agent would, print a selection
-   of the scraped families, and render the slowest recent trace as a text
-   flamegraph.
+   text) and ``/health`` (is the queue up?);
+3. scrape both routes like a monitoring agent would, print a selection of
+   the scraped families, and print the request-latency and batch-size
+   histograms (count and cumulative buckets) from the parsed scrape.
 
-Telemetry is pull-model and disabled-by-default: with the tracer off and no
-endpoint attached, the serving hot path does no telemetry work at all, and
-predictions are byte-identical either way.
+Telemetry is pull-model: the collectors run only when something scrapes,
+and predictions are byte-identical with or without the endpoint.
 
 Run with:  python examples/observability_endpoint.py [--requests 256]
 """
@@ -39,7 +35,7 @@ from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.serving import serve
-from repro.telemetry import TRACER, render_trace_text
+from repro.telemetry import parse_prometheus_text
 
 SHOWN_FAMILIES = (
     "repro_serving_requests_total",
@@ -49,6 +45,21 @@ SHOWN_FAMILIES = (
     "repro_encode_batches_total",
     "repro_backend_simulations_total",
 )
+
+HISTOGRAMS = (
+    ("repro_serving_request_latency_seconds", "request latency (s)"),
+    ("repro_serving_batch_size", "batch size (rows)"),
+)
+
+
+def print_histogram(families, name: str, title: str) -> None:
+    """Print one scraped histogram: its count, then its cumulative buckets."""
+    samples = families[name]["samples"]
+    count = sum(value for sample, _, value in samples if sample == name + "_count")
+    print(f"\n--- {title}: {name} (count {count:g}) ---")
+    for sample, labels, value in samples:
+        if sample == name + "_bucket":
+            print(f"  le={labels['le']:>8}  {value:g}")
 
 
 def main() -> None:
@@ -88,7 +99,6 @@ def main() -> None:
         rng.choice(args.unique, size=args.requests, p=weights / weights.sum())
     ]
 
-    TRACER.enable()
     handle = serve(engine, ServingConfig(max_batch=args.max_batch), telemetry=True)
     try:
         print(f"telemetry endpoint: {handle.url}")
@@ -101,33 +111,16 @@ def main() -> None:
         for line in body.splitlines():
             if line.startswith(SHOWN_FAMILIES):
                 print(f"  {line}")
+        families = parse_prometheus_text(body)
+        for name, title in HISTOGRAMS:
+            print_histogram(families, name, title)
 
         health = json.loads(
             urlopen(handle.url + "/health").read().decode("utf-8")
         )
         print(f"\n--- /health ---\n  {health}")
-
-        traces = json.loads(
-            urlopen(handle.url + "/traces/recent?limit=50")
-            .read()
-            .decode("utf-8")
-        )["traces"]
-        flushed = [
-            t
-            for t in traces
-            if any(s["name"] == "serving.flush" for s in t["spans"])
-        ]
-        slowest = max(
-            flushed,
-            key=lambda t: max(s["duration_ms"] or 0.0 for s in t["spans"]),
-        )
-        print(f"\n--- slowest recent flushed trace ({slowest['trace_id']}) ---")
-        print(render_trace_text(TRACER.trace_spans(slowest["trace_id"])))
     finally:
-        TRACER.disable()
-        TRACER.reset()
         handle.close()
-
 
 if __name__ == "__main__":
     main()

@@ -57,7 +57,6 @@ import numpy as np
 
 from ..exceptions import DriftError
 from ..svm.conformal import SplitConformalClassifier
-from ..telemetry.tracing import TRACER
 from .linear_svc import LinearSVC
 from .nystroem import NystroemFeatureMap
 from .streaming import StreamingNystroemClassifier
@@ -351,21 +350,13 @@ class DriftController:
         rows_raw = np.vstack(list(self._row_buffer))
         coverage_before = float(self.rolling_coverage() or 0.0)
 
-        with TRACER.span("drift.adapt") as span:
-            new_classifier, new_conformal, report_fields = self._shadow_fit(
-                rows_raw, labels
-            )
-            version = 0
-            if self.target is not None:
-                version = self.target.swap_payload(
-                    new_classifier.serving_payload()
-                )
-                self.swap_count += 1
-            if span is not None:
-                span.set_attribute("version", version)
-                span.set_attribute(
-                    "landmarks", report_fields["new_num_landmarks"]
-                )
+        new_classifier, new_conformal, report_fields = self._shadow_fit(
+            rows_raw, labels
+        )
+        version = 0
+        if self.target is not None:
+            version = self.target.swap_payload(new_classifier.serving_payload())
+            self.swap_count += 1
 
         adaptation = DriftAdaptation(
             version=version,
@@ -399,78 +390,66 @@ class DriftController:
         old_engine = old_map.engine
         X_scaled = self.classifier.scale(rows_raw)
 
-        with TRACER.span("drift.shadow_fit") as span:
-            shadow_engine = KernelEngine.from_worker_kwargs(
-                old_engine.ansatz.to_dict(),
-                old_engine.backend.config.to_dict(),
-                old_engine.backend.name,
-                config=EngineConfig(use_cache=True),
-            )
-            # The old map, rebuilt on the shadow engine, measures which
-            # buffered rows its landmark span cannot represent.
-            shadow_old = NystroemFeatureMap.from_attached(
-                shadow_engine,
-                list(old_map.landmark_states_),
-                np.asarray(old_map.normalization_),
-            )
-            grown_rows, num_candidates = self._grow_landmarks(
-                shadow_old, X_scaled
-            )
-            old_rows = np.asarray(old_map.landmark_rows_, dtype=float)
-            if grown_rows.shape[0]:
-                new_rows = np.vstack([old_rows, grown_rows])
-            else:
-                new_rows = old_rows.copy()
+        shadow_engine = KernelEngine.from_worker_kwargs(
+            old_engine.ansatz.to_dict(),
+            old_engine.backend.config.to_dict(),
+            old_engine.backend.name,
+            config=EngineConfig(use_cache=True),
+        )
+        # The old map, rebuilt on the shadow engine, measures which
+        # buffered rows its landmark span cannot represent.
+        shadow_old = NystroemFeatureMap.from_attached(
+            shadow_engine,
+            list(old_map.landmark_states_),
+            np.asarray(old_map.normalization_),
+        )
+        grown_rows, num_candidates = self._grow_landmarks(shadow_old, X_scaled)
+        old_rows = np.asarray(old_map.landmark_rows_, dtype=float)
+        if grown_rows.shape[0]:
+            new_rows = np.vstack([old_rows, grown_rows])
+        else:
+            new_rows = old_rows.copy()
 
-            # Seeded held-out split of the *fresh* samples: the refit trains
-            # on one part, the conformal quantile recalibrates on the other
-            # (split conformal needs scores the model never trained on).
-            n = X_scaled.shape[0]
-            perm = self._rng.permutation(n)
-            n_calib = max(1, int(round(cfg.calibration_fraction * n)))
-            if n - n_calib < 2:
-                raise DriftError(
-                    f"cannot adapt: {n} buffered samples leave fewer than two "
-                    f"training points after the calibration split"
-                )
-            calib_idx, train_idx = perm[:n_calib], perm[n_calib:]
-            y_train, y_calib = labels[train_idx], labels[calib_idx]
-            if np.unique(y_train).size < 2:
-                raise DriftError(
-                    "cannot adapt: training split contains a single class "
-                    "(try a different seed or more buffered feedback)"
-                )
-
-            new_config = dataclasses.replace(
-                old_map.config, num_landmarks=new_rows.shape[0]
+        # Seeded held-out split of the *fresh* samples: the refit trains
+        # on one part, the conformal quantile recalibrates on the other
+        # (split conformal needs scores the model never trained on).
+        n = X_scaled.shape[0]
+        perm = self._rng.permutation(n)
+        n_calib = max(1, int(round(cfg.calibration_fraction * n)))
+        if n - n_calib < 2:
+            raise DriftError(
+                f"cannot adapt: {n} buffered samples leave fewer than two "
+                f"training points after the calibration split"
             )
-            new_map = NystroemFeatureMap(shadow_engine, new_config)
-            new_map.fit_with_landmarks(X_scaled[train_idx], new_rows)
-            assert new_map.train_features_ is not None
+        calib_idx, train_idx = perm[:n_calib], perm[n_calib:]
+        y_train, y_calib = labels[train_idx], labels[calib_idx]
+        if np.unique(y_train).size < 2:
+            raise DriftError(
+                "cannot adapt: training split contains a single class "
+                "(try a different seed or more buffered feedback)"
+            )
 
-            # The refit keeps the served model's solver settings.
-            old_model = self.classifier.model
-            model = LinearSVC(
-                C=getattr(old_model, "C", 1.0),
-                tol=getattr(old_model, "tol", 1e-6),
-                max_iter=getattr(old_model, "max_iter", 100),
-                fit_intercept=getattr(old_model, "fit_intercept", True),
-                strict_convergence=getattr(old_model, "strict_convergence", False),
-            ).fit(new_map.train_features_, y_train)
-            if span is not None:
-                span.set_attribute("candidates", num_candidates)
-                span.set_attribute("landmarks", new_rows.shape[0])
-                span.set_attribute("refit_iterations", model.n_iter_)
+        new_config = dataclasses.replace(old_map.config, num_landmarks=new_rows.shape[0])
+        new_map = NystroemFeatureMap(shadow_engine, new_config)
+        new_map.fit_with_landmarks(X_scaled[train_idx], new_rows)
+        assert new_map.train_features_ is not None
 
-        with TRACER.span("drift.recalibrate") as span:
-            calib_decisions = np.asarray(
-                model.decision_function(new_map.transform(X_scaled[calib_idx]))
-            ).ravel()
-            new_conformal = SplitConformalClassifier(
-                alpha=self.conformal.alpha
-            ).calibrate(calib_decisions, y_calib)
-            if span is not None:
-                span.set_attribute("calibration_samples", int(n_calib))
+        # The refit keeps the served model's solver settings.
+        old_model = self.classifier.model
+        model = LinearSVC(
+            C=getattr(old_model, "C", 1.0),
+            tol=getattr(old_model, "tol", 1e-6),
+            max_iter=getattr(old_model, "max_iter", 100),
+            fit_intercept=getattr(old_model, "fit_intercept", True),
+            strict_convergence=getattr(old_model, "strict_convergence", False),
+        ).fit(new_map.train_features_, y_train)
+
+        calib_decisions = np.asarray(
+            model.decision_function(new_map.transform(X_scaled[calib_idx]))
+        ).ravel()
+        new_conformal = SplitConformalClassifier(
+            alpha=self.conformal.alpha
+        ).calibrate(calib_decisions, y_calib)
 
         new_classifier = StreamingNystroemClassifier(
             new_map,

@@ -55,7 +55,6 @@ from ..circuits import (  # noqa: F401
 from ..config import AnsatzConfig, SimulationConfig
 from ..exceptions import ConfigurationError, EngineError, KernelError
 from ..mps import MPS
-from ..telemetry.tracing import TRACER
 from .batching import StackedStateBlock
 from .cache import (
     StateStore,
@@ -458,16 +457,10 @@ class KernelEngine:
             )
         X_rows = self.validate_features(X_rows)
         before = self._counters()
-        with TRACER.span("engine.encode") as sp:
-            row_states = self._encode_validated(X_rows)
-            if sp is not None:
-                sp.set_attribute("rows", len(row_states))
-        with TRACER.span("engine.overlap") as sp:
-            if block is None:
-                block = StackedStateBlock(list(train_states))
-            result = self.backend.inner_product_block(row_states, block)
-            if sp is not None:
-                sp.set_attribute("pairs", result.num_pairs)
+        row_states = self._encode_validated(X_rows)
+        if block is None:
+            block = StackedStateBlock(list(train_states))
+        result = self.backend.inner_product_block(row_states, block)
         K = np.abs(result.values) ** 2
         return self._result(K, row_states, before)
 

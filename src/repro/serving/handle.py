@@ -28,7 +28,6 @@ import numpy as np
 from ..approx import StreamingNystroemClassifier
 from ..config import ServingConfig
 from ..exceptions import ServingError
-from ..telemetry.tracing import TRACER
 from .persistence import PersistentStateStore, WarmUpReport
 from .queue import AsyncServingQueue, ServedPrediction
 
@@ -206,9 +205,8 @@ def serve(
         :class:`PersistentStateStore` there, warmed up from its latest
         snapshot before the first request.
     telemetry:
-        Start an HTTP endpoint (``/metrics``, ``/health``,
-        ``/traces/recent``) bound to the queue.  Reachable via
-        ``handle.endpoint`` / ``handle.url``.
+        Start an HTTP endpoint (``/metrics`` and ``/health``) bound to the
+        queue.  Reachable via ``handle.endpoint`` / ``handle.url``.
     overrides:
         Keyword arguments forwarded to :class:`AsyncServingQueue` (e.g.
         ``memo_capacity``); they replace the config's ``max_batch`` and
@@ -226,10 +224,7 @@ def serve(
         # The engine exists only now; stamp its compute-policy fingerprint
         # so snapshots are checked on every restore.
         store.fingerprint = classifier.feature_map.engine.fingerprint
-        with TRACER.span("serving.warm_up") as span:
-            report = store.warm_up(max_keys=config.warm_max_keys)
-            if span is not None:
-                span.set_attribute("loaded", report.loaded)
+        report = store.warm_up(max_keys=config.warm_max_keys)
     queue_kwargs = dict(max_batch=config.max_batch, memoize=config.memoize)
     queue_kwargs.update(overrides)
     queue = AsyncServingQueue(classifier, **queue_kwargs)

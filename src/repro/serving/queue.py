@@ -45,7 +45,8 @@ metamorphic suite pins this).  The drift controller's shadow-fit -> swap
 loop (:mod:`repro.approx.drift`) is the primary caller.
 
 Per-request latency, batch sizes, queue depth and throughput are recorded in
-a :class:`repro.profiling.ServingMetrics`.
+the queue's own :class:`repro.profiling.ServingMetrics` (``queue.metrics``),
+which :func:`repro.telemetry.bind_queue` publishes to a metrics registry.
 
 A request whose own scoring raises fails alone.  When ``classify`` raises on
 a flush, the flush is scored again by halves, down to single rows, so only
@@ -76,7 +77,6 @@ import numpy as np
 from ..approx import StreamingNystroemClassifier
 from ..exceptions import ServingError
 from ..profiling import ServingMetrics
-from ..telemetry.tracing import TRACER, Span
 
 __all__ = ["ServedPrediction", "AsyncServingQueue", "admit_row"]
 
@@ -125,9 +125,6 @@ class _Pending:
     key: bytes
     future: "Future[ServedPrediction]"
     enqueued_at: float
-    #: Root span of this request's trace, minted at submit() when the global
-    #: tracer is enabled; ``None`` otherwise (the zero-cost default).
-    span: Optional[Span] = None
 
 
 @dataclass(frozen=True)
@@ -168,9 +165,6 @@ class AsyncServingQueue:
         compute path produced.  Disable for strictly-unique traffic.
     memo_capacity:
         LRU entry budget of the response memo.
-    metrics:
-        Externally owned :class:`ServingMetrics` (e.g. shared across queues);
-        a fresh one is created by default.
     """
 
     def __init__(
@@ -180,7 +174,6 @@ class AsyncServingQueue:
         workers: int = 0,
         memoize: bool = True,
         memo_capacity: int = 4096,
-        metrics: ServingMetrics | None = None,
     ) -> None:
         if max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {max_batch}")
@@ -189,7 +182,7 @@ class AsyncServingQueue:
         if memo_capacity < 1:
             raise ServingError(f"memo_capacity must be >= 1, got {memo_capacity}")
         self.max_batch = int(max_batch)
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = ServingMetrics()
         self.memoize = bool(memoize)
         self.memo_capacity = int(memo_capacity)
         self.memo_hits = 0
@@ -284,25 +277,22 @@ class AsyncServingQueue:
                 f"replacement model expects {expected} features but the "
                 f"queue serves {self._expected_features}"
             )
-        with TRACER.span("serving.swap") as span:
-            with self._cond:
-                if self._closed:
-                    raise ServingError("serving queue is closed")
-                active = self._slot.version
-                new_version = active + 1 if version is None else int(version)
-                if new_version <= active:
-                    raise ServingError(
-                        f"swap version must exceed the active version "
-                        f"{active}, got {new_version}"
-                    )
-                self._slot = _ModelSlot(
-                    classifier,
-                    version=new_version,
-                    memo=OrderedDict() if self.memoize else None,
+        with self._cond:
+            if self._closed:
+                raise ServingError("serving queue is closed")
+            active = self._slot.version
+            new_version = active + 1 if version is None else int(version)
+            if new_version <= active:
+                raise ServingError(
+                    f"swap version must exceed the active version "
+                    f"{active}, got {new_version}"
                 )
-                self.swap_count += 1
-            if span is not None:
-                span.set_attribute("version", new_version)
+            self._slot = _ModelSlot(
+                classifier,
+                version=new_version,
+                memo=OrderedDict() if self.memoize else None,
+            )
+            self.swap_count += 1
         return new_version
 
     # ------------------------------------------------------------------
@@ -317,15 +307,11 @@ class AsyncServingQueue:
         row = admit_row(row, self._expected_features)
         key = row.tobytes()
         future: "Future[ServedPrediction]" = Future()
-        # Mint the request's trace root here (None when tracing is off):
-        # the coalescer thread later hangs the wait span and the flush's
-        # compute spans off it, giving one tree per request.
-        span = TRACER.mint_request("serving.request")
         now = time.perf_counter()
         with self._cond:
             if self._closed:
                 raise ServingError("serving queue is closed")
-            self._pending.append(_Pending(row, key, future, now, span))
+            self._pending.append(_Pending(row, key, future, now))
             depth = len(self._pending)
             if depth == 1:
                 self._cond.notify_all()
@@ -425,47 +411,16 @@ class AsyncServingQueue:
     def _flush_batch(
         self, batch: List[_Pending], slot: _ModelSlot, start: float
     ) -> None:
-        flush_span: Optional[Span] = None
-        if TRACER.enabled:
-            roots = [p.span for p in batch if p.span is not None]
-            if roots:
-                # One flush span, child of the oldest request's trace and
-                # *linked* to every other coalesced request's root -- the
-                # standard batch-consumer span topology.  Each request also
-                # gets its queue-wait recorded retroactively.
-                flush_span = TRACER.start_span(
-                    "serving.flush", roots[0], start_time=start
-                )
-                flush_span.set_attribute("batch_size", len(batch))
-                for root in roots[1:]:
-                    flush_span.add_link(root)
-                for p in batch:
-                    if p.span is not None:
-                        TRACER.record_span(
-                            "serving.wait", p.span, p.enqueued_at, start
-                        )
-        with TRACER.use_span(flush_span):
-            with TRACER.span("serving.score") as score_span:
-                outputs = self._score_batch(batch, slot)
-                if score_span is not None:
-                    score_span.set_attribute("batch_size", len(batch))
+        outputs = self._score_batch(batch, slot)
         now = time.perf_counter()
-        if flush_span is not None:
-            flush_span.end(now)
         size, version = len(batch), slot.version
         latencies = []
         for p, output in zip(batch, outputs):
             if isinstance(output, Exception):
-                if p.span is not None:
-                    p.span.set_attribute("error", repr(output))
-                    p.span.end(now)
                 p.future.set_exception(output)
                 continue
             latency = now - p.enqueued_at
             latencies.append(latency)
-            if p.span is not None:
-                p.span.set_attribute("batch_size", size)
-                p.span.end(now)
             prediction, decision = output
             p.future.set_result(
                 ServedPrediction(prediction, decision, latency, size, version)

@@ -1,23 +1,18 @@
-"""Unified telemetry: metrics registry, request tracing, export endpoint.
-
-The three layers compose but stand alone:
+"""Unified telemetry: one metrics registry and its HTTP export endpoint.
 
 * :mod:`repro.telemetry.registry` -- Counter / Gauge / Histogram families
   with labels, pull-model collectors, deterministic snapshots;
-* :mod:`repro.telemetry.tracing` -- the global :data:`TRACER` (disabled by
-  default, zero-cost when off), spans with parent/child links, JSON dumps
-  and text flamegraphs;
+* :mod:`repro.telemetry.instrument` -- duck-typed ``bind_*`` helpers that
+  publish the library's accounting (queue, state store, backend, engine,
+  conformal coverage, drift controller) into a registry;
 * :mod:`repro.telemetry.prometheus` / :mod:`repro.telemetry.export` -- text
   exposition rendering, a strict parser, and the stdlib HTTP endpoint
-  (``/metrics``, ``/health``, ``/traces/recent``);
-* :mod:`repro.telemetry.instrument` -- duck-typed ``bind_*`` helpers that
-  publish the library's existing accounting silos into a registry.
+  (``/metrics``, ``/health``).
 
-Quick start against a warm serving queue::
+Quick start against a serving queue::
 
-    from repro.telemetry import TRACER, attach_endpoint
+    from repro.telemetry import attach_endpoint
 
-    TRACER.enable()                    # optional: span capture
     server = attach_endpoint(queue)    # binds collectors, starts HTTP
     print(server.url + "/metrics")
 """
@@ -39,7 +34,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .tracing import TRACER, Span, Tracer, render_trace_text
 
 __all__ = [
     "Counter",
@@ -49,10 +43,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "render_prometheus",
     "parse_prometheus_text",
-    "Span",
-    "Tracer",
-    "TRACER",
-    "render_trace_text",
     "TelemetryServer",
     "attach_endpoint",
     "bind_queue",

@@ -1,17 +1,17 @@
-"""HTTP export surface: ``/metrics``, ``/health`` and ``/traces/recent``.
+"""HTTP export surface: ``/metrics`` and ``/health``.
 
 :class:`TelemetryServer` wraps a stdlib :class:`http.server.
 ThreadingHTTPServer` in a daemon thread -- no third-party dependency, no
-event loop -- and serves three read-only endpoints:
+event loop -- and serves two read-only endpoints:
 
 * ``/metrics`` -- the bound registry in Prometheus text exposition
   (``text/plain; version=0.0.4``), collectors freshly run per scrape;
 * ``/health`` -- a JSON liveness document with status ``ok`` / ``degraded``
   / ``down`` (HTTP 200 / 200 / 503), derived from a caller-supplied health
   callback -- :func:`attach_endpoint` wires the standard one for a serving
-  queue (closed?);
-* ``/traces/recent?limit=N`` -- the tracer's newest finished traces as a
-  JSON span dump, or an indented text flamegraph with ``&format=text``.
+  queue (closed?).
+
+Any other path is a 404 whose JSON body lists the two endpoints.
 
 :func:`attach_endpoint` is the one-call entry point: give it a serving queue
 and it binds the standard collectors (:mod:`repro.telemetry.instrument`),
@@ -24,13 +24,12 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from ..exceptions import TelemetryError
 from .instrument import _Live, bind_classifier_coverage, bind_queue
 from .prometheus import render_prometheus
 from .registry import MetricsRegistry
-from .tracing import TRACER, Tracer, render_trace_text
 
 __all__ = ["TelemetryServer", "attach_endpoint"]
 
@@ -38,7 +37,7 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request handler reading registry/tracer/health off the server object."""
+    """Request handler reading registry/health off the server object."""
 
     server: "_Server"
 
@@ -69,8 +68,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(
                     status, "application/json", json.dumps(health, indent=2)
                 )
-            elif url.path == "/traces/recent":
-                self._traces(parse_qs(url.query))
             else:
                 self._send(
                     404,
@@ -78,49 +75,17 @@ class _Handler(BaseHTTPRequestHandler):
                     json.dumps(
                         {
                             "error": f"unknown path {url.path!r}",
-                            "endpoints": ["/metrics", "/health", "/traces/recent"],
+                            "endpoints": ["/metrics", "/health"],
                         }
                     ),
                 )
         except Exception as exc:  # surface handler bugs as 500s, not hangs
             self._send(500, "application/json", json.dumps({"error": repr(exc)}))
 
-    def _traces(self, query: Dict) -> None:
-        tracer = self.server.tracer
-        if tracer is None:
-            self._send(
-                200,
-                "application/json",
-                json.dumps({"enabled": False, "traces": []}),
-            )
-            return
-        try:
-            limit = int(query.get("limit", ["16"])[0])
-        except ValueError:
-            self._send(400, "application/json", json.dumps({"error": "bad limit"}))
-            return
-        if limit < 1:
-            self._send(400, "application/json", json.dumps({"error": "bad limit"}))
-            return
-        traces = tracer.recent_traces(limit)
-        if query.get("format", [""])[0] == "text":
-            blocks = []
-            for trace in traces:
-                spans = tracer.trace_spans(trace["trace_id"])
-                blocks.append(render_trace_text(spans))
-            self._send(200, "text/plain; charset=utf-8", "\n\n".join(blocks) + "\n")
-        else:
-            self._send(
-                200,
-                "application/json",
-                json.dumps({"enabled": tracer.enabled, "traces": traces}, indent=2),
-            )
-
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     registry: MetricsRegistry
-    tracer: Optional[Tracer]
     health: Callable[[], Dict]
 
 
@@ -129,7 +94,7 @@ def _default_health() -> Dict:
 
 
 class TelemetryServer:
-    """Background HTTP server exporting one registry (and optionally traces).
+    """Background HTTP server exporting one registry.
 
     Binds ``host:port`` immediately (``port=0`` picks an ephemeral port --
     read it back from :attr:`port` / :attr:`url`) and serves from a daemon
@@ -139,7 +104,6 @@ class TelemetryServer:
     def __init__(
         self,
         registry: MetricsRegistry,
-        tracer: Optional[Tracer] = None,
         health: Optional[Callable[[], Dict]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -151,10 +115,8 @@ class TelemetryServer:
                 f"cannot bind telemetry endpoint on {host}:{port}: {exc}"
             ) from exc
         self._httpd.registry = registry
-        self._httpd.tracer = tracer
         self._httpd.health = health if health is not None else _default_health
         self.registry = registry
-        self.tracer = tracer
         self.host, self.port = self._httpd.server_address[:2]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -200,7 +162,6 @@ def _queue_health(queue) -> Callable[[], Dict]:
 def attach_endpoint(
     target,
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = TRACER,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> TelemetryServer:
@@ -212,8 +173,8 @@ def attach_endpoint(
     (:mod:`repro.telemetry.instrument`) are bound either way, including the
     rolling conformal-coverage gauge when the target's classifier has
     conformal feedback attached.  Like the engine's series, the gauge reads
-    the classifier that serves at each scrape, so a swap to a model without
-    feedback reads zero.
+    the classifier that serves at each scrape, so after a swap it reads NaN
+    until the new model has feedback.
     """
     if not (hasattr(target, "submit") and hasattr(target, "metrics")):
         raise TelemetryError(
@@ -225,6 +186,4 @@ def attach_endpoint(
     classifier = getattr(target, "classifier", None)
     if classifier is not None and getattr(classifier, "conformal", None) is not None:
         bind_classifier_coverage(registry, _Live(lambda: target.classifier))
-    return TelemetryServer(
-        registry, tracer=tracer, health=_queue_health(target), host=host, port=port
-    )
+    return TelemetryServer(registry, health=_queue_health(target), host=host, port=port)

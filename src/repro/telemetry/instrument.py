@@ -21,6 +21,7 @@ Metric families follow the registry's naming conventions: ``repro_`` prefix,
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from .registry import MetricsRegistry
@@ -274,7 +275,8 @@ def bind_classifier_coverage(
     ``feedback_count`` (the :class:`repro.approx.StreamingNystroemClassifier`
     surface after ``attach_conformal``).  Coverage drifting below the
     conformal guarantee is the live drift signal the drift controller
-    acts on.
+    acts on.  With no feedback in the window the gauge reads NaN (no
+    evidence), never 0.0 (the worst coverage).
     """
     coverage = registry.gauge(
         "repro_conformal_rolling_coverage",
@@ -288,7 +290,7 @@ def bind_classifier_coverage(
     def collect() -> None:
         feedback.set_total(getattr(classifier, "feedback_count", 0))
         value = classifier.rolling_coverage()
-        coverage.set(0.0 if value is None else value)
+        coverage.set(math.nan if value is None else value)
 
     return [registry.register_collector(collect, name="conformal-coverage")]
 
@@ -304,7 +306,8 @@ def bind_drift_controller(
     ``swap_count``, ``buffered_samples``.  Together with the queue's
     ``repro_serving_model_version`` gauge these four counters tell the whole
     adaptation story on a dashboard: coverage dips, the alarm latches, a
-    refit and a swap land, coverage recovers.
+    refit and a swap land, coverage recovers.  The coverage gauge reads NaN
+    while the controller's window is empty.
     """
     coverage = registry.gauge(
         "repro_drift_rolling_coverage",
@@ -337,7 +340,7 @@ def bind_drift_controller(
 
     def collect() -> None:
         value = controller.rolling_coverage()
-        coverage.set(0.0 if value is None else value)
+        coverage.set(math.nan if value is None else value)
         alarm.set(1.0 if getattr(controller, "alarm_active", False) else 0.0)
         alarms.set_total(getattr(controller, "alarm_count", 0))
         refits.set_total(getattr(controller, "refit_count", 0))

@@ -62,7 +62,7 @@ def _format_value(value: float) -> str:
     value = float(value)
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):  # pragma: no cover - defensive
+    if math.isnan(value):
         return "NaN"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))

@@ -1,10 +1,10 @@
 """Metrics registry: Counter / Gauge / Histogram primitives with labels.
 
-Until this subsystem, the library's operational accounting lived in three
-disconnected silos -- :class:`repro.profiling.ServingMetrics` per queue, the
-engine's :class:`repro.engine.cache.CacheStats`, and the backends' counters --
-none of which shared a naming scheme or a machine-readable export.  The
-:class:`MetricsRegistry` is the one place they all publish to:
+The library keeps its operational accounting where it is produced -- a
+queue's :class:`repro.profiling.ServingMetrics`, the engine's
+:class:`repro.engine.cache.CacheStats`, the backends' counters.  The
+:class:`MetricsRegistry` is the one place they all publish to, under one
+naming scheme and one machine-readable export:
 
 * **primitives** -- :class:`Counter` (monotone totals), :class:`Gauge`
   (instantaneous values) and :class:`Histogram` (bucketed distributions),

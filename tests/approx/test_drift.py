@@ -444,6 +444,9 @@ def test_frozen_basis_refresh_swaps_without_growing(drifted_stream):
         )
         registry = MetricsRegistry()
         bind_drift_controller(registry, controller)
+        # No feedback yet is no evidence: NaN, not the worst coverage 0.0.
+        coverage = registry.to_dict()["repro_drift_rolling_coverage"]
+        assert np.isnan(coverage["series"][0]["value"])
         traffic = _Traffic(queue, controller)
         _serve_until_adaptable(traffic, scenario)
         grown = controller.adapt()

@@ -2,11 +2,14 @@
 
 The serving contract holds for the whole service: the config's values
 (``max_batch``, ``memoize``, ``warm_max_keys``), warm-vs-cold start and the
-way a caller chunks its stream are *latency* knobs, never prediction knobs.
+way a caller chunks its stream are *latency* knobs, never prediction knobs,
+and so is the telemetry endpoint and its scrapes.
 Every test here serves the same query stream through differently shaped
 services and requires ``np.array_equal`` -- byte identity, not closeness --
 against the single-process streaming classifier.
 """
+
+from urllib.request import urlopen
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro.config import AnsatzConfig, ServingConfig
 from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.serving import serve
+from repro.telemetry import parse_prometheus_text
 
 ANSATZ = AnsatzConfig(num_features=4, interaction_distance=1, layers=1, gamma=0.6)
 
@@ -204,3 +208,50 @@ def test_poisoned_request_fails_only_itself_through_serve(
     decisions = np.array([r.decision_value for r in served])
     assert decisions.tobytes() == ref_decisions.tobytes()
     assert total == len(queries) + 1  # the served rows and the sentinel
+
+
+# ----------------------------------------------------------------------
+# Relation 6: telemetry on or off, and scrapes of /metrics between chunks,
+# never change an answer or the service's own accounting.
+# ----------------------------------------------------------------------
+def _serve_in_chunks(payload, queries, max_batch, telemetry, chunk=4):
+    """Serve ``queries`` chunk by chunk; with telemetry, scrape before each
+    chunk and at the end.  Returns the results, the handle's served count
+    and memo hits, and the parsed scrapes."""
+    scrapes = []
+
+    def scrape(handle):
+        if telemetry:
+            with urlopen(handle.url + "/metrics") as response:
+                scrapes.append(parse_prometheus_text(response.read().decode("utf-8")))
+
+    with serve(payload, ServingConfig(max_batch=max_batch), telemetry=telemetry) as handle:
+        assert (handle.endpoint is not None) == telemetry
+        futures = []
+        for start in range(0, len(queries), chunk):
+            scrape(handle)
+            futures += handle.submit_many(queries[start : start + chunk])
+            handle.flush()
+        scrape(handle)
+        results = [f.result(timeout=60) for f in futures]
+        served = handle.metrics()["total_requests"]
+        memo_hits = handle.queue.memo_hits
+    return results, served, memo_hits, scrapes
+
+
+@pytest.mark.parametrize("max_batch", MAX_BATCHES)
+def test_predictions_invariant_to_telemetry(payload, queries, reference, max_batch):
+    ref_decisions, ref_predictions = reference
+    on, on_served, on_hits, scrapes = _serve_in_chunks(payload, queries, max_batch, True)
+    off, off_served, off_hits, _ = _serve_in_chunks(payload, queries, max_batch, False)
+
+    on_decisions = np.array([r.decision_value for r in on])
+    off_decisions = np.array([r.decision_value for r in off])
+    assert on_decisions.tobytes() == off_decisions.tobytes() == ref_decisions.tobytes()
+    assert [r.prediction for r in on] == [r.prediction for r in off]
+    assert np.array_equal([r.prediction for r in on], ref_predictions)
+    assert on_served == off_served == len(queries)
+    assert on_hits == off_hits == 3  # the stream's three repeats, one chunk later
+    # The endpoint saw the stream: the last scrape counts every request.
+    ((_, _, requests),) = scrapes[-1]["repro_serving_requests_total"]["samples"]
+    assert requests == len(queries)

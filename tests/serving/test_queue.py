@@ -165,6 +165,29 @@ def test_queue_metrics_accounting(served_engine, queries):
     assert snapshot["throughput_rps"] > 0
 
 
+def test_each_queue_owns_its_metrics(served_engine):
+    clf = served_engine.streaming_classifier()
+    with pytest.raises(TypeError):
+        AsyncServingQueue(clf, metrics=ServingMetrics())
+    with AsyncServingQueue(clf) as first, AsyncServingQueue(clf) as second:
+        assert isinstance(first.metrics, ServingMetrics)
+        assert first.metrics is not second.metrics
+
+
+@pytest.mark.parametrize("max_batch", [1, 4, 32])
+def test_metrics_record_each_served_latency_once(served_engine, queries, max_batch):
+    with served_engine.serving_queue(max_batch=max_batch) as queue:
+        results = [f.result(timeout=10) for f in queue.submit_many(queries)]
+        queue.flush()
+    metrics = queue.metrics
+    # The recorded samples are exactly the latencies the futures carry.
+    assert sorted(metrics.latency_samples()) == sorted(r.latency_s for r in results)
+    sizes = metrics.batch_size_samples()
+    assert sum(sizes) == len(queries)
+    assert max(sizes) <= max_batch
+    assert all(1 <= r.batch_size <= max_batch for r in results)
+
+
 def test_served_prediction_validates():
     with pytest.raises(ServingError):
         ServedPrediction(prediction=1, decision_value=0.5, latency_s=0.1, batch_size=0)

@@ -1,7 +1,8 @@
-"""Integration tests: endpoint, bindings, tracing and the disabled contract."""
+"""Integration tests: the endpoint, its bindings and the coverage gauges."""
 
 import json
-from urllib.error import HTTPError
+import socket
+from urllib.error import HTTPError, URLError
 from urllib.request import urlopen
 
 import numpy as np
@@ -13,12 +14,13 @@ from repro.core import QuantumKernelInferenceEngine
 from repro.data import DatasetSpec, balanced_subsample, generate_elliptic_like
 from repro.exceptions import SVMError, TelemetryError
 from repro.svm import SplitConformalClassifier
+from repro.serving import AsyncServingQueue
 from repro.telemetry import (
-    TRACER,
     MetricsRegistry,
     TelemetryServer,
     attach_endpoint,
     bind_classifier_coverage,
+    bind_drift_controller,
     parse_prometheus_text,
 )
 
@@ -48,16 +50,6 @@ def payload(served_engine):
 def queries():
     rng = np.random.default_rng(53)
     return rng.normal(size=(10, 4))
-
-
-@pytest.fixture()
-def tracing():
-    """Enable the global tracer for one test, restoring the disabled default."""
-    TRACER.reset()
-    TRACER.enable()
-    yield TRACER
-    TRACER.disable()
-    TRACER.reset()
 
 
 def _get_json(url):
@@ -128,119 +120,13 @@ def test_unknown_path_is_404(served_engine):
             with pytest.raises(HTTPError) as err:
                 urlopen(server.url + "/nope")
             assert err.value.code == 404
+            body = json.loads(err.value.read().decode())
+            assert body["endpoints"] == ["/metrics", "/health"]
 
 
 def test_attach_endpoint_rejects_unknown_targets():
     with pytest.raises(TelemetryError):
         attach_endpoint(object())
-
-
-# ----------------------------------------------------------------------
-# Tracing through the serving stack
-# ----------------------------------------------------------------------
-def test_traced_request_yields_linked_span_tree(served_engine, queries, tracing):
-    with served_engine.serving_queue(max_batch=len(queries)) as queue:
-        futures = [queue.submit(row) for row in queries]
-        queue.flush()
-        [f.result(timeout=10) for f in futures]
-
-    # The flush span lives in the oldest coalesced request's trace and links
-    # the other requests' roots; find that trace.
-    flush_traces = [
-        trace
-        for trace in tracing.recent_traces(limit=64)
-        if any(s["name"] == "serving.flush" for s in trace["spans"])
-    ]
-    assert flush_traces
-    spans = {s["name"]: s for s in flush_traces[0]["spans"]}
-    # The acceptance criterion: >= 4 linked phases in one tree.
-    for name in (
-        "serving.request",
-        "serving.wait",
-        "serving.flush",
-        "serving.score",
-        "engine.encode",
-        "engine.overlap",
-    ):
-        assert name in spans, name
-    root = spans["serving.request"]
-    assert root["parent_id"] is None
-    assert spans["serving.wait"]["parent_id"] == root["span_id"]
-    assert spans["serving.flush"]["parent_id"] == root["span_id"]
-    assert spans["serving.score"]["parent_id"] == spans["serving.flush"]["span_id"]
-    assert spans["engine.encode"]["parent_id"] == spans["serving.score"]["span_id"]
-    # The flush links every other coalesced request's root span.
-    assert len(spans["serving.flush"]["links"]) == len(queries) - 1
-
-
-def test_traces_endpoint_serves_json_and_text(served_engine, queries, tracing):
-    with served_engine.serving_queue(max_batch=4) as queue:
-        with attach_endpoint(queue) as server:
-            futures = [queue.submit(row) for row in queries[:4]]
-            queue.flush()
-            [f.result(timeout=10) for f in futures]
-
-            dump, _ = _get_json(server.url + "/traces/recent?limit=3")
-            assert dump["enabled"] is True
-            assert 1 <= len(dump["traces"]) <= 3
-            assert all(t["num_spans"] >= 1 for t in dump["traces"])
-
-            text, content_type = _get_text(
-                server.url + "/traces/recent?limit=2&format=text"
-            )
-            assert content_type.startswith("text/plain")
-            assert "serving.request" in text
-
-            with pytest.raises(HTTPError) as err:
-                urlopen(server.url + "/traces/recent?limit=zero")
-            assert err.value.code == 400
-
-
-def test_traces_endpoint_without_tracer_reports_disabled(served_engine):
-    with served_engine.serving_queue(max_batch=4) as queue:
-        registry = MetricsRegistry()
-        with TelemetryServer(registry, tracer=None) as server:
-            dump, _ = _get_json(server.url + "/traces/recent")
-            assert dump == {"enabled": False, "traces": []}
-
-
-# ----------------------------------------------------------------------
-# The disabled contract: byte-identical predictions, no recorded traces
-# ----------------------------------------------------------------------
-def test_disabled_telemetry_leaves_predictions_byte_identical(
-    served_engine, queries
-):
-    assert TRACER.enabled is False  # the module default
-
-    def serve():
-        with served_engine.serving_queue(max_batch=4) as queue:
-            futures = [queue.submit(row) for row in queries]
-            queue.flush()
-            return [f.result(timeout=10) for f in futures]
-
-    baseline = serve()
-    TRACER.reset()
-    TRACER.enable()
-    try:
-        traced = serve()
-    finally:
-        TRACER.disable()
-        TRACER.reset()
-    untraced = serve()
-
-    base_bytes = np.array([r.decision_value for r in baseline]).tobytes()
-    assert np.array([r.decision_value for r in traced]).tobytes() == base_bytes
-    assert np.array([r.decision_value for r in untraced]).tobytes() == base_bytes
-    assert [r.prediction for r in traced] == [r.prediction for r in baseline]
-
-
-def test_disabled_tracer_records_nothing(served_engine, queries):
-    TRACER.reset()
-    with served_engine.serving_queue(max_batch=4) as queue:
-        futures = [queue.submit(row) for row in queries[:4]]
-        queue.flush()
-        [f.result(timeout=10) for f in futures]
-    assert TRACER.trace_ids() == []
 
 
 # ----------------------------------------------------------------------
@@ -288,3 +174,218 @@ def test_record_feedback_requires_attachment(served_engine, queries):
         clf.record_feedback(np.zeros(2), [0])  # length mismatch
     with pytest.raises(SVMError):
         clf.record_feedback(np.zeros(0), [])  # empty batch
+
+
+def _scraped_coverage(server):
+    body, _ = _get_text(server.url + "/metrics")
+    family = parse_prometheus_text(body)["repro_conformal_rolling_coverage"]
+    ((_, _, value),) = family["samples"]
+    return value
+
+
+def test_endpoint_coverage_gauge_is_nan_without_feedback(served_engine, payload, queries):
+    """No feedback is no evidence: the gauge reads NaN, not 0.0 (the worst
+    coverage), before any feedback and again after a swap."""
+    clf = served_engine.streaming_classifier()
+    calibration = clf.classify(queries)
+    labels = (calibration.decision_values > 0).astype(int)
+    clf.attach_conformal(
+        SplitConformalClassifier(alpha=0.2).calibrate(calibration.decision_values, labels)
+    )
+    with AsyncServingQueue(clf, max_batch=4) as queue:
+        with attach_endpoint(queue) as server:
+            assert np.isnan(_scraped_coverage(server))
+
+            coverage = queue.classifier.record_feedback(
+                calibration.decision_values, labels
+            )
+            assert _scraped_coverage(server) == pytest.approx(coverage)
+
+            queue.swap_payload(payload)
+            assert np.isnan(_scraped_coverage(server))
+
+
+# ----------------------------------------------------------------------
+# Routes and the standalone server
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("path", ["/traces/recent", "/traces", "/", "/metrics/extra"])
+def test_paths_other_than_metrics_and_health_are_404(path):
+    with TelemetryServer(MetricsRegistry()) as server:
+        with pytest.raises(HTTPError) as err:
+            urlopen(server.url + path)
+        assert err.value.code == 404
+        body = json.loads(err.value.read().decode())
+        assert body["error"] == f"unknown path {path!r}"
+        assert body["endpoints"] == ["/metrics", "/health"]
+
+
+def test_metrics_path_ignores_the_query_string():
+    registry = MetricsRegistry()
+    registry.counter("repro_test_total", "A test counter.").inc(3)
+    with TelemetryServer(registry) as server:
+        body, _ = _get_text(server.url + "/metrics?format=text")
+    ((_, _, value),) = parse_prometheus_text(body)["repro_test_total"]["samples"]
+    assert value == 3
+
+
+def test_failing_collector_is_served_as_500_and_the_server_keeps_going():
+    registry = MetricsRegistry()
+    calls = []
+
+    def collect():
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("collector bug")
+
+    registry.register_collector(collect, name="flaky")
+    with TelemetryServer(registry) as server:
+        with pytest.raises(HTTPError) as err:
+            urlopen(server.url + "/metrics")
+        assert err.value.code == 500
+        assert "collector bug" in json.loads(err.value.read().decode())["error"]
+        body, _ = _get_text(server.url + "/metrics")
+        assert parse_prometheus_text(body) == {}
+    assert len(calls) == 2
+
+
+def test_server_without_a_health_callback_reports_ok():
+    with TelemetryServer(MetricsRegistry()) as server:
+        health, status = _get_json(server.url + "/health")
+    assert (health, status) == ({"status": "ok"}, 200)
+
+
+def test_degraded_health_is_served_with_200():
+    with TelemetryServer(
+        MetricsRegistry(), health=lambda: {"status": "degraded", "reason": "test"}
+    ) as server:
+        health, status = _get_json(server.url + "/health")
+    assert status == 200
+    assert health == {"status": "degraded", "reason": "test"}
+
+
+def test_close_is_idempotent_and_releases_the_port():
+    server = TelemetryServer(MetricsRegistry())
+    url = server.url
+    server.close()
+    server.close()
+    with pytest.raises(URLError):
+        urlopen(url + "/health", timeout=5)
+
+
+def test_port_in_use_raises_telemetry_error():
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        with pytest.raises(TelemetryError, match=f"127.0.0.1:{port}"):
+            TelemetryServer(MetricsRegistry(), port=port)
+
+
+# ----------------------------------------------------------------------
+# attach_endpoint bindings
+# ----------------------------------------------------------------------
+def test_attach_endpoint_binds_into_a_passed_registry(served_engine, queries):
+    registry = MetricsRegistry()
+    with served_engine.serving_queue(max_batch=4) as queue:
+        with attach_endpoint(queue, registry=registry) as server:
+            assert server.registry is registry
+            queue.submit_many(queries)
+            queue.flush()
+            body, _ = _get_text(server.url + "/metrics")
+    scraped = parse_prometheus_text(body)
+    assert set(scraped) == set(registry.to_dict())
+    ((_, _, served),) = scraped["repro_serving_requests_total"]["samples"]
+    assert served == len(queries)
+
+
+def test_endpoint_without_conformal_exports_no_coverage_gauge(served_engine):
+    with served_engine.serving_queue(max_batch=4) as queue:
+        with attach_endpoint(queue) as server:
+            body, _ = _get_text(server.url + "/metrics")
+    families = parse_prometheus_text(body)
+    assert "repro_serving_requests_total" in families
+    assert "repro_conformal_rolling_coverage" not in families
+    assert "repro_conformal_feedback_total" not in families
+
+
+def test_health_and_pending_gauge_count_a_stalled_backlog(
+    served_engine, queries, coalescer_gate
+):
+    with served_engine.serving_queue(max_batch=4) as queue:
+        with attach_endpoint(queue) as server:
+            sentinel = coalescer_gate.stall(queue)
+            futures = queue.submit_many(queries[:3])
+            health, status = _get_json(server.url + "/health")
+            assert status == 200
+            assert health == {"status": "ok", "closed": False, "pending": 3}
+            body, _ = _get_text(server.url + "/metrics")
+            ((_, _, pending),) = parse_prometheus_text(body)[
+                "repro_serving_queue_pending"
+            ]["samples"]
+            assert pending == 3
+
+            coalescer_gate.release()
+            sentinel.result(timeout=30)
+            [f.result(timeout=30) for f in futures]
+            health, _ = _get_json(server.url + "/health")
+            assert health["pending"] == 0
+
+
+# ----------------------------------------------------------------------
+# Coverage collectors over duck-typed sources
+# ----------------------------------------------------------------------
+class _StubClassifier:
+    def __init__(self):
+        self.feedback_count = 0
+        self.coverage = None
+
+    def rolling_coverage(self):
+        return self.coverage
+
+
+class _StubController(_StubClassifier):
+    alarm_active = True
+    alarm_count = 2
+    refit_count = 1
+    swap_count = 1
+    buffered_samples = 7
+
+
+def _values(registry):
+    return {
+        name: family["series"][0]["value"]
+        for name, family in registry.to_dict().items()
+    }
+
+
+def test_classifier_coverage_collector_reads_nan_until_feedback():
+    registry = MetricsRegistry()
+    clf = _StubClassifier()
+    assert bind_classifier_coverage(registry, clf) == ["conformal-coverage"]
+    values = _values(registry)
+    assert np.isnan(values["repro_conformal_rolling_coverage"])
+    assert values["repro_conformal_feedback_total"] == 0
+
+    clf.feedback_count, clf.coverage = 5, 0.8
+    values = _values(registry)
+    assert values["repro_conformal_rolling_coverage"] == 0.8
+    assert values["repro_conformal_feedback_total"] == 5
+
+
+def test_drift_controller_collector_reads_nan_until_feedback():
+    registry = MetricsRegistry()
+    controller = _StubController()
+    assert bind_drift_controller(registry, controller) == ["drift-controller"]
+    values = _values(registry)
+    assert np.isnan(values["repro_drift_rolling_coverage"])
+    assert values["repro_drift_alarm_active"] == 1.0
+    assert values["repro_drift_alarms_total"] == 2
+    assert values["repro_drift_refits_total"] == 1
+    assert values["repro_drift_swaps_total"] == 1
+    assert values["repro_drift_feedback_total"] == 0
+    assert values["repro_drift_buffered_samples"] == 7
+
+    controller.feedback_count, controller.coverage = 9, 0.75
+    values = _values(registry)
+    assert values["repro_drift_rolling_coverage"] == 0.75
+    assert values["repro_drift_feedback_total"] == 9

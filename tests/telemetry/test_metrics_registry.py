@@ -1,5 +1,7 @@
 """Unit tests for the metrics registry and the Prometheus text round trip."""
 
+import math
+
 import pytest
 
 from repro.exceptions import TelemetryError
@@ -170,6 +172,22 @@ def test_label_values_escape_round_trip():
     (_, labels, value) = families["repro_escaped_total"]["samples"][0]
     assert labels["tag"] == ugly
     assert value == 1
+
+
+@pytest.mark.parametrize(
+    "value, token",
+    [(math.nan, "NaN"), (math.inf, "+Inf"), (-math.inf, "-Inf")],
+)
+def test_non_finite_gauge_values_round_trip(value, token):
+    registry = MetricsRegistry()
+    registry.gauge("repro_test_gauge", "A test gauge.").set(value)
+    text = render_prometheus(registry)
+    assert f"repro_test_gauge {token}\n" in text
+    ((_, _, parsed),) = parse_prometheus_text(text)["repro_test_gauge"]["samples"]
+    if math.isnan(value):
+        assert math.isnan(parsed)
+    else:
+        assert parsed == value
 
 
 @pytest.mark.parametrize(
